@@ -187,9 +187,10 @@ func collectAggregates(e sql.Expr, aggs map[string]*sql.FuncCall, windows map[st
 }
 
 // aggregate executes the grouping path: hash aggregation over the joined
-// base rows, windowed aggregates over the groups, then HAVING,
-// projection, DISTINCT, ORDER BY and LIMIT.
-func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows [][]storage.Value, orderBy []sql.OrderItem, tr *Trace) (*Result, []schema.Type, error) {
+// base rows (gathered from the rowSet one scratch row at a time),
+// windowed aggregates over the groups, then HAVING, projection,
+// DISTINCT, ORDER BY and LIMIT.
+func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderBy []sql.OrderItem, tr *Trace) (*Result, []schema.Type, error) {
 	// Gather distinct aggregate and window calls across all clauses.
 	aggMap := map[string]*sql.FuncCall{}
 	winMap := map[string]*sql.Window{}
@@ -242,6 +243,16 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows [][]storage.Val
 		}
 	}
 
+	// Group keys and aggregate arguments are the only base-layout
+	// expressions evaluated here: the reader gathers just their tables.
+	readMask := maskOf(groupExprs)
+	for i := range specs {
+		if specs[i].arg != nil {
+			readMask |= specs[i].arg.mask()
+		}
+	}
+	rr := b.rowReader(rows, readMask)
+
 	// Hash aggregation. aggregateMask groups by the group-by expressions
 	// whose bit is set in mask, padding the others with NULL. The full
 	// mask is ordinary grouping; ROLLUP uses prefix masks, CUBE every
@@ -275,8 +286,12 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows [][]storage.Val
 		// concatenation exactly, so grouping is unchanged.
 		var keybuf []byte
 		gtmp := make([]storage.Value, len(groupExprs))
-		for _, row := range rows {
+		row := make([]storage.Value, b.total)
+		b.qc.growScratch(int64(len(row)+len(gtmp)) * valueBytes)
+		defer b.qc.shrinkScratch(int64(len(row)+len(gtmp)) * valueBytes)
+		for r := 0; r < rows.n; r++ {
 			b.qc.tick()
+			rr.fill(r, row)
 			keybuf = keybuf[:0]
 			for i := range groupExprs {
 				if mask&(1<<uint(i)) != 0 {
@@ -323,16 +338,18 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows [][]storage.Val
 		if gv != nil {
 			return
 		}
-		n := len(rows)
+		n := rows.n
 		gv = make([][]storage.Value, n)
 		av = make([][]storage.Value, n)
 		// The per-row value arrays are the parallel aggregation's
-		// dominant scratch; they live until the last mask is emitted,
-		// so they count toward the aggregate node's peak only.
-		b.qc.growScratch(int64(n) * int64(len(groupExprs)+len(specs)+2) * valueBytes)
+		// dominant scratch, beside one gather row per worker; they live
+		// until the last mask is emitted, so they count toward the
+		// aggregate node's peak only.
+		b.qc.growScratch((int64(n)*int64(len(groupExprs)+len(specs)+2) + int64(workers*b.total)) * valueBytes)
 		counts := forEachMorsel(b.qc, workers, n, morsel, func(_, _, lo, hi int) {
+			row := make([]storage.Value, b.total)
 			for r := lo; r < hi; r++ {
-				row := rows[r]
+				rr.fill(r, row)
 				g := make([]storage.Value, len(groupExprs))
 				for i := range groupExprs {
 					g[i] = groupExprs[i].eval(row)
@@ -352,7 +369,7 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows [][]storage.Val
 	}
 	aggregateMaskParallel := func(mask uint, workers, morsel int) [][]storage.Value {
 		precompute(workers, morsel)
-		n := len(rows)
+		n := rows.n
 		// Shadow with locals pinned to this mask's view: precompute
 		// guarantees one value slot per row, and the explicit check
 		// makes that contract a local fact rather than action at a
@@ -380,7 +397,7 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows [][]storage.Val
 					}
 				}
 				keys[r] = string(buf)
-				parts[r] = partOfBytes(buf, workers)
+				parts[r] = partOf(buf, workers)
 			}
 		})
 		tr.addWork(counts)
@@ -425,7 +442,7 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows [][]storage.Val
 		return emit(all)
 	}
 	aggregateMask := func(mask uint) [][]storage.Value {
-		if workers, morsel := e.workers(), e.morselSize(); workers > 1 && len(rows) > morsel {
+		if workers, morsel := e.workers(), e.morselSize(); workers > 1 && rows.n > morsel {
 			return aggregateMaskParallel(mask, workers, morsel)
 		}
 		return aggregateMaskSerial(mask)
@@ -599,6 +616,7 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows [][]storage.Val
 		}
 		sortKeys = append(sortKeys, be)
 	}
-	res := e.finish(b.qc, aggRows, projs, sortKeys, orderBy, stmt.Distinct, stmt.Limit, stmt.Offset, outCols, tr)
+	src := rowSource{vals: aggRows, n: len(aggRows)}
+	res := e.finish(b.qc, src, projs, sortKeys, orderBy, stmt.Distinct, stmt.Limit, stmt.Offset, outCols, tr)
 	return res, outTypes, nil
 }

@@ -3,22 +3,33 @@
 // columnar storage vectors directly in batches of ~1K rows, carrying a
 // selection vector of surviving row ids between predicate kernels
 // (MonetDB/X100-style). Each kernel is a typed tight loop over one
-// column's physical vector; rows are materialized into full-width
-// []storage.Value form only after every predicate has voted, so
-// non-surviving rows never touch Table.Get or Value boxing at all.
+// column's physical vector, so non-surviving rows never touch Value
+// boxing at all.
+//
+// Intermediates. What a scan emits is its selection vectors, and what
+// the join operators pass on is a rowSet (rowset.go): one []int32
+// row-id vector per joined table, never a full-width row. Join keys are
+// read off the column vectors through those ids; values are gathered
+// into a per-worker scratch row only where an expression is evaluated —
+// uncompiled local predicates here, residual and LEFT JOIN ON
+// predicates in join.go, grouping and aggregate arguments in agg.go,
+// projections and sort keys in run.go. Every operator emits in
+// probe-major order and concatenates morsel chunks in morsel order, so
+// the id tuples arrive in exactly the order a row pipeline would
+// produce them.
 //
 // The batch layer slots UNDER the existing morsel partitioning: a
 // morsel worker runs its [lo,hi) range through the same batch scanner
-// the serial path uses, and per-morsel output buffers concatenate in
-// morsel order exactly as before. Kernel results replicate the row
-// engine's three-valued logic bit for bit (numeric comparisons go
-// through float64 like storage.Compare, IN keeps its UNKNOWN-on-NULL
-// member rule, AND/OR combine 1/0/-1 exactly like binExpr), so batch
-// results are bit-identical to the row engine — the differential tests
-// pin this across all 99 templates, serial and parallel.
+// the serial path uses. Kernel results replicate bexpr evaluation's
+// three-valued logic bit for bit (numeric comparisons go through
+// float64 like storage.Compare, IN keeps its UNKNOWN-on-NULL member
+// rule, AND/OR combine 1/0/-1 exactly like binExpr), so kernels and
+// row-at-a-time evaluation select the same rows — the differential
+// tests pin this across all 99 templates, serial and parallel.
 //
-// The row-at-a-time implementations remain behind
-// Engine.SetVectorized(false) as the differential oracle.
+// Engine.SetVectorized(false) is the kernel oracle: it compiles no
+// kernels, so every local predicate is evaluated row-at-a-time through
+// bexpr.eval over the same batches, and emits the same row ids.
 package exec
 
 import (
@@ -63,16 +74,19 @@ func (b *binder) tableAt(ti int) *tabInst {
 	return &b.tables[ti]
 }
 
-// colReaders resolves the used columns of table ti to vector readers.
+// colReaders returns the vector readers of table ti's used columns,
+// resolved once per query by binder.freeze.
 func (b *binder) colReaders(ti int) []colReader {
-	inst := b.tableAt(ti)
-	cols := b.usedCols(ti)
-	out := make([]colReader, 0, len(cols))
-	for _, c := range cols {
-		k, ints, flts, strs, nulls := inst.tab.Col(c).Raw()
-		out = append(out, colReader{off: inst.offset + c, kind: k, ints: ints, flts: flts, strs: strs, nulls: nulls})
+	if ti < 0 || ti >= len(b.readers) {
+		panic(fmt.Sprintf("exec: column readers of table %d requested before freeze or out of range (%d resolved)", ti, len(b.readers)))
 	}
-	return out
+	return b.readers[ti]
+}
+
+// newColReader caches the physical vectors of column c of inst.
+func newColReader(inst *tabInst, c int) colReader {
+	k, ints, flts, strs, nulls := inst.tab.Col(c).Raw()
+	return colReader{off: inst.offset + c, kind: k, ints: ints, flts: flts, strs: strs, nulls: nulls}
 }
 
 // value boxes row r of the column — identical to Column.Get.
@@ -95,22 +109,12 @@ func (cr *colReader) value(r int32) storage.Value {
 // fillRow materializes base-table row r into the full-width row buffer.
 func fillRow(readers []colReader, r int32, row []storage.Value) {
 	for i := range readers {
-		//lint:ignore boundscheck layout invariant: the binder assigns every reader off < total and row is allocated at the bound width (see binder.colReaders); cross-struct offsets are outside the per-variable domain
-		row[readers[i].off] = readers[i].value(r)
+		off := readers[i].off
+		if off < 0 || off >= len(row) {
+			panic("exec: column reader offset outside the row layout")
+		}
+		row[off] = readers[i].value(r)
 	}
-}
-
-// materializeSel appends one full-width row per selected id, carving the
-// rows out of a single batch-sized arena allocation.
-func materializeSel(readers []colReader, total int, sel []int32, out [][]storage.Value) [][]storage.Value {
-	buf := make([]storage.Value, len(sel)*total)
-	for i, r := range sel {
-		//lint:ignore boundscheck i*total is a product of two variables; the arena is allocated at len(sel)*total so the carve is exact, but nonlinear arithmetic is outside the linear interval domain
-		row := buf[i*total : (i+1)*total : (i+1)*total]
-		fillRow(readers, r, row)
-		out = append(out, row)
-	}
-	return out
 }
 
 // triFn is a compiled predicate kernel: it evaluates the predicate for
@@ -133,29 +137,20 @@ type tableFilter struct {
 	total   int
 }
 
-// compileFilter compiles table ti's local predicates.
+// compileFilter compiles table ti's local predicates. With
+// vectorization off nothing is compiled: every predicate runs
+// row-at-a-time over the batch — the oracle the kernels are diffed
+// against.
 func (b *binder) compileFilter(ti int, filters []filterInfo) *tableFilter {
 	tf := &tableFilter{readers: b.colReaders(ti), total: b.total}
 	for _, p := range tablePreds(ti, filters) {
-		if k, ok := b.compileTri(ti, p); ok {
-			tf.kernels = append(tf.kernels, k)
-		} else {
-			tf.slow = append(tf.slow, p)
+		if b.eng.vectorized {
+			if k, ok := b.compileTri(ti, p); ok {
+				tf.kernels = append(tf.kernels, k)
+				continue
+			}
 		}
-	}
-	return tf
-}
-
-// compilePreds compiles an explicit predicate list against table ti
-// (star fact-local predicates arrive pre-collected, not as filterInfo).
-func (b *binder) compilePreds(ti int, preds []bexpr) *tableFilter {
-	tf := &tableFilter{readers: b.colReaders(ti), total: b.total}
-	for _, p := range preds {
-		if k, ok := b.compileTri(ti, p); ok {
-			tf.kernels = append(tf.kernels, k)
-		} else {
-			tf.slow = append(tf.slow, p)
-		}
+		tf.slow = append(tf.slow, p)
 	}
 	return tf
 }
@@ -215,14 +210,7 @@ func (tf *tableFilter) apply(sel []int32, sc *batchScratch) []int32 {
 		w := 0
 		for _, r := range sel {
 			fillRow(tf.readers, r, sc.row)
-			ok := true
-			for _, p := range tf.slow {
-				if !truthy(p.eval(sc.row)) {
-					ok = false
-					break
-				}
-			}
-			if ok {
+			if passes(tf.slow, sc.row) {
 				sel[w] = r
 				w++
 			}
@@ -302,8 +290,8 @@ func (b *binder) kernelCol(ti int, e bexpr) (*colReader, bool) {
 	if c < 0 || c >= inst.width() {
 		return nil, false
 	}
-	k, ints, flts, strs, nulls := inst.tab.Col(c).Raw()
-	return &colReader{off: ce.off, kind: k, ints: ints, flts: flts, strs: strs, nulls: nulls}, true
+	cr := newColReader(inst, c)
+	return &cr, true
 }
 
 func isNumKind(k storage.Kind) bool {
@@ -825,58 +813,6 @@ func intJoinKey(probe, build []*colExpr) bool {
 	return c != 0 && c == intClass(build[0].t)
 }
 
-// rowIntKey extracts the int64 join key of a materialized row.
-func rowIntKey(row []storage.Value, col *colExpr) (int64, bool) {
-	//lint:ignore boundscheck layout invariant: col.off is a binder-assigned offset < total and row is allocated at b.total; cross-struct offsets are outside the per-variable domain
-	v := row[col.off]
-	if v.IsNull() {
-		return 0, false
-	}
-	return v.I, true
-}
-
-// appendRowKey appends the GroupKey-encoded join key of a materialized
-// row to buf; ok=false on a NULL component (NULL never joins).
-func appendRowKey(row []storage.Value, cols []*colExpr, buf []byte) ([]byte, bool) {
-	for _, c := range cols {
-		//lint:ignore boundscheck layout invariant: c.off is a binder-assigned offset < total and row is allocated at b.total; cross-struct offsets are outside the per-variable domain
-		v := row[c.off]
-		if v.IsNull() {
-			return buf, false
-		}
-		buf = v.AppendGroupKey(buf)
-	}
-	return buf, true
-}
-
-// keyCols resolves build-side key columns of table ti to vector
-// readers, for key extraction without row materialization.
-func (b *binder) keyCols(ti int, cols []*colExpr) []colReader {
-	out := make([]colReader, 0, len(cols))
-	for _, c := range cols {
-		cr, ok := b.kernelCol(ti, c)
-		if !ok {
-			// Join edges always bind to plain columns of ti; anything else
-			// is an executor invariant violation.
-			panic("exec: join key is not a column of the build table")
-		}
-		out = append(out, *cr)
-	}
-	return out
-}
-
-// appendVecKey appends the GroupKey-encoded join key of base-table row
-// r read straight from the column vectors.
-func appendVecKey(kcs []colReader, r int32, buf []byte) ([]byte, bool) {
-	for i := range kcs {
-		if kcs[i].nulls[r] {
-			return buf, false
-		}
-		buf = kcs[i].value(r).AppendGroupKey(buf)
-	}
-	return buf, true
-}
-
 // partOfInt hashes an int64 join key to a partition — FNV-1a over the
 // key's little-endian bytes, deterministic like partOf.
 func partOfInt(k int64, parts int) int {
@@ -886,19 +822,6 @@ func partOfInt(k int64, parts int) int {
 	h := uint32(2166136261)
 	for s := uint(0); s < 64; s += 8 {
 		h ^= uint32(uint8(k >> s))
-		h *= 16777619
-	}
-	return int(h % uint32(parts))
-}
-
-// partOfBytes is partOf for a byte-slice key (no string conversion).
-func partOfBytes(key []byte, parts int) int {
-	if parts <= 1 {
-		return 0
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
 		h *= 16777619
 	}
 	return int(h % uint32(parts))

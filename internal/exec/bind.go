@@ -34,27 +34,42 @@ type binder struct {
 	total  int
 	slots  map[string]bexpr
 	// used marks the absolute layout offsets any bound expression
-	// reads. Scans and joins fill only used columns — unreferenced
-	// dimension attributes are never copied (a columnar engine reads
-	// only the columns a query touches).
-	used map[int]bool
+	// reads. Scratch rows carry only used columns — unreferenced
+	// dimension attributes are never read (a columnar engine touches
+	// only the columns a query needs). readers is the per-table
+	// resolution of that set to vector readers, fixed by freeze.
+	used    map[int]bool
+	readers [][]colReader
 }
 
 func newBinder(eng *Engine, qc *qctx, ctes map[string]*storage.Table) *binder {
 	return &binder{eng: eng, qc: qc, ctes: ctes, used: map[int]bool{}}
 }
 
-// usedCols returns the column indexes of table ti that any bound
-// expression reads.
-func (b *binder) usedCols(ti int) []int {
-	inst := &b.tables[ti]
-	var out []int
-	for c := 0; c < inst.width(); c++ {
-		if b.used[inst.offset+c] {
-			out = append(out, c)
+// markUsed records that a bound expression reads layout offset off.
+func (b *binder) markUsed(off int) {
+	if b.readers != nil && !b.used[off] {
+		// Gathers would leave the column NULL in every scratch row: a
+		// wrong answer, not a crash. The registration pass in runSelect
+		// must see every column before the joins run.
+		panic(fmt.Sprintf("exec: layout offset %d first referenced after the used-column set was frozen", off))
+	}
+	b.used[off] = true
+}
+
+// freeze fixes the used-column set once the registration pass and the
+// binding of WHERE and ON are done, and resolves it to one reader list
+// per table instance, so no operator rebuilds it per call or per row.
+func (b *binder) freeze() {
+	b.readers = make([][]colReader, len(b.tables))
+	for ti := range b.tables {
+		inst := &b.tables[ti]
+		for c := 0; c < inst.width(); c++ {
+			if b.used[inst.offset+c] {
+				b.readers[ti] = append(b.readers[ti], newColReader(inst, c))
+			}
 		}
 	}
-	return out
 }
 
 // registerColumns walks an unbound expression registering every column
@@ -66,7 +81,7 @@ func (b *binder) registerColumns(e sql.Expr) {
 	switch v := e.(type) {
 	case *sql.ColRef:
 		if ce, err := b.resolveColumn(v); err == nil {
-			b.used[ce.off] = true
+			b.markUsed(ce.off)
 		}
 	case *sql.BinOp:
 		b.registerColumns(v.L)
@@ -110,7 +125,7 @@ func (b *binder) registerAll() {
 	for ti := range b.tables {
 		inst := &b.tables[ti]
 		for c := 0; c < inst.width(); c++ {
-			b.used[inst.offset+c] = true
+			b.markUsed(inst.offset + c)
 		}
 	}
 }
@@ -158,7 +173,7 @@ func (b *binder) resolveColumn(c *sql.ColRef) (*colExpr, error) {
 				return nil, fmt.Errorf("table %q has no column %q", c.Table, c.Name)
 			}
 			col, _ := inst.tab.Def.Column(c.Name)
-			b.used[inst.offset+ci] = true
+			b.markUsed(inst.offset + ci)
 			return &colExpr{off: inst.offset + ci, t: col.Type, tblBit: 1 << uint(ti)}, nil
 		}
 		return nil, fmt.Errorf("unknown table binding %q", c.Table)
@@ -179,7 +194,7 @@ func (b *binder) resolveColumn(c *sql.ColRef) (*colExpr, error) {
 	if found == nil {
 		return nil, fmt.Errorf("unknown column %q", c.Name)
 	}
-	b.used[found.off] = true
+	b.markUsed(found.off)
 	return found, nil
 }
 

@@ -28,10 +28,10 @@ type Engine struct {
 	parallelism int
 	morselRows  int
 
-	// vectorized selects the batch execution path (selection-vector
-	// kernels over columnar batches); off forces the row-at-a-time
-	// engine, kept as the differential oracle. batchRows overrides the
-	// batch size (0 = defaultBatchRows).
+	// vectorized compiles local predicates into selection-vector
+	// kernels over columnar batches; off evaluates them row-at-a-time
+	// through bexpr.eval, the differential oracle for the kernels.
+	// batchRows overrides the batch size (0 = defaultBatchRows).
 	vectorized bool
 	batchRows  int
 
@@ -145,11 +145,11 @@ func (e *Engine) SetMorselSize(n int) {
 	e.morselRows = n
 }
 
-// SetVectorized toggles vectorized batch execution (on by default).
-// With it off every operator runs the original row-at-a-time path —
-// the differential oracle the batch engine is tested against. Results
-// are bit-identical either way. Not safe to call concurrently with
-// queries.
+// SetVectorized toggles the predicate kernels (on by default). With it
+// off every local predicate is evaluated row-at-a-time — the
+// differential oracle the kernels are tested against — while scans and
+// joins still pass the same row-id vectors. Results are bit-identical
+// either way. Not safe to call concurrently with queries.
 func (e *Engine) SetVectorized(on bool) { e.vectorized = on }
 
 // Vectorized reports whether batch execution is enabled.

@@ -17,15 +17,15 @@ type leftJoin struct {
 	extra []bexpr
 }
 
-// joinRows produces the joined base rows of a query: full-width rows
-// over the canonical layout (each table instance owning a contiguous
-// span). The join order comes from the active planner — the greedy
-// heuristic, or the cost-based search with its plan cache — and the
-// star-vs-hash choice from the plan package. Either way the emitted
-// rows are bit-identical: planning may change cost, never results. The
-// returned trace belongs to this call alone, so concurrent streams
-// never see each other's plans.
-func (e *Engine) joinRows(b *binder, stmt *sql.SelectStmt, filters []filterInfo, edges []joinEdge, residual []bexpr, lefts []leftJoin) ([][]storage.Value, Trace, error) {
+// joinRows produces the joined base rows of a query as a rowSet: one
+// row-id vector per table instance (values are gathered later, where an
+// expression reads them). The join order comes from the active planner
+// — the greedy heuristic, or the cost-based search with its plan cache
+// — and the star-vs-hash choice from the plan package. Either way the
+// emitted rows are bit-identical: planning may change cost, never
+// results. The returned trace belongs to this call alone, so concurrent
+// streams never see each other's plans.
+func (e *Engine) joinRows(b *binder, stmt *sql.SelectStmt, filters []filterInfo, edges []joinEdge, residual []bexpr, lefts []leftJoin) (*rowSet, Trace, error) {
 	if len(b.tables) == 0 {
 		return nil, Trace{}, fmt.Errorf("no tables to join")
 	}
@@ -72,14 +72,14 @@ func (e *Engine) joinRows(b *binder, stmt *sql.SelectStmt, filters []filterInfo,
 			if ok {
 				tr.Strategy = plan.StarTransform
 				tr.JoinOrder = []string{shape.FactName + " (bitmap-driven)"}
-				tr.BaseRows = len(rows)
+				tr.BaseRows = rows.n
 				return rows, tr, nil
 			}
 		}
 	}
 	rows, order := e.executeJoinOrder(b, planned.Order, planned.StepEst, filters, edges, residual, lefts, &tr)
 	tr.JoinOrder = order
-	tr.BaseRows = len(rows)
+	tr.BaseRows = rows.n
 	return rows, tr, nil
 }
 
@@ -94,88 +94,21 @@ func tablePreds(ti int, filters []filterInfo) []bexpr {
 	return preds
 }
 
-// forEachFiltered streams the rows of table ti surviving its local
-// filters. fn receives the base-table row id and a reusable full-width
-// buffer with only ti's span populated — callers must copy what they
-// keep. With vectorization on, predicates run as batch kernels over the
-// column vectors and only survivors are materialized into the buffer.
-func (b *binder) forEachFiltered(ti int, filters []filterInfo, fn func(r int, row []storage.Value)) {
-	inst := b.tableAt(ti)
-	n := inst.tab.NumRows()
+// forEachFiltered streams the ids of table ti's rows surviving its local
+// filters, one selection vector per batch (valid only for the call), on
+// the calling goroutine; scanCollect is the morsel-parallel form.
+func (b *binder) forEachFiltered(ti int, filters []filterInfo, fn func(sel []int32)) {
+	n := b.tableAt(ti).tab.NumRows()
 	b.qc.countScan(n)
-	if b.eng.vectorized {
-		tf := b.compileFilter(ti, filters)
-		row := make([]storage.Value, b.total)
-		tf.scanRange(b.qc, b.eng.batchSize(), 0, n, func(sel []int32) {
-			for _, r := range sel {
-				fillRow(tf.readers, r, row)
-				fn(int(r), row)
-			}
-		})
-		return
-	}
-	preds := tablePreds(ti, filters)
-	cols := b.usedCols(ti)
-	row := make([]storage.Value, b.total)
-	for r := 0; r < n; r++ {
-		b.qc.tick()
-		for _, c := range cols {
-			//lint:ignore boundscheck layout invariant: inst.offset+c < total for every used column and row is allocated at b.total; cross-struct offsets are outside the per-variable domain
-			row[inst.offset+c] = inst.tab.Get(r, c)
-		}
-		ok := true
-		for _, p := range preds {
-			if !truthy(p.eval(row)) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			fn(r, row)
-		}
-	}
+	b.compileFilter(ti, filters).scanRange(b.qc, b.eng.batchSize(), 0, n, fn)
 }
 
-// filteredRows materializes one table's surviving rows as full-width
-// rows (driver-table path). The vectorized path carves the rows of each
-// batch out of one arena allocation.
-func (b *binder) filteredRows(ti int, filters []filterInfo) [][]storage.Value {
-	if b.eng.vectorized {
-		inst := b.tableAt(ti)
-		n := inst.tab.NumRows()
-		b.qc.countScan(n)
-		tf := b.compileFilter(ti, filters)
-		var out [][]storage.Value
-		tf.scanRange(b.qc, b.eng.batchSize(), 0, n, func(sel []int32) {
-			out = materializeSel(tf.readers, b.total, sel, out)
-		})
-		return out
-	}
-	var out [][]storage.Value
-	b.forEachFiltered(ti, filters, func(_ int, row []storage.Value) {
-		cp := make([]storage.Value, len(row))
-		copy(cp, row)
-		out = append(out, cp)
-	})
-	return out
-}
-
-// countFiltered counts surviving rows without materializing them. The
-// vectorized path never boxes a value: kernels vote, survivors are
-// counted straight off the selection vector.
+// countFiltered counts surviving rows straight off the selection
+// vectors.
 func (b *binder) countFiltered(ti int, filters []filterInfo) int {
-	if b.eng.vectorized {
-		inst := b.tableAt(ti)
-		nr := inst.tab.NumRows()
-		b.qc.countScan(nr)
-		tf := b.compileFilter(ti, filters)
-		count := 0
-		tf.scanRange(b.qc, b.eng.batchSize(), 0, nr, func(sel []int32) { count += len(sel) })
-		return count
-	}
-	n := 0
-	b.forEachFiltered(ti, filters, func(int, []storage.Value) { n++ })
-	return n
+	count := 0
+	b.forEachFiltered(ti, filters, func(sel []int32) { count += len(sel) })
+	return count
 }
 
 // estimateFiltered estimates the filtered cardinality of a table. With
@@ -205,14 +138,14 @@ func (e *Engine) estimateFiltered(b *binder, ti int, filters []filterInfo) float
 // executeJoinOrder runs the hash-join pipeline (§2.1: "access paths in
 // a 3NF DSS system are dominated by large hash-joins") over an explicit
 // join order — driver first, then each inner table hash-built on its
-// join columns (row ids only — spans are copied on match) and probed.
+// join columns and probed, every step appending one row-id vector.
 // Both planners produce orders satisfying the probe-major order
 // invariant, so execution needs no knowledge of which one planned.
 // stepEst carries the cost planner's per-step output estimates aligned
 // with order (stepEst[k] estimates the intermediate cardinality after
 // joining order[k]); nil under the greedy planner. Estimates feed only
 // the profile — execution never branches on them.
-func (e *Engine) executeJoinOrder(b *binder, order []int, stepEst []float64, filters []filterInfo, edges []joinEdge, residual []bexpr, lefts []leftJoin, tr *Trace) ([][]storage.Value, []string) {
+func (e *Engine) executeJoinOrder(b *binder, order []int, stepEst []float64, filters []filterInfo, edges []joinEdge, residual []bexpr, lefts []leftJoin, tr *Trace) (*rowSet, []string) {
 	if len(order) == 0 {
 		panic("exec: empty join order")
 	}
@@ -235,26 +168,23 @@ func (e *Engine) executeJoinOrder(b *binder, order []int, stepEst []float64, fil
 		joined[lj.table] = true
 		desc = append(desc, b.tableAt(lj.table).binding+" (left)")
 	}
-	// Residual cross-table predicates.
-	if len(residual) > 0 {
-		w := 0
-		for _, row := range current {
-			b.qc.tick()
-			ok := true
-			for _, p := range residual {
-				if !truthy(p.eval(row)) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				current[w] = row
-				w++
-			}
-		}
-		current = current[:w]
-	}
+	b.applyResidual(current, residual)
 	return current, desc
+}
+
+// applyResidual drops the rows failing a cross-table predicate, each
+// gathered into one scratch row for evaluation.
+func (b *binder) applyResidual(rs *rowSet, residual []bexpr) {
+	if len(residual) == 0 {
+		return
+	}
+	rr := b.rowReader(rs, maskOf(residual))
+	row := make([]storage.Value, b.total)
+	rs.filter(func(i int) bool {
+		b.qc.tick()
+		rr.fill(i, row)
+		return passes(residual, row)
+	})
 }
 
 // joinKeys extracts the probe/build key expressions for joining table ti
@@ -273,118 +203,49 @@ func joinKeys(edges []joinEdge, joined map[int]bool, ti int) (probe, build []*co
 	return probe, build
 }
 
-func keyOf(row []storage.Value, cols []*colExpr) (string, bool) {
-	key := ""
-	for _, c := range cols {
-		//lint:ignore boundscheck layout invariant: c.off is a binder-assigned offset < total and row is allocated at b.total; cross-struct offsets are outside the per-variable domain
-		v := row[c.off]
-		if v.IsNull() {
-			return "", false // NULL never joins
-		}
-		key += v.GroupKey()
-	}
-	return key, true
-}
-
-// buildHash indexes the filtered rows of table ti by the given build
-// columns, storing base-table row ids.
-func (b *binder) buildHash(ti int, filters []filterInfo, build []*colExpr) map[string][]int32 {
-	ht := map[string][]int32{}
-	built := 0
-	b.forEachFiltered(ti, filters, func(r int, row []storage.Value) {
-		if key, ok := keyOf(row, build); ok {
-			ht[key] = append(ht[key], int32(r))
-			built++
-		}
-	})
-	b.qc.countBuild(built)
-	return ht
-}
-
-// buildHashInt is buildHash for a single integer-class key column: keys
-// come straight off the column vector, no Value boxing, no GroupKey
-// string. Vectorized mode only.
-func (b *binder) buildHashInt(ti int, filters []filterInfo, build *colExpr) map[int64][]int32 {
-	inst := b.tableAt(ti)
-	n := inst.tab.NumRows()
-	b.qc.countScan(n)
-	tf := b.compileFilter(ti, filters)
-	kcs := b.keyCols(ti, []*colExpr{build})
-	if len(kcs) != 1 {
-		panic("exec: buildHashInt expects a single key column")
-	}
-	nulls, ints := kcs[0].nulls, kcs[0].ints
-	ht := map[int64][]int32{}
-	built := 0
-	tf.scanRange(b.qc, b.eng.batchSize(), 0, n, func(sel []int32) {
-		for _, r := range sel {
-			if nulls[r] {
-				continue // NULL never joins
-			}
-			ht[ints[r]] = append(ht[ints[r]], r)
-			built++
-		}
-	})
-	b.qc.countBuild(built)
-	return ht
-}
-
-// fillSpan copies the used columns of table ti's row r into dst.
-func (b *binder) fillSpan(ti int, r int32, dst []storage.Value) {
-	inst := b.tableAt(ti)
-	for _, c := range b.usedCols(ti) {
-		//lint:ignore boundscheck layout invariant: inst.offset+c < total for every used column and dst is allocated at b.total; cross-struct offsets are outside the per-variable domain
-		dst[inst.offset+c] = inst.tab.Get(int(r), c)
-	}
-}
-
 // innerHashJoin joins current rows with table ti. stepEst is the
 // planner's output estimate for this join step (negative when none).
-func (e *Engine) innerHashJoin(b *binder, current [][]storage.Value, ti int, filters []filterInfo, edges []joinEdge, joined map[int]bool, stepEst float64, tr *Trace) [][]storage.Value {
+func (e *Engine) innerHashJoin(b *binder, current *rowSet, ti int, filters []filterInfo, edges []joinEdge, joined map[int]bool, stepEst float64, tr *Trace) *rowSet {
 	probe, build := joinKeys(edges, joined, ti)
 	if len(probe) == 0 {
 		// No connecting edge: cartesian product (rare; small sides only).
 		sp := b.qc.startOp("cartesian", b.tableAt(ti).binding)
-		b.qc.opRowsIn(sp, int64(len(current)))
+		b.qc.opRowsIn(sp, int64(current.n))
 		if stepEst >= 0 {
 			b.qc.opEst(stepEst)
 		}
 		defer b.qc.endOp(sp)
-		var ids []int32
-		b.forEachFiltered(ti, filters, func(r int, _ []storage.Value) {
-			ids = append(ids, int32(r))
-		})
-		var out [][]storage.Value
-		for _, l := range current {
+		ids := e.filteredIDs(b, ti, filters, tr)
+		pairs := make([]matchPair, 0, current.n*len(ids))
+		for li := 0; li < current.n; li++ {
 			for _, r := range ids {
 				b.qc.tick()
-				m := make([]storage.Value, b.total)
-				copy(m, l)
-				b.fillSpan(ti, r, m)
-				out = append(out, m)
+				pairs = append(pairs, matchPair{li: int32(li), r: r})
 			}
 		}
-		b.qc.opRowsOut(sp, int64(len(out)))
+		out := current.extend(b.qc, pairs, ti)
+		b.qc.opRowsOut(sp, int64(out.n))
 		return out
 	}
 	// Build on the smaller side: when the new table is much larger than
 	// the current intermediate result (a huge dimension probed by a
 	// filtered fact), hash the current rows instead and stream the big
 	// table past them.
-	if est := e.estimateFiltered(b, ti, filters); est > 2*float64(len(current)) {
+	if est := e.estimateFiltered(b, ti, filters); est > 2*float64(current.n) {
 		return e.streamJoin(b, current, ti, probe, build, filters, stepEst, tr)
 	}
 	ht := e.buildHashTable(b, ti, filters, probe, build, tr)
 	return e.probeJoin(b, current, ti, probe, ht, stepEst, tr)
 }
 
-// leftHashJoin outer-joins current rows with the lj table: rows without
-// a match keep NULLs in the outer span. The probe side runs in morsels
-// over current (each probe row is independent; per-morsel buffers keep
-// the serial output order).
-func (e *Engine) leftHashJoin(b *binder, current [][]storage.Value, lj leftJoin, filters []filterInfo, tr *Trace) [][]storage.Value {
+// leftHashJoin outer-joins current rows with the lj table: a row without
+// a match keeps id -1 for it, which every reader turns into NULLs. The
+// probe side runs in morsels over current (each probe row is
+// independent; morsel-order concatenation keeps the serial output
+// order).
+func (e *Engine) leftHashJoin(b *binder, current *rowSet, lj leftJoin, filters []filterInfo, tr *Trace) *rowSet {
 	sp := b.qc.startOp("left", b.tableAt(lj.table).binding)
-	b.qc.opRowsIn(sp, int64(len(current)))
+	b.qc.opRowsIn(sp, int64(current.n))
 	defer b.qc.endOp(sp)
 	var probe, build []*colExpr
 	for _, ed := range lj.edges {
@@ -394,76 +255,51 @@ func (e *Engine) leftHashJoin(b *binder, current [][]storage.Value, lj leftJoin,
 	var allIDs []int32
 	var ht *hashTable
 	if len(probe) == 0 {
-		b.forEachFiltered(lj.table, filters, func(r int, _ []storage.Value) {
-			allIDs = append(allIDs, int32(r))
-		})
+		allIDs = e.filteredIDs(b, lj.table, filters, tr)
 	} else {
 		ht = e.buildHashTable(b, lj.table, filters, probe, build, tr)
 	}
-	probeOne := func(l []storage.Value, out [][]storage.Value) [][]storage.Value {
-		matched := false
-		candidates := allIDs
-		if ht != nil {
-			if ht.iparts != nil && len(probe) == 1 {
-				if k, ok := rowIntKey(l, probe[0]); ok {
-					candidates = ht.lookupInt(k)
-				} else {
-					candidates = nil
-				}
-			} else if key, ok := keyOf(l, probe); ok {
-				candidates = ht.lookup(key)
-			} else {
-				candidates = nil
-			}
+	ks := b.keySources(current, probe)
+	// ON conditions beyond the equi edges see the joined tables through
+	// rr and the candidate row of the outer table through its readers.
+	rr := b.rowReader(current, maskOf(lj.extra))
+	outer := b.colReaders(lj.table)
+	pairs := collectMorsels(e, b.qc, current.n, tr, func(lo, hi int) []matchPair {
+		var out []matchPair
+		var buf []byte
+		var row []storage.Value
+		if len(lj.extra) > 0 {
+			row = make([]storage.Value, b.total)
 		}
-		for _, r := range candidates {
-			m := make([]storage.Value, b.total)
-			copy(m, l)
-			b.fillSpan(lj.table, r, m)
-			ok := true
-			for _, p := range lj.extra {
-				if !truthy(p.eval(m)) {
-					ok = false
-					break
-				}
+		for li := lo; li < hi; li++ {
+			if li%tickInterval == 0 {
+				b.qc.checkNow()
 			}
-			if ok {
-				out = append(out, m)
+			candidates := allIDs
+			if ht != nil {
+				candidates, buf = ht.probe(ks, int32(li), buf)
+			}
+			if row != nil && len(candidates) > 0 {
+				rr.fill(li, row)
+			}
+			matched := false
+			for _, r := range candidates {
+				if row != nil {
+					fillRow(outer, r, row)
+					if !passes(lj.extra, row) {
+						continue
+					}
+				}
+				out = append(out, matchPair{li: int32(li), r: r})
 				matched = true
 			}
-		}
-		if !matched {
-			m := make([]storage.Value, b.total)
-			copy(m, l)
-			// Outer span stays NULL (zero Value is NULL).
-			out = append(out, m)
+			if !matched {
+				out = append(out, matchPair{li: int32(li), r: -1})
+			}
 		}
 		return out
-	}
-	n := len(current)
-	workers := e.workers()
-	morsel := e.morselSize()
-	if workers <= 1 || n <= morsel {
-		var out [][]storage.Value
-		for _, l := range current {
-			b.qc.tick()
-			out = probeOne(l, out)
-		}
-		b.qc.opRowsOut(sp, int64(len(out)))
-		return out
-	}
-	numMorsels := (n + morsel - 1) / morsel
-	outs := make([][][]storage.Value, numMorsels)
-	counts := forEachMorsel(b.qc, workers, n, morsel, func(_, m, lo, hi int) {
-		var out [][]storage.Value
-		for _, l := range current[lo:hi] {
-			out = probeOne(l, out)
-		}
-		//lint:ignore boundscheck forEachMorsel enumerates m < (n+morsel-1)/morsel = len(outs); integer division is outside the linear interval domain
-		outs[m] = out
 	})
-	tr.addWork(counts)
-	rows := concatRows(outs)
-	b.qc.opRowsOut(sp, int64(len(rows)))
-	return rows
+	out := current.extend(b.qc, pairs, lj.table)
+	b.qc.opRowsOut(sp, int64(out.n))
+	return out
 }

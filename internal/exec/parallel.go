@@ -12,7 +12,7 @@
 //   - scans and probes buffer output per morsel and concatenate in
 //     morsel order, which equals the serial row order;
 //   - stream joins (build-on-smaller-side) collect match pairs and
-//     re-emit them probe-major, so their output is bit-identical to the
+//     sort them probe-major, so their output is bit-identical to the
 //     probe join's regardless of which side was hashed;
 //   - hash-table builds partition by key hash, and each partition is
 //     filled by one worker walking the morsels in order, so row-id
@@ -32,7 +32,6 @@ import (
 
 	"tpcds/internal/obs"
 	"tpcds/internal/plan"
-	"tpcds/internal/storage"
 )
 
 // defaultMorselRows is the scan morsel size. ~64K rows amortizes
@@ -211,22 +210,9 @@ func parallelFor(workers int, fn func(p int)) {
 	}
 }
 
-// concatRows flattens per-morsel output buffers in morsel order.
-func concatRows(outs [][][]storage.Value) [][]storage.Value {
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	out := make([][]storage.Value, 0, total)
-	for _, o := range outs {
-		out = append(out, o...)
-	}
-	return out
-}
-
 // partOf hashes a group/join key to a partition (FNV-1a; must be
 // deterministic across runs, so no seeded maphash).
-func partOf(key string, parts int) int {
+func partOf[K ~string | ~[]byte](key K, parts int) int {
 	if parts <= 1 {
 		return 0
 	}
@@ -238,96 +224,48 @@ func partOf(key string, parts int) int {
 	return int(h % uint32(parts))
 }
 
-// scanFiltered materializes table ti's rows surviving its local filters
-// as full-width rows — the parallel counterpart of filteredRows. Morsel
-// outputs concatenate in morsel order, matching the serial scan.
-func (e *Engine) scanFiltered(b *binder, ti int, filters []filterInfo, tr *Trace) [][]storage.Value {
-	inst := &b.tables[ti]
-	n := inst.tab.NumRows()
+// scanFiltered emits the ids of table ti's rows surviving its local
+// filters as the driver rowSet. Morsel outputs concatenate in morsel
+// order, matching the serial scan.
+func (e *Engine) scanFiltered(b *binder, ti int, filters []filterInfo, tr *Trace) *rowSet {
+	inst := b.tableAt(ti)
 	sp := b.qc.startOp("scan", inst.binding)
-	b.qc.opRowsIn(sp, int64(n))
+	b.qc.opRowsIn(sp, int64(inst.tab.NumRows()))
 	if b.qc.profiling() {
 		b.qc.opEst(e.estimateFiltered(b, ti, filters))
 	}
 	defer b.qc.endOp(sp)
-	workers := e.workers()
-	morsel := e.morselSize()
-	if workers <= 1 || n <= morsel {
-		rows := b.filteredRows(ti, filters)
-		b.qc.opRowsOut(sp, int64(len(rows)))
-		return rows
-	}
-	b.qc.countScan(n)
-	numMorsels := (n + morsel - 1) / morsel
-	outs := make([][][]storage.Value, numMorsels)
-	var counts []int
-	if e.vectorized {
-		// The filter is compiled once by the coordinator; kernels close
-		// over immutable column vectors only, so morsel workers share it.
-		// Each scanRange call owns its scratch buffers.
-		tf := b.compileFilter(ti, filters)
-		batch := e.batchSize()
-		counts = forEachMorsel(b.qc, workers, n, morsel, func(_, m, lo, hi int) {
-			var keep [][]storage.Value
-			tf.scanRange(b.qc, batch, lo, hi, func(sel []int32) {
-				keep = materializeSel(tf.readers, b.total, sel, keep)
-			})
-			outs[m] = keep
-		})
-	} else {
-		preds := tablePreds(ti, filters)
-		cols := b.usedCols(ti)
-		counts = forEachMorsel(b.qc, workers, n, morsel, func(_, m, lo, hi int) {
-			row := make([]storage.Value, b.total)
-			var keep [][]storage.Value
-			for r := lo; r < hi; r++ {
-				for _, c := range cols {
-					row[inst.offset+c] = inst.tab.Get(r, c)
-				}
-				ok := true
-				for _, p := range preds {
-					if !truthy(p.eval(row)) {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					cp := make([]storage.Value, b.total)
-					copy(cp, row)
-					keep = append(keep, cp)
-				}
-			}
-			outs[m] = keep
-		})
-	}
-	tr.addWork(counts)
-	rows := concatRows(outs)
-	b.qc.opRowsOut(sp, int64(len(rows)))
-	return rows
+	rs := b.scanRowSet(ti, e.filteredIDs(b, ti, filters, tr))
+	b.qc.opRowsOut(sp, int64(rs.n))
+	return rs
 }
 
 // hashTable is a join build side: base-table row ids keyed by join key,
 // partitioned by key hash when built in parallel. Within a partition,
 // row ids appear in base-table row order — exactly what the serial
-// build produces — so probe output is identical either way. Exactly one
-// of parts/iparts is non-nil: iparts is the raw-int64 fast path used
-// when both join sides are a single integer-class column (vectorized
-// mode), skipping GroupKey string construction entirely.
+// build produces — so probe output is identical either way. intKeys
+// selects the raw-int64 fast path used when both join sides are a
+// single integer-class column, skipping GroupKey construction entirely.
 type hashTable struct {
-	parts  []map[string][]int32
-	iparts []map[int64][]int32
+	intKeys bool
+	parts   []hashPart
 }
 
-func (h *hashTable) lookup(key string) []int32 {
-	return h.parts[partOf(key, len(h.parts))][key]
+// hashPart is one partition; only the map matching intKeys exists.
+type hashPart struct {
+	ints map[int64][]int32
+	strs map[string][]int32
 }
 
-func (h *hashTable) lookupInt(k int64) []int32 {
-	return h.iparts[partOfInt(k, len(h.iparts))][k]
+func newHashPart(intKeys bool, sizeHint int) hashPart {
+	if intKeys {
+		return hashPart{ints: make(map[int64][]int32, sizeHint)}
+	}
+	return hashPart{strs: make(map[string][]int32, sizeHint)}
 }
 
-// buildEntry is one qualifying build-side row awaiting partitioning.
-// ikey carries the key on the int64 fast path, key otherwise.
+// buildEntry is one qualifying build-side row with its join key: ikey
+// on the int64 fast path, key otherwise.
 type buildEntry struct {
 	r    int32
 	ikey int64
@@ -339,34 +277,62 @@ type buildEntry struct {
 // profile reports accounted scratch, not a byte-exact heap measurement.
 const buildEntryBytes = 32
 
-// builtRows counts the rows indexed by a hash table — the build
-// operator's rows_out. One map walk per partition; callers pay it only
-// when observability is enabled.
-func builtRows(ht *hashTable) int64 {
-	var n int64
-	for _, p := range ht.parts {
-		for _, ids := range p {
-			n += int64(len(ids))
-		}
+// entryAt reads the build entry of position i through ks; ok=false on a
+// NULL key component (NULL never joins). buf is the caller's reusable
+// key buffer, returned possibly grown.
+func (h *hashTable) entryAt(ks []keySource, i int32, buf []byte) (buildEntry, []byte, bool) {
+	en, ok := buildEntry{r: i}, false
+	if h.intKeys {
+		en.ikey, ok = ks[0].intAt(i)
+	} else if buf, ok = appendKey(ks, i, buf[:0]); ok {
+		en.key = string(buf)
 	}
-	for _, p := range ht.iparts {
-		for _, ids := range p {
-			n += int64(len(ids))
-		}
+	return en, buf, ok
+}
+
+func (h *hashTable) partOf(en buildEntry) int {
+	if h.intKeys {
+		return partOfInt(en.ikey, len(h.parts))
 	}
-	return n
+	return partOf(en.key, len(h.parts))
+}
+
+func (hp *hashPart) add(en buildEntry) {
+	if hp.ints != nil {
+		hp.ints[en.ikey] = append(hp.ints[en.ikey], en.r)
+	} else {
+		hp.strs[en.key] = append(hp.strs[en.key], en.r)
+	}
+}
+
+// probe returns the build-side row ids matching the key of position i
+// read through ks (nil on a NULL key: NULL never joins). buf is the
+// caller's reusable key buffer, returned possibly grown.
+func (h *hashTable) probe(ks []keySource, i int32, buf []byte) ([]int32, []byte) {
+	if h.intKeys {
+		k, ok := ks[0].intAt(i)
+		if !ok {
+			return nil, buf
+		}
+		return h.parts[partOfInt(k, len(h.parts))].ints[k], buf
+	}
+	buf, ok := appendKey(ks, i, buf[:0])
+	if !ok {
+		return nil, buf
+	}
+	return h.parts[partOf(buf, len(h.parts))].strs[string(buf)], buf
 }
 
 // buildHashTable indexes the filtered rows of table ti by the build key
-// columns. Large tables use a two-phase partitioned build: a parallel
-// morsel scan collects (row id, key) pairs, then one worker per
-// partition inserts its share walking the morsels in global row order.
-// probe is consulted only to decide the key representation: a single
-// integer-class column pair keys on raw int64 values (GroupKey keeps
-// int and date keys disjoint, so the raw fast path is only taken when
-// both sides share a class).
+// columns, read straight off the column vectors. Large tables use a
+// two-phase partitioned build: a parallel morsel scan collects (row id,
+// key) entries in row order, then one worker per partition inserts its
+// share walking them in that order. probe is consulted only to decide
+// the key representation: a single integer-class column pair keys on
+// raw int64 values (GroupKey keeps int and date keys disjoint, so the
+// raw fast path is only taken when both sides share a class).
 func (e *Engine) buildHashTable(b *binder, ti int, filters []filterInfo, probe, build []*colExpr, tr *Trace) *hashTable {
-	inst := &b.tables[ti]
+	inst := b.tableAt(ti)
 	n := inst.tab.NumRows()
 	sp := b.qc.startOp("build", inst.binding)
 	b.qc.opRowsIn(sp, int64(n))
@@ -374,192 +340,90 @@ func (e *Engine) buildHashTable(b *binder, ti int, filters []filterInfo, probe, 
 		b.qc.opEst(e.estimateFiltered(b, ti, filters))
 	}
 	defer b.qc.endOp(sp)
-	useInt := e.vectorized && intJoinKey(probe, build)
 	workers := e.workers()
-	morsel := e.morselSize()
-	if workers <= 1 || n <= morsel {
-		var ht *hashTable
-		if useInt {
-			ht = &hashTable{iparts: []map[int64][]int32{b.buildHashInt(ti, filters, build[0])}}
-		} else {
-			ht = &hashTable{parts: []map[string][]int32{b.buildHash(ti, filters, build)}}
-		}
-		if sp != nil || b.qc.profiling() {
-			// Summing the per-key row lists costs one map walk, paid only
-			// when some observer will see the number.
-			b.qc.opRowsOut(sp, builtRows(ht))
-		}
-		return ht
+	if n <= e.morselSize() {
+		workers = 1
 	}
-	b.qc.countScan(n)
-	numMorsels := (n + morsel - 1) / morsel
-	entries := make([][]buildEntry, numMorsels)
-	var counts []int
-	if e.vectorized {
-		tf := b.compileFilter(ti, filters)
-		kcs := b.keyCols(ti, build)
-		batch := e.batchSize()
-		counts = forEachMorsel(b.qc, workers, n, morsel, func(_, m, lo, hi int) {
-			var keep []buildEntry
-			var buf []byte
-			tf.scanRange(b.qc, batch, lo, hi, func(sel []int32) {
-				for _, r := range sel {
-					if useInt {
-						if kcs[0].nulls[r] {
-							continue
-						}
-						keep = append(keep, buildEntry{r: r, ikey: kcs[0].ints[r]})
-						continue
-					}
-					key, ok := appendVecKey(kcs, r, buf[:0])
-					buf = key
-					if ok {
-						keep = append(keep, buildEntry{r: r, key: string(key)})
-					}
-				}
-			})
-			entries[m] = keep
+	ht := &hashTable{intKeys: intJoinKey(probe, build), parts: make([]hashPart, workers)}
+	ks := b.keySources(nil, build)
+	keyed := func(sel []int32, keep []buildEntry) []buildEntry {
+		var buf []byte
+		for _, r := range sel {
+			en, kb, ok := ht.entryAt(ks, r, buf)
+			buf = kb
+			if ok {
+				keep = append(keep, en)
+			}
+		}
+		return keep
+	}
+	built := 0
+	if workers == 1 {
+		part := newHashPart(ht.intKeys, 0)
+		var batch []buildEntry
+		b.forEachFiltered(ti, filters, func(sel []int32) {
+			batch = keyed(sel, batch[:0])
+			for _, en := range batch {
+				part.add(en)
+			}
+			built += len(batch)
 		})
+		ht.parts[0] = part
 	} else {
-		preds := tablePreds(ti, filters)
-		cols := b.usedCols(ti)
-		counts = forEachMorsel(b.qc, workers, n, morsel, func(_, m, lo, hi int) {
-			row := make([]storage.Value, b.total)
-			var keep []buildEntry
-			for r := lo; r < hi; r++ {
-				for _, c := range cols {
-					row[inst.offset+c] = inst.tab.Get(r, c)
+		entries := scanCollect(e, b, ti, filters, tr, keyed)
+		built = len(entries)
+		// The staged entries are the build's dominant scratch: they are
+		// dropped once the partition insert below completes.
+		b.qc.growScratch(int64(built) * buildEntryBytes)
+		defer b.qc.shrinkScratch(int64(built) * buildEntryBytes)
+		parallelFor(workers, func(p int) {
+			part := newHashPart(ht.intKeys, 0)
+			for i, en := range entries {
+				if i%(64*tickInterval) == 0 {
+					b.qc.checkNow()
 				}
-				ok := true
-				for _, p := range preds {
-					if !truthy(p.eval(row)) {
-						ok = false
-						break
-					}
-				}
-				if !ok {
-					continue
-				}
-				if key, ok := keyOf(row, build); ok {
-					keep = append(keep, buildEntry{r: int32(r), key: key})
+				if ht.partOf(en) == p {
+					part.add(en)
 				}
 			}
-			entries[m] = keep
+			ht.parts[p] = part
 		})
-	}
-	tr.addWork(counts)
-	built := 0
-	for _, chunk := range entries {
-		built += len(chunk)
 	}
 	b.qc.countBuild(built)
 	b.qc.opRowsOut(sp, int64(built))
-	// The (row id, key) staging entries are the build's dominant scratch:
-	// they are dropped once the partition insert below completes.
-	b.qc.growScratch(int64(built) * buildEntryBytes)
-	defer b.qc.shrinkScratch(int64(built) * buildEntryBytes)
-	if useInt {
-		ht := &hashTable{iparts: make([]map[int64][]int32, workers)}
-		parallelFor(workers, func(p int) {
-			part := map[int64][]int32{}
-			for ci, chunk := range entries {
-				if ci%64 == 0 {
-					b.qc.checkNow()
-				}
-				for _, en := range chunk {
-					if partOfInt(en.ikey, workers) == p {
-						part[en.ikey] = append(part[en.ikey], en.r)
-					}
-				}
-			}
-			ht.iparts[p] = part
-		})
-		return ht
-	}
-	ht := &hashTable{parts: make([]map[string][]int32, workers)}
-	parallelFor(workers, func(p int) {
-		part := map[string][]int32{}
-		for ci, chunk := range entries {
-			if ci%64 == 0 {
-				b.qc.checkNow()
-			}
-			for _, en := range chunk {
-				if partOf(en.key, workers) == p {
-					part[en.key] = append(part[en.key], en.r)
-				}
-			}
-		}
-		ht.parts[p] = part
-	})
 	return ht
 }
 
 // probeJoin probes ht with every current row, emitting joined rows in
-// the serial iteration order (per-morsel buffers concatenated in
+// the serial iteration order (per-morsel match lists concatenated in
 // order). stepEst is the planner's output-cardinality estimate for the
 // join step (negative when the active planner produced none).
-func (e *Engine) probeJoin(b *binder, current [][]storage.Value, ti int, probe []*colExpr, ht *hashTable, stepEst float64, tr *Trace) [][]storage.Value {
-	n := len(current)
-	sp := b.qc.startOp("probe", b.tables[ti].binding)
-	b.qc.opRowsIn(sp, int64(n))
+func (e *Engine) probeJoin(b *binder, current *rowSet, ti int, probe []*colExpr, ht *hashTable, stepEst float64, tr *Trace) *rowSet {
+	sp := b.qc.startOp("probe", b.tableAt(ti).binding)
+	b.qc.opRowsIn(sp, int64(current.n))
 	if stepEst >= 0 {
 		b.qc.opEst(stepEst)
 	}
 	defer b.qc.endOp(sp)
-	workers := e.workers()
-	morsel := e.morselSize()
-	// probeOne holds no mutable state: morsel workers share it safely.
-	probeOne := func(l []storage.Value, out [][]storage.Value) [][]storage.Value {
+	ks := b.keySources(current, probe)
+	pairs := collectMorsels(e, b.qc, current.n, tr, func(lo, hi int) []matchPair {
+		var out []matchPair
+		var buf []byte
 		var matches []int32
-		if ht.iparts != nil {
-			k, ok := rowIntKey(l, probe[0])
-			if !ok {
-				return out
+		for li := lo; li < hi; li++ {
+			if li%tickInterval == 0 {
+				b.qc.checkNow()
 			}
-			matches = ht.lookupInt(k)
-		} else {
-			key, ok := keyOf(l, probe)
-			if !ok {
-				return out
+			matches, buf = ht.probe(ks, int32(li), buf)
+			for _, r := range matches {
+				out = append(out, matchPair{li: int32(li), r: r})
 			}
-			matches = ht.lookup(key)
-		}
-		for _, r := range matches {
-			m := make([]storage.Value, b.total)
-			copy(m, l)
-			b.fillSpan(ti, r, m)
-			out = append(out, m)
 		}
 		return out
-	}
-	if workers <= 1 || n <= morsel {
-		var out [][]storage.Value
-		for _, l := range current {
-			b.qc.tick()
-			out = probeOne(l, out)
-		}
-		b.qc.opRowsOut(sp, int64(len(out)))
-		return out
-	}
-	numMorsels := (n + morsel - 1) / morsel
-	outs := make([][][]storage.Value, numMorsels)
-	counts := forEachMorsel(b.qc, workers, n, morsel, func(_, m, lo, hi int) {
-		var out [][]storage.Value
-		for _, l := range current[lo:hi] {
-			out = probeOne(l, out)
-		}
-		outs[m] = out
 	})
-	tr.addWork(counts)
-	rows := concatRows(outs)
-	b.qc.opRowsOut(sp, int64(len(rows)))
-	return rows
-}
-
-// matchPair records one join match during a stream join: current row
-// li joins table row r.
-type matchPair struct {
-	li, r int32
+	out := current.extend(b.qc, pairs, ti)
+	b.qc.opRowsOut(sp, int64(out.n))
+	return out
 }
 
 // streamJoin hashes the (smaller) current intermediate result and
@@ -572,184 +436,46 @@ type matchPair struct {
 // it) invisible in the output, which the planner's join-order search
 // depends on: any plan property may vary with estimates except row
 // order. The scan phase therefore collects (li, r) match pairs
-// (globally r-ascending after morsel-order concatenation), buckets
-// them by li (preserving r order), and materializes bucket by bucket.
-func (e *Engine) streamJoin(b *binder, current [][]storage.Value, ti int, probe, build []*colExpr, filters []filterInfo, stepEst float64, tr *Trace) [][]storage.Value {
-	sp := b.qc.startOp("stream", b.tables[ti].binding)
-	b.qc.opRowsIn(sp, int64(b.tables[ti].tab.NumRows()))
+// (globally r-ascending after morsel-order concatenation) and a stable
+// counting sort on li puts them in probe-major order.
+func (e *Engine) streamJoin(b *binder, current *rowSet, ti int, probe, build []*colExpr, filters []filterInfo, stepEst float64, tr *Trace) *rowSet {
+	inst := b.tableAt(ti)
+	sp := b.qc.startOp("stream", inst.binding)
+	b.qc.opRowsIn(sp, int64(inst.tab.NumRows()))
 	if stepEst >= 0 {
 		b.qc.opEst(stepEst)
 	}
 	defer b.qc.endOp(sp)
-	b.qc.countBuild(len(current))
-	useInt := e.vectorized && intJoinKey(probe, build)
-	var htCur map[string][]int32
-	var htCurI map[int64][]int32
-	if useInt {
-		htCurI = make(map[int64][]int32, len(current))
-		for li, l := range current {
-			b.qc.tick()
-			if k, ok := rowIntKey(l, probe[0]); ok {
-				htCurI[k] = append(htCurI[k], int32(li))
-			}
-		}
-	} else {
-		htCur = make(map[string][]int32, len(current))
-		for li, l := range current {
-			b.qc.tick()
-			if key, ok := keyOf(l, probe); ok {
-				htCur[key] = append(htCur[key], int32(li))
-			}
-		}
-	}
-	inst := &b.tables[ti]
-	n := inst.tab.NumRows()
-	workers := e.workers()
-	morsel := e.morselSize()
-	match := func(row []storage.Value, r int32, out []matchPair) []matchPair {
-		var lis []int32
-		if useInt {
-			k, ok := rowIntKey(row, build[0])
-			if !ok {
-				return out
-			}
-			lis = htCurI[k]
-		} else {
-			key, ok := keyOf(row, build)
-			if !ok {
-				return out
-			}
-			lis = htCur[key]
-		}
-		for _, li := range lis {
-			out = append(out, matchPair{li: li, r: r})
-		}
-		return out
-	}
-
-	// Phase 1: scan table ti, collecting match pairs in table-row order.
-	var pairs []matchPair
-	if workers <= 1 || n <= morsel {
-		b.forEachFiltered(ti, filters, func(r int, row []storage.Value) {
-			pairs = match(row, int32(r), pairs)
-		})
-	} else {
-		b.qc.countScan(n)
-		numMorsels := (n + morsel - 1) / morsel
-		chunks := make([][]matchPair, numMorsels)
-		var counts []int
-		if e.vectorized {
-			tf := b.compileFilter(ti, filters)
-			kcs := b.keyCols(ti, build)
-			batch := e.batchSize()
-			counts = forEachMorsel(b.qc, workers, n, morsel, func(_, m, lo, hi int) {
-				var out []matchPair
-				var buf []byte
-				tf.scanRange(b.qc, batch, lo, hi, func(sel []int32) {
-					// Keys come straight off the vectors; survivors that
-					// probe nothing never materialize at all.
-					for _, r := range sel {
-						var lis []int32
-						if useInt {
-							if kcs[0].nulls[r] {
-								continue
-							}
-							lis = htCurI[kcs[0].ints[r]]
-						} else {
-							key, ok := appendVecKey(kcs, r, buf[:0])
-							buf = key
-							if !ok {
-								continue
-							}
-							lis = htCur[string(key)]
-						}
-						for _, li := range lis {
-							out = append(out, matchPair{li: li, r: r})
-						}
-					}
-				})
-				chunks[m] = out
-			})
-		} else {
-			preds := tablePreds(ti, filters)
-			cols := b.usedCols(ti)
-			counts = forEachMorsel(b.qc, workers, n, morsel, func(_, m, lo, hi int) {
-				row := make([]storage.Value, b.total)
-				var out []matchPair
-				for r := lo; r < hi; r++ {
-					for _, c := range cols {
-						row[inst.offset+c] = inst.tab.Get(r, c)
-					}
-					ok := true
-					for _, p := range preds {
-						if !truthy(p.eval(row)) {
-							ok = false
-							break
-						}
-					}
-					if ok {
-						out = match(row, int32(r), out)
-					}
-				}
-				chunks[m] = out
-			})
-		}
-		tr.addWork(counts)
-		total := 0
-		for _, c := range chunks {
-			total += len(c)
-		}
-		pairs = make([]matchPair, 0, total)
-		for _, c := range chunks {
-			pairs = append(pairs, c...)
-		}
-	}
-
-	// Phase 2: bucket pairs by current row. Pairs arrive r-ascending, so
-	// each bucket stays r-ascending — the probe-major invariant. The
-	// pair list is the stream join's dominant scratch; it is dropped
-	// after materialization.
-	const matchPairBytes = 8
-	b.qc.growScratch(int64(len(pairs)) * matchPairBytes)
-	defer b.qc.shrinkScratch(int64(len(pairs)) * matchPairBytes)
-	buckets := make([][]int32, len(current))
-	for _, p := range pairs {
+	b.qc.countBuild(current.n)
+	// The build side is the current intermediate: its positions keyed by
+	// the probe columns read through the id vectors.
+	intKeys := intJoinKey(probe, build)
+	ht := &hashTable{intKeys: intKeys, parts: []hashPart{newHashPart(intKeys, current.n)}}
+	pks := b.keySources(current, probe)
+	var buf []byte
+	for li := int32(0); int(li) < current.n; li++ {
 		b.qc.tick()
-		buckets[p.li] = append(buckets[p.li], p.r)
+		en, kb, ok := ht.entryAt(pks, li, buf)
+		buf = kb
+		if ok {
+			ht.parts[0].add(en)
+		}
 	}
-
-	// Phase 3: materialize bucket by bucket (current rows ascending),
-	// morsel-parallel over current with per-morsel buffers concatenated
-	// in order.
-	emitRange := func(lo, hi int, out [][]storage.Value) [][]storage.Value {
-		for li := lo; li < hi; li++ {
-			for _, r := range buckets[li] {
-				m := make([]storage.Value, b.total)
-				copy(m, current[li])
-				b.fillSpan(ti, r, m)
-				out = append(out, m)
+	// Keys of the streamed table come straight off its vectors; survivors
+	// that probe nothing cost one map miss.
+	bks := b.keySources(nil, build)
+	pairs := scanCollect(e, b, ti, filters, tr, func(sel []int32, out []matchPair) []matchPair {
+		var buf []byte
+		var lis []int32
+		for _, r := range sel {
+			lis, buf = ht.probe(bks, r, buf)
+			for _, li := range lis {
+				out = append(out, matchPair{li: li, r: r})
 			}
 		}
 		return out
-	}
-	nc := len(current)
-	var rows [][]storage.Value
-	if workers <= 1 || nc <= morsel {
-		var out [][]storage.Value
-		for li := 0; li < nc; li++ {
-			b.qc.tick()
-			out = emitRange(li, li+1, out)
-		}
-		rows = out
-	} else {
-		numMorsels := (nc + morsel - 1) / morsel
-		outs := make([][][]storage.Value, numMorsels)
-		counts := forEachMorsel(b.qc, workers, nc, morsel, func(_, m, lo, hi int) {
-			outs[m] = emitRange(lo, hi, nil)
-		})
-		tr.addWork(counts)
-		rows = concatRows(outs)
-	}
-	b.qc.opRowsOut(sp, int64(len(rows)))
-	return rows
+	})
+	out := current.extend(b.qc, sortPairsByLeft(pairs, current.n), ti)
+	b.qc.opRowsOut(sp, int64(out.n))
+	return out
 }

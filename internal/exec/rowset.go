@@ -1,0 +1,348 @@
+// Late-materialised join intermediates. Between join operators a row is
+// not a full-width []storage.Value but a tuple of base-table row ids,
+// stored column-wise: one []int32 per joined table. A join step appends
+// 4 bytes per table and output row; column values are gathered into a
+// reusable scratch row only where an operator evaluates an expression
+// (residual and LEFT JOIN ON predicates, grouping, aggregate arguments,
+// projections, sort keys), and join keys are read straight off the
+// column vectors through the id vector.
+//
+// Order contract: every constructor below takes its input in the
+// operator's serial emit order (probe-major, morsel chunks concatenated
+// in morsel order) and preserves it, so results stay bit-identical to a
+// row-at-a-time pipeline whatever the worker count.
+package exec
+
+import "tpcds/internal/storage"
+
+// rowSet is the currency between join operators: ids[t] holds, for each
+// of the n intermediate rows, the row id in table instance t, or is nil
+// while t is not joined yet. An id of -1 is the NULL-extended side of a
+// LEFT JOIN miss. CTE-backed instances are storage tables like any
+// other, so their row ids work the same way.
+type rowSet struct {
+	n   int
+	ids [][]int32
+}
+
+// matchPair is one join match: intermediate row li joins table row r.
+type matchPair struct {
+	li, r int32
+}
+
+const matchPairBytes = 8
+
+// bytes is the footprint of the id vectors, for scratch accounting.
+func (rs *rowSet) bytes() int64 {
+	var vecs int64
+	for _, col := range rs.ids {
+		if col != nil {
+			vecs++
+		}
+	}
+	return vecs * int64(rs.n) * 4
+}
+
+// charge accounts an operator's staging bytes plus its output id
+// vectors against the current profile node. Operators call it on the
+// coordinator after the morsel barrier, so the recorded peak does not
+// depend on the worker schedule.
+func (rs *rowSet) charge(qc *qctx, staging int64) {
+	qc.growScratch(staging + rs.bytes())
+	qc.shrinkScratch(staging + rs.bytes())
+}
+
+// scanRowSet wraps the surviving row ids of driver table ti.
+func (b *binder) scanRowSet(ti int, ids []int32) *rowSet {
+	rs := &rowSet{n: len(ids), ids: make([][]int32, len(b.tables))}
+	if ids == nil {
+		ids = []int32{} // joined with no survivors, not "not joined yet"
+	}
+	rs.ids[ti] = ids
+	rs.charge(b.qc, 0)
+	return rs
+}
+
+// extend joins table ti onto rs: output row j is input row pairs[j].li
+// with table row pairs[j].r.
+func (rs *rowSet) extend(qc *qctx, pairs []matchPair, ti int) *rowSet {
+	out := &rowSet{n: len(pairs), ids: make([][]int32, len(rs.ids))}
+	for t, col := range rs.ids {
+		if col == nil {
+			continue
+		}
+		qc.checkNow()
+		g := make([]int32, len(pairs))
+		for j, p := range pairs {
+			g[j] = col[p.li]
+		}
+		out.ids[t] = g
+	}
+	add := make([]int32, len(pairs))
+	for j, p := range pairs {
+		add[j] = p.r
+	}
+	out.ids[ti] = add
+	out.charge(qc, int64(len(pairs))*matchPairBytes)
+	return out
+}
+
+// tupleRowSet splits row-major id tuples (one id per table of tables,
+// in that order) into per-table vectors.
+func (b *binder) tupleRowSet(tables []int, flat []int32) *rowSet {
+	stride := len(tables)
+	rs := &rowSet{n: len(flat) / stride, ids: make([][]int32, len(b.tables))}
+	for k, t := range tables {
+		col := make([]int32, rs.n)
+		for i := range col {
+			col[i] = flat[i*stride+k]
+		}
+		rs.ids[t] = col
+	}
+	rs.charge(b.qc, int64(len(flat))*4)
+	return rs
+}
+
+// filter keeps the rows keep reports true for, compacting in place.
+func (rs *rowSet) filter(keep func(i int) bool) {
+	w := 0
+	for i := 0; i < rs.n; i++ {
+		if !keep(i) {
+			continue
+		}
+		if w != i {
+			for _, col := range rs.ids {
+				if col != nil {
+					col[w] = col[i]
+				}
+			}
+		}
+		w++
+	}
+	rs.n = w
+	for t, col := range rs.ids {
+		if col != nil {
+			rs.ids[t] = col[:w]
+		}
+	}
+}
+
+// sortPairsByLeft reorders match pairs probe-major — li ascending,
+// input order within one li — with a stable counting sort over the n
+// intermediate rows.
+func sortPairsByLeft(pairs []matchPair, n int) []matchPair {
+	next := make([]int32, n+1)
+	for _, p := range pairs {
+		next[p.li+1]++
+	}
+	for i := 1; i <= n; i++ {
+		next[i] += next[i-1]
+	}
+	out := make([]matchPair, len(pairs))
+	for _, p := range pairs {
+		out[next[p.li]] = p
+		next[p.li]++
+	}
+	return out
+}
+
+// keySource reads one join-key column: through the owning table's id
+// vector for an intermediate row, or directly (ids nil) for a row of
+// the base table being scanned.
+type keySource struct {
+	ids []int32
+	col colReader
+}
+
+// keySources resolves join-key columns to vector readers. rs is the
+// intermediate the keys are read through; nil reads base-table rows.
+func (b *binder) keySources(rs *rowSet, cols []*colExpr) []keySource {
+	out := make([]keySource, len(cols))
+	for i, c := range cols {
+		ti := bitIndex(c.tblBit)
+		cr, ok := b.kernelCol(ti, c)
+		if !ok {
+			// Join edges always bind to plain columns; anything else is
+			// an executor invariant violation.
+			panic("exec: join key is not a table column")
+		}
+		out[i].col = *cr
+		if rs != nil {
+			if out[i].ids = rs.ids[ti]; out[i].ids == nil {
+				panic("exec: join key reads a table that is not joined yet")
+			}
+		}
+	}
+	return out
+}
+
+// row maps position i to the base-table row id, -1 for an outer miss.
+func (k *keySource) row(i int32) int32 {
+	if k.ids != nil {
+		return k.ids[i]
+	}
+	return i
+}
+
+// intAt returns the raw int64 key at position i; ok=false on NULL
+// (NULL never joins).
+func (k *keySource) intAt(i int32) (int64, bool) {
+	r := k.row(i)
+	if r < 0 || k.col.nulls[r] {
+		return 0, false
+	}
+	return k.col.ints[r], true
+}
+
+// appendKey appends the GroupKey-encoded join key at position i to buf;
+// ok=false on a NULL component.
+func appendKey(ks []keySource, i int32, buf []byte) ([]byte, bool) {
+	for k := range ks {
+		r := ks[k].row(i)
+		if r < 0 || ks[k].col.nulls[r] {
+			return buf, false
+		}
+		buf = ks[k].col.value(r).AppendGroupKey(buf)
+	}
+	return buf, true
+}
+
+// rowReader gathers rowSet rows into a full-width scratch row so the
+// unchanged bexpr.eval(row) can run over them. It reads only the tables
+// its consumer's expressions reference, and of those only the columns
+// the query uses.
+type rowReader struct {
+	tabs []readerTab
+}
+
+type readerTab struct {
+	ids  []int32
+	cols []colReader
+}
+
+// rowReader builds the gatherer for expressions with the given table
+// mask. Tables of the mask that rs has not joined yet are left to the
+// caller (the LEFT JOIN candidate row).
+func (b *binder) rowReader(rs *rowSet, mask uint64) *rowReader {
+	rr := &rowReader{}
+	for ti, ids := range rs.ids {
+		if cols := b.colReaders(ti); ids != nil && mask&(1<<uint(ti)) != 0 && len(cols) > 0 {
+			rr.tabs = append(rr.tabs, readerTab{ids: ids, cols: cols})
+		}
+	}
+	return rr
+}
+
+// fill materialises intermediate row i into row.
+func (rr *rowReader) fill(i int, row []storage.Value) {
+	for t := range rr.tabs {
+		tab := &rr.tabs[t]
+		if r := tab.ids[i]; r >= 0 {
+			fillRow(tab.cols, r, row)
+		} else {
+			for c := range tab.cols {
+				row[tab.cols[c].off] = storage.Null
+			}
+		}
+	}
+}
+
+// rowSource is the input of the projection stage: materialised rows
+// (the aggregated layout), or a rowSet gathered through rr into a
+// scratch row of the given width.
+type rowSource struct {
+	vals  [][]storage.Value
+	rr    *rowReader
+	n     int
+	width int
+}
+
+// row yields input row i: in place, or gathered into scratch.
+func (s *rowSource) row(i int, scratch []storage.Value) []storage.Value {
+	if s.rr == nil {
+		return s.vals[i]
+	}
+	s.rr.fill(i, scratch)
+	return scratch
+}
+
+// maskOf is the union table mask of expression lists.
+func maskOf(lists ...[]bexpr) uint64 {
+	var m uint64
+	for _, l := range lists {
+		for _, e := range l {
+			m |= e.mask()
+		}
+	}
+	return m
+}
+
+// passes reports whether every predicate holds for row.
+func passes(preds []bexpr, row []storage.Value) bool {
+	for _, p := range preds {
+		if !truthy(p.eval(row)) {
+			return false
+		}
+	}
+	return true
+}
+
+// collectMorsels runs fn over [0,n) — in morsels on the worker pool when
+// n is large, in one call otherwise — and concatenates what the calls
+// return in morsel order, which is the serial order. fn runs on worker
+// goroutines: it polls cancellation with checkNow, never tick.
+func collectMorsels[T any](e *Engine, qc *qctx, n int, tr *Trace, fn func(lo, hi int) []T) []T {
+	workers, morsel := e.workers(), e.morselSize()
+	if workers <= 1 || n <= morsel {
+		return fn(0, n)
+	}
+	chunks := make([][]T, (n+morsel-1)/morsel)
+	counts := forEachMorsel(qc, workers, n, morsel, func(_, m, lo, hi int) {
+		chunks[m] = fn(lo, hi)
+	})
+	tr.addWork(counts)
+	total := 0
+	for _, c := range chunks {
+		total += len(c)
+	}
+	out := make([]T, 0, total)
+	for _, c := range chunks {
+		out = append(out, c...)
+	}
+	return out
+}
+
+// scanCollect scans table ti's rows surviving its local filters, batch
+// by batch, letting emit append what it keeps of each selection vector;
+// the result is in base-table row order.
+func scanCollect[T any](e *Engine, b *binder, ti int, filters []filterInfo, tr *Trace, emit func(sel []int32, out []T) []T) []T {
+	n := b.tableAt(ti).tab.NumRows()
+	b.qc.countScan(n)
+	// The filter is compiled once by the coordinator; kernels close over
+	// immutable column vectors only, so morsel workers share it. Each
+	// scanRange call owns its scratch buffers.
+	tf := b.compileFilter(ti, filters)
+	batch := e.batchSize()
+	return collectMorsels(e, b.qc, n, tr, func(lo, hi int) []T {
+		var out []T
+		tf.scanRange(b.qc, batch, lo, hi, func(sel []int32) { out = emit(sel, out) })
+		return out
+	})
+}
+
+// scanIDsCollect is scanCollect over an explicit row-id list (the star
+// transformation's bitmap-qualified fact ids) filtered by tf.
+func scanIDsCollect(e *Engine, qc *qctx, tf *tableFilter, ids []int32, tr *Trace, emit func(sel, out []int32) []int32) []int32 {
+	batch := e.batchSize()
+	return collectMorsels(e, qc, len(ids), tr, func(lo, hi int) []int32 {
+		var out []int32
+		tf.scanIDs(qc, batch, ids[lo:hi], func(sel []int32) { out = emit(sel, out) })
+		return out
+	})
+}
+
+// filteredIDs returns the ids of table ti's rows surviving its local
+// filters, in row order.
+func (e *Engine) filteredIDs(b *binder, ti int, filters []filterInfo, tr *Trace) []int32 {
+	return scanCollect(e, b, ti, filters, tr, func(sel, out []int32) []int32 { return append(out, sel...) })
+}

@@ -332,9 +332,9 @@ func (e *Engine) runSelect(qc *qctx, stmt *sql.SelectStmt, ctes map[string]*stor
 		return nil, nil, Trace{}, err
 	}
 
-	// Registration pass: mark every column the query will read so the
-	// join layer only materializes used columns. Post-join clauses are
-	// bound after rows exist, so this must happen first.
+	// Registration pass: mark every column the query will read so scratch
+	// rows gather only used columns. Post-join clauses are bound after
+	// the joins ran, so this must happen first.
 	for _, item := range stmt.Items {
 		if item.Star {
 			b.registerAll()
@@ -403,12 +403,12 @@ func (e *Engine) runSelect(qc *qctx, stmt *sql.SelectStmt, ctes map[string]*stor
 		leftJoins = append(leftJoins, spec)
 	}
 
+	b.freeze()
+
 	// Constant predicates: if any is false the result is empty.
-	for _, p := range constPreds {
-		if !truthy(p.eval(nil)) {
-			qc.endOp(bindSp)
-			return e.projectEmpty(stmt, b, orderBy)
-		}
+	if !passes(constPreds, nil) {
+		qc.endOp(bindSp)
+		return e.projectEmpty(stmt, b, orderBy)
 	}
 	qc.endOp(bindSp)
 
@@ -456,17 +456,18 @@ func (e *Engine) projectEmpty(stmt *sql.SelectStmt, b *binder, orderBy []sql.Ord
 		}
 	}
 	var tr Trace
+	none := &rowSet{ids: make([][]int32, len(b.tables))}
 	if aggregated {
-		res, types, err := e.aggregate(stmt, b, nil, orderBy, &tr)
+		res, types, err := e.aggregate(stmt, b, none, orderBy, &tr)
 		return res, types, tr, err
 	}
-	res, types, err := e.projectSimple(stmt, b, nil, orderBy, &tr)
+	res, types, err := e.projectSimple(stmt, b, none, orderBy, &tr)
 	return res, types, tr, err
 }
 
 // projectSimple handles the non-aggregated path: project, DISTINCT,
 // ORDER BY, LIMIT.
-func (e *Engine) projectSimple(stmt *sql.SelectStmt, b *binder, rows [][]storage.Value, orderBy []sql.OrderItem, tr *Trace) (*Result, []schema.Type, error) {
+func (e *Engine) projectSimple(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderBy []sql.OrderItem, tr *Trace) (*Result, []schema.Type, error) {
 	var outCols []string
 	var outTypes []schema.Type
 	var projs []bexpr
@@ -498,62 +499,64 @@ func (e *Engine) projectSimple(stmt *sql.SelectStmt, b *binder, rows [][]storage
 		}
 		sortKeys = append(sortKeys, be)
 	}
-	res := e.finish(b.qc, rows, projs, sortKeys, orderBy, stmt.Distinct, stmt.Limit, stmt.Offset, outCols, tr)
+	src := rowSource{rr: b.rowReader(rows, maskOf(projs, sortKeys)), n: rows.n, width: b.total}
+	res := e.finish(b.qc, src, projs, sortKeys, orderBy, stmt.Distinct, stmt.Limit, stmt.Offset, outCols, tr)
 	return res, outTypes, nil
 }
 
-// finish evaluates projections and sort keys, applies DISTINCT, ORDER BY
-// and LIMIT, and assembles the result. Projection/sort-key evaluation
-// runs in morsels (expressions are pure); DISTINCT dedup then walks the
-// concatenated rows in order, so first-wins matches the serial pass.
-func (e *Engine) finish(qc *qctx, rows [][]storage.Value, projs, sortKeys []bexpr, orderBy []sql.OrderItem, distinct bool, limit, offset int, outCols []string, tr *Trace) *Result {
+// finish evaluates projections and sort keys over the rows of src,
+// applies DISTINCT, ORDER BY and LIMIT, and assembles the result.
+// Evaluation runs in morsels (expressions are pure), each with its own
+// gather row and carving its projection and sort key values out of one
+// arena; DISTINCT dedup then walks the rows in order, so first-wins
+// matches the serial pass.
+func (e *Engine) finish(qc *qctx, src rowSource, projs, sortKeys []bexpr, orderBy []sql.OrderItem, distinct bool, limit, offset int, outCols []string, tr *Trace) *Result {
 	type outRow struct {
 		proj []storage.Value
 		keys []storage.Value
 	}
-	evalRow := func(row []storage.Value) outRow {
-		proj := make([]storage.Value, len(projs))
-		for i, p := range projs {
-			proj[i] = p.eval(row)
-		}
-		keys := make([]storage.Value, len(sortKeys))
-		for i, k := range sortKeys {
-			keys[i] = k.eval(row)
-		}
-		return outRow{proj, keys}
-	}
-	var outs []outRow
-	n := len(rows)
-	workers := e.workers()
-	morsel := e.morselSize()
-	if workers > 1 && n > morsel {
-		evaled := make([]outRow, n)
-		counts := forEachMorsel(qc, workers, n, morsel, func(_, _, lo, hi int) {
-			for r := lo; r < hi; r++ {
-				evaled[r] = evalRow(rows[r])
+	n, np, width := src.n, len(projs), len(projs)+len(sortKeys)
+	outs := make([]outRow, n)
+	evalRange := func(lo, hi int) {
+		scratch := make([]storage.Value, src.width)
+		arena := make([]storage.Value, (hi-lo)*width)
+		for i := lo; i < hi; i++ {
+			if i%tickInterval == 0 {
+				qc.checkNow()
 			}
-		})
-		tr.addWork(counts)
-		outs = evaled
+			row := src.row(i, scratch)
+			vals := arena[:width:width]
+			arena = arena[width:]
+			for j, p := range projs {
+				vals[j] = p.eval(row)
+			}
+			for j, k := range sortKeys {
+				vals[np+j] = k.eval(row)
+			}
+			outs[i] = outRow{vals[:np:np], vals[np:]}
+		}
+	}
+	morsel := e.morselSize()
+	if workers := e.workers(); workers > 1 && n > morsel {
+		tr.addWork(forEachMorsel(qc, workers, n, morsel, func(_, _, lo, hi int) { evalRange(lo, hi) }))
 	} else {
-		outs = make([]outRow, 0, n)
-		for _, row := range rows {
-			qc.tick()
-			outs = append(outs, evalRow(row))
+		for lo := 0; lo < n; lo += morsel {
+			evalRange(lo, min(lo+morsel, n))
 		}
 	}
 	if distinct {
 		seen := map[string]bool{}
+		var key []byte
 		w := 0
 		for _, o := range outs {
-			key := ""
+			key = key[:0]
 			for _, v := range o.proj {
-				key += v.GroupKey()
+				key = v.AppendGroupKey(key)
 			}
-			if seen[key] {
+			if seen[string(key)] {
 				continue
 			}
-			seen[key] = true
+			seen[string(key)] = true
 			outs[w] = o
 			w++
 		}

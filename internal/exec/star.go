@@ -4,7 +4,6 @@ import (
 	"tpcds/internal/index"
 	"tpcds/internal/plan"
 	"tpcds/internal/schema"
-	"tpcds/internal/storage"
 )
 
 // dimSpec describes one dimension of a star-shaped query as needed by
@@ -108,8 +107,9 @@ func (e *Engine) starShape(b *binder, filters []filterInfo, edges []joinEdge, le
 // through the fact FK's bitmap index (bitmap access), the bitmaps are
 // merged (AND), and only the qualifying fact rows are fetched and joined
 // back to the dimensions by key lookup (bitmap join). The fact fetch
-// runs in morsels over the qualifying row ids.
-func (e *Engine) runStar(b *binder, filters []filterInfo, edges []joinEdge, residual []bexpr, dims map[int]dimSpec, est float64, tr *Trace) ([][]storage.Value, bool) {
+// runs in morsels over the qualifying row ids and emits (fact, dim...)
+// row-id tuples.
+func (e *Engine) runStar(b *binder, filters []filterInfo, edges []joinEdge, residual []bexpr, dims map[int]dimSpec, est float64, tr *Trace) (*rowSet, bool) {
 	// Identify the fact: the one table not in dims.
 	fact := -1
 	for ti := range b.tables {
@@ -127,30 +127,37 @@ func (e *Engine) runStar(b *binder, filters []filterInfo, edges []joinEdge, resi
 	b.qc.opEst(est)
 	defer b.qc.endOp(sp)
 
-	// Index each dimension's qualifying rows by surrogate key (row ids
-	// only; spans are copied per matching fact row).
+	// Index each dimension's qualifying rows by surrogate key, and
+	// resolve the fact-side key column it is looked up by.
 	type dimData struct {
-		spec dimSpec
+		fk   colReader
 		rows map[int64]int32 // sk -> base-table row id
 	}
+	tables := []int{fact}
 	var dimDatas []dimData
 	var accBitmap *index.Bitmap
 	for ti, spec := range dims {
-		inst := b.tableAt(ti)
-		dd := dimData{spec: spec, rows: map[int64]int32{}}
+		fk, ok := b.kernelCol(fact, spec.factCol)
+		if !ok {
+			panic("exec: star join key is not a fact column")
+		}
+		dd := dimData{fk: *fk, rows: map[int64]int32{}}
+		pk := newColReader(b.tableAt(ti), spec.pkCol)
 		var keys []int64
-		b.forEachFiltered(ti, filters, func(r int, row []storage.Value) {
-			//lint:ignore boundscheck layout invariant: inst.offset+spec.pkCol < total (binder-assigned offsets) and row is allocated at b.total; cross-struct offsets are outside the per-variable domain
-			skVal := row[inst.offset+spec.pkCol]
-			if skVal.IsNull() {
-				return
-			}
-			sk := skVal.AsInt()
-			if _, dup := dd.rows[sk]; !dup {
-				dd.rows[sk] = int32(r)
-				keys = append(keys, sk)
+		b.forEachFiltered(ti, filters, func(sel []int32) {
+			for _, r := range sel {
+				skVal := pk.value(r)
+				if skVal.IsNull() {
+					continue
+				}
+				sk := skVal.AsInt()
+				if _, dup := dd.rows[sk]; !dup {
+					dd.rows[sk] = r
+					keys = append(keys, sk)
+				}
 			}
 		})
+		tables = append(tables, ti)
 		dimDatas = append(dimDatas, dd)
 		if spec.hasPred {
 			factCol := spec.factCol.off - factInst.offset
@@ -167,129 +174,35 @@ func (e *Engine) runStar(b *binder, filters []filterInfo, edges []joinEdge, resi
 		return nil, false // no filtered dimension; plan should not choose star
 	}
 
-	// Fact-local filters.
-	var factPreds []bexpr
-	for _, f := range filters {
-		if f.table == fact {
-			factPreds = append(factPreds, f.pred)
-		}
-	}
-
-	// Collect the qualifying fact row ids, then fetch + join them back in
-	// morsels. Per-morsel buffers concatenate in bitmap order, so the
+	// Collect the qualifying fact row ids, then filter + join them back in
+	// morsels. Per-morsel tuples concatenate in bitmap order, so the
 	// output matches the serial ForEach walk exactly.
 	var ids []int32
 	accBitmap.ForEach(func(r int) bool {
 		ids = append(ids, int32(r))
 		return true
 	})
-	factCols := b.usedCols(fact)
-	// joinBack resolves the dimension lookups and residual predicates for
-	// one fact row already filled into row (fact span populated, local
-	// predicates already satisfied) and appends the joined copy.
-	joinBack := func(row []storage.Value, out [][]storage.Value) [][]storage.Value {
-		for _, dd := range dimDatas {
-			//lint:ignore boundscheck layout invariant: factCol.off is a binder-assigned offset < total and row is allocated at b.total; cross-struct offsets are outside the per-variable domain
-			fkVal := row[dd.spec.factCol.off]
-			if fkVal.IsNull() {
-				return out
-			}
-			dimRowID, found := dd.rows[fkVal.AsInt()]
-			if !found {
-				return out
-			}
-			b.fillSpan(dd.spec.table, dimRowID, row)
-		}
-		for _, p := range residual {
-			if !truthy(p.eval(row)) {
-				return out
-			}
-		}
-		cp := make([]storage.Value, b.total)
-		copy(cp, row)
-		return append(out, cp)
-	}
-	fetch := func(r int, row []storage.Value, out [][]storage.Value) [][]storage.Value {
-		for i := range row {
-			row[i] = storage.Null
-		}
-		for _, c := range factCols {
-			//lint:ignore boundscheck layout invariant: factInst.offset+c < total for every used column and row is allocated at b.total; cross-struct offsets are outside the per-variable domain
-			row[factInst.offset+c] = factInst.tab.Get(r, c)
-		}
-		for _, p := range factPreds {
-			if !truthy(p.eval(row)) {
-				return out
-			}
-		}
-		return joinBack(row, out)
-	}
-	n := len(ids)
-	workers := e.workers()
-	morsel := e.morselSize()
-	if e.vectorized {
-		// Fact-local predicates run as batch kernels over the qualifying
-		// id list; only survivors are materialized and joined back.
-		tf := b.compilePreds(fact, factPreds)
-		batch := e.batchSize()
-		fetchSel := func(sel []int32, row []storage.Value, out [][]storage.Value) [][]storage.Value {
-			for _, r := range sel {
-				for i := range row {
-					row[i] = storage.Null
+	// Fact-local predicates run over the qualifying id list batch by
+	// batch; survivors look up each dimension row by the fact's FK value.
+	flat := scanIDsCollect(e, b.qc, b.compileFilter(fact, filters), ids, tr, func(sel, out []int32) []int32 {
+		tuple := make([]int32, 1+len(dimDatas))
+	nextRow:
+		for _, r := range sel {
+			tuple[0] = r
+			for d := range dimDatas {
+				fkVal := dimDatas[d].fk.value(r)
+				dimRowID, found := dimDatas[d].rows[fkVal.AsInt()]
+				if fkVal.IsNull() || !found {
+					continue nextRow
 				}
-				fillRow(tf.readers, r, row)
-				out = joinBack(row, out)
+				tuple[1+d] = dimRowID
 			}
-			return out
+			out = append(out, tuple...)
 		}
-		if workers <= 1 || n <= morsel {
-			var out [][]storage.Value
-			row := make([]storage.Value, b.total)
-			tf.scanIDs(b.qc, batch, ids, func(sel []int32) {
-				out = fetchSel(sel, row, out)
-			})
-			b.qc.opRowsOut(sp, int64(len(out)))
-			return out, true
-		}
-		numMorsels := (n + morsel - 1) / morsel
-		outs := make([][][]storage.Value, numMorsels)
-		counts := forEachMorsel(b.qc, workers, n, morsel, func(_, m, lo, hi int) {
-			row := make([]storage.Value, b.total)
-			var out [][]storage.Value
-			tf.scanIDs(b.qc, batch, ids[lo:hi], func(sel []int32) {
-				out = fetchSel(sel, row, out)
-			})
-			//lint:ignore boundscheck forEachMorsel enumerates m < (n+morsel-1)/morsel = len(outs); integer division is outside the linear interval domain
-			outs[m] = out
-		})
-		tr.addWork(counts)
-		rows := concatRows(outs)
-		b.qc.opRowsOut(sp, int64(len(rows)))
-		return rows, true
-	}
-	if workers <= 1 || n <= morsel {
-		var out [][]storage.Value
-		row := make([]storage.Value, b.total)
-		for _, r := range ids {
-			b.qc.tick()
-			out = fetch(int(r), row, out)
-		}
-		b.qc.opRowsOut(sp, int64(len(out)))
-		return out, true
-	}
-	numMorsels := (n + morsel - 1) / morsel
-	outs := make([][][]storage.Value, numMorsels)
-	counts := forEachMorsel(b.qc, workers, n, morsel, func(_, m, lo, hi int) {
-		row := make([]storage.Value, b.total)
-		var out [][]storage.Value
-		for _, r := range ids[lo:hi] {
-			out = fetch(int(r), row, out)
-		}
-		//lint:ignore boundscheck forEachMorsel enumerates m < (n+morsel-1)/morsel = len(outs); integer division is outside the linear interval domain
-		outs[m] = out
+		return out
 	})
-	tr.addWork(counts)
-	rows := concatRows(outs)
-	b.qc.opRowsOut(sp, int64(len(rows)))
+	rows := b.tupleRowSet(tables, flat)
+	b.applyResidual(rows, residual)
+	b.qc.opRowsOut(sp, int64(rows.n))
 	return rows, true
 }

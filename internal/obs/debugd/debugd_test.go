@@ -23,20 +23,28 @@ func (f fakeQueries) ActiveQueries() []obs.ActiveQuery { return f.qs }
 
 func get(t *testing.T, url string) (int, string) {
 	t.Helper()
-	resp, err := http.Get(url)
+	code, body, err := fetch(http.DefaultClient, url)
 	if err != nil {
-		t.Fatalf("GET %s: %v", url, err)
+		t.Fatal(err)
 	}
-	defer func() {
-		if err := resp.Body.Close(); err != nil {
-			t.Errorf("close %s: %v", url, err)
-		}
-	}()
+	return code, body
+}
+
+// fetch is get without the testing.T, for client goroutines (which may
+// not call t.Fatal).
+func fetch(c *http.Client, url string) (int, string, error) {
+	resp, err := c.Get(url)
+	if err != nil {
+		return 0, "", fmt.Errorf("GET %s: %w", url, err)
+	}
 	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("read %s: %v", url, err)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
 	}
-	return resp.StatusCode, string(body)
+	if err != nil {
+		return 0, "", fmt.Errorf("read %s: %w", url, err)
+	}
+	return resp.StatusCode, string(body), nil
 }
 
 // TestEndpoints starts a fully wired server on a free port and checks
@@ -137,6 +145,11 @@ func TestConcurrentClientsAndShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := "http://" + srv.Addr()
+	// The clients own their transport and keep no connection alive: a
+	// pooled connection the transport dialed but never sent a request on
+	// sits in StateNew on the server, which http.Server.Shutdown does not
+	// treat as idle for 5 s — exactly the deadline below.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
 
 	var wg sync.WaitGroup
 	paths := []string{"/metrics", "/queries", "/spans", "/spans?format=chrome"}
@@ -154,8 +167,8 @@ func TestConcurrentClientsAndShutdown(t *testing.T) {
 		go func(path string) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				if code, _ := get(t, base+path); code != 200 {
-					t.Errorf("GET %s: code %d", path, code)
+				if code, _, err := fetch(client, base+path); err != nil || code != 200 {
+					t.Errorf("GET %s: code %d, err %v", path, code, err)
 					return
 				}
 			}
@@ -168,9 +181,9 @@ func TestConcurrentClientsAndShutdown(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// The connection pool's idle goroutines unwind asynchronously; poll
-	// briefly rather than flake.
-	http.DefaultClient.CloseIdleConnections()
+	// Connection goroutines unwind asynchronously; poll briefly rather
+	// than flake.
+	client.CloseIdleConnections()
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

@@ -2,13 +2,14 @@ package plan
 
 import "fmt"
 
-// The cost model. Costs are abstract units tuned for THIS executor,
-// where the dominant asymmetry is columnar work vs wide-row
-// materialization: a vectorized scan or hash-table lookup touches a
-// row for nanoseconds, while materializing one wide intermediate row
-// (a fresh []storage.Value across every joined table's span, filled
-// and later garbage-collected) costs on the order of a thousand
-// column-touches. Bitmap and hash indexes are cached across queries,
+// The cost model. Costs are abstract units. The constants were tuned
+// when every intermediate row was a fresh full-width []storage.Value
+// (columnar touch vs wide-row materialization: nanoseconds vs on the
+// order of a thousand column-touches). The executor now carries
+// intermediates as per-table row-id vectors, so an emitted row costs a
+// few 4-byte appends; the constants are deliberately left as they were
+// until they are recalibrated against the benchmark (ROADMAP item 3).
+// Bitmap and hash indexes are cached across queries,
 // so the star transformation's per-query cost is the dimension key-set
 // scans plus fetching only the qualifying fact rows — not the index
 // builds. The absolute scale is meaningless; only ratios steer
@@ -26,10 +27,10 @@ const (
 	costBuild = 1.0
 	// costProbe is charged per hash-table lookup (no materialization).
 	costProbe = 0.2
-	// costMaterialize is charged per wide intermediate row
-	// materialized: the driver scan's surviving rows, every join step's
-	// output rows, and the star transformation's qualifying fact-row
-	// fetches.
+	// costMaterialize is charged per intermediate row emitted (one row
+	// id per joined table since the rowSet executor; the value predates
+	// it): the driver scan's surviving rows, every join step's output
+	// rows, and the star transformation's qualifying fact rows.
 	costMaterialize = 50.0
 	// costBitmap is charged per dimension row scanned while building
 	// the star transformation's per-dimension key sets (the fact-side
@@ -92,12 +93,12 @@ func (g *Graph) joinCard(curCard float64, inMask func(int) bool, t int) float64 
 
 // orderCost walks a join order (table indexes, driver excluded) and
 // returns its total cost and final cardinality under the model: the
-// driver scan materializes its surviving rows wide, then each step
-// builds the next table's filtered rows into a hash table, probes it
-// with every intermediate row, and materializes the join's output.
+// driver scan emits its surviving rows, then each step builds the next
+// table's filtered rows into a hash table, probes it with every
+// intermediate row, and emits the join's output.
 func (g *Graph) orderCost(driver int, order []int) (cost, card float64) {
 	card = g.Tables[driver].Est
-	cost = card * costMaterialize // driver scan materializes wide rows
+	cost = card * costMaterialize // driver scan emits its survivors
 	joined := make([]bool, len(g.Tables))
 	joined[driver] = true
 	for _, t := range order {

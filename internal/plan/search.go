@@ -116,7 +116,7 @@ func Search(in SearchInput) JoinPlan {
 		cost[m] = math.Inf(1)
 	}
 	driverEst := in.Graph.Tables[in.Driver].Est
-	cost[0] = driverEst * costMaterialize // driver scan materializes wide rows
+	cost[0] = driverEst * costMaterialize // driver scan emits its survivors
 	card[0] = driverEst
 
 	inMask := func(mask uint32) func(int) bool {
