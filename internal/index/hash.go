@@ -1,51 +1,99 @@
 package index
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // HashIndex maps int64 keys to the row ids carrying them — the engine's
 // conventional index for key lookups and index-driven joins (§2.1).
+//
+// The layout is three allocations whatever the number of keys: an
+// open-addressed table of (key, span) slots probed linearly from the
+// key's Fibonacci hash, and one array holding every indexed row id,
+// grouped by key and ascending within a key; a slot's span is its
+// group's position in that array.
 type HashIndex struct {
-	rows map[int64][]int32
-	n    int
+	slots    []hashSlot // len is a power of two, at most 2/3 occupied
+	rows     []int32
+	shift    uint // 64 - log2(len(slots))
+	n        int
+	distinct int
+}
+
+// hashSlot is one key's entry: its row ids are rows[end-count : end].
+// count == 0 marks a free slot.
+type hashSlot struct {
+	key        int64
+	end, count int32
 }
 
 // BuildHashIndex indexes the column given as parallel value/null slices.
 func BuildHashIndex(vals []int64, nulls []bool) *HashIndex {
-	ix := &HashIndex{rows: make(map[int64][]int32, len(vals)/4+1), n: len(vals)}
+	width := bits.Len(uint(len(vals) + len(vals)/2))
+	ix := &HashIndex{slots: make([]hashSlot, 1<<width), shift: uint(64 - width), n: len(vals)}
+	// Counting sort by slot: count each key's rows, turn the counts into
+	// group starts, then drop every row id at its group's cursor.
 	for i, v := range vals {
-		if nulls[i] {
-			continue
+		if !nulls[i] {
+			s := ix.slot(v)
+			s.key = v
+			s.count++
 		}
-		ix.rows[v] = append(ix.rows[v], int32(i))
+	}
+	next := int32(0)
+	for i := range ix.slots {
+		if s := &ix.slots[i]; s.count > 0 {
+			s.end = next
+			next += s.count
+			ix.distinct++
+		}
+	}
+	ix.rows = make([]int32, next)
+	for i, v := range vals {
+		if !nulls[i] {
+			s := ix.slot(v)
+			ix.rows[s.end] = int32(i)
+			s.end++
+		}
 	}
 	return ix
+}
+
+// slot returns key's slot, or the free slot where its probe sequence
+// ends.
+func (ix *HashIndex) slot(key int64) *hashSlot {
+	mask := uint64(len(ix.slots) - 1)
+	for i := uint64(key) * 0x9E3779B97F4A7C15 >> ix.shift; ; i = (i + 1) & mask {
+		if s := &ix.slots[i]; s.count == 0 || s.key == key {
+			return s
+		}
+	}
 }
 
 // NumRows returns the indexed row count.
 func (ix *HashIndex) NumRows() int { return ix.n }
 
 // DistinctKeys returns the number of distinct non-null keys.
-func (ix *HashIndex) DistinctKeys() int { return len(ix.rows) }
+func (ix *HashIndex) DistinctKeys() int { return ix.distinct }
 
-// Lookup returns the row ids for key (shared slice; do not mutate).
-func (ix *HashIndex) Lookup(key int64) []int32 { return ix.rows[key] }
+// Lookup returns the row ids for key in ascending order (shared slice;
+// do not mutate).
+func (ix *HashIndex) Lookup(key int64) []int32 {
+	s := ix.slot(key)
+	if s.count == 0 {
+		return nil
+	}
+	return ix.rows[s.end-s.count : s.end : s.end]
+}
 
 // First returns the first row id for key, or -1 if absent. Unique-key
 // lookups (surrogate key probes) use this.
 func (ix *HashIndex) First(key int64) int32 {
-	if r := ix.rows[key]; len(r) > 0 {
-		return r[0]
+	if s := ix.slot(key); s.count > 0 {
+		return ix.rows[s.end-s.count]
 	}
 	return -1
-}
-
-// Add appends a row id for key (incremental maintenance during data
-// maintenance inserts).
-func (ix *HashIndex) Add(key int64, row int32) {
-	ix.rows[key] = append(ix.rows[key], row)
-	if int(row) >= ix.n {
-		ix.n = int(row) + 1
-	}
 }
 
 // SortedIndex is an order-preserving index over an int64 column: a

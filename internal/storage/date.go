@@ -98,6 +98,18 @@ func FormatDate(days int64) string {
 	return fmt.Sprintf("%04d-%02d-%02d", y, m, d)
 }
 
+// appendDate appends FormatDate(days) without the intermediate string.
+func appendDate(buf []byte, days int64) []byte {
+	y, m, d := YMDFromDays(days)
+	if y < 0 || y > 9999 {
+		return append(buf, FormatDate(days)...)
+	}
+	return append(buf,
+		byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10), '-',
+		byte('0'+m/10), byte('0'+m%10), '-',
+		byte('0'+d/10), byte('0'+d%10))
+}
+
 // ParseDate parses an ISO yyyy-mm-dd string to days since epoch.
 // time.Parse validates the calendar (rejecting month 13 or Feb 30); the
 // day arithmetic itself is exact integer math.
@@ -115,6 +127,14 @@ func DateSK(days int64) int64 { return days + 1 }
 
 // DaysFromSK converts a date_dim surrogate key back to days since epoch.
 func DaysFromSK(sk int64) int64 { return sk - 1 }
+
+// daysIn returns the number of days of the month (1-12) in the year.
+func daysIn(year, month int) int {
+	if month == 2 && IsLeapYear(year) {
+		return 29
+	}
+	return [...]int{31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31}[month-1]
+}
 
 // IsLeapYear reports whether the year is a Gregorian leap year.
 func IsLeapYear(year int) bool {

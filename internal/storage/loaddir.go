@@ -25,10 +25,10 @@ func LoadDir(dir string, defs []*schema.Table) (*DB, error) {
 		_, rerr := t.ReadFlat(f)
 		cerr := f.Close()
 		if rerr != nil {
-			return nil, fmt.Errorf("storage: load %s: %w", def.Name, rerr)
+			return nil, fmt.Errorf("storage: load %s: %w", path, rerr)
 		}
 		if cerr != nil {
-			return nil, fmt.Errorf("storage: load %s: %w", def.Name, cerr)
+			return nil, fmt.Errorf("storage: load %s: %w", path, cerr)
 		}
 		db.Put(t)
 	}

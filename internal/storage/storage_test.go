@@ -131,21 +131,6 @@ func TestFlatFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadFlatErrors(t *testing.T) {
-	tb := NewTable(testDef())
-	if _, err := tb.ReadFlat(strings.NewReader("1|2|\n")); err == nil {
-		t.Error("short row should error")
-	}
-	tb = NewTable(testDef())
-	if _, err := tb.ReadFlat(strings.NewReader("x|1|1.0|a|2000-01-01|\n")); err == nil {
-		t.Error("bad integer should error")
-	}
-	tb = NewTable(testDef())
-	if _, err := tb.ReadFlat(strings.NewReader("1|1|1.0|a|not-a-date|\n")); err == nil {
-		t.Error("bad date should error")
-	}
-}
-
 func TestCompare(t *testing.T) {
 	cases := []struct {
 		a, b Value

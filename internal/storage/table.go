@@ -53,20 +53,38 @@ func (c *Column) Get(i int) Value {
 	}
 }
 
+// appendNull adds a NULL to a column of physical kind k.
+func (c *Column) appendNull(k Kind) {
+	c.nulls = append(c.nulls, true)
+	switch k {
+	case KindInt, KindDate:
+		c.ints = append(c.ints, 0)
+	case KindFloat:
+		c.flts = append(c.flts, 0)
+	default:
+		c.strs = append(c.strs, "")
+	}
+}
+
+// truncate drops the entries from n on.
+func (c *Column) truncate(n int) {
+	c.nulls = c.nulls[:n]
+	switch physKind(c.Type) {
+	case KindInt, KindDate:
+		c.ints = c.ints[:n]
+	case KindFloat:
+		c.flts = c.flts[:n]
+	default:
+		c.strs = c.strs[:n]
+	}
+}
+
 // Append adds a value, coercing to the column's physical type. Appending
 // a value of an incompatible kind panics (generator and loader bugs
 // should fail loudly, not corrupt data).
 func (c *Column) Append(v Value) {
 	if v.IsNull() {
-		c.nulls = append(c.nulls, true)
-		switch physKind(c.Type) {
-		case KindInt, KindDate:
-			c.ints = append(c.ints, 0)
-		case KindFloat:
-			c.flts = append(c.flts, 0)
-		default:
-			c.strs = append(c.strs, "")
-		}
+		c.appendNull(physKind(c.Type))
 		return
 	}
 	c.nulls = append(c.nulls, false)
@@ -175,6 +193,25 @@ func (t *Table) NumRows() int {
 	return t.cols[0].Len()
 }
 
+// physKinds returns the physical kind of every column.
+func (t *Table) physKinds() []Kind {
+	kinds := make([]Kind, len(t.cols))
+	for i := range t.cols {
+		kinds[i] = physKind(t.cols[i].Type)
+	}
+	return kinds
+}
+
+// truncate drops the rows from n on, including a row only some columns
+// have yet (a flat-file line that failed part-way).
+func (t *Table) truncate(n int) {
+	for i := range t.cols {
+		if t.cols[i].Len() > n {
+			t.cols[i].truncate(n)
+		}
+	}
+}
+
 // NumCols returns the column count.
 func (t *Table) NumCols() int { return len(t.cols) }
 
@@ -271,15 +308,7 @@ func (t *Table) Delete(rowIDs []int) int {
 			}
 			w++
 		}
-		col.nulls = col.nulls[:w]
-		switch physKind(col.Type) {
-		case KindInt, KindDate:
-			col.ints = col.ints[:w]
-		case KindFloat:
-			col.flts = col.flts[:w]
-		default:
-			col.strs = col.strs[:w]
-		}
+		col.truncate(w)
 	}
 	return removed
 }
