@@ -34,6 +34,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 
 	"tpcds/internal/schema"
 	"tpcds/internal/storage"
@@ -141,9 +142,9 @@ type tableFilter struct {
 // vectorization off nothing is compiled: every predicate runs
 // row-at-a-time over the batch — the oracle the kernels are diffed
 // against.
-func (b *binder) compileFilter(ti int, filters []filterInfo) *tableFilter {
+func (b *binder) compileFilter(ti int, preds []bexpr) *tableFilter {
 	tf := &tableFilter{readers: b.colReaders(ti), total: b.total}
-	for _, p := range tablePreds(ti, filters) {
+	for _, p := range preds {
 		if b.eng.vectorized {
 			if k, ok := b.compileTri(ti, p); ok {
 				tf.kernels = append(tf.kernels, k)
@@ -155,8 +156,8 @@ func (b *binder) compileFilter(ti int, filters []filterInfo) *tableFilter {
 	return tf
 }
 
-// batchScratch holds one scanner's reusable buffers. Each scanRange/
-// scanIDs call owns its scratch, so concurrent morsel workers never
+// batchScratch holds one scanner's reusable buffers. Each scan
+// call owns its scratch, so concurrent morsel workers never
 // share mutable state.
 type batchScratch struct {
 	sel []int32
@@ -220,12 +221,13 @@ func (tf *tableFilter) apply(sel []int32, sc *batchScratch) []int32 {
 	return sel
 }
 
-// scanRange streams the surviving row ids of [lo,hi) batch by batch.
-// fn receives each batch's selection vector (valid only for the call).
-// Cancellation is polled per batch via checkNow — safe from morsel
-// workers, and at the default batch size exactly as frequent as the
-// serial row loop's tick.
-func (tf *tableFilter) scanRange(qc *qctx, batch, lo, hi int, fn func(sel []int32)) {
+// scan streams the rows of [lo,hi) that pass the filter batch by batch:
+// positions of ids (the star's bitmap-qualified fact ids), or the
+// table's own row ids when ids is nil. fn receives each batch's
+// selection vector (valid only for the call). Cancellation is polled
+// per batch via checkNow — safe from morsel workers, and at the default
+// batch size exactly as frequent as the serial row loop's tick.
+func (tf *tableFilter) scan(qc *qctx, batch int, ids []int32, lo, hi int, fn func(sel []int32)) {
 	if batch < 1 {
 		batch = 1
 	}
@@ -241,35 +243,16 @@ func (tf *tableFilter) scanRange(qc *qctx, batch, lo, hi int, fn func(sel []int3
 		qc.countBatch()
 		end := min(base+batch, hi)
 		sel := buf[:end-base]
-		for i := range sel {
-			sel[i] = int32(base + i)
+		if ids != nil {
+			if base < 0 || base >= len(ids) || end > len(ids) {
+				panic("exec: scan range outside the id list")
+			}
+			copy(sel, ids[base:])
+		} else {
+			for i := range sel {
+				sel[i] = int32(base + i)
+			}
 		}
-		sel = tf.apply(sel, sc)
-		if len(sel) > 0 {
-			fn(sel)
-		}
-	}
-}
-
-// scanIDs filters an explicit row-id list batch by batch (the star
-// transformation's bitmap-qualified fact ids).
-func (tf *tableFilter) scanIDs(qc *qctx, batch int, ids []int32, fn func(sel []int32)) {
-	if batch < 1 {
-		batch = 1
-	}
-	sc := tf.newScratch(batch)
-	qc.growScratch(sc.bytes())
-	defer qc.shrinkScratch(sc.bytes())
-	buf := sc.sel
-	if len(buf) < batch {
-		panic("exec: scratch selection vector smaller than batch")
-	}
-	for base := 0; base < len(ids); base += batch {
-		qc.checkNow()
-		qc.countBatch()
-		end := min(base+batch, len(ids))
-		sel := buf[:end-base]
-		copy(sel, ids[base:])
 		sel = tf.apply(sel, sc)
 		if len(sel) > 0 {
 			fn(sel)
@@ -340,17 +323,6 @@ func mirrorOp(op string) string {
 }
 
 func cmpF(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
-func cmpS(a, b string) int {
 	switch {
 	case a < b:
 		return -1
@@ -511,13 +483,26 @@ func (b *binder) compileCmp(ti int, v *binExpr) (triFn, bool) {
 			return intLitKernel(op, cl.ints, nulls, lf), true
 		case cl.kind == storage.KindString && lv.K == storage.KindString:
 			ls, nulls, strs := lv.S, cl.nulls, cl.strs
+			if op == "=" || op == "<>" {
+				// Equality needs no three-way compare (cf. intLitKernel).
+				ne := op == "<>"
+				return func(sel []int32, out []int8) {
+					for i, r := range sel {
+						if nulls[r] {
+							out[i] = -1
+						} else {
+							out[i] = b2t((strs[r] == ls) != ne)
+						}
+					}
+				}, true
+			}
 			return func(sel []int32, out []int8) {
 				for i, r := range sel {
 					if nulls[r] {
 						out[i] = -1
 						continue
 					}
-					out[i] = b2t(pass(cmpS(strs[r], ls)))
+					out[i] = b2t(pass(strings.Compare(strs[r], ls)))
 				}
 			}, true
 		}
@@ -541,13 +526,25 @@ func (b *binder) compileCmp(ti int, v *binExpr) (triFn, bool) {
 		}, true
 	case cl.kind == storage.KindString && cr.kind == storage.KindString:
 		ln, rn, ls, rs := cl.nulls, cr.nulls, cl.strs, cr.strs
+		if op == "=" || op == "<>" {
+			ne := op == "<>"
+			return func(sel []int32, out []int8) {
+				for i, r := range sel {
+					if ln[r] || rn[r] {
+						out[i] = -1
+					} else {
+						out[i] = b2t((ls[r] == rs[r]) != ne)
+					}
+				}
+			}, true
+		}
 		return func(sel []int32, out []int8) {
 			for i, r := range sel {
 				if ln[r] || rn[r] {
 					out[i] = -1
 					continue
 				}
-				out[i] = b2t(pass(cmpS(ls[r], rs[r])))
+				out[i] = b2t(pass(strings.Compare(ls[r], rs[r])))
 			}
 		}, true
 	}

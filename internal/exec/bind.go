@@ -40,6 +40,8 @@ type binder struct {
 	// resolution of that set to vector readers, fixed by freeze.
 	used    map[int]bool
 	readers [][]colReader
+	// sels caches each table's selection during joinRows; nil outside it.
+	sels []*selection
 }
 
 func newBinder(eng *Engine, qc *qctx, ctes map[string]*storage.Table) *binder {
@@ -318,6 +320,7 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 			if v.Op == "||" {
 				t = schema.Varchar
 			}
+			return foldConst(&binExpr{op: v.Op, l: l, r: r, t: t}, l, r), nil
 		}
 		return &binExpr{op: v.Op, l: l, r: r, t: t}, nil
 	case *sql.UnaryOp:
@@ -328,7 +331,7 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 		if v.Op == "NOT" {
 			return &notExpr{x: x}, nil
 		}
-		return &negExpr{x: x}, nil
+		return foldConst(&negExpr{x: x}, x), nil
 	case *sql.Between:
 		x, err := b.bind(v.X)
 		if err != nil {
@@ -437,13 +440,13 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 			}
 			f.args = append(f.args, ba)
 		}
-		if len(f.args) == 0 {
-			return nil, fmt.Errorf("function %s requires arguments", v.Name)
+		if len(f.args) == 0 || len(f.args) == 1 && strings.HasPrefix(v.Name, "SUBSTR") {
+			return nil, fmt.Errorf("function %s requires more arguments", v.Name)
 		}
 		if rt == 0 { // same-as-first-argument functions
 			f.t = f.args[0].typ()
 		}
-		return f, nil
+		return foldConst(f, f.args...), nil
 	case *sql.Window:
 		return nil, fmt.Errorf("window function not allowed in this context")
 	case *sql.SubQuery:
@@ -465,6 +468,22 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 	default:
 		return nil, fmt.Errorf("unsupported expression %T", e)
 	}
+}
+
+// foldConst replaces a value expression whose operands are all literals
+// (arithmetic, date ± days, a scalar function) by the literal it
+// evaluates to, so `x BETWEEN [P] AND [P] + 30` reaches the kernels
+// with literal bounds. bind folds bottom-up, so a column-free tree of
+// any depth collapses. Evaluating literals cannot fail — division by
+// zero and a bad date are NULL, bind checked the argument count — so a
+// panic here is an executor bug and fails the query, as a row would.
+func foldConst(e bexpr, operands ...bexpr) bexpr {
+	for _, o := range operands {
+		if _, ok := o.(*litExpr); !ok {
+			return e
+		}
+	}
+	return &litExpr{v: e.eval(nil), t: e.typ()}
 }
 
 // conjuncts flattens an AND tree.

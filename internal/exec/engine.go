@@ -255,20 +255,20 @@ func (e *Engine) InvalidateIndexes(table string) {
 	e.planCache.InvalidateTable(table)
 }
 
-// hashIndex returns (building if needed) a hash index on table.column.
-// Freshness is (instance id, epoch), not row count: a same-size reload
-// or in-place update must rebuild.
-func (e *Engine) hashIndex(t *storage.Table, col int) *index.HashIndex {
+// hashIndex returns the hash index on table.column and whether this
+// call had to build it. Freshness is (instance id, epoch), not row
+// count: a same-size reload or in-place update must rebuild.
+func (e *Engine) hashIndex(t *storage.Table, col int) (ix *index.HashIndex, built bool) {
 	key := t.Def.Name + "." + t.Def.Columns[col].Name
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if c, ok := e.hashIdx[key]; ok && c.tableID == t.ID() && c.epoch == t.Epoch() {
-		return c.ix
+		return c.ix, false
 	}
 	vals, nulls := t.ScanInt64(col)
-	ix := index.BuildHashIndex(vals, nulls)
+	ix = index.BuildHashIndex(vals, nulls)
 	e.hashIdx[key] = cachedHashIndex{ix: ix, tableID: t.ID(), epoch: t.Epoch()}
-	return ix
+	return ix, true
 }
 
 // bitmapIndex returns (building if needed) a bitmap index on

@@ -29,6 +29,8 @@ func (e *Engine) joinRows(b *binder, stmt *sql.SelectStmt, filters []filterInfo,
 	if len(b.tables) == 0 {
 		return nil, Trace{}, fmt.Errorf("no tables to join")
 	}
+	b.sels = make([]*selection, len(b.tables))
+	defer func() { b.sels = nil }()
 	tr := Trace{
 		Strategy:    plan.HashJoinPipeline,
 		Tables:      e.buildTableTraces(b, filters),
@@ -57,7 +59,7 @@ func (e *Engine) joinRows(b *binder, stmt *sql.SelectStmt, filters []filterInfo,
 		tr.PlanSource = "greedy"
 	}
 
-	if shape, dimOfTable, ok := e.starShape(b, filters, edges, lefts); ok {
+	if shape, fact, dims, ok := e.starShape(b, filters, edges, lefts, &tr); ok {
 		var decision plan.Decision
 		if costBased {
 			decision = plan.ChooseCost(shape, planned.Cost, e.mode)
@@ -68,7 +70,7 @@ func (e *Engine) joinRows(b *binder, stmt *sql.SelectStmt, filters []filterInfo,
 		tr.Decision = decision
 		if decision.Strategy == plan.StarTransform {
 			starEst := shape.CombinedSelectivity() * float64(shape.FactRows)
-			rows, ok := e.runStar(b, filters, edges, residual, dimOfTable, starEst, &tr)
+			rows, ok := e.runStar(b, filters, residual, fact, dims, starEst, &tr)
 			if ok {
 				tr.Strategy = plan.StarTransform
 				tr.JoinOrder = []string{shape.FactName + " (bitmap-driven)"}
@@ -92,23 +94,6 @@ func tablePreds(ti int, filters []filterInfo) []bexpr {
 		}
 	}
 	return preds
-}
-
-// forEachFiltered streams the ids of table ti's rows surviving its local
-// filters, one selection vector per batch (valid only for the call), on
-// the calling goroutine; scanCollect is the morsel-parallel form.
-func (b *binder) forEachFiltered(ti int, filters []filterInfo, fn func(sel []int32)) {
-	n := b.tableAt(ti).tab.NumRows()
-	b.qc.countScan(n)
-	b.compileFilter(ti, filters).scanRange(b.qc, b.eng.batchSize(), 0, n, fn)
-}
-
-// countFiltered counts surviving rows straight off the selection
-// vectors.
-func (b *binder) countFiltered(ti int, filters []filterInfo) int {
-	count := 0
-	b.forEachFiltered(ti, filters, func(sel []int32) { count += len(sel) })
-	return count
 }
 
 // estimateFiltered estimates the filtered cardinality of a table. With
@@ -215,12 +200,13 @@ func (e *Engine) innerHashJoin(b *binder, current *rowSet, ti int, filters []fil
 			b.qc.opEst(stepEst)
 		}
 		defer b.qc.endOp(sp)
-		ids := e.filteredIDs(b, ti, filters, tr)
-		pairs := make([]matchPair, 0, current.n*len(ids))
+		sel := b.selection(ti, filters, tr)
+		b.readAll(sel)
+		pairs := make([]matchPair, 0, current.n*sel.n)
 		for li := 0; li < current.n; li++ {
-			for _, r := range ids {
+			for i := 0; i < sel.n; i++ {
 				b.qc.tick()
-				pairs = append(pairs, matchPair{li: int32(li), r: r})
+				pairs = append(pairs, matchPair{li: int32(li), r: sel.at(i)})
 			}
 		}
 		out := current.extend(b.qc, pairs, ti)
@@ -255,7 +241,9 @@ func (e *Engine) leftHashJoin(b *binder, current *rowSet, lj leftJoin, filters [
 	var allIDs []int32
 	var ht *hashTable
 	if len(probe) == 0 {
-		allIDs = e.filteredIDs(b, lj.table, filters, tr)
+		sel := b.selection(lj.table, filters, tr)
+		b.readAll(sel)
+		allIDs = sel.rowIDs()
 	} else {
 		ht = e.buildHashTable(b, lj.table, filters, probe, build, tr)
 	}

@@ -30,6 +30,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"tpcds/internal/index"
 	"tpcds/internal/obs"
 	"tpcds/internal/plan"
 )
@@ -224,171 +225,162 @@ func partOf[K ~string | ~[]byte](key K, parts int) int {
 	return int(h % uint32(parts))
 }
 
-// scanFiltered emits the ids of table ti's rows surviving its local
-// filters as the driver rowSet. Morsel outputs concatenate in morsel
-// order, matching the serial scan.
+// scanFiltered emits table ti's selection as the driver rowSet, which
+// takes the id vector over as its own. An unfiltered driver has no
+// filter scan behind it: its identity vector is materialised here,
+// under a scan node of its own, and charged to it on the way out.
 func (e *Engine) scanFiltered(b *binder, ti int, filters []filterInfo, tr *Trace) *rowSet {
-	inst := b.tableAt(ti)
-	sp := b.qc.startOp("scan", inst.binding)
-	b.qc.opRowsIn(sp, int64(inst.tab.NumRows()))
-	if b.qc.profiling() {
-		b.qc.opEst(e.estimateFiltered(b, ti, filters))
+	sel := b.selection(ti, filters, tr)
+	rs := &rowSet{n: sel.n, ids: make([][]int32, len(b.tables))}
+	if sel.all {
+		sp := b.qc.startOp("scan", b.tableAt(ti).binding)
+		defer b.qc.endOp(sp)
+		b.qc.opRowsIn(sp, int64(sel.n))
+		b.qc.opRowsOut(sp, int64(sel.n))
+		b.readAll(sel)
+		defer rs.charge(b.qc, 0)
 	}
-	defer b.qc.endOp(sp)
-	rs := b.scanRowSet(ti, e.filteredIDs(b, ti, filters, tr))
-	b.qc.opRowsOut(sp, int64(rs.n))
+	rs.ids[ti] = sel.rowIDs()
 	return rs
 }
 
-// hashTable is a join build side: base-table row ids keyed by join key,
-// partitioned by key hash when built in parallel. Within a partition,
-// row ids appear in base-table row order — exactly what the serial
-// build produces — so probe output is identical either way. intKeys
-// selects the raw-int64 fast path used when both join sides are a
-// single integer-class column, skipping GroupKey construction entirely.
+// hashTable is a join build side: row ids keyed by join key, partitioned
+// by key hash when built in parallel. Within a partition the row ids of
+// a key appear in input order — exactly what the serial build produces —
+// so probe output is identical either way. Exactly one field is set:
+// ints, the raw-int64 fast path for a single integer-class column on
+// both sides, or strs, keyed on the GroupKey encoding.
 type hashTable struct {
-	intKeys bool
-	parts   []hashPart
-}
-
-// hashPart is one partition; only the map matching intKeys exists.
-type hashPart struct {
-	ints map[int64][]int32
-	strs map[string][]int32
-}
-
-func newHashPart(intKeys bool, sizeHint int) hashPart {
-	if intKeys {
-		return hashPart{ints: make(map[int64][]int32, sizeHint)}
-	}
-	return hashPart{strs: make(map[string][]int32, sizeHint)}
-}
-
-// buildEntry is one qualifying build-side row with its join key: ikey
-// on the int64 fast path, key otherwise.
-type buildEntry struct {
-	r    int32
-	ikey int64
-	key  string
-}
-
-// buildEntryBytes approximates the in-memory size of one buildEntry
-// (row id + int key + string header) for scratch accounting; the
-// profile reports accounted scratch, not a byte-exact heap measurement.
-const buildEntryBytes = 32
-
-// entryAt reads the build entry of position i through ks; ok=false on a
-// NULL key component (NULL never joins). buf is the caller's reusable
-// key buffer, returned possibly grown.
-func (h *hashTable) entryAt(ks []keySource, i int32, buf []byte) (buildEntry, []byte, bool) {
-	en, ok := buildEntry{r: i}, false
-	if h.intKeys {
-		en.ikey, ok = ks[0].intAt(i)
-	} else if buf, ok = appendKey(ks, i, buf[:0]); ok {
-		en.key = string(buf)
-	}
-	return en, buf, ok
-}
-
-func (h *hashTable) partOf(en buildEntry) int {
-	if h.intKeys {
-		return partOfInt(en.ikey, len(h.parts))
-	}
-	return partOf(en.key, len(h.parts))
-}
-
-func (hp *hashPart) add(en buildEntry) {
-	if hp.ints != nil {
-		hp.ints[en.ikey] = append(hp.ints[en.ikey], en.r)
-	} else {
-		hp.strs[en.key] = append(hp.strs[en.key], en.r)
-	}
+	ints []*index.HashIndex
+	strs []map[string][]int32
 }
 
 // probe returns the build-side row ids matching the key of position i
 // read through ks (nil on a NULL key: NULL never joins). buf is the
 // caller's reusable key buffer, returned possibly grown.
 func (h *hashTable) probe(ks []keySource, i int32, buf []byte) ([]int32, []byte) {
-	if h.intKeys {
+	if h.ints != nil {
 		k, ok := ks[0].intAt(i)
 		if !ok {
 			return nil, buf
 		}
-		return h.parts[partOfInt(k, len(h.parts))].ints[k], buf
+		return h.ints[partOfInt(k, len(h.ints))].Lookup(k), buf
 	}
 	buf, ok := appendKey(ks, i, buf[:0])
 	if !ok {
 		return nil, buf
 	}
-	return h.parts[partOf(buf, len(h.parts))].strs[string(buf)], buf
+	return h.strs[partOf(buf, len(h.strs))][string(buf)], buf
 }
 
-// buildHashTable indexes the filtered rows of table ti by the build key
-// columns, read straight off the column vectors. Large tables use a
-// two-phase partitioned build: a parallel morsel scan collects (row id,
-// key) entries in row order, then one worker per partition inserts its
-// share walking them in that order. probe is consulted only to decide
-// the key representation: a single integer-class column pair keys on
-// raw int64 values (GroupKey keeps int and date keys disjoint, so the
-// raw fast path is only taken when both sides share a class).
-func (e *Engine) buildHashTable(b *binder, ti int, filters []filterInfo, probe, build []*colExpr, tr *Trace) *hashTable {
-	inst := b.tableAt(ti)
-	n := inst.tab.NumRows()
-	sp := b.qc.startOp("build", inst.binding)
-	b.qc.opRowsIn(sp, int64(n))
-	if b.qc.profiling() {
-		b.qc.opEst(e.estimateFiltered(b, ti, filters))
+// stagePairs reads the join key of every row of sel through key and
+// keeps the (key, row id) pairs whose key is not NULL (NULL never
+// joins), in selection order.
+func stagePairs[K any](qc *qctx, sel *selection, key func(r int32) (K, bool)) (keys []K, rows []int32) {
+	keys, rows = make([]K, 0, sel.n), make([]int32, 0, sel.n)
+	for i := 0; i < sel.n; i++ {
+		if i%tickInterval == 0 {
+			qc.checkNow()
+		}
+		r := sel.at(i)
+		if k, ok := key(r); ok {
+			keys, rows = append(keys, k), append(rows, r)
+		}
 	}
-	defer b.qc.endOp(sp)
-	workers := e.workers()
-	if n <= e.morselSize() {
-		workers = 1
+	return keys, rows
+}
+
+// newHashTable hashes the rows of sel by the key read through ks into
+// parts partitions; it returns the table and the number of rows hashed.
+func newHashTable(qc *qctx, ks []keySource, intKeys bool, sel *selection, parts int) (*hashTable, int) {
+	if intKeys {
+		keys, rows := stagePairs(qc, sel, ks[0].intAt)
+		return &hashTable{ints: hashParts(qc, keys, rows, 12, parts, partOfInt, index.BuildHashIndexPairs)}, len(rows)
 	}
-	ht := &hashTable{intKeys: intJoinKey(probe, build), parts: make([]hashPart, workers)}
-	ks := b.keySources(nil, build)
-	keyed := func(sel []int32, keep []buildEntry) []buildEntry {
-		var buf []byte
-		for _, r := range sel {
-			en, kb, ok := ht.entryAt(ks, r, buf)
-			buf = kb
-			if ok {
-				keep = append(keep, en)
+	var buf []byte
+	keys, rows := stagePairs(qc, sel, func(r int32) (key string, ok bool) {
+		buf, ok = appendKey(ks, r, buf[:0])
+		return string(buf), ok
+	})
+	return &hashTable{strs: hashParts(qc, keys, rows, 32, parts, partOf[string], func(keys []string, rows []int32) map[string][]int32 {
+		part := make(map[string][]int32, len(keys))
+		for i, k := range keys {
+			part[k] = append(part[k], rows[i])
+		}
+		return part
+	})}, len(rows)
+}
+
+// hashParts indexes the staged pairs — the build's dominant scratch,
+// pairBytes each, dropped by the caller — in parts partitions: one
+// worker per partition builds its share, walking the pairs in order.
+func hashParts[K, P any](qc *qctx, keys []K, rows []int32, pairBytes int64, parts int, partOf func(K, int) int, build func([]K, []int32) P) []P {
+	qc.growScratch(int64(len(rows)) * pairBytes)
+	defer qc.shrinkScratch(int64(len(rows)) * pairBytes)
+	out := make([]P, parts)
+	parallelFor(parts, func(p int) {
+		pk, pr := keys, rows
+		if parts > 1 {
+			pk, pr = nil, nil
+			for i, k := range keys {
+				if i%(64*tickInterval) == 0 {
+					qc.checkNow()
+				}
+				if partOf(k, parts) == p {
+					pk, pr = append(pk, k), append(pr, rows[i])
+				}
 			}
 		}
-		return keep
+		out[p] = build(pk, pr)
+	})
+	return out
+}
+
+// baseIndex returns the engine's cached hash index on column col of
+// table ti when it can stand in for a build over sel — nothing filtered
+// out, and the instance is the catalog's base table, not a CTE of the
+// same name — else nil. A cold cache builds the index here, and that
+// one read and hashing of the column goes on this query's counters.
+func (b *binder) baseIndex(ti, col int, sel *selection) *index.HashIndex {
+	inst := b.tableAt(ti)
+	if !sel.all || b.eng.db.Table(inst.tab.Def.Name) != inst.tab {
+		return nil
 	}
-	built := 0
-	if workers == 1 {
-		part := newHashPart(ht.intKeys, 0)
-		var batch []buildEntry
-		b.forEachFiltered(ti, filters, func(sel []int32) {
-			batch = keyed(sel, batch[:0])
-			for _, en := range batch {
-				part.add(en)
-			}
-			built += len(batch)
-		})
-		ht.parts[0] = part
-	} else {
-		entries := scanCollect(e, b, ti, filters, tr, keyed)
-		built = len(entries)
-		// The staged entries are the build's dominant scratch: they are
-		// dropped once the partition insert below completes.
-		b.qc.growScratch(int64(built) * buildEntryBytes)
-		defer b.qc.shrinkScratch(int64(built) * buildEntryBytes)
-		parallelFor(workers, func(p int) {
-			part := newHashPart(ht.intKeys, 0)
-			for i, en := range entries {
-				if i%(64*tickInterval) == 0 {
-					b.qc.checkNow()
-				}
-				if ht.partOf(en) == p {
-					part.add(en)
-				}
-			}
-			ht.parts[p] = part
-		})
+	ix, built := b.eng.hashIndex(inst.tab, col)
+	if built {
+		b.qc.countScan(sel.n)
+		b.qc.countBuild(sel.n)
 	}
+	return ix
+}
+
+// buildHashTable indexes table ti's selection by the build key columns,
+// read straight off the column vectors. probe is consulted only to
+// decide the key representation: a single integer-class column pair
+// keys on raw int64 values (GroupKey keeps int and date keys disjoint,
+// so the raw fast path is only taken when both sides share a class).
+// An unfiltered base table on that path builds nothing: the engine's
+// index on the column lists the same row ids in the same order. Large
+// selections are hashed in one partition per worker.
+func (e *Engine) buildHashTable(b *binder, ti int, filters []filterInfo, probe, build []*colExpr, tr *Trace) *hashTable {
+	inst := b.tableAt(ti)
+	sel := b.selection(ti, filters, tr)
+	sp := b.qc.startOp("build", inst.binding)
+	b.qc.opRowsIn(sp, int64(sel.n))
+	defer b.qc.endOp(sp)
+	intKeys := intJoinKey(probe, build)
+	if intKeys {
+		if ix := b.baseIndex(ti, build[0].off-inst.offset, sel); ix != nil {
+			b.qc.opRowsOut(sp, int64(sel.n))
+			return &hashTable{ints: []*index.HashIndex{ix}}
+		}
+	}
+	parts := e.workers()
+	if sel.n <= e.morselSize() {
+		parts = 1
+	}
+	b.readAll(sel)
+	ht, built := newHashTable(b.qc, b.keySources(nil, build), intKeys, sel, parts)
 	b.qc.countBuild(built)
 	b.qc.opRowsOut(sp, int64(built))
 	return ht
@@ -427,47 +419,42 @@ func (e *Engine) probeJoin(b *binder, current *rowSet, ti int, probe []*colExpr,
 }
 
 // streamJoin hashes the (smaller) current intermediate result and
-// streams the rows of table ti past it — the build-on-smaller-side
-// branch of the hash pipeline. The streamed scan is morsel-parallel.
+// streams table ti's selection past it — the build-on-smaller-side
+// branch of the hash pipeline. The streamed side is morsel-parallel.
 //
 // Output order is probe-major — current rows ascending, matching table
 // rows ascending within each — exactly the order probeJoin produces.
 // That makes the build-side choice (and the runtime threshold behind
 // it) invisible in the output, which the planner's join-order search
 // depends on: any plan property may vary with estimates except row
-// order. The scan phase therefore collects (li, r) match pairs
+// order. The streamed side therefore collects (li, r) match pairs
 // (globally r-ascending after morsel-order concatenation) and a stable
 // counting sort on li puts them in probe-major order.
 func (e *Engine) streamJoin(b *binder, current *rowSet, ti int, probe, build []*colExpr, filters []filterInfo, stepEst float64, tr *Trace) *rowSet {
-	inst := b.tableAt(ti)
-	sp := b.qc.startOp("stream", inst.binding)
-	b.qc.opRowsIn(sp, int64(inst.tab.NumRows()))
+	sel := b.selection(ti, filters, tr)
+	sp := b.qc.startOp("stream", b.tableAt(ti).binding)
+	b.qc.opRowsIn(sp, int64(sel.n))
+	b.readAll(sel)
 	if stepEst >= 0 {
 		b.qc.opEst(stepEst)
 	}
 	defer b.qc.endOp(sp)
-	b.qc.countBuild(current.n)
 	// The build side is the current intermediate: its positions keyed by
 	// the probe columns read through the id vectors.
-	intKeys := intJoinKey(probe, build)
-	ht := &hashTable{intKeys: intKeys, parts: []hashPart{newHashPart(intKeys, current.n)}}
-	pks := b.keySources(current, probe)
-	var buf []byte
-	for li := int32(0); int(li) < current.n; li++ {
-		b.qc.tick()
-		en, kb, ok := ht.entryAt(pks, li, buf)
-		buf = kb
-		if ok {
-			ht.parts[0].add(en)
-		}
-	}
-	// Keys of the streamed table come straight off its vectors; survivors
-	// that probe nothing cost one map miss.
+	ht, built := newHashTable(b.qc, b.keySources(current, probe), intJoinKey(probe, build), &selection{n: current.n, all: true}, 1)
+	b.qc.countBuild(built)
+	// Keys of the streamed rows come straight off the table's vectors;
+	// survivors that probe nothing cost one table miss.
 	bks := b.keySources(nil, build)
-	pairs := scanCollect(e, b, ti, filters, tr, func(sel []int32, out []matchPair) []matchPair {
+	pairs := collectMorsels(e, b.qc, sel.n, tr, func(lo, hi int) []matchPair {
+		var out []matchPair
 		var buf []byte
 		var lis []int32
-		for _, r := range sel {
+		for i := lo; i < hi; i++ {
+			if i%tickInterval == 0 {
+				b.qc.checkNow()
+			}
+			r := sel.at(i)
 			lis, buf = ht.probe(bks, r, buf)
 			for _, li := range lis {
 				out = append(out, matchPair{li: li, r: r})

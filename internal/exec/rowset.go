@@ -13,7 +13,12 @@
 // row-at-a-time pipeline whatever the worker count.
 package exec
 
-import "tpcds/internal/storage"
+import (
+	"fmt"
+	"slices"
+
+	"tpcds/internal/storage"
+)
 
 // rowSet is the currency between join operators: ids[t] holds, for each
 // of the n intermediate rows, the row id in table instance t, or is nil
@@ -50,17 +55,6 @@ func (rs *rowSet) bytes() int64 {
 func (rs *rowSet) charge(qc *qctx, staging int64) {
 	qc.growScratch(staging + rs.bytes())
 	qc.shrinkScratch(staging + rs.bytes())
-}
-
-// scanRowSet wraps the surviving row ids of driver table ti.
-func (b *binder) scanRowSet(ti int, ids []int32) *rowSet {
-	rs := &rowSet{n: len(ids), ids: make([][]int32, len(b.tables))}
-	if ids == nil {
-		ids = []int32{} // joined with no survivors, not "not joined yet"
-	}
-	rs.ids[ti] = ids
-	rs.charge(b.qc, 0)
-	return rs
 }
 
 // extend joins table ti onto rs: output row j is input row pairs[j].li
@@ -301,48 +295,85 @@ func collectMorsels[T any](e *Engine, qc *qctx, n int, tr *Trace, fn func(lo, hi
 		chunks[m] = fn(lo, hi)
 	})
 	tr.addWork(counts)
-	total := 0
-	for _, c := range chunks {
-		total += len(c)
+	return slices.Concat(chunks...)
+}
+
+// selection is the rows of one table instance that survive its local
+// predicates, in row order: the one product of the table's filter scan,
+// read by every operator of the query that touches the table.
+type selection struct {
+	n   int     // surviving rows
+	ids []int32 // their row ids, ascending; nil when all is set or n is 0
+	all bool    // no local predicate: row i survives for every i < n
+}
+
+// at returns the row id at position i.
+func (s *selection) at(i int) int32 {
+	if s.all {
+		return int32(i)
 	}
-	out := make([]T, 0, total)
-	for _, c := range chunks {
-		out = append(out, c...)
+	return s.ids[i]
+}
+
+// rowIDs is the selection as an id vector: never nil, identity filled in.
+func (s *selection) rowIDs() []int32 {
+	if s.ids != nil {
+		return s.ids
 	}
-	return out
+	ids := make([]int32, s.n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return ids
 }
 
-// scanCollect scans table ti's rows surviving its local filters, batch
-// by batch, letting emit append what it keeps of each selection vector;
-// the result is in base-table row order.
-func scanCollect[T any](e *Engine, b *binder, ti int, filters []filterInfo, tr *Trace, emit func(sel []int32, out []T) []T) []T {
-	n := b.tableAt(ti).tab.NumRows()
-	b.qc.countScan(n)
-	// The filter is compiled once by the coordinator; kernels close over
-	// immutable column vectors only, so morsel workers share it. Each
-	// scanRange call owns its scratch buffers.
-	tf := b.compileFilter(ti, filters)
-	batch := e.batchSize()
-	return collectMorsels(e, b.qc, n, tr, func(lo, hi int) []T {
-		var out []T
-		tf.scanRange(b.qc, batch, lo, hi, func(sel []int32) { out = emit(sel, out) })
-		return out
-	})
+// readAll counts an identity selection's rows as scanned, for the one
+// operator that reads the unfiltered table itself, not through an index.
+func (b *binder) readAll(sel *selection) {
+	if sel.all {
+		b.qc.countScan(sel.n)
+	}
 }
 
-// scanIDsCollect is scanCollect over an explicit row-id list (the star
-// transformation's bitmap-qualified fact ids) filtered by tf.
-func scanIDsCollect(e *Engine, qc *qctx, tf *tableFilter, ids []int32, tr *Trace, emit func(sel, out []int32) []int32) []int32 {
-	batch := e.batchSize()
-	return collectMorsels(e, qc, len(ids), tr, func(lo, hi int) []int32 {
-		var out []int32
-		tf.scanIDs(qc, batch, ids[lo:hi], func(sel []int32) { out = emit(sel, out) })
-		return out
-	})
-}
-
-// filteredIDs returns the ids of table ti's rows surviving its local
-// filters, in row order.
-func (e *Engine) filteredIDs(b *binder, ti int, filters []filterInfo, tr *Trace) []int32 {
-	return scanCollect(e, b, ti, filters, tr, func(sel, out []int32) []int32 { return append(out, sel...) })
+// selection returns table ti's selection, running the table's compiled
+// filter on first use: once per query, in morsels, under a scan node of
+// its own. joinRows owns the cache and drops it when it returns. Without
+// local predicates no filter runs and nothing is materialised.
+func (b *binder) selection(ti int, filters []filterInfo, tr *Trace) *selection {
+	if ti < 0 || ti >= len(b.sels) {
+		panic(fmt.Sprintf("exec: selection of table %d requested outside the join phase (%d tables)", ti, len(b.sels)))
+	}
+	if b.sels[ti] != nil {
+		return b.sels[ti]
+	}
+	inst := b.tableAt(ti)
+	n := inst.tab.NumRows()
+	sel := &selection{n: n, all: true}
+	if preds := tablePreds(ti, filters); len(preds) > 0 {
+		sp := b.qc.startOp("scan", inst.binding)
+		b.qc.opRowsIn(sp, int64(n))
+		if b.qc.profiling() {
+			b.qc.opEst(b.eng.estimateFiltered(b, ti, filters))
+		}
+		b.qc.countScan(n)
+		// The filter is compiled once by the coordinator; kernels close over
+		// immutable column vectors only, so morsel workers share it. Each
+		// scan call owns its scratch buffers.
+		tf := b.compileFilter(ti, preds)
+		batch := b.eng.batchSize()
+		// Exact-sized chunks, one per batch, joined once into one vector.
+		chunks := collectMorsels(b.eng, b.qc, n, tr, func(lo, hi int) [][]int32 {
+			var out [][]int32
+			tf.scan(b.qc, batch, nil, lo, hi, func(sel []int32) { out = append(out, slices.Clone(sel)) })
+			return out
+		})
+		ids := slices.Concat(chunks...)
+		sel = &selection{n: len(ids), ids: ids}
+		b.qc.growScratch(int64(sel.n) * 8)
+		b.qc.shrinkScratch(int64(sel.n) * 8)
+		b.qc.opRowsOut(sp, int64(sel.n))
+		b.qc.endOp(sp)
+	}
+	b.sels[ti] = sel
+	return sel
 }

@@ -3,7 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"tpcds/internal/plan"
 	"tpcds/internal/schema"
@@ -269,18 +269,16 @@ func (e *Engine) runUnion(qc *qctx, head *sql.SelectStmt, ctes map[string]*stora
 				return nil, nil, Trace{}, fmt.Errorf("ORDER BY over UNION ALL must use column names or ordinals")
 			}
 		}
-		sort.SliceStable(out.Rows, func(a, b int) bool {
+		slices.SortStableFunc(out.Rows, func(a, b []storage.Value) int {
 			for i, k := range keys {
-				c := storage.Compare(out.Rows[a][k], out.Rows[b][k])
-				if c == 0 {
-					continue
+				if c := storage.Compare(a[k], b[k]); c != 0 {
+					if desc[i] {
+						return -c
+					}
+					return c
 				}
-				if desc[i] {
-					return c > 0
-				}
-				return c < 0
 			}
-			return false
+			return 0
 		})
 	}
 	if offset > 0 {
@@ -567,18 +565,16 @@ func (e *Engine) finish(qc *qctx, src rowSource, projs, sortKeys []bexpr, orderB
 		sortSp.SetAttrInt("rows", int64(len(outs)))
 		qc.opRowsIn(nil, int64(len(outs)))
 		qc.opRowsOut(nil, int64(len(outs)))
-		sort.SliceStable(outs, func(a, b int) bool {
+		slices.SortStableFunc(outs, func(a, b outRow) int {
 			for i := range sortKeys {
-				c := storage.Compare(outs[a].keys[i], outs[b].keys[i])
-				if c == 0 {
-					continue
+				if c := storage.Compare(a.keys[i], b.keys[i]); c != 0 {
+					if orderBy[i].Desc {
+						return -c
+					}
+					return c
 				}
-				if orderBy[i].Desc {
-					return c > 0
-				}
-				return c < 0
 			}
-			return false
+			return 0
 		})
 		qc.endOp(sortSp)
 	}

@@ -12,17 +12,19 @@ type dimSpec struct {
 	table   int      // table instance index
 	factCol *colExpr // fact-side join column (absolute offset)
 	pkCol   int      // dimension-local primary key column index
-	hasPred bool
 }
 
 // starShape recognizes the star query shape: one fact (the largest
-// table) joined to dimensions, each on a single equality edge hitting
-// the dimension's one-column primary key, with no dimension-to-dimension
-// edges and no outer joins. Returns the optimizer shape summary and the
-// executable dimension specs keyed by table index.
-func (e *Engine) starShape(b *binder, filters []filterInfo, edges []joinEdge, lefts []leftJoin) (plan.StarShape, map[int]dimSpec, bool) {
+// table) joined to dimensions, each on a single integer-class equality
+// edge hitting the dimension's one-column primary key, with no
+// dimension-to-dimension edges and no outer joins. Returns the optimizer
+// shape summary, the fact's table index and the executable dimension
+// specs — both lists in ascending table order, so the float selectivity
+// product, the plan decision and the trace repeat on every run.
+func (e *Engine) starShape(b *binder, filters []filterInfo, edges []joinEdge, lefts []leftJoin, tr *Trace) (plan.StarShape, int, []dimSpec, bool) {
+	none := func() (plan.StarShape, int, []dimSpec, bool) { return plan.StarShape{}, -1, nil, false }
 	if len(lefts) > 0 || len(b.tables) < 2 {
-		return plan.StarShape{}, nil, false
+		return none()
 	}
 	// Driver: the largest fact-kind table; the largest table overall
 	// when no base fact participates (CTE inputs are dimension-kind).
@@ -37,7 +39,7 @@ func (e *Engine) starShape(b *binder, filters []filterInfo, edges []joinEdge, le
 			fact, factIsFact = ti, isFact
 		}
 	}
-	dims := map[int]dimSpec{}
+	specs := make([]*dimSpec, len(b.tables))
 	for _, ed := range edges {
 		var dimT int
 		var factSide, dimSide *colExpr
@@ -49,57 +51,52 @@ func (e *Engine) starShape(b *binder, filters []filterInfo, edges []joinEdge, le
 		default:
 			// Dimension-to-dimension edge: snowflake arm — not a pure
 			// star; the hash pipeline handles it.
-			return plan.StarShape{}, nil, false
+			return none()
 		}
-		if _, dup := dims[dimT]; dup {
+		if dimT < 0 || dimT >= len(specs) || specs[dimT] != nil {
 			// Two edges to the same dimension (e.g. sold and ship date
 			// against date_dim twice would use two bindings; two edges to
 			// ONE binding is a composite join) — not star shaped.
-			return plan.StarShape{}, nil, false
+			return none()
 		}
 		inst := b.tableAt(dimT)
 		pk := inst.tab.Def.PrimaryKey
 		if len(pk) != 1 {
-			return plan.StarShape{}, nil, false
+			return none()
 		}
 		pkIdx := inst.tab.Def.ColumnIndex(pk[0])
-		if dimSide.off-inst.offset != pkIdx {
-			return plan.StarShape{}, nil, false
+		// The bitmap index and the key lookup both read raw int64 keys (a
+		// CTE's nominal key column can be of any type).
+		if dimSide.off-inst.offset != pkIdx || !intJoinKey([]*colExpr{factSide}, []*colExpr{dimSide}) {
+			return none()
 		}
-		dims[dimT] = dimSpec{table: dimT, factCol: factSide, pkCol: pkIdx}
-	}
-	// Every non-fact table must participate as a dimension.
-	if len(dims) != len(b.tables)-1 {
-		return plan.StarShape{}, nil, false
+		specs[dimT] = &dimSpec{table: dimT, factCol: factSide, pkCol: pkIdx}
 	}
 	shape := plan.StarShape{
 		FactName: b.tableAt(fact).binding,
 		FactRows: b.tableAt(fact).tab.NumRows(),
 	}
-	for ti, spec := range dims {
-		inst := b.tableAt(ti)
-		// Exact filtered cardinality: dimensions are small, a counting
-		// scan is cheaper than being wrong about the strategy.
-		filtered := inst.tab.NumRows()
-		hasPred := false
-		for _, f := range filters {
-			if f.table == ti {
-				hasPred = true
-			}
+	var dims []dimSpec
+	for ti, spec := range specs {
+		if ti == fact {
+			continue
 		}
-		if hasPred {
-			filtered = b.countFiltered(ti, filters)
+		if spec == nil {
+			// Every non-fact table must participate as a dimension.
+			return none()
 		}
-		spec.hasPred = hasPred
-		dims[ti] = spec
+		// Exact filtered cardinality: the selection is the one the chosen
+		// strategy joins with, so being right about it costs no extra scan.
+		inst, sel := b.tableAt(ti), b.selection(ti, filters, tr)
+		dims = append(dims, *spec)
 		shape.Dims = append(shape.Dims, plan.DimInfo{
 			Name:         inst.binding,
 			Rows:         inst.tab.NumRows(),
-			FilteredRows: filtered,
+			FilteredRows: sel.n,
 			PKJoin:       true,
 		})
 	}
-	return shape, dims, true
+	return shape, fact, dims, true
 }
 
 // runStar executes the star transformation (§2.1): per filtered
@@ -109,66 +106,44 @@ func (e *Engine) starShape(b *binder, filters []filterInfo, edges []joinEdge, le
 // back to the dimensions by key lookup (bitmap join). The fact fetch
 // runs in morsels over the qualifying row ids and emits (fact, dim...)
 // row-id tuples.
-func (e *Engine) runStar(b *binder, filters []filterInfo, edges []joinEdge, residual []bexpr, dims map[int]dimSpec, est float64, tr *Trace) (*rowSet, bool) {
-	// Identify the fact: the one table not in dims.
-	fact := -1
-	for ti := range b.tables {
-		if _, isDim := dims[ti]; !isDim {
-			fact = ti
-			break
-		}
-	}
-	if fact < 0 {
-		return nil, false
-	}
+func (e *Engine) runStar(b *binder, filters []filterInfo, residual []bexpr, fact int, dims []dimSpec, est float64, tr *Trace) (*rowSet, bool) {
 	factInst := b.tableAt(fact)
 	sp := b.qc.startOp("star", factInst.binding)
 	b.qc.opRowsIn(sp, int64(factInst.tab.NumRows()))
 	b.qc.opEst(est)
 	defer b.qc.endOp(sp)
 
-	// Index each dimension's qualifying rows by surrogate key, and
-	// resolve the fact-side key column it is looked up by.
+	// Index each dimension's selection by surrogate key (first row of a
+	// key wins), and resolve the fact-side key column it is looked up by.
 	type dimData struct {
-		fk   colReader
-		rows map[int64]int32 // sk -> base-table row id
+		fk   keySource
+		rows *index.HashIndex // sk -> base-table row id
 	}
 	tables := []int{fact}
 	var dimDatas []dimData
 	var accBitmap *index.Bitmap
-	for ti, spec := range dims {
+	for _, spec := range dims {
+		inst, sel := b.tableAt(spec.table), b.selection(spec.table, filters, tr)
+		rows := b.baseIndex(spec.table, spec.pkCol, sel)
+		if rows == nil {
+			b.readAll(sel)
+			keys, ids := stagePairs(b.qc, sel, (&keySource{col: newColReader(inst, spec.pkCol)}).intAt)
+			rows = index.BuildHashIndexPairs(keys, ids)
+			if !sel.all {
+				bm := e.bitmapIndex(factInst.tab, spec.factCol.off-factInst.offset).UnionOf(keys)
+				if accBitmap == nil {
+					accBitmap = bm
+				} else {
+					accBitmap.And(bm)
+				}
+			}
+		}
 		fk, ok := b.kernelCol(fact, spec.factCol)
 		if !ok {
 			panic("exec: star join key is not a fact column")
 		}
-		dd := dimData{fk: *fk, rows: map[int64]int32{}}
-		pk := newColReader(b.tableAt(ti), spec.pkCol)
-		var keys []int64
-		b.forEachFiltered(ti, filters, func(sel []int32) {
-			for _, r := range sel {
-				skVal := pk.value(r)
-				if skVal.IsNull() {
-					continue
-				}
-				sk := skVal.AsInt()
-				if _, dup := dd.rows[sk]; !dup {
-					dd.rows[sk] = r
-					keys = append(keys, sk)
-				}
-			}
-		})
-		tables = append(tables, ti)
-		dimDatas = append(dimDatas, dd)
-		if spec.hasPred {
-			factCol := spec.factCol.off - factInst.offset
-			bi := e.bitmapIndex(factInst.tab, factCol)
-			bm := bi.UnionOf(keys)
-			if accBitmap == nil {
-				accBitmap = bm
-			} else {
-				accBitmap.And(bm)
-			}
-		}
+		tables = append(tables, spec.table)
+		dimDatas = append(dimDatas, dimData{fk: keySource{col: *fk}, rows: rows})
 	}
 	if accBitmap == nil {
 		return nil, false // no filtered dimension; plan should not choose star
@@ -177,28 +152,35 @@ func (e *Engine) runStar(b *binder, filters []filterInfo, edges []joinEdge, resi
 	// Collect the qualifying fact row ids, then filter + join them back in
 	// morsels. Per-morsel tuples concatenate in bitmap order, so the
 	// output matches the serial ForEach walk exactly.
-	var ids []int32
+	ids := make([]int32, 0, accBitmap.Count())
 	accBitmap.ForEach(func(r int) bool {
 		ids = append(ids, int32(r))
 		return true
 	})
 	// Fact-local predicates run over the qualifying id list batch by
 	// batch; survivors look up each dimension row by the fact's FK value.
-	flat := scanIDsCollect(e, b.qc, b.compileFilter(fact, filters), ids, tr, func(sel, out []int32) []int32 {
+	tf, batch := b.compileFilter(fact, tablePreds(fact, filters)), e.batchSize()
+	flat := collectMorsels(e, b.qc, len(ids), tr, func(lo, hi int) []int32 {
+		var out []int32
 		tuple := make([]int32, 1+len(dimDatas))
-	nextRow:
-		for _, r := range sel {
-			tuple[0] = r
-			for d := range dimDatas {
-				fkVal := dimDatas[d].fk.value(r)
-				dimRowID, found := dimDatas[d].rows[fkVal.AsInt()]
-				if fkVal.IsNull() || !found {
-					continue nextRow
+		tf.scan(b.qc, batch, ids, lo, hi, func(sel []int32) {
+		nextRow:
+			for _, r := range sel {
+				tuple[0] = r
+				for d := range dimDatas {
+					fk, ok := dimDatas[d].fk.intAt(r)
+					if !ok {
+						continue nextRow
+					}
+					dimRow := dimDatas[d].rows.First(fk)
+					if dimRow < 0 {
+						continue nextRow
+					}
+					tuple[1+d] = dimRow
 				}
-				tuple[1+d] = dimRowID
+				out = append(out, tuple...)
 			}
-			out = append(out, tuple...)
-		}
+		})
 		return out
 	})
 	rows := b.tupleRowSet(tables, flat)

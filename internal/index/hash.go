@@ -30,12 +30,29 @@ type hashSlot struct {
 
 // BuildHashIndex indexes the column given as parallel value/null slices.
 func BuildHashIndex(vals []int64, nulls []bool) *HashIndex {
-	width := bits.Len(uint(len(vals) + len(vals)/2))
-	ix := &HashIndex{slots: make([]hashSlot, 1<<width), shift: uint(64 - width), n: len(vals)}
+	return buildHashIndex(vals, nulls, nil)
+}
+
+// BuildHashIndexPairs indexes explicit (key, row id) pairs: a join
+// build side that is a selection of a table's rows, or the positions
+// of an intermediate result. Row ids keep their input order within a
+// key, so ascending input yields the Lookup order of BuildHashIndex.
+func BuildHashIndexPairs(keys []int64, rows []int32) *HashIndex {
+	if len(rows) != len(keys) {
+		panic("index: BuildHashIndexPairs needs one row id per key")
+	}
+	return buildHashIndex(keys, nil, rows)
+}
+
+// buildHashIndex indexes keys[i] -> rows[i], skipping positions nulls
+// marks; nil nulls means no NULL keys, nil rows means rows[i] = i.
+func buildHashIndex(keys []int64, nulls []bool, rows []int32) *HashIndex {
+	width := bits.Len(uint(len(keys) + len(keys)/2))
+	ix := &HashIndex{slots: make([]hashSlot, 1<<width), shift: uint(64 - width), n: len(keys)}
 	// Counting sort by slot: count each key's rows, turn the counts into
 	// group starts, then drop every row id at its group's cursor.
-	for i, v := range vals {
-		if !nulls[i] {
+	for i, v := range keys {
+		if nulls == nil || !nulls[i] {
 			s := ix.slot(v)
 			s.key = v
 			s.count++
@@ -50,10 +67,14 @@ func BuildHashIndex(vals []int64, nulls []bool) *HashIndex {
 		}
 	}
 	ix.rows = make([]int32, next)
-	for i, v := range vals {
-		if !nulls[i] {
+	for i, v := range keys {
+		if nulls == nil || !nulls[i] {
+			r := int32(i)
+			if rows != nil {
+				r = rows[i]
+			}
 			s := ix.slot(v)
-			ix.rows[s.end] = int32(i)
+			ix.rows[s.end] = r
 			s.end++
 		}
 	}

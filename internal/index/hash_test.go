@@ -68,7 +68,24 @@ func TestHashIndexEqualsMap(t *testing.T) {
 				t.Fatalf("%s/nulls=%d: NumRows %d DistinctKeys %d, want %d %d",
 					name, nullEvery, ix.NumRows(), ix.DistinctKeys(), len(vals), len(ref))
 			}
+			// The pairs form over the same non-NULL (key, row id) list is the
+			// same index.
+			var keys []int64
+			var rows []int32
+			for i, v := range vals {
+				if !nulls[i] {
+					keys, rows = append(keys, v), append(rows, int32(i))
+				}
+			}
+			pairs := BuildHashIndexPairs(keys, rows)
+			if pairs.NumRows() != len(keys) || pairs.DistinctKeys() != len(ref) {
+				t.Fatalf("%s/nulls=%d: pairs NumRows %d DistinctKeys %d, want %d %d",
+					name, nullEvery, pairs.NumRows(), pairs.DistinctKeys(), len(keys), len(ref))
+			}
 			for key, want := range ref {
+				if got := pairs.Lookup(key); !slices.Equal(got, want) {
+					t.Fatalf("%s/nulls=%d: pairs Lookup(%d) = %v, want %v", name, nullEvery, key, got, want)
+				}
 				if got := ix.Lookup(key); !slices.Equal(got, want) {
 					t.Fatalf("%s/nulls=%d: Lookup(%d) = %v, want %v", name, nullEvery, key, got, want)
 				}

@@ -19,14 +19,14 @@ package lint
 //
 //   - exec row-id trust: in internal/exec, a parameter `r int32` or
 //     `sel []int32` carries values already bounds-checked against the
-//     batch length by construction (scanRange/scanIDs build them from
+//     batch length by construction (tableFilter.scan builds them from
 //     [lo,hi) ⊆ [0, NumRows)); indexing a column vector with a trusted
 //     value is accepted. The audit comments in batch.go cite this.
 //   - kernel literals: a func literal with parameters (sel []int32,
 //     out []int8) in internal/exec is a predicate kernel; the engine
 //     seeds len(out) = len(sel) (the triFn contract).
 //   - worker-pool literals: literals passed to forEachMorsel /
-//     parallelFor / scanRange / scanIDs get their index parameters
+//     parallelFor / tableFilter.scan get their index parameters
 //     seeded from the call-site arguments, plus a snapshot of the
 //     caller's facts for captured variables the literal never writes.
 //   - receivers are assumed non-nil (method calls on nil receivers
@@ -1985,7 +1985,7 @@ func (va *valueAnalysis) boundaryEnv(fs funcScope) *valEnv {
 
 // execTrustContract seeds the exec row-id contract: `r int32` row-id
 // parameters and `sel []int32` selection vectors are constructed
-// in-bounds (scanRange/scanIDs derive them from [0, NumRows)).
+// in-bounds (tableFilter.scan derives them from [0, NumRows)).
 func (va *valueAnalysis) execTrustContract(env *valEnv, name string, obj types.Object) {
 	t := obj.Type()
 	if b, ok := t.Underlying().(*types.Basic); ok && b.Kind() == types.Int32 && name == "r" {
@@ -2096,7 +2096,7 @@ func (va *valueAnalysis) recordLitSeed(env *valEnv, node ast.Node, lit *ast.Func
 				seed.iv[objKey(ps[0])] = ival{lo: linConst(0), hi: linAddK(w.hi, -1)}
 			}
 		}
-	case "scanRange", "scanIDs":
+	case "scan":
 		// The literal receives a freshly built, in-bounds selection
 		// vector: fn(sel []int32).
 		ps := litParams()

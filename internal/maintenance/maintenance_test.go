@@ -7,6 +7,7 @@ import (
 
 	"tpcds/internal/datagen"
 	"tpcds/internal/exec"
+	"tpcds/internal/obs"
 	"tpcds/internal/schema"
 	"tpcds/internal/storage"
 )
@@ -300,6 +301,72 @@ func TestSecondRunComparability(t *testing.T) {
 		for bk, n := range open {
 			if n != 1 {
 				t.Errorf("%s %s has %d open revisions after maintenance", name, bk, n)
+			}
+		}
+	}
+}
+
+// TestWarmEngineEqualsColdAfterRefresh: the executor probes the
+// engine's cached hash index wherever a join's build side is an
+// unfiltered base table on one integer column. After maintenance has
+// revised dimensions and deleted from and inserted into the facts, an
+// engine that built those indexes before the refresh must answer
+// exactly as an engine built afterwards on the same tables does — for
+// two refresh sets in a row.
+func TestWarmEngineEqualsColdAfterRefresh(t *testing.T) {
+	warm := freshEngine(t)
+	warm.SetParallelism(1)
+	reg := obs.NewRegistry()
+	warm.SetMetrics(reg)
+	// Build sides: item and store (history keeping: revisions are
+	// appended), promotion (updated in place), store_returns and
+	// catalog_returns (facts with clustered deletes and inserts).
+	queries := []string{
+		`SELECT ss_ticket_number, ss_item_sk, i_item_id, i_current_price FROM store_sales, item
+			WHERE ss_item_sk = i_item_sk`,
+		`SELECT ss_ticket_number, s_store_id, p_promo_id FROM store_sales, store, promotion
+			WHERE ss_store_sk = s_store_sk AND ss_promo_sk = p_promo_sk`,
+		`SELECT ss_ticket_number, sr_return_quantity FROM store_sales, store_returns
+			WHERE ss_ticket_number = sr_ticket_number`,
+		`SELECT cs_order_number, cr_return_quantity FROM catalog_sales, catalog_returns
+			WHERE cs_order_number = cr_order_number`,
+	}
+	run := func(eng *exec.Engine, q string) *exec.Result {
+		t.Helper()
+		res, err := eng.Query(q)
+		if err != nil {
+			t.Fatalf("%v\n%s", err, q)
+		}
+		return res
+	}
+	for _, q := range queries {
+		run(warm, q) // builds the indexes the refresh will outdate
+	}
+	built := reg.Counter("exec_hash_build_rows").Value()
+	for _, q := range queries {
+		run(warm, q)
+	}
+	if n := reg.Counter("exec_hash_build_rows").Value() - built; n != 0 {
+		t.Fatalf("%d rows hashed by a repeat of the queries; these joins are meant to probe the engine's indexes", n)
+	}
+	for refresh := 1; refresh <= 2; refresh++ {
+		rs, err := GenerateRefresh(warm.DB(), 5, refresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(warm, rs); err != nil {
+			t.Fatal(err)
+		}
+		cold := exec.New(warm.DB())
+		cold.SetParallelism(1)
+		for _, q := range queries {
+			got, want := run(warm, q), run(cold, q)
+			if len(want.Rows) == 0 {
+				t.Fatalf("refresh %d: empty result proves nothing\n%s", refresh, q)
+			}
+			if !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Errorf("refresh %d: warm engine (%d rows) differs from cold engine (%d rows)\n%s",
+					refresh, len(got.Rows), len(want.Rows), q)
 			}
 		}
 	}
