@@ -60,7 +60,9 @@ type colReader struct {
 	kind  storage.Kind
 	ints  []int64
 	flts  []float64
-	strs  []string
+	strs  []string // plain string column
+	codes []uint16 // dictionary string column: row r holds dict[codes[r]]
+	dict  []string
 	nulls []bool
 }
 
@@ -86,25 +88,37 @@ func (b *binder) colReaders(ti int) []colReader {
 
 // newColReader caches the physical vectors of column c of inst.
 func newColReader(inst *tabInst, c int) colReader {
-	k, ints, flts, strs, nulls := inst.tab.Col(c).Raw()
-	return colReader{off: inst.offset + c, kind: k, ints: ints, flts: flts, strs: strs, nulls: nulls}
+	k, ints, flts, strs, codes, dict, nulls := inst.tab.Col(c).Raw()
+	return colReader{off: inst.offset + c, kind: k, ints: ints, flts: flts, strs: strs, codes: codes, dict: dict, nulls: nulls}
 }
 
-// value boxes row r of the column — identical to Column.Get.
+// str returns the string at non-NULL row r of a string column. (A code
+// is unsigned; c >= 0 states for dslint's bounds proof what the
+// compiler already knows.)
+func (cr *colReader) str(r int32) string {
+	if cr.codes == nil {
+		return cr.strs[r]
+	}
+	if c := int(cr.codes[r]); c >= 0 && c < len(cr.dict) {
+		return cr.dict[c]
+	}
+	panic("exec: string code outside its column's dictionary")
+}
+
+// value boxes row r of the column — identical to Column.Get. (It is
+// written to stay inside the compiler's inlining budget: every gather
+// and every key encoding goes through it.)
 func (cr *colReader) value(r int32) storage.Value {
 	if cr.nulls[r] {
 		return storage.Null
 	}
 	switch cr.kind {
-	case storage.KindInt:
-		return storage.Value{K: storage.KindInt, I: cr.ints[r]}
 	case storage.KindFloat:
 		return storage.Value{K: storage.KindFloat, F: cr.flts[r]}
-	case storage.KindDate:
-		return storage.Value{K: storage.KindDate, I: cr.ints[r]}
-	default:
-		return storage.Value{K: storage.KindString, S: cr.strs[r]}
+	case storage.KindString:
+		return storage.Value{K: storage.KindString, S: cr.str(r)}
 	}
+	return storage.Value{K: cr.kind, I: cr.ints[r]} // KindInt, KindDate
 }
 
 // fillRow materializes base-table row r into the full-width row buffer.
@@ -414,16 +428,8 @@ func (b *binder) compileTri(ti int, p bexpr) (triFn, bool) {
 		if !ok || cr.kind != storage.KindString {
 			return nil, false
 		}
-		pat, not, nulls, strs := v.pattern, v.not, cr.nulls, cr.strs
-		return func(sel []int32, out []int8) {
-			for i, r := range sel {
-				if nulls[r] {
-					out[i] = -1
-					continue
-				}
-				out[i] = b2t(likeMatch(strs[r], pat) != not)
-			}
-		}, true
+		pat, not := v.pattern, v.not
+		return strKernel(cr, func(s string) int8 { return b2t(likeMatch(s, pat) != not) }), true
 	case *isNullExpr:
 		cr, ok := b.kernelCol(ti, v.x)
 		if !ok {
@@ -482,29 +488,13 @@ func (b *binder) compileCmp(ti int, v *binExpr) (triFn, bool) {
 			}
 			return intLitKernel(op, cl.ints, nulls, lf), true
 		case cl.kind == storage.KindString && lv.K == storage.KindString:
-			ls, nulls, strs := lv.S, cl.nulls, cl.strs
+			ls := lv.S
 			if op == "=" || op == "<>" {
 				// Equality needs no three-way compare (cf. intLitKernel).
 				ne := op == "<>"
-				return func(sel []int32, out []int8) {
-					for i, r := range sel {
-						if nulls[r] {
-							out[i] = -1
-						} else {
-							out[i] = b2t((strs[r] == ls) != ne)
-						}
-					}
-				}, true
+				return strKernel(cl, func(s string) int8 { return b2t((s == ls) != ne) }), true
 			}
-			return func(sel []int32, out []int8) {
-				for i, r := range sel {
-					if nulls[r] {
-						out[i] = -1
-						continue
-					}
-					out[i] = b2t(pass(strings.Compare(strs[r], ls)))
-				}
-			}, true
+			return strKernel(cl, func(s string) int8 { return b2t(pass(strings.Compare(s, ls))) }), true
 		}
 		return nil, false
 	}
@@ -525,30 +515,50 @@ func (b *binder) compileCmp(ti int, v *binExpr) (triFn, bool) {
 			}
 		}, true
 	case cl.kind == storage.KindString && cr.kind == storage.KindString:
-		ln, rn, ls, rs := cl.nulls, cr.nulls, cl.strs, cr.strs
-		if op == "=" || op == "<>" {
-			ne := op == "<>"
-			return func(sel []int32, out []int8) {
-				for i, r := range sel {
-					if ln[r] || rn[r] {
-						out[i] = -1
-					} else {
-						out[i] = b2t((ls[r] == rs[r]) != ne)
-					}
-				}
-			}, true
-		}
+		a, c := cl, cr
 		return func(sel []int32, out []int8) {
 			for i, r := range sel {
-				if ln[r] || rn[r] {
+				if a.nulls[r] || c.nulls[r] {
 					out[i] = -1
 					continue
 				}
-				out[i] = b2t(pass(strings.Compare(ls[r], rs[r])))
+				out[i] = b2t(pass(strings.Compare(a.str(r), c.str(r))))
 			}
 		}, true
 	}
 	return nil, false
+}
+
+// strKernel builds the kernel of a test on the non-NULL values of one
+// string column; test returns the three-valued result for a value. A
+// dictionary column runs test once per dictionary entry — entries no
+// row holds any more included, which costs time and cannot change a
+// result — and then answers every row by looking its code up.
+func strKernel(cr *colReader, test func(s string) int8) triFn {
+	nulls, strs, codes := cr.nulls, cr.strs, cr.codes
+	if codes == nil {
+		return func(sel []int32, out []int8) {
+			for i, r := range sel {
+				if nulls[r] {
+					out[i] = -1
+				} else {
+					out[i] = test(strs[r])
+				}
+			}
+		}
+	}
+	tab := make([]int8, len(cr.dict))
+	for c, s := range cr.dict {
+		tab[c] = test(s)
+	}
+	return func(sel []int32, out []int8) {
+		for i, r := range sel {
+			out[i] = -1
+			if c := int(codes[r]); !nulls[r] && c >= 0 && c < len(tab) {
+				out[i] = tab[c]
+			}
+		}
+	}
 }
 
 // numLitKernel builds the float-column vs numeric-literal kernel,
@@ -703,17 +713,8 @@ func (b *binder) compileBetween(ti int, v *betweenExpr) (triFn, bool) {
 			}
 		}, true
 	case cl.kind == storage.KindString && loL.v.K == storage.KindString && hiL.v.K == storage.KindString:
-		lo, hi, nulls, strs := loL.v.S, hiL.v.S, cl.nulls, cl.strs
-		return func(sel []int32, out []int8) {
-			for i, r := range sel {
-				if nulls[r] {
-					out[i] = -1
-					continue
-				}
-				s := strs[r]
-				out[i] = b2t((s >= lo && s <= hi) != not)
-			}
-		}, true
+		lo, hi := loL.v.S, hiL.v.S
+		return strKernel(cl, func(s string) int8 { return b2t((s >= lo && s <= hi) != not) }), true
 	}
 	return nil, false
 }
@@ -764,21 +765,12 @@ func (b *binder) compileIn(ti int, v *inExpr) (triFn, bool) {
 				set[m.S] = struct{}{}
 			}
 		}
-		nulls, strs := cl.nulls, cl.strs
-		return func(sel []int32, out []int8) {
-			for i, r := range sel {
-				if nulls[r] {
-					out[i] = -1
-					continue
-				}
-				_, found := set[strs[r]]
-				if !found && hasNull {
-					out[i] = -1
-					continue
-				}
-				out[i] = b2t(found != not)
+		return strKernel(cl, func(s string) int8 {
+			if _, found := set[s]; found || !hasNull {
+				return b2t(found != not)
 			}
-		}, true
+			return -1
+		}), true
 	}
 	return nil, false
 }

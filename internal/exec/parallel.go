@@ -81,65 +81,22 @@ func forEachMorsel(qc *qctx, workers, n, morselRows int, fn func(worker, morsel,
 	// parent their per-morsel spans under it (span creation is
 	// goroutine-safe, and the capture happens-before every spawn).
 	opsp := qc.opSpan()
-	if workers == 1 {
-		for m := 0; m < numMorsels; m++ {
-			qc.checkNow()
-			lo := m * morselRows
-			hi := lo + morselRows
-			if hi > n {
-				hi = n
-			}
-			runMorsel(qc, opsp, 0, m, lo, hi, fn)
-			counts[0]++
-		}
-		qc.opMorsels(int64(numMorsels))
-		return counts
-	}
-	// Ownership: this coordinator goroutine owns every worker it spawns
-	// below — wg.Add happens before each spawn, each worker's first
-	// defer is wg.Done, and the unconditional wg.Wait joins them all
-	// before forEachMorsel returns, so no goroutine outlives the call.
-	// panicMu guards only panicVal (first worker panic wins); it is
-	// held for two statements and never across fn or a channel op.
-	// counts needs no lock: counts[worker] is written by exactly one
-	// worker, and wg.Wait orders those writes before the read below.
+	// Workers pull morsel numbers off next until none are left or the
+	// query is cancelled. counts needs no lock: counts[worker] is written
+	// by exactly one worker, and parallelFor joins them all before the
+	// reads below.
 	var next atomic.Int64
-	var panicMu sync.Mutex
-	var panicVal any
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicVal == nil {
-						panicVal = r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			for !qc.done() {
-				m := int(next.Add(1)) - 1
-				if m >= numMorsels {
-					return
-				}
-				lo := m * morselRows
-				hi := lo + morselRows
-				if hi > n {
-					hi = n
-				}
-				runMorsel(qc, opsp, worker, m, lo, hi, fn)
-				counts[worker]++
+	parallelFor(workers, func(worker int) {
+		for !qc.done() {
+			m := int(next.Add(1)) - 1
+			if m >= numMorsels {
+				return
 			}
-		}(w)
-	}
-	wg.Wait()
-	if panicVal != nil {
-		//lint:ignore panics re-raising the worker's panic on the coordinator preserves the boundary recover contract
-		panic(panicVal)
-	}
+			lo := m * morselRows
+			runMorsel(qc, opsp, worker, m, lo, min(lo+morselRows, n), fn)
+			counts[worker]++
+		}
+	})
 	qc.checkNow()
 	// Fold the morsel count into the current operator's profile node.
 	// Per-worker counts are summed after the barrier on the coordinator,
@@ -182,9 +139,12 @@ func parallelFor(workers int, fn func(p int)) {
 		fn(0)
 		return
 	}
-	// Same ownership discipline as forEachMorsel: the caller joins every
-	// spawned goroutine via wg.Wait before returning, and panicMu guards
-	// only the two-statement first-panic election.
+	// Ownership: the caller owns every goroutine spawned below — wg.Add
+	// happens before each spawn, each one's first defer is wg.Done, and
+	// the unconditional wg.Wait joins them all before parallelFor
+	// returns, so no goroutine outlives the call. panicMu guards only
+	// panicVal (first panic wins); it is held for two statements and
+	// never across fn or a channel op.
 	var panicMu sync.Mutex
 	var panicVal any
 	var wg sync.WaitGroup

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"tpcds/internal/index"
 	"tpcds/internal/schema"
 	"tpcds/internal/sql"
 	"tpcds/internal/storage"
@@ -71,30 +72,53 @@ func (e *Engine) columnStats(qc *qctx, t *storage.Table, col int) colStats {
 	e.mu.Unlock()
 
 	vals, nulls := t.ScanInt64(col)
-	seen := make(map[int64]struct{}, 1024)
 	st := colStats{rows: t.NumRows(), tableID: t.ID(), epoch: t.Epoch()}
-	first := true
 	for i, v := range vals {
 		qc.tick()
 		if nulls[i] {
 			continue
 		}
-		st.nonNull++
-		if first || v < st.min {
+		if st.nonNull == 0 || v < st.min {
 			st.min = v
 		}
-		if first || v > st.max {
+		if st.nonNull == 0 || v > st.max {
 			st.max = v
 		}
-		first = false
-		seen[v] = struct{}{}
+		st.nonNull++
 	}
-	st.distinct = len(seen)
+	st.distinct = countDistinct(qc, vals, nulls, st.min, st.max)
 	st.valid = st.nonNull > 0
 	e.mu.Lock()
 	e.statsCache[key] = st
 	e.mu.Unlock()
 	return st
+}
+
+// countDistinct counts the distinct non-NULL values, all of them in
+// [lo, hi]: in a bitmap over that range while it is not much wider than
+// the column is long (keys, dates, quantities — a bit per possible
+// value where a map entry per value costs several hundred times that),
+// in a map otherwise.
+func countDistinct(qc *qctx, vals []int64, nulls []bool, lo, hi int64) int {
+	span := uint64(hi) - uint64(lo) // exact even where hi-lo overflows int64
+	if span >= uint64(8*len(vals)+1024) {
+		seen := make(map[int64]struct{}, 1024)
+		for i, v := range vals {
+			qc.tick()
+			if !nulls[i] {
+				seen[v] = struct{}{}
+			}
+		}
+		return len(seen)
+	}
+	seen := index.NewBitmap(int(span) + 1)
+	for i, v := range vals {
+		qc.tick()
+		if !nulls[i] {
+			seen.Set(int(uint64(v) - uint64(lo)))
+		}
+	}
+	return seen.Count()
 }
 
 // uniqueKey reports whether the column is provably a unique join key:

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"testing"
 
 	"tpcds/internal/schema"
@@ -46,6 +48,44 @@ func TestColumnStatsAllNullInvalid(t *testing.T) {
 	st := e.columnStats(qc, tab, 0)
 	if !st.valid || st.min != 7 || st.max != 7 || st.distinct != 1 || st.nonNull != 1 {
 		t.Fatalf("single-value column stats wrong: %+v", st)
+	}
+}
+
+// TestColumnStatsDistinctEqualsMap: the distinct count is the size of
+// the set of non-NULL values whichever way it was counted — over a
+// narrow range (bitmap), a range just past the switch, the whole int64
+// range and a negative base (map).
+func TestColumnStatsDistinctEqualsMap(t *testing.T) {
+	qc := &qctx{ctx: context.Background()}
+	rng := rand.New(rand.NewSource(1))
+	const rows = 4000
+	for name, draw := range map[string]func() int64{
+		"keys":     func() int64 { return 1 + rng.Int63n(rows) },
+		"few":      func() int64 { return rng.Int63n(7) - 3 },
+		"atswitch": func() int64 { return rng.Int63n(8*rows + 1025) },
+		"wide":     func() int64 { return int64(rng.Uint64()) },
+		"negative": func() int64 { return math.MinInt64 + rng.Int63n(3*rows) },
+	} {
+		vals := make([]storage.Value, rows)
+		want := map[int64]struct{}{}
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+		for i := range vals {
+			if rng.Intn(10) == 0 {
+				continue // zero Value: NULL
+			}
+			v := draw()
+			if name == "wide" && i < 2 {
+				v = []int64{math.MinInt64, math.MaxInt64}[i]
+			}
+			vals[i] = storage.Int(v)
+			want[v] = struct{}{}
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		db, tab := statsDB(name, "c", vals)
+		st := New(db).columnStats(qc, tab, 0)
+		if !st.valid || st.distinct != len(want) || st.min != lo || st.max != hi {
+			t.Errorf("%s: distinct %d min %d max %d, want %d %d %d", name, st.distinct, st.min, st.max, len(want), lo, hi)
+		}
 	}
 }
 

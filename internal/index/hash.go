@@ -13,10 +13,16 @@ import (
 // key's Fibonacci hash, and one array holding every indexed row id,
 // grouped by key and ascending within a key; a slot's span is its
 // group's position in that array.
+//
+// Keys that are all present, all different and fill one range of
+// consecutive integers — every surrogate key column — need no table:
+// the index is positional, slots is nil and the row id of key k is
+// rows[k-base].
 type HashIndex struct {
 	slots    []hashSlot // len is a power of two, at most 2/3 occupied
 	rows     []int32
-	shift    uint // 64 - log2(len(slots))
+	shift    uint  // 64 - log2(len(slots))
+	base     int64 // positional form: the smallest key
 	n        int
 	distinct int
 }
@@ -47,6 +53,9 @@ func BuildHashIndexPairs(keys []int64, rows []int32) *HashIndex {
 // buildHashIndex indexes keys[i] -> rows[i], skipping positions nulls
 // marks; nil nulls means no NULL keys, nil rows means rows[i] = i.
 func buildHashIndex(keys []int64, nulls []bool, rows []int32) *HashIndex {
+	if ix := buildPositional(keys, nulls, rows); ix != nil {
+		return ix
+	}
 	width := bits.Len(uint(len(keys) + len(keys)/2))
 	ix := &HashIndex{slots: make([]hashSlot, 1<<width), shift: uint(64 - width), n: len(keys)}
 	// Counting sort by slot: count each key's rows, turn the counts into
@@ -81,6 +90,40 @@ func buildHashIndex(keys []int64, nulls []bool, rows []int32) *HashIndex {
 	return ix
 }
 
+// buildPositional returns the positional index of keys, or nil when a
+// key is NULL or repeated or the keys leave a gap in [min, max]. Row ids
+// are positions, so -1 can mark a place no key has claimed yet.
+func buildPositional(keys []int64, nulls []bool, rows []int32) *HashIndex {
+	if len(keys) == 0 {
+		return nil
+	}
+	lo, hi := keys[0], keys[0]
+	for i, v := range keys {
+		if nulls != nil && nulls[i] {
+			return nil
+		}
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	if uint64(hi)-uint64(lo) != uint64(len(keys)-1) {
+		return nil
+	}
+	ix := &HashIndex{rows: make([]int32, len(keys)), base: lo, n: len(keys), distinct: len(keys)}
+	for i := range ix.rows {
+		ix.rows[i] = -1
+	}
+	for i, v := range keys {
+		at := &ix.rows[uint64(v)-uint64(lo)]
+		if *at != -1 {
+			return nil
+		}
+		*at = int32(i)
+		if rows != nil {
+			*at = rows[i]
+		}
+	}
+	return ix
+}
+
 // slot returns key's slot, or the free slot where its probe sequence
 // ends.
 func (ix *HashIndex) slot(key int64) *hashSlot {
@@ -92,6 +135,14 @@ func (ix *HashIndex) slot(key int64) *hashSlot {
 	}
 }
 
+// at returns the row id of key in the positional form, as Lookup does.
+func (ix *HashIndex) at(key int64) []int32 {
+	if i := uint64(key) - uint64(ix.base); i < uint64(len(ix.rows)) {
+		return ix.rows[i : i+1 : i+1]
+	}
+	return nil
+}
+
 // NumRows returns the indexed row count.
 func (ix *HashIndex) NumRows() int { return ix.n }
 
@@ -101,6 +152,9 @@ func (ix *HashIndex) DistinctKeys() int { return ix.distinct }
 // Lookup returns the row ids for key in ascending order (shared slice;
 // do not mutate).
 func (ix *HashIndex) Lookup(key int64) []int32 {
+	if ix.slots == nil {
+		return ix.at(key)
+	}
 	s := ix.slot(key)
 	if s.count == 0 {
 		return nil
@@ -111,6 +165,12 @@ func (ix *HashIndex) Lookup(key int64) []int32 {
 // First returns the first row id for key, or -1 if absent. Unique-key
 // lookups (surrogate key probes) use this.
 func (ix *HashIndex) First(key int64) int32 {
+	if ix.slots == nil {
+		if r := ix.at(key); r != nil {
+			return r[0]
+		}
+		return -1
+	}
 	if s := ix.slot(key); s.count > 0 {
 		return ix.rows[s.end-s.count]
 	}

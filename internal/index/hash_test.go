@@ -29,6 +29,10 @@ func hashColumns() map[string][]int64 {
 		"same":      make([]int64, 1000), // one key, NULLs aside
 		"extremes":  {math.MinInt64, math.MaxInt64, 0, -1, 1, math.MinInt64, 0},
 		"surrogate": make([]int64, 5000), // 1..n, every key once
+		"shuffled":  make([]int64, 5000), // 1..n in random order
+		"minbase":   make([]int64, 2000), // MinInt64.., every key once
+		"negbase":   make([]int64, 2000), // -1000..999
+		"densedup":  make([]int64, 2000), // max-min = n-1, but one key twice and one missing
 		"foreign":   make([]int64, 5000), // few keys, many rows each
 		"negative":  make([]int64, 3000),
 		"sparse":    make([]int64, 3000), // random over the whole int64 range
@@ -39,6 +43,15 @@ func hashColumns() map[string][]int64 {
 		cols["surrogate"][i] = int64(i + 1)
 		cols["foreign"][i] = rng.Int63n(37)
 	}
+	for i, p := range rng.Perm(len(cols["shuffled"])) {
+		cols["shuffled"][i] = int64(p + 1)
+	}
+	for i := range cols["minbase"] {
+		cols["minbase"][i] = math.MinInt64 + int64(i)
+		cols["negbase"][i] = int64(i) - 1000
+		cols["densedup"][i] = int64(i)
+	}
+	cols["densedup"][700] = 1300
 	for i := range cols["negative"] {
 		cols["negative"][i] = -rng.Int63n(500)
 		cols["sparse"][i] = int64(rng.Uint64())
@@ -102,6 +115,52 @@ func TestHashIndexEqualsMap(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPositionalForm: exactly the columns whose non-NULL keys are all
+// present, all different and consecutive get the slot-free form, in
+// either constructor; one NULL or one repeated key inside a range that
+// looks dense keeps the table. (What either form answers is
+// TestHashIndexEqualsMap's business.)
+func TestPositionalForm(t *testing.T) {
+	cols := hashColumns()
+	for name, want := range map[string]bool{
+		"one": true, "surrogate": true, "shuffled": true, "minbase": true, "negbase": true,
+		"empty": false, "same": false, "extremes": false, "foreign": false, "densedup": false, "sparse": false,
+	} {
+		vals := cols[name]
+		if got := BuildHashIndex(vals, make([]bool, len(vals))).slots == nil; got != want {
+			t.Errorf("%s: positional = %v, want %v", name, got, want)
+		}
+	}
+	vals := cols["surrogate"]
+	nulls := make([]bool, len(vals))
+	nulls[len(vals)/2] = true
+	ix := BuildHashIndex(vals, nulls)
+	if ix.slots == nil {
+		t.Fatal("a column with a NULL key went positional")
+	}
+	if ix.First(vals[len(vals)/2]) != -1 || ix.First(vals[0]) != 0 || ix.DistinctKeys() != len(vals)-1 {
+		t.Error("the NULL row is indexed, or its neighbours are not")
+	}
+	// Pairs whose row ids are a permutation: the id, not the position,
+	// is what the positional form stores.
+	rows := make([]int32, len(vals))
+	for i, p := range rand.New(rand.NewSource(3)).Perm(len(vals)) {
+		rows[i] = int32(p)
+	}
+	pairs := BuildHashIndexPairs(vals, rows)
+	if pairs.slots != nil {
+		t.Fatal("dense pairs kept the slot table")
+	}
+	for i, v := range vals {
+		if got := pairs.Lookup(v); len(got) != 1 || got[0] != rows[i] || pairs.First(v) != rows[i] {
+			t.Fatalf("pairs Lookup(%d) = %v, want [%d]", v, got, rows[i])
+		}
+	}
+	if pairs.Lookup(0) != nil || pairs.First(int64(len(vals))+1) != -1 || pairs.Lookup(math.MinInt64) != nil {
+		t.Error("a key outside the range found a row")
 	}
 }
 

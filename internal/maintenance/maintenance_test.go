@@ -370,4 +370,19 @@ func TestWarmEngineEqualsColdAfterRefresh(t *testing.T) {
 			}
 		}
 	}
+
+	// An in-place update to a string no row of the column ever held: the
+	// value enters the column's dictionary after the warm engine planned
+	// and ran the query that now has to find it.
+	const byState = `SELECT s_store_sk, s_state FROM store WHERE s_state = 'ZZ'`
+	if n := len(run(warm, byState).Rows); n != 0 {
+		t.Fatalf("%d stores in state ZZ before the update", n)
+	}
+	store := warm.DB().Table("store")
+	last := store.NumRows() - 1
+	store.SetValue(last, store.Def.ColumnIndex("s_state"), storage.Str("ZZ"))
+	want := [][]storage.Value{{store.Get(last, store.Def.ColumnIndex("s_store_sk")), storage.Str("ZZ")}}
+	if got := run(warm, byState).Rows; !reflect.DeepEqual(got, want) {
+		t.Errorf("after s_state := 'ZZ' on the last store: %v, want %v", got, want)
+	}
 }

@@ -1,0 +1,345 @@
+package storage
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
+	"testing"
+
+	"tpcds/internal/schema"
+)
+
+// Vocabularies for the column-edit programs: one that stays small, one
+// whose values are nearly all different (the column gives its
+// dictionary up once more than half the rows brought a new value), and
+// one appended to a column that already holds dictMax-4 values (the
+// dictionary fills up a few new values in).
+const (
+	vocabSmall = iota
+	vocabWide
+	vocabFull
+	vocabs
+)
+
+var smallVocab = []string{"", "M", "F", "a|b", "Advanced Degree", `back\slash`, "line\nbreak"}
+
+func vocabValue(vocab int, x uint16) Value {
+	if vocab == vocabSmall {
+		return Str(smallVocab[int(x)%len(smallVocab)])
+	}
+	return Str("v" + strconv.Itoa(int(x)))
+}
+
+// The vocabFull starting point, rendered once as a flat file (loading
+// it is several times faster than appending its rows one by one, which
+// is what lets the fuzzer try more than a few programs a second):
+// dictMax-4 values twice each, and 16 more rows so that the last four
+// values still have half the rows behind them.
+var (
+	fullOnce sync.Once
+	fullFlat []byte
+	fullKeys []int64
+	fullStrs []Value
+)
+
+func buildFull() {
+	for i := 0; i < 2*(dictMax-4)+16; i++ {
+		v := "p0"
+		if i < 2*(dictMax-4) {
+			v = "p" + strconv.Itoa(i/2)
+		}
+		fullFlat = append(fullFlat, strconv.Itoa(i)+"|"+v+"|\n"...)
+		fullKeys, fullStrs = append(fullKeys, int64(i)), append(fullStrs, Str(v))
+	}
+}
+
+func colDef() *schema.Table {
+	return &schema.Table{Name: "c", Kind: schema.Dimension, Columns: []schema.Column{
+		{Name: "k", Type: schema.Identifier},
+		{Name: "s", Type: schema.Varchar, Len: 20, Nullable: true},
+	}}
+}
+
+// runColumnOps interprets prog as Append / SetValue / Delete /
+// truncate / Grow calls on a (key, string) table and on a model of it
+// — two plain slices — and fails unless the table reads back as the
+// model does: Len and the touched row after every call, every row and
+// the WriteFlat bytes at the end. It returns the table.
+func runColumnOps(t *testing.T, vocab int, prog []byte) *Table {
+	t.Helper()
+	tb := NewTable(colDef())
+	var keys []int64
+	var strs []Value
+	nextKey := int64(0)
+	add := func(v Value) {
+		tb.Append([]Value{Int(nextKey), v})
+		keys, strs = append(keys, nextKey), append(strs, v)
+		nextKey++
+	}
+	if vocab == vocabFull {
+		fullOnce.Do(buildFull)
+		if _, err := tb.ReadFlat(bytes.NewReader(fullFlat)); err != nil {
+			t.Fatal(err)
+		}
+		keys, strs, nextKey = slices.Clone(fullKeys), slices.Clone(fullStrs), int64(len(fullKeys))
+	}
+	arg := func() uint16 { // the next two bytes of the program, zeros past its end
+		var x uint16
+		for i := 0; i < 2 && len(prog) > 0; i++ {
+			x, prog = x<<8|uint16(prog[0]), prog[1:]
+		}
+		return x
+	}
+	for len(prog) > 0 {
+		op := prog[0]
+		prog = prog[1:]
+		touched := -1
+		switch op % 8 {
+		case 0, 1, 2:
+			add(vocabValue(vocab, arg()))
+			touched = len(strs) - 1
+		case 3:
+			add(Null)
+			touched = len(strs) - 1
+		case 4:
+			if len(strs) == 0 {
+				continue
+			}
+			touched = int(arg()) % len(strs)
+			v := vocabValue(vocab, arg())
+			if op&8 != 0 {
+				v = Null
+			}
+			tb.SetValue(touched, 1, v)
+			strs[touched] = v
+		case 5:
+			ids := []int{int(arg()), int(arg()) - 3, len(strs) - 1}
+			victim := map[int]bool{}
+			for _, id := range ids {
+				victim[id] = true
+			}
+			w := 0
+			for r := range strs {
+				if !victim[r] {
+					keys[w], strs[w] = keys[r], strs[r]
+					w++
+				}
+			}
+			if got := tb.Delete(ids); got != len(strs)-w {
+				t.Fatalf("Delete(%v) removed %d rows of %d, want %d", ids, got, len(strs), len(strs)-w)
+			}
+			keys, strs = keys[:w], strs[:w]
+		case 6:
+			n := max(len(strs)-int(op>>3)%4, 0)
+			tb.truncate(n)
+			keys, strs = keys[:n], strs[:n]
+		case 7:
+			tb.Grow(int(op >> 3))
+		}
+		if tb.NumRows() != len(strs) || tb.Col(1).Len() != len(strs) {
+			t.Fatalf("after op %d: %d rows, string column %d, want %d", op%8, tb.NumRows(), tb.Col(1).Len(), len(strs))
+		}
+		if touched >= 0 && !sameValue(tb.Get(touched, 1), strs[touched]) {
+			t.Fatalf("after op %d: row %d reads %#v, want %#v", op%8, touched, tb.Get(touched, 1), strs[touched])
+		}
+	}
+	var want strings.Builder
+	for r, v := range strs {
+		if got := tb.Get(r, 1); !sameValue(got, v) || tb.Get(r, 0).I != keys[r] {
+			t.Fatalf("row %d reads (%d, %#v), want (%d, %#v)", r, tb.Get(r, 0).I, got, keys[r], v)
+		}
+		want.WriteString(strconv.FormatInt(keys[r], 10) + "|")
+		switch {
+		case v.IsNull():
+		case v.S == "":
+			want.WriteString(`\e`)
+		default:
+			want.WriteString(refEscapeFlat(v.S))
+		}
+		want.WriteString("|\n")
+	}
+	var got strings.Builder
+	if err := tb.WriteFlat(&got); err != nil || got.String() != want.String() {
+		t.Fatalf("WriteFlat (err %v) differs from the model's rendering", err)
+	}
+	return tb
+}
+
+// TestColumnOpsModel runs long random edit programs over each
+// vocabulary and pins the layout each one must end in: the small
+// vocabulary keeps its dictionary through every edit, the other two
+// lose it mid-program and carry on as plain columns.
+func TestColumnOpsModel(t *testing.T) {
+	for vocab := 0; vocab < vocabs; vocab++ {
+		rng := rand.New(rand.NewSource(int64(vocab)))
+		prog := make([]byte, 6000)
+		rng.Read(prog)
+		col := runColumnOps(t, vocab, prog).Col(1)
+		if dict := col.dict != nil; dict != (vocab == vocabSmall) {
+			t.Errorf("vocabulary %d: dictionary layout = %v", vocab, dict)
+		}
+		if col.dict != nil && (col.strs != nil || len(col.dict.vals) > len(smallVocab)) {
+			t.Errorf("vocabulary %d: dictionary column holds strs or %d entries", vocab, len(col.dict.vals))
+		}
+		if col.dict == nil && col.codes != nil {
+			t.Errorf("vocabulary %d: plain column kept its codes", vocab)
+		}
+	}
+}
+
+// FuzzColumnOps is runColumnOps over fuzzed programs.
+func FuzzColumnOps(f *testing.F) {
+	f.Add(uint8(vocabSmall), []byte{0, 0, 1, 3, 0, 0, 2, 4, 0, 0, 0, 5, 5, 0, 1, 0, 2, 14, 63})
+	var wide []byte // 400 different values, then edits of the plain column
+	for i := 0; i < 400; i++ {
+		wide = append(wide, 0, byte(i>>8), byte(i))
+	}
+	f.Add(uint8(vocabWide), append(wide, 4, 0, 5, 9, 9, 12, 0, 7, 0, 0, 5, 0, 0, 0, 0, 6, 3, 0, 1, 1))
+	f.Add(uint8(vocabFull), []byte{0, 0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0, 0, 5, 4, 0, 7, 0, 9, 5, 0, 0, 0, 9, 0, 0, 6})
+	f.Fuzz(func(t *testing.T, vocab uint8, prog []byte) {
+		runColumnOps(t, int(vocab)%vocabs, prog)
+	})
+}
+
+// TestDictionaryDemotionRule pins the two conditions a column gives its
+// dictionary up under, to the row: not while it holds dictTrial values
+// or fewer, however many rows those are; at the first new value that
+// finds more distinct values than half the rows; and at the value that
+// would be number dictMax+1, however many rows there are.
+func TestDictionaryDemotionRule(t *testing.T) {
+	tb := NewTable(colDef())
+	col := tb.Col(1)
+	for i := 0; i < dictTrial; i++ {
+		tb.Append([]Value{Int(int64(i)), Str(strconv.Itoa(i))})
+	}
+	if col.dict == nil || len(col.dict.vals) != dictTrial {
+		t.Fatalf("%d different values in %d rows: dictionary kept = %v", dictTrial, dictTrial, col.dict != nil)
+	}
+	tb.Append([]Value{Int(0), Str("0")}) // a known value: no decision
+	if col.dict == nil {
+		t.Fatal("a repeated value made the column plain")
+	}
+	tb.Append([]Value{Int(0), Str("new")}) // 2·256 > 257 rows
+	if col.dict != nil || col.Len() != dictTrial+2 || col.Get(dictTrial+1).S != "new" || col.Get(7).S != "7" {
+		t.Fatal("the value after the trial did not turn the column plain, or rows were lost on the way")
+	}
+
+	tb = NewTable(colDef())
+	col = tb.Col(1)
+	for rep := 0; rep < 2; rep++ {
+		for i := 0; i < dictTrial; i++ {
+			tb.Append([]Value{Int(0), Str(strconv.Itoa(i))})
+		}
+	}
+	tb.Append([]Value{Int(0), Str("new")}) // 2·256 ≤ 512 rows
+	if col.dict == nil {
+		t.Fatal("257 values in 513 rows made the column plain")
+	}
+
+	full := runColumnOps(t, vocabFull, nil)
+	col = full.Col(1)
+	if col.dict == nil || len(col.dict.vals) != dictMax-4 {
+		t.Fatalf("%d values, each twice: dictionary kept = %v", dictMax-4, col.dict != nil)
+	}
+	for i := 0; i < 4; i++ {
+		full.SetValue(i, 1, Str("q"+strconv.Itoa(i))) // SetValue enters values as Append does
+	}
+	if col.dict == nil || len(col.dict.vals) != dictMax {
+		t.Fatal("the dictionary did not fill up to dictMax")
+	}
+	full.SetValue(9, 1, Str("p1")) // known: fits
+	if col.dict == nil {
+		t.Fatal("a known value made the full dictionary column plain")
+	}
+	full.SetValue(9, 1, Str("one too many"))
+	if col.dict != nil || col.Get(9).S != "one too many" || col.Get(0).S != "q0" || col.Get(8).S != "p4" {
+		t.Fatal("value dictMax+1 did not turn the column plain, or rows changed on the way")
+	}
+}
+
+// TestRolledBackRowStaysInDictionary: a flat-file row that fails after
+// its string was read is taken back by truncate; the value keeps its
+// dictionary entry — codes are never reused — and nothing a reader can
+// see changes.
+func TestRolledBackRowStaysInDictionary(t *testing.T) {
+	tb := NewTable(testDef())
+	if _, err := tb.ReadFlat(strings.NewReader("1|5|3.25|a|1999-02-21|\n2|6|1.5|b|2000-02-29|\n")); err != nil {
+		t.Fatal(err)
+	}
+	var before, after strings.Builder
+	if err := tb.WriteFlat(&before); err != nil {
+		t.Fatal(err)
+	}
+	n, err := tb.ReadFlat(strings.NewReader("3|7|2.5|never seen|2001-02-29|\n"))
+	if err == nil || n != 0 || tb.NumRows() != 2 {
+		t.Fatalf("bad date: %d rows read, %d in the table, err %v", n, tb.NumRows(), err)
+	}
+	name := tb.Col(3)
+	if _, kept := name.dict.codes["never seen"]; !kept || len(name.dict.vals) != 3 || len(name.codes) != 2 {
+		t.Errorf("dictionary %q over %d codes, want the rolled-back value kept and its code gone", name.dict.vals, len(name.codes))
+	}
+	if err := tb.WriteFlat(&after); err != nil || after.String() != before.String() {
+		t.Errorf("WriteFlat changed across a rolled-back row (err %v):\n%q\n%q", err, before.String(), after.String())
+	}
+}
+
+// streamOnly hides every method of a reader but Read.
+type streamOnly struct{ io.Reader }
+
+// TestCapacityHygiene: Grow leaves vectors alone that already have the
+// room, and no vector ReadFlat filled ends more than a sixteenth larger
+// than its contents — whether the input could be counted first (a
+// seekable reader: reserved once, exactly) or not (grown by doubling,
+// then cut back).
+func TestCapacityHygiene(t *testing.T) {
+	caps := func(tb *Table) (out []int) {
+		for i := range tb.cols {
+			c := &tb.cols[i]
+			out = append(out, cap(c.nulls), cap(c.ints)+cap(c.flts)+cap(c.strs)+cap(c.codes))
+		}
+		return out
+	}
+	tb := NewTable(testDef())
+	tb.Grow(1000)
+	tb.Append([]Value{Int(1), Int(5), Float(3.25), Str("a"), Null})
+	reserved := caps(tb)
+	for _, c := range reserved {
+		if c < 1000 {
+			t.Fatalf("capacities after Grow(1000): %v", reserved)
+		}
+	}
+	first := &tb.cols[0].ints[0]
+	tb.Grow(999)
+	if got := caps(tb); fmt.Sprint(got) != fmt.Sprint(reserved) || &tb.cols[0].ints[0] != first {
+		t.Errorf("Grow within capacity reallocated: capacities %v, before %v", got, reserved)
+	}
+	tb.Grow(1000)
+	if got := caps(tb); got[0] < 1001 || got[1] < 1001 {
+		t.Errorf("Grow past capacity did not grow: %v", got)
+	}
+
+	var file strings.Builder
+	for i := 0; i < 5000; i++ {
+		// Lines lengthen along the file, as they do under a counting key.
+		fmt.Fprintf(&file, "%d|%d|1.5|%s|2000-01-01|\n", i, i, strings.Repeat("x", i/500))
+	}
+	for name, r := range map[string]io.Reader{
+		"seekable": strings.NewReader(file.String()),
+		"stream":   streamOnly{strings.NewReader(file.String())},
+	} {
+		tb := NewTable(testDef())
+		if n, err := tb.ReadFlat(r); n != 5000 || err != nil {
+			t.Fatalf("%s: %d rows, err %v", name, n, err)
+		}
+		for i, c := range caps(tb) {
+			if c < 5000 || c-5000 > 5000/16 {
+				t.Errorf("%s: vector %d has capacity %d for 5000 rows", name, i, c)
+			}
+		}
+	}
+}

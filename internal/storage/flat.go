@@ -2,10 +2,8 @@ package storage
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"io/fs"
 	"math"
 	"strconv"
 
@@ -48,9 +46,6 @@ const (
 	flatMaxLine = 1 << 22
 	// flatFlushAt is the buffered size at which WriteFlat writes out.
 	flatFlushAt = 1 << 16
-	// internSlots is the size of the per-column string cache of the
-	// reader (a power of two).
-	internSlots = 256
 )
 
 // WriteFlat writes the whole table in flat-file format. Cells are
@@ -75,7 +70,7 @@ func (t *Table) WriteFlat(w io.Writer) error {
 					// Only strings can carry framing bytes; numeric and
 					// date renderings never contain '|', '\', or line
 					// breaks.
-					buf = appendFlatString(buf, col.strs[r])
+					buf = appendFlatString(buf, col.str(r))
 				}
 			}
 			buf = append(buf, '|')
@@ -191,12 +186,16 @@ func (t *Table) readFlat(r io.Reader, blockSize, maxLine int) (rows int, err err
 		return 0, fmt.Errorf("storage: read %s: table has no columns", t.Def.Name)
 	}
 	defer func() { t.epoch += uint64(rows) }()
-	d := flatDecoder{t: t, kinds: t.physKinds(), interns: make([][]string, len(t.cols))}
-	for i, k := range d.kinds {
-		if k == KindString {
-			d.interns[i] = make([]string, internSlots)
+	d := flatDecoder{t: t, kinds: t.physKinds()}
+	// Input that cannot be counted first grows its vectors by doubling;
+	// hand back what that overshot.
+	defer func() {
+		for i := range t.cols {
+			c := &t.cols[i]
+			c.nulls, c.ints, c.flts = fit(c.nulls), fit(c.ints), fit(c.flts)
+			c.strs, c.codes = fit(c.strs), fit(c.codes)
 		}
-	}
+	}()
 	fail := func(line, col int, cause error) error {
 		return fmt.Errorf("storage: read %s: line %d, column %s: %w", t.Def.Name, line, t.Def.Columns[col].Name, cause)
 	}
@@ -216,8 +215,12 @@ func (t *Table) readFlat(r io.Reader, blockSize, maxLine int) (rows int, err err
 		return nil
 	}
 
-	size := inputSize(r)
 	buf := make([]byte, blockSize)
+	lines, err := countLines(r, buf)
+	if err != nil {
+		return 0, fmt.Errorf("storage: read %s: %w", t.Def.Name, err)
+	}
+	t.Grow(lines)
 	start, end := 0, 0 // buf[start:end] is read and not yet decoded
 	lineNo := 0        // lines decoded so far
 	for idle, eof := 0, false; !eof; {
@@ -250,14 +253,6 @@ func (t *Table) readFlat(r io.Reader, blockSize, maxLine int) (rows int, err err
 			}
 			continue
 		}
-		if size > 0 {
-			// Reserve the columns once: the first block's bytes per line
-			// stand for the whole input's.
-			if lines := bytes.Count(buf[:end], []byte{'\n'}); lines > 0 {
-				t.Grow(int(size*int64(lines)/int64(end)) + 1)
-			}
-			size = 0
-		}
 		for {
 			i := bytes.IndexByte(buf[start:end], '\n')
 			if i < 0 {
@@ -278,26 +273,46 @@ func (t *Table) readFlat(r io.Reader, blockSize, maxLine int) (rows int, err err
 	return rows, nil
 }
 
-// inputSize returns the number of bytes r is about to deliver when r
-// can tell (files, in-memory readers), or -1.
-func inputSize(r io.Reader) int64 {
-	switch v := r.(type) {
-	case interface{ Stat() (fs.FileInfo, error) }:
-		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() {
-			return fi.Size()
-		}
-	case interface{ Len() int }:
-		return int64(v.Len())
+// fit returns v in an array of its own length when more than a
+// sixteenth of v's array is unused, else v.
+func fit[T any](v []T) []T {
+	if cap(v)-len(v) > len(v)/16 {
+		return append(make([]T, 0, len(v)), v...)
 	}
-	return -1
+	return v
+}
+
+// countLines returns how many lines r is about to deliver at most,
+// when r can be rewound (files, in-memory readers): it reads r to its
+// end through buf, counting line breaks, and seeks back. It returns 0
+// for any other reader. A read error ends the count early and is left
+// for the decoding pass to meet again and report.
+func countLines(r io.Reader, buf []byte) (int, error) {
+	s, ok := r.(io.Seeker)
+	if !ok {
+		return 0, nil
+	}
+	start, err := s.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return 0, nil // a pipe or the like: nothing read, nothing to undo
+	}
+	lines := 1 // the last line may lack its line break
+	for {
+		n, err := r.Read(buf)
+		lines += bytes.Count(buf[:n], []byte{'\n'})
+		if n == 0 || err != nil {
+			break
+		}
+	}
+	_, err = s.Seek(start, io.SeekStart)
+	return lines, err
 }
 
 // flatDecoder appends flat-file lines to a table's column vectors.
 type flatDecoder struct {
 	t       *Table
 	kinds   []Kind
-	interns [][]string // per string column: direct-mapped cache of recent values
-	scratch []byte     // the unescaped bytes of one field
+	scratch []byte // the unescaped bytes of one field
 }
 
 // row appends one non-empty line (line break removed) as the table's
@@ -344,7 +359,7 @@ func (d *flatDecoder) row(line []byte) (col int, err error) {
 				end++
 			}
 			if ok = end == len(line) || line[end] == '|'; ok {
-				c.strs = append(c.strs, d.intern(ci, line[pos:end]))
+				appendStr(c, line[pos:end])
 			}
 		}
 		if ok {
@@ -399,7 +414,7 @@ func (d *flatDecoder) appendSlow(ci int, field []byte, explicit bool) error {
 			c.appendNull(KindString)
 			return nil
 		}
-		c.strs = append(c.strs, d.intern(ci, field))
+		appendStr(c, field)
 		c.nulls = append(c.nulls, false)
 		return nil
 	}
@@ -415,31 +430,19 @@ func (d *flatDecoder) appendSlow(ci int, field []byte, explicit bool) error {
 	return nil
 }
 
-// intern returns b as a string, sharing the heap object of the last
-// value that hashed to the same slot of column ci's cache when that
-// value is equal. The few-value domains of the fixed-size dimensions
-// (gender, marital status, day names, Y/N flags) so cost one string per
-// distinct value, not one per row; a miss allocates as a plain
-// conversion would.
-func (d *flatDecoder) intern(ci int, b []byte) string {
-	slot := &d.interns[ci][hashBytes(b)&(internSlots-1)]
-	if *slot != string(b) {
-		*slot = string(b)
-	}
-	return *slot
-}
-
 // hashBytes mixes b eight bytes at a time.
-func hashBytes(b []byte) uint64 {
+func hashBytes[T ~string | ~[]byte](b T) uint64 {
 	const m = 0x9E3779B97F4A7C15
 	h := uint64(len(b)) * m
 	for ; len(b) >= 8; b = b[8:] {
-		h = (h ^ binary.LittleEndian.Uint64(b)) * m
+		w := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+		h = (h ^ w) * m
 		h ^= h >> 32
 	}
 	var tail uint64
-	for i, c := range b {
-		tail |= uint64(c) << (8 * i)
+	for i := 0; i < len(b); i++ {
+		tail |= uint64(b[i]) << (8 * i)
 	}
 	h = (h ^ tail) * m
 	return h ^ h>>29

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -62,6 +63,13 @@ func FuzzReadFlat(f *testing.F) {
 	f.Add("1\\2|3|4.5\\0|a|2000-01\\-01|\n") // escapes inside typed fields
 	f.Add("1|2|3.0|a|2000-01-01\\")          // dangling backslash
 	f.Add("1|2|3.0|a|2000-01-01|x|\n")       // too many fields
+	// More different strings than rows can pay a dictionary for: the
+	// string column turns plain mid-file, then takes NULL, \e, a repeat.
+	var demoting strings.Builder
+	for i := 0; i < dictTrial+40; i++ {
+		fmt.Fprintf(&demoting, "%d|2|3.0|name %d|2000-01-01|\n", i, i)
+	}
+	f.Add(demoting.String() + "1|2|3.0||2000-01-01|\n1|2|3.0|\\e|2000-01-01|\n1|2|3.0|name 7|2000-01-01|\n")
 	f.Fuzz(func(t *testing.T, data string) {
 		ref := NewTable(testDef())
 		wantN, wantErr := refReadFlat(ref, strings.NewReader(data))
@@ -93,6 +101,9 @@ func FuzzReadFlat(f *testing.F) {
 			t.Fatalf("ReadFlat of own output: %v", err)
 		}
 		sameTables(t, "reload", tb2, tb)
+		if a, b := tb.Col(3).dict != nil, tb2.Col(3).dict != nil; a != b {
+			t.Fatalf("string layout differs across write→read: dictionary %v, then %v", a, b)
+		}
 		var sb2 strings.Builder
 		if err := tb2.WriteFlat(&sb2); err != nil || sb2.String() != sb.String() {
 			t.Fatalf("write→read→write changed the bytes (err %v):\n%q\n%q", err, sb.String(), sb2.String())

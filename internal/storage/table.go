@@ -2,22 +2,107 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
 	"tpcds/internal/schema"
 )
 
-// Column is a typed column vector with a null bitmap. The physical
+// Column is a typed column vector with a null vector. The physical
 // representation is chosen by the logical schema type: identifiers,
 // integers and dates share the int64 vector; decimals use float64;
-// char/varchar use the string vector.
+// char/varchar start dictionary-encoded — one uint16 code per row into
+// a dictionary of the distinct values in first-seen order — and fall
+// back for good to one string per row when the column's own values show
+// a dictionary does not pay (see encode). Exactly one payload vector is
+// in use; the others stay nil.
 type Column struct {
 	Type  schema.Type
 	ints  []int64
 	flts  []float64
-	strs  []string
+	strs  []string // plain layout: dict == nil
+	codes []uint16 // dictionary layout: row i holds dict.vals[codes[i]]
+	dict  *strDict
 	nulls []bool
+}
+
+const (
+	// dictMax is the number of values one code width can name.
+	dictMax = 1 << 16
+	// dictTrial is the dictionary size up to which a column is not yet
+	// judged by its ratio of distinct values to rows.
+	dictTrial = 256
+	// dictRecent is the size of the value cache in front of the
+	// dictionary's map (a power of two).
+	dictRecent = 256
+)
+
+// strDict is the dictionary of a string column. Codes are handed out in
+// first-seen order and never change or get reused: values no row holds
+// any more (deleted, overwritten, rolled back) keep theirs.
+type strDict struct {
+	vals   []string
+	codes  map[string]uint16
+	recent [dictRecent]uint16 // direct-mapped by value hash: the code last handed out
+}
+
+// encode returns the dictionary code of v, entering v when it is new.
+// A column gives its dictionary up instead (ok is false and the column
+// is plain from here on) when a new value finds the dictionary full, or
+// when past dictTrial values more than half the rows so far introduced
+// one: the codes would then cost more than the strings they save. The
+// column decides from what it holds and decides once, so equal data
+// always ends in the equal layout and no reader has to choose.
+func encode[T ~string | ~[]byte](c *Column, v T) (code uint16, ok bool) {
+	d := c.dict
+	slot := &d.recent[hashBytes(v)&(dictRecent-1)]
+	if int(*slot) < len(d.vals) && d.vals[*slot] == string(v) {
+		return *slot, true
+	}
+	if code, ok = d.codes[string(v)]; !ok {
+		n := len(d.vals)
+		if n == dictMax || n >= dictTrial && 2*n > len(c.codes) {
+			c.decode()
+			return 0, false
+		}
+		code = uint16(n)
+		s := string(v)
+		d.vals = append(d.vals, s)
+		d.codes[s] = code
+	}
+	*slot = code
+	return code, true
+}
+
+// decode turns a dictionary column into a plain one of the same
+// capacity. (A NULL row's code is 0 and decodes to whatever value came
+// first; nothing reads a NULL row's payload.)
+func (c *Column) decode() {
+	c.strs = make([]string, len(c.codes), cap(c.codes))
+	for i, code := range c.codes {
+		c.strs[i] = c.dict.vals[code]
+	}
+	c.codes, c.dict = nil, nil
+}
+
+// appendStr appends the payload of a non-NULL string cell.
+func appendStr[T ~string | ~[]byte](c *Column, v T) {
+	if c.dict != nil {
+		if code, ok := encode(c, v); ok {
+			c.codes = append(c.codes, code)
+			return
+		}
+	}
+	c.strs = append(c.strs, string(v))
+}
+
+// str returns the string at row i of a string column.
+func (c *Column) str(i int) string {
+	if c.dict != nil {
+		return c.dict.vals[c.codes[i]]
+	}
+	return c.strs[i]
 }
 
 func physKind(t schema.Type) Kind {
@@ -49,7 +134,7 @@ func (c *Column) Get(i int) Value {
 	case KindDate:
 		return DateV(c.ints[i])
 	default:
-		return Str(c.strs[i])
+		return Str(c.str(i))
 	}
 }
 
@@ -62,21 +147,19 @@ func (c *Column) appendNull(k Kind) {
 	case KindFloat:
 		c.flts = append(c.flts, 0)
 	default:
-		c.strs = append(c.strs, "")
+		if c.dict != nil {
+			c.codes = append(c.codes, 0)
+		} else {
+			c.strs = append(c.strs, "")
+		}
 	}
 }
 
 // truncate drops the entries from n on.
 func (c *Column) truncate(n int) {
 	c.nulls = c.nulls[:n]
-	switch physKind(c.Type) {
-	case KindInt, KindDate:
-		c.ints = c.ints[:n]
-	case KindFloat:
-		c.flts = c.flts[:n]
-	default:
-		c.strs = c.strs[:n]
-	}
+	c.ints, c.flts = c.ints[:min(n, len(c.ints))], c.flts[:min(n, len(c.flts))]
+	c.strs, c.codes = c.strs[:min(n, len(c.strs))], c.codes[:min(n, len(c.codes))]
 }
 
 // Append adds a value, coercing to the column's physical type. Appending
@@ -103,7 +186,7 @@ func (c *Column) Append(v Value) {
 		if v.K != KindString {
 			panic(fmt.Sprintf("storage: appending %v to string column", v.K))
 		}
-		c.strs = append(c.strs, v.S)
+		appendStr(c, v.S)
 	}
 }
 
@@ -121,6 +204,12 @@ func (c *Column) Set(i int, v Value) {
 	case KindFloat:
 		c.flts[i] = v.AsFloat()
 	default:
+		if c.dict != nil {
+			if code, ok := encode(c, v.S); ok {
+				c.codes[i] = code
+				return
+			}
+		}
 		c.strs[i] = v.S
 	}
 }
@@ -153,23 +242,30 @@ func NewTable(def *schema.Table) *Table {
 	t := &Table{Def: def, cols: make([]Column, len(def.Columns)), id: tableInstances.Add(1)}
 	for i, c := range def.Columns {
 		t.cols[i].Type = c.Type
+		if physKind(c.Type) == KindString {
+			t.cols[i].dict = &strDict{codes: map[string]uint16{}}
+		}
 	}
 	return t
 }
 
-// Grow preallocates capacity for n additional rows, avoiding repeated
-// reallocation during bulk loads.
+// Grow makes room for n additional rows, avoiding repeated reallocation
+// during bulk loads; vectors that already have the room are left alone.
 func (t *Table) Grow(n int) {
 	for i := range t.cols {
 		c := &t.cols[i]
-		c.nulls = append(make([]bool, 0, len(c.nulls)+n), c.nulls...)
+		c.nulls = slices.Grow(c.nulls, n)
 		switch physKind(c.Type) {
 		case KindInt, KindDate:
-			c.ints = append(make([]int64, 0, len(c.ints)+n), c.ints...)
+			c.ints = slices.Grow(c.ints, n)
 		case KindFloat:
-			c.flts = append(make([]float64, 0, len(c.flts)+n), c.flts...)
+			c.flts = slices.Grow(c.flts, n)
 		default:
-			c.strs = append(make([]string, 0, len(c.strs)+n), c.strs...)
+			if c.dict != nil {
+				c.codes = slices.Grow(c.codes, n)
+			} else {
+				c.strs = slices.Grow(c.strs, n)
+			}
 		}
 	}
 }
@@ -292,32 +388,36 @@ func (t *Table) Delete(rowIDs []int) int {
 	t.epoch++
 	for c := range t.cols {
 		col := &t.cols[c]
-		w := 0
-		for r := 0; r < n; r++ {
-			if victim[r] {
-				continue
-			}
-			col.nulls[w] = col.nulls[r]
-			switch physKind(col.Type) {
-			case KindInt, KindDate:
-				col.ints[w] = col.ints[r]
-			case KindFloat:
-				col.flts[w] = col.flts[r]
-			default:
-				col.strs[w] = col.strs[r]
-			}
-			w++
-		}
-		col.truncate(w)
+		col.nulls = compact(col.nulls, victim)
+		col.ints, col.flts = compact(col.ints, victim), compact(col.flts, victim)
+		col.strs, col.codes = compact(col.strs, victim), compact(col.codes, victim)
 	}
 	return removed
 }
 
+// compact moves the entries of v that victim does not mark to the
+// front, in order, and returns them.
+func compact[T any](v []T, victim []bool) []T {
+	w := 0
+	for r, x := range v {
+		if !victim[r] {
+			v[w] = x
+			w++
+		}
+	}
+	return v[:w]
+}
+
 // Raw exposes the column's physical vectors for vectorized execution:
 // the physical kind, the payload slice valid for that kind, and the
-// null bitmap. Callers must treat the slices as read-only.
-func (c *Column) Raw() (k Kind, ints []int64, flts []float64, strs []string, nulls []bool) {
-	return physKind(c.Type), c.ints, c.flts, c.strs, c.nulls
+// null vector. A string column has either strs, or codes with the
+// dictionary they index (row i holds dict[codes[i]]; the order of dict
+// means nothing). Callers must treat the slices as read-only.
+func (c *Column) Raw() (k Kind, ints []int64, flts []float64, strs []string, codes []uint16, dict []string, nulls []bool) {
+	if c.dict != nil {
+		dict = c.dict.vals
+	}
+	return physKind(c.Type), c.ints, c.flts, c.strs, c.codes, dict, c.nulls
 }
 
 // ScanInt64 returns the raw int64 vector and null bitmap for a key
