@@ -1,10 +1,18 @@
+// Aggregation over column vectors: every grouping expression becomes a
+// vector of key ids (keyIDs), a grouping mask's key ids combine into
+// group ids in first-seen row order (groupIDs), and every aggregate
+// folds its argument into per-group cells (aggAcc.fold) in row order,
+// so float sums are the row-at-a-time fold's bit for bit.
 package exec
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
+	"strings"
 
+	"tpcds/internal/index"
 	"tpcds/internal/schema"
 	"tpcds/internal/sql"
 	"tpcds/internal/storage"
@@ -17,100 +25,6 @@ type aggSpec struct {
 	fn       string
 	arg      bexpr // nil for COUNT(*)
 	distinct bool
-	outType  schema.Type
-}
-
-// windowSpec is one distinct windowed aggregate (e.g. SUM(SUM(x)) OVER
-// (PARTITION BY i_class) in Query 20). Its argument and partition
-// expressions are bound over the aggregated row layout.
-type windowSpec struct {
-	render string
-	fn     string
-	arg    bexpr
-	parts  []bexpr
-}
-
-// aggAcc accumulates one aggregate for one group.
-type aggAcc struct {
-	nonNull  int64
-	rowCount int64
-	sumI     int64
-	sumF     float64
-	sumSq    float64
-	min, max storage.Value
-	distinct map[string]bool
-}
-
-func (a *aggAcc) add(v storage.Value, distinct bool) {
-	a.rowCount++
-	if v.IsNull() {
-		return
-	}
-	if distinct {
-		if a.distinct == nil {
-			a.distinct = map[string]bool{}
-		}
-		key := v.GroupKey()
-		if a.distinct[key] {
-			return
-		}
-		a.distinct[key] = true
-	}
-	a.nonNull++
-	switch v.K {
-	case storage.KindInt, storage.KindDate:
-		a.sumI += v.I
-		a.sumF += float64(v.I)
-		a.sumSq += float64(v.I) * float64(v.I)
-	case storage.KindFloat:
-		a.sumF += v.F
-		a.sumSq += v.F * v.F
-	}
-	if a.min.IsNull() || storage.Compare(v, a.min) < 0 {
-		a.min = v
-	}
-	if a.max.IsNull() || storage.Compare(v, a.max) > 0 {
-		a.max = v
-	}
-}
-
-func (a *aggAcc) finalize(spec aggSpec) storage.Value {
-	switch spec.fn {
-	case "COUNT":
-		if spec.arg == nil { // COUNT(*)
-			return storage.Int(a.rowCount)
-		}
-		return storage.Int(a.nonNull)
-	case "SUM":
-		if a.nonNull == 0 {
-			return storage.Null
-		}
-		if isIntType(spec.arg.typ()) {
-			return storage.Int(a.sumI)
-		}
-		return storage.Float(a.sumF)
-	case "AVG":
-		if a.nonNull == 0 {
-			return storage.Null
-		}
-		return storage.Float(a.sumF / float64(a.nonNull))
-	case "MIN":
-		return a.min
-	case "MAX":
-		return a.max
-	case "STDDEV_SAMP":
-		if a.nonNull < 2 {
-			return storage.Null
-		}
-		n := float64(a.nonNull)
-		variance := (a.sumSq - a.sumF*a.sumF/n) / (n - 1)
-		if variance < 0 {
-			variance = 0
-		}
-		return storage.Float(math.Sqrt(variance))
-	default:
-		panic("exec: unknown aggregate " + spec.fn)
-	}
 }
 
 func isIntType(t schema.Type) bool {
@@ -186,10 +100,9 @@ func collectAggregates(e sql.Expr, aggs map[string]*sql.FuncCall, windows map[st
 	}
 }
 
-// aggregate executes the grouping path: hash aggregation over the joined
-// base rows (gathered from the rowSet one scratch row at a time),
-// windowed aggregates over the groups, then HAVING, projection,
-// DISTINCT, ORDER BY and LIMIT.
+// aggregate executes the grouping path: aggregation of the joined rows
+// under every grouping mask, windowed aggregates over the groups, then
+// HAVING, projection, DISTINCT, ORDER BY and LIMIT.
 func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderBy []sql.OrderItem, tr *Trace) (*Result, []schema.Type, error) {
 	// Gather distinct aggregate and window calls across all clauses.
 	aggMap := map[string]*sql.FuncCall{}
@@ -207,416 +120,547 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderB
 		collectAggregates(oi.Expr, aggMap, winMap)
 	}
 
-	// Bind group-by expressions over the base layout.
+	// Bind group-by expressions over the base layout; each takes the
+	// slot of its position in the aggregated layout.
 	var groupExprs []bexpr
-	var groupRenders []string
+	slots := map[string]bexpr{}
 	for _, g := range stmt.GroupBy {
 		be, err := b.bind(g)
 		if err != nil {
 			return nil, nil, err
 		}
+		slots[g.Render()] = &colExpr{off: len(groupExprs), t: be.typ()}
 		groupExprs = append(groupExprs, be)
-		groupRenders = append(groupRenders, g.Render())
 	}
 
-	// Bind aggregate arguments over the base layout (deterministic order).
+	// Bind aggregate arguments over the base layout, in render order.
 	var specs []aggSpec
 	for render, fc := range aggMap {
-		spec := aggSpec{render: render, fn: fc.Name, distinct: fc.Distinct}
-		if !fc.Star {
-			if len(fc.Args) != 1 {
-				return nil, nil, fmt.Errorf("%s expects one argument", fc.Name)
-			}
-			arg, err := b.bind(fc.Args[0])
-			if err != nil {
-				return nil, nil, err
-			}
-			spec.arg = arg
+		arg, err := b.bindArg(fc, "aggregate argument", false)
+		if err != nil {
+			return nil, nil, err
 		}
-		spec.outType = aggOutType(spec.fn, spec.arg)
-		specs = append(specs, spec)
+		specs = append(specs, aggSpec{render: render, fn: fc.Name, arg: arg, distinct: fc.Distinct})
 	}
-	// Sort specs by render for deterministic slot assignment.
-	for i := 1; i < len(specs); i++ {
-		for j := i; j > 0 && specs[j].render < specs[j-1].render; j-- {
-			specs[j], specs[j-1] = specs[j-1], specs[j]
-		}
-	}
+	slices.SortFunc(specs, func(x, y aggSpec) int { return strings.Compare(x.render, y.render) })
 
-	// Group keys and aggregate arguments are the only base-layout
-	// expressions evaluated here: the reader gathers just their tables.
-	readMask := maskOf(groupExprs)
-	for i := range specs {
-		if specs[i].arg != nil {
-			readMask |= specs[i].arg.mask()
-		}
-	}
-	rr := b.rowReader(rows, readMask)
-
-	// Hash aggregation. aggregateMask groups by the group-by expressions
-	// whose bit is set in mask, padding the others with NULL. The full
-	// mask is ordinary grouping; ROLLUP uses prefix masks, CUBE every
-	// subset (SQL-99 OLAP amendment).
-	type group struct {
-		vals  []storage.Value
-		accs  []aggAcc
-		first int // first contributing row (serial emit order)
-	}
-	width := len(groupExprs) + len(specs)
-	emit := func(groups []*group) [][]storage.Value {
-		out := make([][]storage.Value, 0, len(groups))
-		for _, g := range groups {
-			row := make([]storage.Value, width, width+len(winMap))
-			copy(row, g.vals)
-			for i := range specs {
-				//lint:ignore boundscheck every group is allocated with accs: make([]aggAcc, len(specs)); the per-group field length is a cross-object invariant the per-variable domain cannot carry
-				row[len(groupExprs)+i] = g.accs[i].finalize(specs[i])
-			}
-			out = append(out, row)
-		}
-		return out
-	}
-	aggregateMaskSerial := func(mask uint) [][]storage.Value {
-		groups := map[string]*group{}
-		var order []*group // preserve first-seen order for determinism
-		// The group key is assembled in a reusable byte buffer and looked
-		// up without conversion (map[string(buf)] compiles to a no-alloc
-		// read); the key string and the group value slice are allocated
-		// only when a new group appears. The bytes match the GroupKey
-		// concatenation exactly, so grouping is unchanged.
-		var keybuf []byte
-		gtmp := make([]storage.Value, len(groupExprs))
-		row := make([]storage.Value, b.total)
-		b.qc.growScratch(int64(len(row)+len(gtmp)) * valueBytes)
-		defer b.qc.shrinkScratch(int64(len(row)+len(gtmp)) * valueBytes)
-		for r := 0; r < rows.n; r++ {
-			b.qc.tick()
-			rr.fill(r, row)
-			keybuf = keybuf[:0]
-			for i := range groupExprs {
-				if mask&(1<<uint(i)) != 0 {
-					gtmp[i] = groupExprs[i].eval(row)
-					keybuf = gtmp[i].AppendGroupKey(keybuf)
-				} else {
-					gtmp[i] = storage.Null
-					keybuf = append(keybuf, 0, '-')
-				}
-			}
-			g := groups[string(keybuf)]
-			if g == nil {
-				gvals := make([]storage.Value, len(groupExprs))
-				copy(gvals, gtmp)
-				g = &group{vals: gvals, accs: make([]aggAcc, len(specs))}
-				groups[string(keybuf)] = g
-				order = append(order, g)
-			}
-			for i := range specs {
-				v := storage.Int(1) // COUNT(*) counts rows
-				if specs[i].arg != nil {
-					v = specs[i].arg.eval(row)
-				}
-				//lint:ignore boundscheck every group is allocated with accs: make([]aggAcc, len(specs)); the per-group field length is a cross-object invariant the per-variable domain cannot carry
-				g.accs[i].add(v, specs[i].distinct)
-			}
-		}
-		// Global aggregate with no groups: one (possibly empty) group.
-		if mask == 0 && len(groups) == 0 {
-			order = append(order, &group{vals: make([]storage.Value, len(groupExprs)), accs: make([]aggAcc, len(specs))})
-		}
-		return emit(order)
-	}
-
-	// Parallel aggregation: group-by and aggregate-argument expressions
-	// are evaluated once per row in morsels (shared by every mask), then
-	// each mask partitions groups by key hash. One worker per partition
-	// accumulates its groups walking the rows in global row order, so
-	// per-group accumulation order — and therefore every float sum —
-	// matches the serial fold bit for bit. Groups are emitted in
-	// first-seen row order, the serial emit order.
-	var gv, av [][]storage.Value // per-row group-expr / agg-arg values
-	precompute := func(workers, morsel int) {
-		if gv != nil {
-			return
-		}
-		n := rows.n
-		gv = make([][]storage.Value, n)
-		av = make([][]storage.Value, n)
-		// The per-row value arrays are the parallel aggregation's
-		// dominant scratch, beside one gather row per worker; they live
-		// until the last mask is emitted, so they count toward the
-		// aggregate node's peak only.
-		b.qc.growScratch((int64(n)*int64(len(groupExprs)+len(specs)+2) + int64(workers*b.total)) * valueBytes)
-		counts := forEachMorsel(b.qc, workers, n, morsel, func(_, _, lo, hi int) {
-			row := make([]storage.Value, b.total)
-			for r := lo; r < hi; r++ {
-				rr.fill(r, row)
-				g := make([]storage.Value, len(groupExprs))
-				for i := range groupExprs {
-					g[i] = groupExprs[i].eval(row)
-				}
-				a := make([]storage.Value, len(specs))
-				for i := range specs {
-					if specs[i].arg != nil {
-						a[i] = specs[i].arg.eval(row)
-					} else {
-						a[i] = storage.Int(1) // COUNT(*) counts rows
-					}
-				}
-				gv[r], av[r] = g, a
-			}
-		})
-		tr.addWork(counts)
-	}
-	aggregateMaskParallel := func(mask uint, workers, morsel int) [][]storage.Value {
-		precompute(workers, morsel)
-		n := rows.n
-		// Shadow with locals pinned to this mask's view: precompute
-		// guarantees one value slot per row, and the explicit check
-		// makes that contract a local fact rather than action at a
-		// distance through the lazily-filled captures.
-		gv, av := gv, av
-		if len(gv) != n || len(av) != n {
-			panic("exec: precompute row-value sizes out of sync with rows")
-		}
-		keys := make([]string, n)
-		parts := make([]int, n)
-		// Per-mask key/partition vectors (string header + int per row),
-		// released when this mask's groups have been emitted.
-		b.qc.growScratch(int64(n) * 24)
-		defer b.qc.shrinkScratch(int64(n) * 24)
-		counts := forEachMorsel(b.qc, workers, n, morsel, func(_, _, lo, hi int) {
-			var buf []byte
-			for r := lo; r < hi; r++ {
-				buf = buf[:0]
-				for i := range groupExprs {
-					if mask&(1<<uint(i)) != 0 {
-						//lint:ignore boundscheck precompute builds each gv row with make([]storage.Value, len(groupExprs)); per-element slice lengths are outside the per-variable domain
-						buf = gv[r][i].AppendGroupKey(buf)
-					} else {
-						buf = append(buf, 0, '-')
-					}
-				}
-				keys[r] = string(buf)
-				parts[r] = partOf(buf, workers)
-			}
-		})
-		tr.addWork(counts)
-		partGroups := make([][]*group, workers)
-		parallelFor(workers, func(p int) {
-			groups := map[string]*group{}
-			var order []*group
-			for r := 0; r < n; r++ {
-				if r%(8*tickInterval) == 0 {
-					b.qc.checkNow()
-				}
-				if parts[r] != p {
-					continue
-				}
-				g := groups[keys[r]]
-				if g == nil {
-					gvals := make([]storage.Value, len(groupExprs))
-					for i := range groupExprs {
-						if mask&(1<<uint(i)) != 0 {
-							//lint:ignore boundscheck precompute builds each gv row with make([]storage.Value, len(groupExprs)); per-element slice lengths are outside the per-variable domain
-							gvals[i] = gv[r][i]
-						} else {
-							gvals[i] = storage.Null
-						}
-					}
-					g = &group{vals: gvals, accs: make([]aggAcc, len(specs)), first: r}
-					groups[keys[r]] = g
-					order = append(order, g)
-				}
-				for i := range specs {
-					//lint:ignore boundscheck per-group accs and per-row av lengths are fixed at construction (len(specs)); per-element invariants are outside the per-variable domain
-					g.accs[i].add(av[r][i], specs[i].distinct)
-				}
-			}
-			partGroups[p] = order
-		})
-		var all []*group
-		for _, pg := range partGroups {
-			all = append(all, pg...)
-		}
-		sort.Slice(all, func(a, b int) bool { return all[a].first < all[b].first })
-		return emit(all)
-	}
-	aggregateMask := func(mask uint) [][]storage.Value {
-		if workers, morsel := e.workers(), e.morselSize(); workers > 1 && rows.n > morsel {
-			return aggregateMaskParallel(mask, workers, morsel)
-		}
-		return aggregateMaskSerial(mask)
-	}
-
+	// Grouping masks: bit i keeps group-by expression i, the others are
+	// NULL. The full mask is ordinary grouping; ROLLUP adds prefix masks,
+	// CUBE every subset (SQL-99 OLAP amendment).
 	fullMask := uint(1)<<uint(len(groupExprs)) - 1
-	aggRows := aggregateMask(fullMask)
-	if stmt.Rollup || stmt.Cube {
-		if len(winMap) > 0 {
-			return nil, nil, fmt.Errorf("ROLLUP/CUBE cannot be combined with window functions")
-		}
-		if stmt.Cube && len(groupExprs) > 12 {
-			return nil, nil, fmt.Errorf("CUBE over %d columns exceeds the supported 12", len(groupExprs))
-		}
+	masks := []uint{fullMask}
+	if (stmt.Rollup || stmt.Cube) && len(winMap) > 0 {
+		return nil, nil, fmt.Errorf("ROLLUP/CUBE cannot be combined with window functions")
+	} else if stmt.Cube && len(groupExprs) > 12 {
+		return nil, nil, fmt.Errorf("CUBE over %d columns exceeds the supported 12", len(groupExprs))
 	}
 	switch {
 	case stmt.Rollup:
 		// Subtotal levels, coarsest last; the grand total is mask 0.
 		for level := len(groupExprs) - 1; level >= 0; level-- {
-			aggRows = append(aggRows, aggregateMask(uint(1)<<uint(level)-1)...)
+			masks = append(masks, uint(1)<<uint(level)-1)
 		}
 	case stmt.Cube:
 		// Every proper subset of the grouping columns, densest first.
-		masks := make([]uint, 0, fullMask)
+		subsets := make([]uint, 0, fullMask)
 		for m := uint(0); m < fullMask; m++ {
-			masks = append(masks, m)
+			subsets = append(subsets, m)
 		}
-		sort.Slice(masks, func(a, b int) bool {
-			pa, pb := popcount(uint64(masks[a])), popcount(uint64(masks[b]))
-			if pa != pb {
-				return pa > pb
+		slices.SortFunc(subsets, func(x, y uint) int {
+			if px, py := bits.OnesCount(x), bits.OnesCount(y); px != py {
+				return py - px
 			}
-			return masks[a] > masks[b]
+			return int(y) - int(x)
 		})
-		for _, m := range masks {
-			aggRows = append(aggRows, aggregateMask(m)...)
-		}
+		masks = append(masks, subsets...)
 	}
+	aggRows := e.groupRows(&rowSource{qc: b.qc, b: b, rs: rows, n: rows.n}, groupExprs, specs, masks, len(winMap), tr)
 
-	// Slot table for post-aggregation binding.
-	slots := map[string]bexpr{}
-	for i, r := range groupRenders {
-		//lint:ignore boundscheck groupRenders is emitted one entry per groupExprs element (lockstep lengths); cross-slice equality is outside the per-variable domain
-		slots[r] = &colExpr{off: i, t: groupExprs[i].typ()}
-	}
+	// The aggregates' slots follow the group expressions'.
 	for i, spec := range specs {
-		slots[spec.render] = &colExpr{off: len(groupExprs) + i, t: spec.outType}
+		slots[spec.render] = &colExpr{off: len(groupExprs) + i, t: aggOutType(spec.fn, spec.arg)}
 	}
 
-	// Window specs: bind args and partitions over the aggregated layout.
+	// Windows, in render order, over the aggregated layout: each groups
+	// the aggregated rows by its partition — key ids, group ids and cells
+	// as above — and appends its value to every row, in a slot past the
+	// aggregates.
 	b.slots = slots
 	defer func() { b.slots = nil }()
-	var winSpecs []windowSpec
-	for render, w := range winMap {
-		ws := windowSpec{render: render, fn: w.Agg.Name}
-		if w.Agg.Star {
-			ws.arg = nil
-		} else {
-			if len(w.Agg.Args) != 1 {
-				return nil, nil, fmt.Errorf("%s expects one argument", w.Agg.Name)
-			}
-			arg, err := b.bind(w.Agg.Args[0])
-			if err != nil {
-				return nil, nil, fmt.Errorf("window argument: %w", err)
-			}
-			if arg.mask() != 0 {
-				return nil, nil, fmt.Errorf("window argument %s references columns outside GROUP BY", w.Agg.Args[0].Render())
-			}
-			ws.arg = arg
+	var renders []string
+	for render := range winMap {
+		renders = append(renders, render)
+	}
+	slices.Sort(renders)
+	for wi, render := range renders {
+		w, src := winMap[render], &rowSource{qc: b.qc, vals: aggRows, n: len(aggRows)}
+		arg, err := b.bindArg(w.Agg, "window argument", true)
+		if err != nil {
+			return nil, nil, err
 		}
+		a := &aggAcc{spec: aggSpec{fn: w.Agg.Name, arg: arg}}
+		if arg != nil {
+			a.in = src.reader(arg)
+		}
+		var keys []keyVec
 		for _, p := range w.PartitionBy {
-			bp, err := b.bind(p)
+			bp, err := b.bindIn(p, "window partition", true)
 			if err != nil {
-				return nil, nil, fmt.Errorf("window partition: %w", err)
+				return nil, nil, err
 			}
-			if bp.mask() != 0 {
-				return nil, nil, fmt.Errorf("window partition %s references columns outside GROUP BY", p.Render())
-			}
-			ws.parts = append(ws.parts, bp)
+			keys = append(keys, e.keyIDs(src, src.reader(bp), tr))
 		}
-		winSpecs = append(winSpecs, ws)
-	}
-	for i := 1; i < len(winSpecs); i++ {
-		for j := i; j > 0 && winSpecs[j].render < winSpecs[j-1].render; j-- {
-			winSpecs[j], winSpecs[j-1] = winSpecs[j-1], winSpecs[j]
-		}
-	}
-	// Compute each window column and extend rows and slots.
-	for wi := range winSpecs {
-		ws := &winSpecs[wi]
-		accs := map[string]*aggAcc{}
-		keys := make([]string, len(aggRows))
-		for ri, row := range aggRows {
-			b.qc.tick()
-			key := ""
-			for _, p := range ws.parts {
-				key += p.eval(row).GroupKey()
+		gids, first := groupIDs(b.qc, keys, uint(1)<<uint(len(keys))-1, src.n)
+		st := a.fold(b.qc, gids, nil, groupRun{0, first}, nil)
+		for ri, g := range gids {
+			if ri < len(aggRows) {
+				aggRows[ri] = append(aggRows[ri], st.result(int(g)))
 			}
-			keys[ri] = key
-			acc := accs[key]
-			if acc == nil {
-				acc = &aggAcc{}
-				accs[key] = acc
-			}
-			v := storage.Int(1)
-			if ws.arg != nil {
-				v = ws.arg.eval(row)
-			}
-			acc.add(v, false)
 		}
-		spec := aggSpec{fn: ws.fn, arg: ws.arg}
-		outType := aggOutType(ws.fn, ws.arg)
-		// Window columns take slots past the aggregate layout; width
-		// itself stays fixed at the emit-time row length.
-		slot := width + wi
-		for ri := range aggRows {
-			aggRows[ri] = append(aggRows[ri], accs[keys[ri]].finalize(spec))
-		}
-		slots[ws.render] = &colExpr{off: slot, t: outType}
+		slots[render] = &colExpr{off: len(groupExprs) + len(specs) + wi, t: aggOutType(a.spec.fn, a.spec.arg)}
 	}
 
-	// bindAgg binds an expression over the aggregated layout and rejects
-	// references to base columns that are neither grouped nor aggregated
-	// (slot expressions carry an empty table mask; anything else leaked
-	// through to the base layout).
-	bindAgg := func(e sql.Expr, clause string) (bexpr, error) {
-		be, err := b.bind(e)
-		if err != nil {
-			return nil, err
-		}
-		if be.mask() != 0 {
-			return nil, fmt.Errorf("%s expression %s references columns outside GROUP BY", clause, e.Render())
-		}
-		return be, nil
-	}
-
-	// HAVING over the aggregated layout.
+	// HAVING, projection and ORDER BY over the aggregated layout.
 	if stmt.Having != nil {
-		hv, err := bindAgg(stmt.Having, "HAVING")
+		hv, err := b.bindIn(stmt.Having, "HAVING", true)
 		if err != nil {
 			return nil, nil, err
 		}
-		w := 0
-		for _, row := range aggRows {
-			if truthy(hv.eval(row)) {
-				aggRows[w] = row
-				w++
+		aggRows = slices.DeleteFunc(aggRows, func(row []storage.Value) bool { return !truthy(hv.eval(row)) })
+	}
+	cols, types, projs, keys, err := b.bindOutput(stmt, orderBy, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	src := &rowSource{qc: b.qc, vals: aggRows, n: len(aggRows)}
+	return e.finish(src, projs, keys, orderBy, stmt.Distinct, stmt.Limit, stmt.Offset, cols, tr), types, nil
+}
+
+// bindArg binds an aggregate call's argument: nil for COUNT(*).
+func (b *binder) bindArg(fc *sql.FuncCall, clause string, agg bool) (bexpr, error) {
+	if fc.Star {
+		return nil, nil
+	} else if len(fc.Args) != 1 {
+		return nil, fmt.Errorf("%s expects one argument", fc.Name)
+	}
+	return b.bindIn(fc.Args[0], clause, agg)
+}
+
+// groupRows aggregates src under each grouping mask into rows of the
+// aggregated layout: the group expressions (NULL where the mask leaves
+// one out), the aggregates, and room for extra (window) columns. The
+// groups fold in runs of consecutive ids, one per worker when src is
+// larger than a morsel, each run walking every row in order.
+func (e *Engine) groupRows(src *rowSource, groups []bexpr, specs []aggSpec, masks []uint, extra int, tr *Trace) [][]storage.Value {
+	qc := src.qc
+	vals, keys := make([]*exprReader, len(groups)), make([]keyVec, len(groups))
+	for i, g := range groups {
+		vals[i] = src.reader(g)
+		keys[i] = e.keyIDs(src, vals[i], tr)
+	}
+	accs, args := make([]*aggAcc, len(specs)), []*exprReader(nil)
+	for i, s := range specs {
+		a := &aggAcc{spec: s}
+		if s.arg != nil {
+			a.in = src.reader(s.arg)
+			args = append(args, a.in)
+			if s.distinct {
+				a.dkeys = e.keyIDs(src, a.in, tr)
+			} else if a.in.col != nil && a.in.col.kind != storage.KindString {
+				a.ids = a.in.ids
 			}
 		}
-		aggRows = aggRows[:w]
+		accs[i] = a
 	}
+	perRow := int64(src.n) * int64(4*len(groups)+12) // key ids, group ids, a combined key
+	qc.growScratch(perRow)
+	defer qc.shrinkScratch(perRow)
+	var out [][]storage.Value
+	row := src.scratch(vals...)
+	for _, mask := range masks {
+		gids, first := groupIDs(qc, keys, mask, src.n)
+		if mask == 0 && len(first) == 0 {
+			first = []int32{-1} // a global aggregate over no rows has one group
+		}
+		for _, a := range accs {
+			if a.spec.distinct {
+				// The rows that are the first of their (group, value) pair.
+				_, pairs := groupIDs(qc, append(keys[:len(keys):len(keys)], a.dkeys), mask|1<<uint(len(keys)), src.n)
+				firsts := make([]bool, src.n)
+				for _, f := range pairs {
+					if k := int(f); k >= 0 && k < len(firsts) {
+						firsts[k] = true
+					}
+				}
+				a.firsts = firsts
+			}
+		}
+		runs := splitGroups(first, e.parts(src.n))
+		states := make([][]aggState, len(runs))
+		parallelFor(len(runs), func(p int) {
+			scratch := src.scratch(args...)
+			for _, a := range accs {
+				states[p] = append(states[p], a.fold(qc, gids, a.ids, runs[p], scratch))
+			}
+		})
+		out = slices.Grow(out, len(first))
+		for p, run := range runs {
+			for k, f := range run.first {
+				r := make([]storage.Value, 0, len(groups)+len(specs)+extra)
+				for i, x := range vals {
+					v := storage.Null
+					if mask&(1<<uint(i)) != 0 && f >= 0 {
+						v = x.value(int(f), row)
+					}
+					r = append(r, v)
+				}
+				for _, s := range states[p] {
+					r = append(r, s.result(k))
+				}
+				out = append(out, r)
+			}
+		}
+	}
+	return out
+}
 
-	// Projection and ORDER BY over the aggregated layout.
-	var outCols []string
-	var outTypes []schema.Type
-	var projs []bexpr
-	for _, item := range stmt.Items {
-		be, err := bindAgg(item.Expr, "SELECT")
-		if err != nil {
-			return nil, nil, err
-		}
-		outCols = append(outCols, outputName(item))
-		outTypes = append(outTypes, be.typ())
-		projs = append(projs, be)
+// groupRun is a run of consecutive groups: lo and the first row of each.
+type groupRun struct {
+	lo    int
+	first []int32
+}
+
+// splitGroups cuts the groups into parts runs.
+func splitGroups(first []int32, parts int) []groupRun {
+	out := make([]groupRun, 0, parts)
+	lo, rest := 0, first
+	for p := parts; p > 0; p-- {
+		m := len(rest) / p
+		out = append(out, groupRun{lo, rest[:m]})
+		lo, rest = lo+m, rest[m:]
 	}
-	var sortKeys []bexpr
-	for _, oi := range orderBy {
-		be, err := bindAgg(oi.Expr, "ORDER BY")
-		if err != nil {
-			return nil, nil, err
+	return out
+}
+
+// keyVec numbers the values of one expression: ids[i] is 0 for a NULL,
+// else equal for two rows exactly when their GroupKeys are; ids < dom.
+type keyVec struct {
+	ids []uint32
+	dom uint64
+}
+
+// keyIDs computes an expression's key ids over src: a dictionary
+// string's code + 1 and an integer's or a date's offset from the
+// smallest value + 1 (when the range fits 31 bits) in morsels; any other
+// value interned in row order — plain strings as themselves, the rest
+// as GroupKey bytes, so float identity is GroupKey's: -0 and 0 are two
+// keys and every NaN is one.
+func (e *Engine) keyIDs(src *rowSource, x *exprReader, tr *Trace) keyVec {
+	out, col := make([]uint32, src.n), x.col
+	base, dom := int64(0), uint64(0)
+	switch {
+	case col == nil:
+	case col.codes != nil:
+		dom = uint64(len(col.dict)) + 1
+	case col.kind == storage.KindInt || col.kind == storage.KindDate:
+		if lo, span, ok := intSpan(x.ids, col); ok && span < 1<<31 {
+			base, dom = lo, span+2
 		}
-		sortKeys = append(sortKeys, be)
 	}
-	src := rowSource{vals: aggRows, n: len(aggRows)}
-	res := e.finish(b.qc, src, projs, sortKeys, orderBy, stmt.Distinct, stmt.Limit, stmt.Offset, outCols, tr)
-	return res, outTypes, nil
+	if dom != 0 {
+		e.inMorsels(src.qc, tr, len(out), func(_, _, lo, hi int) {
+			rowKeys(src.qc, out[lo:hi], x.rowIDs(lo, hi), x, lo, base, true, nil, nil)
+		})
+		return keyVec{out, dom}
+	}
+	in := interner{}
+	rowKeys(src.qc, out, x.rowIDs(0, len(out)), x, 0, 0, false, in, src.scratch(x))
+	return keyVec{out, uint64(len(in)) + 1}
+}
+
+// rowKeys numbers the values of rows [lo, lo+len(dst)): a bare column's
+// (ids set) codes and, when numbered, integers by arithmetic, the rest in in.
+func rowKeys(qc *qctx, dst []uint32, ids []int32, x *exprReader, lo int, base int64, numbered bool, in interner, row []storage.Value) {
+	var buf []byte
+	if ids == nil {
+		for i := range dst {
+			if i%tickInterval == 0 {
+				qc.checkNow()
+			}
+			if v := x.value(lo+i, row); !v.IsNull() {
+				buf = v.AppendGroupKey(buf[:0])
+				dst[i] = internID(in, buf)
+			}
+		}
+		return
+	}
+	if len(ids) != len(dst) {
+		panic("exec: key and id vectors differ in length")
+	}
+	col := x.col
+	for i, r := range ids {
+		switch {
+		case r < 0 || col.nulls[r]:
+		case col.codes != nil:
+			dst[i] = uint32(col.codes[r]) + 1
+		case numbered:
+			dst[i] = uint32(col.ints[r]-base) + 1
+		case col.kind == storage.KindString:
+			dst[i] = internID(in, col.strs[r])
+		default:
+			buf = col.value(r).AppendGroupKey(buf[:0])
+			dst[i] = internID(in, buf)
+		}
+	}
+}
+
+// intSpan returns the smallest non-NULL value of an integer column over
+// the rows ids names and the distance to the largest, if there is one.
+func intSpan(ids []int32, col *colReader) (lo int64, span uint64, ok bool) {
+	var hi int64
+	for _, r := range ids {
+		if r < 0 || col.nulls[r] {
+			continue
+		}
+		if v := col.ints[r]; !ok {
+			lo, hi, ok = v, v, true
+		} else {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+	}
+	return lo, uint64(hi) - uint64(lo), ok
+}
+
+// interner numbers keys from 1 in first-seen order.
+type interner map[string]uint32
+
+func internID[K ~string | ~[]byte](in interner, key K) uint32 {
+	id, ok := in[string(key)]
+	if !ok {
+		id = uint32(len(in)) + 1
+		in[string(key)] = id
+	}
+	return id
+}
+
+// groupIDs numbers the groups of the key columns mask selects in
+// first-seen row order: gids[i] is row i's group, first[g] the first row
+// of group g. Each row's key ids combine mixed-radix into one number: in
+// gids itself, indexing a dense table, while the product of the domains
+// stays near the row count; else an int64 (renumbered whenever the next
+// column would overflow it) numbered through a hash index.
+func groupIDs(qc *qctx, keys []keyVec, mask uint, n int) (gids, first []int32) {
+	gids, dense := make([]int32, n), uint64(n)+1024
+	dom := uint64(1)
+	for c := range keys {
+		if mask&(1<<uint(c)) != 0 && dom <= dense {
+			dom *= keys[c].dom // below 2^31 · 2^33: no overflow
+		}
+	}
+	if dom <= dense {
+		table := make([]int32, dom) // group + 1; 0 for a key not seen yet
+		for c := range keys {
+			if mask&(1<<uint(c)) != 0 {
+				mixKeys(gids, keys[c].ids, keys[c].dom)
+			}
+		}
+		for i, s := range gids {
+			if i%tickInterval == 0 {
+				qc.checkNow()
+			}
+			j := int(s)
+			if j < 0 || j >= len(table) {
+				panic("exec: combined key outside its domain")
+			}
+			if table[j] == 0 {
+				first = append(first, int32(i))
+				table[j] = int32(len(first))
+			}
+			gids[i] = table[j] - 1
+		}
+		return gids, first
+	}
+	key := make([]int64, n)
+	dom = 1
+	for c := range keys {
+		if k := keys[c]; mask&(1<<uint(c)) != 0 {
+			if bits.Len64(dom)+bits.Len64(k.dom) > 63 {
+				dom = uint64(len(hashGroups(qc, key, gids)))
+				for i, g := range gids {
+					key[i] = int64(g)
+				}
+			}
+			mixKeys(key, k.ids, k.dom)
+			dom *= k.dom
+		}
+	}
+	return gids, hashGroups(qc, key, gids)
+}
+
+// mixKeys appends one key column to the combined keys: key*dom + id.
+func mixKeys[K int32 | int64](key []K, ids []uint32, dom uint64) {
+	if len(ids) != len(key) {
+		panic("exec: key vectors differ in length")
+	}
+	for i, k := range ids {
+		key[i] = key[i]*K(dom) + K(k)
+	}
+}
+
+// hashGroups numbers the distinct keys in first-seen order into gids and
+// returns their first rows: a hash index lists every key's rows in
+// order, so a row starts a group exactly when it is its key's first.
+func hashGroups(qc *qctx, key []int64, gids []int32) (first []int32) {
+	ix := index.BuildHashIndex(key, nil)
+	if len(gids) != len(key) {
+		panic("exec: group and key vectors differ in length")
+	}
+	for i, k := range key {
+		if i%tickInterval == 0 {
+			qc.checkNow()
+		}
+		if f := int(ix.First(k)); f >= 0 && f < i {
+			gids[i] = gids[f]
+		} else {
+			gids[i] = int32(len(first))
+			first = append(first, int32(i))
+		}
+	}
+	return first
+}
+
+// aggCell is one group's running state of one aggregate.
+type aggCell struct {
+	n           int64 // non-NULL inputs; rows for COUNT(*)
+	sumI        int64 // integer and date inputs
+	sumF, sumSq float64
+}
+
+// add folds one number: f, and i when it is an integer or a date.
+func (c *aggCell) add(f float64, i int64, isInt, sq bool) {
+	c.n++
+	c.sumF += f
+	if isInt {
+		c.sumI += i
+	}
+	if sq {
+		c.sumSq += f * f
+	}
+}
+
+// aggAcc is one aggregate of a grouping: its argument's reader (and id
+// vector, for a bare numeric column) and, for DISTINCT, its key ids and
+// the rows first of their (group, value) pair.
+type aggAcc struct {
+	spec   aggSpec
+	in     *exprReader
+	ids    []int32
+	dkeys  keyVec
+	firsts []bool
+}
+
+// aggState is one aggregate's cells for a run of groups, with the MIN
+// or MAX value of each group in ext.
+type aggState struct {
+	spec  aggSpec
+	cells []aggCell
+	ext   []storage.Value
+}
+
+// fold aggregates the rows whose group lies in run, walking the rows in
+// order. A bare numeric column is read off its vector through ids; any
+// other argument value by value, strings only counted.
+func (a *aggAcc) fold(qc *qctx, gids, ids []int32, run groupRun, row []storage.Value) aggState {
+	st := aggState{spec: a.spec, cells: make([]aggCell, len(run.first))}
+	if a.spec.fn == "MIN" || a.spec.fn == "MAX" {
+		st.ext = make([]storage.Value, len(run.first))
+	}
+	cells, ext, firsts := st.cells, st.ext, a.firsts
+	if len(ids) != len(gids) && ids != nil || len(firsts) != len(gids) && firsts != nil {
+		panic("exec: argument vectors and group ids differ in length")
+	}
+	sq, sign := a.spec.fn == "STDDEV_SAMP", 1
+	if a.spec.fn == "MAX" {
+		sign = -1
+	}
+	for i, g := range gids {
+		if i%tickInterval == 0 {
+			qc.checkNow()
+		}
+		k := int(g) - run.lo
+		if k < 0 || k >= len(cells) || i < len(firsts) && !firsts[i] {
+			continue
+		}
+		c, v := &cells[k], storage.Null
+		if a.in == nil { // COUNT(*)
+			c.n++
+			continue
+		} else if i < len(ids) {
+			r, col := ids[i], a.in.col
+			if r < 0 || col.nulls[r] {
+				continue
+			} else if col.kind == storage.KindFloat {
+				c.add(col.flts[r], 0, false, sq)
+			} else {
+				c.add(float64(col.ints[r]), col.ints[r], true, sq)
+			}
+			if k < len(ext) {
+				v = col.value(r)
+			}
+		} else if v = a.in.value(i, row); v.IsNull() {
+			continue
+		} else if v.K == storage.KindInt || v.K == storage.KindDate {
+			c.add(float64(v.I), v.I, true, sq)
+		} else if v.K == storage.KindFloat {
+			c.add(v.F, 0, false, sq)
+		} else {
+			c.n++
+		}
+		if k < len(ext) && (ext[k].IsNull() || sign*storage.Compare(v, ext[k]) < 0) {
+			ext[k] = v
+		}
+	}
+	return st
+}
+
+// result is the aggregate's value for group k of the run.
+func (st aggState) result(k int) storage.Value {
+	if k < 0 || k >= len(st.cells) {
+		panic("exec: group outside its run")
+	}
+	c, ext := st.cells[k], storage.Null
+	if k < len(st.ext) {
+		ext = st.ext[k]
+	}
+	switch st.spec.fn {
+	case "COUNT":
+		return storage.Int(c.n)
+	case "SUM":
+		if c.n == 0 {
+			return storage.Null
+		}
+		if isIntType(st.spec.arg.typ()) {
+			return storage.Int(c.sumI)
+		}
+		return storage.Float(c.sumF)
+	case "AVG":
+		if c.n == 0 {
+			return storage.Null
+		}
+		return storage.Float(c.sumF / float64(c.n))
+	case "MIN", "MAX":
+		return ext
+	case "STDDEV_SAMP":
+		if c.n < 2 {
+			return storage.Null
+		}
+		n := float64(c.n)
+		variance := (c.sumSq - c.sumF*c.sumF/n) / (n - 1)
+		if variance < 0 {
+			variance = 0
+		}
+		return storage.Float(math.Sqrt(variance))
+	default:
+		panic("exec: unknown aggregate " + st.spec.fn)
+	}
 }

@@ -8,15 +8,15 @@
 //
 // Intermediates. What a scan emits is its selection vectors, and what
 // the join operators pass on is a rowSet (rowset.go): one []int32
-// row-id vector per joined table, never a full-width row. Join keys are
-// read off the column vectors through those ids; values are gathered
-// into a per-worker scratch row only where an expression is evaluated —
-// uncompiled local predicates here, residual and LEFT JOIN ON
-// predicates in join.go, grouping and aggregate arguments in agg.go,
-// projections and sort keys in run.go. Every operator emits in
-// probe-major order and concatenates morsel chunks in morsel order, so
-// the id tuples arrive in exactly the order a row pipeline would
-// produce them.
+// row-id vector per joined table, never a full-width row. Join keys,
+// group keys, aggregate arguments, sort keys and projections that are
+// bare columns are read off the column vectors through those ids; any
+// other expression is evaluated over a per-worker scratch row holding
+// just the columns it reads (uncompiled local predicates here, residual
+// and LEFT JOIN ON predicates in join.go, the rest in agg.go and
+// run.go). Every operator emits in probe-major order and concatenates
+// morsel chunks in morsel order, so the id tuples arrive in exactly the
+// order a row pipeline would produce them.
 //
 // The batch layer slots UNDER the existing morsel partitioning: a
 // morsel worker runs its [lo,hi) range through the same batch scanner
@@ -77,15 +77,6 @@ func (b *binder) tableAt(ti int) *tabInst {
 	return &b.tables[ti]
 }
 
-// colReaders returns the vector readers of table ti's used columns,
-// resolved once per query by binder.freeze.
-func (b *binder) colReaders(ti int) []colReader {
-	if ti < 0 || ti >= len(b.readers) {
-		panic(fmt.Sprintf("exec: column readers of table %d requested before freeze or out of range (%d resolved)", ti, len(b.readers)))
-	}
-	return b.readers[ti]
-}
-
 // newColReader caches the physical vectors of column c of inst.
 func newColReader(inst *tabInst, c int) colReader {
 	k, ints, flts, strs, codes, dict, nulls := inst.tab.Col(c).Raw()
@@ -121,17 +112,6 @@ func (cr *colReader) value(r int32) storage.Value {
 	return storage.Value{K: cr.kind, I: cr.ints[r]} // KindInt, KindDate
 }
 
-// fillRow materializes base-table row r into the full-width row buffer.
-func fillRow(readers []colReader, r int32, row []storage.Value) {
-	for i := range readers {
-		off := readers[i].off
-		if off < 0 || off >= len(row) {
-			panic("exec: column reader offset outside the row layout")
-		}
-		row[off] = readers[i].value(r)
-	}
-}
-
 // triFn is a compiled predicate kernel: it evaluates the predicate for
 // every row id in sel, writing three-valued results into out (1 true,
 // 0 false, -1 unknown; out has len(sel)). Kernels close over immutable
@@ -148,7 +128,7 @@ type triFn func(sel []int32, out []int8)
 type tableFilter struct {
 	kernels []triFn
 	slow    []bexpr
-	readers []colReader
+	cols    []keySource // the columns slow reads
 	total   int
 }
 
@@ -157,7 +137,7 @@ type tableFilter struct {
 // row-at-a-time over the batch — the oracle the kernels are diffed
 // against.
 func (b *binder) compileFilter(ti int, preds []bexpr) *tableFilter {
-	tf := &tableFilter{readers: b.colReaders(ti), total: b.total}
+	tf := &tableFilter{total: b.total}
 	for _, p := range preds {
 		if b.eng.vectorized {
 			if k, ok := b.compileTri(ti, p); ok {
@@ -167,6 +147,7 @@ func (b *binder) compileFilter(ti int, preds []bexpr) *tableFilter {
 		}
 		tf.slow = append(tf.slow, p)
 	}
+	tf.cols = b.keySources(nil, exprCols(tf.slow...))
 	return tf
 }
 
@@ -224,7 +205,7 @@ func (tf *tableFilter) apply(sel []int32, sc *batchScratch) []int32 {
 	if len(tf.slow) > 0 && len(sel) > 0 {
 		w := 0
 		for _, r := range sel {
-			fillRow(tf.readers, r, sc.row)
+			gather(tf.cols, 0, r, sc.row)
 			if passes(tf.slow, sc.row) {
 				sel[w] = r
 				w++
@@ -486,11 +467,11 @@ func (b *binder) compileCmp(ti int, v *binExpr) (triFn, bool) {
 			if cl.kind == storage.KindFloat {
 				return numLitKernel(op, cl.flts, nulls, lf), true
 			}
-			return intLitKernel(op, cl.ints, nulls, lf), true
+			return numLitKernel(op, cl.ints, nulls, lf), true
 		case cl.kind == storage.KindString && lv.K == storage.KindString:
 			ls := lv.S
 			if op == "=" || op == "<>" {
-				// Equality needs no three-way compare (cf. intLitKernel).
+				// Equality needs no three-way compare (cf. numLitKernel).
 				ne := op == "<>"
 				return strKernel(cl, func(s string) int8 { return b2t((s == ls) != ne) }), true
 			}
@@ -561,38 +542,11 @@ func strKernel(cr *colReader, test func(s string) int8) triFn {
 	}
 }
 
-// numLitKernel builds the float-column vs numeric-literal kernel,
-// specialized per operator.
-func numLitKernel(op string, flts []float64, nulls []bool, lit float64) triFn {
-	cmp := func(sel []int32, out []int8, test func(float64) bool) {
-		for i, r := range sel {
-			if nulls[r] {
-				out[i] = -1
-				continue
-			}
-			out[i] = b2t(test(flts[r]))
-		}
-	}
-	switch op {
-	case "=":
-		return func(sel []int32, out []int8) { cmp(sel, out, func(f float64) bool { return f == lit }) }
-	case "<>":
-		return func(sel []int32, out []int8) { cmp(sel, out, func(f float64) bool { return f != lit }) }
-	case "<":
-		return func(sel []int32, out []int8) { cmp(sel, out, func(f float64) bool { return f < lit }) }
-	case "<=":
-		return func(sel []int32, out []int8) { cmp(sel, out, func(f float64) bool { return f <= lit }) }
-	case ">":
-		return func(sel []int32, out []int8) { cmp(sel, out, func(f float64) bool { return f > lit }) }
-	default: // ">="
-		return func(sel []int32, out []int8) { cmp(sel, out, func(f float64) bool { return f >= lit }) }
-	}
-}
-
-// intLitKernel builds the integer-class-column vs numeric-literal
-// kernel. Each specialization is a flat loop the compiler can keep in
-// registers: null check, widen to float64, compare.
-func intLitKernel(op string, ints []int64, nulls []bool, lit float64) triFn {
+// numLitKernel builds the numeric-column vs numeric-literal kernel,
+// specialized per operator and per column type: each is a flat loop the
+// compiler can keep in registers — null check, widen to float64 (a no-op
+// for a float column), compare.
+func numLitKernel[T int64 | float64](op string, vals []T, nulls []bool, lit float64) triFn {
 	switch op {
 	case "=":
 		return func(sel []int32, out []int8) {
@@ -600,7 +554,7 @@ func intLitKernel(op string, ints []int64, nulls []bool, lit float64) triFn {
 				if nulls[r] {
 					out[i] = -1
 				} else {
-					out[i] = b2t(float64(ints[r]) == lit)
+					out[i] = b2t(float64(vals[r]) == lit)
 				}
 			}
 		}
@@ -610,7 +564,7 @@ func intLitKernel(op string, ints []int64, nulls []bool, lit float64) triFn {
 				if nulls[r] {
 					out[i] = -1
 				} else {
-					out[i] = b2t(float64(ints[r]) != lit)
+					out[i] = b2t(float64(vals[r]) != lit)
 				}
 			}
 		}
@@ -620,7 +574,7 @@ func intLitKernel(op string, ints []int64, nulls []bool, lit float64) triFn {
 				if nulls[r] {
 					out[i] = -1
 				} else {
-					out[i] = b2t(float64(ints[r]) < lit)
+					out[i] = b2t(float64(vals[r]) < lit)
 				}
 			}
 		}
@@ -630,7 +584,7 @@ func intLitKernel(op string, ints []int64, nulls []bool, lit float64) triFn {
 				if nulls[r] {
 					out[i] = -1
 				} else {
-					out[i] = b2t(float64(ints[r]) <= lit)
+					out[i] = b2t(float64(vals[r]) <= lit)
 				}
 			}
 		}
@@ -640,7 +594,7 @@ func intLitKernel(op string, ints []int64, nulls []bool, lit float64) triFn {
 				if nulls[r] {
 					out[i] = -1
 				} else {
-					out[i] = b2t(float64(ints[r]) > lit)
+					out[i] = b2t(float64(vals[r]) > lit)
 				}
 			}
 		}
@@ -650,7 +604,7 @@ func intLitKernel(op string, ints []int64, nulls []bool, lit float64) triFn {
 				if nulls[r] {
 					out[i] = -1
 				} else {
-					out[i] = b2t(float64(ints[r]) >= lit)
+					out[i] = b2t(float64(vals[r]) >= lit)
 				}
 			}
 		}

@@ -33,103 +33,12 @@ type binder struct {
 	tables []tabInst
 	total  int
 	slots  map[string]bexpr
-	// used marks the absolute layout offsets any bound expression
-	// reads. Scratch rows carry only used columns — unreferenced
-	// dimension attributes are never read (a columnar engine touches
-	// only the columns a query needs). readers is the per-table
-	// resolution of that set to vector readers, fixed by freeze.
-	used    map[int]bool
-	readers [][]colReader
 	// sels caches each table's selection during joinRows; nil outside it.
 	sels []*selection
 }
 
 func newBinder(eng *Engine, qc *qctx, ctes map[string]*storage.Table) *binder {
-	return &binder{eng: eng, qc: qc, ctes: ctes, used: map[int]bool{}}
-}
-
-// markUsed records that a bound expression reads layout offset off.
-func (b *binder) markUsed(off int) {
-	if b.readers != nil && !b.used[off] {
-		// Gathers would leave the column NULL in every scratch row: a
-		// wrong answer, not a crash. The registration pass in runSelect
-		// must see every column before the joins run.
-		panic(fmt.Sprintf("exec: layout offset %d first referenced after the used-column set was frozen", off))
-	}
-	b.used[off] = true
-}
-
-// freeze fixes the used-column set once the registration pass and the
-// binding of WHERE and ON are done, and resolves it to one reader list
-// per table instance, so no operator rebuilds it per call or per row.
-func (b *binder) freeze() {
-	b.readers = make([][]colReader, len(b.tables))
-	for ti := range b.tables {
-		inst := &b.tables[ti]
-		for c := 0; c < inst.width(); c++ {
-			if b.used[inst.offset+c] {
-				b.readers[ti] = append(b.readers[ti], newColReader(inst, c))
-			}
-		}
-	}
-}
-
-// registerColumns walks an unbound expression registering every column
-// reference it can resolve, so the join layer knows the full used-column
-// set before any binding of post-join clauses happens. Unresolvable
-// names (aliases, unknown columns) are ignored here — real binding
-// reports them later.
-func (b *binder) registerColumns(e sql.Expr) {
-	switch v := e.(type) {
-	case *sql.ColRef:
-		if ce, err := b.resolveColumn(v); err == nil {
-			b.markUsed(ce.off)
-		}
-	case *sql.BinOp:
-		b.registerColumns(v.L)
-		b.registerColumns(v.R)
-	case *sql.UnaryOp:
-		b.registerColumns(v.X)
-	case *sql.Between:
-		b.registerColumns(v.X)
-		b.registerColumns(v.Lo)
-		b.registerColumns(v.Hi)
-	case *sql.In:
-		b.registerColumns(v.X)
-	case *sql.Like:
-		b.registerColumns(v.X)
-	case *sql.IsNull:
-		b.registerColumns(v.X)
-	case *sql.CaseExpr:
-		for _, w := range v.Whens {
-			b.registerColumns(w.Cond)
-			b.registerColumns(w.Result)
-		}
-		if v.Else != nil {
-			b.registerColumns(v.Else)
-		}
-	case *sql.FuncCall:
-		for _, a := range v.Args {
-			b.registerColumns(a)
-		}
-	case *sql.Window:
-		for _, a := range v.Agg.Args {
-			b.registerColumns(a)
-		}
-		for _, p := range v.PartitionBy {
-			b.registerColumns(p)
-		}
-	}
-}
-
-// registerAll marks every column of every table as used (SELECT *).
-func (b *binder) registerAll() {
-	for ti := range b.tables {
-		inst := &b.tables[ti]
-		for c := 0; c < inst.width(); c++ {
-			b.markUsed(inst.offset + c)
-		}
-	}
+	return &binder{eng: eng, qc: qc, ctes: ctes}
 }
 
 // addTable registers a FROM entry. CTE names shadow base tables.
@@ -175,7 +84,6 @@ func (b *binder) resolveColumn(c *sql.ColRef) (*colExpr, error) {
 				return nil, fmt.Errorf("table %q has no column %q", c.Table, c.Name)
 			}
 			col, _ := inst.tab.Def.Column(c.Name)
-			b.markUsed(inst.offset + ci)
 			return &colExpr{off: inst.offset + ci, t: col.Type, tblBit: 1 << uint(ti)}, nil
 		}
 		return nil, fmt.Errorf("unknown table binding %q", c.Table)
@@ -196,7 +104,6 @@ func (b *binder) resolveColumn(c *sql.ColRef) (*colExpr, error) {
 	if found == nil {
 		return nil, fmt.Errorf("unknown column %q", c.Name)
 	}
-	b.markUsed(found.off)
 	return found, nil
 }
 

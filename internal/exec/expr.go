@@ -29,6 +29,38 @@ func (c *colExpr) eval(row []storage.Value) storage.Value { return row[c.off] }
 func (c *colExpr) typ() schema.Type                       { return c.t }
 func (c *colExpr) mask() uint64                           { return c.tblBit }
 
+// exprCols returns the table columns es read.
+func exprCols(es ...bexpr) (out []*colExpr) {
+	for _, e := range es {
+		switch v := e.(type) {
+		case *colExpr:
+			out = append(out, v)
+		case *binExpr:
+			out = append(out, exprCols(v.l, v.r)...)
+		case *notExpr:
+			out = append(out, exprCols(v.x)...)
+		case *negExpr:
+			out = append(out, exprCols(v.x)...)
+		case *betweenExpr:
+			out = append(out, exprCols(v.x, v.lo, v.hi)...)
+		case *inExpr:
+			out = append(out, exprCols(v.x)...)
+		case *likeExpr:
+			out = append(out, exprCols(v.x)...)
+		case *isNullExpr:
+			out = append(out, exprCols(v.x)...)
+		case *caseExpr:
+			out = append(append(out, exprCols(v.conds...)...), exprCols(v.results...)...)
+			if v.elseE != nil {
+				out = append(out, exprCols(v.elseE)...)
+			}
+		case *funcExpr:
+			out = append(out, exprCols(v.args...)...)
+		}
+	}
+	return out
+}
+
 // litExpr is a constant.
 type litExpr struct {
 	v storage.Value

@@ -163,11 +163,10 @@ func (b *binder) applyResidual(rs *rowSet, residual []bexpr) {
 	if len(residual) == 0 {
 		return
 	}
-	rr := b.rowReader(rs, maskOf(residual))
-	row := make([]storage.Value, b.total)
+	ks, row := b.keySources(rs, exprCols(residual...)), make([]storage.Value, b.total)
 	rs.filter(func(i int) bool {
 		b.qc.tick()
-		rr.fill(i, row)
+		gather(ks, int32(i), -1, row)
 		return passes(residual, row)
 	})
 }
@@ -248,12 +247,12 @@ func (e *Engine) leftHashJoin(b *binder, current *rowSet, lj leftJoin, filters [
 		ht = e.buildHashTable(b, lj.table, filters, probe, build, tr)
 	}
 	ks := b.keySources(current, probe)
-	// ON conditions beyond the equi edges see the joined tables through
-	// rr and the candidate row of the outer table through its readers.
-	rr := b.rowReader(current, maskOf(lj.extra))
-	outer := b.colReaders(lj.table)
+	// ON conditions beyond the equi edges read the joined tables through
+	// current's id vectors, and the outer table, which current has not
+	// joined, at the candidate row.
+	cols := b.keySources(current, exprCols(lj.extra...))
 	pairs := collectMorsels(e, b.qc, current.n, tr, func(lo, hi int) []matchPair {
-		var out []matchPair
+		out := make([]matchPair, 0, hi-lo) // every row emits at least one pair
 		var buf []byte
 		var row []storage.Value
 		if len(lj.extra) > 0 {
@@ -267,13 +266,10 @@ func (e *Engine) leftHashJoin(b *binder, current *rowSet, lj leftJoin, filters [
 			if ht != nil {
 				candidates, buf = ht.probe(ks, int32(li), buf)
 			}
-			if row != nil && len(candidates) > 0 {
-				rr.fill(li, row)
-			}
 			matched := false
 			for _, r := range candidates {
 				if row != nil {
-					fillRow(outer, r, row)
+					gather(cols, int32(li), r, row)
 					if !passes(lj.extra, row) {
 						continue
 					}

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -141,18 +142,16 @@ func (w *slowLister) block(stmt *sql.SelectStmt, ctes map[string]*storage.Table)
 			w.t.Fatal(err)
 		}
 	}
-	b.registerAll()
 	preds := make([][]bexpr, len(b.tables))
 	for _, c := range conjuncts(stmt.Where) {
 		be, err := b.bind(c)
 		if err != nil {
 			w.t.Fatalf("bind %s: %v", c.Render(), err)
 		}
-		if m := be.mask(); popcount(m) == 1 {
+		if m := be.mask(); bits.OnesCount64(m) == 1 {
 			preds[bitIndex(m)] = append(preds[bitIndex(m)], be)
 		}
 	}
-	b.freeze()
 	for ti, ps := range preds {
 		for _, p := range b.compileFilter(ti, ps).slow {
 			w.slow[b.tableAt(ti).binding+": "+describeExpr(b, p)] = true

@@ -17,10 +17,11 @@
 //   - hash-table builds partition by key hash, and each partition is
 //     filled by one worker walking the morsels in order, so row-id
 //     lists per key match the serial build;
-//   - aggregation partitions groups by key hash and each partition
-//     worker visits rows in global row order, so per-group accumulation
-//     order (and therefore float sums) matches the serial fold, and
-//     groups are emitted in first-seen row order.
+//   - aggregation numbers groups serially in first-seen row order and
+//     partitions them into ranges of consecutive group ids; each
+//     partition worker visits rows in global row order, so per-group
+//     accumulation order (and therefore float sums) matches the serial
+//     fold.
 //
 // The differential tests run every query in both modes and compare
 // results exactly.
@@ -50,6 +51,25 @@ func (e *Engine) morselSize() int {
 		return e.morselRows
 	}
 	return defaultMorselRows
+}
+
+// inMorsels runs fn over [0,n) through forEachMorsel, under its capture
+// contract, when there are workers and n exceeds a morsel; else as the
+// one call fn(0, 0, 0, n).
+func (e *Engine) inMorsels(qc *qctx, tr *Trace, n int, fn func(worker, morsel, lo, hi int)) {
+	if workers := e.parts(n); workers > 1 {
+		tr.addWork(forEachMorsel(qc, workers, n, e.morselSize(), fn))
+		return
+	}
+	fn(0, 0, 0, n)
+}
+
+// parts is how many workers n rows are split over.
+func (e *Engine) parts(n int) int {
+	if n > e.morselSize() {
+		return e.workers()
+	}
+	return 1
 }
 
 // forEachMorsel splits [0,n) into morsels of morselRows rows and
@@ -335,12 +355,8 @@ func (e *Engine) buildHashTable(b *binder, ti int, filters []filterInfo, probe, 
 			return &hashTable{ints: []*index.HashIndex{ix}}
 		}
 	}
-	parts := e.workers()
-	if sel.n <= e.morselSize() {
-		parts = 1
-	}
 	b.readAll(sel)
-	ht, built := newHashTable(b.qc, b.keySources(nil, build), intKeys, sel, parts)
+	ht, built := newHashTable(b.qc, b.keySources(nil, build), intKeys, sel, e.parts(sel.n))
 	b.qc.countBuild(built)
 	b.qc.opRowsOut(sp, int64(built))
 	return ht
@@ -359,7 +375,9 @@ func (e *Engine) probeJoin(b *binder, current *rowSet, ti int, probe []*colExpr,
 	defer b.qc.endOp(sp)
 	ks := b.keySources(current, probe)
 	pairs := collectMorsels(e, b.qc, current.n, tr, func(lo, hi int) []matchPair {
-		var out []matchPair
+		// Room for one match per row: key joins match at most once, and
+		// growing from nothing allocates twice the final size on the way.
+		out := make([]matchPair, 0, hi-lo)
 		var buf []byte
 		var matches []int32
 		for li := lo; li < hi; li++ {

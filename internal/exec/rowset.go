@@ -14,6 +14,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -140,31 +141,29 @@ func sortPairsByLeft(pairs []matchPair, n int) []matchPair {
 	return out
 }
 
-// keySource reads one join-key column: through the owning table's id
-// vector for an intermediate row, or directly (ids nil) for a row of
-// the base table being scanned.
+// keySource reads one column: through the owning table's id vector for
+// an intermediate row, or directly (ids nil: the table is not joined
+// yet) for a row of the base table.
 type keySource struct {
 	ids []int32
 	col colReader
 }
 
-// keySources resolves join-key columns to vector readers. rs is the
-// intermediate the keys are read through; nil reads base-table rows.
+// keySources resolves columns to vector readers through rs's id
+// vectors; rs nil reads base-table rows.
 func (b *binder) keySources(rs *rowSet, cols []*colExpr) []keySource {
 	out := make([]keySource, len(cols))
 	for i, c := range cols {
 		ti := bitIndex(c.tblBit)
 		cr, ok := b.kernelCol(ti, c)
 		if !ok {
-			// Join edges always bind to plain columns; anything else is
-			// an executor invariant violation.
-			panic("exec: join key is not a table column")
+			// Join edges and gathers always bind to plain columns; anything
+			// else is an executor invariant violation.
+			panic("exec: column reader for a non-table column")
 		}
 		out[i].col = *cr
 		if rs != nil {
-			if out[i].ids = rs.ids[ti]; out[i].ids == nil {
-				panic("exec: join key reads a table that is not joined yet")
-			}
+			out[i].ids = rs.ids[ti]
 		}
 	}
 	return out
@@ -188,87 +187,113 @@ func (k *keySource) intAt(i int32) (int64, bool) {
 	return k.col.ints[r], true
 }
 
-// appendKey appends the GroupKey-encoded join key at position i to buf;
-// ok=false on a NULL component.
+// appendKey appends the encoded join key at position i to buf; ok=false
+// on a NULL component.
 func appendKey(ks []keySource, i int32, buf []byte) ([]byte, bool) {
 	for k := range ks {
 		r := ks[k].row(i)
 		if r < 0 || ks[k].col.nulls[r] {
 			return buf, false
 		}
-		buf = ks[k].col.value(r).AppendGroupKey(buf)
+		buf = appendKeyPart(buf, ks[k].col.value(r))
 	}
 	return buf, true
 }
 
-// rowReader gathers rowSet rows into a full-width scratch row so the
-// unchanged bexpr.eval(row) can run over them. It reads only the tables
-// its consumer's expressions reference, and of those only the columns
-// the query uses.
-type rowReader struct {
-	tabs []readerTab
-}
-
-type readerTab struct {
-	ids  []int32
-	cols []colReader
-}
-
-// rowReader builds the gatherer for expressions with the given table
-// mask. Tables of the mask that rs has not joined yet are left to the
-// caller (the LEFT JOIN candidate row).
-func (b *binder) rowReader(rs *rowSet, mask uint64) *rowReader {
-	rr := &rowReader{}
-	for ti, ids := range rs.ids {
-		if cols := b.colReaders(ti); ids != nil && mask&(1<<uint(ti)) != 0 && len(cols) > 0 {
-			rr.tabs = append(rr.tabs, readerTab{ids: ids, cols: cols})
-		}
+// appendKeyPart appends one component of a composite key: GroupKey's
+// encoding, with a string's length ahead of its bytes — a string may hold
+// the 0 byte every encoding starts with, so GroupKeys alone run together.
+func appendKeyPart(buf []byte, v storage.Value) []byte {
+	if v.K != storage.KindString {
+		return v.AppendGroupKey(buf)
 	}
-	return rr
+	return append(binary.AppendUvarint(append(buf, 0, 's'), uint64(len(v.S))), v.S...)
 }
 
-// fill materialises intermediate row i into row.
-func (rr *rowReader) fill(i int, row []storage.Value) {
-	for t := range rr.tabs {
-		tab := &rr.tabs[t]
-		if r := tab.ids[i]; r >= 0 {
-			fillRow(tab.cols, r, row)
-		} else {
-			for c := range tab.cols {
-				row[tab.cols[c].off] = storage.Null
-			}
+// gather fills row with the columns ks read: a joined table's at
+// intermediate row i, any other at base-table row r. An id of -1, the
+// NULL side of a LEFT JOIN miss, reads NULL.
+func gather(ks []keySource, i, r int32, row []storage.Value) {
+	for k := range ks {
+		id, off := r, ks[k].col.off
+		if ks[k].ids != nil {
+			id = ks[k].ids[i]
+		}
+		row[off] = storage.Null
+		if id >= 0 {
+			row[off] = ks[k].col.value(id)
 		}
 	}
 }
 
-// rowSource is the input of the projection stage: materialised rows
-// (the aggregated layout), or a rowSet gathered through rr into a
-// scratch row of the given width.
+// rowSource is the input of the post-join operators: the joined rowSet
+// in the base layout, or, when rs is nil, materialised rows (vals, the
+// aggregated layout).
 type rowSource struct {
-	vals  [][]storage.Value
-	rr    *rowReader
-	n     int
-	width int
+	qc   *qctx
+	b    *binder
+	rs   *rowSet
+	vals [][]storage.Value
+	n    int
 }
 
-// row yields input row i: in place, or gathered into scratch.
-func (s *rowSource) row(i int, scratch []storage.Value) []storage.Value {
-	if s.rr == nil {
-		return s.vals[i]
-	}
-	s.rr.fill(i, scratch)
-	return scratch
-}
-
-// maskOf is the union table mask of expression lists.
-func maskOf(lists ...[]bexpr) uint64 {
-	var m uint64
-	for _, l := range lists {
-		for _, e := range l {
-			m |= e.mask()
+// scratch returns a row for readers to gather into, one per worker; nil
+// when none of them gathers.
+func (s *rowSource) scratch(readers ...*exprReader) []storage.Value {
+	for _, x := range readers {
+		if len(x.cols) > 0 {
+			return make([]storage.Value, s.b.total)
 		}
 	}
-	return m
+	return nil
+}
+
+// exprReader evaluates one expression over a rowSource: a bare column
+// straight off its vector, anything else over a scratch row holding just
+// its columns, or over the materialised row.
+type exprReader struct {
+	e    bexpr
+	col  *colReader  // bare column
+	ids  []int32     // its table's id vector
+	cols []keySource // the columns any other expression reads
+	vals [][]storage.Value
+}
+
+func (s *rowSource) reader(e bexpr) *exprReader {
+	x := &exprReader{e: e, vals: s.vals}
+	if c, ok := e.(*colExpr); ok && s.rs != nil {
+		ti := bitIndex(c.tblBit)
+		x.col, _ = s.b.kernelCol(ti, c)
+		x.ids = s.rs.ids[ti]
+	} else if s.rs != nil {
+		x.cols = s.b.keySources(s.rs, exprCols(e))
+	}
+	return x
+}
+
+// value returns the expression's value in row i.
+func (x *exprReader) value(i int, row []storage.Value) storage.Value {
+	switch {
+	case x.col != nil:
+		if r := x.ids[i]; r >= 0 {
+			return x.col.value(r)
+		}
+		return storage.Null
+	case x.vals != nil:
+		row = x.vals[i]
+	default:
+		gather(x.cols, int32(i), -1, row)
+	}
+	e := x.e // through a local: dslint's summaries count a call on x's field as mutating x
+	return e.eval(row)
+}
+
+// rowIDs returns a bare column's table ids for rows [lo, hi).
+func (x *exprReader) rowIDs(lo, hi int) []int32 {
+	if x.col == nil {
+		return nil
+	}
+	return x.ids[lo:hi]
 }
 
 // passes reports whether every predicate holds for row.
@@ -286,8 +311,8 @@ func passes(preds []bexpr, row []storage.Value) bool {
 // return in morsel order, which is the serial order. fn runs on worker
 // goroutines: it polls cancellation with checkNow, never tick.
 func collectMorsels[T any](e *Engine, qc *qctx, n int, tr *Trace, fn func(lo, hi int) []T) []T {
-	workers, morsel := e.workers(), e.morselSize()
-	if workers <= 1 || n <= morsel {
+	workers, morsel := e.parts(n), e.morselSize()
+	if workers <= 1 {
 		return fn(0, n)
 	}
 	chunks := make([][]T, (n+morsel-1)/morsel)

@@ -7,7 +7,6 @@ import (
 
 	"tpcds/internal/datagen"
 	"tpcds/internal/plan"
-	"tpcds/internal/sql"
 	"tpcds/internal/storage"
 )
 
@@ -215,28 +214,6 @@ func TestRowSetResidualPredicate(t *testing.T) {
 	query := `SELECT f_o, d_k, f_m FROM f, d WHERE f_k = d_k AND d_g >= 1 AND f_v + d_g > 50`
 	checkModeAgainstRef(t, db, plan.ForceHashJoin, query, want)
 	checkModeAgainstRef(t, db, plan.ForceStar, query, want)
-}
-
-// TestUsedColumnFreezePanics pins the freeze contract: a column first
-// marked used after the joins were planned must fail loudly, because
-// every scratch row would carry NULL for it.
-func TestUsedColumnFreezePanics(t *testing.T) {
-	e := New(randDB(17, 10, 4))
-	b := newBinder(e, e.newQctx(nil), nil)
-	for _, name := range []string{"f", "d"} {
-		if err := b.addTable(sql.TableRef{Table: name}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b.markUsed(0)
-	b.freeze()
-	b.markUsed(0) // already used: fine
-	defer func() {
-		if recover() == nil {
-			t.Fatal("marking a new column after freeze did not panic")
-		}
-	}()
-	b.markUsed(1)
 }
 
 // TestJoinAllocationBudget guards the point of the rowSet: a join step

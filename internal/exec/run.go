@@ -1,9 +1,12 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
+	"strings"
 
 	"tpcds/internal/plan"
 	"tpcds/internal/schema"
@@ -218,8 +221,6 @@ func (e *Engine) runUnion(qc *qctx, head *sql.SelectStmt, ctes map[string]*stora
 	var types []schema.Type
 	var headTrace Trace
 	orderBy := head.OrderBy
-	limit := head.Limit
-	offset := head.Offset
 	for cur := head; cur != nil; cur = cur.UnionAll {
 		qc.checkNow()
 		block := *cur
@@ -242,55 +243,26 @@ func (e *Engine) runUnion(qc *qctx, head *sql.SelectStmt, ctes map[string]*stora
 		}
 		out.Rows = append(out.Rows, res.Rows...)
 	}
-	if len(orderBy) > 0 {
-		keys := make([]int, len(orderBy))
-		desc := make([]bool, len(orderBy))
-		for i, oi := range orderBy {
-			desc[i] = oi.Desc
-			switch v := oi.Expr.(type) {
-			case *sql.ColRef:
-				found := -1
-				for ci, c := range out.Columns {
-					if c == v.Name {
-						found = ci
-						break
-					}
-				}
-				if found < 0 {
-					return nil, nil, Trace{}, fmt.Errorf("ORDER BY %s not in union output", v.Name)
-				}
-				keys[i] = found
-			case *sql.Lit:
-				if !v.IsInt || v.IntVal < 1 || int(v.IntVal) > len(out.Columns) {
-					return nil, nil, Trace{}, fmt.Errorf("ORDER BY ordinal out of range")
-				}
-				keys[i] = int(v.IntVal) - 1
-			default:
-				return nil, nil, Trace{}, fmt.Errorf("ORDER BY over UNION ALL must use column names or ordinals")
+	keys := make([]bexpr, len(orderBy))
+	for i, oi := range orderBy {
+		k := -1
+		switch v := oi.Expr.(type) {
+		case *sql.ColRef:
+			if k = slices.Index(out.Columns, v.Name); k < 0 {
+				return nil, nil, Trace{}, fmt.Errorf("ORDER BY %s not in union output", v.Name)
 			}
-		}
-		slices.SortStableFunc(out.Rows, func(a, b []storage.Value) int {
-			for i, k := range keys {
-				if c := storage.Compare(a[k], b[k]); c != 0 {
-					if desc[i] {
-						return -c
-					}
-					return c
-				}
+		case *sql.Lit:
+			if !v.IsInt || v.IntVal < 1 || int(v.IntVal) > len(out.Columns) {
+				return nil, nil, Trace{}, fmt.Errorf("ORDER BY ordinal out of range")
 			}
-			return 0
-		})
-	}
-	if offset > 0 {
-		if offset >= len(out.Rows) {
-			out.Rows = nil
-		} else {
-			out.Rows = out.Rows[offset:]
+			k = int(v.IntVal) - 1
+		default:
+			return nil, nil, Trace{}, fmt.Errorf("ORDER BY over UNION ALL must use column names or ordinals")
 		}
+		keys[i] = &colExpr{off: k}
 	}
-	if limit >= 0 && len(out.Rows) > limit {
-		out.Rows = out.Rows[:limit]
-	}
+	src := &rowSource{qc: qc, vals: out.Rows, n: len(out.Rows)}
+	out = e.finish(src, nil, keys, orderBy, false, head.Limit, head.Offset, out.Columns, &headTrace)
 	return out, types, headTrace, nil
 }
 
@@ -311,114 +283,13 @@ type joinEdge struct {
 	aCol, bCol *colExpr // absolute offsets
 }
 
-// runSelect executes one plain SELECT block.
+// runSelect executes one plain SELECT block: its joined rows, then the
+// post-join operators.
 func (e *Engine) runSelect(qc *qctx, stmt *sql.SelectStmt, ctes map[string]*storage.Table) (*Result, []schema.Type, Trace, error) {
-	qc.setPhase("bind")
-	// Phase spans mirror setPhase. A phase abandoned by an error return
-	// simply never completes — the tracer exports only finished spans,
-	// so a failed query leaves a truncated (not corrupt) timeline.
-	bindSp := qc.startOp("bind", "")
-	b := newBinder(e, qc, ctes)
-	for _, ref := range stmt.From {
-		if err := b.addTable(ref); err != nil {
-			return nil, nil, Trace{}, err
-		}
-	}
-	// Rewrite ORDER BY aliases and ordinals to their select expressions.
-	orderBy, err := rewriteOrderBy(stmt.OrderBy, stmt.Items)
+	b, orderBy, rows, tr, err := e.joinSelect(qc, stmt, ctes)
 	if err != nil {
 		return nil, nil, Trace{}, err
 	}
-
-	// Registration pass: mark every column the query will read so scratch
-	// rows gather only used columns. Post-join clauses are bound after
-	// the joins ran, so this must happen first.
-	for _, item := range stmt.Items {
-		if item.Star {
-			b.registerAll()
-			break
-		}
-		b.registerColumns(item.Expr)
-	}
-	for _, g := range stmt.GroupBy {
-		b.registerColumns(g)
-	}
-	if stmt.Having != nil {
-		b.registerColumns(stmt.Having)
-	}
-	for _, oi := range orderBy {
-		b.registerColumns(oi.Expr)
-	}
-
-	// Classify WHERE conjuncts.
-	var filters []filterInfo
-	var edges []joinEdge
-	var residual []bexpr
-	var constPreds []bexpr
-	for _, c := range conjuncts(stmt.Where) {
-		be, err := b.bind(c)
-		if err != nil {
-			return nil, nil, Trace{}, err
-		}
-		m := be.mask()
-		switch popcount(m) {
-		case 0:
-			constPreds = append(constPreds, be)
-		case 1:
-			fi := filterInfo{table: bitIndex(m), pred: be, kind: predKind(c)}
-			fi.hint, fi.hintOK = analyzeFilter(b, c, fi.table)
-			filters = append(filters, fi)
-		default:
-			if edge, ok := asJoinEdge(be); ok {
-				edges = append(edges, edge)
-			} else {
-				residual = append(residual, be)
-			}
-		}
-	}
-	// LEFT JOIN conditions: split into equi edges and extra conditions.
-	var leftJoins []leftJoin
-	for ti := range b.tables {
-		if !b.tables[ti].leftJoin {
-			continue
-		}
-		spec := leftJoin{table: ti}
-		for _, c := range conjuncts(b.tables[ti].on) {
-			be, err := b.bind(c)
-			if err != nil {
-				return nil, nil, Trace{}, err
-			}
-			if edge, ok := asJoinEdge(be); ok && (edge.aTbl == ti || edge.bTbl == ti) {
-				if edge.bTbl != ti { // normalize: b side is the left-joined table
-					edge.aTbl, edge.bTbl = edge.bTbl, edge.aTbl
-					edge.aCol, edge.bCol = edge.bCol, edge.aCol
-				}
-				spec.edges = append(spec.edges, edge)
-			} else {
-				spec.extra = append(spec.extra, be)
-			}
-		}
-		leftJoins = append(leftJoins, spec)
-	}
-
-	b.freeze()
-
-	// Constant predicates: if any is false the result is empty.
-	if !passes(constPreds, nil) {
-		qc.endOp(bindSp)
-		return e.projectEmpty(stmt, b, orderBy)
-	}
-	qc.endOp(bindSp)
-
-	// Produce joined base rows.
-	qc.setPhase("join")
-	joinSp := qc.startOp("join", "")
-	rows, tr, err := e.joinRows(b, stmt, filters, edges, residual, leftJoins)
-	qc.endOp(joinSp)
-	if err != nil {
-		return nil, nil, Trace{}, err
-	}
-
 	aggregated := len(stmt.GroupBy) > 0 || stmt.Having != nil
 	for _, item := range stmt.Items {
 		if !item.Star && exprContainsAggregate(item.Expr) {
@@ -445,154 +316,319 @@ func (e *Engine) runSelect(qc *qctx, stmt *sql.SelectStmt, ctes map[string]*stor
 	return res, types, tr, err
 }
 
-// projectEmpty produces a zero-row result with the right output columns.
-func (e *Engine) projectEmpty(stmt *sql.SelectStmt, b *binder, orderBy []sql.OrderItem) (*Result, []schema.Type, Trace, error) {
-	aggregated := len(stmt.GroupBy) > 0 || stmt.Having != nil
-	for _, item := range stmt.Items {
-		if !item.Star && exprContainsAggregate(item.Expr) {
-			aggregated = true
+// joinSelect binds a SELECT block and produces its joined base rows —
+// none when a constant predicate is false — and the rewritten ORDER BY.
+func (e *Engine) joinSelect(qc *qctx, stmt *sql.SelectStmt, ctes map[string]*storage.Table) (*binder, []sql.OrderItem, *rowSet, Trace, error) {
+	qc.setPhase("bind")
+	// Phase spans mirror setPhase. A phase abandoned by an error return
+	// simply never completes — the tracer exports only finished spans,
+	// so a failed query leaves a truncated (not corrupt) timeline.
+	bindSp := qc.startOp("bind", "")
+	b := newBinder(e, qc, ctes)
+	for _, ref := range stmt.From {
+		if err := b.addTable(ref); err != nil {
+			return nil, nil, nil, Trace{}, err
 		}
 	}
-	var tr Trace
-	none := &rowSet{ids: make([][]int32, len(b.tables))}
-	if aggregated {
-		res, types, err := e.aggregate(stmt, b, none, orderBy, &tr)
-		return res, types, tr, err
+	// Rewrite ORDER BY aliases and ordinals to their select expressions.
+	orderBy, err := rewriteOrderBy(stmt.OrderBy, stmt.Items)
+	if err != nil {
+		return nil, nil, nil, Trace{}, err
 	}
-	res, types, err := e.projectSimple(stmt, b, none, orderBy, &tr)
-	return res, types, tr, err
+
+	// Classify WHERE conjuncts.
+	var filters []filterInfo
+	var edges []joinEdge
+	var residual []bexpr
+	var constPreds []bexpr
+	for _, c := range conjuncts(stmt.Where) {
+		be, err := b.bind(c)
+		if err != nil {
+			return nil, nil, nil, Trace{}, err
+		}
+		m := be.mask()
+		switch bits.OnesCount64(m) {
+		case 0:
+			constPreds = append(constPreds, be)
+		case 1:
+			fi := filterInfo{table: bitIndex(m), pred: be, kind: predKind(c)}
+			fi.hint, fi.hintOK = analyzeFilter(b, c, fi.table)
+			filters = append(filters, fi)
+		default:
+			if edge, ok := asJoinEdge(be); ok {
+				edges = append(edges, edge)
+			} else {
+				residual = append(residual, be)
+			}
+		}
+	}
+	// LEFT JOIN conditions: split into equi edges and extra conditions.
+	var leftJoins []leftJoin
+	for ti := range b.tables {
+		if !b.tables[ti].leftJoin {
+			continue
+		}
+		spec := leftJoin{table: ti}
+		for _, c := range conjuncts(b.tables[ti].on) {
+			be, err := b.bind(c)
+			if err != nil {
+				return nil, nil, nil, Trace{}, err
+			}
+			if edge, ok := asJoinEdge(be); ok && (edge.aTbl == ti || edge.bTbl == ti) {
+				if edge.bTbl != ti { // normalize: b side is the left-joined table
+					edge.aTbl, edge.bTbl = edge.bTbl, edge.aTbl
+					edge.aCol, edge.bCol = edge.bCol, edge.aCol
+				}
+				spec.edges = append(spec.edges, edge)
+			} else {
+				spec.extra = append(spec.extra, be)
+			}
+		}
+		leftJoins = append(leftJoins, spec)
+	}
+	qc.endOp(bindSp)
+	if !passes(constPreds, nil) {
+		return b, orderBy, &rowSet{ids: make([][]int32, len(b.tables))}, Trace{}, nil
+	}
+
+	// Produce joined base rows.
+	qc.setPhase("join")
+	joinSp := qc.startOp("join", "")
+	rows, tr, err := e.joinRows(b, stmt, filters, edges, residual, leftJoins)
+	qc.endOp(joinSp)
+	return b, orderBy, rows, tr, err
 }
 
 // projectSimple handles the non-aggregated path: project, DISTINCT,
 // ORDER BY, LIMIT.
 func (e *Engine) projectSimple(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderBy []sql.OrderItem, tr *Trace) (*Result, []schema.Type, error) {
-	var outCols []string
-	var outTypes []schema.Type
-	var projs []bexpr
+	cols, types, projs, keys, err := b.bindOutput(stmt, orderBy, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	src := &rowSource{qc: b.qc, b: b, rs: rows, n: rows.n}
+	return e.finish(src, projs, keys, orderBy, stmt.Distinct, stmt.Limit, stmt.Offset, cols, tr), types, nil
+}
+
+// bindOutput binds the select list, expanding *, and the sort keys.
+func (b *binder) bindOutput(stmt *sql.SelectStmt, orderBy []sql.OrderItem, agg bool) (cols []string, types []schema.Type, projs, keys []bexpr, err error) {
 	for _, item := range stmt.Items {
 		if item.Star {
 			for ti := range b.tables {
 				inst := &b.tables[ti]
 				for ci, col := range inst.tab.Def.Columns {
-					outCols = append(outCols, col.Name)
-					outTypes = append(outTypes, col.Type)
+					cols, types = append(cols, col.Name), append(types, col.Type)
 					projs = append(projs, &colExpr{off: inst.offset + ci, t: col.Type, tblBit: 1 << uint(ti)})
 				}
 			}
 			continue
 		}
-		be, err := b.bind(item.Expr)
+		be, err := b.bindIn(item.Expr, "SELECT", agg)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, nil, err
 		}
-		outCols = append(outCols, outputName(item))
-		outTypes = append(outTypes, be.typ())
-		projs = append(projs, be)
+		cols, types, projs = append(cols, outputName(item)), append(types, be.typ()), append(projs, be)
 	}
-	var sortKeys []bexpr
 	for _, oi := range orderBy {
-		be, err := b.bind(oi.Expr)
+		be, err := b.bindIn(oi.Expr, "ORDER BY", agg)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, nil, err
 		}
-		sortKeys = append(sortKeys, be)
+		keys = append(keys, be)
 	}
-	src := rowSource{rr: b.rowReader(rows, maskOf(projs, sortKeys)), n: rows.n, width: b.total}
-	res := e.finish(b.qc, src, projs, sortKeys, orderBy, stmt.Distinct, stmt.Limit, stmt.Offset, outCols, tr)
-	return res, outTypes, nil
+	return cols, types, projs, keys, nil
 }
 
-// finish evaluates projections and sort keys over the rows of src,
-// applies DISTINCT, ORDER BY and LIMIT, and assembles the result.
-// Evaluation runs in morsels (expressions are pure), each with its own
-// gather row and carving its projection and sort key values out of one
-// arena; DISTINCT dedup then walks the rows in order, so first-wins
-// matches the serial pass.
-func (e *Engine) finish(qc *qctx, src rowSource, projs, sortKeys []bexpr, orderBy []sql.OrderItem, distinct bool, limit, offset int, outCols []string, tr *Trace) *Result {
-	type outRow struct {
-		proj []storage.Value
-		keys []storage.Value
+// bindIn binds an expression of a clause; over the aggregated layout
+// (agg) a base column read is one neither grouped nor aggregated.
+func (b *binder) bindIn(e sql.Expr, clause string, agg bool) (bexpr, error) {
+	be, err := b.bind(e)
+	if err == nil && agg && be.mask() != 0 {
+		err = fmt.Errorf("%s expression %s references columns outside GROUP BY", clause, e.Render())
 	}
-	n, np, width := src.n, len(projs), len(projs)+len(sortKeys)
-	outs := make([]outRow, n)
-	evalRange := func(lo, hi int) {
-		scratch := make([]storage.Value, src.width)
-		arena := make([]storage.Value, (hi-lo)*width)
-		for i := lo; i < hi; i++ {
-			if i%tickInterval == 0 {
-				qc.checkNow()
-			}
-			row := src.row(i, scratch)
-			vals := arena[:width:width]
-			arena = arena[width:]
-			for j, p := range projs {
-				vals[j] = p.eval(row)
-			}
-			for j, k := range sortKeys {
-				vals[np+j] = k.eval(row)
-			}
-			outs[i] = outRow{vals[:np:np], vals[np:]}
-		}
+	return be, err
+}
+
+// finish is the ordering pipeline over src: DISTINCT keeps the first
+// row of each projection tuple (key ids and group ids, as GROUP BY); the
+// sort keys become typed vectors, and the rows sort by them and then by
+// position, which makes any sort the stable one; OFFSET and LIMIT cut
+// the sorted rows, and only those are projected.
+func (e *Engine) finish(src *rowSource, projs, sortKeys []bexpr, orderBy []sql.OrderItem, distinct bool, limit, offset int, outCols []string, tr *Trace) *Result {
+	qc := src.qc
+	readers := make([]*exprReader, len(projs))
+	for i, p := range projs {
+		readers[i] = src.reader(p)
 	}
-	morsel := e.morselSize()
-	if workers := e.workers(); workers > 1 && n > morsel {
-		tr.addWork(forEachMorsel(qc, workers, n, morsel, func(_, _, lo, hi int) { evalRange(lo, hi) }))
-	} else {
-		for lo := 0; lo < n; lo += morsel {
-			evalRange(lo, min(lo+morsel, n))
-		}
+	rows := make([]int32, src.n)
+	for i := range rows {
+		rows[i] = int32(i)
 	}
 	if distinct {
-		seen := map[string]bool{}
-		var key []byte
-		w := 0
-		for _, o := range outs {
-			key = key[:0]
-			for _, v := range o.proj {
-				key = v.AppendGroupKey(key)
-			}
-			if seen[string(key)] {
-				continue
-			}
-			seen[string(key)] = true
-			outs[w] = o
-			w++
+		keys := make([]keyVec, len(readers))
+		for i, x := range readers {
+			keys[i] = e.keyIDs(src, x, tr)
 		}
-		outs = outs[:w]
+		_, rows = groupIDs(qc, keys, uint(1)<<uint(len(keys))-1, src.n)
 	}
 	if len(sortKeys) > 0 {
 		sortSp := qc.startOp("sort", "")
-		sortSp.SetAttrInt("rows", int64(len(outs)))
-		qc.opRowsIn(nil, int64(len(outs)))
-		qc.opRowsOut(nil, int64(len(outs)))
-		slices.SortStableFunc(outs, func(a, b outRow) int {
-			for i := range sortKeys {
-				if c := storage.Compare(a.keys[i], b.keys[i]); c != 0 {
-					if orderBy[i].Desc {
-						return -c
-					}
+		sortSp.SetAttrInt("rows", int64(len(rows)))
+		qc.opRowsIn(nil, int64(len(rows)))
+		qc.opRowsOut(nil, int64(len(rows)))
+		cols := make([]sortCol, len(sortKeys))
+		for k, key := range sortKeys {
+			cols[k] = newSortCol(src, key, rows, orderBy[k].Desc)
+		}
+		pos := make([]int32, len(rows))
+		for j := range pos {
+			pos[j] = int32(j)
+		}
+		slices.SortFunc(pos, func(a, b int32) int {
+			for k := range cols {
+				if c := cols[k].cmp(a, b); c != 0 {
 					return c
 				}
 			}
-			return 0
+			return cmp.Compare(a, b)
 		})
+		for j, p := range pos {
+			pos[j] = rows[p]
+		}
+		rows = pos
 		qc.endOp(sortSp)
 	}
-	if offset > 0 {
-		if offset >= len(outs) {
-			outs = nil
-		} else {
-			outs = outs[offset:]
+	rows = rows[min(max(offset, 0), len(rows)):]
+	if limit >= 0 && len(rows) > limit {
+		rows = rows[:limit]
+	}
+	res := &Result{Columns: outCols, Rows: make([][]storage.Value, len(rows))}
+	if projs == nil { // the rows are the output already
+		for j, i := range rows {
+			res.Rows[j] = src.vals[i]
+		}
+		return res
+	}
+	np := len(projs)
+	arena := make([]storage.Value, len(rows)*np)
+	e.inMorsels(qc, tr, len(rows), func(_, _, lo, hi int) {
+		row := src.scratch(readers...)
+		for j := lo; j < hi; j++ {
+			if j%tickInterval == 0 {
+				qc.checkNow()
+			}
+			out, i := arena[j*np:(j+1)*np:(j+1)*np], int(rows[j])
+			for p, x := range readers {
+				if x.col == nil {
+					out[p] = x.value(i, row)
+				} else if r := x.ids[i]; r >= 0 { // a miss stays NULL
+					out[p] = x.col.value(r)
+				}
+			}
+			res.Rows[j] = out
+		}
+	})
+	return res
+}
+
+// sortCol is one ORDER BY key as a typed vector: numbers as float64 (as
+// storage.Compare compares them), strings as their rank in string order.
+type sortCol struct {
+	desc bool
+	null []bool
+	num  []float64
+	rank []uint32
+}
+
+// newSortCol computes one sort key for rows. A dictionary no larger than
+// about the rows is ranked whole, other strings by the distinct values
+// the rows hold; ranks depend on the strings alone, never on codes.
+func newSortCol(src *rowSource, key bexpr, rows []int32, desc bool) sortCol {
+	c := sortCol{desc: desc, null: make([]bool, len(rows)), num: make([]float64, len(rows)), rank: make([]uint32, len(rows))}
+	x, strs, nums, texts := src.reader(key), interner{}, false, false
+	var byCode []uint32
+	if x.col != nil && x.col.codes != nil && len(x.col.dict) <= 4*len(rows) {
+		byCode = dictRank(x.col.dict)
+	}
+	row := src.scratch(x)
+	for j, i := range rows {
+		if j%tickInterval == 0 {
+			src.qc.checkNow()
+		}
+		if byCode != nil {
+			if r := x.ids[i]; r >= 0 && !x.col.nulls[r] {
+				c.rank[j], texts = byCode[x.col.codes[r]]+1, true
+			} else {
+				c.null[j] = true
+			}
+			continue
+		}
+		switch v := x.value(int(i), row); {
+		case v.IsNull():
+			c.null[j] = true
+		case v.K == storage.KindString:
+			c.rank[j], texts = internID(strs, v.S), true
+		default:
+			c.num[j], nums = v.AsFloat(), true
 		}
 	}
-	if limit >= 0 && len(outs) > limit {
-		outs = outs[:limit]
+	switch {
+	case nums && texts:
+		panic("exec: ORDER BY key mixes strings and numbers") // storage.Compare's verdict too
+	case texts:
+		distinct := make([]string, len(strs))
+		for s, id := range strs {
+			distinct[id-1] = s
+		}
+		byString := dictRank(distinct)
+		for j, id := range c.rank {
+			if id > 0 && byCode == nil {
+				c.rank[j] = byString[id-1]
+			}
+		}
+		c.num = nil
+	default:
+		c.rank = nil
 	}
-	res := &Result{Columns: outCols, Rows: make([][]storage.Value, len(outs))}
-	for i, o := range outs {
-		res.Rows[i] = o.proj
+	return c
+}
+
+// cmp orders positions a and b by this key: NULL first, reversed for
+// DESC. Numbers compare as cmp.Compare does: storage.Compare's order,
+// but NaN — equal to every number there, which no sort can use — first.
+func (c *sortCol) cmp(a, b int32) int {
+	r := 0
+	switch na, nb := c.null[a], c.null[b]; {
+	case na || nb:
+		if na != nb {
+			r = 1
+			if na {
+				r = -1
+			}
+		}
+	case c.num != nil:
+		r = cmp.Compare(c.num[a], c.num[b])
+	default:
+		r = cmp.Compare(c.rank[a], c.rank[b])
 	}
-	return res
+	if c.desc {
+		return -r
+	}
+	return r
+}
+
+// dictRank ranks distinct strings in string order.
+func dictRank(dict []string) []uint32 {
+	order := make([]uint32, len(dict))
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return strings.Compare(dict[a], dict[b]) })
+	rank := make([]uint32, len(dict))
+	for k, code := range order {
+		rank[code] = uint32(k)
+	}
+	return rank
 }
 
 // rewriteOrderBy resolves select aliases (anywhere inside the sort
@@ -711,20 +747,6 @@ func asJoinEdge(be bexpr) (joinEdge, bool) {
 	}, true
 }
 
-func popcount(m uint64) int {
-	n := 0
-	for m != 0 {
-		m &= m - 1
-		n++
-	}
-	return n
-}
-
-func bitIndex(m uint64) int {
-	i := 0
-	for m > 1 {
-		m >>= 1
-		i++
-	}
-	return i
-}
+// bitIndex is the index of the highest set bit of m (0 for 0): the
+// table of a one-table mask.
+func bitIndex(m uint64) int { return max(bits.Len64(m)-1, 0) }

@@ -74,12 +74,10 @@ func kernelEqualsEval(t *testing.T, e *Engine, table, pred string) []int8 {
 	if err := b.addTable(stmt.From[0]); err != nil {
 		t.Fatal(err)
 	}
-	b.registerAll()
 	be, err := b.bind(stmt.Where)
 	if err != nil {
 		t.Fatalf("%s: %v", pred, err)
 	}
-	b.freeze()
 	kernel, ok := b.compileTri(0, be)
 	if !ok {
 		t.Fatalf("%s on %s: no kernel", pred, table)
@@ -91,8 +89,9 @@ func kernelEqualsEval(t *testing.T, e *Engine, table, pred string) []int8 {
 	}
 	kernel(sel, out)
 	row := make([]storage.Value, b.total)
+	cols := b.keySources(nil, exprCols(be))
 	for r := range out {
-		fillRow(b.colReaders(0), int32(r), row)
+		gather(cols, 0, int32(r), row)
 		want := int8(-1)
 		if v := be.eval(row); !v.IsNull() {
 			want = b2t(v.AsInt() != 0)

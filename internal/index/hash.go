@@ -12,27 +12,33 @@ import (
 // open-addressed table of (key, span) slots probed linearly from the
 // key's Fibonacci hash, and one array holding every indexed row id,
 // grouped by key and ascending within a key; a slot's span is its
-// group's position in that array.
+// group's position in that array. Probing never wraps around: a
+// sequence that runs past the last slot continues in slots appended at
+// the end, and the table always ends in a free slot, so every probe
+// stops inside it. That keeps Lookup and First inlinable.
 //
 // Keys that are all present, all different and fill one range of
 // consecutive integers — every surrogate key column — need no table:
 // the index is positional, slots is nil and the row id of key k is
 // rows[k-base].
 type HashIndex struct {
-	slots    []hashSlot // len is a power of two, at most 2/3 occupied
+	slots    []hashSlot // a power of two (at most 2/3 occupied) plus overflow, last slot free
 	rows     []int32
-	shift    uint  // 64 - log2(len(slots))
+	shift    uint  // 64 - log2 of the power of two
 	base     int64 // positional form: the smallest key
 	n        int
 	distinct int
 }
 
-// hashSlot is one key's entry: its row ids are rows[end-count : end].
-// count == 0 marks a free slot.
+// hashSlot is one key's entry: its row ids are rows[lo:hi]. hi == 0
+// marks a free slot (an occupied one holds at least one row).
 type hashSlot struct {
-	key        int64
-	end, count int32
+	key    int64
+	lo, hi int32
 }
+
+// slotSpill is the overflow room reserved past the power of two.
+const slotSpill = 16
 
 // BuildHashIndex indexes the column given as parallel value/null slices.
 func BuildHashIndex(vals []int64, nulls []bool) *HashIndex {
@@ -57,34 +63,37 @@ func buildHashIndex(keys []int64, nulls []bool, rows []int32) *HashIndex {
 		return ix
 	}
 	width := bits.Len(uint(len(keys) + len(keys)/2))
-	ix := &HashIndex{slots: make([]hashSlot, 1<<width), shift: uint(64 - width), n: len(keys)}
-	// Counting sort by slot: count each key's rows, turn the counts into
-	// group starts, then drop every row id at its group's cursor.
+	ix := &HashIndex{slots: make([]hashSlot, 1<<width, 1<<width+slotSpill), shift: uint(64 - width), n: len(keys)}
+	// Counting sort by slot: count each key's rows in hi, turn the counts
+	// into group ends, then fill every group back to front.
 	for i, v := range keys {
 		if nulls == nil || !nulls[i] {
 			s := ix.slot(v)
 			s.key = v
-			s.count++
+			s.hi++
 		}
+	}
+	if ix.slots[len(ix.slots)-1].hi != 0 {
+		ix.slots = append(ix.slots, hashSlot{})
 	}
 	next := int32(0)
 	for i := range ix.slots {
-		if s := &ix.slots[i]; s.count > 0 {
-			s.end = next
-			next += s.count
+		if s := &ix.slots[i]; s.hi > 0 {
+			next += s.hi
+			s.lo, s.hi = next, next
 			ix.distinct++
 		}
 	}
 	ix.rows = make([]int32, next)
-	for i, v := range keys {
+	for i := len(keys) - 1; i >= 0; i-- {
 		if nulls == nil || !nulls[i] {
 			r := int32(i)
 			if rows != nil {
 				r = rows[i]
 			}
-			s := ix.slot(v)
-			ix.rows[s.end] = r
-			s.end++
+			s := ix.slot(keys[i])
+			s.lo--
+			ix.rows[s.lo] = r
 		}
 	}
 	return ix
@@ -125,22 +134,16 @@ func buildPositional(keys []int64, nulls []bool, rows []int32) *HashIndex {
 }
 
 // slot returns key's slot, or the free slot where its probe sequence
-// ends.
+// ends — appended past the last one when the sequence runs off the end.
 func (ix *HashIndex) slot(key int64) *hashSlot {
-	mask := uint64(len(ix.slots) - 1)
-	for i := uint64(key) * 0x9E3779B97F4A7C15 >> ix.shift; ; i = (i + 1) & mask {
-		if s := &ix.slots[i]; s.count == 0 || s.key == key {
+	for i := int(uint64(key) * 0x9E3779B97F4A7C15 >> ix.shift); ; i++ {
+		if i == len(ix.slots) {
+			ix.slots = append(ix.slots, hashSlot{})
+		}
+		if s := &ix.slots[i]; s.hi == 0 || s.key == key {
 			return s
 		}
 	}
-}
-
-// at returns the row id of key in the positional form, as Lookup does.
-func (ix *HashIndex) at(key int64) []int32 {
-	if i := uint64(key) - uint64(ix.base); i < uint64(len(ix.rows)) {
-		return ix.rows[i : i+1 : i+1]
-	}
-	return nil
 }
 
 // NumRows returns the indexed row count.
@@ -150,29 +153,39 @@ func (ix *HashIndex) NumRows() int { return ix.n }
 func (ix *HashIndex) DistinctKeys() int { return ix.distinct }
 
 // Lookup returns the row ids for key in ascending order (shared slice;
-// do not mutate).
+// do not mutate or append to it). It and First are written to stay inside the
+// compiler's inlining budget (check with go build -gcflags=-m=2): the
+// join probes call them once per row.
 func (ix *HashIndex) Lookup(key int64) []int32 {
+	i := uint64(key - ix.base)
 	if ix.slots == nil {
-		return ix.at(key)
-	}
-	s := ix.slot(key)
-	if s.count == 0 {
+		if i < uint64(len(ix.rows)) {
+			return ix.rows[i : i+1 : i+1]
+		}
 		return nil
 	}
-	return ix.rows[s.end-s.count : s.end : s.end]
+	for i = uint64(key) * 0x9E3779B97F4A7C15 >> ix.shift; ix.slots[i].hi != 0; i++ {
+		if ix.slots[i].key == key {
+			return ix.rows[ix.slots[i].lo:ix.slots[i].hi]
+		}
+	}
+	return nil
 }
 
 // First returns the first row id for key, or -1 if absent. Unique-key
 // lookups (surrogate key probes) use this.
 func (ix *HashIndex) First(key int64) int32 {
+	i := uint64(key - ix.base)
 	if ix.slots == nil {
-		if r := ix.at(key); r != nil {
-			return r[0]
+		if i < uint64(len(ix.rows)) {
+			return ix.rows[i]
 		}
 		return -1
 	}
-	if s := ix.slot(key); s.count > 0 {
-		return ix.rows[s.end-s.count]
+	for i = uint64(key) * 0x9E3779B97F4A7C15 >> ix.shift; ix.slots[i].hi != 0; i++ {
+		if ix.slots[i].key == key {
+			return ix.rows[ix.slots[i].lo]
+		}
 	}
 	return -1
 }

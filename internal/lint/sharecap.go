@@ -47,6 +47,7 @@ var sharecapPkgs = map[string]bool{
 // closures run on multiple goroutines.
 var workerPoolFuncs = map[string]bool{
 	"forEachMorsel": true,
+	"inMorsels":     true,
 	"parallelFor":   true,
 }
 

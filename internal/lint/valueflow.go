@@ -2072,12 +2072,13 @@ func (va *valueAnalysis) recordLitSeed(env *valEnv, node ast.Node, lit *ast.Func
 	}
 	seed := newValEnv()
 	switch name {
-	case "forEachMorsel":
-		// forEachMorsel(qc, workers, n, morselRows, fn(worker, morsel, lo, hi)):
-		// every morsel satisfies 0 ≤ lo ≤ hi ≤ n, so lo's upper bound is
-		// the hi parameter itself — that relational seed is what proves
-		// the s[lo:hi] reslice inside the body.
-		if len(call.Args) >= 5 {
+	case "forEachMorsel", "inMorsels":
+		// forEachMorsel(qc, workers, n, morselRows, fn(worker, morsel, lo, hi))
+		// and e.inMorsels(qc, tr, n, fn(worker, morsel, lo, hi)): every
+		// morsel satisfies 0 ≤ lo ≤ hi ≤ n, so lo's upper bound is the hi
+		// parameter itself — that relational seed is what proves the
+		// s[lo:hi] reslice inside the body.
+		if len(call.Args) >= 4 {
 			ps := litParams()
 			n := va.eval(env, call.Args[2])
 			if len(ps) > 3 && ps[3] != nil {
