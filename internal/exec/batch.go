@@ -255,6 +255,29 @@ func (tf *tableFilter) scan(qc *qctx, batch int, ids []int32, lo, hi int, fn fun
 	}
 }
 
+// keep drops the match pairs whose row fails the filter, in order, and
+// counts each row filtered as scanned. A row's verdict depends on the
+// row alone, so scan's survivors are the passing pairs' rows in order.
+func (tf *tableFilter) keep(qc *qctx, batch int, pairs []matchPair) []matchPair {
+	if tf == nil || len(tf.kernels)+len(tf.slow) == 0 || len(pairs) == 0 {
+		return pairs
+	}
+	qc.countScan(len(pairs))
+	ids, kept := make([]int32, len(pairs)), make([]int32, 0, len(pairs))
+	for i, p := range pairs {
+		ids[i] = p.r
+	}
+	tf.scan(qc, batch, ids, 0, len(ids), func(sel []int32) { kept = append(kept, sel...) })
+	w := 0 // kept[:w] are the rows of the pairs kept so far
+	for _, p := range pairs {
+		if w < len(kept) && kept[w] == p.r {
+			pairs[w] = p
+			w++
+		}
+	}
+	return pairs[:w]
+}
+
 // ---- predicate kernel compiler ----
 
 // kernelCol resolves a bexpr to one of table ti's column vectors.

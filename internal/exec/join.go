@@ -3,6 +3,8 @@ package exec
 import (
 	"fmt"
 
+	"tpcds/internal/index"
+	"tpcds/internal/obs"
 	"tpcds/internal/plan"
 	"tpcds/internal/sql"
 	"tpcds/internal/storage"
@@ -187,94 +189,163 @@ func joinKeys(edges []joinEdge, joined map[int]bool, ti int) (probe, build []*co
 	return probe, build
 }
 
-// innerHashJoin joins current rows with table ti. stepEst is the
+// lookupRowsPerProbe is the size rule of the index lookup join onto a
+// filtered table: at least this many table rows per intermediate row
+// (measured in DESIGN.md, "The hash pipeline").
+const lookupRowsPerProbe = 2
+
+// lookupKey returns the primary-key column of table ti when the join
+// onto it on probe = build is an index lookup join, else -1: one
+// integer-class edge onto ti's one-column primary key, ti the catalog's
+// table (not a CTE), and ti unfiltered, or its filter not yet run and at
+// least lookupRowsPerProbe rows per outer row.
+func (b *binder) lookupKey(ti int, probe, build []*colExpr, filters []filterInfo, outer int) int {
+	inst := b.tableAt(ti)
+	def := inst.tab.Def
+	if len(build) != 1 || !intJoinKey(probe, build) || len(def.PrimaryKey) != 1 || b.eng.db.Table(def.Name) != inst.tab {
+		return -1
+	}
+	col := build[0].off - inst.offset
+	if def.ColumnIndex(def.PrimaryKey[0]) != col || len(tablePreds(ti, filters)) > 0 && (b.filtered(ti) || outer*lookupRowsPerProbe > inst.tab.NumRows()) {
+		return -1
+	}
+	return col
+}
+
+// innerHashJoin joins current rows with table ti by one of three steps:
+// an index lookup onto ti's primary key (lookupKey), a build over ti's
+// selection probed by current, or, when ti's selection is the larger
+// side, a build over current that ti's selection streams past. All three
+// emit the same rows in the same order. Without a connecting edge it is
+// a cartesian product (rare; small sides only). stepEst is the
 // planner's output estimate for this join step (negative when none).
 func (e *Engine) innerHashJoin(b *binder, current *rowSet, ti int, filters []filterInfo, edges []joinEdge, joined map[int]bool, stepEst float64, tr *Trace) *rowSet {
 	probe, build := joinKeys(edges, joined, ti)
-	if len(probe) == 0 {
-		// No connecting edge: cartesian product (rare; small sides only).
-		sp := b.qc.startOp("cartesian", b.tableAt(ti).binding)
-		b.qc.opRowsIn(sp, int64(current.n))
-		if stepEst >= 0 {
-			b.qc.opEst(stepEst)
+	verb, col := "probe", b.lookupKey(ti, probe, build, filters, current.n)
+	var ht *hashTable
+	switch {
+	case len(probe) == 0:
+		verb = "cartesian"
+	case col < 0:
+		if est := e.estimateFiltered(b, ti, filters); est > 2*float64(current.n) {
+			return e.streamJoin(b, current, ti, probe, build, filters, stepEst, tr)
 		}
-		defer b.qc.endOp(sp)
-		sel := b.selection(ti, filters, tr)
-		b.readAll(sel)
-		pairs := make([]matchPair, 0, current.n*sel.n)
-		for li := 0; li < current.n; li++ {
-			for i := 0; i < sel.n; i++ {
-				b.qc.tick()
-				pairs = append(pairs, matchPair{li: int32(li), r: sel.at(i)})
-			}
+		ht = e.buildHashTable(b, ti, filters, probe, build, tr)
+	}
+	sp := b.startStep(verb, ti, current.n, stepEst)
+	defer b.qc.endOp(sp)
+	ht, tf, all := b.joinSide(ti, col, ht, filters, tr)
+	ks := b.keySources(current, probe)
+	pairs := collectMorsels(e, b.qc, current.n, tr, func(lo, hi int) []matchPair {
+		return b.joinMatches(ht, tf, all, ks, lo, hi)
+	})
+	out := current.extend(b.qc, pairs, ti)
+	b.qc.opRowsOut(sp, int64(out.n))
+	return out
+}
+
+// startStep opens the profile node of a join step onto table ti.
+func (b *binder) startStep(verb string, ti, rowsIn int, stepEst float64) *obs.Span {
+	sp := b.qc.startOp(verb, b.tableAt(ti).binding)
+	b.qc.opRowsIn(sp, int64(rowsIn))
+	if stepEst >= 0 {
+		b.qc.opEst(stepEst)
+	}
+	return sp
+}
+
+// joinSide completes the build side of a join step onto table ti: the
+// engine's key index and ti's filter when lookupKey gave col ≥ 0, else
+// ht when one was built, else ti's whole selection.
+func (b *binder) joinSide(ti, col int, ht *hashTable, filters []filterInfo, tr *Trace) (*hashTable, *tableFilter, []int32) {
+	switch {
+	case col >= 0:
+		return &hashTable{ints: []*index.HashIndex{b.baseIndex(ti, col)}}, b.compileFilter(ti, tablePreds(ti, filters)), nil
+	case ht != nil:
+		return ht, nil, nil
+	}
+	sel := b.selection(ti, filters, tr)
+	b.readAll(sel)
+	return nil, nil, sel.rowIDs()
+}
+
+// joinMatches returns the (row, match) pairs of intermediate rows
+// [lo, hi) in probe-major order, the serial output order: ht's matches
+// for each row's key that pass tf, or, without ht, every row of all — a
+// product that grows as it is emitted, each row's share charged as
+// scratch first, so one too large to finish is cancelled early.
+func (b *binder) joinMatches(ht *hashTable, tf *tableFilter, all []int32, ks []keySource, lo, hi int) []matchPair {
+	// Room for one match per row: key joins match at most once, and
+	// growing from nothing allocates twice the final size on the way.
+	out := make([]matchPair, 0, hi-lo)
+	var buf []byte
+	matches := all
+	for li := lo; li < hi; li++ {
+		if li%tickInterval == 0 || ht == nil {
+			b.qc.checkNow()
 		}
-		out := current.extend(b.qc, pairs, ti)
-		b.qc.opRowsOut(sp, int64(out.n))
-		return out
+		if ht != nil {
+			matches, buf = ht.probe(ks, int32(li), buf)
+		} else {
+			b.qc.growScratch(int64(len(all)) * matchPairBytes)
+		}
+		for _, r := range matches {
+			out = append(out, matchPair{li: int32(li), r: r})
+		}
 	}
-	// Build on the smaller side: when the new table is much larger than
-	// the current intermediate result (a huge dimension probed by a
-	// filtered fact), hash the current rows instead and stream the big
-	// table past them.
-	if est := e.estimateFiltered(b, ti, filters); est > 2*float64(current.n) {
-		return e.streamJoin(b, current, ti, probe, build, filters, stepEst, tr)
+	if ht == nil {
+		b.qc.shrinkScratch(int64(len(out)) * matchPairBytes)
 	}
-	ht := e.buildHashTable(b, ti, filters, probe, build, tr)
-	return e.probeJoin(b, current, ti, probe, ht, stepEst, tr)
+	return tf.keep(b.qc, b.eng.batchSize(), out)
 }
 
 // leftHashJoin outer-joins current rows with the lj table: a row without
 // a match keeps id -1 for it, which every reader turns into NULLs. The
-// probe side runs in morsels over current (each probe row is
-// independent; morsel-order concatenation keeps the serial output
-// order).
+// table's matches come from an index lookup, a build over its selection,
+// or, without an equality edge, the whole selection; the ON conditions
+// beyond the edges then decide which of them join. The probe side runs
+// in morsels over current (each probe row is independent; morsel-order
+// concatenation keeps the serial output order).
 func (e *Engine) leftHashJoin(b *binder, current *rowSet, lj leftJoin, filters []filterInfo, tr *Trace) *rowSet {
-	sp := b.qc.startOp("left", b.tableAt(lj.table).binding)
-	b.qc.opRowsIn(sp, int64(current.n))
+	sp := b.startStep("left", lj.table, current.n, -1)
 	defer b.qc.endOp(sp)
 	var probe, build []*colExpr
 	for _, ed := range lj.edges {
 		probe = append(probe, ed.aCol)
 		build = append(build, ed.bCol)
 	}
-	var allIDs []int32
 	var ht *hashTable
-	if len(probe) == 0 {
-		sel := b.selection(lj.table, filters, tr)
-		b.readAll(sel)
-		allIDs = sel.rowIDs()
-	} else {
+	col := b.lookupKey(lj.table, probe, build, filters, current.n)
+	if len(probe) > 0 && col < 0 {
 		ht = e.buildHashTable(b, lj.table, filters, probe, build, tr)
 	}
+	ht, tf, all := b.joinSide(lj.table, col, ht, filters, tr)
 	ks := b.keySources(current, probe)
 	// ON conditions beyond the equi edges read the joined tables through
 	// current's id vectors, and the outer table, which current has not
 	// joined, at the candidate row.
 	cols := b.keySources(current, exprCols(lj.extra...))
 	pairs := collectMorsels(e, b.qc, current.n, tr, func(lo, hi int) []matchPair {
+		matches := b.joinMatches(ht, tf, all, ks, lo, hi)
 		out := make([]matchPair, 0, hi-lo) // every row emits at least one pair
-		var buf []byte
 		var row []storage.Value
 		if len(lj.extra) > 0 {
 			row = make([]storage.Value, b.total)
 		}
+		j := 0
 		for li := lo; li < hi; li++ {
 			if li%tickInterval == 0 {
 				b.qc.checkNow()
 			}
-			candidates := allIDs
-			if ht != nil {
-				candidates, buf = ht.probe(ks, int32(li), buf)
-			}
 			matched := false
-			for _, r := range candidates {
+			for ; j < len(matches) && matches[j].li == int32(li); j++ {
 				if row != nil {
-					gather(cols, int32(li), r, row)
+					gather(cols, int32(li), matches[j].r, row)
 					if !passes(lj.extra, row) {
 						continue
 					}
 				}
-				out = append(out, matchPair{li: int32(li), r: r})
+				out = append(out, matches[j])
 				matched = true
 			}
 			if !matched {

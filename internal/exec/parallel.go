@@ -317,19 +317,19 @@ func hashParts[K, P any](qc *qctx, keys []K, rows []int32, pairBytes int64, part
 }
 
 // baseIndex returns the engine's cached hash index on column col of
-// table ti when it can stand in for a build over sel — nothing filtered
-// out, and the instance is the catalog's base table, not a CTE of the
-// same name — else nil. A cold cache builds the index here, and that
-// one read and hashing of the column goes on this query's counters.
-func (b *binder) baseIndex(ti, col int, sel *selection) *index.HashIndex {
+// table ti, or nil when the instance is not the catalog's base table (a
+// CTE of the same name). A cold cache — first use, or maintenance changed
+// the table — builds the index here, and that one read and hashing of
+// the column goes on this query's counters.
+func (b *binder) baseIndex(ti, col int) *index.HashIndex {
 	inst := b.tableAt(ti)
-	if !sel.all || b.eng.db.Table(inst.tab.Def.Name) != inst.tab {
+	if b.eng.db.Table(inst.tab.Def.Name) != inst.tab {
 		return nil
 	}
 	ix, built := b.eng.hashIndex(inst.tab, col)
 	if built {
-		b.qc.countScan(sel.n)
-		b.qc.countBuild(sel.n)
+		b.qc.countScan(ix.NumRows())
+		b.qc.countBuild(ix.NumRows())
 	}
 	return ix
 }
@@ -345,12 +345,11 @@ func (b *binder) baseIndex(ti, col int, sel *selection) *index.HashIndex {
 func (e *Engine) buildHashTable(b *binder, ti int, filters []filterInfo, probe, build []*colExpr, tr *Trace) *hashTable {
 	inst := b.tableAt(ti)
 	sel := b.selection(ti, filters, tr)
-	sp := b.qc.startOp("build", inst.binding)
-	b.qc.opRowsIn(sp, int64(sel.n))
+	sp := b.startStep("build", ti, sel.n, -1)
 	defer b.qc.endOp(sp)
 	intKeys := intJoinKey(probe, build)
-	if intKeys {
-		if ix := b.baseIndex(ti, build[0].off-inst.offset, sel); ix != nil {
+	if intKeys && sel.all {
+		if ix := b.baseIndex(ti, build[0].off-inst.offset); ix != nil {
 			b.qc.opRowsOut(sp, int64(sel.n))
 			return &hashTable{ints: []*index.HashIndex{ix}}
 		}
@@ -362,46 +361,12 @@ func (e *Engine) buildHashTable(b *binder, ti int, filters []filterInfo, probe, 
 	return ht
 }
 
-// probeJoin probes ht with every current row, emitting joined rows in
-// the serial iteration order (per-morsel match lists concatenated in
-// order). stepEst is the planner's output-cardinality estimate for the
-// join step (negative when the active planner produced none).
-func (e *Engine) probeJoin(b *binder, current *rowSet, ti int, probe []*colExpr, ht *hashTable, stepEst float64, tr *Trace) *rowSet {
-	sp := b.qc.startOp("probe", b.tableAt(ti).binding)
-	b.qc.opRowsIn(sp, int64(current.n))
-	if stepEst >= 0 {
-		b.qc.opEst(stepEst)
-	}
-	defer b.qc.endOp(sp)
-	ks := b.keySources(current, probe)
-	pairs := collectMorsels(e, b.qc, current.n, tr, func(lo, hi int) []matchPair {
-		// Room for one match per row: key joins match at most once, and
-		// growing from nothing allocates twice the final size on the way.
-		out := make([]matchPair, 0, hi-lo)
-		var buf []byte
-		var matches []int32
-		for li := lo; li < hi; li++ {
-			if li%tickInterval == 0 {
-				b.qc.checkNow()
-			}
-			matches, buf = ht.probe(ks, int32(li), buf)
-			for _, r := range matches {
-				out = append(out, matchPair{li: int32(li), r: r})
-			}
-		}
-		return out
-	})
-	out := current.extend(b.qc, pairs, ti)
-	b.qc.opRowsOut(sp, int64(out.n))
-	return out
-}
-
 // streamJoin hashes the (smaller) current intermediate result and
 // streams table ti's selection past it — the build-on-smaller-side
 // branch of the hash pipeline. The streamed side is morsel-parallel.
 //
 // Output order is probe-major — current rows ascending, matching table
-// rows ascending within each — exactly the order probeJoin produces.
+// rows ascending within each — exactly the order a probe produces.
 // That makes the build-side choice (and the runtime threshold behind
 // it) invisible in the output, which the planner's join-order search
 // depends on: any plan property may vary with estimates except row
@@ -410,13 +375,9 @@ func (e *Engine) probeJoin(b *binder, current *rowSet, ti int, probe []*colExpr,
 // counting sort on li puts them in probe-major order.
 func (e *Engine) streamJoin(b *binder, current *rowSet, ti int, probe, build []*colExpr, filters []filterInfo, stepEst float64, tr *Trace) *rowSet {
 	sel := b.selection(ti, filters, tr)
-	sp := b.qc.startOp("stream", b.tableAt(ti).binding)
-	b.qc.opRowsIn(sp, int64(sel.n))
-	b.readAll(sel)
-	if stepEst >= 0 {
-		b.qc.opEst(stepEst)
-	}
+	sp := b.startStep("stream", ti, sel.n, stepEst)
 	defer b.qc.endOp(sp)
+	b.readAll(sel)
 	// The build side is the current intermediate: its positions keyed by
 	// the probe columns read through the id vectors.
 	ht, built := newHashTable(b.qc, b.keySources(current, probe), intJoinKey(probe, build), &selection{n: current.n, all: true}, 1)

@@ -327,9 +327,10 @@ func collectMorsels[T any](e *Engine, qc *qctx, n int, tr *Trace, fn func(lo, hi
 // predicates, in row order: the one product of the table's filter scan,
 // read by every operator of the query that touches the table.
 type selection struct {
-	n   int     // surviving rows
-	ids []int32 // their row ids, ascending; nil when all is set or n is 0
-	all bool    // no local predicate: row i survives for every i < n
+	n    int     // surviving rows
+	ids  []int32 // their row ids, ascending; nil when all is set or n is 0
+	all  bool    // no local predicate: row i survives for every i < n
+	read int     // table rows filtered so far; short of the table only after a capped scan
 }
 
 // at returns the row id at position i.
@@ -365,40 +366,62 @@ func (b *binder) readAll(sel *selection) {
 // its own. joinRows owns the cache and drops it when it returns. Without
 // local predicates no filter runs and nothing is materialised.
 func (b *binder) selection(ti int, filters []filterInfo, tr *Trace) *selection {
+	return b.scanSelection(ti, filters, tr, -1)
+}
+
+// filtered reports whether table ti's filter has run over the whole table.
+func (b *binder) filtered(ti int) bool {
+	return ti >= 0 && ti < len(b.sels) && b.sels[ti] != nil && b.sels[ti].read == b.tableAt(ti).tab.NumRows()
+}
+
+// scanSelection is selection with a cap: for limit ≥ 0 the filter runs
+// in rounds, one batch per worker doubling up to one morsel per worker,
+// until more than limit rows survive. The partial selection stays cached
+// for a later call to resume: no row is filtered twice in one query.
+func (b *binder) scanSelection(ti int, filters []filterInfo, tr *Trace, limit int) *selection {
 	if ti < 0 || ti >= len(b.sels) {
 		panic(fmt.Sprintf("exec: selection of table %d requested outside the join phase (%d tables)", ti, len(b.sels)))
 	}
-	if b.sels[ti] != nil {
-		return b.sels[ti]
-	}
 	inst := b.tableAt(ti)
-	n := inst.tab.NumRows()
-	sel := &selection{n: n, all: true}
-	if preds := tablePreds(ti, filters); len(preds) > 0 {
-		sp := b.qc.startOp("scan", inst.binding)
-		b.qc.opRowsIn(sp, int64(n))
-		if b.qc.profiling() {
-			b.qc.opEst(b.eng.estimateFiltered(b, ti, filters))
+	n, preds := inst.tab.NumRows(), tablePreds(ti, filters)
+	if b.sels[ti] == nil {
+		b.sels[ti] = &selection{}
+		if len(preds) == 0 {
+			b.sels[ti] = &selection{n: n, all: true, read: n}
 		}
-		b.qc.countScan(n)
-		// The filter is compiled once by the coordinator; kernels close over
-		// immutable column vectors only, so morsel workers share it. Each
-		// scan call owns its scratch buffers.
-		tf := b.compileFilter(ti, preds)
-		batch := b.eng.batchSize()
+	}
+	sel := b.sels[ti]
+	if sel.read == n || limit >= 0 && sel.n > limit {
+		return sel
+	}
+	sp := b.qc.startOp("scan", inst.binding)
+	defer b.qc.endOp(sp)
+	if b.qc.profiling() {
+		b.qc.opEst(b.eng.estimateFiltered(b, ti, filters))
+	}
+	// The filter is compiled once by the coordinator; kernels close over
+	// immutable column vectors only, so morsel workers share it. Each
+	// scan call owns its scratch buffers.
+	tf, batch := b.compileFilter(ti, preds), b.eng.batchSize()
+	from, found, step := sel.read, sel.n, n
+	if limit >= 0 {
+		step = batch * b.eng.workers()
+	}
+	for ; sel.read < n && (limit < 0 || sel.n <= limit); step = min(2*step, b.eng.morselSize()*b.eng.workers()) {
+		lo, hi := sel.read, min(sel.read+step, n)
 		// Exact-sized chunks, one per batch, joined once into one vector.
-		chunks := collectMorsels(b.eng, b.qc, n, tr, func(lo, hi int) [][]int32 {
+		chunks := collectMorsels(b.eng, b.qc, hi-lo, tr, func(a, c int) [][]int32 {
 			var out [][]int32
-			tf.scan(b.qc, batch, nil, lo, hi, func(sel []int32) { out = append(out, slices.Clone(sel)) })
+			tf.scan(b.qc, batch, nil, lo+a, lo+c, func(s []int32) { out = append(out, slices.Clone(s)) })
 			return out
 		})
-		ids := slices.Concat(chunks...)
-		sel = &selection{n: len(ids), ids: ids}
-		b.qc.growScratch(int64(sel.n) * 8)
-		b.qc.shrinkScratch(int64(sel.n) * 8)
-		b.qc.opRowsOut(sp, int64(sel.n))
-		b.qc.endOp(sp)
+		sel.ids = slices.Concat(append([][]int32{sel.ids}, chunks...)...)
+		sel.n, sel.read = len(sel.ids), hi
 	}
-	b.sels[ti] = sel
+	b.qc.countScan(sel.read - from)
+	b.qc.opRowsIn(sp, int64(sel.read-from))
+	b.qc.opRowsOut(sp, int64(sel.n-found))
+	b.qc.growScratch(int64(sel.n) * 8)
+	b.qc.shrinkScratch(int64(sel.n) * 8)
 	return sel
 }

@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"cmp"
+	"slices"
+
 	"tpcds/internal/index"
 	"tpcds/internal/plan"
 	"tpcds/internal/schema"
@@ -72,10 +75,6 @@ func (e *Engine) starShape(b *binder, filters []filterInfo, edges []joinEdge, le
 		}
 		specs[dimT] = &dimSpec{table: dimT, factCol: factSide, pkCol: pkIdx}
 	}
-	shape := plan.StarShape{
-		FactName: b.tableAt(fact).binding,
-		FactRows: b.tableAt(fact).tab.NumRows(),
-	}
 	var dims []dimSpec
 	for ti, spec := range specs {
 		if ti == fact {
@@ -85,16 +84,36 @@ func (e *Engine) starShape(b *binder, filters []filterInfo, edges []joinEdge, le
 			// Every non-fact table must participate as a dimension.
 			return none()
 		}
-		// Exact filtered cardinality: the selection is the one the chosen
-		// strategy joins with, so being right about it costs no extra scan.
-		inst, sel := b.tableAt(ti), b.selection(ti, filters, tr)
 		dims = append(dims, *spec)
-		shape.Dims = append(shape.Dims, plan.DimInfo{
-			Name:         inst.binding,
-			Rows:         inst.tab.NumRows(),
-			FilteredRows: sel.n,
-			PKJoin:       true,
-		})
+	}
+	// Count survivors only as far as the decision needs: past limit =
+	// max(FactRows/4, 64) of them in any one dimension the shape is
+	// ineligible whatever the other counts (plan.StarShape.Eligible), so
+	// each count stops there, and after the first such dimension the rest
+	// go uncounted (FilteredRows = Rows): the hash pipeline may then join
+	// them by index lookup without scanning them. Unfiltered dimensions
+	// cost nothing and go first, then the filtered ones smallest first. A
+	// count that finishes is the selection the chosen strategy joins.
+	shape := plan.StarShape{FactName: b.tableAt(fact).binding, FactRows: b.tableAt(fact).tab.NumRows()}
+	limit, counted := max(shape.FactRows/4, 64), map[int]int{}
+	cost := func(d dimSpec) int {
+		return min(len(tablePreds(d.table, filters)), 1) * b.tableAt(d.table).tab.NumRows()
+	}
+	byCost := slices.Clone(dims)
+	slices.SortStableFunc(byCost, func(x, y dimSpec) int { return cmp.Compare(cost(x), cost(y)) })
+	for _, d := range byCost {
+		sel := b.scanSelection(d.table, filters, tr, limit)
+		if counted[d.table] = sel.n; sel.n > limit {
+			break
+		}
+	}
+	for _, d := range dims {
+		inst := b.tableAt(d.table)
+		n, ok := counted[d.table]
+		if !ok {
+			n = inst.tab.NumRows()
+		}
+		shape.Dims = append(shape.Dims, plan.DimInfo{Name: inst.binding, Rows: inst.tab.NumRows(), FilteredRows: n, PKJoin: true})
 	}
 	return shape, fact, dims, true
 }
@@ -124,7 +143,10 @@ func (e *Engine) runStar(b *binder, filters []filterInfo, residual []bexpr, fact
 	var accBitmap *index.Bitmap
 	for _, spec := range dims {
 		inst, sel := b.tableAt(spec.table), b.selection(spec.table, filters, tr)
-		rows := b.baseIndex(spec.table, spec.pkCol, sel)
+		var rows *index.HashIndex
+		if sel.all {
+			rows = b.baseIndex(spec.table, spec.pkCol)
+		}
 		if rows == nil {
 			b.readAll(sel)
 			keys, ids := stagePairs(b.qc, sel, (&keySource{col: newColReader(inst, spec.pkCol)}).intAt)

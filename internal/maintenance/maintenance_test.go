@@ -331,6 +331,13 @@ func TestWarmEngineEqualsColdAfterRefresh(t *testing.T) {
 		`SELECT cs_order_number, cr_return_quantity FROM catalog_sales, catalog_returns
 			WHERE cs_order_number = cr_order_number`,
 	}
+	// A filtered index lookup join onto item: a few fact rows probe the
+	// key index, and only the matched item rows are filtered. (The
+	// unfiltered date_dim, too large to be a star dimension, keeps the
+	// star decision from counting item's survivors.)
+	const lookup = `SELECT ss_ticket_number, ss_item_sk, i_item_id, i_current_price, d_date FROM store_sales, item, date_dim
+			WHERE ss_item_sk = i_item_sk AND ss_sold_date_sk = d_date_sk AND ss_ticket_number <= 8 AND i_rec_end_date IS NULL`
+	warm.SetProfiling(true)
 	run := func(eng *exec.Engine, q string) *exec.Result {
 		t.Helper()
 		res, err := eng.Query(q)
@@ -339,7 +346,7 @@ func TestWarmEngineEqualsColdAfterRefresh(t *testing.T) {
 		}
 		return res
 	}
-	for _, q := range queries {
+	for _, q := range append(queries, lookup) {
 		run(warm, q) // builds the indexes the refresh will outdate
 	}
 	built := reg.Counter("exec_hash_build_rows").Value()
@@ -359,7 +366,21 @@ func TestWarmEngineEqualsColdAfterRefresh(t *testing.T) {
 		}
 		cold := exec.New(warm.DB())
 		cold.SetParallelism(1)
-		for _, q := range queries {
+		// The refresh revised item, so the lookup rebuilds its key index.
+		before := reg.Counter("exec_hash_build_rows").Value()
+		_, tr, err := warm.QueryTraced(lookup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps := map[string]bool{}
+		tr.Profile.Walk(func(n *obs.OpProfile) { steps[n.Name] = true })
+		if !steps["probe item"] || steps["build item"] || steps["stream item"] || steps["star store_sales"] {
+			t.Fatalf("refresh %d: item is not joined by index lookup\n%s", refresh, tr.Profile)
+		}
+		if reg.Counter("exec_hash_build_rows").Value() == before {
+			t.Errorf("refresh %d: the lookup probed an index the refresh outdated", refresh)
+		}
+		for _, q := range append(queries, lookup) {
 			got, want := run(warm, q), run(cold, q)
 			if len(want.Rows) == 0 {
 				t.Fatalf("refresh %d: empty result proves nothing\n%s", refresh, q)
