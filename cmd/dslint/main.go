@@ -2,10 +2,11 @@
 // layers and exits nonzero if either finds anything:
 //
 //   - source analyzers (internal/lint): the statement-level rules
-//     (determinism, cancelcheck, errcheck, panics, strayio) plus the
+//     (determinism, cancelcheck, errcheck, panics, strayio), the
 //     flow-sensitive tier built on the CFG + dataflow framework
-//     (lockcheck, goleak, ctxflow, taintdet) — all pure stdlib
-//     go/ast + go/types, no external tooling;
+//     (lockcheck, goleak, ctxflow, taintdet), and the rules that also
+//     read interprocedural summaries (pubfreeze, nilcheck, errcontract)
+//     — all pure stdlib go/ast + go/types, no external tooling;
 //   - the schema-aware template checker (internal/lint/templatecheck):
 //     every one of the 99 query templates must substitute, parse, and
 //     resolve cleanly against the snowstorm schema catalog.
@@ -14,7 +15,6 @@
 //
 //	dslint [-source=false] [-templates=false] [-rules lockcheck,goleak] [-json] [packages]
 //	dslint -summary '(Engine).costPlan'
-//	dslint -why internal/exec/batch.go:177
 //
 // -rules restricts the source layer to a comma-separated subset of
 // analyzers (see -rules=help for the list); unknown names are a usage
@@ -26,17 +26,8 @@
 //
 // -summary prints the computed interprocedural summary (purity, escape,
 // taint transfer) of one function and exits — the triage tool for
-// sharecap/pubfreeze/taintdet findings. The name is matched as an exact
+// pubfreeze/taintdet/errcontract findings. The name is matched as an exact
 // display name ("exec.(Engine).costPlan") or any unique suffix.
-//
-// -why file:line explains the value-tier findings at that source line:
-// the proof obligations boundscheck/nilcheck/errcontract tried and the
-// abstract facts that were too weak — the triage tool for deciding
-// between a code fix and a //lint:ignore.
-//
-// -cache persists per-package summaries to the given file, keyed by a
-// content hash of each package and its in-module imports, so repeat
-// runs skip the summary fixpoint for unchanged packages.
 //
 // -baseline enforces the suppression ratchet: the JSON file holds the
 // accepted per-rule //lint:ignore counts; a rule whose live count
@@ -46,7 +37,7 @@
 //
 // -timings reports per-analyzer wall time; -budget fails the run when
 // the source layer exceeds the given total duration — the CI guard
-// keeping the abstract-interpretation tier interactive.
+// keeping the fixpoint analyses interactive.
 //
 // The package argument is accepted for familiarity ("./...") but the
 // tool always analyzes the whole module containing the working
@@ -61,7 +52,6 @@ import (
 	"go/token"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -76,8 +66,6 @@ func main() {
 	rulesFlag := flag.String("rules", "", "comma-separated subset of source analyzers to run (default: all; 'help' lists them)")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	summaryFlag := flag.String("summary", "", "print the interprocedural summary of the named function and exit")
-	cacheFlag := flag.String("cache", "", "summary cache file: restore unchanged packages, record the rest")
-	whyFlag := flag.String("why", "", "explain the value-tier findings at file:line and exit")
 	baselineFlag := flag.String("baseline", "", "suppression-ratchet file: fail if any rule's //lint:ignore count grows past it")
 	writeBaseline := flag.Bool("write-baseline", false, "rewrite the -baseline file from the current suppression counts")
 	timingsFlag := flag.Bool("timings", false, "report per-analyzer wall time")
@@ -95,7 +83,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dslint: %v\n", err)
 			os.Exit(2)
 		}
-		pr := lint.BuildProgram(pkgs, nil)
+		pr := lint.BuildProgram(pkgs)
 		node, candidates := pr.FindNode(*summaryFlag)
 		if node == nil {
 			if len(candidates) > 0 {
@@ -117,9 +105,6 @@ func main() {
 			fmt.Println("  calls unresolved functions (interface methods, function values, or stdlib)")
 		}
 		return
-	}
-	if *whyFlag != "" {
-		os.Exit(explain(*whyFlag))
 	}
 	var rules []string
 	if *rulesFlag != "" {
@@ -150,16 +135,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "dslint: %v\n", err)
 			os.Exit(2)
 		}
-		var store *lint.SummaryStore
-		if *cacheFlag != "" {
-			store = lint.LoadSummaryStore(*cacheFlag)
-		}
-		res := lint.CheckRulesWithStore(pkgs, rules, store)
-		if store != nil {
-			if err := store.Save(); err != nil {
-				fmt.Fprintf(os.Stderr, "dslint: saving summary cache: %v\n", err)
-			}
-		}
+		res := lint.CheckRules(pkgs, rules)
 		all = append(all, res.Diagnostics...)
 		fmt.Fprintf(os.Stderr, "dslint: source: %d packages, %d findings, %d suppressed by //lint:ignore\n",
 			len(pkgs), len(res.Diagnostics), res.Suppressed)
@@ -226,53 +202,6 @@ func main() {
 	if len(all) > 0 || failed {
 		os.Exit(1)
 	}
-}
-
-// explain implements -why: it re-runs the value-tier analyzers and
-// prints, for each finding at the given file:line, the proof
-// obligations that failed and the abstract facts that were too weak.
-func explain(loc string) int {
-	i := strings.LastIndex(loc, ":")
-	if i < 0 {
-		fmt.Fprintf(os.Stderr, "dslint: -why wants file:line, got %q\n", loc)
-		return 2
-	}
-	file, lineStr := loc[:i], loc[i+1:]
-	line, err := strconv.Atoi(lineStr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dslint: -why wants file:line, got %q\n", loc)
-		return 2
-	}
-	_, pkgs, err := lint.Module(".")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dslint: %v\n", err)
-		return 2
-	}
-	res := lint.CheckRules(pkgs, []string{"boundscheck", "nilcheck", "errcontract"})
-	matched := 0
-	for _, d := range res.Diagnostics {
-		if d.Pos.Line != line || !sameFile(d.Pos.Filename, file) {
-			continue
-		}
-		matched++
-		fmt.Println(d)
-		if d.Why != "" {
-			for _, l := range strings.Split(d.Why, "\n") {
-				fmt.Println("\t" + l)
-			}
-		}
-	}
-	if matched == 0 {
-		fmt.Fprintf(os.Stderr, "dslint: no value-tier finding at %s (proof succeeded, or the finding is suppressed — remove the //lint:ignore to re-triage it)\n", loc)
-		return 1
-	}
-	return 0
-}
-
-// sameFile matches the user-given path against a finding's filename by
-// suffix, so both "internal/exec/batch.go" and "batch.go" work.
-func sameFile(found, given string) bool {
-	return found == given || strings.HasSuffix(found, "/"+given)
 }
 
 // ratchet implements -baseline: current per-rule suppression counts may

@@ -318,6 +318,11 @@ func TestInFlightDebugdHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := "http://" + srv.Addr()
+	// The clients own their transport and keep no connection alive: a
+	// pooled connection the transport dialed but never sent a request on
+	// sits in StateNew on the server, which http.Server.Shutdown does not
+	// treat as idle for 5 s — exactly the deadline below.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -332,7 +337,7 @@ func TestInFlightDebugdHammer(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Get(base + path)
+				resp, err := client.Get(base + path)
 				if err != nil {
 					t.Errorf("GET %s: %v", path, err)
 					return

@@ -244,7 +244,6 @@ func (e *Engine) refAggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, ord
 			row := make([]storage.Value, width, width+len(winMap))
 			copy(row, g.vals)
 			for i := range specs {
-				//lint:ignore boundscheck every group is allocated with accs: make([]refAcc, len(specs)); the per-group field length is a cross-object invariant the per-variable domain cannot carry
 				row[len(groupExprs)+i] = g.accs[i].finalize(specs[i])
 			}
 			out = append(out, row)
@@ -290,7 +289,6 @@ func (e *Engine) refAggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, ord
 				if specs[i].arg != nil {
 					v = specs[i].arg.eval(row)
 				}
-				//lint:ignore boundscheck every group is allocated with accs: make([]refAcc, len(specs)); the per-group field length is a cross-object invariant the per-variable domain cannot carry
 				g.accs[i].add(v, specs[i].distinct)
 			}
 		}
@@ -365,7 +363,6 @@ func (e *Engine) refAggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, ord
 				buf = buf[:0]
 				for i := range groupExprs {
 					if mask&(1<<uint(i)) != 0 {
-						//lint:ignore boundscheck precompute builds each gv row with make([]storage.Value, len(groupExprs)); per-element slice lengths are outside the per-variable domain
 						buf = gv[r][i].AppendGroupKey(buf)
 					} else {
 						buf = append(buf, 0, '-')
@@ -392,7 +389,6 @@ func (e *Engine) refAggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, ord
 					gvals := make([]storage.Value, len(groupExprs))
 					for i := range groupExprs {
 						if mask&(1<<uint(i)) != 0 {
-							//lint:ignore boundscheck precompute builds each gv row with make([]storage.Value, len(groupExprs)); per-element slice lengths are outside the per-variable domain
 							gvals[i] = gv[r][i]
 						} else {
 							gvals[i] = storage.Null
@@ -403,7 +399,6 @@ func (e *Engine) refAggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, ord
 					order = append(order, g)
 				}
 				for i := range specs {
-					//lint:ignore boundscheck per-group accs and per-row av lengths are fixed at construction (len(specs)); per-element invariants are outside the per-variable domain
 					g.accs[i].add(av[r][i], specs[i].distinct)
 				}
 			}
@@ -460,7 +455,6 @@ func (e *Engine) refAggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, ord
 	// Slot table for post-aggregation binding.
 	slots := map[string]bexpr{}
 	for i, r := range groupRenders {
-		//lint:ignore boundscheck groupRenders is emitted one entry per groupExprs element (lockstep lengths); cross-slice equality is outside the per-variable domain
 		slots[r] = &colExpr{off: i, t: groupExprs[i].typ()}
 	}
 	for i, spec := range specs {

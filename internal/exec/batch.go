@@ -83,14 +83,12 @@ func newColReader(inst *tabInst, c int) colReader {
 	return colReader{off: inst.offset + c, kind: k, ints: ints, flts: flts, strs: strs, codes: codes, dict: dict, nulls: nulls}
 }
 
-// str returns the string at non-NULL row r of a string column. (A code
-// is unsigned; c >= 0 states for dslint's bounds proof what the
-// compiler already knows.)
+// str returns the string at non-NULL row r of a string column.
 func (cr *colReader) str(r int32) string {
 	if cr.codes == nil {
 		return cr.strs[r]
 	}
-	if c := int(cr.codes[r]); c >= 0 && c < len(cr.dict) {
+	if c := int(cr.codes[r]); c < len(cr.dict) {
 		return cr.dict[c]
 	}
 	panic("exec: string code outside its column's dictionary")
@@ -115,9 +113,8 @@ func (cr *colReader) value(r int32) storage.Value {
 // triFn is a compiled predicate kernel: it evaluates the predicate for
 // every row id in sel, writing three-valued results into out (1 true,
 // 0 false, -1 unknown; out has len(sel)). Kernels close over immutable
-// column vectors only — morsel workers share them freely. That capture
-// contract is machine-checked: dslint's sharecap rule flags any
-// literal assigned or returned as a triFn that mutates a capture.
+// column vectors only — morsel workers share them freely. The -race
+// runs of the parallel differentials check that capture contract.
 type triFn func(sel []int32, out []int8)
 
 // tableFilter is the compiled local-predicate filter of one table:
@@ -555,11 +552,15 @@ func strKernel(cr *colReader, test func(s string) int8) triFn {
 	for c, s := range cr.dict {
 		tab[c] = test(s)
 	}
+	// A code past the table is a fault (a stale table, a corrupt
+	// column): the unguarded index makes it a query error instead of a
+	// silently dropped row.
 	return func(sel []int32, out []int8) {
 		for i, r := range sel {
-			out[i] = -1
-			if c := int(codes[r]); !nulls[r] && c >= 0 && c < len(tab) {
-				out[i] = tab[c]
+			if nulls[r] {
+				out[i] = -1
+			} else {
+				out[i] = tab[codes[r]]
 			}
 		}
 	}

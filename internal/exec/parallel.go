@@ -87,7 +87,8 @@ func (e *Engine) parts(n int) int {
 // Capture contract: fn runs on multiple goroutines at once, so it may
 // capture only values that are immutable after construction,
 // per-worker-owned slots (counts[worker]-style), or lock-protected
-// state. dslint's sharecap rule checks every closure passed here.
+// state. The -race runs of the parallel differentials
+// (TestParallelEqualsSequential and friends) check it.
 func forEachMorsel(qc *qctx, workers, n, morselRows int, fn func(worker, morsel, lo, hi int)) []int {
 	numMorsels := (n + morselRows - 1) / morselRows
 	if workers > numMorsels {
@@ -152,8 +153,8 @@ func runMorsel(qc *qctx, opsp *obs.Span, worker, m, lo, hi int, fn func(worker, 
 
 // parallelFor runs fn(p) for every p in [0,workers) on its own
 // goroutine and waits; the first panic is re-raised on the caller.
-// fn's captures are held to the same sharecap-checked contract as
-// forEachMorsel's: immutable, per-worker-owned, or lock-protected.
+// fn's captures are held to the same contract as forEachMorsel's:
+// immutable, per-worker-owned, or lock-protected.
 func parallelFor(workers int, fn func(p int)) {
 	if workers <= 1 {
 		fn(0)

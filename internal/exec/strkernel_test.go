@@ -132,6 +132,22 @@ func TestStringKernelsEqualEval(t *testing.T) {
 	}
 }
 
+// TestStringKernelOutsideDictionaryPanics: a code with no entry in the
+// dictionary the kernel's truth table was built from (a stale table, a
+// corrupt column) must fail the query, not read as UNKNOWN and drop the
+// row without a trace.
+func TestStringKernelOutsideDictionaryPanics(t *testing.T) {
+	cr := &colReader{kind: storage.KindString, codes: []uint16{0, 2}, dict: []string{"apple", "M"}, nulls: []bool{false, false}}
+	kernel := strKernel(cr, func(s string) int8 { return b2t(s == "apple") })
+	out := make([]int8, 2)
+	defer func() {
+		if recover() == nil {
+			t.Errorf("code 2 over a 2-entry dictionary answered %v instead of panicking", out)
+		}
+	}()
+	kernel([]int32{0, 1}, out)
+}
+
 // TestStringKernelsAcrossDemotion: the same predicates before and after
 // a column gives its dictionary up. The rows that were there answer the
 // same; the new ones answer as eval says.

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // BenchmarkLintModule quantifies the shared-module cache: "fresh" pays
 // the full from-source type-check of the module plus its stdlib imports
@@ -35,55 +32,34 @@ func BenchmarkLintModule(b *testing.B) {
 	})
 }
 
-// BenchmarkSummaries quantifies the summary cache: "cold" runs the full
-// bottom-up SCC fixpoint (call graph + purity/escape/taint transfer for
-// every function in the module) on each iteration, "warm" restores
-// every package from a content-hash-keyed store first, so only the
-// graph construction remains. The gap is what `dslint -cache` saves on
-// a repeat run over an unchanged tree.
-// BenchmarkValueTier times one full abstract-interpretation pass — the
-// SSA-lite construction plus the interval/nilness/error-contract
-// fixpoint and replay — over every value-tier package of the module
-// (exec, plan, storage, obs). This is the marginal cost the value tier
-// adds to a dslint run; the CI budget assertion (-budget 30s) bounds
-// the same work. The per-package cache is cleared each iteration so
-// every pass is cold.
-func BenchmarkValueTier(b *testing.B) {
+// BenchmarkNilness times one full nilness pass — the fixpoint and
+// replay under nilcheck and errcontract — over every package in their
+// scope (exec, plan, storage, obs). The per-package cache is cleared
+// each iteration so every pass is cold.
+func BenchmarkNilness(b *testing.B) {
 	_, pkgs, err := Module(".")
 	if err != nil {
 		b.Fatal(err)
 	}
-	pr := buildProgram(pkgs, nil)
+	pr := buildProgram(pkgs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range pkgs {
-			p.valRes, p.valProg = nil, nil
-			valueAnalyze(pr, p)
+			p.nilDiags, p.nilProg = nil, nil
+			nilAnalyze(pr, p)
 		}
 	}
 }
 
+// BenchmarkSummaries times the bottom-up SCC fixpoint: call graph,
+// purity/escape/taint transfer and error-contract facts for every
+// function in the module.
 func BenchmarkSummaries(b *testing.B) {
 	_, pkgs, err := Module(".")
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			buildProgram(pkgs, nil)
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		path := filepath.Join(b.TempDir(), "summaries.json")
-		store := LoadSummaryStore(path)
-		buildProgram(pkgs, store)
-		if err := store.Save(); err != nil {
-			b.Fatal(err)
-		}
-		warm := LoadSummaryStore(path)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buildProgram(pkgs, warm)
-		}
-	})
+	for i := 0; i < b.N; i++ {
+		buildProgram(pkgs)
+	}
 }

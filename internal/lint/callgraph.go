@@ -1,11 +1,11 @@
 package lint
 
 // callgraph.go builds the module-wide call graph the interprocedural
-// tier (summary.go, sharecap.go, pubfreeze.go, the interprocedural half
-// of taintdet) runs on. The graph is computed over the same pure-stdlib
-// load as everything else: nodes are the function and method
-// declarations of the analyzed packages, edges are the statically
-// resolvable calls between them.
+// tier (summary.go, pubfreeze.go, the interprocedural half of taintdet,
+// the error facts of errcontract.go) runs on. The graph is computed
+// over the same pure-stdlib load as everything else: nodes are the
+// function and method declarations of the analyzed packages, edges are
+// the statically resolvable calls between them.
 //
 // Resolution, in decreasing order of precision:
 //
@@ -19,16 +19,14 @@ package lint
 //     callee (CallsUnknown), and every summary consulting it degrades
 //     conservatively;
 //   - calls through function values (variables, fields, parameters) are
-//     unknown callees too. sharecap partially recovers these: a
-//     function-typed capture whose initializer is a visible literal is
-//     re-checked at its creation site (see sharecap.go).
+//     unknown callees too.
 //
 // Function literals do NOT get their own nodes. A literal's effects are
 // attributed to the enclosing declaration (its body is walked as part of
 // the declaration's summary), which is conservative in the may-analysis
 // direction: whatever a closure might do when invoked is charged to its
-// creator. The flow-sensitive per-literal analyses (taintdet, sharecap)
-// still examine literal bodies as separate scopes.
+// creator. The flow-sensitive per-literal analyses (taintdet, nilcheck,
+// errcontract) still examine literal bodies as separate scopes.
 //
 // Node and edge order is deterministic — nodes sort by position, edges
 // by first call site — so two runs over the same tree produce
@@ -74,9 +72,8 @@ type Program struct {
 }
 
 // buildProgram constructs the call graph over pkgs and computes
-// summaries bottom-up. store, when non-nil, short-circuits summary
-// computation for packages whose content hash matches a stored entry.
-func buildProgram(pkgs []*Package, store *SummaryStore) *Program {
+// summaries bottom-up.
+func buildProgram(pkgs []*Package) *Program {
 	pr := &Program{Pkgs: pkgs, byObj: map[*types.Func]*FuncNode{}}
 	for _, p := range pkgs {
 		for _, f := range p.Files {
@@ -106,7 +103,7 @@ func buildProgram(pkgs []*Package, store *SummaryStore) *Program {
 	for _, n := range pr.Nodes {
 		pr.resolveCalls(n)
 	}
-	pr.computeSummaries(store)
+	pr.computeSummaries()
 	return pr
 }
 
@@ -209,9 +206,9 @@ func (pr *Program) NodeByObj(f *types.Func) *FuncNode {
 }
 
 // BuildProgram exposes the interprocedural view for tooling — the
-// cmd/dslint -summary flag and the tests. store may be nil.
-func BuildProgram(pkgs []*Package, store *SummaryStore) *Program {
-	return buildProgram(pkgs, store)
+// cmd/dslint -summary flag and the tests.
+func BuildProgram(pkgs []*Package) *Program {
+	return buildProgram(pkgs)
 }
 
 // FindNode resolves a function by display name: an exact match on

@@ -41,17 +41,13 @@ type Block struct {
 	Nodes []ast.Node
 	Succs []*Block
 
-	// Branch metadata for the value tier (ssa.go, interval.go,
-	// nilness.go). When Cond is non-nil the block ends in a two-way
-	// branch on Cond and TrueSucc/FalseSucc are the successors taken
-	// when the condition is true/false. When Range is non-nil the block
-	// is a range-loop head: TrueSucc is the body (one more iteration),
-	// FalseSucc the exit. Both nil: the edges carry no condition. The
-	// fields are additive — analyzers that only read Succs are
-	// unaffected.
-	Cond     ast.Expr
-	Range    *ast.RangeStmt
-	TrueSucc *Block
+	// Branch metadata for nilness.go's edge refinement. When Cond is
+	// non-nil the block ends in a two-way branch on Cond and
+	// TrueSucc/FalseSucc are the successors taken when the condition is
+	// true/false; otherwise the edges carry no condition. Analyzers that
+	// only read Succs are unaffected.
+	Cond      ast.Expr
+	TrueSucc  *Block
 	FalseSucc *Block
 }
 
@@ -286,9 +282,6 @@ func (b *cfgBuilder) rangeStmt(v *ast.RangeStmt, label string) {
 
 	body := b.newBlock()
 	head.addSucc(body)
-	head.Range = v
-	head.TrueSucc = body
-	head.FalseSucc = after
 	b.pushTargets(label, after, head)
 	b.cur = body
 	b.stmtList(v.Body.List, "")

@@ -30,6 +30,14 @@ import (
 // set). Blocks unreachable from entry (dead code) are still processed
 // once from bottom so intra-block checks fire there too.
 func solveForward[S any](g *CFG, boundary S, bottom func() S, clone func(S) S, join func(dst, src S) bool, transfer func(b *Block, in S) S) map[*Block]S {
+	return solveForwardEdges(g, boundary, bottom, clone, join, transfer, nil)
+}
+
+// solveForwardEdges is solveForward with a per-edge hook: a non-nil
+// edge maps a block's out-state to the state the edge to succ carries
+// (nilness.go narrows each edge of a branch by its condition). edge
+// must not modify out in place: every successor is handed the same one.
+func solveForwardEdges[S any](g *CFG, boundary S, bottom func() S, clone func(S) S, join func(dst, src S) bool, transfer func(b *Block, in S) S, edge func(b, succ *Block, out S) S) map[*Block]S {
 	in := map[*Block]S{g.Entry: boundary}
 	work := []*Block{g.Entry}
 	queued := map[*Block]bool{g.Entry: true}
@@ -39,11 +47,15 @@ func solveForward[S any](g *CFG, boundary S, bottom func() S, clone func(S) S, j
 		queued[blk] = false
 		out := transfer(blk, in[blk])
 		for _, s := range blk.Succs {
+			o := out
+			if edge != nil {
+				o = edge(blk, s, out)
+			}
 			changed := false
 			if st, ok := in[s]; ok {
-				changed = join(st, out)
+				changed = join(st, o)
 			} else {
-				in[s] = clone(out)
+				in[s] = clone(o)
 				changed = true
 			}
 			if changed && !queued[s] {

@@ -4,8 +4,8 @@ package lint
 //
 //   - a call result guarded by a companion error must not be consumed
 //     (dereferenced, indexed, sliced, ranged, or selected through) on a
-//     path where the error has not been excluded — nil3 of the error
-//     key must be nil at the use;
+//     path where the error has not been excluded — the nilness of the
+//     error key must be nil at the use;
 //   - error wrapping must preserve the original: an error formatted
 //     into fmt.Errorf must use the %w verb, and a return constructing a
 //     fresh error while a live error value is non-nil must mention it.
@@ -16,71 +16,59 @@ package lint
 // result count.
 //
 // The interprocedural half lives in the two Summary fields computed by
-// computeErrFacts (after the PR-8 bottom-up fixpoint, callees before
-// callers): ReturnsNilErrOn marks error results nil on every return,
+// computeErrFacts after summary.go's bottom-up fixpoint, callees before
+// callers: ReturnsNilErrOn marks error results nil on every return,
 // NonNilResultWhenNilErr marks results non-nil whenever the trailing
 // error is nil — the fact that promotes `if err != nil { return }` into
 // a non-nil proof for the companion result.
 
 import (
-	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/types"
+	"sort"
 	"strings"
 )
 
 // analyzeErrContract is the errcontract analyzer entry.
 func analyzeErrContract(pr *Program, p *Package) []Diagnostic {
-	return valueAnalyze(pr, p).diags["errcontract"]
+	return nilAnalyze(pr, p)["errcontract"]
 }
 
 // checkConsume flags a pointer-shaped use of a companion-guarded result
 // while its error is not excluded.
-func (va *valueAnalysis) checkConsume(env *valEnv, base ast.Expr) {
-	key := va.p.canonKey(base)
-	if key == "" {
-		return
-	}
+func (nf *nilFlow) checkConsume(env *nilEnv, base ast.Expr) {
+	key := nf.p.canonKey(base)
 	c, ok := env.comp[key]
-	if !ok {
-		return
-	}
-	if env.nl[key] == nlNonNil {
-		return // independently proven non-nil
+	if !ok || env.nl[key] == nlNonNil {
+		return // no companion, or independently proven non-nil
 	}
 	switch env.nl[c.errKey] {
 	case nlNil:
-		return // error excluded on this path
+		// The error is excluded on this path.
 	case nlNonNil:
-		why := fmt.Sprintf("%s is non-nil on every path reaching this use of %s",
-			keyDisplay(c.errKey), keyDisplay(key))
-		va.emit(base, "errcontract", why,
-			"%s used although %s is non-nil", displayExpr(base), keyDisplay(c.errKey))
+		nf.emit(base, "errcontract", "%s used although %s is non-nil", displayExpr(base), keyDisplay(c.errKey))
 	default:
-		why := fmt.Sprintf("%s is unchecked when %s is consumed (nilness: unknown)",
-			keyDisplay(c.errKey), keyDisplay(key))
-		va.emit(base, "errcontract", why,
-			"%s used before %s is checked", displayExpr(base), keyDisplay(c.errKey))
+		nf.emit(base, "errcontract", "%s used before %s is checked", displayExpr(base), keyDisplay(c.errKey))
 	}
 }
 
 // checkReturn enforces the wrap obligations at one return site.
-func (va *valueAnalysis) checkReturn(env *valEnv, ret *ast.ReturnStmt) {
+func (nf *nilFlow) checkReturn(env *nilEnv, ret *ast.ReturnStmt) {
 	for _, r := range ret.Results {
-		va.checkExpr(env, r)
+		nf.checkExpr(env, r)
 	}
 	for _, r := range ret.Results {
 		call, ok := unparen(r).(*ast.CallExpr)
 		if !ok {
 			continue
 		}
-		switch externalErrCtor(va.p, call) {
+		switch externalErrCtor(nf.p, call) {
 		case "fmt.Errorf":
-			va.checkErrorfWrap(env, call)
-			va.checkDropsOriginal(env, ret, call)
+			nf.checkErrorfWrap(call)
+			nf.checkDropsOriginal(env, ret, call)
 		case "errors.New":
-			va.checkDropsOriginal(env, ret, call)
+			nf.checkDropsOriginal(env, ret, call)
 		}
 	}
 }
@@ -95,22 +83,20 @@ func externalErrCtor(p *Package, call *ast.CallExpr) string {
 	if obj == nil || obj.Pkg() == nil {
 		return ""
 	}
-	switch obj.Pkg().Path() + "." + obj.Name() {
-	case "fmt.Errorf":
-		return "fmt.Errorf"
-	case "errors.New":
-		return "errors.New"
+	switch name := obj.Pkg().Path() + "." + obj.Name(); name {
+	case "fmt.Errorf", "errors.New":
+		return name
 	}
 	return ""
 }
 
 // checkErrorfWrap flags an error value formatted with a verb other than
 // %w: %v (or %s) erases the chain errors.Is/As walks.
-func (va *valueAnalysis) checkErrorfWrap(env *valEnv, call *ast.CallExpr) {
+func (nf *nilFlow) checkErrorfWrap(call *ast.CallExpr) {
 	if len(call.Args) < 2 {
 		return
 	}
-	tv, ok := va.p.Info.Types[call.Args[0]]
+	tv, ok := nf.p.Info.Types[call.Args[0]]
 	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
 		return
 	}
@@ -119,18 +105,14 @@ func (va *valueAnalysis) checkErrorfWrap(env *valEnv, call *ast.CallExpr) {
 		return // indexed or otherwise exotic format: no claim
 	}
 	for i, arg := range call.Args[1:] {
-		t := va.p.typeOf(arg)
-		if t == nil || !isErrorType(t) {
+		if t := nf.p.typeOf(arg); t == nil || !isErrorType(t) {
 			continue
 		}
 		if i >= len(verbs) {
 			break
 		}
 		if verbs[i] != 'w' {
-			why := fmt.Sprintf("error value %s formatted with %%%c; errors.Is/As cannot unwrap it",
-				displayExpr(arg), verbs[i])
-			va.emit(arg, "errcontract", why,
-				"error %s wrapped with %%%c: use %%w to preserve it", displayExpr(arg), verbs[i])
+			nf.emit(arg, "errcontract", "error %s wrapped with %%%c: use %%w to preserve it", displayExpr(arg), verbs[i])
 		}
 	}
 }
@@ -157,10 +139,6 @@ func formatVerbs(format string) ([]byte, bool) {
 			i++
 		}
 		if i < len(format) {
-			if format[i] == '*' {
-				verbs = append(verbs, '*') // width arg consumes a slot
-				continue
-			}
 			verbs = append(verbs, format[i])
 		}
 	}
@@ -170,9 +148,9 @@ func formatVerbs(format string) ([]byte, bool) {
 // checkDropsOriginal flags a return that constructs a fresh error while
 // a live error value is non-nil and unmentioned in any result — the
 // original failure is silently discarded.
-func (va *valueAnalysis) checkDropsOriginal(env *valEnv, ret *ast.ReturnStmt, ctor *ast.CallExpr) {
+func (nf *nilFlow) checkDropsOriginal(env *nilEnv, ret *ast.ReturnStmt, ctor *ast.CallExpr) {
 	var live []string
-	for key := range va.errKeys {
+	for key := range nf.errKeys {
 		if env.nl[key] == nlNonNil {
 			live = append(live, key)
 		}
@@ -180,11 +158,12 @@ func (va *valueAnalysis) checkDropsOriginal(env *valEnv, ret *ast.ReturnStmt, ct
 	if len(live) == 0 {
 		return
 	}
+	sort.Strings(live)
 	mentioned := map[string]bool{}
 	for _, r := range ret.Results {
 		ast.Inspect(r, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
-				if obj := objOf(va.p, id); obj != nil {
+				if obj := objOf(nf.p, id); obj != nil {
 					mentioned[objKey(obj)] = true
 				}
 			}
@@ -193,10 +172,7 @@ func (va *valueAnalysis) checkDropsOriginal(env *valEnv, ret *ast.ReturnStmt, ct
 	}
 	for _, key := range live {
 		if !mentioned[key] {
-			why := fmt.Sprintf("%s is non-nil here and does not reach the returned error",
-				keyDisplay(key))
-			va.emit(ctor, "errcontract", why,
-				"returned error drops the original %s", keyDisplay(key))
+			nf.emit(ctor, "errcontract", "returned error drops the original %s", keyDisplay(key))
 			return // one finding per return suffices
 		}
 	}
@@ -206,14 +182,9 @@ func (va *valueAnalysis) checkDropsOriginal(env *valEnv, ret *ast.ReturnStmt, ct
 
 // computeErrFacts fills ReturnsNilErrOn / NonNilResultWhenNilErr on
 // every summary, callees before callers (sccs order), by running the
-// value engine over each body and inspecting the environment at every
-// return. Packages restored from the summary cache keep their stored
-// bits.
-func (pr *Program) computeErrFacts(cached map[*Package]bool) {
+// engine over each body and reading the state at every return.
+func (pr *Program) computeErrFacts() {
 	for _, comp := range pr.sccs() {
-		if cached[comp[0].Pkg] {
-			continue
-		}
 		for _, n := range comp {
 			pr.errFactsFor(n)
 		}
@@ -229,70 +200,43 @@ func (pr *Program) errFactsFor(n *FuncNode) {
 	var resObjs []types.Object
 	var resTypes []types.Type
 	for _, f := range fd.Type.Results.List {
-		reps := len(f.Names)
-		if reps == 0 {
-			reps = 1
+		t := n.Pkg.Info.Types[f.Type].Type
+		if len(f.Names) == 0 {
+			resObjs, resTypes = append(resObjs, nil), append(resTypes, t)
 		}
-		for i := 0; i < reps; i++ {
-			var obj types.Object
-			if i < len(f.Names) {
-				obj = n.Pkg.Info.Defs[f.Names[i]]
-			}
-			resObjs = append(resObjs, obj)
-			resTypes = append(resTypes, n.Pkg.Info.Types[f.Type].Type)
+		for _, nm := range f.Names {
+			resObjs, resTypes = append(resObjs, n.Pkg.Info.Defs[nm]), append(resTypes, t)
 		}
 	}
 	nres := len(resTypes)
 	if nres == 0 || nres > 32 {
 		return
 	}
-	errIdx := -1
-	anyNilable := false
+	errIdx := -1 // the trailing error result
 	for i, t := range resTypes {
 		if t != nil && isErrorType(t) {
 			errIdx = i
-		} else if t != nil && nilable(t) {
-			anyNilable = true
 		}
 	}
-	if errIdx < 0 && !anyNilable {
-		return
-	}
-	va := &valueAnalysis{
-		pr:       pr,
-		p:        n.Pkg,
-		res:      &valueResult{diags: map[string][]Diagnostic{}},
-		seeds:    map[*ast.FuncLit]*valEnv{},
-		reported: map[string]bool{},
-		quiet:    true,
-	}
-	fs := funcScope{name: fd.Name.Name, decl: fd, body: fd.Body}
-	va.fs = fs
-	va.s = newSSA(va.p, fs)
-	va.errKeys = map[string]bool{}
-	va.compact = map[types.Object]compactFact{}
-	va.findCompactions(fs.body)
-	envs := va.solve(va.s, va.boundaryEnv(fs))
-
-	errAlwaysNil := errIdx >= 0
-	var okMask uint32
+	var okMask uint32 // results that may carry the non-nil-on-success bit
 	for i, t := range resTypes {
-		if i != errIdx && t != nil && nilable(t) {
+		if i != errIdx && nilable(t) {
 			okMask |= 1 << uint(i)
 		}
 	}
+	if errIdx < 0 && okMask == 0 {
+		return
+	}
+	nf := &nilFlow{pr: pr, p: n.Pkg}
+	g, ins := nf.solve(funcScope{name: fd.Name.Name, decl: fd, body: fd.Body})
+	errAlwaysNil := errIdx >= 0
 	sawReturn := false
-	for _, blk := range va.s.g.Blocks {
-		env := envs[blk]
-		if env == nil {
-			env = newValEnv()
-		} else {
-			env = env.clone()
-		}
+	for _, blk := range g.Blocks {
+		env := ins[blk].clone()
 		for _, node := range blk.Nodes {
 			if ret, ok := node.(*ast.ReturnStmt); ok {
 				sawReturn = true
-				vals := va.returnValues(env, ret, resObjs, resTypes)
+				vals := nf.returnValues(env, ret, resObjs, resTypes)
 				errNl := nlUnknown
 				if errIdx >= 0 {
 					errNl = vals[errIdx]
@@ -301,33 +245,29 @@ func (pr *Program) errFactsFor(n *FuncNode) {
 					}
 				}
 				if errNl != nlNonNil {
-					// The error can be nil on this return: every ok-mask
-					// result must be non-nil to keep its bit.
+					// The error can be nil on this return: every result
+					// keeping its bit must be non-nil here.
 					for i := 0; i < nres; i++ {
-						if okMask&(1<<uint(i)) != 0 && vals[i] != nlNonNil {
+						if vals[i] != nlNonNil {
 							okMask &^= 1 << uint(i)
 						}
 					}
 				}
 			}
-			va.transferNode(env, node)
+			nf.transfer(env, node)
 		}
 	}
-	if !sawReturn {
-		// No normal return (panic/loop): facts are vacuous; keep the
-		// conservative zero for the error bit, the full mask for results
-		// (no caller ever observes them).
-		errAlwaysNil = false
-	}
 	sum := pr.summaryOf(n)
-	if errAlwaysNil {
+	// A function with no normal return (panic, endless loop) keeps the
+	// conservative zero: the fact would be vacuous.
+	if errAlwaysNil && sawReturn {
 		sum.ReturnsNilErrOn |= 1 << uint(errIdx)
 	}
 	sum.NonNilResultWhenNilErr = okMask
 }
 
 // returnValues computes the nilness of each result at one return.
-func (va *valueAnalysis) returnValues(env *valEnv, ret *ast.ReturnStmt, resObjs []types.Object, resTypes []types.Type) []nil3 {
+func (nf *nilFlow) returnValues(env *nilEnv, ret *ast.ReturnStmt, resObjs []types.Object, resTypes []types.Type) []nil3 {
 	nres := len(resTypes)
 	vals := make([]nil3, nres)
 	switch {
@@ -339,64 +279,66 @@ func (va *valueAnalysis) returnValues(env *valEnv, ret *ast.ReturnStmt, resObjs 
 		}
 	case len(ret.Results) == nres:
 		for i, r := range ret.Results {
-			vals[i] = va.returnNilness(env, r)
+			vals[i] = nf.returnNilness(env, r)
 		}
 	case len(ret.Results) == 1:
-		// return f(): forward the callee's facts.
-		if call, ok := unparen(ret.Results[0]).(*ast.CallExpr); ok {
-			if cn := va.pr.calleeNode(va.p, call); cn != nil && cn.sum != nil {
-				for i := 0; i < nres && i < 32; i++ {
-					if resTypes[i] != nil && isErrorType(resTypes[i]) {
-						if cn.sum.ReturnsNilErrOn&(1<<uint(i)) != 0 {
-							vals[i] = nlNil
-						}
-					} else if cn.sum.NonNilResultWhenNilErr&(1<<uint(i)) != 0 {
-						// Callee guarantees non-nil when its error is nil;
-						// as an unconditional fact this is only sound when
-						// the callee has no error result — leave unknown
-						// otherwise.
-						if !tupleHasError(resTypes) {
-							vals[i] = nlNonNil
-						}
-					}
+		// return f(): forward the callee's facts. Its non-nil-on-success
+		// bit is an unconditional fact only when no error rides along.
+		call, ok := unparen(ret.Results[0]).(*ast.CallExpr)
+		if !ok {
+			break
+		}
+		cn := nf.pr.calleeNode(nf.p, call)
+		if cn == nil || cn.sum == nil {
+			break
+		}
+		hasErr := false
+		for _, t := range resTypes {
+			hasErr = hasErr || (t != nil && isErrorType(t))
+		}
+		for i := 0; i < nres; i++ {
+			switch {
+			case resTypes[i] != nil && isErrorType(resTypes[i]):
+				if cn.sum.ReturnsNilErrOn&(1<<uint(i)) != 0 {
+					vals[i] = nlNil
 				}
+			case cn.sum.NonNilResultWhenNilErr&(1<<uint(i)) != 0 && !hasErr:
+				vals[i] = nlNonNil
 			}
 		}
 	}
 	return vals
 }
 
-func tupleHasError(ts []types.Type) bool {
-	for _, t := range ts {
-		if t != nil && isErrorType(t) {
-			return true
-		}
-	}
-	return false
-}
-
-// returnNilness resolves one returned expression's nilness: syntax
-// first, then the environment, then the error-constructor model
-// (errors.New / fmt.Errorf never return nil).
-func (va *valueAnalysis) returnNilness(env *valEnv, e ast.Expr) nil3 {
-	if n := va.nilFact(env, e); n != nlUnknown {
+// returnNilness resolves one returned expression's nilness: syntax and
+// the state first, then the error-constructor model (errors.New and
+// fmt.Errorf never return nil), then a single-result callee's summary.
+func (nf *nilFlow) returnNilness(env *nilEnv, e ast.Expr) nil3 {
+	if n := nf.nilFact(env, e); n != nlUnknown {
 		return n
 	}
-	if call, ok := unparen(e).(*ast.CallExpr); ok {
-		if externalErrCtor(va.p, call) != "" {
-			return nlNonNil
+	call, ok := unparen(e).(*ast.CallExpr)
+	if !ok {
+		return nlUnknown
+	}
+	if externalErrCtor(nf.p, call) != "" {
+		return nlNonNil
+	}
+	cn := nf.pr.calleeNode(nf.p, call)
+	t := nf.p.typeOf(e)
+	if cn == nil || cn.sum == nil || t == nil {
+		return nlUnknown
+	}
+	if isErrorType(t) {
+		if cn.sum.ReturnsNilErrOn&1 != 0 {
+			return nlNil
 		}
-		if cn := va.pr.calleeNode(va.p, call); cn != nil && cn.sum != nil {
-			t := va.p.typeOf(e)
-			if t != nil && isErrorType(t) && cn.sum.ReturnsNilErrOn&1 != 0 {
-				return nlNil
-			}
-			if t != nil && nilable(t) && !isErrorType(t) && cn.sum.NonNilResultWhenNilErr&1 != 0 {
-				// Only sound unconditionally for single-result callees.
-				if sig, ok := va.p.typeOf(call.Fun).(*types.Signature); ok && sig.Results().Len() == 1 {
-					return nlNonNil
-				}
-			}
+		return nlUnknown
+	}
+	if nilable(t) && cn.sum.NonNilResultWhenNilErr&1 != 0 {
+		// Only unconditional for a single-result callee.
+		if sig, ok := nf.p.typeOf(call.Fun).(*types.Signature); ok && sig.Results().Len() == 1 {
+			return nlNonNil
 		}
 	}
 	return nlUnknown

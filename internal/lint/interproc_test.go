@@ -2,7 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -33,8 +32,8 @@ func TestCallGraphDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := renderProgram(buildProgram(pkgs, nil))
-	b := renderProgram(buildProgram(pkgs, nil))
+	a := renderProgram(buildProgram(pkgs))
+	b := renderProgram(buildProgram(pkgs))
 	if a != b {
 		t.Errorf("two call-graph builds differ:\n--- first ---\n%s--- second ---\n%s", a, b)
 	}
@@ -62,8 +61,8 @@ func loadFixture(t *testing.T, name, virtualPath string) *Package {
 // with known-by-construction behavior, including the mutually
 // recursive pair that exercises the SCC fixpoint.
 func TestSummaryFacts(t *testing.T) {
-	taint := buildProgram([]*Package{loadFixture(t, "taintinter", "tpcds/internal/datagen")}, nil)
-	share := buildProgram([]*Package{loadFixture(t, "sharecap", "tpcds/internal/exec")}, nil)
+	taint := buildProgram([]*Package{loadFixture(t, "taintinter", "tpcds/internal/datagen")})
+	pub := buildProgram([]*Package{loadFixture(t, "pubfreeze", "tpcds/internal/pubfix")})
 
 	find := func(pr *Program, name string) *FuncNode {
 		t.Helper()
@@ -91,52 +90,15 @@ func TestSummaryFacts(t *testing.T) {
 		t.Errorf("rowsFor: want a fully-resolved effect-free summary, got %v", s)
 	}
 
-	if s := find(share, "bumpCount").Summary(); s.MutatesParam&1 == 0 {
-		t.Errorf("bumpCount: want plain mutation of param 0, got %v", s)
-	}
-}
-
-// TestSummaryStoreRoundTrip checks the persistence path: a store
-// populated by one build restores into the next and yields identical
-// summaries, and a corrupt store file degrades to empty instead of
-// failing.
-func TestSummaryStoreRoundTrip(t *testing.T) {
-	_, pkgs, err := Module(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "summaries.json")
-
-	cold := LoadSummaryStore(path)
-	want := renderProgram(buildProgram(pkgs, cold))
-	if err := cold.Save(); err != nil {
-		t.Fatal(err)
-	}
-
-	warm := LoadSummaryStore(path)
-	if len(warm.entries) == 0 {
-		t.Fatal("saved store reloaded empty")
-	}
-	if got := renderProgram(buildProgram(pkgs, warm)); got != want {
-		t.Errorf("warm-restored summaries differ from cold build:\n--- warm ---\n%s--- cold ---\n%s", got, want)
-	}
-
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	corrupt := LoadSummaryStore(path)
-	if len(corrupt.entries) != 0 {
-		t.Error("corrupt store should load as empty")
-	}
-	if got := renderProgram(buildProgram(pkgs, corrupt)); got != want {
-		t.Error("corrupt store changed analysis results")
+	if s := find(pub, "rename").Summary(); s.MutatesParam&1 == 0 {
+		t.Errorf("rename: want plain mutation of param 0, got %v", s)
 	}
 }
 
 // TestFindNode covers the -summary name resolution: exact display
 // names, unique suffixes, and ambiguity reporting.
 func TestFindNode(t *testing.T) {
-	pr := buildProgram([]*Package{loadFixture(t, "pubfreeze", "tpcds/internal/pubfix")}, nil)
+	pr := buildProgram([]*Package{loadFixture(t, "pubfreeze", "tpcds/internal/pubfix")})
 
 	if n, _ := pr.FindNode("pubfix.rename"); n == nil || n.Name != "pubfix.rename" {
 		t.Errorf("exact lookup failed: %v", n)

@@ -35,6 +35,15 @@
 //     intermediate assignments — the flows the syntactic determinism
 //     rule cannot see.
 //
+// The last tier also reads per-function summaries computed over a
+// module-wide call graph (callgraph.go, summary.go):
+//
+//   - pubfreeze: a value published into a shared cache is not modified
+//     afterwards;
+//   - nilcheck and errcontract: definite-nil dereferences, and (T,
+//     error) results used before their error is checked or wrapped so
+//     the chain breaks — both on the nilness lattice of nilness.go.
+//
 // False positives are suppressed, never silently: a
 // "//lint:ignore <rule> <reason>" comment on the flagged line or the
 // line above suppresses one rule there, is counted in the result, and
@@ -55,15 +64,11 @@ import (
 	"time"
 )
 
-// Diagnostic is one finding, positioned like a compiler error. Why
-// carries the failed-proof explanation of the value-tier rules for
-// `dslint -why`; it is deliberately excluded from String and the JSON
-// encoding so default output stays stable and comparable across runs.
+// Diagnostic is one finding, positioned like a compiler error.
 type Diagnostic struct {
 	Pos     token.Position
 	Rule    string
 	Message string
-	Why     string `json:"-"`
 }
 
 func (d Diagnostic) String() string {
@@ -92,9 +97,9 @@ type Result struct {
 	SuppressedByRule map[string]int
 
 	// Timings is the cumulative wall time per analyzer across all
-	// packages (cmd/dslint -timings). The first value-tier rule to run
-	// absorbs the shared abstract-interpretation pass; the other two
-	// read its per-package cache.
+	// packages (cmd/dslint -timings). Whichever of nilcheck and
+	// errcontract runs first absorbs their shared per-package pass; the
+	// other reads its cache.
 	Timings map[string]time.Duration
 }
 
@@ -120,15 +125,13 @@ var analyzers = []struct {
 // interAnalyzers lists the interprocedural rules: they additionally see
 // the Program (call graph + summaries) built over the whole package
 // set. taintdet lives here since it follows taint through helper calls
-// via transfer summaries.
+// via transfer summaries; nilcheck and errcontract read the error facts.
 var interAnalyzers = []struct {
 	name string
 	fn   func(*Program, *Package) []Diagnostic
 }{
 	{"taintdet", analyzeTaintDet},
-	{"sharecap", analyzeShareCap},
 	{"pubfreeze", analyzePubFreeze},
-	{"boundscheck", analyzeBoundsCheck},
 	{"nilcheck", analyzeNilCheck},
 	{"errcontract", analyzeErrContract},
 }
@@ -169,13 +172,6 @@ func Check(pkgs []*Package) *Result { return CheckRules(pkgs, nil) }
 // rules that actually ran (a directive for a skipped rule cannot prove
 // itself useful).
 func CheckRules(pkgs []*Package, rules []string) *Result {
-	return CheckRulesWithStore(pkgs, rules, nil)
-}
-
-// CheckRulesWithStore is CheckRules with an optional summary store: a
-// non-nil store restores summaries for packages whose content hash
-// matches and records the rest after the fixpoint (the caller saves).
-func CheckRulesWithStore(pkgs []*Package, rules []string, store *SummaryStore) *Result {
 	run := map[string]bool{}
 	if len(rules) == 0 {
 		for _, a := range analyzers {
@@ -194,7 +190,7 @@ func CheckRulesWithStore(pkgs []*Package, rules []string, store *SummaryStore) *
 	var pr *Program
 	for _, a := range interAnalyzers {
 		if run[a.name] {
-			pr = buildProgram(pkgs, store)
+			pr = buildProgram(pkgs)
 			break
 		}
 	}

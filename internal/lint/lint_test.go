@@ -40,19 +40,14 @@ var fixtures = []struct {
 	// storage (or read back out of obs) are flagged by determinism and
 	// taintdet.
 	{name: "obssanction", virtualPath: "tpcds/internal/datagen", rule: "determinism"},
-	// sharecap poses as internal/exec and declares its own
-	// forEachMorsel/parallelFor stubs so the worker-pool sites match.
-	{name: "sharecap", virtualPath: "tpcds/internal/exec"},
 	{name: "pubfreeze", virtualPath: "tpcds/internal/pubfix"},
 	// taintinter is the interprocedural taintdet fixture: clock values
 	// crossing function boundaries (including a mutually recursive SCC)
 	// before reaching storage emission.
 	{name: "taintinter", virtualPath: "tpcds/internal/datagen", rule: "taintdet"},
-	// The value tier: boundscheck poses as internal/exec/batch.go (the
-	// rule is file-scoped inside exec), nilcheck as internal/storage,
-	// errcontract as internal/plan. Each fixture pairs known-bad shapes
-	// with clean ones that must stay silent.
-	{name: "boundscheck", virtualPath: "tpcds/internal/exec"},
+	// The nilness rules: nilcheck poses as internal/storage, errcontract
+	// as internal/plan. Each fixture pairs known-bad shapes with clean
+	// ones that must stay silent.
 	{name: "nilcheck", virtualPath: "tpcds/internal/storage"},
 	{name: "errcontract", virtualPath: "tpcds/internal/plan"},
 }

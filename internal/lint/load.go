@@ -21,17 +21,15 @@ import (
 type Package struct {
 	Path  string
 	Name  string
-	Root  string // module root the file display names are relative to
 	Fset  *token.FileSet
 	Files []*ast.File
 	Info  *types.Info
 	Types *types.Package
 
-	// Value-tier cache: the three value analyzers (boundscheck,
-	// nilcheck, errcontract) share one abstract-interpretation pass per
-	// package per Program (see valueflow.go).
-	valRes  *valueResult
-	valProg *Program
+	// nilcheck and errcontract share one nilness pass per package per
+	// Program (see nilness.go): its findings by rule.
+	nilDiags map[string][]Diagnostic
+	nilProg  *Program
 }
 
 // Loader parses and type-checks packages using only the standard
@@ -295,7 +293,6 @@ func (l *Loader) check(importPath, dir string, files []string) (*Package, error)
 	return &Package{
 		Path:  importPath,
 		Name:  tpkg.Name(),
-		Root:  l.root,
 		Fset:  l.Fset,
 		Files: asts,
 		Info:  info,

@@ -398,3 +398,15 @@ func (pf *pubCheck) report(n ast.Node, format string, args ...any) {
 	pf.reported[n.Pos()] = true
 	pf.diags = append(pf.diags, pf.p.diag(n, "pubfreeze", format, args...))
 }
+
+// calleeIdentName extracts the bare or selector function name of a call
+// target.
+func calleeIdentName(fun ast.Expr) (string, bool) {
+	switch v := unparen(fun).(type) {
+	case *ast.Ident:
+		return v.Name, true
+	case *ast.SelectorExpr:
+		return v.Sel.Name, true
+	}
+	return "", false
+}

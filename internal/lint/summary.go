@@ -66,7 +66,7 @@ type Summary struct {
 	ParamToSink  uint32 // param i may flow into storage emission (transitively)
 	RecvToSink   bool   // receiver state may flow into storage emission
 
-	// Value-tier error facts (computed flow-sensitively by
+	// Error-contract facts (computed flow-sensitively by
 	// computeErrFacts after the bottom-up fixpoint, callees first).
 	ReturnsNilErrOn        uint32 // error result r is nil on every return
 	NonNilResultWhenNilErr uint32 // result i is non-nil whenever the trailing error is nil
@@ -135,34 +135,13 @@ func (pr *Program) summaryOf(n *FuncNode) *Summary {
 // and tests).
 func (n *FuncNode) Summary() *Summary { return n.sum }
 
-// computeSummaries runs the bottom-up fixpoint. Packages whose content
-// hash matches a store entry restore their summaries instead of
-// computing them (see summarycache.go).
-func (pr *Program) computeSummaries(store *SummaryStore) {
-	cached := map[*Package]bool{}
-	if store != nil {
-		for _, p := range pr.Pkgs {
-			if store.restore(pr, p) {
-				cached[p] = true
-			}
-		}
-	}
+// computeSummaries runs the bottom-up fixpoint.
+func (pr *Program) computeSummaries() {
 	for _, comp := range pr.sccs() {
-		if cached[comp[0].Pkg] {
-			continue // import cycles are impossible, so an SCC never spans packages
-		}
 		for changed := true; changed; {
 			changed = false
 			for _, n := range comp {
 				next := pr.computeSummary(n)
-				// computeSummary does not produce the value-tier error
-				// facts; preserve them across fixpoint iterations (they
-				// are filled by computeErrFacts below, and restored
-				// entries never reach this loop).
-				if n.sum != nil {
-					next.ReturnsNilErrOn = n.sum.ReturnsNilErrOn
-					next.NonNilResultWhenNilErr = n.sum.NonNilResultWhenNilErr
-				}
 				if n.sum == nil || *n.sum != *next {
 					n.sum = next
 					changed = true
@@ -170,12 +149,10 @@ func (pr *Program) computeSummaries(store *SummaryStore) {
 			}
 		}
 	}
-	// Error facts need the finished summaries (the value engine consults
-	// mutation bits) and run callees-first so `return f()` forwards.
-	pr.computeErrFacts(cached)
-	if store != nil {
-		store.update(pr)
-	}
+	// Error facts need the finished summaries (the nilness engine
+	// consults mutation bits) and run callees-first so `return f()`
+	// forwards.
+	pr.computeErrFacts()
 }
 
 // paramInfo maps a function's receiver and parameter objects to their

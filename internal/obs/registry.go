@@ -113,7 +113,6 @@ func (c *Counter) Add(d int64) {
 	if c == nil {
 		return
 	}
-	//lint:ignore boundscheck shardIndex masks with len(c.shards)-1 inside the callee (power-of-two shard count); interprocedural return ranges are outside the intraprocedural domain
 	c.shards[shardIndex()].n.Add(d)
 }
 
@@ -199,7 +198,6 @@ func (h *Histogram) Observe(v int64) {
 		return
 	}
 	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
-	//lint:ignore boundscheck sort.Search returns i <= len(h.bounds) and buckets is allocated with len(bounds)+1 slots; the cross-field length relation is outside the per-variable domain
 	h.buckets[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
