@@ -48,51 +48,6 @@ func writeDigest(path string, queries []driver.QueryTiming) error {
 	return os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644)
 }
 
-// runCompare diffs two bench-json artifacts per template and reports
-// regressions beyond the threshold. Exit status 1 means at least one
-// template regressed — the CI gate for the performance trajectory.
-func runCompare(args []string, threshold float64) int {
-	if len(args) != 2 {
-		fmt.Fprintln(os.Stderr, "dsbench: -compare needs exactly two artifacts: dsbench -compare before.json after.json")
-		return 2
-	}
-	load := func(path string) (metric.BenchRun, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return metric.BenchRun{}, err
-		}
-		return metric.ReadBenchJSON(data)
-	}
-	before, err := load(args[0])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsbench: %s: %v\n", args[0], err)
-		return 2
-	}
-	after, err := load(args[1])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsbench: %s: %v\n", args[1], err)
-		return 2
-	}
-	deltas := metric.CompareBench(before, after, threshold)
-	regressions := 0
-	fmt.Printf("bench compare: %s -> %s (threshold %.0f%%)\n", args[0], args[1], threshold*100)
-	fmt.Printf("  tmpl   before p50   after p50   ratio\n")
-	for _, d := range deltas {
-		mark := ""
-		if d.Regressed {
-			mark = "  REGRESSED"
-			regressions++
-		}
-		fmt.Printf("  q%-4d %11v %11v   %.2fx%s\n", d.ID, d.BeforeP50, d.AfterP50, d.Ratio, mark)
-	}
-	if regressions > 0 {
-		fmt.Printf("%d of %d templates regressed beyond %.0f%%\n", regressions, len(deltas), threshold*100)
-		return 1
-	}
-	fmt.Printf("no template regressed beyond %.0f%% (%d compared)\n", threshold*100, len(deltas))
-	return 0
-}
-
 func run() int {
 	sf := flag.Float64("sf", 0.01, "scale factor")
 	streams := flag.Int("streams", 0, "query streams (0 = Figure 12 minimum)")
@@ -115,26 +70,17 @@ func run() int {
 	metrics := flag.Bool("metrics", false, "collect engine/driver metrics and append the dump to the report")
 	pprofDir := flag.String("pprof", "", "write cpu.pprof and heap.pprof into this directory")
 	maxConcurrent := flag.Int("max-concurrent", 0, "cap queries in flight across all streams (0 = no cap)")
-	batch := flag.Int("batch", 0, "vectorized batch rows per kernel call (0 = engine default 1024)")
-	rowExec := flag.Bool("rowexec", false, "force row-at-a-time execution (the differential oracle path)")
 	planner := flag.String("planner", "cost", "join planner: cost (statistics + plan cache) or greedy (fixed heuristic baseline)")
 	digestOut := flag.String("digest", "", "write per-query result checksums to this file (for cross-planner diffing)")
 	feedback := flag.Bool("feedback", false, "profile every query and dump the per-template estimate-vs-actual worst offenders")
-	benchJSON := flag.String("bench-json", "", "write the schema-versioned machine-readable run artifact to this file")
-	compareMode := flag.Bool("compare", false, "diff two bench-json artifacts (dsbench -compare before.json after.json) instead of running")
-	threshold := flag.Float64("threshold", 0.25, "with -compare, flag templates whose p50 regressed beyond this fraction")
 	debugAddr := flag.String("debug-addr", "", "serve live diagnostics (/metrics /queries /spans /debug/pprof) on this address during the run")
 	spanLimit := flag.Int("span-limit", 0, "bound the tracer's completed-span ring to the most recent N spans (0 = unbounded)")
 	flag.Parse()
 
-	if *compareMode {
-		return runCompare(flag.Args(), *threshold)
-	}
-
 	cfg := driver.Config{
 		SF: *sf, Streams: *streams, Seed: *seed,
 		DataDir: *dataDir, ParallelLoad: *parallel, Parallelism: *parallelism,
-		BatchRows: *batch, RowExec: *rowExec, Planner: *planner, Digest: *digestOut != "",
+		Planner: *planner, Digest: *digestOut != "",
 		QueryTimeout: *timeout, OnError: *onError, MaxConcurrent: *maxConcurrent,
 		Price: metric.PriceModel{HardwareUSD: *hw, SoftwareUSD: *sw, MaintenanceUSD: *maint},
 	}
@@ -142,9 +88,9 @@ func run() int {
 		cfg.Tracer = obs.NewTracer()
 		cfg.Tracer.SetSpanLimit(*spanLimit)
 	}
-	// The bench artifact and the feedback report need the per-template
-	// histograms / q-error counters, so those modes imply a registry.
-	if *metrics || *benchJSON != "" || *feedback || *debugAddr != "" {
+	// The feedback report needs the q-error counters, so it implies a
+	// registry.
+	if *metrics || *feedback || *debugAddr != "" {
 		cfg.Metrics = obs.NewRegistry()
 	}
 	if *feedback {
@@ -232,31 +178,6 @@ func run() int {
 			return 1
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d query digests to %s\n", len(res.Queries), *digestOut)
-	}
-
-	if *benchJSON != "" {
-		art := metric.NewBenchRun(res.Report, *seed, *planner)
-		art.Counters = cfg.Metrics.CounterValues()
-		if h := cfg.Metrics.Histogram(driver.QErrorHistogram); h.Count() > 0 {
-			art.QError = &metric.BenchQErrorSummary{
-				Count:    h.Count(),
-				P50x1000: h.Quantile(0.50),
-				P95x1000: h.Quantile(0.95),
-				Maxx1000: h.Max(),
-			}
-		}
-		f, werr := os.Create(*benchJSON)
-		if werr == nil {
-			werr = metric.WriteBenchJSON(f, art)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-		}
-		if werr != nil {
-			fmt.Fprintf(os.Stderr, "dsbench: %v\n", werr)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "wrote bench artifact (%d templates) to %s\n", len(art.Templates), *benchJSON)
 	}
 
 	if *feedback && len(res.Report.Misestimates) > 0 {

@@ -24,8 +24,8 @@
 // artifact upload; with -timings a "timings" member carries the
 // per-analyzer wall time.
 //
-// -summary prints the computed interprocedural summary (purity, escape,
-// taint transfer) of one function and exits — the triage tool for
+// -summary prints the computed interprocedural summary (mutation, taint
+// transfer, error contract) of one function and exits — the triage tool for
 // pubfreeze/taintdet/errcontract findings. The name is matched as an exact
 // display name ("exec.(Engine).costPlan") or any unique suffix.
 //

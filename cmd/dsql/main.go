@@ -36,8 +36,6 @@ func run() int {
 	mode := flag.String("mode", "auto", "plan mode: auto|hash|star")
 	explain := flag.Bool("explain", false, "print the optimizer decision after execution")
 	parallelism := flag.Int("parallelism", 0, "morsel workers (0 = all cores, 1 = serial)")
-	batch := flag.Int("batch", 0, "vectorized batch rows per kernel call (0 = engine default 1024)")
-	rowExec := flag.Bool("rowexec", false, "force row-at-a-time execution (the differential oracle path)")
 	planner := flag.String("planner", "cost", "join planner: cost (statistics + plan cache) or greedy (fixed heuristic baseline)")
 	timeout := flag.Duration("timeout", 0, "query deadline (0 = none), e.g. 30s")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event timeline of the query to this file")
@@ -45,6 +43,24 @@ func run() int {
 	pprofDir := flag.String("pprof", "", "write cpu.pprof and heap.pprof into this directory")
 	debugAddr := flag.String("debug-addr", "", "serve live diagnostics (/metrics /queries /spans /debug/pprof) on this address while running")
 	flag.Parse()
+
+	var pm plan.Mode
+	switch *mode {
+	case "auto":
+		pm = plan.Auto
+	case "hash":
+		pm = plan.ForceHashJoin
+	case "star":
+		pm = plan.ForceStar
+	default:
+		fmt.Fprintf(os.Stderr, "dsql: unknown mode %q\n", *mode)
+		return 2
+	}
+	pk, err := plan.ParsePlanner(*planner)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dsql: %v\n", err)
+		return 2
+	}
 
 	text := *query
 	if text == "" {
@@ -110,21 +126,9 @@ func run() int {
 	gen.SetObservability(loadSp, reg)
 	eng := exec.New(gen.GenerateAll())
 	loadSp.End()
-	switch *mode {
-	case "hash":
-		eng.SetMode(plan.ForceHashJoin)
-	case "star":
-		eng.SetMode(plan.ForceStar)
-	}
-	pk, err := plan.ParsePlanner(*planner)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsql: %v\n", err)
-		return 2
-	}
+	eng.SetMode(pm)
 	eng.SetPlanner(pk)
 	eng.SetParallelism(*parallelism)
-	eng.SetBatchSize(*batch)
-	eng.SetVectorized(!*rowExec)
 	eng.SetMetrics(reg)
 	eng.SetProfiling(analyze)
 	fmt.Fprintf(os.Stderr, "loaded SF %v in %v\n", *sf, time.Since(loadStart).Round(time.Millisecond))

@@ -70,14 +70,6 @@ type Config struct {
 	// hook: development-scale tables never reach the production 64K-row
 	// morsels, so tests shrink it to exercise the parallel paths).
 	MorselRows int
-	// BatchRows overrides the vectorized batch size within a morsel;
-	// 0 keeps the engine default (1024 rows). Results are identical at
-	// every setting.
-	BatchRows int
-	// RowExec forces the row-at-a-time execution path, disabling the
-	// vectorized batch kernels. The row path is the differential-testing
-	// oracle; results are bit-identical either way.
-	RowExec bool
 	// QueryTimeout is the per-query deadline inside each stream; 0
 	// means no deadline. A query exceeding it is cancelled (morsel
 	// workers drain between morsels) and recorded as a timeout.
@@ -232,8 +224,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	eng.SetPlanner(planner)
 	eng.SetParallelism(cfg.Parallelism)
 	eng.SetMorselSize(cfg.MorselRows)
-	eng.SetBatchSize(cfg.BatchRows)
-	eng.SetVectorized(!cfg.RowExec)
 	eng.SetQueryHook(cfg.QueryHook)
 	eng.SetMetrics(cfg.Metrics)
 	eng.SetProfiling(cfg.Profile)

@@ -112,8 +112,7 @@ func (ms *misestimates) record(reg *obs.Registry, tpl int, prof *obs.OpProfile) 
 }
 
 // report returns the aggregated table sorted worst-first (ties by
-// template id), the order the executive summary and bench artifact
-// both use.
+// template id), the order the executive summary uses.
 func (ms *misestimates) report() []metric.Misestimate {
 	if ms == nil {
 		return nil

@@ -24,12 +24,10 @@
 // three-valued logic bit for bit (numeric comparisons go through
 // float64 like storage.Compare, IN keeps its UNKNOWN-on-NULL member
 // rule, AND/OR combine 1/0/-1 exactly like binExpr), so kernels and
-// row-at-a-time evaluation select the same rows — the differential
-// tests pin this across all 99 templates, serial and parallel.
-//
-// Engine.SetVectorized(false) is the kernel oracle: it compiles no
-// kernels, so every local predicate is evaluated row-at-a-time through
-// bexpr.eval over the same batches, and emits the same row ids.
+// row-at-a-time evaluation select the same rows. There is one executor
+// configuration: kernel_test.go holds every compiled kernel of the 99
+// templates to bexpr.eval row by row, over rows read through
+// Table.Get, and checks the scanner's batch boundaries directly.
 package exec
 
 import (
@@ -40,18 +38,15 @@ import (
 	"tpcds/internal/storage"
 )
 
-// defaultBatchRows is the vectorized batch size: ~1K rows keeps a
-// batch's selection vector and per-column working set inside the L1/L2
-// caches while amortizing per-batch bookkeeping over enough rows.
-const defaultBatchRows = 1024
+// batchLen is the vectorized batch size: ~1K rows keeps a batch's
+// selection vector and per-column working set inside the L1/L2 caches
+// while amortizing per-batch bookkeeping over enough rows.
+const batchLen = 1024
 
-// batchSize returns the configured vectorized batch row count.
-func (e *Engine) batchSize() int {
-	if e.batchRows > 0 {
-		return e.batchRows
-	}
-	return defaultBatchRows
-}
+// batchSize is the predicate batch row count: batchLen, or one morsel
+// when morsels are smaller (tests shrink them with SetMorselSize and so
+// get batch boundaries inside development-scale tables too).
+func (e *Engine) batchSize() int { return min(batchLen, e.morselSize()) }
 
 // colReader caches one column's physical vectors plus the absolute row
 // layout offset it fills — the batched replacement for Table.Get.
@@ -129,18 +124,15 @@ type tableFilter struct {
 	total   int
 }
 
-// compileFilter compiles table ti's local predicates. With
-// vectorization off nothing is compiled: every predicate runs
-// row-at-a-time over the batch — the oracle the kernels are diffed
-// against.
+// compileFilter compiles table ti's local predicates: kernels where
+// compileTri understands the shape, bexpr.eval over the survivors for
+// the rest.
 func (b *binder) compileFilter(ti int, preds []bexpr) *tableFilter {
 	tf := &tableFilter{total: b.total}
 	for _, p := range preds {
-		if b.eng.vectorized {
-			if k, ok := b.compileTri(ti, p); ok {
-				tf.kernels = append(tf.kernels, k)
-				continue
-			}
+		if k, ok := b.compileTri(ti, p); ok {
+			tf.kernels = append(tf.kernels, k)
+			continue
 		}
 		tf.slow = append(tf.slow, p)
 	}

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"tpcds/internal/datagen"
 	"tpcds/internal/plan"
 	"tpcds/internal/qgen"
 	"tpcds/internal/queries"
@@ -27,7 +26,7 @@ func TestCostEqualsGreedyAllTemplates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("all-99 planner differential skipped in -short")
 	}
-	db := datagen.New(0.0005, 7).GenerateAll()
+	db := templateDB()
 	greedy := New(db)
 	greedy.SetPlanner(plan.Greedy)
 	greedy.SetParallelism(1)
@@ -61,7 +60,7 @@ func TestCostEqualsGreedyAllTemplates(t *testing.T) {
 // the serial oracle and the steady-state hit rate must clear the 90%
 // the benchmark advertises.
 func TestPlanCacheConcurrentStreams(t *testing.T) {
-	db := datagen.New(0.0005, 7).GenerateAll()
+	db := templateDB()
 	ids := []int{1, 7, 19, 25, 42, 52, 55, 68, 96, 98}
 
 	texts := make([]string, 0, len(ids))
@@ -210,7 +209,7 @@ func TestPlanSnapshotsAllTemplates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("all-99 plan snapshot skipped in -short")
 	}
-	db := datagen.New(0.0005, 7).GenerateAll()
+	db := templateDB()
 	eng := New(db)
 	eng.SetParallelism(1)
 	var sb strings.Builder

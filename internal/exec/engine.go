@@ -24,16 +24,10 @@ type Engine struct {
 	// parallelism is the configured worker count for morsel-driven
 	// execution: 0 means runtime.NumCPU(), 1 forces the serial path.
 	// morselRows overrides the scan morsel size (tests and benchmarks
-	// shrink it so development-scale tables still split into morsels).
+	// shrink it so development-scale tables still split into morsels);
+	// the predicate batch is never larger than a morsel (batchSize).
 	parallelism int
 	morselRows  int
-
-	// vectorized compiles local predicates into selection-vector
-	// kernels over columnar batches; off evaluates them row-at-a-time
-	// through bexpr.eval, the differential oracle for the kernels.
-	// batchRows overrides the batch size (0 = defaultBatchRows).
-	vectorized bool
-	batchRows  int
 
 	// mu guards the lazily built caches below (hashIdx, bmIdx,
 	// statsCache) plus lastDecision/lastTrace. Concurrent benchmark
@@ -104,7 +98,6 @@ type cachedBitmapIndex struct {
 func New(db *storage.DB) *Engine {
 	return &Engine{
 		db:         db,
-		vectorized: true,
 		hashIdx:    map[string]cachedHashIndex{},
 		bmIdx:      map[string]cachedBitmapIndex{},
 		statsCache: map[statsKey]colStats{},
@@ -144,29 +137,6 @@ func (e *Engine) SetMorselSize(n int) {
 	}
 	e.morselRows = n
 }
-
-// SetVectorized toggles the predicate kernels (on by default). With it
-// off every local predicate is evaluated row-at-a-time — the
-// differential oracle the kernels are tested against — while scans and
-// joins still pass the same row-id vectors. Results are bit-identical
-// either way. Not safe to call concurrently with queries.
-func (e *Engine) SetVectorized(on bool) { e.vectorized = on }
-
-// Vectorized reports whether batch execution is enabled.
-func (e *Engine) Vectorized() bool { return e.vectorized }
-
-// SetBatchSize overrides the vectorized batch row count (default 1024;
-// tests shrink it to stress batch boundaries). n <= 0 restores the
-// default. Not safe to call concurrently with queries.
-func (e *Engine) SetBatchSize(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.batchRows = n
-}
-
-// BatchSize returns the effective vectorized batch row count.
-func (e *Engine) BatchSize() int { return e.batchSize() }
 
 // SetPlanner selects the join planner: plan.CostBased (the default)
 // estimates costs, searches join orders and caches plans; plan.Greedy

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"tpcds/internal/datagen"
 	"tpcds/internal/qgen"
 	"tpcds/internal/queries"
 	"tpcds/internal/sql"
@@ -98,19 +97,26 @@ func nestedSelects(v reflect.Value, out *[]*sql.SelectStmt) {
 	}
 }
 
-// slowLister visits every SELECT block of a statement the way
-// runStatement reaches them — CTE bodies in scope order, union blocks,
-// expression subqueries — binds the block's WHERE clause, compiles each
-// table's local filter and records what compileFilter left in
-// tableFilter.slow.
-type slowLister struct {
-	t    *testing.T
-	e    *Engine
-	qc   *qctx
-	slow map[string]bool
+// localPred is one local predicate of a SELECT block: a WHERE conjunct
+// that reads one table, bound by the block's binder.
+type localPred struct {
+	b    *binder
+	ti   int
+	cond sql.Expr // the conjunct as written; Render gives its SQL
+	p    bexpr
 }
 
-func (w *slowLister) statement(stmt *sql.SelectStmt, outer map[string]*storage.Table) {
+// predLister visits every SELECT block of a statement the way
+// runStatement reaches them — CTE bodies in scope order, union blocks,
+// expression subqueries — and binds each block's local predicates.
+type predLister struct {
+	t     *testing.T
+	e     *Engine
+	qc    *qctx
+	preds []localPred
+}
+
+func (w *predLister) statement(stmt *sql.SelectStmt, outer map[string]*storage.Table) {
 	ctes := map[string]*storage.Table{}
 	for k, v := range outer {
 		ctes[k] = v
@@ -128,7 +134,7 @@ func (w *slowLister) statement(stmt *sql.SelectStmt, outer map[string]*storage.T
 	}
 }
 
-func (w *slowLister) block(stmt *sql.SelectStmt, ctes map[string]*storage.Table) {
+func (w *predLister) block(stmt *sql.SelectStmt, ctes map[string]*storage.Table) {
 	block := *stmt
 	block.With, block.UnionAll = nil, nil
 	var subs []*sql.SelectStmt
@@ -142,26 +148,37 @@ func (w *slowLister) block(stmt *sql.SelectStmt, ctes map[string]*storage.Table)
 			w.t.Fatal(err)
 		}
 	}
-	preds := make([][]bexpr, len(b.tables))
 	for _, c := range conjuncts(stmt.Where) {
 		be, err := b.bind(c)
 		if err != nil {
 			w.t.Fatalf("bind %s: %v", c.Render(), err)
 		}
 		if m := be.mask(); bits.OnesCount64(m) == 1 {
-			preds[bitIndex(m)] = append(preds[bitIndex(m)], be)
-		}
-	}
-	for ti, ps := range preds {
-		for _, p := range b.compileFilter(ti, ps).slow {
-			w.slow[b.tableAt(ti).binding+": "+describeExpr(b, p)] = true
+			w.preds = append(w.preds, localPred{b: b, ti: bitIndex(m), cond: c, p: be})
 		}
 	}
 }
 
+// templatePreds returns the local predicates of tpl's SELECT blocks
+// under one representative substitution, bound over e's database.
+func templatePreds(t *testing.T, e *Engine, tpl qgen.Template) []localPred {
+	text, err := qgen.Instantiate(tpl, qgen.StreamSeed(1, 0, tpl.ID))
+	if err != nil {
+		t.Fatalf("query %d: %v", tpl.ID, err)
+	}
+	stmt, err := sql.Parse(text)
+	if err != nil {
+		t.Fatalf("query %d: %v", tpl.ID, err)
+	}
+	w := &predLister{t: t, e: e, qc: e.newQctx(context.Background())}
+	w.statement(e.rewrite(w.qc, stmt), nil)
+	return w.preds
+}
+
 // TestKernelCoverageAllTemplates lists, for the 99 templates under one
 // representative substitution, every local predicate that compiles to
-// no kernel and is evaluated row-at-a-time, and compares the list with
+// no kernel and is evaluated row-at-a-time (compileFilter's slow list),
+// and compares the list with
 // testdata/slow_predicates.golden: a predicate shape that falls off the
 // kernels — or a new kernel that takes one on — shows as a reviewable
 // diff (regenerate with `go test ./internal/exec -run TestKernelCoverage -update`).
@@ -169,22 +186,18 @@ func TestKernelCoverageAllTemplates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("all-99 kernel coverage skipped in -short")
 	}
-	eng := New(datagen.New(0.0005, 7).GenerateAll())
+	eng := New(templateDB())
 	eng.SetParallelism(1)
 	var sb strings.Builder
 	for _, tpl := range queries.All() {
-		text, err := qgen.Instantiate(tpl, qgen.StreamSeed(1, 0, tpl.ID))
-		if err != nil {
-			t.Fatalf("query %d: %v", tpl.ID, err)
+		slow := map[string]bool{}
+		for _, lp := range templatePreds(t, eng, tpl) {
+			if _, ok := lp.b.compileTri(lp.ti, lp.p); !ok {
+				slow[lp.b.tableAt(lp.ti).binding+": "+describeExpr(lp.b, lp.p)] = true
+			}
 		}
-		stmt, err := sql.Parse(text)
-		if err != nil {
-			t.Fatalf("query %d: %v", tpl.ID, err)
-		}
-		w := &slowLister{t: t, e: eng, qc: eng.newQctx(context.Background()), slow: map[string]bool{}}
-		w.statement(eng.rewrite(w.qc, stmt), nil)
-		lines := make([]string, 0, len(w.slow))
-		for l := range w.slow {
+		lines := make([]string, 0, len(slow))
+		for l := range slow {
 			lines = append(lines, l)
 		}
 		sort.Strings(lines)

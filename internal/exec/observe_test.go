@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"tpcds/internal/datagen"
 	"tpcds/internal/obs"
 	"tpcds/internal/qgen"
 	"tpcds/internal/queries"
@@ -198,7 +197,7 @@ func TestProfiledEqualsUnprofiled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("all-99 profiled differential skipped in -short")
 	}
-	db := datagen.New(0.0005, 7).GenerateAll()
+	db := templateDB()
 	oracle := New(db)
 	oracle.SetParallelism(1)
 	serialProf := New(db)

@@ -13,6 +13,7 @@ import (
 	"tpcds/internal/plan"
 	"tpcds/internal/qgen"
 	"tpcds/internal/queries"
+	"tpcds/internal/storage"
 )
 
 // parallelEngine returns an engine forced onto the morsel paths: small
@@ -22,6 +23,26 @@ func parallelEngine(e *Engine) *Engine {
 	e.SetParallelism(4)
 	e.SetMorselSize(32)
 	return e
+}
+
+// templateDB is the SF 0.0005 seed-7 database of the all-template
+// tests, generated once per test binary: every test only reads it.
+var templateDB = sync.OnceValue(func() *storage.DB { return datagen.New(0.0005, 7).GenerateAll() })
+
+// assertSameResult fails the test when two results differ in any bit.
+func assertSameResult(t *testing.T, label string, want, got *Result) {
+	t.Helper()
+	if !reflect.DeepEqual(want.Columns, got.Columns) {
+		t.Fatalf("%s: columns %v vs %v", label, want.Columns, got.Columns)
+	}
+	if len(want.Rows) != len(got.Rows) {
+		t.Fatalf("%s: %d rows vs %d", label, len(want.Rows), len(got.Rows))
+	}
+	for ri := range want.Rows {
+		if !reflect.DeepEqual(want.Rows[ri], got.Rows[ri]) {
+			t.Fatalf("%s row %d: %v vs %v", label, ri, want.Rows[ri], got.Rows[ri])
+		}
+	}
 }
 
 // TestParallelEqualsSequential is the serial-equivalence guarantee: all
@@ -34,7 +55,7 @@ func TestParallelEqualsSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("all-99 differential sweep skipped in -short; TestQuickParallelEqualsSerial still runs")
 	}
-	db := datagen.New(0.0005, 7).GenerateAll()
+	db := templateDB()
 	tracer := obs.NewTracer()
 	troot := tracer.Root("differential", "test")
 	defer troot.End()

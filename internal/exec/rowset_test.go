@@ -15,31 +15,22 @@ import (
 // table under two bindings, a CTE-backed instance, a cartesian step, an
 // empty driver, a residual predicate gathered across tables — is run
 // over randDB's f/d tables and compared with a nested-loop reference
-// over the raw tables, under {serial, 4 workers} × {kernels, row
-// predicates}.
+// over the raw tables, serial and on 4 workers.
 
-// rowsetEngines returns the four engine configurations the rowSet cases
-// run under.
+// rowsetEngines returns the engine configurations the rowSet cases run
+// under.
 func rowsetEngines(db *storage.DB, mode plan.Mode) map[string]*Engine {
 	out := map[string]*Engine{}
-	for _, vec := range []bool{true, false} {
-		for _, par := range []bool{false, true} {
-			e := New(db)
-			e.SetMode(mode)
-			e.SetVectorized(vec)
-			e.SetParallelism(1)
-			name := "serial"
-			if par {
-				parallelEngine(e)
-				name = "parallel"
-			}
-			if vec {
-				name += "/batch"
-			} else {
-				name += "/row"
-			}
-			out[name] = e
+	for _, par := range []bool{false, true} {
+		e := New(db)
+		e.SetMode(mode)
+		e.SetParallelism(1)
+		name := "serial"
+		if par {
+			parallelEngine(e)
+			name = "parallel"
 		}
+		out[name] = e
 	}
 	return out
 }

@@ -243,7 +243,6 @@ func TestCancelMidSelectionAndBuild(t *testing.T) {
 	newEngine := func() *Engine {
 		e := parallelEngine(New(db))
 		e.SetMorselSize(8)
-		e.SetBatchSize(4)
 		return e
 	}
 	want, err := newEngine().Query(query)

@@ -1,18 +1,16 @@
 package exec
 
 import (
-	"context"
 	"slices"
 	"strconv"
 	"testing"
 
 	"tpcds/internal/schema"
-	"tpcds/internal/sql"
 	"tpcds/internal/storage"
 )
 
 // String-predicate kernels against bexpr.eval, over both layouts a
-// string column can have. The all-99-template differentials cover the
+// string column can have. TestKernelsEqualEvalAllTemplates covers the
 // shapes the templates use on the data dsdgen draws; these tables put
 // NULLs, the empty string, literals no row holds and a column that
 // changes layout between two runs under every form.
@@ -66,39 +64,15 @@ func dictionary(t *storage.Table, c int) bool {
 // answers.
 func kernelEqualsEval(t *testing.T, e *Engine, table, pred string) []int8 {
 	t.Helper()
-	stmt, err := sql.Parse("SELECT k FROM " + table + " WHERE " + pred)
-	if err != nil {
-		t.Fatalf("%s: %v", pred, err)
-	}
-	b := newBinder(e, e.newQctx(context.Background()), nil)
-	if err := b.addTable(stmt.From[0]); err != nil {
-		t.Fatal(err)
-	}
-	be, err := b.bind(stmt.Where)
-	if err != nil {
-		t.Fatalf("%s: %v", pred, err)
-	}
-	kernel, ok := b.compileTri(0, be)
+	b, preds := bindWhere(t, e, table, pred, false)
+	kernel, ok := b.compileTri(0, preds[0])
 	if !ok {
 		t.Fatalf("%s on %s: no kernel", pred, table)
 	}
-	n := b.tableAt(0).tab.NumRows()
-	sel, out := make([]int32, n), make([]int8, n)
-	for i := range sel {
-		sel[i] = int32(i)
-	}
-	kernel(sel, out)
-	row := make([]storage.Value, b.total)
-	cols := b.keySources(nil, exprCols(be))
-	for r := range out {
-		gather(cols, 0, int32(r), row)
-		want := int8(-1)
-		if v := be.eval(row); !v.IsNull() {
-			want = b2t(v.AsInt() != 0)
-		}
-		if out[r] != want {
-			t.Fatalf("%s on %s row %d (s=%v s2=%v): kernel %d, eval %d", pred, table, r, row[1], row[2], out[r], want)
-		}
+	tab := b.tableAt(0).tab
+	out, bad, want := checkKernel(b, 0, preds[0], kernel, allRows(tab.NumRows()))
+	if bad >= 0 {
+		t.Fatalf("%s on %s row %d (%v): kernel %d, eval %d", pred, table, bad, tab.Row(bad), out[bad], want)
 	}
 	return out
 }

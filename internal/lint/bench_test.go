@@ -52,7 +52,7 @@ func BenchmarkNilness(b *testing.B) {
 }
 
 // BenchmarkSummaries times the bottom-up SCC fixpoint: call graph,
-// purity/escape/taint transfer and error-contract facts for every
+// mutation, taint transfer and error-contract facts for every
 // function in the module.
 func BenchmarkSummaries(b *testing.B) {
 	_, pkgs, err := Module(".")

@@ -86,12 +86,12 @@ func TestSummaryFacts(t *testing.T) {
 			t.Errorf("%s: want param 1 to return through the recursion, got %v", name, s)
 		}
 	}
-	if s := find(taint, "rowsFor").Summary(); s.CallsUnknown || s.MutatesParam != 0 || s.WritesGlobal {
+	if s := find(taint, "rowsFor").Summary(); s.CallsUnknown || s.MutatesParam != 0 || s.MutatesRecv {
 		t.Errorf("rowsFor: want a fully-resolved effect-free summary, got %v", s)
 	}
 
 	if s := find(pub, "rename").Summary(); s.MutatesParam&1 == 0 {
-		t.Errorf("rename: want plain mutation of param 0, got %v", s)
+		t.Errorf("rename: want mutation of param 0, got %v", s)
 	}
 }
 

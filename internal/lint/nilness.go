@@ -508,12 +508,11 @@ func (nf *nilFlow) clobber(env *nilEnv, call *ast.CallExpr) {
 		method = s != nil && s.Kind() == types.MethodVal
 	}
 	if n := nf.pr.calleeNode(p, call); n != nil && n.sum != nil {
-		if method && (n.sum.MutatesRecv || n.sum.MutatesRecvSync) {
+		if method && n.sum.MutatesRecv {
 			nf.killStore(env, sel.X)
 		}
-		mut := n.sum.MutatesParam | n.sum.MutatesParamSync
 		for i, arg := range call.Args {
-			if i < 32 && mut&(1<<uint(i)) != 0 && pointerLike(p.typeOf(arg)) {
+			if i < 32 && n.sum.MutatesParam&(1<<uint(i)) != 0 && pointerLike(p.typeOf(arg)) {
 				nf.havoc(env, arg)
 			}
 		}

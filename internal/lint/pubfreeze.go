@@ -70,6 +70,79 @@ func joinPubStates(dst, src pubState) bool {
 	return changed
 }
 
+// lockSet is the set of canonical mutex keys provably write-locked at a
+// program point. Join is intersection: a lock counts only when held on
+// every path. Read locks (RLock) never enter the set — they do not
+// license writes.
+type lockSet map[string]bool
+
+func cloneLockSet(s lockSet) lockSet {
+	c := make(lockSet, len(s))
+	for k := range s {
+		c[k] = true
+	}
+	return c
+}
+
+func joinLockSets(dst, src lockSet) bool {
+	changed := false
+	for k := range dst {
+		if !src[k] {
+			delete(dst, k)
+			changed = true
+		}
+	}
+	return changed
+}
+
+// lockEffects applies n's Lock/Unlock calls to the held set. Deferred
+// unlocks are skipped: the lock stays held for the rest of the body,
+// which is exactly what the deferral means.
+func (p *Package) lockEffects(n ast.Node, held lockSet) {
+	if _, isDefer := n.(*ast.DeferStmt); isDefer {
+		return
+	}
+	inspectShallow(n, func(x ast.Node) bool {
+		call, ok := x.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if !p.isMutexMethod(sel) {
+			return true
+		}
+		key := p.canonKey(sel.X)
+		if key == "" {
+			return true
+		}
+		switch sel.Sel.Name {
+		case "Lock":
+			held[key] = true
+		case "Unlock":
+			delete(held, key)
+		}
+		return true
+	})
+}
+
+// isMutexMethod reports whether sel names a method of sync.Mutex or
+// sync.RWMutex.
+func (p *Package) isMutexMethod(sel *ast.SelectorExpr) bool {
+	obj := p.Info.Uses[sel.Sel]
+	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
+		return false
+	}
+	s := p.Info.Selections[sel]
+	if s == nil {
+		return false
+	}
+	named := namedOf(s.Recv())
+	return named != nil && (named.Obj().Name() == "Mutex" || named.Obj().Name() == "RWMutex")
+}
+
 func analyzePubFreeze(pr *Program, p *Package) []Diagnostic {
 	if pr == nil {
 		return nil
@@ -338,7 +411,7 @@ func (pf *pubCheck) checkCallMutation(call *ast.CallExpr, st pubState) {
 	if callee := pf.pr.calleeNode(p, call); callee != nil {
 		cs := pf.pr.summaryOf(callee)
 		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && p.Info.Selections[sel] != nil {
-			if cs.MutatesRecv || cs.MutatesRecvSync {
+			if cs.MutatesRecv {
 				if _, info, ok := lookup(sel.X); ok {
 					pf.report(sel.X, "%q is mutated via %s after publication to %s; published entries must be deep-immutable", info.name, callee.Name, info.sink)
 				}
@@ -350,7 +423,7 @@ func (pf *pubCheck) checkCallMutation(call *ast.CallExpr, st pubState) {
 			if nparams > 0 && j >= nparams {
 				j = nparams - 1
 			}
-			if j >= 32 || (cs.MutatesParam&(1<<j) == 0 && cs.MutatesParamSync&(1<<j) == 0) {
+			if j >= 32 || cs.MutatesParam&(1<<j) == 0 {
 				continue
 			}
 			if _, info, ok := lookup(arg); ok {

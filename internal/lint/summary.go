@@ -3,24 +3,20 @@ package lint
 // summary.go computes the per-function summaries the interprocedural
 // analyzers consume, bottom-up over the call graph of callgraph.go:
 //
-//   - purity: does the function read or write package-level state, and
-//     does it mutate memory reachable from its receiver or parameters
-//     (distinguishing plain writes from writes that happen while a
-//     sync.Mutex is held or go through sync/atomic — the latter are
-//     "synchronized" and do not violate sharing contracts);
-//   - escape: which parameters may outlive the call — stored to a
-//     global, sent on a channel, handed to a goroutine, returned;
+//   - mutation: does the function write memory reachable from its
+//     receiver or parameters (directly, through sync/atomic, or through
+//     a callee) — what pubfreeze flags after publication and what the
+//     nilness engine forgets across a call;
 //   - taint transfer: can a nondeterministic value (wall clock, rand,
 //     environment — the taintdet sources) originate inside the function
 //     and flow to a result, and can taint on parameter i reach a
 //     result. These bits let taintdet follow nondeterminism through
 //     helper calls without inlining anything.
 //
-// Summaries are computed over the PR-4 CFGs: the mutation/escape pass
-// runs a lock-held dataflow over the function's CFG so writes under a
-// held mutex classify as synchronized, and the taint pass is the same
-// forward may-taint fixpoint taintdet uses, seeded additionally with
-// one pseudo-origin per parameter.
+// The mutation pass is flow-insensitive: every statement of the body
+// and of its function literals contributes. The taint pass is the
+// same forward may-taint fixpoint over the CFG that taintdet uses,
+// seeded additionally with one pseudo-origin per parameter.
 //
 // The computation is a fixpoint across strongly connected components:
 // components come in reverse-topological (callee-first) order, each
@@ -47,17 +43,8 @@ import (
 // excluded — it has its own bits); functions with more than 32
 // parameters saturate conservatively (none exist in this module).
 type Summary struct {
-	ReadsGlobal      bool
-	WritesGlobal     bool // plain package-level write
-	WritesGlobalSync bool // package-level write under a held lock
-
-	MutatesRecv      bool // plain write through the receiver
-	MutatesRecvSync  bool // receiver write under a lock or via sync/atomic
-	MutatesParam     uint32
-	MutatesParamSync uint32
-
-	EscapesParam uint32 // param may be stored beyond the call's lifetime
-	RecvEscapes  bool
+	MutatesRecv  bool   // a write through the receiver, synchronized or not
+	MutatesParam uint32 // param i's memory may be written
 
 	TaintsReturn bool   // a result may derive from a nondeterminism source
 	TaintSrc     string // the source description, for diagnostics
@@ -95,15 +82,8 @@ func (s *Summary) String() string {
 		}
 		parts = append(parts, name+"="+strings.Join(idx, ","))
 	}
-	flag(s.ReadsGlobal, "reads-global")
-	flag(s.WritesGlobal, "writes-global")
-	flag(s.WritesGlobalSync, "writes-global-sync")
 	flag(s.MutatesRecv, "mutates-recv")
-	flag(s.MutatesRecvSync, "mutates-recv-sync")
 	bits(s.MutatesParam, "mutates-param")
-	bits(s.MutatesParamSync, "mutates-param-sync")
-	bits(s.EscapesParam, "escapes-param")
-	flag(s.RecvEscapes, "recv-escapes")
 	flag(s.TaintsReturn, "taints-return("+s.TaintSrc+")")
 	bits(s.ParamToRet, "param-to-ret")
 	flag(s.RecvToRet, "recv-to-ret")
@@ -196,24 +176,12 @@ func (pr *Program) computeSummary(n *FuncNode) *Summary {
 	p := n.Pkg
 	pi := p.paramsOf(n.Decl)
 
+	// Mutation pass: the declared body, then every literal body, which
+	// is charged to its creator.
 	sw := &sumWalk{pr: pr, p: p, pi: pi, sum: sum}
-	// Mutation/escape pass: CFG + lock-held dataflow over the declared
-	// body; literal bodies are charged to the creator with no lock held
-	// (a closure may run after the lock is released).
-	g := buildCFG(n.Decl.Body, p.terminatesStmt)
-	solveForward(g, lockSet{}, newLockSet, cloneLockSet, joinLockSets,
-		func(blk *Block, in lockSet) lockSet {
-			held := cloneLockSet(in)
-			for _, node := range blk.Nodes {
-				p.lockEffects(node, held)
-				sw.effectsNode(node, len(held) > 0)
-			}
-			return held
-		})
+	sw.effectsNode(n.Decl.Body)
 	for _, lit := range nestedLits(n.Decl.Body) {
-		for _, s := range lit.Body.List {
-			sw.effectsNode(s, false)
-		}
+		sw.effectsNode(lit.Body)
 	}
 
 	// Taint-transfer pass (own CFG walk; see sumTaintFunc).
@@ -233,82 +201,7 @@ func nestedLits(root ast.Node) []*ast.FuncLit {
 	return out
 }
 
-// lockSet is the set of canonical mutex keys provably write-locked at a
-// program point. Join is intersection: a lock counts only when held on
-// every path. Read locks (RLock) never enter the set — they do not
-// license writes.
-type lockSet map[string]bool
-
-func newLockSet() lockSet { return lockSet{} }
-
-func cloneLockSet(s lockSet) lockSet {
-	c := make(lockSet, len(s))
-	for k := range s {
-		c[k] = true
-	}
-	return c
-}
-
-func joinLockSets(dst, src lockSet) bool {
-	changed := false
-	for k := range dst {
-		if !src[k] {
-			delete(dst, k)
-			changed = true
-		}
-	}
-	return changed
-}
-
-// lockEffects applies n's Lock/Unlock calls to the held set. Deferred
-// unlocks are skipped: the lock stays held for the rest of the body,
-// which is exactly what the deferral means.
-func (p *Package) lockEffects(n ast.Node, held lockSet) {
-	if _, isDefer := n.(*ast.DeferStmt); isDefer {
-		return
-	}
-	inspectShallow(n, func(x ast.Node) bool {
-		call, ok := x.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if !p.isMutexMethod(sel) {
-			return true
-		}
-		key := p.canonKey(sel.X)
-		if key == "" {
-			return true
-		}
-		switch sel.Sel.Name {
-		case "Lock":
-			held[key] = true
-		case "Unlock":
-			delete(held, key)
-		}
-		return true
-	})
-}
-
-// isMutexMethod reports whether sel names a method of sync.Mutex or
-// sync.RWMutex.
-func (p *Package) isMutexMethod(sel *ast.SelectorExpr) bool {
-	obj := p.Info.Uses[sel.Sel]
-	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	s := p.Info.Selections[sel]
-	if s == nil {
-		return false
-	}
-	named := namedOf(s.Recv())
-	return named != nil && (named.Obj().Name() == "Mutex" || named.Obj().Name() == "RWMutex")
-}
-
-// sumWalk accumulates mutation and escape facts into sum.
+// sumWalk accumulates mutation facts into sum.
 type sumWalk struct {
 	pr  *Program
 	p   *Package
@@ -316,52 +209,26 @@ type sumWalk struct {
 	sum *Summary
 }
 
-// effectsNode records the mutation/escape effects of one CFG node.
-// held reports whether a write lock is provably held here.
-func (sw *sumWalk) effectsNode(node ast.Node, held bool) {
+// effectsNode records the mutation effects of the statements under node
+// (function literals excluded: computeSummary walks each on its own).
+func (sw *sumWalk) effectsNode(node ast.Node) {
 	inspectShallow(node, func(x ast.Node) bool {
 		switch v := x.(type) {
 		case *ast.AssignStmt:
-			global := false
 			for _, lhs := range v.Lhs {
-				sw.recordWrite(lhs, held)
-				if obj := sw.exprRootObj(lhs); obj != nil && sw.isGlobalVar(obj) {
-					global = true
-				}
-			}
-			if global {
-				for _, rhs := range v.Rhs {
-					sw.recordEscapes(rhs)
-				}
+				sw.recordWrite(lhs)
 			}
 		case *ast.IncDecStmt:
-			sw.recordWrite(v.X, held)
-		case *ast.SendStmt:
-			sw.recordEscapes(v.Value)
-		case *ast.GoStmt:
-			sw.recordEscapes(v.Call)
-			sw.applyCall(v.Call, held)
-			return true
-		case *ast.DeferStmt:
-			sw.applyCall(v.Call, held)
-			return true
-		case *ast.ReturnStmt:
-			for _, res := range v.Results {
-				sw.recordEscapes(res)
-			}
+			sw.recordWrite(v.X)
 		case *ast.CallExpr:
-			sw.applyCall(v, held)
-		case *ast.Ident:
-			if obj := sw.p.Info.Uses[v]; obj != nil && sw.isGlobalVar(obj) {
-				sw.sum.ReadsGlobal = true
-			}
+			sw.applyCall(v)
 		}
 		return true
 	})
 }
 
 // recordWrite classifies one store destination.
-func (sw *sumWalk) recordWrite(lhs ast.Expr, held bool) {
+func (sw *sumWalk) recordWrite(lhs ast.Expr) {
 	root := rootIdent(lhs)
 	if root == nil {
 		return
@@ -370,43 +237,24 @@ func (sw *sumWalk) recordWrite(lhs ast.Expr, held bool) {
 	if obj == nil {
 		obj = sw.p.Info.Defs[root]
 	}
-	if obj == nil {
-		return
-	}
-	if sw.isGlobalVar(obj) {
-		if held {
-			sw.sum.WritesGlobalSync = true
-		} else {
-			sw.sum.WritesGlobal = true
-		}
-		return
-	}
 	// A bare rebind of a local or parameter is frame-local; only writes
 	// whose access path passes through a pointer, slice or map reach
 	// memory the caller can observe.
-	if unparen(lhs) == root || !sw.writeEscapesFrame(lhs) {
+	if obj == nil || unparen(lhs) == root || !sw.writeEscapesFrame(lhs) {
 		return
 	}
-	sw.markMutated(obj, held)
+	sw.markMutated(obj)
 }
 
 // markMutated sets the mutation bit for obj when it is the receiver or
 // a parameter.
-func (sw *sumWalk) markMutated(obj types.Object, held bool) {
+func (sw *sumWalk) markMutated(obj types.Object) {
 	if obj == sw.pi.recv && obj != nil {
-		if held {
-			sw.sum.MutatesRecvSync = true
-		} else {
-			sw.sum.MutatesRecv = true
-		}
+		sw.sum.MutatesRecv = true
 		return
 	}
 	if i, ok := sw.pi.params[obj]; ok {
-		if held {
-			sw.sum.MutatesParamSync |= 1 << i
-		} else {
-			sw.sum.MutatesParam |= 1 << i
-		}
+		sw.sum.MutatesParam |= 1 << i
 	}
 }
 
@@ -440,80 +288,20 @@ func (sw *sumWalk) writeEscapesFrame(lhs ast.Expr) bool {
 	}
 }
 
-// isGlobalVar reports whether obj is a package-level variable (of any
-// package in view).
-func (sw *sumWalk) isGlobalVar(obj types.Object) bool {
-	v, ok := obj.(*types.Var)
-	if !ok || v.IsField() {
-		return false
-	}
-	if v.Pkg() == nil {
-		return false
-	}
-	return v.Parent() == v.Pkg().Scope()
-}
-
-// globalRoot reports whether obj is a global (nil-safe).
-func (sw *sumWalk) globalRoot(obj types.Object) bool {
-	return obj != nil && sw.isGlobalVar(obj)
-}
-
-// recordEscapes marks every receiver/parameter mentioned in e as
-// escaping.
-func (sw *sumWalk) recordEscapes(e ast.Node) {
-	if e == nil {
-		return
-	}
-	inspectShallow(e, func(x ast.Node) bool {
-		id, ok := x.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		obj := sw.p.Info.Uses[id]
-		if obj == nil {
-			return true
-		}
-		if obj == sw.pi.recv {
-			sw.sum.RecvEscapes = true
-		} else if i, ok := sw.pi.params[obj]; ok {
-			sw.sum.EscapesParam |= 1 << i
-		}
-		return true
-	})
-}
-
 // applyCall folds one call's effects into the summary: a resolved
 // callee contributes its own summary (substituting arguments for
 // parameters), an external call contributes its modeled effect or the
 // conservative default.
-func (sw *sumWalk) applyCall(call *ast.CallExpr, held bool) {
+func (sw *sumWalk) applyCall(call *ast.CallExpr) {
 	sum, p := sw.sum, sw.p
 	if callee := sw.pr.calleeNode(p, call); callee != nil {
 		cs := sw.pr.summaryOf(callee)
-		if cs.ReadsGlobal {
-			sum.ReadsGlobal = true
-		}
-		if cs.WritesGlobal {
-			if held {
-				sum.WritesGlobalSync = true
-			} else {
-				sum.WritesGlobal = true
-			}
-		}
-		if cs.WritesGlobalSync {
-			sum.WritesGlobalSync = true
-		}
 		if cs.CallsUnknown {
 			sum.CallsUnknown = true
 		}
-		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && p.Info.Selections[sel] != nil {
-			if cs.MutatesRecv || cs.MutatesRecvSync {
-				if obj := sw.exprRootObj(sel.X); obj != nil {
-					sw.markMutated(obj, held || !cs.MutatesRecv)
-				}
-			}
-			if cs.RecvEscapes {
-				sw.recordEscapes(sel.X)
+		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && p.Info.Selections[sel] != nil && cs.MutatesRecv {
+			if obj := sw.exprRootObj(sel.X); obj != nil {
+				sw.markMutated(obj)
 			}
 		}
 		nparams := calleeParamCount(callee)
@@ -522,21 +310,15 @@ func (sw *sumWalk) applyCall(call *ast.CallExpr, held bool) {
 			if nparams > 0 && j >= nparams {
 				j = nparams - 1 // variadic tail
 			}
-			if j >= 32 {
-				continue
-			}
-			if cs.MutatesParam&(1<<j) != 0 || cs.MutatesParamSync&(1<<j) != 0 {
+			if j < 32 && cs.MutatesParam&(1<<j) != 0 {
 				if obj := sw.exprRootObj(arg); obj != nil {
-					sw.markMutated(obj, held || cs.MutatesParam&(1<<j) == 0)
+					sw.markMutated(obj)
 				}
-			}
-			if cs.EscapesParam&(1<<j) != 0 {
-				sw.recordEscapes(arg)
 			}
 		}
 		return
 	}
-	sw.applyExternalCall(call, held)
+	sw.applyExternalCall(call)
 }
 
 // calleeParamCount returns the declared parameter count of a node's
@@ -567,41 +349,39 @@ func (sw *sumWalk) exprRootObj(e ast.Expr) types.Object {
 // applyExternalCall models calls the graph cannot resolve: builtins,
 // conversions, the understood corners of the standard library, and the
 // conservative default for everything else.
-func (sw *sumWalk) applyExternalCall(call *ast.CallExpr, held bool) {
+func (sw *sumWalk) applyExternalCall(call *ast.CallExpr) {
 	p, sum := sw.p, sw.sum
 	eff := p.externalCallEffect(call)
 	if eff.known {
 		if eff.mutRecv {
 			if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
 				if obj := sw.exprRootObj(sel.X); obj != nil {
-					sw.markMutated(obj, held || eff.syncRecv)
+					sw.markMutated(obj)
 				}
 			}
 		}
 		for _, i := range eff.mutArgs {
 			if i < len(call.Args) {
 				if obj := sw.exprRootObj(call.Args[i]); obj != nil {
-					sw.markMutated(obj, held)
+					sw.markMutated(obj)
 				}
 			}
 		}
 		return
 	}
-	// Conservative default: an unknown callee may mutate and retain any
+	// Conservative default: an unknown callee may mutate any
 	// pointer-like argument (and receiver).
 	sum.CallsUnknown = true
 	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && p.Info.Selections[sel] != nil {
 		if obj := sw.exprRootObj(sel.X); obj != nil && pointerLike(p.typeOf(sel.X)) {
-			sw.markMutated(obj, held)
-			sw.recordEscapes(sel.X)
+			sw.markMutated(obj)
 		}
 	}
 	for _, arg := range call.Args {
 		if pointerLike(p.typeOf(arg)) {
 			if obj := sw.exprRootObj(arg); obj != nil {
-				sw.markMutated(obj, held)
+				sw.markMutated(obj)
 			}
-			sw.recordEscapes(arg)
 		}
 	}
 }
@@ -637,10 +417,9 @@ func pointerLike(t types.Type) bool {
 // extEffect is the modeled behaviour of a call into code outside the
 // graph.
 type extEffect struct {
-	known    bool  // modeled; do not degrade to the conservative default
-	mutRecv  bool  // the receiver is mutated
-	syncRecv bool  // ... but through internal synchronization
-	mutArgs  []int // indices of mutated arguments
+	known   bool  // modeled; do not degrade to the conservative default
+	mutRecv bool  // the receiver is mutated
+	mutArgs []int // indices of mutated arguments
 }
 
 // roFuncPkgs are standard-library packages whose top-level functions
@@ -694,7 +473,7 @@ func (p *Package) externalCallEffect(call *ast.CallExpr) extEffect {
 		case "sync", "sync/atomic":
 			// The synchronization primitives themselves: mutation is the
 			// point, and it is safe from any goroutine.
-			return extEffect{known: true, mutRecv: true, syncRecv: true}
+			return extEffect{known: true, mutRecv: true}
 		case "time", "regexp":
 			return extEffect{known: true} // value types / internally synchronized
 		case "strings", "bytes":

@@ -172,8 +172,7 @@ func TestProfileRenderGolden(t *testing.T) {
 	if got := p.String(); got != want {
 		t.Errorf("render drifted:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	// The snapshot is JSON-encodable with stable field names (the
-	// bench-json artifact embeds these).
+	// The snapshot is JSON-encodable with stable field names.
 	data, err := json.Marshal(p)
 	if err != nil {
 		t.Fatal(err)
