@@ -33,7 +33,9 @@ package exec
 import (
 	"fmt"
 	"strings"
+	"unsafe"
 
+	"tpcds/internal/index"
 	"tpcds/internal/schema"
 	"tpcds/internal/storage"
 )
@@ -122,6 +124,7 @@ type tableFilter struct {
 	slow    []bexpr
 	cols    []keySource // the columns slow reads
 	total   int
+	bm      *index.Bitmap // keep only: rows outside it fail before any kernel runs
 }
 
 // compileFilter compiles table ti's local predicates: kernels where
@@ -157,9 +160,9 @@ func (tf *tableFilter) newScratch(batch int) *batchScratch {
 	return sc
 }
 
-// valueBytes approximates the in-memory size of one storage.Value
-// (kind tag + int64 + float64 + string header) for scratch accounting.
-const valueBytes = 48
+// valueBytes is the in-memory size of one storage.Value (kind tag padded
+// to 8, int64, float64, string header), for scratch accounting.
+const valueBytes = int64(unsafe.Sizeof(storage.Value{}))
 
 // bytes reports the scratch buffer footprint for profile accounting.
 func (sc *batchScratch) bytes() int64 {
@@ -244,11 +247,25 @@ func (tf *tableFilter) scan(qc *qctx, batch int, ids []int32, lo, hi int, fn fun
 	}
 }
 
-// keep drops the match pairs whose row fails the filter, in order, and
-// counts each row filtered as scanned. A row's verdict depends on the
-// row alone, so scan's survivors are the passing pairs' rows in order.
+// keep drops the match pairs whose row fails the filter, in order: the
+// bit test first, then the kernels, counting each row they filter as
+// scanned. A row's verdict depends on the row alone, so scan's survivors
+// are the passing pairs' rows in order.
 func (tf *tableFilter) keep(qc *qctx, batch int, pairs []matchPair) []matchPair {
-	if tf == nil || len(tf.kernels)+len(tf.slow) == 0 || len(pairs) == 0 {
+	if tf == nil {
+		return pairs
+	}
+	if tf.bm != nil {
+		w := 0
+		for _, p := range pairs {
+			if tf.bm.Get(int(p.r)) {
+				pairs[w] = p
+				w++
+			}
+		}
+		pairs = pairs[:w]
+	}
+	if len(tf.kernels)+len(tf.slow) == 0 || len(pairs) == 0 {
 		return pairs
 	}
 	qc.countScan(len(pairs))

@@ -8,6 +8,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"tpcds/internal/index"
@@ -29,7 +30,7 @@ type Engine struct {
 	parallelism int
 	morselRows  int
 
-	// mu guards the lazily built caches below (hashIdx, bmIdx,
+	// mu guards the lazily built caches below (hashIdx, bmIdx, valIdx,
 	// statsCache) plus lastDecision/lastTrace. Concurrent benchmark
 	// streams race to build the same index; mu makes the first build
 	// win and the rest reuse it. Every acquisition is mu.Lock() paired
@@ -39,6 +40,7 @@ type Engine struct {
 	mu         sync.Mutex
 	hashIdx    map[string]cachedHashIndex   // "table.column" -> index
 	bmIdx      map[string]cachedBitmapIndex // "table.column" -> index
+	valIdx     map[string]cachedBitmapIndex // "table.column" -> value bitmaps, nil ix: the column has too many values
 	statsCache map[statsKey]colStats
 
 	// planner selects the join planner: plan.CostBased (the default)
@@ -100,6 +102,7 @@ func New(db *storage.DB) *Engine {
 		db:         db,
 		hashIdx:    map[string]cachedHashIndex{},
 		bmIdx:      map[string]cachedBitmapIndex{},
+		valIdx:     map[string]cachedBitmapIndex{},
 		statsCache: map[statsKey]colStats{},
 		planner:    plan.CostBased,
 		planCache:  plan.NewCache(),
@@ -203,13 +206,15 @@ func (e *Engine) InvalidateIndexes(table string) {
 	e.mu.Lock()
 	prefix := table + "."
 	for k := range e.hashIdx {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
+		if strings.HasPrefix(k, prefix) {
 			delete(e.hashIdx, k)
 		}
 	}
-	for k := range e.bmIdx {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			delete(e.bmIdx, k)
+	for _, m := range []map[string]cachedBitmapIndex{e.bmIdx, e.valIdx} {
+		for k := range m {
+			if strings.HasPrefix(k, prefix) {
+				delete(m, k)
+			}
 		}
 	}
 	for k := range e.statsCache {
@@ -255,6 +260,36 @@ func (e *Engine) bitmapIndex(t *storage.Table, col int) *index.BitmapIndex {
 	ix := index.BuildBitmapIndex(vals, nulls)
 	e.bmIdx[key] = cachedBitmapIndex{ix: ix, tableID: t.ID(), epoch: t.Epoch()}
 	return ix
+}
+
+// maxBitmapValues is the most distinct values a column may hold to be
+// answered from value bitmaps (DESIGN.md, "One selection per table and
+// query").
+const maxBitmapValues = 256
+
+// valueIndex returns the value-bitmap index on table.column — keyed by
+// value for an integer-class column, by dictionary code for a dictionary
+// column — or nil when the column is neither or holds more than
+// maxBitmapValues distinct values (a dictionary column: has more
+// dictionary entries). read is the number of rows this call read to
+// build it: 0 when the cache answered or no row needed reading. The
+// freshness rule is hashIndex's, and a nil answer is cached too.
+func (e *Engine) valueIndex(t *storage.Table, col int) (ix *index.BitmapIndex, read int) {
+	key := t.Def.Name + "." + t.Def.Columns[col].Name
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if c, ok := e.valIdx[key]; ok && c.tableID == t.ID() && c.epoch == t.Epoch() {
+		return c.ix, 0
+	}
+	kind, ints, _, _, codes, dict, nulls := t.Col(col).Raw()
+	switch {
+	case codes != nil && len(dict) <= maxBitmapValues:
+		ix, read = index.BuildCodeIndex(codes, nulls, len(dict)), len(nulls)
+	case kind == storage.KindInt || kind == storage.KindDate:
+		ix, read = index.BuildBitmapIndexUpTo(ints, nulls, maxBitmapValues), len(nulls)
+	}
+	e.valIdx[key] = cachedBitmapIndex{ix: ix, tableID: t.ID(), epoch: t.Epoch()}
+	return ix, read
 }
 
 // WarmHashIndex eagerly builds the hash index on table.column (part of

@@ -197,8 +197,8 @@ const lookupRowsPerProbe = 2
 // lookupKey returns the primary-key column of table ti when the join
 // onto it on probe = build is an index lookup join, else -1: one
 // integer-class edge onto ti's one-column primary key, ti the catalog's
-// table (not a CTE), and ti unfiltered, or its filter not yet run and at
-// least lookupRowsPerProbe rows per outer row.
+// table (not a CTE), and ti unfiltered or at least lookupRowsPerProbe
+// rows per outer row.
 func (b *binder) lookupKey(ti int, probe, build []*colExpr, filters []filterInfo, outer int) int {
 	inst := b.tableAt(ti)
 	def := inst.tab.Def
@@ -206,7 +206,7 @@ func (b *binder) lookupKey(ti int, probe, build []*colExpr, filters []filterInfo
 		return -1
 	}
 	col := build[0].off - inst.offset
-	if def.ColumnIndex(def.PrimaryKey[0]) != col || len(tablePreds(ti, filters)) > 0 && (b.filtered(ti) || outer*lookupRowsPerProbe > inst.tab.NumRows()) {
+	if def.ColumnIndex(def.PrimaryKey[0]) != col || len(tablePreds(ti, filters)) > 0 && outer*lookupRowsPerProbe > inst.tab.NumRows() {
 		return -1
 	}
 	return col
@@ -255,12 +255,12 @@ func (b *binder) startStep(verb string, ti, rowsIn int, stepEst float64) *obs.Sp
 }
 
 // joinSide completes the build side of a join step onto table ti: the
-// engine's key index and ti's filter when lookupKey gave col ≥ 0, else
-// ht when one was built, else ti's whole selection.
+// engine's key index and ti's lookupFilter when lookupKey gave col ≥ 0,
+// else ht when one was built, else ti's whole selection.
 func (b *binder) joinSide(ti, col int, ht *hashTable, filters []filterInfo, tr *Trace) (*hashTable, *tableFilter, []int32) {
 	switch {
 	case col >= 0:
-		return &hashTable{ints: []*index.HashIndex{b.baseIndex(ti, col)}}, b.compileFilter(ti, tablePreds(ti, filters)), nil
+		return &hashTable{ints: []*index.HashIndex{b.baseIndex(ti, col)}}, b.lookupFilter(ti, filters, tr), nil
 	case ht != nil:
 		return ht, nil, nil
 	}

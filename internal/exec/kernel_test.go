@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"slices"
 	"strconv"
@@ -311,10 +312,30 @@ var kernelForms = []struct{ table, where string }{
 	{"d", "d_g IN ($1, $2) AND d_s <> 's1'"},
 }
 
+// bitmapForms are conjunct sets over valueDB's v answered from value
+// bitmaps — equality, IN with and without a NULL member, BETWEEN either
+// way round, on an int and on a dictionary column — alone and mixed with
+// a column over the bitmap rule, which stays a kernel.
+var bitmapForms = []string{
+	"v_i = $1",
+	"v_i IN ($1, $2, 3)",
+	"v_i IN ($1, NULL)",
+	"v_i NOT IN ($1, $2)",
+	"v_i BETWEEN $1 AND $2",
+	"v_i NOT BETWEEN $1 AND $2",
+	"v_s = 's$1'",
+	"v_s IN ('s$1', 's$2', NULL)",
+	"v_s BETWEEN 's$1' AND 's$2'",
+	"v_i >= $1 AND v_s <> 's$2' AND v_k > $2",
+	"v_k = $1",
+}
+
 // FuzzKernelEqualsEval compiles every kernel form with fuzzed constants
 // over a random database and feeds it a random selection vector — a
 // subset of the rows in any order, of any length from 0 to all of them
-// — requiring each answer to equal bexpr.eval's on that row.
+// — requiring each answer to equal bexpr.eval's on that row. Then every
+// bitmap form with the same constants over a random valueDB must select
+// what the kernels and eval select.
 func FuzzKernelEqualsEval(f *testing.F) {
 	f.Add(uint64(1), int8(10), int8(60), uint64(1))
 	f.Add(uint64(2), int8(0), int8(99), uint64(2))
@@ -343,6 +364,12 @@ func FuzzKernelEqualsEval(f *testing.F) {
 				t.Fatalf("seed %d: %s on row %d: kernel %d, eval %d (row %v)",
 					seed, where, sel[bad], out[bad], want, db.Table(form.table).Row(int(sel[bad])))
 			}
+		}
+		ve := valueEngine(valueDB(seed%512, 1+int(selSeed%400)))
+		for _, form := range bitmapForms {
+			where := strings.NewReplacer("$1", strconv.Itoa(int(c1)), "$2", strconv.Itoa(int(c2))).Replace(form)
+			b, preds := bindWhere(t, ve, "v", where, true)
+			checkSelect(t, fmt.Sprintf("seed %d: %s", seed, where), b, 0, preds)
 		}
 	})
 }

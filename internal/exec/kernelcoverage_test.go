@@ -162,7 +162,12 @@ func (w *predLister) block(stmt *sql.SelectStmt, ctes map[string]*storage.Table)
 // templatePreds returns the local predicates of tpl's SELECT blocks
 // under one representative substitution, bound over e's database.
 func templatePreds(t *testing.T, e *Engine, tpl qgen.Template) []localPred {
-	text, err := qgen.Instantiate(tpl, qgen.StreamSeed(1, 0, tpl.ID))
+	return streamPreds(t, e, tpl, 0)
+}
+
+// streamPreds is templatePreds under query stream stream's substitution.
+func streamPreds(t *testing.T, e *Engine, tpl qgen.Template, stream int) []localPred {
+	text, err := qgen.Instantiate(tpl, qgen.StreamSeed(1, stream, tpl.ID))
 	if err != nil {
 		t.Fatalf("query %d: %v", tpl.ID, err)
 	}

@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"slices"
 
+	"tpcds/internal/index"
+	"tpcds/internal/schema"
 	"tpcds/internal/storage"
 )
 
@@ -324,13 +326,19 @@ func collectMorsels[T any](e *Engine, qc *qctx, n int, tr *Trace, fn func(lo, hi
 }
 
 // selection is the rows of one table instance that survive its local
-// predicates, in row order: the one product of the table's filter scan,
-// read by every operator of the query that touches the table.
+// predicates, in row order: the one product of the table's filter, read
+// by every operator of the query that touches the table. The conjuncts
+// the engine's value bitmaps answer (answer) give bm; the rest run as
+// kernels over bm's rows, or over the table when none was answered.
 type selection struct {
-	n    int     // surviving rows
-	ids  []int32 // their row ids, ascending; nil when all is set or n is 0
-	all  bool    // no local predicate: row i survives for every i < n
-	read int     // table rows filtered so far; short of the table only after a capped scan
+	n   int     // surviving rows, once rest is nil
+	ids []int32 // their row ids, ascending; nil when all is set, n is 0, or not listed from bm yet
+	all bool    // no local predicate: row i survives for every i < n
+	// bm is the rows the answered conjuncts keep, a private copy: with
+	// rest nil exactly the survivors. nil when no conjunct was answered
+	// or the survivors are known as ids only.
+	bm   *index.Bitmap
+	rest []bexpr // conjuncts no bitmap answered that have not run yet
 }
 
 // at returns the row id at position i.
@@ -361,67 +369,213 @@ func (b *binder) readAll(sel *selection) {
 	}
 }
 
-// selection returns table ti's selection, running the table's compiled
-// filter on first use: once per query, in morsels, under a scan node of
-// its own. joinRows owns the cache and drops it when it returns. Without
-// local predicates no filter runs and nothing is materialised.
+// selection returns table ti's selection with its row ids listed,
+// filtering on first use: once per query, under a scan node of its own.
+// joinRows owns the cache and drops it when it returns. Without local
+// predicates nothing is filtered or materialised.
 func (b *binder) selection(ti int, filters []filterInfo, tr *Trace) *selection {
-	return b.scanSelection(ti, filters, tr, -1)
+	sel := b.filterRows(ti, filters, tr, true)
+	if !sel.all && sel.ids == nil && sel.n > 0 {
+		sel.ids = sel.bm.AppendIDs(make([]int32, 0, sel.n))
+		b.qc.growScratch(int64(sel.n) * 4)
+		b.qc.shrinkScratch(int64(sel.n) * 4)
+	}
+	return sel
 }
 
-// filtered reports whether table ti's filter has run over the whole table.
-func (b *binder) filtered(ti int) bool {
-	return ti >= 0 && ti < len(b.sels) && b.sels[ti] != nil && b.sels[ti].read == b.tableAt(ti).tab.NumRows()
-}
-
-// scanSelection is selection with a cap: for limit ≥ 0 the filter runs
-// in rounds, one batch per worker doubling up to one morsel per worker,
-// until more than limit rows survive. The partial selection stays cached
-// for a later call to resume: no row is filtered twice in one query.
-func (b *binder) scanSelection(ti int, filters []filterInfo, tr *Trace, limit int) *selection {
+// filterRows computes table ti's selection as far as asked: the bitmap
+// answer on first use, and, when whole is set, the remaining conjuncts
+// over its rows, so that n is exact. Rows read — by a kernel or by a
+// cold index build — count as scanned; a cached bitmap reads none.
+func (b *binder) filterRows(ti int, filters []filterInfo, tr *Trace, whole bool) *selection {
 	if ti < 0 || ti >= len(b.sels) {
 		panic(fmt.Sprintf("exec: selection of table %d requested outside the join phase (%d tables)", ti, len(b.sels)))
 	}
-	inst := b.tableAt(ti)
-	n, preds := inst.tab.NumRows(), tablePreds(ti, filters)
-	if b.sels[ti] == nil {
-		b.sels[ti] = &selection{}
-		if len(preds) == 0 {
-			b.sels[ti] = &selection{n: n, all: true, read: n}
-		}
-	}
 	sel := b.sels[ti]
-	if sel.read == n || limit >= 0 && sel.n > limit {
+	if sel != nil && (sel.rest == nil || !whole) {
 		return sel
+	}
+	inst := b.tableAt(ti)
+	var preds []bexpr
+	if sel == nil {
+		if preds = tablePreds(ti, filters); len(preds) == 0 {
+			b.sels[ti] = &selection{n: inst.tab.NumRows(), all: true}
+			return b.sels[ti]
+		}
+		if !whole && !b.answerable(ti, preds) {
+			b.sels[ti] = &selection{rest: preds}
+			return b.sels[ti]
+		}
 	}
 	sp := b.qc.startOp("scan", inst.binding)
 	defer b.qc.endOp(sp)
 	if b.qc.profiling() {
 		b.qc.opEst(b.eng.estimateFiltered(b, ti, filters))
 	}
-	// The filter is compiled once by the coordinator; kernels close over
-	// immutable column vectors only, so morsel workers share it. Each
-	// scan call owns its scratch buffers.
-	tf, batch := b.compileFilter(ti, preds), b.eng.batchSize()
-	from, found, step := sel.read, sel.n, n
-	if limit >= 0 {
-		step = batch * b.eng.workers()
+	read := 0
+	if sel == nil {
+		sel = &selection{rest: preds}
+		if b.bitmapTable(ti) {
+			sel, read = b.answer(ti, preds)
+		}
+		b.sels[ti] = sel
 	}
-	for ; sel.read < n && (limit < 0 || sel.n <= limit); step = min(2*step, b.eng.morselSize()*b.eng.workers()) {
-		lo, hi := sel.read, min(sel.read+step, n)
-		// Exact-sized chunks, one per batch, joined once into one vector.
-		chunks := collectMorsels(b.eng, b.qc, hi-lo, tr, func(a, c int) [][]int32 {
-			var out [][]int32
-			tf.scan(b.qc, batch, nil, lo+a, lo+c, func(s []int32) { out = append(out, slices.Clone(s)) })
-			return out
-		})
-		sel.ids = slices.Concat(append([][]int32{sel.ids}, chunks...)...)
-		sel.n, sel.read = len(sel.ids), hi
+	if whole && sel.rest != nil {
+		read += b.scanRest(ti, sel, tr)
 	}
-	b.qc.countScan(sel.read - from)
-	b.qc.opRowsIn(sp, int64(sel.read-from))
-	b.qc.opRowsOut(sp, int64(sel.n-found))
-	b.qc.growScratch(int64(sel.n) * 8)
-	b.qc.shrinkScratch(int64(sel.n) * 8)
+	b.qc.countScan(read)
+	b.qc.opRowsIn(sp, int64(read))
+	out, scratch := sel.n, int64(len(sel.ids))*4
+	switch {
+	case sel.rest != nil && sel.bm != nil:
+		out = sel.bm.Count()
+	case sel.rest != nil:
+		out = inst.tab.NumRows() // nothing answered, nothing filtered yet
+	}
+	if sel.bm != nil {
+		scratch += int64(sel.bm.Len()+7) / 8
+	}
+	b.qc.opRowsOut(sp, int64(out))
+	b.qc.growScratch(scratch)
+	b.qc.shrinkScratch(scratch)
 	return sel
+}
+
+// bitmapTable is the rule for which tables answer conjuncts from value
+// bitmaps: a catalog table that is not a fact, with more rows than one
+// default morsel (customer_demographics, date_dim and time_dim at every
+// scale factor). The morsel size an engine is set to plays no part.
+// Which of its columns have bitmaps is Engine.valueIndex's rule.
+func (b *binder) bitmapTable(ti int) bool {
+	inst := b.tableAt(ti)
+	return inst.tab.Def.Kind != schema.Fact && inst.tab.NumRows() > defaultMorselRows && b.eng.db.Table(inst.tab.Def.Name) == inst.tab
+}
+
+// answerable reports whether value bitmaps may answer one of preds: ti
+// is under the rule and a conjunct reads one column alone.
+func (b *binder) answerable(ti int, preds []bexpr) bool {
+	inst := b.tableAt(ti)
+	return b.bitmapTable(ti) && slices.ContainsFunc(preds, func(p bexpr) bool { return soleColumn(inst, p) >= 0 })
+}
+
+// answer splits table ti's conjuncts. One that reads a single column
+// with value bitmaps, and nothing else, keeps the rows of the values it
+// holds true for, and the NULL rows when it holds for NULL: the OR of
+// those bitmaps. The answers are ANDed into a private bitmap (the cached
+// ones are only read); the other conjuncts are left in rest. read is the
+// rows cold index builds read. Whether ti is under the table rule
+// (bitmapTable) is the caller's check.
+func (b *binder) answer(ti int, preds []bexpr) (sel *selection, read int) {
+	sel = &selection{}
+	inst := b.tableAt(ti)
+	for _, p := range preds {
+		var ix *index.BitmapIndex
+		col := soleColumn(inst, p)
+		if col >= 0 {
+			var r int
+			ix, r = b.eng.valueIndex(inst.tab, col)
+			read += r
+		}
+		if ix == nil {
+			sel.rest = append(sel.rest, p)
+			continue
+		}
+		hits := b.valueHits(inst, col, ix, p)
+		if sel.bm == nil {
+			sel.bm = index.NewBitmap(ix.NumRows())
+			for _, h := range hits {
+				sel.bm.Or(h)
+			}
+		} else {
+			sel.bm.AndAny(hits)
+		}
+	}
+	if sel.rest == nil {
+		sel.n = sel.bm.Count()
+	}
+	return sel, read
+}
+
+// soleColumn returns the column of inst that p reads when it reads that
+// one column and nothing else, else -1.
+func soleColumn(inst *tabInst, p bexpr) int {
+	cols := exprCols(p)
+	if len(cols) == 0 {
+		return -1
+	}
+	for _, c := range cols[1:] {
+		if c.off != cols[0].off {
+			return -1
+		}
+	}
+	if c := cols[0].off - inst.offset; c >= 0 && c < inst.width() {
+		return c
+	}
+	return -1
+}
+
+// valueHits returns the bitmaps of ix's values that p holds true for —
+// each value boxed as the column's reader boxes it, a code as its
+// dictionary string — plus the NULL rows' bitmap when p holds for NULL.
+// p reads column col of inst only, so its value decides p.
+func (b *binder) valueHits(inst *tabInst, col int, ix *index.BitmapIndex, p bexpr) []*index.Bitmap {
+	cr := newColReader(inst, col)
+	row := make([]storage.Value, b.total)
+	var hits []*index.Bitmap
+	for _, k := range ix.Keys() {
+		if cr.codes != nil {
+			row[cr.off] = storage.Str(cr.dict[k])
+		} else {
+			row[cr.off] = storage.Value{K: cr.kind, I: k}
+		}
+		if truthy(p.eval(row)) {
+			hits = append(hits, ix.Lookup(k))
+		}
+	}
+	if row[cr.off] = storage.Null; truthy(p.eval(row)) {
+		hits = append(hits, ix.Nulls())
+	}
+	return hits
+}
+
+// scanRest runs sel's remaining conjuncts as kernels, in morsels, over
+// bm's rows or, when no conjunct was answered, over the whole table, and
+// lists the survivors. It returns the number of rows read.
+func (b *binder) scanRest(ti int, sel *selection, tr *Trace) int {
+	tf, batch := b.compileFilter(ti, sel.rest), b.eng.batchSize()
+	var ids []int32
+	n := b.tableAt(ti).tab.NumRows()
+	if sel.bm != nil {
+		ids = sel.bm.AppendIDs(nil)
+		n = len(ids)
+	}
+	// Exact-sized chunks, one per batch, joined once into one vector.
+	chunks := collectMorsels(b.eng, b.qc, n, tr, func(lo, hi int) [][]int32 {
+		var out [][]int32
+		tf.scan(b.qc, batch, ids, lo, hi, func(s []int32) { out = append(out, slices.Clone(s)) })
+		return out
+	})
+	sel.ids = slices.Concat(chunks...)
+	sel.n, sel.bm, sel.rest = len(sel.ids), nil, nil
+	return n
+}
+
+// lookupFilter is the filter an index lookup join keeps table ti's
+// matched rows by (nil when ti is unfiltered): a bit test against the
+// selection's bitmap — listed from its ids when the kernels already ran
+// — then the conjuncts no bitmap answered, when they have not run yet.
+func (b *binder) lookupFilter(ti int, filters []filterInfo, tr *Trace) *tableFilter {
+	sel := b.filterRows(ti, filters, tr, false)
+	if sel.all {
+		return nil
+	}
+	if sel.bm == nil && sel.rest == nil {
+		sel.bm = index.NewBitmap(b.tableAt(ti).tab.NumRows())
+		for _, r := range sel.ids {
+			sel.bm.Set(int(r))
+		}
+	}
+	tf := b.compileFilter(ti, sel.rest)
+	tf.bm = sel.bm
+	return tf
 }

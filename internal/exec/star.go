@@ -1,9 +1,6 @@
 package exec
 
 import (
-	"cmp"
-	"slices"
-
 	"tpcds/internal/index"
 	"tpcds/internal/plan"
 	"tpcds/internal/schema"
@@ -86,33 +83,13 @@ func (e *Engine) starShape(b *binder, filters []filterInfo, edges []joinEdge, le
 		}
 		dims = append(dims, *spec)
 	}
-	// Count survivors only as far as the decision needs: past limit =
-	// max(FactRows/4, 64) of them in any one dimension the shape is
-	// ineligible whatever the other counts (plan.StarShape.Eligible), so
-	// each count stops there, and after the first such dimension the rest
-	// go uncounted (FilteredRows = Rows): the hash pipeline may then join
-	// them by index lookup without scanning them. Unfiltered dimensions
-	// cost nothing and go first, then the filtered ones smallest first. A
-	// count that finishes is the selection the chosen strategy joins.
+	// Every count is exact: a dimension answered from value bitmaps is
+	// counted by popcount with no ids listed; any other runs its filter,
+	// and the selection is the one the chosen strategy joins.
 	shape := plan.StarShape{FactName: b.tableAt(fact).binding, FactRows: b.tableAt(fact).tab.NumRows()}
-	limit, counted := max(shape.FactRows/4, 64), map[int]int{}
-	cost := func(d dimSpec) int {
-		return min(len(tablePreds(d.table, filters)), 1) * b.tableAt(d.table).tab.NumRows()
-	}
-	byCost := slices.Clone(dims)
-	slices.SortStableFunc(byCost, func(x, y dimSpec) int { return cmp.Compare(cost(x), cost(y)) })
-	for _, d := range byCost {
-		sel := b.scanSelection(d.table, filters, tr, limit)
-		if counted[d.table] = sel.n; sel.n > limit {
-			break
-		}
-	}
 	for _, d := range dims {
 		inst := b.tableAt(d.table)
-		n, ok := counted[d.table]
-		if !ok {
-			n = inst.tab.NumRows()
-		}
+		n := b.filterRows(d.table, filters, tr, true).n
 		shape.Dims = append(shape.Dims, plan.DimInfo{Name: inst.binding, Rows: inst.tab.NumRows(), FilteredRows: n, PKJoin: true})
 	}
 	return shape, fact, dims, true
@@ -173,12 +150,8 @@ func (e *Engine) runStar(b *binder, filters []filterInfo, residual []bexpr, fact
 
 	// Collect the qualifying fact row ids, then filter + join them back in
 	// morsels. Per-morsel tuples concatenate in bitmap order, so the
-	// output matches the serial ForEach walk exactly.
-	ids := make([]int32, 0, accBitmap.Count())
-	accBitmap.ForEach(func(r int) bool {
-		ids = append(ids, int32(r))
-		return true
-	})
+	// output matches a serial walk of the ids exactly.
+	ids := accBitmap.AppendIDs(make([]int32, 0, accBitmap.Count()))
 	// Fact-local predicates run over the qualifying id list batch by
 	// batch; survivors look up each dimension row by the fact's FK value.
 	tf, batch := b.compileFilter(fact, tablePreds(fact, filters)), e.batchSize()

@@ -104,6 +104,48 @@ func (b *Bitmap) Rows() []int {
 	return out
 }
 
+// AppendIDs appends the set row ids to dst in ascending order.
+func (b *Bitmap) AppendIDs(dst []int32) []int32 {
+	for wi, w := range b.words {
+		for w != 0 {
+			dst = append(dst, int32(wi<<6+bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	return dst
+}
+
+// AndAny intersects b in place with the union of others: a row stays set
+// when it is set in b and in at least one of others (none: b empties).
+// The others are only read. Capacities must match.
+func (b *Bitmap) AndAny(others []*Bitmap) {
+	for _, o := range others {
+		if o.n != b.n {
+			panic("index: bitmap capacity mismatch in AndAny")
+		}
+	}
+	for i := range b.words {
+		var u uint64
+		for _, o := range others {
+			u |= o.words[i]
+		}
+		b.words[i] &= u
+	}
+}
+
+// Equal reports whether b and other have the same capacity and bits.
+func (b *Bitmap) Equal(other *Bitmap) bool {
+	if b.n != other.n {
+		return false
+	}
+	for i, w := range b.words {
+		if other.words[i] != w {
+			return false
+		}
+	}
+	return true
+}
+
 // BitmapIndex maps each distinct int64 key of a column to the bitmap of
 // rows carrying it. Suitable for low-cardinality columns and for fact
 // foreign keys joined against small dimensions (the star transformation
@@ -112,6 +154,7 @@ func (b *Bitmap) Rows() []int {
 type BitmapIndex struct {
 	n    int
 	bits map[int64]*Bitmap
+	keys []int64 // the keys of bits, in build order
 	// nulls tracks rows whose key is NULL (never matched by joins).
 	nulls *Bitmap
 }
@@ -119,6 +162,13 @@ type BitmapIndex struct {
 // BuildBitmapIndex indexes the column given as parallel value and null
 // slices (from storage.Table.ScanInt64).
 func BuildBitmapIndex(vals []int64, nulls []bool) *BitmapIndex {
+	return BuildBitmapIndexUpTo(vals, nulls, len(vals))
+}
+
+// BuildBitmapIndexUpTo is BuildBitmapIndex for a low-cardinality
+// column: nil as soon as a row holds a distinct non-NULL value past the
+// first maxKeys.
+func BuildBitmapIndexUpTo(vals []int64, nulls []bool, maxKeys int) *BitmapIndex {
 	ix := &BitmapIndex{n: len(vals), bits: map[int64]*Bitmap{}, nulls: NewBitmap(len(vals))}
 	for i, v := range vals {
 		if nulls[i] {
@@ -127,10 +177,43 @@ func BuildBitmapIndex(vals []int64, nulls []bool) *BitmapIndex {
 		}
 		bm := ix.bits[v]
 		if bm == nil {
+			if len(ix.keys) == maxKeys {
+				return nil
+			}
 			bm = NewBitmap(len(vals))
 			ix.bits[v] = bm
+			ix.keys = append(ix.keys, v)
 		}
 		bm.Set(i)
+	}
+	return ix
+}
+
+// BuildCodeIndex indexes a dictionary-coded column of ncodes codes by
+// code: the key of a bitmap is the code of the value its rows hold
+// (ignored on NULL rows). Only codes some row holds get a bitmap; Keys
+// lists them in code order.
+func BuildCodeIndex(codes []uint16, nulls []bool, ncodes int) *BitmapIndex {
+	n := len(codes)
+	ix := &BitmapIndex{n: n, bits: make(map[int64]*Bitmap, ncodes), nulls: NewBitmap(n)}
+	bms := make([]*Bitmap, ncodes)
+	for i, c := range codes {
+		if nulls[i] {
+			ix.nulls.Set(i)
+			continue
+		}
+		bm := bms[c]
+		if bm == nil {
+			bm = NewBitmap(n)
+			bms[c] = bm
+		}
+		bm.Set(i)
+	}
+	for c, bm := range bms {
+		if bm != nil {
+			ix.keys = append(ix.keys, int64(c))
+			ix.bits[int64(c)] = bm
+		}
 	}
 	return ix
 }
@@ -141,9 +224,17 @@ func (ix *BitmapIndex) NumRows() int { return ix.n }
 // DistinctKeys returns the number of distinct non-null keys.
 func (ix *BitmapIndex) DistinctKeys() int { return len(ix.bits) }
 
+// Keys returns the distinct non-NULL keys in build order. The slice is
+// shared: callers must not modify it.
+func (ix *BitmapIndex) Keys() []int64 { return ix.keys }
+
 // Lookup returns the bitmap for one key, or nil if absent. The returned
 // bitmap is shared — callers must Clone before mutating.
 func (ix *BitmapIndex) Lookup(key int64) *Bitmap { return ix.bits[key] }
+
+// Nulls returns the bitmap of the rows whose key is NULL. It is shared,
+// like Lookup's.
+func (ix *BitmapIndex) Nulls() *Bitmap { return ix.nulls }
 
 // UnionOf ORs the bitmaps of all given keys into a fresh bitmap — the
 // "bitmap merge" step of a star transformation.

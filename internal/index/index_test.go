@@ -1,6 +1,9 @@
 package index
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -279,5 +282,87 @@ func BenchmarkBitmapAnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		z := x.Clone()
 		z.And(y)
+	}
+}
+
+// TestBitmapIndexUpTo: with maxKeys at least the column's distinct
+// non-NULL values BuildBitmapIndexUpTo builds what BuildBitmapIndex
+// does, keys in first-seen order and NULL rows apart; one key fewer and
+// it gives up.
+func TestBitmapIndexUpTo(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	values := []int64{math.MinInt64, -3, 0, 7, 1 << 40, math.MaxInt64}
+	n := 700
+	vals, nulls := make([]int64, n), make([]bool, n)
+	for i := range vals {
+		if rng.Intn(6) == 0 {
+			nulls[i] = true
+			continue
+		}
+		vals[i] = values[rng.Intn(len(values))]
+	}
+	want := BuildBitmapIndex(vals, nulls)
+	got := BuildBitmapIndexUpTo(vals, nulls, len(values))
+	if got == nil {
+		t.Fatal("nil index at maxKeys = distinct values")
+	}
+	if !reflect.DeepEqual(got.Keys(), want.Keys()) || len(want.Keys()) != len(values) || !got.Nulls().Equal(want.Nulls()) || got.Nulls().Count() == 0 {
+		t.Errorf("keys %v nulls %d, want %v nulls %d", got.Keys(), got.Nulls().Count(), want.Keys(), want.Nulls().Count())
+	}
+	for _, k := range want.Keys() {
+		if !got.Lookup(k).Equal(want.Lookup(k)) {
+			t.Errorf("key %d rows differ", k)
+		}
+	}
+	if BuildBitmapIndexUpTo(vals, nulls, len(values)-1) != nil {
+		t.Error("an index past maxKeys")
+	}
+}
+
+// TestCodeIndex: a dictionary column indexed by code; codes no row
+// holds get no bitmap, and a NULL row's code is ignored.
+func TestCodeIndex(t *testing.T) {
+	codes := []uint16{2, 0, 2, 0, 3}
+	nulls := []bool{false, true, false, false, false}
+	ix := BuildCodeIndex(codes, nulls, 5)
+	if !reflect.DeepEqual(ix.Keys(), []int64{0, 2, 3}) {
+		t.Errorf("Keys = %v, want [0 2 3]", ix.Keys())
+	}
+	for key, rows := range map[int64][]int{0: {3}, 2: {0, 2}, 3: {4}} {
+		if got := ix.Lookup(key).Rows(); !reflect.DeepEqual(got, rows) {
+			t.Errorf("code %d: rows %v, want %v", key, got, rows)
+		}
+	}
+	if got := ix.Nulls().Rows(); !reflect.DeepEqual(got, []int{1}) {
+		t.Errorf("NULL rows %v, want [1]", got)
+	}
+}
+
+// TestAndAnyAndAppendIDs: AndAny keeps the rows set in b and in any of
+// the others and leaves the others alone; AppendIDs lists what Rows
+// lists.
+func TestAndAnyAndAppendIDs(t *testing.T) {
+	b, x, y := NewBitmap(200), NewBitmap(200), NewBitmap(200)
+	for i := 0; i < 200; i += 3 {
+		b.Set(i)
+	}
+	x.Set(3)
+	x.Set(64)
+	y.Set(150)
+	y.Set(199)
+	xw, yw := x.Clone(), y.Clone()
+	b.AndAny([]*Bitmap{x, y})
+	if got := b.AppendIDs(nil); !reflect.DeepEqual(got, []int32{3, 150}) {
+		t.Errorf("AndAny rows %v, want [3 150]", got)
+	}
+	if !x.Equal(xw) || !y.Equal(yw) {
+		t.Error("AndAny wrote to an operand")
+	}
+	b.AndAny(nil)
+	if b.Count() != 0 {
+		t.Error("AndAny with no operand must empty the bitmap")
+	}
+	if NewBitmap(5).Equal(NewBitmap(6)) {
+		t.Error("bitmaps of different capacity compare equal")
 	}
 }

@@ -2,6 +2,8 @@ package maintenance
 
 import (
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -308,11 +310,12 @@ func TestSecondRunComparability(t *testing.T) {
 
 // TestWarmEngineEqualsColdAfterRefresh: the executor probes the
 // engine's cached hash index wherever a join's build side is an
-// unfiltered base table on one integer column. After maintenance has
-// revised dimensions and deleted from and inserted into the facts, an
-// engine that built those indexes before the refresh must answer
-// exactly as an engine built afterwards on the same tables does — for
-// two refresh sets in a row.
+// unfiltered base table on one integer column, and answers conjuncts on
+// customer_demographics from the engine's cached value bitmaps. After
+// maintenance has revised dimensions and deleted from and inserted into
+// the facts, an engine that built those indexes before the refresh must
+// answer exactly as an engine built afterwards on the same tables does
+// — for two refresh sets in a row.
 func TestWarmEngineEqualsColdAfterRefresh(t *testing.T) {
 	warm := freshEngine(t)
 	warm.SetParallelism(1)
@@ -333,10 +336,20 @@ func TestWarmEngineEqualsColdAfterRefresh(t *testing.T) {
 	}
 	// A filtered index lookup join onto item: a few fact rows probe the
 	// key index, and only the matched item rows are filtered. (The
-	// unfiltered date_dim, too large to be a star dimension, keeps the
-	// star decision from counting item's survivors.)
+	// unfiltered date_dim, too large to be a star dimension, sends the
+	// query down the hash pipeline.)
 	const lookup = `SELECT ss_ticket_number, ss_item_sk, i_item_id, i_current_price, d_date FROM store_sales, item, date_dim
 			WHERE ss_item_sk = i_item_sk AND ss_sold_date_sk = d_date_sk AND ss_ticket_number <= 8 AND i_rec_end_date IS NULL`
+	// Four dictionary-column conjuncts on customer_demographics (1.92 M
+	// rows at every scale factor), each answered from value bitmaps. No
+	// maintenance operation touches the table, so after each refresh an
+	// in-place update stands in for one: it moves a row demo skips to an
+	// education status no row held before. Maintenance does not
+	// invalidate this table's indexes; the epoch check alone must see it.
+	const demo = `SELECT cd_demo_sk, cd_education_status FROM customer_demographics
+			WHERE cd_education_status IN ('Unknown', 'Revised 1', 'Revised 2') AND cd_marital_status = 'W'
+			AND cd_gender = 'M' AND cd_credit_rating = 'High Risk'`
+	checked := append(queries, lookup, demo)
 	warm.SetProfiling(true)
 	run := func(eng *exec.Engine, q string) *exec.Result {
 		t.Helper()
@@ -346,7 +359,24 @@ func TestWarmEngineEqualsColdAfterRefresh(t *testing.T) {
 		}
 		return res
 	}
-	for _, q := range append(queries, lookup) {
+	// runDemo runs demo on the warm engine and returns its rows and the
+	// rows its scan of customer_demographics read: none when the cached
+	// bitmaps answered it.
+	runDemo := func() ([][]storage.Value, int64) {
+		t.Helper()
+		res, tr, err := warm.QueryTraced(demo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := int64(-1)
+		tr.Profile.Walk(func(n *obs.OpProfile) {
+			if n.Name == "scan customer_demographics" {
+				read = n.RowsIn
+			}
+		})
+		return res.Rows, read
+	}
+	for _, q := range checked {
 		run(warm, q) // builds the indexes the refresh will outdate
 	}
 	built := reg.Counter("exec_hash_build_rows").Value()
@@ -356,6 +386,11 @@ func TestWarmEngineEqualsColdAfterRefresh(t *testing.T) {
 	if n := reg.Counter("exec_hash_build_rows").Value() - built; n != 0 {
 		t.Fatalf("%d rows hashed by a repeat of the queries; these joins are meant to probe the engine's indexes", n)
 	}
+	if _, read := runDemo(); read != 0 {
+		t.Fatalf("a repeat of the demographics query read %d rows; its conjuncts are meant to be answered from cached bitmaps", read)
+	}
+	cd := warm.DB().Table("customer_demographics")
+	col := func(name string) int { return cd.Def.ColumnIndex(name) }
 	for refresh := 1; refresh <= 2; refresh++ {
 		rs, err := GenerateRefresh(warm.DB(), 5, refresh)
 		if err != nil {
@@ -364,6 +399,12 @@ func TestWarmEngineEqualsColdAfterRefresh(t *testing.T) {
 		if _, err := Run(warm, rs); err != nil {
 			t.Fatal(err)
 		}
+		row := 0
+		for ; cd.Get(row, col("cd_marital_status")).S != "W" || cd.Get(row, col("cd_gender")).S != "M" ||
+			cd.Get(row, col("cd_credit_rating")).S != "High Risk" || cd.Get(row, col("cd_education_status")).S == "Unknown"; row++ {
+		}
+		revised := storage.Str("Revised " + strconv.Itoa(refresh))
+		cd.SetValue(row, col("cd_education_status"), revised)
 		cold := exec.New(warm.DB())
 		cold.SetParallelism(1)
 		// The refresh revised item, so the lookup rebuilds its key index.
@@ -380,7 +421,14 @@ func TestWarmEngineEqualsColdAfterRefresh(t *testing.T) {
 		if reg.Counter("exec_hash_build_rows").Value() == before {
 			t.Errorf("refresh %d: the lookup probed an index the refresh outdated", refresh)
 		}
-		for _, q := range append(queries, lookup) {
+		rows, read := runDemo()
+		if read == 0 {
+			t.Errorf("refresh %d: the demographics query read no rows after the update; it used outdated bitmaps", refresh)
+		}
+		if !slices.ContainsFunc(rows, func(r []storage.Value) bool { return r[0] == cd.Get(row, col("cd_demo_sk")) && r[1] == revised }) {
+			t.Errorf("refresh %d: the demographics query missed the row moved to %q", refresh, revised.S)
+		}
+		for _, q := range checked {
 			got, want := run(warm, q), run(cold, q)
 			if len(want.Rows) == 0 {
 				t.Fatalf("refresh %d: empty result proves nothing\n%s", refresh, q)
