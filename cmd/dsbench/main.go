@@ -12,20 +12,17 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"tpcds/internal/audit"
 	"tpcds/internal/driver"
 	"tpcds/internal/metric"
 	"tpcds/internal/obs"
-	"tpcds/internal/obs/debugd"
 	"tpcds/internal/plan"
 	"tpcds/internal/qgen"
 	"tpcds/internal/queries"
@@ -66,15 +63,12 @@ func run() int {
 	onError := flag.String("on-error", driver.OnErrorAbort,
 		"failed-query policy: abort the run or skip to the stream's next query")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event timeline of the run to this file")
-	eventsOut := flag.String("events", "", "write the span log as JSONL to this file")
 	metrics := flag.Bool("metrics", false, "collect engine/driver metrics and append the dump to the report")
 	pprofDir := flag.String("pprof", "", "write cpu.pprof and heap.pprof into this directory")
 	maxConcurrent := flag.Int("max-concurrent", 0, "cap queries in flight across all streams (0 = no cap)")
 	planner := flag.String("planner", "cost", "join planner: cost (statistics + plan cache) or greedy (fixed heuristic baseline)")
 	digestOut := flag.String("digest", "", "write per-query result checksums to this file (for cross-planner diffing)")
 	feedback := flag.Bool("feedback", false, "profile every query and dump the per-template estimate-vs-actual worst offenders")
-	debugAddr := flag.String("debug-addr", "", "serve live diagnostics (/metrics /queries /spans /debug/pprof) on this address during the run")
-	spanLimit := flag.Int("span-limit", 0, "bound the tracer's completed-span ring to the most recent N spans (0 = unbounded)")
 	flag.Parse()
 
 	cfg := driver.Config{
@@ -84,35 +78,16 @@ func run() int {
 		QueryTimeout: *timeout, OnError: *onError, MaxConcurrent: *maxConcurrent,
 		Price: metric.PriceModel{HardwareUSD: *hw, SoftwareUSD: *sw, MaintenanceUSD: *maint},
 	}
-	if *traceOut != "" || *eventsOut != "" || *debugAddr != "" {
+	if *traceOut != "" {
 		cfg.Tracer = obs.NewTracer()
-		cfg.Tracer.SetSpanLimit(*spanLimit)
 	}
 	// The feedback report needs the q-error counters, so it implies a
 	// registry.
-	if *metrics || *feedback || *debugAddr != "" {
+	if *metrics || *feedback {
 		cfg.Metrics = obs.NewRegistry()
 	}
 	if *feedback {
 		cfg.Profile = true
-	}
-	if *debugAddr != "" {
-		cfg.InFlight = driver.NewInFlight()
-		srv, err := debugd.Start(context.Background(), *debugAddr, debugd.Config{
-			Tracer: cfg.Tracer, Metrics: cfg.Metrics, Queries: cfg.InFlight,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dsbench: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "debugd listening on http://%s\n", srv.Addr())
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if err := srv.Shutdown(ctx); err != nil {
-				fmt.Fprintf(os.Stderr, "dsbench: %v\n", err)
-			}
-		}()
 	}
 	if *pprofDir != "" {
 		stop, err := obs.StartProfiles(*pprofDir)
@@ -152,19 +127,11 @@ func run() int {
 	// Flush the timeline even when the run fails: a trace of a failed
 	// run is exactly what the flag is for.
 	if cfg.Tracer != nil {
-		if *traceOut != "" {
-			if werr := obs.WriteFile(*traceOut, cfg.Tracer, obs.WriteChromeTrace); werr != nil {
-				fmt.Fprintf(os.Stderr, "dsbench: %v\n", werr)
-				return 1
-			}
-			fmt.Fprintf(os.Stderr, "wrote %d spans to %s\n", cfg.Tracer.Len(), *traceOut)
+		if werr := obs.WriteFile(*traceOut, cfg.Tracer, obs.WriteChromeTrace); werr != nil {
+			fmt.Fprintf(os.Stderr, "dsbench: %v\n", werr)
+			return 1
 		}
-		if *eventsOut != "" {
-			if werr := obs.WriteFile(*eventsOut, cfg.Tracer, obs.WriteJSONL); werr != nil {
-				fmt.Fprintf(os.Stderr, "dsbench: %v\n", werr)
-				return 1
-			}
-		}
+		fmt.Fprintf(os.Stderr, "wrote %d spans to %s\n", cfg.Tracer.Len(), *traceOut)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsbench: %v\n", err)

@@ -6,7 +6,7 @@
 //	dsql -sf 0.001 -e "SELECT i_category, COUNT(*) c FROM item GROUP BY i_category ORDER BY c DESC"
 //	echo "SELECT ..." | dsql -sf 0.001
 //	dsql -sf 0.001 -e "EXPLAIN ANALYZE SELECT ..."   # per-operator runtime profile
-//	dsql -sf 0.001 -e "..." -trace out.json -metrics -debug-addr :6060
+//	dsql -sf 0.001 -e "..." -trace out.json -metrics
 package main
 
 import (
@@ -21,7 +21,6 @@ import (
 	"tpcds/internal/datagen"
 	"tpcds/internal/exec"
 	"tpcds/internal/obs"
-	"tpcds/internal/obs/debugd"
 	"tpcds/internal/plan"
 )
 
@@ -41,7 +40,6 @@ func run() int {
 	traceOut := flag.String("trace", "", "write a Chrome trace_event timeline of the query to this file")
 	metrics := flag.Bool("metrics", false, "print the engine metrics dump after the query")
 	pprofDir := flag.String("pprof", "", "write cpu.pprof and heap.pprof into this directory")
-	debugAddr := flag.String("debug-addr", "", "serve live diagnostics (/metrics /queries /spans /debug/pprof) on this address while running")
 	flag.Parse()
 
 	var pm plan.Mode
@@ -101,23 +99,8 @@ func run() int {
 		root = tracer.Root("dsql", "driver")
 	}
 	var reg *obs.Registry
-	if *metrics || *debugAddr != "" {
+	if *metrics {
 		reg = obs.NewRegistry()
-	}
-	if *debugAddr != "" {
-		srv, err := debugd.Start(context.Background(), *debugAddr, debugd.Config{Tracer: tracer, Metrics: reg})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dsql: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "debugd listening on http://%s\n", srv.Addr())
-		defer func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if err := srv.Shutdown(ctx); err != nil {
-				fmt.Fprintf(os.Stderr, "dsql: %v\n", err)
-			}
-		}()
 	}
 
 	loadStart := time.Now()

@@ -103,11 +103,6 @@ type Config struct {
 	// Report.Misestimates. Results are bit-identical with profiling on
 	// or off; only accounting is added.
 	Profile bool
-	// InFlight, when set, registers every query execution for its
-	// lifetime — the data source behind the debugd /queries endpoint.
-	// The engine reports coarse phase and row progress into the entry
-	// while the query runs.
-	InFlight *InFlight
 	// MaxConcurrent caps the queries in flight across all streams of a
 	// query run; 0 means no cap (every stream's query is admitted
 	// immediately). With a cap, the time a query spends waiting for
@@ -401,7 +396,7 @@ func runQueryRun(ctx context.Context, eng *exec.Engine, tpl []qgen.Template, cfg
 					cancelRun()
 					return
 				}
-				qt, err := runOneQuery(runCtx, eng, cfg, streamSp, gate, run, stream, t.ID, text, mis)
+				qt, err := runOneQuery(runCtx, eng, cfg, streamSp, gate, t.ID, text, mis)
 				qt.Run, qt.Stream, qt.QueryID = run, stream, t.ID
 				out = append(out, qt)
 				if err != nil && !skip {
@@ -446,15 +441,10 @@ func errRank(err error) int {
 // The admission gate is acquired BEFORE the timeout context is created,
 // so a query never times out while queued — the deadline measures the
 // engine, not the driver's own backpressure.
-func runOneQuery(ctx context.Context, eng *exec.Engine, cfg Config, streamSp *obs.Span, gate chan struct{}, run, stream, tplID int, text string, mis *misestimates) (QueryTiming, error) {
+func runOneQuery(ctx context.Context, eng *exec.Engine, cfg Config, streamSp *obs.Span, gate chan struct{}, tplID int, text string, mis *misestimates) (QueryTiming, error) {
 	qsp := streamSp.Child(fmt.Sprintf("q%d", tplID))
 	defer qsp.End()
 	var qt QueryTiming
-	// Register with the in-flight diagnostics registry before queuing:
-	// a query waiting for admission is visible (phase "queued"), so the
-	// /queries endpoint shows gate pressure directly.
-	st := cfg.InFlight.Begin(run, stream, tplID)
-	defer cfg.InFlight.End(st)
 	if gate != nil {
 		wsp := qsp.Child("queue")
 		waitStart := time.Now()
@@ -477,9 +467,6 @@ func runOneQuery(ctx context.Context, eng *exec.Engine, cfg Config, streamSp *ob
 	}
 	defer cancel()
 	qctx = obs.ContextWithSpan(qctx, qsp)
-	if st != nil {
-		qctx = obs.ContextWithStatus(qctx, st)
-	}
 	start := time.Now()
 	var r *exec.Result
 	var err error

@@ -1,16 +1,10 @@
 package driver
 
 import (
-	"context"
-	"io"
-	"net/http"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"tpcds/internal/obs"
-	"tpcds/internal/obs/debugd"
 )
 
 // TestBenchmarkSpanTree runs the full benchmark instrumented and checks
@@ -163,62 +157,28 @@ func TestUninstrumentedRunUnchanged(t *testing.T) {
 	}
 }
 
-// TestInFlightRegistry covers the in-flight query registry directly:
-// admission order, status updates through the obs.QueryStatus side,
-// deregistration, and nil-safety of the whole surface.
-func TestInFlightRegistry(t *testing.T) {
-	inf := NewInFlight()
-	a := inf.Begin(1, 0, 42)
-	b := inf.Begin(1, 1, 7)
-	a.SetPhase("join")
-	a.SetRows(128)
-	qs := inf.ActiveQueries()
-	if len(qs) != 2 {
-		t.Fatalf("%d active queries, want 2", len(qs))
-	}
-	if qs[0].Template != 42 || qs[1].Template != 7 {
-		t.Errorf("admission order lost: %+v", qs)
-	}
-	if qs[0].Phase != "join" || qs[0].Rows != 128 {
-		t.Errorf("status not reflected: %+v", qs[0])
-	}
-	if qs[1].Phase != "queued" {
-		t.Errorf("fresh query phase = %q, want queued", qs[1].Phase)
-	}
-	if qs[0].ElapsedNs < 0 {
-		t.Errorf("negative elapsed: %+v", qs[0])
-	}
-	inf.End(a)
-	if qs := inf.ActiveQueries(); len(qs) != 1 || qs[0].Template != 7 {
-		t.Errorf("after End: %+v, want only q7", qs)
-	}
-	inf.End(b)
-	if qs := inf.ActiveQueries(); len(qs) != 0 {
-		t.Errorf("after both End: %+v, want empty", qs)
-	}
-
-	// The nil registry is the disabled path every un-instrumented run
-	// takes; all methods must be no-ops.
-	var nilInf *InFlight
-	st := nilInf.Begin(1, 0, 1)
-	if st != nil {
-		t.Fatal("nil registry returned a live status handle")
-	}
-	st.SetPhase("x")
-	st.SetRows(1)
-	nilInf.End(st)
-	if nilInf.ActiveQueries() != nil {
-		t.Error("nil registry returned active queries")
-	}
-}
-
 // TestProfiledRunMisestimates runs the benchmark with Profile on and
 // checks the estimate-vs-actual feedback loop end to end: the q-error
 // histogram observed every estimated operator, the report carries the
 // per-template misestimation table sorted worst-first, and the
-// rendering includes it.
+// rendering includes it. The "4 streams traced" case turns every
+// post-run surface on at once (profile tree, tracer, metrics) across
+// four concurrent streams; under -race it is the check that they share
+// memory safely.
 func TestProfiledRunMisestimates(t *testing.T) {
-	cfg := tinyCfg()
+	traced := tinyCfg()
+	traced.Streams = 4
+	traced.QueryIDs = []int{1, 9, 20, 42, 52}
+	traced.Tracer = obs.NewTracer()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"2 streams", tinyCfg()}, {"4 streams traced", traced}} {
+		t.Run(tc.name, func(t *testing.T) { checkProfiledRun(t, tc.cfg) })
+	}
+}
+
+func checkProfiledRun(t *testing.T, cfg Config) {
 	cfg.Profile = true
 	cfg.Metrics = obs.NewRegistry()
 	res, err := Run(cfg)
@@ -262,6 +222,9 @@ func TestProfiledRunMisestimates(t *testing.T) {
 	if !strings.Contains(res.Report.String(), "Worst Misestimates") {
 		t.Error("report rendering missing the misestimation section")
 	}
+	if cfg.Tracer != nil && cfg.Tracer.Len() == 0 {
+		t.Error("traced profiled run recorded no spans")
+	}
 	// Determinism across identical runs: same templates, same worst
 	// operators, same q-errors (the engine and data are seeded).
 	res2, err := Run(cfg)
@@ -294,91 +257,5 @@ func TestUnprofiledRunHasNoMisestimates(t *testing.T) {
 	}
 	if strings.Contains(res.Report.String(), "Misestimates") {
 		t.Error("unprofiled report renders a misestimation section")
-	}
-}
-
-// TestInFlightDebugdHammer is the 4-stream live-diagnostics race test:
-// a profiled, traced benchmark runs with the in-flight registry wired
-// into a live debugd server while four client goroutines hammer the
-// endpoints for its whole duration. Run under -race this proves the
-// registry, tracer ring, metrics, and server share memory safely; the
-// final snapshot must be empty (every query deregistered).
-func TestInFlightDebugdHammer(t *testing.T) {
-	cfg := tinyCfg()
-	cfg.Streams = 4
-	cfg.QueryIDs = []int{1, 9, 20, 42, 52}
-	cfg.Profile = true
-	cfg.Tracer = obs.NewTracer()
-	cfg.Tracer.SetSpanLimit(256)
-	cfg.Metrics = obs.NewRegistry()
-	cfg.InFlight = NewInFlight()
-	srv, err := debugd.Start(context.Background(), "127.0.0.1:0",
-		debugd.Config{Tracer: cfg.Tracer, Metrics: cfg.Metrics, Queries: cfg.InFlight})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := "http://" + srv.Addr()
-	// The clients own their transport and keep no connection alive: a
-	// pooled connection the transport dialed but never sent a request on
-	// sits in StateNew on the server, which http.Server.Shutdown does not
-	// treat as idle for 5 s — exactly the deadline below.
-	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
-
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	sawActive := make([]bool, 4)
-	for i, path := range []string{"/queries", "/metrics", "/spans", "/queries"} {
-		wg.Add(1)
-		go func(i int, path string) {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				resp, err := client.Get(base + path)
-				if err != nil {
-					t.Errorf("GET %s: %v", path, err)
-					return
-				}
-				body, err := io.ReadAll(resp.Body)
-				if cerr := resp.Body.Close(); err == nil {
-					err = cerr
-				}
-				if err != nil {
-					t.Errorf("GET %s: %v", path, err)
-					return
-				}
-				if path == "/queries" && strings.Contains(string(body), `"phase"`) {
-					sawActive[i] = true
-				}
-			}
-		}(i, path)
-	}
-
-	res, err := Run(cfg)
-	close(done)
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Queries) == 0 {
-		t.Fatal("benchmark recorded no queries")
-	}
-	if qs := cfg.InFlight.ActiveQueries(); len(qs) != 0 {
-		t.Errorf("%d queries still registered after the run: %+v", len(qs), qs)
-	}
-	observed := false
-	for _, s := range sawActive {
-		observed = observed || s
-	}
-	if !observed {
-		t.Log("note: /queries never caught an in-flight query (run too fast); registry drained correctly")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -43,10 +43,6 @@ type qctx struct {
 	// touch only its atomic counters.
 	prof *obs.OpNode
 	pcur *obs.OpNode
-	// status is the driver's in-flight registry entry for this query
-	// (nil outside the driver); the coordinator reports coarse phase
-	// and row progress through it for the live diagnostics endpoint.
-	status obs.QueryStatus
 	// em carries the engine's metric handles (nil when no registry is
 	// installed); workers update them through sharded atomics.
 	em *execMetrics
@@ -90,10 +86,6 @@ func (e *Engine) newQctx(ctx context.Context) *qctx {
 		ctx = context.Background()
 	}
 	q := &qctx{ctx: ctx, phase: "parse", qspan: obs.SpanFromContext(ctx), em: e.em}
-	q.status = obs.StatusFromContext(ctx)
-	if q.status != nil {
-		q.status.SetPhase("parse")
-	}
 	if e.profiling {
 		q.prof = obs.NewProfile("query")
 	}
@@ -107,11 +99,6 @@ func (q *qctx) setPhase(p string) {
 		return
 	}
 	q.phase = p
-	if q.status != nil {
-		// Phase strings are compile-time constants, so forwarding them
-		// to the in-flight registry allocates nothing.
-		q.status.SetPhase(p)
-	}
 }
 
 // phaseName returns the phase for error messages.
@@ -235,17 +222,12 @@ func (q *qctx) opRowsIn(sp *obs.Span, n int64) {
 	}
 }
 
-// opRowsOut records rows leaving the current operator, mirrors them
-// into the in-flight status (live "rows so far" for diagnostics), and
-// annotates the span. Coordinator goroutine only.
+// opRowsOut records rows leaving the current operator on both the
+// operator span and the profile node. Coordinator goroutine only.
 func (q *qctx) opRowsOut(sp *obs.Span, n int64) {
 	sp.SetAttrInt("rows_out", n)
-	if q == nil {
-		return
-	}
-	q.pcur.AddRowsOut(n)
-	if q.status != nil {
-		q.status.SetRows(n)
+	if q != nil {
+		q.pcur.AddRowsOut(n)
 	}
 }
 

@@ -516,7 +516,8 @@ func soleColumn(inst *tabInst, p bexpr) int {
 
 // valueHits returns the bitmaps of ix's values that p holds true for —
 // each value boxed as the column's reader boxes it, a code as its
-// dictionary string — plus the NULL rows' bitmap when p holds for NULL.
+// dictionary string — plus the NULL rows' bitmap when p holds for NULL
+// and the column has NULL rows.
 // p reads column col of inst only, so its value decides p.
 func (b *binder) valueHits(inst *tabInst, col int, ix *index.BitmapIndex, p bexpr) []*index.Bitmap {
 	cr := newColReader(inst, col)
@@ -532,7 +533,7 @@ func (b *binder) valueHits(inst *tabInst, col int, ix *index.BitmapIndex, p bexp
 			hits = append(hits, ix.Lookup(k))
 		}
 	}
-	if row[cr.off] = storage.Null; truthy(p.eval(row)) {
+	if row[cr.off] = storage.Null; ix.Nulls() != nil && truthy(p.eval(row)) {
 		hits = append(hits, ix.Nulls())
 	}
 	return hits

@@ -155,7 +155,8 @@ type BitmapIndex struct {
 	n    int
 	bits map[int64]*Bitmap
 	keys []int64 // the keys of bits, in build order
-	// nulls tracks rows whose key is NULL (never matched by joins).
+	// nulls tracks rows whose key is NULL (never matched by joins); nil
+	// until the first NULL row.
 	nulls *Bitmap
 }
 
@@ -169,10 +170,10 @@ func BuildBitmapIndex(vals []int64, nulls []bool) *BitmapIndex {
 // column: nil as soon as a row holds a distinct non-NULL value past the
 // first maxKeys.
 func BuildBitmapIndexUpTo(vals []int64, nulls []bool, maxKeys int) *BitmapIndex {
-	ix := &BitmapIndex{n: len(vals), bits: map[int64]*Bitmap{}, nulls: NewBitmap(len(vals))}
+	ix := &BitmapIndex{n: len(vals), bits: map[int64]*Bitmap{}}
 	for i, v := range vals {
 		if nulls[i] {
-			ix.nulls.Set(i)
+			ix.setNull(i)
 			continue
 		}
 		bm := ix.bits[v]
@@ -195,11 +196,11 @@ func BuildBitmapIndexUpTo(vals []int64, nulls []bool, maxKeys int) *BitmapIndex 
 // lists them in code order.
 func BuildCodeIndex(codes []uint16, nulls []bool, ncodes int) *BitmapIndex {
 	n := len(codes)
-	ix := &BitmapIndex{n: n, bits: make(map[int64]*Bitmap, ncodes), nulls: NewBitmap(n)}
+	ix := &BitmapIndex{n: n, bits: make(map[int64]*Bitmap, ncodes)}
 	bms := make([]*Bitmap, ncodes)
 	for i, c := range codes {
 		if nulls[i] {
-			ix.nulls.Set(i)
+			ix.setNull(i)
 			continue
 		}
 		bm := bms[c]
@@ -218,6 +219,15 @@ func BuildCodeIndex(codes []uint16, nulls []bool, ncodes int) *BitmapIndex {
 	return ix
 }
 
+// setNull marks row i NULL, allocating the NULL bitmap on first use so
+// a column without NULLs carries none.
+func (ix *BitmapIndex) setNull(i int) {
+	if ix.nulls == nil {
+		ix.nulls = NewBitmap(ix.n)
+	}
+	ix.nulls.Set(i)
+}
+
 // NumRows returns the indexed row count.
 func (ix *BitmapIndex) NumRows() int { return ix.n }
 
@@ -232,8 +242,8 @@ func (ix *BitmapIndex) Keys() []int64 { return ix.keys }
 // bitmap is shared — callers must Clone before mutating.
 func (ix *BitmapIndex) Lookup(key int64) *Bitmap { return ix.bits[key] }
 
-// Nulls returns the bitmap of the rows whose key is NULL. It is shared,
-// like Lookup's.
+// Nulls returns the bitmap of the rows whose key is NULL, or nil when
+// no row is NULL. It is shared, like Lookup's.
 func (ix *BitmapIndex) Nulls() *Bitmap { return ix.nulls }
 
 // UnionOf ORs the bitmaps of all given keys into a fresh bitmap — the

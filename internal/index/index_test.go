@@ -288,7 +288,7 @@ func BenchmarkBitmapAnd(b *testing.B) {
 // TestBitmapIndexUpTo: with maxKeys at least the column's distinct
 // non-NULL values BuildBitmapIndexUpTo builds what BuildBitmapIndex
 // does, keys in first-seen order and NULL rows apart; one key fewer and
-// it gives up.
+// it gives up. Without NULL rows there is no NULL bitmap.
 func TestBitmapIndexUpTo(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	values := []int64{math.MinInt64, -3, 0, 7, 1 << 40, math.MaxInt64}
@@ -317,10 +317,14 @@ func TestBitmapIndexUpTo(t *testing.T) {
 	if BuildBitmapIndexUpTo(vals, nulls, len(values)-1) != nil {
 		t.Error("an index past maxKeys")
 	}
+	if ix := BuildBitmapIndexUpTo(vals, make([]bool, n), len(values)); ix.Nulls() != nil {
+		t.Errorf("a column without NULL rows has a NULL bitmap of %d rows", ix.Nulls().Count())
+	}
 }
 
 // TestCodeIndex: a dictionary column indexed by code; codes no row
-// holds get no bitmap, and a NULL row's code is ignored.
+// holds get no bitmap, a NULL row's code is ignored, and a column
+// without NULL rows has no NULL bitmap.
 func TestCodeIndex(t *testing.T) {
 	codes := []uint16{2, 0, 2, 0, 3}
 	nulls := []bool{false, true, false, false, false}
@@ -335,6 +339,9 @@ func TestCodeIndex(t *testing.T) {
 	}
 	if got := ix.Nulls().Rows(); !reflect.DeepEqual(got, []int{1}) {
 		t.Errorf("NULL rows %v, want [1]", got)
+	}
+	if ix := BuildCodeIndex(codes, make([]bool, len(codes)), 5); ix.Nulls() != nil {
+		t.Errorf("a column without NULL rows has a NULL bitmap of %d rows", ix.Nulls().Count())
 	}
 }
 

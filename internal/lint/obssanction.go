@@ -25,32 +25,22 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // obsPkgPath is the observability package whose recording calls are
-// the one sanctioned destination for wall-clock values. Subpackages
-// (internal/obs/debugd, the diagnostics endpoint) share the sanction:
-// they are part of the same observability boundary and never touch
-// generated data.
+// the one sanctioned destination for wall-clock values.
 const obsPkgPath = "tpcds/internal/obs"
 
-// isObsPkg reports whether path is internal/obs or one of its
-// subpackages.
-func isObsPkg(path string) bool {
-	return path == obsPkgPath || strings.HasPrefix(path, obsPkgPath+"/")
-}
-
 // isObsCall reports whether call invokes a function or method defined
-// in internal/obs or a subpackage (Registry.Histogram,
-// Histogram.ObserveDuration, Span.SetAttrInt, debugd.Start, …).
+// in internal/obs (Registry.Histogram, Histogram.ObserveDuration,
+// Span.SetAttrInt, …).
 func (p *Package) isObsCall(call *ast.CallExpr) bool {
 	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
 	obj := p.Info.Uses[sel.Sel]
-	return obj != nil && obj.Pkg() != nil && isObsPkg(obj.Pkg().Path())
+	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == obsPkgPath
 }
 
 // posRange is a half-open source interval [lo, hi).

@@ -71,25 +71,8 @@ func WriteChromeTrace(w io.Writer, t *Tracer) error {
 	return nil
 }
 
-// WriteJSONL writes one SpanRecord JSON object per line, sorted by
-// start time then id — a stable shape for diffing two runs with
-// line-oriented tools.
-func WriteJSONL(w io.Writer, t *Tracer) error {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	for _, s := range t.Snapshot() {
-		if err := enc.Encode(s); err != nil {
-			return fmt.Errorf("obs: encoding span: %w", err)
-		}
-	}
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("obs: writing span log: %w", err)
-	}
-	return nil
-}
-
 // WriteFile renders the tracer through render into path — the shared
-// CLI plumbing behind -trace and -events flags. Close errors are
+// CLI plumbing behind the -trace flags. Close errors are
 // folded into the returned error so a full disk is never silent.
 func WriteFile(path string, t *Tracer, render func(io.Writer, *Tracer) error) (err error) {
 	f, err := os.Create(path)
@@ -147,10 +130,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 	for name := range r.counters {
 		counters[name] = r.counters[name].Value()
 	}
-	gauges := make(map[string]int64, len(r.gauges))
-	for name := range r.gauges {
-		gauges[name] = r.gauges[name].Value()
-	}
 	hists := make(map[string]*Histogram, len(r.histograms))
 	for name := range r.histograms {
 		hists[name] = r.histograms[name]
@@ -159,9 +138,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 
 	for _, name := range sortedKeysC(counters) {
 		fmt.Fprintf(&buf, "counter %-32s %d\n", name, counters[name])
-	}
-	for _, name := range sortedKeysC(gauges) {
-		fmt.Fprintf(&buf, "gauge   %-32s %d\n", name, gauges[name])
 	}
 	histNames := make([]string, 0, len(hists))
 	for name := range hists {

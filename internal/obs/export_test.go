@@ -72,28 +72,6 @@ func TestValidateChromeTraceRejects(t *testing.T) {
 	}
 }
 
-func TestWriteJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, sampleTracer()); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want 3", len(lines))
-	}
-	var prev int64 = -1
-	for _, line := range lines {
-		var rec SpanRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("line %q: %v", line, err)
-		}
-		if rec.StartNs < prev {
-			t.Errorf("lines out of start order")
-		}
-		prev = rec.StartNs
-	}
-}
-
 // TestTraceFileShape validates an externally produced trace file (the
 // CI smoke artifact). Skipped unless -tracefile is set.
 func TestTraceFileShape(t *testing.T) {

@@ -1,11 +1,14 @@
 // Package obs is the zero-dependency observability core: a span tracer
 // for execution timelines, a metrics registry of sharded-atomic
-// counters/gauges/histograms, and exporters for Chrome trace_event
-// JSON, JSONL event logs, and plain-text metric dumps.
+// counters and histograms, the per-operator profile tree behind
+// EXPLAIN ANALYZE, and exporters for Chrome trace_event JSON,
+// plain-text metric dumps and pprof files.
 //
 // The package exists so the benchmark can answer "where did the time
 // go" — which operator, which morsel worker, which stream — without
-// perturbing what it measures. Two contracts follow:
+// perturbing what it measures. A run is observed after it finishes:
+// every exporter reads the completed record of a finished run, and
+// nothing is served while the run is in progress. Two contracts follow:
 //
 //   - Disabled means free. Every recording method is a method on a
 //     pointer receiver that tolerates nil: a nil *Tracer produces nil
@@ -63,41 +66,12 @@ type Tracer struct {
 	epoch time.Time
 	ids   atomic.Uint64
 
-	mu    sync.Mutex
-	done  []SpanRecord
-	limit int // max retained records; 0 = unbounded (batch default)
-	next  int // ring cursor, meaningful only when limit > 0 and full
+	mu   sync.Mutex
+	done []SpanRecord
 }
 
 // NewTracer returns an enabled tracer whose epoch is now.
 func NewTracer() *Tracer { return &Tracer{epoch: time.Now()} }
-
-// SetSpanLimit bounds the number of completed spans the tracer retains:
-// once n spans are held, each newly completed span overwrites the
-// oldest. n <= 0 restores the default unbounded retention used by
-// batch runs (a benchmark wants its whole timeline); service-style
-// runs set a limit so span memory stays flat no matter how long the
-// process lives. Safe to call concurrently with span completion.
-func (t *Tracer) SetSpanLimit(n int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if n <= 0 {
-		t.limit, t.next = 0, 0
-		return
-	}
-	t.limit = n
-	if len(t.done) > n {
-		// Keep the n most recently completed records.
-		kept := make([]SpanRecord, n)
-		copy(kept, t.done[len(t.done)-n:])
-		t.done = kept
-	}
-	// The ring cursor restarts at the oldest retained record.
-	t.next = 0
-}
 
 // Span is one in-progress measurement. A span is created by exactly
 // one goroutine and must be ended by a goroutine that happens-after
@@ -230,15 +204,8 @@ func (s *Span) End() time.Duration {
 		rec.Parent = s.parent.id
 	}
 	s.tr.mu.Lock()
-	defer s.tr.mu.Unlock()
-	if n := s.tr.next; s.tr.limit > 0 && len(s.tr.done) >= s.tr.limit && n >= 0 && n < len(s.tr.done) {
-		// Bounded ring: overwrite the oldest retained record. Snapshot
-		// sorts by start time, so physical ring order never leaks out.
-		s.tr.done[n] = rec
-		s.tr.next = (n + 1) % s.tr.limit
-	} else {
-		s.tr.done = append(s.tr.done, rec)
-	}
+	s.tr.done = append(s.tr.done, rec)
+	s.tr.mu.Unlock()
 	return d
 }
 

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -93,7 +92,6 @@ func TestDisabledIsNilSafe(t *testing.T) {
 		c.End()
 		sp.End()
 		reg.Counter("n").Add(1)
-		reg.Gauge("g").Set(2)
 		reg.Histogram("h_ns").Observe(3)
 	})
 	if allocs != 0 {
@@ -229,7 +227,6 @@ func TestHistogramQuantileEdges(t *testing.T) {
 func TestRegistryTextDump(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("exec_rows_scanned").Add(42)
-	reg.Gauge("streams").Set(4)
 	reg.Histogram("query_ns").ObserveDuration(3 * time.Millisecond)
 	var sb strings.Builder
 	if err := reg.WriteText(&sb); err != nil {
@@ -238,78 +235,12 @@ func TestRegistryTextDump(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"counter exec_rows_scanned", "42",
-		"gauge   streams", "hist    query_ns", "count=1", "max=3ms",
+		"hist    query_ns", "count=1", "max=3ms",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("dump missing %q:\n%s", want, out)
 		}
 	}
-}
-
-// TestSpanLimitRing covers the bounded-retention contract: below the
-// limit spans append; at the limit each completion overwrites the
-// oldest; Snapshot still returns start-time order; and n <= 0 restores
-// unbounded retention.
-func TestSpanLimitRing(t *testing.T) {
-	tr := NewTracer()
-	tr.SetSpanLimit(4)
-	for i := 0; i < 10; i++ {
-		sp := tr.Root(fmt.Sprintf("s%d", i), "test")
-		sp.End()
-	}
-	if got := tr.Len(); got != 4 {
-		t.Fatalf("Len = %d after 10 spans with limit 4", got)
-	}
-	snap := tr.Snapshot()
-	for i, s := range snap {
-		if want := fmt.Sprintf("s%d", 6+i); s.Name != want {
-			t.Errorf("snap[%d] = %q, want %q (4 newest, oldest first)", i, s.Name, want)
-		}
-	}
-	for i := 1; i < len(snap); i++ {
-		if snap[i].StartNs < snap[i-1].StartNs {
-			t.Errorf("snapshot out of start order at %d", i)
-		}
-	}
-
-	// Shrinking an over-full tracer keeps the n most recent records.
-	tr2 := NewTracer()
-	for i := 0; i < 6; i++ {
-		tr2.Root(fmt.Sprintf("t%d", i), "test").End()
-	}
-	tr2.SetSpanLimit(2)
-	if got := tr2.Len(); got != 2 {
-		t.Fatalf("Len = %d after shrink to 2", got)
-	}
-	names := map[string]bool{}
-	for _, s := range tr2.Snapshot() {
-		names[s.Name] = true
-	}
-	if !names["t4"] || !names["t5"] {
-		t.Errorf("shrink kept %v, want the 2 newest t4,t5", names)
-	}
-	// The next completion overwrites the oldest retained record.
-	tr2.Root("t6", "test").End()
-	names = map[string]bool{}
-	for _, s := range tr2.Snapshot() {
-		names[s.Name] = true
-	}
-	if !names["t5"] || !names["t6"] || len(names) != 2 {
-		t.Errorf("after overwrite got %v, want t5,t6", names)
-	}
-
-	// n <= 0 restores unbounded growth.
-	tr2.SetSpanLimit(0)
-	for i := 0; i < 5; i++ {
-		tr2.Root("u", "test").End()
-	}
-	if got := tr2.Len(); got != 7 {
-		t.Errorf("Len = %d after unbounding, want 2 retained + 5 new", got)
-	}
-
-	// A nil tracer accepts the call.
-	var nilTr *Tracer
-	nilTr.SetSpanLimit(3)
 }
 
 // TestRegistryTextDumpDeterministic: two identically updated registries
@@ -320,7 +251,6 @@ func TestRegistryTextDumpDeterministic(t *testing.T) {
 		for _, name := range []string{"z_last", "a_first", "m_mid", "exec_rows", "exec_batches"} {
 			reg.Counter(name).Add(7)
 		}
-		reg.Gauge("streams").Set(4)
 		reg.Histogram("query_ns").Observe(1000)
 		reg.Histogram("plan_qerror_x1000").Observe(1500)
 		return reg
@@ -335,8 +265,8 @@ func TestRegistryTextDumpDeterministic(t *testing.T) {
 	if a.String() != b.String() {
 		t.Errorf("text dumps differ:\n%s\n---\n%s", a.String(), b.String())
 	}
-	// Sorted section order: all counters lexicographic, then gauges,
-	// then histograms.
+	// Sorted section order: all counters lexicographic, then
+	// histograms.
 	out := a.String()
 	if strings.Index(out, "a_first") > strings.Index(out, "z_last") {
 		t.Error("counters not sorted lexicographically")

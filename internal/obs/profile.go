@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -289,31 +288,4 @@ func (p *OpProfile) Walk(fn func(*OpProfile)) {
 	for _, c := range p.Children {
 		c.Walk(fn)
 	}
-}
-
-// WorstQError returns the node with the largest q-error in the tree
-// (nil when no node carries an estimate). Ties keep the first node in
-// render order, so the answer is deterministic.
-func (p *OpProfile) WorstQError() *OpProfile {
-	var worst *OpProfile
-	p.Walk(func(n *OpProfile) {
-		if n.HasEst && (worst == nil || n.QError > worst.QError) {
-			worst = n
-		}
-	})
-	return worst
-}
-
-// OpNames returns the sorted set of distinct operator names in the
-// tree — the shape summary the structural tests compare against span
-// trees.
-func (p *OpProfile) OpNames() []string {
-	seen := map[string]bool{}
-	p.Walk(func(n *OpProfile) { seen[n.Name] = true })
-	var names []string
-	for k := range seen {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

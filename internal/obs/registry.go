@@ -9,15 +9,14 @@ import (
 	"unsafe"
 )
 
-// Registry is a named collection of counters, gauges and histograms.
-// Lookup (Counter/Gauge/Histogram) takes a mutex; updates on the
+// Registry is a named collection of counters and histograms.
+// Lookup (Counter/Histogram) takes a mutex; updates on the
 // returned handles are lock-free, so instrumented code resolves its
 // handles once and hammers them from any number of goroutines. A nil
 // Registry returns nil handles, which are valid disabled instruments.
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 }
 
@@ -25,7 +24,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   map[string]*Counter{},
-		gauges:     map[string]*Gauge{},
 		histograms: map[string]*Histogram{},
 	}
 }
@@ -43,21 +41,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns (creating if needed) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns (creating if needed) the named histogram, bucketed
@@ -128,35 +111,6 @@ func (c *Counter) Value() int64 {
 	return sum
 }
 
-// Gauge is a last-write-wins level (active streams, worker count).
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the level; a no-op on a nil gauge.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add adjusts the level; a no-op on a nil gauge.
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(d)
-}
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // DurationBuckets are the fixed histogram bounds in nanoseconds:
 // exponential from 1µs doubling to ~35 minutes. Fixed bounds keep
 // Observe allocation-free and make histograms from different runs
@@ -174,14 +128,13 @@ func makeDurationBuckets() []int64 {
 }
 
 // Histogram counts observations into fixed buckets with atomic
-// count/sum/max, cheap enough for per-query and per-morsel recording.
+// count/max, cheap enough for per-query and per-morsel recording.
 // Quantiles are approximate (bucket upper bounds, clamped to the exact
 // max); Max is exact.
 type Histogram struct {
 	bounds  []int64
 	buckets []atomic.Int64 // len(bounds)+1; last is overflow
 	count   atomic.Int64
-	sum     atomic.Int64
 	max     atomic.Int64
 }
 
@@ -200,7 +153,6 @@ func (h *Histogram) Observe(v int64) {
 	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
 	h.buckets[i].Add(1)
 	h.count.Add(1)
-	h.sum.Add(v)
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
@@ -218,14 +170,6 @@ func (h *Histogram) Count() int64 {
 		return 0
 	}
 	return h.count.Load()
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
 }
 
 // Max returns the largest observation (0 before any Observe). Observe

@@ -33,8 +33,8 @@ type fingerprinter struct {
 	keepLiterals bool
 }
 
-func (f *fingerprinter) tag(t byte)  { f.sb.WriteByte(t) }
-func (f *fingerprinter) num(n int)   { f.sb.WriteString(strconv.Itoa(n)); f.sb.WriteByte(';') }
+func (f *fingerprinter) tag(t byte) { f.sb.WriteByte(t) }
+func (f *fingerprinter) num(n int)  { f.sb.WriteString(strconv.Itoa(n)); f.sb.WriteByte(';') }
 func (f *fingerprinter) boolv(b bool) {
 	if b {
 		f.sb.WriteByte('1')
