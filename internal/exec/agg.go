@@ -174,7 +174,8 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderB
 		})
 		masks = append(masks, subsets...)
 	}
-	aggRows := e.groupRows(&rowSource{qc: b.qc, b: b, rs: rows, n: rows.n}, groupExprs, specs, masks, len(winMap), tr)
+	aggRows := e.groupRows(&rowSource{b: b, rs: rows, n: rows.n}, groupExprs, specs, masks, len(winMap), tr)
+	batch := e.batchSize()
 
 	// The aggregates' slots follow the group expressions'.
 	for i, spec := range specs {
@@ -193,14 +194,15 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderB
 	}
 	slices.Sort(renders)
 	for wi, render := range renders {
-		w, src := winMap[render], &rowSource{qc: b.qc, vals: aggRows, n: len(aggRows)}
+		w, src := winMap[render], &rowSource{b: b, vals: aggRows, n: len(aggRows)}
 		arg, err := b.bindArg(w.Agg, "window argument", true)
 		if err != nil {
 			return nil, nil, err
 		}
 		a := &aggAcc{spec: aggSpec{fn: w.Agg.Name, arg: arg}}
 		if arg != nil {
-			a.in = src.reader(arg)
+			v := src.view(arg, tr)
+			a.in = &v
 		}
 		var keys []keyVec
 		for _, p := range w.PartitionBy {
@@ -208,10 +210,10 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderB
 			if err != nil {
 				return nil, nil, err
 			}
-			keys = append(keys, e.keyIDs(src, src.reader(bp), tr))
+			keys = append(keys, e.keyIDs(b.qc, src.view(bp, tr), src.n, tr))
 		}
 		gids, first := groupIDs(b.qc, keys, uint(1)<<uint(len(keys))-1, src.n)
-		st := a.fold(b.qc, gids, nil, groupRun{0, first}, nil)
+		st := a.fold(b.qc, gids, groupRun{0, first})
 		for ri, g := range gids {
 			if ri < len(aggRows) {
 				aggRows[ri] = append(aggRows[ri], st.result(int(g)))
@@ -226,13 +228,20 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderB
 		if err != nil {
 			return nil, nil, err
 		}
-		aggRows = slices.DeleteFunc(aggRows, func(row []storage.Value) bool { return !truthy(hv.eval(row)) })
+		w := 0
+		b.compileFilter([]bexpr{hv}).passing(b.qc, len(aggRows), batch, nil, aggRows, func(sel []int32) {
+			for _, p := range sel {
+				aggRows[w] = aggRows[p]
+				w++
+			}
+		})
+		aggRows = aggRows[:w]
 	}
 	cols, types, projs, keys, err := b.bindOutput(stmt, orderBy, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	src := &rowSource{qc: b.qc, vals: aggRows, n: len(aggRows)}
+	src := &rowSource{b: b, vals: aggRows, n: len(aggRows)}
 	return e.finish(src, projs, keys, orderBy, stmt.Distinct, stmt.Limit, stmt.Offset, cols, tr), types, nil
 }
 
@@ -252,22 +261,20 @@ func (b *binder) bindArg(fc *sql.FuncCall, clause string, agg bool) (bexpr, erro
 // groups fold in runs of consecutive ids, one per worker when src is
 // larger than a morsel, each run walking every row in order.
 func (e *Engine) groupRows(src *rowSource, groups []bexpr, specs []aggSpec, masks []uint, extra int, tr *Trace) [][]storage.Value {
-	qc := src.qc
-	vals, keys := make([]*exprReader, len(groups)), make([]keyVec, len(groups))
+	qc := src.b.qc
+	vals, keys := make([]keySource, len(groups)), make([]keyVec, len(groups))
 	for i, g := range groups {
-		vals[i] = src.reader(g)
-		keys[i] = e.keyIDs(src, vals[i], tr)
+		vals[i] = src.view(g, tr)
+		keys[i] = e.keyIDs(qc, vals[i], src.n, tr)
 	}
-	accs, args := make([]*aggAcc, len(specs)), []*exprReader(nil)
+	accs := make([]*aggAcc, len(specs))
 	for i, s := range specs {
 		a := &aggAcc{spec: s}
 		if s.arg != nil {
-			a.in = src.reader(s.arg)
-			args = append(args, a.in)
+			v := src.view(s.arg, tr)
+			a.in = &v
 			if s.distinct {
-				a.dkeys = e.keyIDs(src, a.in, tr)
-			} else if a.in.col != nil && a.in.col.kind != storage.KindString {
-				a.ids = a.in.ids
+				a.dkeys = e.keyIDs(qc, v, src.n, tr)
 			}
 		}
 		accs[i] = a
@@ -276,7 +283,6 @@ func (e *Engine) groupRows(src *rowSource, groups []bexpr, specs []aggSpec, mask
 	qc.growScratch(perRow)
 	defer qc.shrinkScratch(perRow)
 	var out [][]storage.Value
-	row := src.scratch(vals...)
 	for _, mask := range masks {
 		gids, first := groupIDs(qc, keys, mask, src.n)
 		if mask == 0 && len(first) == 0 {
@@ -298,9 +304,8 @@ func (e *Engine) groupRows(src *rowSource, groups []bexpr, specs []aggSpec, mask
 		runs := splitGroups(first, e.parts(src.n))
 		states := make([][]aggState, len(runs))
 		parallelFor(len(runs), func(p int) {
-			scratch := src.scratch(args...)
 			for _, a := range accs {
-				states[p] = append(states[p], a.fold(qc, gids, a.ids, runs[p], scratch))
+				states[p] = append(states[p], a.fold(qc, gids, runs[p]))
 			}
 		})
 		out = slices.Grow(out, len(first))
@@ -310,7 +315,7 @@ func (e *Engine) groupRows(src *rowSource, groups []bexpr, specs []aggSpec, mask
 				for i, x := range vals {
 					v := storage.Null
 					if mask&(1<<uint(i)) != 0 && f >= 0 {
-						v = x.value(int(f), row)
+						v = x.value(f)
 					}
 					r = append(r, v)
 				}
@@ -349,83 +354,70 @@ type keyVec struct {
 	dom uint64
 }
 
-// keyIDs computes an expression's key ids over src: a dictionary
-// string's code + 1 and an integer's or a date's offset from the
-// smallest value + 1 (when the range fits 31 bits) in morsels; any other
-// value interned in row order — plain strings as themselves, the rest
-// as GroupKey bytes, so float identity is GroupKey's: -0 and 0 are two
-// keys and every NaN is one.
-func (e *Engine) keyIDs(src *rowSource, x *exprReader, tr *Trace) keyVec {
-	out, col := make([]uint32, src.n), x.col
+// keyIDs numbers an expression's values in the n rows of a view: a
+// dictionary string's code + 1 and an integer's or a date's offset from
+// the smallest value + 1 (when the range fits 31 bits) in morsels; any
+// other value interned in row order — plain strings as themselves, the
+// rest as GroupKey bytes, so float identity is GroupKey's: -0 and 0 are
+// two keys and every NaN is one.
+func (e *Engine) keyIDs(qc *qctx, v keySource, n int, tr *Trace) keyVec {
+	out, col := make([]uint32, n), &v.col
 	base, dom := int64(0), uint64(0)
 	switch {
-	case col == nil:
 	case col.codes != nil:
 		dom = uint64(len(col.dict)) + 1
 	case col.kind == storage.KindInt || col.kind == storage.KindDate:
-		if lo, span, ok := intSpan(x.ids, col); ok && span < 1<<31 {
+		if lo, span, ok := intSpan(v, n); ok && span < 1<<31 {
 			base, dom = lo, span+2
 		}
 	}
 	if dom != 0 {
-		e.inMorsels(src.qc, tr, len(out), func(_, _, lo, hi int) {
-			rowKeys(src.qc, out[lo:hi], x.rowIDs(lo, hi), x, lo, base, true, nil, nil)
+		e.inMorsels(qc, tr, n, func(_, _, lo, hi int) {
+			rowKeys(qc, out[lo:hi], v, lo, base, true, nil)
 		})
 		return keyVec{out, dom}
 	}
 	in := interner{}
-	rowKeys(src.qc, out, x.rowIDs(0, len(out)), x, 0, 0, false, in, src.scratch(x))
+	rowKeys(qc, out, v, 0, 0, false, in)
 	return keyVec{out, uint64(len(in)) + 1}
 }
 
-// rowKeys numbers the values of rows [lo, lo+len(dst)): a bare column's
-// (ids set) codes and, when numbered, integers by arithmetic, the rest in in.
-func rowKeys(qc *qctx, dst []uint32, ids []int32, x *exprReader, lo int, base int64, numbered bool, in interner, row []storage.Value) {
+// rowKeys numbers the values of rows [lo, lo+len(dst)): codes and, when
+// numbered, integers by arithmetic, the rest in in.
+func rowKeys(qc *qctx, dst []uint32, v keySource, lo int, base int64, numbered bool, in interner) {
 	var buf []byte
-	if ids == nil {
-		for i := range dst {
-			if i%tickInterval == 0 {
-				qc.checkNow()
-			}
-			if v := x.value(lo+i, row); !v.IsNull() {
-				buf = v.AppendGroupKey(buf[:0])
-				dst[i] = internID(in, buf)
-			}
+	for i := range dst {
+		if i%tickInterval == 0 {
+			qc.checkNow()
 		}
-		return
-	}
-	if len(ids) != len(dst) {
-		panic("exec: key and id vectors differ in length")
-	}
-	col := x.col
-	for i, r := range ids {
-		switch {
-		case r < 0 || col.nulls[r]:
-		case col.codes != nil:
-			dst[i] = uint32(col.codes[r]) + 1
+		switch r := v.row(int32(lo + i)); {
+		case r < 0 || v.col.nulls[r]:
+		case v.col.codes != nil:
+			dst[i] = uint32(v.col.codes[r]) + 1
 		case numbered:
-			dst[i] = uint32(col.ints[r]-base) + 1
-		case col.kind == storage.KindString:
-			dst[i] = internID(in, col.strs[r])
+			dst[i] = uint32(v.col.ints[r]-base) + 1
+		case v.col.kind == storage.KindString:
+			dst[i] = internID(in, v.col.strs[r])
 		default:
-			buf = col.value(r).AppendGroupKey(buf[:0])
+			buf = v.col.value(r).AppendGroupKey(buf[:0])
 			dst[i] = internID(in, buf)
 		}
 	}
 }
 
-// intSpan returns the smallest non-NULL value of an integer column over
-// the rows ids names and the distance to the largest, if there is one.
-func intSpan(ids []int32, col *colReader) (lo int64, span uint64, ok bool) {
+// intSpan returns the smallest non-NULL value of an integer view over
+// its n rows and the distance to the largest, if there is one.
+func intSpan(v keySource, n int) (lo int64, span uint64, ok bool) {
 	var hi int64
-	for _, r := range ids {
-		if r < 0 || col.nulls[r] {
+	for i := 0; i < n; i++ {
+		r := v.row(int32(i))
+		if r < 0 || v.col.nulls[r] {
 			continue
 		}
-		if v := col.ints[r]; !ok {
-			lo, hi, ok = v, v, true
+		if x := v.col.ints[r]; !ok {
+			lo, hi, ok = x, x, true
 		} else {
-			lo, hi = min(lo, v), max(hi, v)
+			lo, hi = min(lo, x), max(hi, x)
 		}
 	}
 	return lo, uint64(hi) - uint64(lo), ok
@@ -548,13 +540,12 @@ func (c *aggCell) add(f float64, i int64, isInt, sq bool) {
 	}
 }
 
-// aggAcc is one aggregate of a grouping: its argument's reader (and id
-// vector, for a bare numeric column) and, for DISTINCT, its key ids and
-// the rows first of their (group, value) pair.
+// aggAcc is one aggregate of a grouping: its argument's view (nil for
+// COUNT(*)) and, for DISTINCT, its key ids and the rows first of their
+// (group, value) pair.
 type aggAcc struct {
 	spec   aggSpec
-	in     *exprReader
-	ids    []int32
+	in     *keySource
 	dkeys  keyVec
 	firsts []bool
 }
@@ -568,16 +559,20 @@ type aggState struct {
 }
 
 // fold aggregates the rows whose group lies in run, walking the rows in
-// order. A bare numeric column is read off its vector through ids; any
-// other argument value by value, strings only counted.
-func (a *aggAcc) fold(qc *qctx, gids, ids []int32, run groupRun, row []storage.Value) aggState {
+// order and reading the argument off its view; strings are only
+// counted (and compared, for MIN and MAX).
+func (a *aggAcc) fold(qc *qctx, gids []int32, run groupRun) aggState {
 	st := aggState{spec: a.spec, cells: make([]aggCell, len(run.first))}
 	if a.spec.fn == "MIN" || a.spec.fn == "MAX" {
 		st.ext = make([]storage.Value, len(run.first))
 	}
 	cells, ext, firsts := st.cells, st.ext, a.firsts
-	if len(ids) != len(gids) && ids != nil || len(firsts) != len(gids) && firsts != nil {
+	if len(firsts) != len(gids) && firsts != nil || a.in != nil && a.in.ids != nil && len(a.in.ids) != len(gids) {
 		panic("exec: argument vectors and group ids differ in length")
+	}
+	var in keySource // the argument by value: the row loop reads no pointer
+	if a.in != nil {
+		in = *a.in
 	}
 	sq, sign := a.spec.fn == "STDDEV_SAMP", 1
 	if a.spec.fn == "MAX" {
@@ -591,33 +586,25 @@ func (a *aggAcc) fold(qc *qctx, gids, ids []int32, run groupRun, row []storage.V
 		if k < 0 || k >= len(cells) || i < len(firsts) && !firsts[i] {
 			continue
 		}
-		c, v := &cells[k], storage.Null
+		c := &cells[k]
 		if a.in == nil { // COUNT(*)
 			c.n++
 			continue
-		} else if i < len(ids) {
-			r, col := ids[i], a.in.col
-			if r < 0 || col.nulls[r] {
-				continue
-			} else if col.kind == storage.KindFloat {
-				c.add(col.flts[r], 0, false, sq)
-			} else {
-				c.add(float64(col.ints[r]), col.ints[r], true, sq)
-			}
-			if k < len(ext) {
-				v = col.value(r)
-			}
-		} else if v = a.in.value(i, row); v.IsNull() {
-			continue
-		} else if v.K == storage.KindInt || v.K == storage.KindDate {
-			c.add(float64(v.I), v.I, true, sq)
-		} else if v.K == storage.KindFloat {
-			c.add(v.F, 0, false, sq)
-		} else {
-			c.n++
 		}
-		if k < len(ext) && (ext[k].IsNull() || sign*storage.Compare(v, ext[k]) < 0) {
-			ext[k] = v
+		switch r := in.row(int32(i)); {
+		case r < 0 || in.col.nulls[r]:
+			continue
+		case in.col.kind == storage.KindFloat:
+			c.add(in.col.flts[r], 0, false, sq)
+		case in.col.kind == storage.KindString:
+			c.n++
+		default:
+			c.add(float64(in.col.ints[r]), in.col.ints[r], true, sq)
+		}
+		if k < len(ext) {
+			if v := in.col.value(in.row(int32(i))); ext[k].IsNull() || sign*storage.Compare(v, ext[k]) < 0 {
+				ext[k] = v
+			}
 		}
 	}
 	return st

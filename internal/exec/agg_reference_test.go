@@ -15,11 +15,16 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"tpcds/internal/schema"
 	"tpcds/internal/sql"
 	"tpcds/internal/storage"
 )
+
+// valueBytes is the in-memory size of one storage.Value (kind tag padded
+// to 8, int64, float64, string header), for scratch accounting.
+const valueBytes = int64(unsafe.Sizeof(storage.Value{}))
 
 // refAcc accumulates one aggregate for one group.
 type refAcc struct {

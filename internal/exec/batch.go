@@ -1,39 +1,22 @@
-// Vectorized batch execution. Instead of pulling one row at a time
-// through the bexpr interface tree, the scan/filter layer walks the
-// columnar storage vectors directly in batches of ~1K rows, carrying a
-// selection vector of surviving row ids between predicate kernels
-// (MonetDB/X100-style). Each kernel is a typed tight loop over one
-// column's physical vector, so non-surviving rows never touch Value
-// boxing at all.
-//
-// Intermediates. What a scan emits is its selection vectors, and what
-// the join operators pass on is a rowSet (rowset.go): one []int32
-// row-id vector per joined table, never a full-width row. Join keys,
-// group keys, aggregate arguments, sort keys and projections that are
-// bare columns are read off the column vectors through those ids; any
-// other expression is evaluated over a per-worker scratch row holding
-// just the columns it reads (uncompiled local predicates here, residual
-// and LEFT JOIN ON predicates in join.go, the rest in agg.go and
-// run.go). Every operator emits in probe-major order and concatenates
-// morsel chunks in morsel order, so the id tuples arrive in exactly the
-// order a row pipeline would produce them.
-//
-// The batch layer slots UNDER the existing morsel partitioning: a
-// morsel worker runs its [lo,hi) range through the same batch scanner
-// the serial path uses. Kernel results replicate bexpr evaluation's
-// three-valued logic bit for bit (numeric comparisons go through
-// float64 like storage.Compare, IN keeps its UNKNOWN-on-NULL member
-// rule, AND/OR combine 1/0/-1 exactly like binExpr), so kernels and
-// row-at-a-time evaluation select the same rows. There is one executor
-// configuration: kernel_test.go holds every compiled kernel of the 99
-// templates to bexpr.eval row by row, over rows read through
-// Table.Get, and checks the scanner's batch boundaries directly.
+// Vector programs. Every bound expression the executor evaluates is
+// compiled once per query (vcomp) into a typed vector program run a
+// batch of positions at a time (MonetDB/X100-style). A value node returns
+// a view: entry j is row idx[j] of a colReader's vectors — a bare
+// column's own, or its node's slot in a per-worker frame — of the
+// expression's static kind, a string on dictionary codes where the
+// dictionary is known at compile time. Predicates are the boolean case:
+// kernels writing 1 true, 0 false, -1 unknown. A position is what the
+// frame binds it to: a row of the filtered table (frame.ids nil), an
+// intermediate row of a rowSet (frame.ids; an id of -1 reads NULL) or an
+// aggregated row (frame.vals). Programs replicate bexpr.eval bit for bit;
+// kernel_test.go holds every node the 99 templates run to eval
+// (Engine.vecHook). DESIGN.md "Batch execution" has the rest.
 package exec
 
 import (
 	"fmt"
+	"math"
 	"strings"
-	"unsafe"
 
 	"tpcds/internal/index"
 	"tpcds/internal/schema"
@@ -45,13 +28,14 @@ import (
 // while amortizing per-batch bookkeeping over enough rows.
 const batchLen = 1024
 
-// batchSize is the predicate batch row count: batchLen, or one morsel
+// batchSize is the program batch row count: batchLen, or one morsel
 // when morsels are smaller (tests shrink them with SetMorselSize and so
 // get batch boundaries inside development-scale tables too).
 func (e *Engine) batchSize() int { return min(batchLen, e.morselSize()) }
 
 // colReader caches one column's physical vectors plus the absolute row
-// layout offset it fills — the batched replacement for Table.Get.
+// layout offset it fills — the batched replacement for Table.Get. A
+// program node's computed batch is one too.
 type colReader struct {
 	off   int
 	kind  storage.Kind
@@ -80,6 +64,21 @@ func newColReader(inst *tabInst, c int) colReader {
 	return colReader{off: inst.offset + c, kind: k, ints: ints, flts: flts, strs: strs, codes: codes, dict: dict, nulls: nulls}
 }
 
+// kernelCol resolves a bexpr to one of table ti's column vectors.
+func (b *binder) kernelCol(ti int, e bexpr) (*colReader, bool) {
+	ce, ok := e.(*colExpr)
+	if !ok {
+		return nil, false
+	}
+	inst := b.tableAt(ti)
+	c := ce.off - inst.offset
+	if c < 0 || c >= inst.width() {
+		return nil, false
+	}
+	cr := newColReader(inst, c)
+	return &cr, true
+}
+
 // str returns the string at non-NULL row r of a string column.
 func (cr *colReader) str(r int32) string {
 	if cr.codes == nil {
@@ -92,8 +91,8 @@ func (cr *colReader) str(r int32) string {
 }
 
 // value boxes row r of the column — identical to Column.Get. (It is
-// written to stay inside the compiler's inlining budget: every gather
-// and every key encoding goes through it.)
+// written to stay inside the compiler's inlining budget: every key
+// encoding and every projected value goes through it.)
 func (cr *colReader) value(r int32) storage.Value {
 	if cr.nulls[r] {
 		return storage.Null
@@ -107,70 +106,124 @@ func (cr *colReader) value(r int32) storage.Value {
 	return storage.Value{K: cr.kind, I: cr.ints[r]} // KindInt, KindDate
 }
 
-// triFn is a compiled predicate kernel: it evaluates the predicate for
-// every row id in sel, writing three-valued results into out (1 true,
-// 0 false, -1 unknown; out has len(sel)). Kernels close over immutable
-// column vectors only — morsel workers share them freely. The -race
-// runs of the parallel differentials check that capture contract.
-type triFn func(sel []int32, out []int8)
+// numAt returns the column's float64 view at r — the same coercion
+// storage.Compare applies to numeric kinds, so kernel comparisons stay
+// bit-identical to eval even past 2^53.
+func (cr *colReader) numAt(r int32) float64 {
+	if cr.kind == storage.KindFloat {
+		return cr.flts[r]
+	}
+	return float64(cr.ints[r])
+}
 
-// tableFilter is the compiled local-predicate filter of one table:
-// vector kernels for the conjuncts the compiler understands, plus the
-// uncompiled remainder evaluated row-at-a-time over the survivors.
-// Reordering conjuncts (kernels first) cannot change the surviving set:
-// all conjuncts are ANDed and bexpr evaluation is side-effect free.
+// text is row r as a string: a string as it is, a number as
+// Value.String renders it.
+func (cr *colReader) text(r int32) string {
+	if cr.kind == storage.KindString {
+		return cr.str(r)
+	}
+	return cr.value(r).String()
+}
+
+// resize makes the NULL mask and kind's vector (codes into dict when set)
+// n entries long.
+func (cr *colReader) resize(kind storage.Kind, n int, dict []string) {
+	cr.kind, cr.dict = kind, dict
+	grow(&cr.nulls, n)
+	switch {
+	case dict != nil:
+		grow(&cr.codes, n)
+	case kind == storage.KindFloat:
+		grow(&cr.flts, n)
+	case kind == storage.KindString:
+		grow(&cr.strs, n)
+	default:
+		grow(&cr.ints, n)
+	}
+}
+
+// put writes row r of src (-1: NULL) into entry j, converted to cr's
+// kind as conform converts; codes are copied (a node has one dictionary).
+func (cr *colReader) put(j int, src *colReader, r int32) {
+	if cr.nulls[j] = r < 0 || src.nulls[r]; cr.nulls[j] {
+		return
+	}
+	switch {
+	case cr.codes != nil:
+		cr.codes[j] = src.codes[r]
+	case cr.kind == storage.KindFloat:
+		cr.flts[j] = src.numAt(r)
+	case cr.kind == storage.KindString:
+		cr.strs[j] = src.text(r)
+	default:
+		cr.ints[j] = src.ints[r]
+	}
+}
+
+// set writes v, of cr's kind or NULL, into entry j.
+func (cr *colReader) set(j int, v storage.Value) {
+	if cr.nulls[j] = v.IsNull(); cr.nulls[j] {
+		return
+	}
+	switch cr.kind {
+	case storage.KindFloat:
+		cr.flts[j] = v.F
+	case storage.KindString:
+		cr.strs[j] = v.S
+	default:
+		cr.ints[j] = v.I
+	}
+}
+
+// grow resizes *s to n entries, reallocating only past its capacity.
+func grow[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	*s = (*s)[:n]
+	return *s
+}
+
+// ---- filters ----
+
+// tableFilter is a compiled conjunct list, its kernels run in turn over
+// a batch, each on the survivors of the ones before.
 type tableFilter struct {
 	kernels []triFn
-	slow    []bexpr
-	cols    []keySource // the columns slow reads
-	total   int
+	slots   int           // the frame slots the kernels use
 	bm      *index.Bitmap // keep only: rows outside it fail before any kernel runs
 }
 
-// compileFilter compiles table ti's local predicates: kernels where
-// compileTri understands the shape, bexpr.eval over the survivors for
-// the rest.
-func (b *binder) compileFilter(ti int, preds []bexpr) *tableFilter {
-	tf := &tableFilter{total: b.total}
+// compileFilter compiles a local filter (scan, keep) or a residual,
+// LEFT JOIN ON or HAVING one (passing).
+func (b *binder) compileFilter(preds []bexpr) *tableFilter {
+	c := &vcomp{b: b}
+	tf := &tableFilter{}
 	for _, p := range preds {
-		if k, ok := b.compileTri(ti, p); ok {
-			tf.kernels = append(tf.kernels, k)
-			continue
-		}
-		tf.slow = append(tf.slow, p)
+		tf.kernels = append(tf.kernels, c.tri(p))
 	}
-	tf.cols = b.keySources(nil, exprCols(tf.slow...))
+	tf.slots = c.slots
 	return tf
 }
 
-// batchScratch holds one scanner's reusable buffers. Each scan
-// call owns its scratch, so concurrent morsel workers never
-// share mutable state.
+// batchScratch holds one filter run's reusable buffers. Each run owns
+// its scratch, so concurrent morsel workers never share mutable state.
 type batchScratch struct {
 	sel []int32
 	tri []int8
-	row []storage.Value
+	fr  frame
 }
 
 func (tf *tableFilter) newScratch(batch int) *batchScratch {
-	sc := &batchScratch{sel: make([]int32, batch), tri: make([]int8, batch)}
-	if len(tf.slow) > 0 {
-		sc.row = make([]storage.Value, tf.total)
-	}
-	return sc
+	return &batchScratch{sel: make([]int32, batch), tri: make([]int8, batch), fr: frame{slots: make([]slot, tf.slots)}}
 }
-
-// valueBytes is the in-memory size of one storage.Value (kind tag padded
-// to 8, int64, float64, string header), for scratch accounting.
-const valueBytes = int64(unsafe.Sizeof(storage.Value{}))
 
 // bytes reports the scratch buffer footprint for profile accounting.
 func (sc *batchScratch) bytes() int64 {
-	return int64(len(sc.sel))*4 + int64(len(sc.tri)) + int64(len(sc.row))*valueBytes
+	return int64(len(sc.sel))*4 + int64(len(sc.tri))
 }
 
-// apply runs every kernel over sel, compacting survivors in place, then
-// finishes with the uncompiled conjuncts on whatever is left.
+// apply runs every kernel over sel, compacting survivors in place.
 func (tf *tableFilter) apply(sel []int32, sc *batchScratch) []int32 {
 	// Local header: kernel calls cannot retarget a slice passed by
 	// value, so len(tbuf) is stable across the loop in a way len(sc.tri)
@@ -184,21 +237,10 @@ func (tf *tableFilter) apply(sel []int32, sc *batchScratch) []int32 {
 			return sel
 		}
 		tri := tbuf[:len(sel)]
-		k(sel, tri)
+		k(&sc.fr, sel, tri)
 		w := 0
 		for i, r := range sel {
 			if tri[i] == 1 {
-				sel[w] = r
-				w++
-			}
-		}
-		sel = sel[:w]
-	}
-	if len(tf.slow) > 0 && len(sel) > 0 {
-		w := 0
-		for _, r := range sel {
-			gather(tf.cols, 0, r, sc.row)
-			if passes(tf.slow, sc.row) {
 				sel[w] = r
 				w++
 			}
@@ -247,6 +289,22 @@ func (tf *tableFilter) scan(qc *qctx, batch int, ids []int32, lo, hi int, fn fun
 	}
 }
 
+// passing streams the positions of [0, n) that pass, batch by batch, on
+// a frame bound to ids or vals; fn may compact the bound rows in place
+// (later batches read later positions only). It counts no batch.
+func (tf *tableFilter) passing(qc *qctx, n, batch int, ids [][]int32, vals [][]storage.Value, fn func(sel []int32)) {
+	sc := tf.newScratch(batch)
+	sc.fr.ids, sc.fr.vals = ids, vals
+	for base := 0; base < n; base += batch {
+		qc.checkNow()
+		sel := sc.sel[:min(batch, n-base)]
+		for i := range sel {
+			sel[i] = int32(base + i)
+		}
+		fn(tf.apply(sel, sc))
+	}
+}
+
 // keep drops the match pairs whose row fails the filter, in order: the
 // bit test first, then the kernels, counting each row they filter as
 // scanned. A row's verdict depends on the row alone, so scan's survivors
@@ -265,7 +323,7 @@ func (tf *tableFilter) keep(qc *qctx, batch int, pairs []matchPair) []matchPair 
 		}
 		pairs = pairs[:w]
 	}
-	if len(tf.kernels)+len(tf.slow) == 0 || len(pairs) == 0 {
+	if len(tf.kernels) == 0 || len(pairs) == 0 {
 		return pairs
 	}
 	qc.countScan(len(pairs))
@@ -284,21 +342,408 @@ func (tf *tableFilter) keep(qc *qctx, batch int, pairs []matchPair) []matchPair 
 	return pairs[:w]
 }
 
-// ---- predicate kernel compiler ----
+// ---- programs ----
 
-// kernelCol resolves a bexpr to one of table ti's column vectors.
-func (b *binder) kernelCol(ti int, e bexpr) (*colReader, bool) {
-	ce, ok := e.(*colExpr)
+// view is one batch of a value node: entry j is row idx[j] of cr.
+type view struct {
+	cr  *colReader
+	idx []int32
+}
+
+// slot is one node's scratch in a frame.
+type slot struct {
+	cr    colReader
+	idx   []int32
+	tri   []int8
+	views []view
+	args  []storage.Value
+}
+
+// frame is one worker's binding and scratch for running the programs of
+// one vcomp: what positions name (ids, vals; see the package comment)
+// and one slot per node. A frame is never shared between goroutines.
+type frame struct {
+	ids   [][]int32
+	vals  [][]storage.Value
+	slots []slot
+}
+
+func newFrame(slots int) *frame { return &frame{slots: make([]slot, slots)} }
+
+// seq and zero are read-only index vectors of one batch: 0, 1, …, the
+// rows of a computed batch, and a literal's one row, repeated.
+var seq, zero = func() ([]int32, []int32) {
+	s := make([]int32, batchLen)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s, make([]int32, batchLen)
+}()
+
+// out returns slot k's vectors sized for n entries of kind.
+func (fr *frame) out(k int, kind storage.Kind, n int, dict []string) *colReader {
+	cr := &fr.slots[k].cr
+	cr.resize(kind, n, dict)
+	return cr
+}
+
+// vnode is a compiled value expression: val returns its values at the
+// positions sel, of kind kind (codes into dict whenever dict is set). It
+// closes over immutable data only: morsel workers share it.
+type vnode struct {
+	kind storage.Kind
+	dict []string
+	val  func(fr *frame, sel []int32) view
+}
+
+// triFn is a compiled predicate: its three-valued result at every
+// position of sel (1 true, 0 false, -1 unknown; out has len(sel)).
+type triFn func(fr *frame, sel []int32, out []int8)
+
+// vcomp compiles bound expressions into vector programs whose nodes
+// number their scratch slots in one frame layout.
+type vcomp struct {
+	b     *binder
+	slots int
+}
+
+func (c *vcomp) slot() int {
+	c.slots++
+	return c.slots - 1
+}
+
+// val compiles e's values and tri its truth; Engine.vecHook, when set,
+// sees every batch of either.
+func (c *vcomp) val(e bexpr) vnode {
+	n, h, b := c.value(e), c.b.eng.vecHook, c.b
+	if inner := n.val; h != nil {
+		n.val = func(fr *frame, sel []int32) view { v := inner(fr, sel); h(b, e, fr, sel, v, nil); return v }
+	}
+	return n
+}
+
+func (c *vcomp) tri(e bexpr) triFn {
+	k, h, b := c.truth(e), c.b.eng.vecHook, c.b
+	if inner := k; h != nil {
+		k = func(fr *frame, sel []int32, out []int8) { inner(fr, sel, out); h(b, e, fr, sel, view{}, out) }
+	}
+	return k
+}
+
+// constant reports whether e reads no column (nor aggregated slot).
+func constant(e bexpr) bool { return e.mask() == 0 && len(exprCols(e)) == 0 }
+
+func (c *vcomp) value(e bexpr) vnode {
+	if _, ok := e.(*litExpr); !ok && constant(e) {
+		e = &litExpr{v: e.eval(nil), t: e.typ()} // constant folding
+	}
+	switch v := e.(type) {
+	case *colExpr:
+		return c.column(v)
+	case *litExpr:
+		return literal(v)
+	case *binExpr:
+		if !isComparison(v.op) && v.op != "AND" && v.op != "OR" {
+			return c.arith(v)
+		}
+	case *negExpr:
+		return c.function(negate, []bexpr{v.x}, v.typ())
+	case *caseExpr:
+		return c.choice(v.conds, v.results, v.elseE, v.t)
+	case *funcExpr:
+		if v.name == "COALESCE" {
+			return c.choice(nil, v.args, nil, v.t)
+		}
+		return c.function(scalarFuncs[v.name].fn, v.args, v.t)
+	case *notExpr, *betweenExpr, *inExpr, *likeExpr, *isNullExpr:
+	default:
+		panic(fmt.Sprintf("exec: no vector program for %T", e))
+	}
+	// A predicate as a value: 1, 0 or NULL.
+	t, k := c.tri(e), c.slot()
+	return vnode{kind: storage.KindInt, val: func(fr *frame, sel []int32) view {
+		tri := grow(&fr.slots[k].tri, len(sel))
+		t(fr, sel, tri)
+		out := fr.out(k, storage.KindInt, len(sel), nil)
+		for j, x := range tri {
+			out.nulls[j], out.ints[j] = x < 0, int64(max(x, 0))
+		}
+		return view{out, seq[:len(sel)]}
+	}}
+}
+
+// column reads a table column through the frame's id vector for its
+// table (none: the positions are its rows), or a slot of the aggregated
+// layout (no table bit).
+func (c *vcomp) column(e *colExpr) vnode {
+	k := c.slot()
+	if e.tblBit == 0 {
+		off, kind := e.off, kindOf(e.t)
+		return vnode{kind: kind, val: func(fr *frame, sel []int32) view {
+			out := fr.out(k, kind, len(sel), nil)
+			for j, p := range sel {
+				out.set(j, conform(fr.vals[p][off], kind))
+			}
+			return view{out, seq[:len(sel)]}
+		}}
+	}
+	ti := bitIndex(e.tblBit)
+	cr, ok := c.b.kernelCol(ti, e)
 	if !ok {
-		return nil, false
+		panic("exec: column reader for a non-table column")
 	}
-	inst := b.tableAt(ti)
-	c := ce.off - inst.offset
-	if c < 0 || c >= inst.width() {
-		return nil, false
+	dict := cr.dict // nil unless the column is dictionary-coded
+	return vnode{kind: cr.kind, dict: dict, val: func(fr *frame, sel []int32) view {
+		if ti >= len(fr.ids) || fr.ids[ti] == nil {
+			return view{cr, sel}
+		}
+		ids, idx, miss := fr.ids[ti], grow(&fr.slots[k].idx, len(sel)), false
+		for j, p := range sel {
+			idx[j] = ids[p]
+			miss = miss || idx[j] < 0
+		}
+		if !miss {
+			return view{cr, idx}
+		}
+		out := fr.out(k, cr.kind, len(sel), dict)
+		for j, r := range idx {
+			out.put(j, cr, r)
+		}
+		return view{out, seq[:len(sel)]}
+	}}
+}
+
+// literal is a constant: one row, read at every position. A string
+// literal is a one-entry dictionary (a NULL string an empty one), so a
+// choice among literals stays on codes.
+func literal(l *litExpr) vnode {
+	kind := kindOf(l.t)
+	v := conform(l.v, kind)
+	cr := &colReader{kind: kind, nulls: []bool{v.IsNull()}, ints: []int64{v.I}, flts: []float64{v.F}, strs: []string{v.S}}
+	if kind == storage.KindString {
+		cr.codes, cr.dict = []uint16{0}, []string{v.S}
+		if v.IsNull() {
+			cr.dict = []string{}
+		}
 	}
-	cr := newColReader(inst, c)
-	return &cr, true
+	return vnode{kind: kind, dict: cr.dict, val: func(fr *frame, sel []int32) view { return view{cr, zero[:len(sel)]} }}
+}
+
+// arith compiles + - * / and || (kinds as arithType types them).
+func (c *vcomp) arith(v *binExpr) vnode {
+	l, r, k := c.val(v.l), c.val(v.r), c.slot()
+	op, kind := v.op[0], kindOf(v.t)
+	return vnode{kind: kind, val: func(fr *frame, sel []int32) view {
+		a, b := l.val(fr, sel), r.val(fr, sel)
+		out := fr.out(k, kind, len(sel), nil)
+		for j := range sel {
+			ra, rb := a.idx[j], b.idx[j]
+			if out.nulls[j] = a.cr.nulls[ra] || b.cr.nulls[rb]; out.nulls[j] {
+				continue
+			}
+			switch kind {
+			case storage.KindString:
+				out.strs[j] = a.cr.text(ra) + b.cr.text(rb)
+			case storage.KindFloat:
+				out.flts[j], out.nulls[j] = arithF(op, a.cr.numAt(ra), b.cr.numAt(rb))
+			default:
+				out.ints[j] = arithI(op, a.cr.ints[ra], b.cr.ints[rb])
+			}
+		}
+		return view{out, seq[:len(sel)]}
+	}}
+}
+
+// function compiles a scalar function call through the implementation
+// eval uses, on each row's boxed arguments.
+func (c *vcomp) function(fn func([]storage.Value) storage.Value, es []bexpr, t schema.Type) vnode {
+	args, kind, k := make([]vnode, len(es)), kindOf(t), c.slot()
+	for i, a := range es {
+		args[i] = c.val(a)
+	}
+	return vnode{kind: kind, val: func(fr *frame, sel []int32) view {
+		s := &fr.slots[k]
+		views, in := grow(&s.views, len(args)), grow(&s.args, len(args))
+		for i, a := range args {
+			views[i] = a.val(fr, sel)
+		}
+		out := fr.out(k, kind, len(sel), nil)
+		for j := range sel {
+			for i, v := range views {
+				in[i] = v.cr.value(v.idx[j])
+			}
+			out.set(j, conform(fn(in), kind))
+		}
+		return view{out, seq[:len(sel)]}
+	}}
+}
+
+// maxMergedDict bounds the dictionaries a choice merges at compile
+// time: past it, strings are decoded.
+const maxMergedDict = 4096
+
+// recode returns s's code in dict, appending it on first sight.
+func recode(codes map[string]uint16, dict *[]string, s string) uint16 {
+	code, ok := codes[s]
+	if !ok {
+		code = uint16(len(*dict))
+		codes[s] = code
+		*dict = append(*dict, s)
+	}
+	return code
+}
+
+// choice compiles a CASE (the first true condition's result, else the
+// ELSE) or, without conditions, a COALESCE (the first non-NULL result).
+// Every branch runs over the whole batch; results on dictionaries stay
+// on codes in their merged dictionary.
+func (c *vcomp) choice(conds, results []bexpr, elseE bexpr, t schema.Type) vnode {
+	if elseE != nil {
+		results = append(results[:len(results):len(results)], elseE)
+	}
+	cs, rs := make([]triFn, len(conds)), make([]vnode, len(results))
+	for i, e := range conds {
+		cs[i] = c.tri(e)
+	}
+	for i, e := range results {
+		rs[i] = c.val(e)
+	}
+	kind, k := kindOf(t), c.slot()
+	dict, remaps := mergeDicts(kind, rs)
+	return vnode{kind: kind, dict: dict, val: func(fr *frame, sel []int32) view {
+		n, s := len(sel), &fr.slots[k]
+		tri, views := grow(&s.tri, n*len(cs)), grow(&s.views, len(rs))
+		for i, cond := range cs {
+			cond(fr, sel, tri[i*n:(i+1)*n])
+		}
+		for i, r := range rs {
+			views[i] = r.val(fr, sel)
+		}
+		out := fr.out(k, kind, n, dict)
+		for j := 0; j < n; j++ {
+			b := 0
+			if len(cs) == 0 {
+				for b < len(rs) && views[b].cr.nulls[views[b].idx[j]] {
+					b++
+				}
+			} else {
+				for b < len(cs) && tri[b*n+j] != 1 {
+					b++
+				}
+			}
+			if b == len(rs) {
+				out.nulls[j] = true
+				continue
+			}
+			v := views[b]
+			if r := v.idx[j]; remaps != nil && !v.cr.nulls[r] {
+				out.nulls[j], out.codes[j] = false, remaps[b][v.cr.codes[r]]
+			} else {
+				out.put(j, v.cr, r)
+			}
+		}
+		return view{out, seq[:n]}
+	}}
+}
+
+// mergeDicts merges the dictionaries of string results into one, each
+// string once: remaps[i][c] is result i's code c there. nil unless
+// every result is on a dictionary and they are small.
+func mergeDicts(kind storage.Kind, rs []vnode) (dict []string, remaps [][]uint16) {
+	if kind != storage.KindString {
+		return nil, nil
+	}
+	codes, dict := map[string]uint16{}, []string{}
+	for _, r := range rs {
+		if r.dict == nil || len(dict)+len(r.dict) > maxMergedDict {
+			return nil, nil
+		}
+		m := make([]uint16, len(r.dict))
+		for i, s := range r.dict {
+			m[i] = recode(codes, &dict, s)
+		}
+		remaps = append(remaps, m)
+	}
+	return dict, remaps
+}
+
+// ---- predicates: the boolean case ----
+
+func (c *vcomp) truth(e bexpr) triFn {
+	if constant(e) {
+		// Constant predicate (bound subquery results, literal folds):
+		// evaluate once.
+		res, t := e.eval(nil), int8(-1)
+		if !res.IsNull() {
+			t = b2t(res.AsInt() != 0)
+		}
+		return constTri(t)
+	}
+	switch v := e.(type) {
+	case *binExpr:
+		switch v.op {
+		case "AND", "OR":
+			return c.logic(v)
+		case "=", "<>", "<", "<=", ">", ">=":
+			return c.compare(v)
+		}
+	case *notExpr:
+		x := c.tri(v.x)
+		return func(fr *frame, sel []int32, out []int8) {
+			x(fr, sel, out)
+			for i, t := range out {
+				out[i] = [3]int8{-1, 1, 0}[t+1]
+			}
+		}
+	case *betweenExpr:
+		return c.between(v)
+	case *inExpr:
+		return c.in(v)
+	case *likeExpr:
+		pat, not := v.pattern, v.not
+		return strTest(c.val(v.x), func(s string) int8 { return b2t(likeMatch(s, pat) != not) })
+	case *isNullExpr:
+		x, not := c.val(v.x), v.not
+		return func(fr *frame, sel []int32, out []int8) {
+			xv := x.val(fr, sel)
+			nulls := xv.cr.nulls
+			for j, r := range xv.idx {
+				out[j] = b2t(nulls[r] != not)
+			}
+		}
+	}
+	// Any other value as a condition: NULL is unknown, else true when
+	// non-zero as an integer (eval's truthiness).
+	x := c.val(e)
+	return func(fr *frame, sel []int32, out []int8) {
+		xv := x.val(fr, sel)
+		for j, r := range xv.idx {
+			out[j] = -1
+			if !xv.cr.nulls[r] {
+				out[j] = b2t(xv.cr.value(r).AsInt() != 0)
+			}
+		}
+	}
+}
+
+// and3 and or3 combine three-valued verdicts exactly like binExpr,
+// indexed [left+1][right+1].
+var and3 = [3][3]int8{{-1, 0, -1}, {0, 0, 0}, {-1, 0, 1}}
+var or3 = [3][3]int8{{-1, -1, 1}, {-1, 0, 1}, {1, 1, 1}}
+
+func (c *vcomp) logic(v *binExpr) triFn {
+	l, r, k, tab := c.tri(v.l), c.tri(v.r), c.slot(), &and3
+	if v.op == "OR" {
+		tab = &or3
+	}
+	return func(fr *frame, sel []int32, out []int8) {
+		tmp := grow(&fr.slots[k].tri, len(sel))
+		l(fr, sel, out)
+		r(fr, sel, tmp)
+		for i, x := range out {
+			out[i] = tab[x+1][tmp[i]+1]
+		}
+	}
 }
 
 func isNumKind(k storage.Kind) bool {
@@ -312,39 +757,16 @@ func b2t(b bool) int8 {
 	return 0
 }
 
-// cmpPass converts a comparison operator to its sign test.
-func cmpPass(op string) func(c int) bool {
-	switch op {
-	case "=":
-		return func(c int) bool { return c == 0 }
-	case "<>":
-		return func(c int) bool { return c != 0 }
-	case "<":
-		return func(c int) bool { return c < 0 }
-	case "<=":
-		return func(c int) bool { return c <= 0 }
-	case ">":
-		return func(c int) bool { return c > 0 }
-	default: // ">="
-		return func(c int) bool { return c >= 0 }
-	}
+// cmpPass is each comparison's verdict on a three-way compare c,
+// indexed c+1.
+var cmpPass = map[string][3]bool{
+	"=": {false, true, false}, "<>": {true, false, true},
+	"<": {true, false, false}, "<=": {true, true, false},
+	">": {false, false, true}, ">=": {false, true, true},
 }
 
-// mirrorOp flips a comparison for operand swap (lit op col → col op').
-func mirrorOp(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	default: // "=", "<>"
-		return op
-	}
-}
+// mirror flips a comparison for operand swap (lit op col → col op').
+var mirror = map[string]string{"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
 
 func cmpF(a, b float64) int {
 	switch {
@@ -357,409 +779,213 @@ func cmpF(a, b float64) int {
 	}
 }
 
-// numAt returns the column's float64 view at r — the same coercion
-// storage.Compare applies to numeric kinds, so kernel comparisons stay
-// bit-identical to the row engine even past 2^53.
-func (cr *colReader) numAt(r int32) float64 {
-	if cr.kind == storage.KindFloat {
-		return cr.flts[r]
+// cmpAt is storage.Compare of two non-NULL rows.
+func cmpAt(a *colReader, ra int32, b *colReader, rb int32) int {
+	switch an, bn := isNumKind(a.kind), isNumKind(b.kind); {
+	case an && bn:
+		return cmpF(a.numAt(ra), b.numAt(rb))
+	case !an && !bn:
+		return strings.Compare(a.str(ra), b.str(rb))
 	}
-	return float64(cr.ints[r])
+	panic(fmt.Sprintf("exec: incomparable kinds %v and %v", a.kind, b.kind))
 }
 
-// compileTri compiles one conjunct of table ti's local filter into a
-// vector kernel. ok=false means the shape is not understood (function
-// calls, CASE, arithmetic inside comparisons, …) and the conjunct runs
-// on the row fallback.
-func (b *binder) compileTri(ti int, p bexpr) (triFn, bool) {
-	switch v := p.(type) {
-	case *binExpr:
-		switch v.op {
-		case "AND", "OR":
-			lk, ok := b.compileTri(ti, v.l)
-			if !ok {
-				return nil, false
-			}
-			rk, ok := b.compileTri(ti, v.r)
-			if !ok {
-				return nil, false
-			}
-			and := v.op == "AND"
-			return func(sel []int32, out []int8) {
-				tmp := make([]int8, len(sel))
-				lk(sel, out)
-				rk(sel, tmp)
-				for i := range out {
-					lv, rv := out[i], tmp[i]
-					if and {
-						switch {
-						case lv == 0 || rv == 0:
-							out[i] = 0
-						case lv == -1 || rv == -1:
-							out[i] = -1
-						default:
-							out[i] = 1
-						}
-					} else {
-						switch {
-						case lv == 1 || rv == 1:
-							out[i] = 1
-						case lv == -1 || rv == -1:
-							out[i] = -1
-						default:
-							out[i] = 0
-						}
-					}
-				}
-			}, true
-		case "=", "<>", "<", "<=", ">", ">=":
-			return b.compileCmp(ti, v)
-		}
-		return nil, false
-	case *notExpr:
-		ck, ok := b.compileTri(ti, v.x)
-		if !ok {
-			return nil, false
-		}
-		return func(sel []int32, out []int8) {
-			ck(sel, out)
-			for i := range out {
-				if out[i] != -1 {
-					out[i] = 1 - out[i]
-				}
-			}
-		}, true
-	case *betweenExpr:
-		return b.compileBetween(ti, v)
-	case *inExpr:
-		return b.compileIn(ti, v)
-	case *likeExpr:
-		cr, ok := b.kernelCol(ti, v.x)
-		if !ok || cr.kind != storage.KindString {
-			return nil, false
-		}
-		pat, not := v.pattern, v.not
-		return strKernel(cr, func(s string) int8 { return b2t(likeMatch(s, pat) != not) }), true
-	case *isNullExpr:
-		cr, ok := b.kernelCol(ti, v.x)
-		if !ok {
-			return nil, false
-		}
-		not, nulls := v.not, cr.nulls
-		return func(sel []int32, out []int8) {
-			for i, r := range sel {
-				out[i] = b2t(nulls[r] != not)
-			}
-		}, true
-	}
-	if p.mask() == 0 {
-		// Constant predicate (bound subquery results, literal folds):
-		// evaluate once against an empty row.
-		res := p.eval(make([]storage.Value, b.total))
-		var c int8 = -1
-		if !res.IsNull() {
-			c = b2t(res.AsInt() != 0)
-		}
-		return func(sel []int32, out []int8) {
-			for i := range sel {
-				out[i] = c
-			}
-		}, true
-	}
-	return nil, false
-}
-
-// compileCmp compiles col-vs-literal and col-vs-col comparisons.
-func (b *binder) compileCmp(ti int, v *binExpr) (triFn, bool) {
+// compare compiles a comparison: against a literal by a typed kernel,
+// else row by row in storage.Compare's order.
+func (c *vcomp) compare(v *binExpr) triFn {
 	l, r, op := v.l, v.r, v.op
 	if _, isLit := l.(*litExpr); isLit {
-		l, r, op = r, l, mirrorOp(op)
+		l, r, op = r, l, mirror[op]
 	}
-	cl, ok := b.kernelCol(ti, l)
-	if !ok {
-		return nil, false
-	}
-	pass := cmpPass(op)
+	x, pass := c.val(l), cmpPass[op]
 	if lit, isLit := r.(*litExpr); isLit {
-		lv := lit.v
-		if lv.IsNull() {
-			return constNullTri(), true
-		}
-		switch {
-		case isNumKind(cl.kind) && isNumKind(lv.K):
-			// The hottest kernel of the workload: emit one specialized
-			// closure per operator so the inner loop is a direct float64
-			// comparison with no function indirection. Integer-class
-			// columns still compare through float64, matching
-			// storage.Compare exactly (including >2^53 precision loss).
-			lf, nulls := lv.AsFloat(), cl.nulls
-			if cl.kind == storage.KindFloat {
-				return numLitKernel(op, cl.flts, nulls, lf), true
-			}
-			return numLitKernel(op, cl.ints, nulls, lf), true
-		case cl.kind == storage.KindString && lv.K == storage.KindString:
+		switch lv := lit.v; {
+		case lv.IsNull():
+			return constTri(-1)
+		case isNumKind(x.kind) && isNumKind(lv.K):
+			lo, hi, not := rangeOf(op, lv.AsFloat())
+			return rangeTri(x, lo, hi, not)
+		case x.kind == storage.KindString && lv.K == storage.KindString:
 			ls := lv.S
-			if op == "=" || op == "<>" {
-				// Equality needs no three-way compare (cf. numLitKernel).
-				ne := op == "<>"
-				return strKernel(cl, func(s string) int8 { return b2t((s == ls) != ne) }), true
-			}
-			return strKernel(cl, func(s string) int8 { return b2t(pass(strings.Compare(s, ls))) }), true
+			return strTest(x, func(s string) int8 { return b2t(pass[strings.Compare(s, ls)+1]) })
 		}
-		return nil, false
 	}
-	cr, ok := b.kernelCol(ti, r)
-	if !ok {
-		return nil, false
-	}
-	switch {
-	case isNumKind(cl.kind) && isNumKind(cr.kind):
-		a, c := cl, cr
-		return func(sel []int32, out []int8) {
-			for i, r := range sel {
-				if a.nulls[r] || c.nulls[r] {
-					out[i] = -1
-					continue
-				}
-				out[i] = b2t(pass(cmpF(a.numAt(r), c.numAt(r))))
+	// Two string nodes on one dictionary (two bindings of a table) are
+	// equal exactly when their codes are.
+	y := c.val(r)
+	codes := len(x.dict) > 0 && len(x.dict) == len(y.dict) && &x.dict[0] == &y.dict[0] && (op == "=" || op == "<>")
+	return func(fr *frame, sel []int32, out []int8) {
+		a, b := x.val(fr, sel), y.val(fr, sel)
+		an, bn := a.cr.nulls, b.cr.nulls
+		for j := range out {
+			switch ra, rb := a.idx[j], b.idx[j]; {
+			case an[ra] || bn[rb]:
+				out[j] = -1
+			case codes:
+				out[j] = b2t(pass[b2t(a.cr.codes[ra] != b.cr.codes[rb])+1])
+			default:
+				out[j] = b2t(pass[cmpAt(a.cr, ra, b.cr, rb)+1])
 			}
-		}, true
-	case cl.kind == storage.KindString && cr.kind == storage.KindString:
-		a, c := cl, cr
-		return func(sel []int32, out []int8) {
-			for i, r := range sel {
-				if a.nulls[r] || c.nulls[r] {
-					out[i] = -1
-					continue
-				}
-				out[i] = b2t(pass(strings.Compare(a.str(r), c.str(r))))
-			}
-		}, true
+		}
 	}
-	return nil, false
 }
 
-// strKernel builds the kernel of a test on the non-NULL values of one
-// string column; test returns the three-valued result for a value. A
-// dictionary column runs test once per dictionary entry — entries no
-// row holds any more included, which costs time and cannot change a
-// result — and then answers every row by looking its code up.
-func strKernel(cr *colReader, test func(s string) int8) triFn {
-	nulls, strs, codes := cr.nulls, cr.strs, cr.codes
-	if codes == nil {
-		return func(sel []int32, out []int8) {
-			for i, r := range sel {
+// strTest is the kernel of a test of a node's non-NULL values as
+// strings; on a dictionary it tests each entry once and looks codes up.
+func strTest(x vnode, test func(s string) int8) triFn {
+	if x.dict == nil {
+		return func(fr *frame, sel []int32, out []int8) {
+			v := x.val(fr, sel)
+			nulls := v.cr.nulls
+			for j, r := range v.idx {
 				if nulls[r] {
-					out[i] = -1
+					out[j] = -1
 				} else {
-					out[i] = test(strs[r])
+					out[j] = test(v.cr.text(r))
 				}
 			}
 		}
 	}
-	tab := make([]int8, len(cr.dict))
-	for c, s := range cr.dict {
+	tab := make([]int8, len(x.dict))
+	for c, s := range x.dict {
 		tab[c] = test(s)
 	}
 	// A code past the table is a fault (a stale table, a corrupt
 	// column): the unguarded index makes it a query error instead of a
 	// silently dropped row.
-	return func(sel []int32, out []int8) {
-		for i, r := range sel {
+	return func(fr *frame, sel []int32, out []int8) {
+		v := x.val(fr, sel)
+		nulls, codes := v.cr.nulls, v.cr.codes
+		for j, r := range v.idx {
 			if nulls[r] {
-				out[i] = -1
+				out[j] = -1
 			} else {
-				out[i] = tab[codes[r]]
+				out[j] = tab[codes[r]]
 			}
 		}
 	}
 }
 
-// numLitKernel builds the numeric-column vs numeric-literal kernel,
-// specialized per operator and per column type: each is a flat loop the
-// compiler can keep in registers — null check, widen to float64 (a no-op
-// for a float column), compare.
-func numLitKernel[T int64 | float64](op string, vals []T, nulls []bool, lit float64) triFn {
-	switch op {
-	case "=":
-		return func(sel []int32, out []int8) {
-			for i, r := range sel {
-				if nulls[r] {
-					out[i] = -1
-				} else {
-					out[i] = b2t(float64(vals[r]) == lit)
-				}
-			}
-		}
-	case "<>":
-		return func(sel []int32, out []int8) {
-			for i, r := range sel {
-				if nulls[r] {
-					out[i] = -1
-				} else {
-					out[i] = b2t(float64(vals[r]) != lit)
-				}
-			}
-		}
-	case "<":
-		return func(sel []int32, out []int8) {
-			for i, r := range sel {
-				if nulls[r] {
-					out[i] = -1
-				} else {
-					out[i] = b2t(float64(vals[r]) < lit)
-				}
-			}
-		}
-	case "<=":
-		return func(sel []int32, out []int8) {
-			for i, r := range sel {
-				if nulls[r] {
-					out[i] = -1
-				} else {
-					out[i] = b2t(float64(vals[r]) <= lit)
-				}
-			}
-		}
-	case ">":
-		return func(sel []int32, out []int8) {
-			for i, r := range sel {
-				if nulls[r] {
-					out[i] = -1
-				} else {
-					out[i] = b2t(float64(vals[r]) > lit)
-				}
-			}
-		}
-	default: // ">="
-		return func(sel []int32, out []int8) {
-			for i, r := range sel {
-				if nulls[r] {
-					out[i] = -1
-				} else {
-					out[i] = b2t(float64(vals[r]) >= lit)
-				}
-			}
-		}
-	}
-}
-
-// constNullTri is the always-UNKNOWN kernel (NULL literal operand).
-func constNullTri() triFn {
-	return func(sel []int32, out []int8) {
+// constTri is the kernel of a constant truth value.
+func constTri(t int8) triFn {
+	return func(_ *frame, sel []int32, out []int8) {
 		for i := range sel {
+			out[i] = t
+		}
+	}
+}
+
+// between compiles x [NOT] BETWEEN lo AND hi: typed kernels against
+// literal bounds, else row by row.
+func (c *vcomp) between(v *betweenExpr) triFn {
+	x, not := c.val(v.x), v.not
+	loL, lok := v.lo.(*litExpr)
+	hiL, hok := v.hi.(*litExpr)
+	if lok && hok {
+		switch lo, hi := loL.v, hiL.v; {
+		case lo.IsNull() || hi.IsNull():
+			return constTri(-1)
+		case isNumKind(x.kind) && isNumKind(lo.K) && isNumKind(hi.K):
+			return rangeTri(x, lo.AsFloat(), hi.AsFloat(), not)
+		case x.kind == storage.KindString && lo.K == storage.KindString && hi.K == storage.KindString:
+			ls, hs := lo.S, hi.S
+			return strTest(x, func(s string) int8 { return b2t((s >= ls && s <= hs) != not) })
+		}
+	}
+	lo, hi := c.val(v.lo), c.val(v.hi)
+	return func(fr *frame, sel []int32, out []int8) {
+		a, l, h := x.val(fr, sel), lo.val(fr, sel), hi.val(fr, sel)
+		for j := range out {
+			ra, rl, rh := a.idx[j], l.idx[j], h.idx[j]
+			if a.cr.nulls[ra] || l.cr.nulls[rl] || h.cr.nulls[rh] {
+				out[j] = -1
+			} else {
+				out[j] = b2t((cmpAt(a.cr, ra, l.cr, rl) >= 0 && cmpAt(a.cr, ra, h.cr, rh) <= 0) != not)
+			}
+		}
+	}
+}
+
+// rangeOf is a comparison with a number as a range test: in
+// storage.Compare's float64 order x < f is x <= the float below f, and
+// x <> f is NOT x BETWEEN f AND f.
+func rangeOf(op string, f float64) (lo, hi float64, not bool) {
+	inf := math.Inf(1)
+	switch op {
+	case "<":
+		return -inf, math.Nextafter(f, -inf), false
+	case "<=":
+		return -inf, f, false
+	case ">":
+		return math.Nextafter(f, inf), inf, false
+	case ">=":
+		return f, inf, false
+	}
+	return f, f, op == "<>"
+}
+
+// rangeTri is x [NOT] BETWEEN lo AND hi over a numeric node: every
+// number-literal comparison, the hottest kernels of the workload.
+func rangeTri(x vnode, lo, hi float64, not bool) triFn {
+	if x.kind == storage.KindFloat {
+		return func(fr *frame, sel []int32, out []int8) {
+			v := x.val(fr, sel)
+			rangeKernel(v.cr.flts, v.cr.nulls, v.idx, lo, hi, not, out)
+		}
+	}
+	return func(fr *frame, sel []int32, out []int8) {
+		v := x.val(fr, sel)
+		rangeKernel(v.cr.ints, v.cr.nulls, v.idx, lo, hi, not, out)
+	}
+}
+
+func rangeKernel[T int64 | float64](vals []T, nulls []bool, idx []int32, lo, hi float64, not bool, out []int8) {
+	nb := b2t(not) // branch-free: b2t compiles to a flag set
+	for i, r := range idx {
+		if nulls[r] {
 			out[i] = -1
+			continue
 		}
+		f := float64(vals[r])
+		out[i] = b2t(f >= lo)&b2t(f <= hi) ^ nb
 	}
 }
 
-// compileBetween compiles x BETWEEN lo AND hi for column x against
-// literal bounds.
-func (b *binder) compileBetween(ti int, v *betweenExpr) (triFn, bool) {
-	cl, ok := b.kernelCol(ti, v.x)
-	if !ok {
-		return nil, false
-	}
-	loL, ok := v.lo.(*litExpr)
-	if !ok {
-		return nil, false
-	}
-	hiL, ok := v.hi.(*litExpr)
-	if !ok {
-		return nil, false
-	}
-	if loL.v.IsNull() || hiL.v.IsNull() {
-		return constNullTri(), true
-	}
-	not := v.not
-	switch {
-	case isNumKind(cl.kind) && isNumKind(loL.v.K) && isNumKind(hiL.v.K):
-		lo, hi, nulls := loL.v.AsFloat(), hiL.v.AsFloat(), cl.nulls
-		if cl.kind == storage.KindFloat {
-			flts := cl.flts
-			return func(sel []int32, out []int8) {
-				for i, r := range sel {
-					if nulls[r] {
-						out[i] = -1
-						continue
-					}
-					f := flts[r]
-					out[i] = b2t((f >= lo && f <= hi) != not)
-				}
-			}, true
+// in compiles x [NOT] IN (members): members of x's own kind in typed
+// sets (GroupKey is injective per kind), floats by GroupKey as eval.
+func (c *vcomp) in(v *inExpr) triFn {
+	x, hasNull, not := c.val(v.x), v.hasNull, v.not
+	member := func(found bool) int8 {
+		if !found && hasNull {
+			return -1 // x IN (..., NULL) is UNKNOWN when no member matches
 		}
-		ints := cl.ints
-		return func(sel []int32, out []int8) {
-			for i, r := range sel {
-				if nulls[r] {
-					out[i] = -1
-					continue
-				}
-				f := float64(ints[r])
-				out[i] = b2t((f >= lo && f <= hi) != not)
-			}
-		}, true
-	case cl.kind == storage.KindString && loL.v.K == storage.KindString && hiL.v.K == storage.KindString:
-		lo, hi := loL.v.S, hiL.v.S
-		return strKernel(cl, func(s string) int8 { return b2t((s >= lo && s <= hi) != not) }), true
+		return b2t(found != not)
 	}
-	return nil, false
-}
-
-// compileIn compiles x [NOT] IN (members) for int, date and string
-// columns with typed member sets. GroupKey encoding is injective per
-// kind, so an int column can only ever match KindInt members (and a
-// date column KindDate members) — the typed sets keep exactly those.
-// Float columns stay on the row fallback: float64 map equality treats
-// -0 and 0 as equal where GroupKey's exact rendering does not.
-func (b *binder) compileIn(ti int, v *inExpr) (triFn, bool) {
-	cl, ok := b.kernelCol(ti, v.x)
-	if !ok {
-		return nil, false
-	}
-	hasNull, not := v.hasNull, v.not
-	switch cl.kind {
-	case storage.KindInt, storage.KindDate:
-		want := storage.KindInt
-		if cl.kind == storage.KindDate {
-			want = storage.KindDate
-		}
-		set := make(map[int64]struct{})
-		for _, m := range v.vals {
-			if m.K == want {
-				set[m.I] = struct{}{}
-			}
-		}
-		nulls, ints := cl.nulls, cl.ints
-		return func(sel []int32, out []int8) {
-			for i, r := range sel {
-				if nulls[r] {
-					out[i] = -1
-					continue
-				}
-				_, found := set[ints[r]]
-				if !found && hasNull {
-					out[i] = -1
-					continue
-				}
-				out[i] = b2t(found != not)
-			}
-		}, true
+	found := func(cr *colReader, r int32) bool { return v.set[cr.value(r).GroupKey()] }
+	switch x.kind {
 	case storage.KindString:
-		set := make(map[string]struct{})
+		set := map[string]bool{}
 		for _, m := range v.vals {
-			if m.K == storage.KindString {
-				set[m.S] = struct{}{}
+			set[m.S] = set[m.S] || m.K == storage.KindString
+		}
+		return strTest(x, func(s string) int8 { return member(set[s]) })
+	case storage.KindInt, storage.KindDate:
+		set := map[int64]bool{}
+		for _, m := range v.vals {
+			set[m.I] = set[m.I] || m.K == x.kind
+		}
+		found = func(cr *colReader, r int32) bool { return set[cr.ints[r]] }
+	}
+	return func(fr *frame, sel []int32, out []int8) {
+		xv := x.val(fr, sel)
+		nulls := xv.cr.nulls
+		for j, r := range xv.idx {
+			out[j] = -1
+			if !nulls[r] {
+				out[j] = member(found(xv.cr, r))
 			}
 		}
-		return strKernel(cl, func(s string) int8 {
-			if _, found := set[s]; found || !hasNull {
-				return b2t(found != not)
-			}
-			return -1
-		}), true
 	}
-	return nil, false
 }
 
 // ---- join key fast path ----

@@ -177,18 +177,60 @@ func isComparison(op string) bool {
 	return false
 }
 
-func arithType(op string, l, r bexpr) schema.Type {
-	if op == "/" {
+// arithType types arithmetic as eval computes it: a string for ||, a
+// decimal for / and whenever an operand is not an integer or a date;
+// otherwise a date for date ± days and an integer for the rest (date -
+// date is a day count). A string operand other than a NULL literal is an
+// error: eval would compute with 0 in its place.
+func arithType(op string, l, r bexpr) (schema.Type, error) {
+	intish := func(t schema.Type) bool { return isIntType(t) || t == schema.Date }
+	for _, e := range []bexpr{l, r} {
+		if lit, ok := e.(*litExpr); op != "||" && kindOf(e.typ()) == storage.KindString && !(ok && lit.v.IsNull()) {
+			return 0, fmt.Errorf("cannot apply %s to %v", op, e.typ())
+		}
+	}
+	switch lt, rt := l.typ(), r.typ(); {
+	case op == "||":
+		return schema.Varchar, nil
+	case op == "/" || !intish(lt) || !intish(rt):
+		return schema.Decimal, nil
+	case op != "*" && (lt == schema.Date) != (rt == schema.Date):
+		return schema.Date, nil
+	}
+	return schema.Integer, nil
+}
+
+// promote types a value from an expression of type t or u (CASE
+// branches, COALESCE arguments, UNION ALL blocks): a string, else a
+// decimal, else the common type, else an integer.
+func promote(t, u schema.Type) schema.Type {
+	isStr := func(t schema.Type) bool { return t == schema.Char || t == schema.Varchar }
+	switch {
+	case t == u:
+		return t
+	case isStr(t) || isStr(u):
+		return schema.Varchar
+	case t == schema.Decimal || u == schema.Decimal:
 		return schema.Decimal
 	}
-	isInt := func(t schema.Type) bool { return t == schema.Integer || t == schema.Identifier }
-	if l.typ() == schema.Date || r.typ() == schema.Date {
-		return schema.Date
+	return schema.Integer
+}
+
+// promoteAll promotes the types of es, skipping nil entries and NULL
+// literals, which fit any type; all NULL is a NULL literal's type.
+func promoteAll(es []bexpr) schema.Type {
+	t, seen := schema.Char, false
+	for _, e := range es {
+		if l, ok := e.(*litExpr); e == nil || ok && l.v.IsNull() {
+			continue
+		}
+		if seen {
+			t = promote(t, e.typ())
+		} else {
+			t, seen = e.typ(), true
+		}
 	}
-	if isInt(l.typ()) && isInt(r.typ()) {
-		return schema.Integer
-	}
-	return schema.Decimal
+	return t
 }
 
 // bind converts an AST expression to an executable one. Aggregates and
@@ -223,11 +265,11 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 				return nil, err
 			}
 		} else if v.Op != "AND" && v.Op != "OR" {
-			t = arithType(v.Op, l, r)
-			if v.Op == "||" {
-				t = schema.Varchar
+			at, err := arithType(v.Op, l, r)
+			if err != nil {
+				return nil, err
 			}
-			return foldConst(&binExpr{op: v.Op, l: l, r: r, t: t}, l, r), nil
+			return foldConst(&binExpr{op: v.Op, l: l, r: r, t: at}, l, r), nil
 		}
 		return &binExpr{op: v.Op, l: l, r: r, t: t}, nil
 	case *sql.UnaryOp:
@@ -329,17 +371,17 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 			}
 			c.elseE = el
 		}
-		c.t = c.results[0].typ()
+		c.t = promoteAll(append(c.results[:len(c.results):len(c.results)], c.elseE))
 		return c, nil
 	case *sql.FuncCall:
 		if sql.IsAggregate(v.Name) {
 			return nil, fmt.Errorf("aggregate %s not allowed in this context", v.Name)
 		}
-		rt, ok := scalarFuncs[v.Name]
+		sf, ok := scalarFuncs[v.Name]
 		if !ok {
 			return nil, fmt.Errorf("unknown function %s", v.Name)
 		}
-		f := &funcExpr{name: v.Name, t: rt}
+		f := &funcExpr{name: v.Name, t: sf.t}
 		for _, a := range v.Args {
 			ba, err := b.bind(a)
 			if err != nil {
@@ -350,7 +392,10 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 		if len(f.args) == 0 || len(f.args) == 1 && strings.HasPrefix(v.Name, "SUBSTR") {
 			return nil, fmt.Errorf("function %s requires more arguments", v.Name)
 		}
-		if rt == 0 { // same-as-first-argument functions
+		switch {
+		case v.Name == "COALESCE":
+			f.t = promoteAll(f.args)
+		case sf.t == 0: // same-as-argument functions
 			f.t = f.args[0].typ()
 		}
 		return foldConst(f, f.args...), nil
@@ -369,7 +414,7 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 		}
 		val := storage.Null
 		if len(res.Rows) == 1 {
-			val = res.Rows[0][0]
+			val = conform(res.Rows[0][0], kindOf(types[0]))
 		}
 		return &litExpr{v: val, t: types[0]}, nil
 	default:

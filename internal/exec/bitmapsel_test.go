@@ -39,18 +39,16 @@ func bitmapSelect(b *binder, ti int, preds []bexpr) (ids []int32, answered int) 
 // tableFilter.scan over every row: no bitmap involved.
 func kernelSelect(b *binder, ti int, preds []bexpr) []int32 {
 	out := []int32{}
-	b.compileFilter(ti, preds).scan(b.qc, batchLen, nil, 0, b.tableAt(ti).tab.NumRows(), func(sel []int32) { out = append(out, sel...) })
+	b.compileFilter(preds).scan(b.qc, batchLen, nil, 0, b.tableAt(ti).tab.NumRows(), func(sel []int32) { out = append(out, sel...) })
 	return out
 }
 
 // evalSelect is the survivors of preds by bexpr.eval on every row read
 // through Table.Get.
 func evalSelect(b *binder, ti int, preds []bexpr) []int32 {
-	out := []int32{}
-	row, cols := make([]storage.Value, b.total), exprCols(preds...)
+	out, keeps := []int32{}, evalPasses(b, ti, preds)
 	for r := 0; r < b.tableAt(ti).tab.NumRows(); r++ {
-		evalRow(b, ti, cols, int32(r), row)
-		if passes(preds, row) {
+		if keeps(int32(r)) {
 			out = append(out, int32(r))
 		}
 	}

@@ -30,6 +30,10 @@ type Engine struct {
 	parallelism int
 	morselRows  int
 
+	// vecHook, set by tests only, sees every batch of every vector
+	// program node (batch.go).
+	vecHook func(b *binder, e bexpr, fr *frame, sel []int32, v view, tri []int8)
+
 	// mu guards the lazily built caches below (hashIdx, bmIdx, valIdx,
 	// statsCache) plus lastDecision/lastTrace. Concurrent benchmark
 	// streams race to build the same index; mu makes the first build

@@ -149,43 +149,79 @@ func (b *binExpr) eval(row []storage.Value) storage.Value {
 	case "+", "-", "*":
 		intish := func(k storage.Kind) bool { return k == storage.KindInt || k == storage.KindDate }
 		if intish(lv.K) && intish(rv.K) {
-			var out int64
-			switch b.op {
-			case "+":
-				out = lv.I + rv.I
-			case "-":
-				out = lv.I - rv.I
-			default:
-				out = lv.I * rv.I
-			}
 			// Date arithmetic: date ± days stays a date; date - date is a
-			// day count.
-			lDate, rDate := lv.K == storage.KindDate, rv.K == storage.KindDate
-			if b.op != "*" && lDate != rDate {
-				return storage.DateV(out)
-			}
-			return storage.Int(out)
+			// day count (arithType types them alike).
+			return storage.Value{K: kindOf(b.t), I: arithI(b.op[0], lv.I, rv.I)}
 		}
-		lf, rf := lv.AsFloat(), rv.AsFloat()
-		switch b.op {
-		case "+":
-			return storage.Float(lf + rf)
-		case "-":
-			return storage.Float(lf - rf)
-		default:
-			return storage.Float(lf * rf)
-		}
+		f, _ := arithF(b.op[0], lv.AsFloat(), rv.AsFloat())
+		return storage.Float(f)
 	case "/":
-		rf := rv.AsFloat()
-		if rf == 0 {
-			return storage.Null // SQL raises; NULL keeps streams running
+		if f, null := arithF('/', lv.AsFloat(), rv.AsFloat()); !null {
+			return storage.Float(f)
 		}
-		return storage.Float(lv.AsFloat() / rf)
+		return storage.Null // SQL raises; NULL keeps streams running
 	case "||":
 		return storage.Str(lv.String() + rv.String())
 	default:
 		panic(fmt.Sprintf("exec: unknown operator %q", b.op))
 	}
+}
+
+// arithI and arithF are eval's and the vector programs' arithmetic, on
+// the operator's first byte; a float division by zero is NULL.
+func arithI(op byte, x, y int64) int64 {
+	switch op {
+	case '+':
+		return x + y
+	case '-':
+		return x - y
+	}
+	return x * y
+}
+
+func arithF(op byte, x, y float64) (f float64, null bool) {
+	switch op {
+	case '+':
+		return x + y, false
+	case '-':
+		return x - y, false
+	case '*':
+		return x * y, false
+	}
+	if y == 0 {
+		return 0, true
+	}
+	return x / y, false
+}
+
+// kindOf is the physical kind of a schema type's values.
+func kindOf(t schema.Type) storage.Kind {
+	switch t {
+	case schema.Decimal:
+		return storage.KindFloat
+	case schema.Char, schema.Varchar:
+		return storage.KindString
+	case schema.Date:
+		return storage.KindDate
+	}
+	return storage.KindInt
+}
+
+// conform converts v to kind k as promotion (bind.go) types it: numbers
+// to a float, anything to its rendering as a string, integers and dates
+// into each other; never a float to an integer.
+func conform(v storage.Value, k storage.Kind) storage.Value {
+	switch {
+	case v.K == k || v.IsNull():
+		return v
+	case k == storage.KindFloat:
+		return storage.Float(v.AsFloat())
+	case k == storage.KindString:
+		return storage.Str(v.String())
+	case v.K == storage.KindInt || v.K == storage.KindDate:
+		return storage.Value{K: k, I: v.I}
+	}
+	panic(fmt.Sprintf("exec: a %v value where the type says %v", v.K, k))
 }
 
 // notExpr negates a boolean with three-valued semantics.
@@ -207,17 +243,18 @@ type negExpr struct{ x bexpr }
 func (n *negExpr) typ() schema.Type { return n.x.typ() }
 func (n *negExpr) mask() uint64     { return n.x.mask() }
 func (n *negExpr) eval(row []storage.Value) storage.Value {
-	v := n.x.eval(row)
-	switch v.K {
+	return negate([]storage.Value{n.x.eval(row)})
+}
+
+// negate is unary minus of integers and floats; anything else is NULL.
+func negate(args []storage.Value) storage.Value {
+	switch v := args[0]; v.K {
 	case storage.KindInt:
 		return storage.Int(-v.I)
 	case storage.KindFloat:
 		return storage.Float(-v.F)
-	case storage.KindNull:
-		return storage.Null
-	default:
-		return storage.Null
 	}
+	return storage.Null
 }
 
 // betweenExpr is x [NOT] BETWEEN lo AND hi.
@@ -361,11 +398,11 @@ func (c *caseExpr) mask() uint64 {
 func (c *caseExpr) eval(row []storage.Value) storage.Value {
 	for i, cond := range c.conds {
 		if truthy(cond.eval(row)) {
-			return c.results[i].eval(row)
+			return conform(c.results[i].eval(row), kindOf(c.t))
 		}
 	}
 	if c.elseE != nil {
-		return c.elseE.eval(row)
+		return conform(c.elseE.eval(row), kindOf(c.t))
 	}
 	return storage.Null
 }
@@ -387,100 +424,93 @@ func (f *funcExpr) mask() uint64 {
 }
 
 func (f *funcExpr) eval(row []storage.Value) storage.Value {
-	switch f.name {
-	case "COALESCE":
-		for _, a := range f.args {
-			if v := a.eval(row); !v.IsNull() {
+	args := make([]storage.Value, len(f.args))
+	for i, a := range f.args {
+		args[i] = a.eval(row)
+	}
+	return conform(scalarFuncs[f.name].fn(args), kindOf(f.t))
+}
+
+// scalarFunc is one supported non-aggregate function: its result type
+// (0: the arguments' type, by promotion for COALESCE) and its value over
+// evaluated arguments — the one implementation eval and the vector
+// programs share.
+type scalarFunc struct {
+	t  schema.Type
+	fn func(args []storage.Value) storage.Value
+}
+
+var scalarFuncs = map[string]scalarFunc{
+	"COALESCE": {0, func(args []storage.Value) storage.Value {
+		for _, v := range args {
+			if !v.IsNull() {
 				return v
 			}
 		}
 		return storage.Null
-	case "ABS":
-		v := f.args[0].eval(row)
-		switch v.K {
+	}},
+	"ABS": {0, func(args []storage.Value) storage.Value {
+		switch v := args[0]; v.K {
 		case storage.KindInt:
-			if v.I < 0 {
-				return storage.Int(-v.I)
-			}
-			return v
+			return storage.Int(max(v.I, -v.I))
 		case storage.KindFloat:
 			return storage.Float(math.Abs(v.F))
-		default:
+		}
+		return storage.Null
+	}},
+	"ROUND": {schema.Decimal, func(args []storage.Value) storage.Value {
+		digits := storage.Int(0)
+		if len(args) > 1 {
+			digits = args[1]
+		}
+		if args[0].IsNull() || digits.IsNull() {
 			return storage.Null
 		}
-	case "ROUND":
-		v := f.args[0].eval(row)
-		if v.IsNull() {
+		p := math.Pow(10, float64(digits.AsInt()))
+		return storage.Float(math.Round(args[0].AsFloat()*p) / p)
+	}},
+	"SUBSTR": {schema.Varchar, substr}, "SUBSTRING": {schema.Varchar, substr},
+	"UPPER": {schema.Varchar, strFunc(strings.ToUpper)},
+	"LOWER": {schema.Varchar, strFunc(strings.ToLower)},
+	"TO_DATE": {schema.Date, func(args []storage.Value) storage.Value {
+		if args[0].IsNull() {
 			return storage.Null
 		}
-		digits := 0
-		if len(f.args) > 1 {
-			d := f.args[1].eval(row)
-			if d.IsNull() {
-				return storage.Null
-			}
-			digits = int(d.AsInt())
-		}
-		p := math.Pow(10, float64(digits))
-		return storage.Float(math.Round(v.AsFloat()*p) / p)
-	case "SUBSTR", "SUBSTRING":
-		v := f.args[0].eval(row)
-		if v.IsNull() {
-			return storage.Null
-		}
-		s := v.String()
-		start := int(f.args[1].eval(row).AsInt())
-		if start < 1 {
-			start = 1
-		}
-		if start > len(s) {
-			return storage.Str("")
-		}
-		out := s[start-1:]
-		if len(f.args) > 2 {
-			n := int(f.args[2].eval(row).AsInt())
-			if n < 0 {
-				n = 0
-			}
-			if n < len(out) {
-				out = out[:n]
-			}
-		}
-		return storage.Str(out)
-	case "UPPER":
-		v := f.args[0].eval(row)
-		if v.IsNull() {
-			return storage.Null
-		}
-		return storage.Str(strings.ToUpper(v.String()))
-	case "LOWER":
-		v := f.args[0].eval(row)
-		if v.IsNull() {
-			return storage.Null
-		}
-		return storage.Str(strings.ToLower(v.String()))
-	case "TO_DATE":
-		v := f.args[0].eval(row)
-		if v.IsNull() {
-			return storage.Null
-		}
-		d, err := storage.ParseDate(v.String())
+		d, err := storage.ParseDate(args[0].String())
 		if err != nil {
 			return storage.Null
 		}
 		return storage.DateV(d)
-	default:
-		panic(fmt.Sprintf("exec: unevaluated function %s", f.name))
-	}
+	}},
 }
 
-// scalarFuncs lists supported non-aggregate functions and their result
-// type derivation ("" = same as first argument).
-var scalarFuncs = map[string]schema.Type{
-	"COALESCE": 0, "ABS": 0, "ROUND": schema.Decimal,
-	"SUBSTR": schema.Varchar, "SUBSTRING": schema.Varchar,
-	"UPPER": schema.Varchar, "LOWER": schema.Varchar,
-	"TO_DATE": schema.Date,
+// substr is SUBSTR(s, start[, n]): 1-based, clamped; a NULL start or n
+// counts as 0.
+func substr(args []storage.Value) storage.Value {
+	if args[0].IsNull() {
+		return storage.Null
+	}
+	s := args[0].String()
+	start := max(int(args[1].AsInt()), 1)
+	if start > len(s) {
+		return storage.Str("")
+	}
+	out := s[start-1:]
+	if len(args) > 2 {
+		out = out[:min(max(int(args[2].AsInt()), 0), len(out))]
+	}
+	return storage.Str(out)
+}
+
+// strFunc lifts a string function to a scalar function: NULL in, NULL
+// out.
+func strFunc(f func(string) string) func([]storage.Value) storage.Value {
+	return func(args []storage.Value) storage.Value {
+		if args[0].IsNull() {
+			return storage.Null
+		}
+		return storage.Str(f(args[0].String()))
+	}
 }
 
 // ScalarFuncType reports whether the engine supports the named scalar
@@ -488,12 +518,12 @@ var scalarFuncs = map[string]schema.Type{
 // first argument's type. The static template checker keys off this so
 // it can never accept a function the engine would reject at bind time.
 func ScalarFuncType(name string) (t schema.Type, sameAsArg, ok bool) {
-	rt, ok := scalarFuncs[name]
+	f, ok := scalarFuncs[name]
 	if !ok {
 		return 0, false, false
 	}
-	if rt == 0 {
+	if f.t == 0 {
 		return 0, true, true
 	}
-	return rt, false, true
+	return f.t, false, true
 }

@@ -7,7 +7,6 @@ import (
 	"tpcds/internal/obs"
 	"tpcds/internal/plan"
 	"tpcds/internal/sql"
-	"tpcds/internal/storage"
 )
 
 // leftJoin describes one LEFT OUTER JOIN table with its equality edges
@@ -159,18 +158,15 @@ func (e *Engine) executeJoinOrder(b *binder, order []int, stepEst []float64, fil
 	return current, desc
 }
 
-// applyResidual drops the rows failing a cross-table predicate, each
-// gathered into one scratch row for evaluation.
+// applyResidual drops the rows failing a cross-table predicate: its
+// vector program runs over the id vectors a batch at a time, and the
+// survivors are compacted in place.
 func (b *binder) applyResidual(rs *rowSet, residual []bexpr) {
-	if len(residual) == 0 {
-		return
+	if len(residual) > 0 {
+		w := 0
+		b.compileFilter(residual).passing(b.qc, rs.n, b.eng.batchSize(), rs.ids, nil, func(sel []int32) { w = rs.keep(w, sel) })
+		rs.truncate(w)
 	}
-	ks, row := b.keySources(rs, exprCols(residual...)), make([]storage.Value, b.total)
-	rs.filter(func(i int) bool {
-		b.qc.tick()
-		gather(ks, int32(i), -1, row)
-		return passes(residual, row)
-	})
 }
 
 // joinKeys extracts the probe/build key expressions for joining table ti
@@ -321,29 +317,34 @@ func (e *Engine) leftHashJoin(b *binder, current *rowSet, lj leftJoin, filters [
 	}
 	ht, tf, all := b.joinSide(lj.table, col, ht, filters, tr)
 	ks := b.keySources(current, probe)
-	// ON conditions beyond the equi edges read the joined tables through
-	// current's id vectors, and the outer table, which current has not
-	// joined, at the candidate row.
-	cols := b.keySources(current, exprCols(lj.extra...))
+	// ON conditions beyond the equi edges run over the candidate pairs as
+	// a rowSet of their own: the joined tables through current's id
+	// vectors, the outer table, which current has not joined, at the
+	// candidate row.
+	var on *tableFilter
+	if len(lj.extra) > 0 {
+		on = b.compileFilter(lj.extra)
+	}
 	pairs := collectMorsels(e, b.qc, current.n, tr, func(lo, hi int) []matchPair {
 		matches := b.joinMatches(ht, tf, all, ks, lo, hi)
-		out := make([]matchPair, 0, hi-lo) // every row emits at least one pair
-		var row []storage.Value
-		if len(lj.extra) > 0 {
-			row = make([]storage.Value, b.total)
+		var ok []int32 // the positions of the matches ON holds for
+		if on != nil {
+			cand := current.extend(b.qc, matches, lj.table)
+			on.passing(b.qc, cand.n, b.eng.batchSize(), cand.ids, nil, func(sel []int32) { ok = append(ok, sel...) })
 		}
-		j := 0
+		out := make([]matchPair, 0, hi-lo) // every row emits at least one pair
+		j, k := 0, 0
 		for li := lo; li < hi; li++ {
 			if li%tickInterval == 0 {
 				b.qc.checkNow()
 			}
 			matched := false
 			for ; j < len(matches) && matches[j].li == int32(li); j++ {
-				if row != nil {
-					gather(cols, int32(li), matches[j].r, row)
-					if !passes(lj.extra, row) {
+				if on != nil {
+					if k == len(ok) || ok[k] != int32(j) {
 						continue
 					}
+					k++
 				}
 				out = append(out, matches[j])
 				matched = true

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -180,38 +179,40 @@ func streamPreds(t *testing.T, e *Engine, tpl qgen.Template, stream int) []local
 	return w.preds
 }
 
-// TestKernelCoverageAllTemplates lists, for the 99 templates under one
-// representative substitution, every local predicate that compiles to
-// no kernel and is evaluated row-at-a-time (compileFilter's slow list),
-// and compares the list with
-// testdata/slow_predicates.golden: a predicate shape that falls off the
-// kernels — or a new kernel that takes one on — shows as a reviewable
-// diff (regenerate with `go test ./internal/exec -run TestKernelCoverage -update`).
+// TestKernelCoverageAllTemplates runs the 99 templates under one
+// representative substitution and lists every expression, of any
+// operator, that has no vector program — the compiler's "no vector
+// program for …" failure — against testdata/unvectorized.golden, which
+// is empty: every expression the templates bind compiles. A new
+// expression shape without a program shows as a reviewable diff
+// (regenerate with `go test ./internal/exec -run TestKernelCoverage -update`).
+// It also logs how many distinct expressions ran through programs.
 func TestKernelCoverageAllTemplates(t *testing.T) {
 	if testing.Short() {
-		t.Skip("all-99 kernel coverage skipped in -short")
+		t.Skip("all-99 program coverage skipped in -short")
 	}
 	eng := New(templateDB())
 	eng.SetParallelism(1)
+	ran := map[string]bool{}
+	eng.vecHook = func(b *binder, e bexpr, _ *frame, _ []int32, _ view, _ []int8) { ran[describeExpr(b, e)] = true }
 	var sb strings.Builder
 	for _, tpl := range queries.All() {
-		slow := map[string]bool{}
-		for _, lp := range templatePreds(t, eng, tpl) {
-			if _, ok := lp.b.compileTri(lp.ti, lp.p); !ok {
-				slow[lp.b.tableAt(lp.ti).binding+": "+describeExpr(lp.b, lp.p)] = true
+		text, err := qgen.Instantiate(tpl, qgen.StreamSeed(1, 0, tpl.ID))
+		if err != nil {
+			t.Fatalf("query %d: %v", tpl.ID, err)
+		}
+		if _, err := eng.Query(text); err != nil {
+			msg := err.Error()
+			if i := strings.Index(msg, "no vector program"); i >= 0 {
+				fmt.Fprintf(&sb, "q%02d %s\n", tpl.ID, msg[i:])
+				continue
 			}
-		}
-		lines := make([]string, 0, len(slow))
-		for l := range slow {
-			lines = append(lines, l)
-		}
-		sort.Strings(lines)
-		for _, l := range lines {
-			fmt.Fprintf(&sb, "q%02d %s\n", tpl.ID, l)
+			t.Fatalf("query %d: %v", tpl.ID, err)
 		}
 	}
+	t.Logf("%d distinct expressions ran through vector programs", len(ran))
 	got := sb.String()
-	golden := filepath.Join("testdata", "slow_predicates.golden")
+	golden := filepath.Join("testdata", "unvectorized.golden")
 	if *updateGoldens {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -223,6 +224,6 @@ func TestKernelCoverageAllTemplates(t *testing.T) {
 		t.Fatalf("read golden (regenerate with -update): %v", err)
 	}
 	if string(want) != got {
-		t.Errorf("local predicates without a kernel changed (regenerate with -update once reviewed):\n--- golden\n%s--- got\n%s", want, got)
+		t.Errorf("expressions without a vector program changed (regenerate with -update once reviewed):\n--- golden\n%s--- got\n%s", want, got)
 	}
 }

@@ -1,11 +1,10 @@
 // Late-materialised join intermediates. Between join operators a row is
 // not a full-width []storage.Value but a tuple of base-table row ids,
 // stored column-wise: one []int32 per joined table. A join step appends
-// 4 bytes per table and output row; column values are gathered into a
-// reusable scratch row only where an operator evaluates an expression
-// (residual and LEFT JOIN ON predicates, grouping, aggregate arguments,
-// projections, sort keys), and join keys are read straight off the
-// column vectors through the id vector.
+// 4 bytes per table and output row. Join keys are read straight off the
+// column vectors through the id vector, and every other expression runs
+// as a vector program (batch.go) whose column reads go through the id
+// vectors a batch at a time.
 //
 // Order contract: every constructor below takes its input in the
 // operator's serial emit order (probe-major, morsel chunks concatenated
@@ -100,28 +99,27 @@ func (b *binder) tupleRowSet(tables []int, flat []int32) *rowSet {
 	return rs
 }
 
-// filter keeps the rows keep reports true for, compacting in place.
-func (rs *rowSet) filter(keep func(i int) bool) {
-	w := 0
-	for i := 0; i < rs.n; i++ {
-		if !keep(i) {
-			continue
-		}
-		if w != i {
-			for _, col := range rs.ids {
-				if col != nil {
-					col[w] = col[i]
-				}
+// keep compacts the rows at positions pos (ascending, ≥ from) into rows
+// from, from+1, … and returns the next row to keep into.
+func (rs *rowSet) keep(from int, pos []int32) int {
+	for _, col := range rs.ids {
+		if col != nil {
+			for k, p := range pos {
+				col[from+k] = col[p]
 			}
 		}
-		w++
 	}
-	rs.n = w
+	return from + len(pos)
+}
+
+// truncate keeps the first n rows.
+func (rs *rowSet) truncate(n int) {
 	for t, col := range rs.ids {
 		if col != nil {
-			rs.ids[t] = col[:w]
+			rs.ids[t] = col[:n]
 		}
 	}
+	rs.n = n
 }
 
 // sortPairsByLeft reorders match pairs probe-major — li ascending,
@@ -145,7 +143,8 @@ func sortPairsByLeft(pairs []matchPair, n int) []matchPair {
 
 // keySource reads one column: through the owning table's id vector for
 // an intermediate row, or directly (ids nil: the table is not joined
-// yet) for a row of the base table.
+// yet, or the column is an expression's own vector, rowSource.view) for
+// a row of the base table.
 type keySource struct {
 	ids []int32
 	col colReader
@@ -177,6 +176,14 @@ func (k *keySource) row(i int32) int32 {
 		return k.ids[i]
 	}
 	return i
+}
+
+// value returns the column's value at position i.
+func (k *keySource) value(i int32) storage.Value {
+	if r := k.row(i); r >= 0 {
+		return k.col.value(r)
+	}
+	return storage.Null
 }
 
 // intAt returns the raw int64 key at position i; ok=false on NULL
@@ -212,100 +219,51 @@ func appendKeyPart(buf []byte, v storage.Value) []byte {
 	return append(binary.AppendUvarint(append(buf, 0, 's'), uint64(len(v.S))), v.S...)
 }
 
-// gather fills row with the columns ks read: a joined table's at
-// intermediate row i, any other at base-table row r. An id of -1, the
-// NULL side of a LEFT JOIN miss, reads NULL.
-func gather(ks []keySource, i, r int32, row []storage.Value) {
-	for k := range ks {
-		id, off := r, ks[k].col.off
-		if ks[k].ids != nil {
-			id = ks[k].ids[i]
-		}
-		row[off] = storage.Null
-		if id >= 0 {
-			row[off] = ks[k].col.value(id)
-		}
-	}
-}
-
 // rowSource is the input of the post-join operators: the joined rowSet
 // in the base layout, or, when rs is nil, materialised rows (vals, the
 // aggregated layout).
 type rowSource struct {
-	qc   *qctx
 	b    *binder
 	rs   *rowSet
 	vals [][]storage.Value
 	n    int
 }
 
-// scratch returns a row for readers to gather into, one per worker; nil
-// when none of them gathers.
-func (s *rowSource) scratch(readers ...*exprReader) []storage.Value {
-	for _, x := range readers {
-		if len(x.cols) > 0 {
-			return make([]storage.Value, s.b.total)
-		}
+// frame returns a frame of slots slots bound to src's rows.
+func (s *rowSource) frame(slots int) *frame {
+	fr := newFrame(slots)
+	fr.vals = s.vals
+	if s.rs != nil {
+		fr.ids = s.rs.ids
 	}
-	return nil
+	return fr
 }
 
-// exprReader evaluates one expression over a rowSource: a bare column
-// straight off its vector, anything else over a scratch row holding just
-// its columns, or over the materialised row.
-type exprReader struct {
-	e    bexpr
-	col  *colReader  // bare column
-	ids  []int32     // its table's id vector
-	cols []keySource // the columns any other expression reads
-	vals [][]storage.Value
-}
-
-func (s *rowSource) reader(e bexpr) *exprReader {
-	x := &exprReader{e: e, vals: s.vals}
+// view reads e in every row of src for key numbering and aggregate
+// folds: a bare column through its table's id vector, anything else as
+// its program's output over all rows, in morsels.
+func (s *rowSource) view(e bexpr, tr *Trace) keySource {
 	if c, ok := e.(*colExpr); ok && s.rs != nil {
-		ti := bitIndex(c.tblBit)
-		x.col, _ = s.b.kernelCol(ti, c)
-		x.ids = s.rs.ids[ti]
-	} else if s.rs != nil {
-		x.cols = s.b.keySources(s.rs, exprCols(e))
+		return s.b.keySources(s.rs, []*colExpr{c})[0]
 	}
-	return x
-}
-
-// value returns the expression's value in row i.
-func (x *exprReader) value(i int, row []storage.Value) storage.Value {
-	switch {
-	case x.col != nil:
-		if r := x.ids[i]; r >= 0 {
-			return x.col.value(r)
+	c := &vcomp{b: s.b}
+	p, out, batch := c.val(e), keySource{}, s.b.eng.batchSize()
+	out.col.resize(p.kind, s.n, p.dict)
+	s.b.eng.inMorsels(s.b.qc, tr, s.n, func(_, _, lo, hi int) {
+		fr, pos := s.frame(c.slots), make([]int32, batch)
+		for base := lo; base < hi; base += batch {
+			s.b.qc.checkNow()
+			sel := pos[:min(batch, hi-base)]
+			for i := range sel {
+				sel[i] = int32(base + i)
+			}
+			v := p.val(fr, sel)
+			for j, r := range v.idx {
+				out.col.put(base+j, v.cr, r)
+			}
 		}
-		return storage.Null
-	case x.vals != nil:
-		row = x.vals[i]
-	default:
-		gather(x.cols, int32(i), -1, row)
-	}
-	e := x.e // through a local: dslint's summaries count a call on x's field as mutating x
-	return e.eval(row)
-}
-
-// rowIDs returns a bare column's table ids for rows [lo, hi).
-func (x *exprReader) rowIDs(lo, hi int) []int32 {
-	if x.col == nil {
-		return nil
-	}
-	return x.ids[lo:hi]
-}
-
-// passes reports whether every predicate holds for row.
-func passes(preds []bexpr, row []storage.Value) bool {
-	for _, p := range preds {
-		if !truthy(p.eval(row)) {
-			return false
-		}
-	}
-	return true
+	})
+	return out
 }
 
 // collectMorsels runs fn over [0,n) — in morsels on the worker pool when
@@ -543,7 +501,7 @@ func (b *binder) valueHits(inst *tabInst, col int, ix *index.BitmapIndex, p bexp
 // bm's rows or, when no conjunct was answered, over the whole table, and
 // lists the survivors. It returns the number of rows read.
 func (b *binder) scanRest(ti int, sel *selection, tr *Trace) int {
-	tf, batch := b.compileFilter(ti, sel.rest), b.eng.batchSize()
+	tf, batch := b.compileFilter(sel.rest), b.eng.batchSize()
 	var ids []int32
 	n := b.tableAt(ti).tab.NumRows()
 	if sel.bm != nil {
@@ -576,7 +534,7 @@ func (b *binder) lookupFilter(ti int, filters []filterInfo, tr *Trace) *tableFil
 			sel.bm.Set(int(r))
 		}
 	}
-	tf := b.compileFilter(ti, sel.rest)
+	tf := b.compileFilter(sel.rest)
 	tf.bm = sel.bm
 	return tf
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"strings"
@@ -241,6 +242,9 @@ func (e *Engine) runUnion(qc *qctx, head *sql.SelectStmt, ctes map[string]*stora
 			return nil, nil, Trace{}, fmt.Errorf("UNION ALL blocks have %d vs %d columns",
 				len(out.Columns), len(res.Columns))
 		}
+		for k := range types {
+			types[k] = promote(types[k], ts[k])
+		}
 		out.Rows = append(out.Rows, res.Rows...)
 	}
 	keys := make([]bexpr, len(orderBy))
@@ -259,9 +263,9 @@ func (e *Engine) runUnion(qc *qctx, head *sql.SelectStmt, ctes map[string]*stora
 		default:
 			return nil, nil, Trace{}, fmt.Errorf("ORDER BY over UNION ALL must use column names or ordinals")
 		}
-		keys[i] = &colExpr{off: k}
+		keys[i] = &colExpr{off: k, t: types[k]}
 	}
-	src := &rowSource{qc: qc, vals: out.Rows, n: len(out.Rows)}
+	src := &rowSource{b: newBinder(e, qc, ctes), vals: out.Rows, n: len(out.Rows)}
 	out = e.finish(src, nil, keys, orderBy, false, head.Limit, head.Offset, out.Columns, &headTrace)
 	return out, types, headTrace, nil
 }
@@ -387,8 +391,10 @@ func (e *Engine) joinSelect(qc *qctx, stmt *sql.SelectStmt, ctes map[string]*sto
 		leftJoins = append(leftJoins, spec)
 	}
 	qc.endOp(bindSp)
-	if !passes(constPreds, nil) {
-		return b, orderBy, &rowSet{ids: make([][]int32, len(b.tables))}, Trace{}, nil
+	for _, p := range constPreds { // constant folding: evaluated once
+		if !truthy(p.eval(nil)) {
+			return b, orderBy, &rowSet{ids: make([][]int32, len(b.tables))}, Trace{}, nil
+		}
 	}
 
 	// Produce joined base rows.
@@ -406,7 +412,7 @@ func (e *Engine) projectSimple(stmt *sql.SelectStmt, b *binder, rows *rowSet, or
 	if err != nil {
 		return nil, nil, err
 	}
-	src := &rowSource{qc: b.qc, b: b, rs: rows, n: rows.n}
+	src := &rowSource{b: b, rs: rows, n: rows.n}
 	return e.finish(src, projs, keys, orderBy, stmt.Distinct, stmt.Limit, stmt.Offset, cols, tr), types, nil
 }
 
@@ -455,19 +461,15 @@ func (b *binder) bindIn(e sql.Expr, clause string, agg bool) (bexpr, error) {
 // position, which makes any sort the stable one; OFFSET and LIMIT cut
 // the sorted rows, and only those are projected.
 func (e *Engine) finish(src *rowSource, projs, sortKeys []bexpr, orderBy []sql.OrderItem, distinct bool, limit, offset int, outCols []string, tr *Trace) *Result {
-	qc := src.qc
-	readers := make([]*exprReader, len(projs))
-	for i, p := range projs {
-		readers[i] = src.reader(p)
-	}
+	qc := src.b.qc
 	rows := make([]int32, src.n)
 	for i := range rows {
 		rows[i] = int32(i)
 	}
 	if distinct {
-		keys := make([]keyVec, len(readers))
-		for i, x := range readers {
-			keys[i] = e.keyIDs(src, x, tr)
+		keys := make([]keyVec, len(projs))
+		for i, p := range projs {
+			keys[i] = e.keyIDs(qc, src.view(p, tr), src.n, tr)
 		}
 		_, rows = groupIDs(qc, keys, uint(1)<<uint(len(keys))-1, src.n)
 	}
@@ -476,26 +478,37 @@ func (e *Engine) finish(src *rowSource, projs, sortKeys []bexpr, orderBy []sql.O
 		sortSp.SetAttrInt("rows", int64(len(rows)))
 		qc.opRowsIn(nil, int64(len(rows)))
 		qc.opRowsOut(nil, int64(len(rows)))
-		cols := make([]sortCol, len(sortKeys))
+		keys := make([][]uint64, len(sortKeys))
 		for k, key := range sortKeys {
-			cols[k] = newSortCol(src, key, rows, orderBy[k].Desc)
+			keys[k] = sortKey(src, key, rows, orderBy[k].Desc)
 		}
-		pos := make([]int32, len(rows))
-		for j := range pos {
-			pos[j] = int32(j)
+		// Positions sort with their first key beside them, so most
+		// comparisons read no other vector.
+		type entry struct {
+			k uint64
+			p int32
 		}
-		slices.SortFunc(pos, func(a, b int32) int {
-			for k := range cols {
-				if c := cols[k].cmp(a, b); c != 0 {
+		ents := make([]entry, len(rows))
+		for j := range ents {
+			ents[j] = entry{keys[0][j], int32(j)}
+		}
+		slices.SortFunc(ents, func(a, b entry) int {
+			if c := cmp.Compare(a.k, b.k); c != 0 {
+				return c
+			}
+			for _, key := range keys[1:] {
+				if c := cmp.Compare(key[a.p], key[b.p]); c != 0 {
 					return c
 				}
 			}
-			return cmp.Compare(a, b)
+			return cmp.Compare(a.p, b.p)
 		})
-		for j, p := range pos {
-			pos[j] = rows[p]
+		for j, e := range ents { // rows in sorted order, through the spent keys
+			ents[j].k = uint64(rows[e.p])
 		}
-		rows = pos
+		for j, e := range ents {
+			rows[j] = int32(e.k)
+		}
 		qc.endOp(sortSp)
 	}
 	rows = rows[min(max(offset, 0), len(rows)):]
@@ -509,112 +522,89 @@ func (e *Engine) finish(src *rowSource, projs, sortKeys []bexpr, orderBy []sql.O
 		}
 		return res
 	}
-	np := len(projs)
+	c := &vcomp{b: src.b}
+	progs := make([]vnode, len(projs))
+	for p, x := range projs {
+		progs[p] = c.val(x)
+	}
+	np, batch := len(projs), e.batchSize()
 	arena := make([]storage.Value, len(rows)*np)
 	e.inMorsels(qc, tr, len(rows), func(_, _, lo, hi int) {
-		row := src.scratch(readers...)
-		for j := lo; j < hi; j++ {
-			if j%tickInterval == 0 {
-				qc.checkNow()
+		fr, views := src.frame(c.slots), make([]view, np)
+		for base := lo; base < hi; base += batch {
+			qc.checkNow()
+			pos := rows[base:min(base+batch, hi)]
+			for p, prog := range progs {
+				views[p] = prog.val(fr, pos)
 			}
-			out, i := arena[j*np:(j+1)*np:(j+1)*np], int(rows[j])
-			for p, x := range readers {
-				if x.col == nil {
-					out[p] = x.value(i, row)
-				} else if r := x.ids[i]; r >= 0 { // a miss stays NULL
-					out[p] = x.col.value(r)
+			for j := range pos {
+				out := arena[(base+j)*np : (base+j+1)*np : (base+j+1)*np]
+				for p, v := range views {
+					out[p] = v.cr.value(v.idx[j])
 				}
+				res.Rows[base+j] = out
 			}
-			res.Rows[j] = out
 		}
 	})
 	return res
 }
 
-// sortCol is one ORDER BY key as a typed vector: numbers as float64 (as
-// storage.Compare compares them), strings as their rank in string order.
-type sortCol struct {
-	desc bool
-	null []bool
-	num  []float64
-	rank []uint32
-}
-
-// newSortCol computes one sort key for rows. A dictionary no larger than
-// about the rows is ranked whole, other strings by the distinct values
-// the rows hold; ranks depend on the strings alone, never on codes.
-func newSortCol(src *rowSource, key bexpr, rows []int32, desc bool) sortCol {
-	c := sortCol{desc: desc, null: make([]bool, len(rows)), num: make([]float64, len(rows)), rank: make([]uint32, len(rows))}
-	x, strs, nums, texts := src.reader(key), interner{}, false, false
+// sortKey encodes one ORDER BY key of rows, through its vector program,
+// as integers in sort order: NULL first, then numbers in cmp.Compare's
+// order (storage.Compare's, with NaN — equal to every number there,
+// which no sort can use — first), or strings by rank; complemented for
+// DESC. A dictionary no larger than about the rows is ranked whole,
+// other strings by the distinct values the rows hold, so a rank depends
+// on the strings alone, never on codes.
+func sortKey(src *rowSource, key bexpr, rows []int32, desc bool) []uint64 {
+	comp := &vcomp{b: src.b}
+	p := comp.val(key)
+	fr, batch, text := src.frame(comp.slots), src.b.eng.batchSize(), p.kind == storage.KindString
+	out, strs := make([]uint64, len(rows)), interner{}
 	var byCode []uint32
-	if x.col != nil && x.col.codes != nil && len(x.col.dict) <= 4*len(rows) {
-		byCode = dictRank(x.col.dict)
+	if p.dict != nil && len(p.dict) <= 4*len(rows) {
+		byCode = dictRank(p.dict)
 	}
-	row := src.scratch(x)
-	for j, i := range rows {
-		if j%tickInterval == 0 {
-			src.qc.checkNow()
-		}
-		if byCode != nil {
-			if r := x.ids[i]; r >= 0 && !x.col.nulls[r] {
-				c.rank[j], texts = byCode[x.col.codes[r]]+1, true
-			} else {
-				c.null[j] = true
+	for base := 0; base < len(rows); base += batch {
+		src.b.qc.checkNow()
+		v := p.val(fr, rows[base:min(base+batch, len(rows))])
+		for m, r := range v.idx {
+			switch j := base + m; {
+			case v.cr.nulls[r]: // 0
+			case byCode != nil:
+				out[j] = uint64(byCode[v.cr.codes[r]]) + 1
+			case text:
+				out[j] = uint64(internID(strs, v.cr.str(r)))
+			case v.cr.numAt(r) != v.cr.numAt(r): // NaN
+				out[j] = 1
+			default:
+				// IEEE bits made monotone, above NaN's 1; -0 + 0 is 0.
+				if b := math.Float64bits(v.cr.numAt(r) + 0); b>>63 != 0 {
+					out[j] = ^b
+				} else {
+					out[j] = b | 1<<63
+				}
 			}
-			continue
-		}
-		switch v := x.value(int(i), row); {
-		case v.IsNull():
-			c.null[j] = true
-		case v.K == storage.KindString:
-			c.rank[j], texts = internID(strs, v.S), true
-		default:
-			c.num[j], nums = v.AsFloat(), true
 		}
 	}
-	switch {
-	case nums && texts:
-		panic("exec: ORDER BY key mixes strings and numbers") // storage.Compare's verdict too
-	case texts:
+	if text && byCode == nil {
 		distinct := make([]string, len(strs))
 		for s, id := range strs {
 			distinct[id-1] = s
 		}
 		byString := dictRank(distinct)
-		for j, id := range c.rank {
-			if id > 0 && byCode == nil {
-				c.rank[j] = byString[id-1]
+		for j, id := range out {
+			if id > 0 {
+				out[j] = uint64(byString[id-1]) + 1
 			}
 		}
-		c.num = nil
-	default:
-		c.rank = nil
 	}
-	return c
-}
-
-// cmp orders positions a and b by this key: NULL first, reversed for
-// DESC. Numbers compare as cmp.Compare does: storage.Compare's order,
-// but NaN — equal to every number there, which no sort can use — first.
-func (c *sortCol) cmp(a, b int32) int {
-	r := 0
-	switch na, nb := c.null[a], c.null[b]; {
-	case na || nb:
-		if na != nb {
-			r = 1
-			if na {
-				r = -1
-			}
+	if desc {
+		for j := range out {
+			out[j] = ^out[j]
 		}
-	case c.num != nil:
-		r = cmp.Compare(c.num[a], c.num[b])
-	default:
-		r = cmp.Compare(c.rank[a], c.rank[b])
 	}
-	if c.desc {
-		return -r
-	}
-	return r
+	return out
 }
 
 // dictRank ranks distinct strings in string order.

@@ -154,7 +154,7 @@ func (e *Engine) runStar(b *binder, filters []filterInfo, residual []bexpr, fact
 	ids := accBitmap.AppendIDs(make([]int32, 0, accBitmap.Count()))
 	// Fact-local predicates run over the qualifying id list batch by
 	// batch; survivors look up each dimension row by the fact's FK value.
-	tf, batch := b.compileFilter(fact, tablePreds(fact, filters)), e.batchSize()
+	tf, batch := b.compileFilter(tablePreds(fact, filters)), e.batchSize()
 	flat := collectMorsels(e, b.qc, len(ids), tr, func(lo, hi int) []int32 {
 		var out []int32
 		tuple := make([]int32, 1+len(dimDatas))

@@ -58,19 +58,15 @@ func dictionary(t *storage.Table, c int) bool {
 	return codes != nil
 }
 
-// kernelEqualsEval compiles pred over table into a kernel — there must
-// be one — runs it over every row and requires, row by row, the value
+// kernelEqualsEval compiles pred over table into a program, runs it
+// over every row and requires, row by row, the value
 // bexpr.eval gives: true, false or UNKNOWN. It returns the kernel's
 // answers.
 func kernelEqualsEval(t *testing.T, e *Engine, table, pred string) []int8 {
 	t.Helper()
 	b, preds := bindWhere(t, e, table, pred, false)
-	kernel, ok := b.compileTri(0, preds[0])
-	if !ok {
-		t.Fatalf("%s on %s: no kernel", pred, table)
-	}
 	tab := b.tableAt(0).tab
-	out, bad, want := checkKernel(b, 0, preds[0], kernel, allRows(tab.NumRows()))
+	out, bad, want := checkKernel(b, 0, preds[0], allRows(tab.NumRows()))
 	if bad >= 0 {
 		t.Fatalf("%s on %s row %d (%v): kernel %d, eval %d", pred, table, bad, tab.Row(bad), out[bad], want)
 	}
@@ -112,14 +108,15 @@ func TestStringKernelsEqualEval(t *testing.T) {
 // row without a trace.
 func TestStringKernelOutsideDictionaryPanics(t *testing.T) {
 	cr := &colReader{kind: storage.KindString, codes: []uint16{0, 2}, dict: []string{"apple", "M"}, nulls: []bool{false, false}}
-	kernel := strKernel(cr, func(s string) int8 { return b2t(s == "apple") })
+	col := vnode{kind: cr.kind, dict: cr.dict, val: func(_ *frame, sel []int32) view { return view{cr, sel} }}
+	kernel := strTest(col, func(s string) int8 { return b2t(s == "apple") })
 	out := make([]int8, 2)
 	defer func() {
 		if recover() == nil {
 			t.Errorf("code 2 over a 2-entry dictionary answered %v instead of panicking", out)
 		}
 	}()
-	kernel([]int32{0, 1}, out)
+	kernel(newFrame(0), []int32{0, 1}, out)
 }
 
 // TestStringKernelsAcrossDemotion: the same predicates before and after

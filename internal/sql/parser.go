@@ -504,7 +504,7 @@ func (p *parser) parseAdditive() (Expr, error) {
 	}
 	for {
 		t := p.peek()
-		if t.Kind == TokOp && (t.Text == "+" || t.Text == "-") {
+		if t.Kind == TokOp && (t.Text == "+" || t.Text == "-" || t.Text == "||") {
 			p.next()
 			r, err := p.parseMultiplicative()
 			if err != nil {
