@@ -56,7 +56,6 @@ func run() int {
 	maint := flag.Float64("maint", 100000, "3-year maintenance cost (USD)")
 	topN := flag.Int("top", 10, "slowest queries to report")
 	dataDir := flag.String("data", "", "load from dsdgen flat files instead of generating")
-	parallel := flag.Bool("parallel", false, "generate tables concurrently during the load test")
 	parallelism := flag.Int("parallelism", 0, "morsel workers per query (0 = all cores, 1 = serial)")
 	runAudit := flag.Bool("audit", false, "audit the database after the benchmark (TPC audit checks)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline (0 = none), e.g. 30s")
@@ -73,7 +72,7 @@ func run() int {
 
 	cfg := driver.Config{
 		SF: *sf, Streams: *streams, Seed: *seed,
-		DataDir: *dataDir, ParallelLoad: *parallel, Parallelism: *parallelism,
+		DataDir: *dataDir, Parallelism: *parallelism,
 		Planner: *planner, Digest: *digestOut != "",
 		QueryTimeout: *timeout, OnError: *onError, MaxConcurrent: *maxConcurrent,
 		Price: metric.PriceModel{HardwareUSD: *hw, SoftwareUSD: *sw, MaintenanceUSD: *maint},

@@ -19,6 +19,8 @@ import (
 	"tpcds/internal/datagen"
 	"tpcds/internal/obs"
 	"tpcds/internal/scaling"
+	"tpcds/internal/schema"
+	"tpcds/internal/storage"
 )
 
 func main() {
@@ -40,8 +42,20 @@ func main() {
 	}
 	want := map[string]bool{}
 	if *tables != "" {
+		known := schema.ByName()
+		var unknown []string
 		for _, t := range strings.Split(*tables, ",") {
-			want[strings.TrimSpace(t)] = true
+			switch t = strings.TrimSpace(t); {
+			case t == "":
+			case known[t] == nil:
+				unknown = append(unknown, t)
+			default:
+				want[t] = true
+			}
+		}
+		if len(unknown) > 0 {
+			fmt.Fprintf(os.Stderr, "dsdgen: unknown table(s) in -tables: %s\n", strings.Join(unknown, ", "))
+			os.Exit(2)
 		}
 	}
 
@@ -73,28 +87,22 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	out := db
+	if len(want) > 0 {
+		out = storage.NewDB()
+		for name := range want {
+			out.Put(db.Table(name))
+		}
+	}
+	if err := out.DumpDir(*dir); err != nil {
+		fmt.Fprintf(os.Stderr, "dsdgen: %v\n", err)
+		os.Exit(1)
+	}
 	var totalRows int64
-	for _, name := range db.Names() {
-		if len(want) > 0 && !want[name] {
-			continue
-		}
-		t := db.Table(name)
-		path := filepath.Join(*dir, name+".dat")
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dsdgen: %v\n", err)
-			os.Exit(1)
-		}
-		if err := t.WriteFlat(f); err != nil {
-			fmt.Fprintf(os.Stderr, "dsdgen: writing %s: %v\n", path, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "dsdgen: closing %s: %v\n", path, err)
-			os.Exit(1)
-		}
-		fmt.Printf("%-24s %12d rows -> %s\n", name, t.NumRows(), path)
-		totalRows += int64(t.NumRows())
+	for _, name := range out.Names() {
+		n := out.Table(name).NumRows()
+		fmt.Printf("%-24s %12d rows -> %s\n", name, n, filepath.Join(*dir, name+".dat"))
+		totalRows += int64(n)
 	}
 	fmt.Printf("generated %d rows at SF %v in %v\n", totalRows, *sf, time.Since(start).Round(time.Millisecond))
 }

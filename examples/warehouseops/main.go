@@ -35,7 +35,7 @@ func main() {
 
 	// 1. Extract: generate the data set as flat files (dsdgen).
 	start := time.Now()
-	src := datagen.New(sf, 9).GenerateAllParallel()
+	src := datagen.New(sf, 9).GenerateAll()
 	if err := src.DumpDir(dir); err != nil {
 		log.Fatal(err)
 	}

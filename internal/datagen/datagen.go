@@ -20,6 +20,7 @@ package datagen
 
 import (
 	"fmt"
+	"sync"
 
 	"tpcds/internal/obs"
 	"tpcds/internal/rng"
@@ -69,41 +70,74 @@ func (g *Generator) rows(table string) int64 {
 	return scaling.Rows(table, g.SF)
 }
 
-// GenerateAll builds the complete database. Dimensions are generated
-// first, then the sales facts, then returns (which sample actual sales
-// rows) and inventory.
+// GenerateAll builds the complete database, one goroutine per table
+// within each dependency phase: all dimensions first (independent),
+// then the three sales facts (they need dimension cardinalities), then
+// returns (they sample their sales fact) and inventory. Because every
+// table draws from its own independent random streams (the MUDD
+// design, §3), the database is the one a serial composition of the
+// per-table generators builds, byte for byte — the property
+// TestParallelEqualsSequential verifies. Tables are registered only
+// between phases, so no goroutine observes a mutating database.
 func (g *Generator) GenerateAll() *storage.DB {
 	db := storage.NewDB()
-	// Dimensions in dependency-free order.
-	dims := g.phase("dimensions")
-	for _, name := range []string{
-		"date_dim", "time_dim", "income_band", "customer_demographics",
-		"household_demographics", "reason", "ship_mode", "warehouse",
-		"customer_address", "item", "customer", "store", "call_center",
-		"catalog_page", "web_site", "web_page", "promotion",
-	} {
-		db.Put(g.instrument(dims, name, func() *storage.Table {
-			return g.GenerateDimension(name)
-		}))
+
+	// Ownership: runPhase joins every per-table goroutine it spawns via
+	// wg.Wait before touching db, so each phase's writes (one goroutine
+	// per results slot) happen-before the registration loop and nothing
+	// escapes the phase. Per-table spans hang off the phase span from
+	// concurrent goroutines — span creation is goroutine-safe and the
+	// phase span outlives the wg.Wait join.
+	runPhase := func(phase string, names []string, gen func(name string) *storage.Table) {
+		psp := g.phase(phase)
+		defer psp.End()
+		results := make([]*storage.Table, len(names))
+		var wg sync.WaitGroup
+		for i, name := range names {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[i] = g.instrument(psp, name, func() *storage.Table { return gen(name) })
+			}()
+		}
+		wg.Wait()
+		for _, t := range results {
+			db.Put(t)
+		}
 	}
-	dims.End()
-	// Sales facts.
-	facts := g.phase("facts")
-	ss := g.instrument(facts, "store_sales", func() *storage.Table { return g.generateSales(db, "store_sales") })
-	cs := g.instrument(facts, "catalog_sales", func() *storage.Table { return g.generateSales(db, "catalog_sales") })
-	ws := g.instrument(facts, "web_sales", func() *storage.Table { return g.generateSales(db, "web_sales") })
-	db.Put(ss)
-	db.Put(cs)
-	db.Put(ws)
-	facts.End()
-	// Returns reference their channel's sales fact.
-	rets := g.phase("returns+inventory")
-	db.Put(g.instrument(rets, "store_returns", func() *storage.Table { return g.generateReturns(db, "store_returns", ss) }))
-	db.Put(g.instrument(rets, "catalog_returns", func() *storage.Table { return g.generateReturns(db, "catalog_returns", cs) }))
-	db.Put(g.instrument(rets, "web_returns", func() *storage.Table { return g.generateReturns(db, "web_returns", ws) }))
-	db.Put(g.instrument(rets, "inventory", func() *storage.Table { return g.generateInventory(db) }))
-	rets.End()
+
+	runPhase("dimensions", dimensionOrder, g.GenerateDimension)
+	runPhase("facts", []string{"store_sales", "catalog_sales", "web_sales"},
+		func(name string) *storage.Table { return g.generateSales(db, name) })
+	runPhase("returns+inventory", []string{"store_returns", "catalog_returns", "web_returns", "inventory"},
+		func(name string) *storage.Table {
+			if name == "inventory" {
+				return g.generateInventory(db)
+			}
+			return g.generateReturns(db, name, db.Table(salesOf[name]))
+		})
 	return db
+}
+
+// GenerateAllParallel is GenerateAll.
+//
+// Deprecated: GenerateAll is the parallel schedule; call it.
+func (g *Generator) GenerateAllParallel() *storage.DB { return g.GenerateAll() }
+
+// dimensionOrder lists the dimensions in the order their generation
+// starts.
+var dimensionOrder = []string{
+	"date_dim", "time_dim", "income_band", "customer_demographics",
+	"household_demographics", "reason", "ship_mode", "warehouse",
+	"customer_address", "item", "customer", "store", "call_center",
+	"catalog_page", "web_site", "web_page", "promotion",
+}
+
+// salesOf maps each returns fact to the sales fact its rows sample.
+var salesOf = map[string]string{
+	"store_returns":   "store_sales",
+	"catalog_returns": "catalog_sales",
+	"web_returns":     "web_sales",
 }
 
 // GenerateDimension builds one dimension table by name. It panics on

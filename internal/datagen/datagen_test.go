@@ -1,6 +1,13 @@
 package datagen
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"tpcds/internal/dist"
@@ -437,39 +444,105 @@ func BenchmarkGenerateStoreSales(b *testing.B) {
 }
 
 // TestParallelEqualsSequential: the MUDD property at database level —
-// per-table independent streams make parallel generation bit-identical
-// to sequential generation.
+// per-table independent streams make GenerateAll, which builds the
+// tables of each phase concurrently, byte-identical to a serial
+// composition of the per-table generators: every table's flat file,
+// and every string column's dictionary and layout.
 func TestParallelEqualsSequential(t *testing.T) {
-	seq := New(testSF, 7).GenerateAll()
-	par := New(testSF, 7).GenerateAllParallel()
+	seq := serialGenerateAll(New(testSF, 7))
+	if got, want := sharedDB.Names(), seq.Names(); !slices.Equal(got, want) {
+		t.Fatalf("GenerateAll built %v, the serial composition %v", got, want)
+	}
 	for _, name := range seq.Names() {
-		a, b := seq.Table(name), par.Table(name)
-		if b == nil {
-			t.Fatalf("parallel generation missing table %s", name)
+		sameTable(t, name, sharedDB.Table(name), seq.Table(name))
+	}
+}
+
+// serialGenerateAll builds the database one table after another, in
+// the phase order GenerateAll runs.
+func serialGenerateAll(g *Generator) *storage.DB {
+	db := storage.NewDB()
+	for _, name := range dimensionOrder {
+		db.Put(g.GenerateDimension(name))
+	}
+	ss := g.generateSales(db, "store_sales")
+	cs := g.generateSales(db, "catalog_sales")
+	ws := g.generateSales(db, "web_sales")
+	db.Put(ss)
+	db.Put(cs)
+	db.Put(ws)
+	db.Put(g.generateReturns(db, "store_returns", ss))
+	db.Put(g.generateReturns(db, "catalog_returns", cs))
+	db.Put(g.generateReturns(db, "web_returns", ws))
+	db.Put(g.generateInventory(db))
+	return db
+}
+
+// sameTable fails unless got and want write the same flat file and
+// every string column has the same layout and dictionary.
+func sameTable(t *testing.T, name string, got, want *storage.Table) {
+	t.Helper()
+	if got == nil {
+		t.Fatalf("%s: missing", name)
+	}
+	var a, b bytes.Buffer
+	if err := got.WriteFlat(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.WriteFlat(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Errorf("%s: flat files differ (%d vs %d bytes, %d vs %d rows)", name, a.Len(), b.Len(), got.NumRows(), want.NumRows())
+	}
+	for c := 0; c < want.NumCols(); c++ {
+		kind, _, _, strsA, codesA, dictA, _ := got.Col(c).Raw()
+		_, _, _, strsB, codesB, dictB, _ := want.Col(c).Raw()
+		if kind != storage.KindString {
+			continue
 		}
-		if a.NumRows() != b.NumRows() {
-			t.Fatalf("%s: %d vs %d rows", name, a.NumRows(), b.NumRows())
-		}
-		stride := a.NumRows()/50 + 1
-		for r := 0; r < a.NumRows(); r += stride {
-			for c := 0; c < a.NumCols(); c++ {
-				if !storage.Equal(a.Get(r, c), b.Get(r, c)) {
-					t.Fatalf("%s row %d col %d: %v vs %v", name, r, c, a.Get(r, c), b.Get(r, c))
-				}
-			}
+		if (strsA == nil) != (strsB == nil) || (codesA == nil) != (codesB == nil) || !slices.Equal(dictA, dictB) {
+			t.Errorf("%s.%s: layout (plain %v, dictionary %q), want (plain %v, dictionary %q)",
+				name, want.Def.Columns[c].Name, dictA == nil, dictA, dictB == nil, dictB)
 		}
 	}
 }
 
-func BenchmarkGenerateAllSequential(b *testing.B) {
+func BenchmarkGenerateAll(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		New(0.0005, uint64(i+1)).GenerateAll()
 	}
 }
 
-func BenchmarkGenerateAllParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		New(0.0005, uint64(i+1)).GenerateAllParallel()
+// TestFlatFileHashes: the flat files DumpDir writes at SF 0.002, seed
+// 7, hash to the SHA-256 values in testdata, recorded from the serial,
+// row-at-a-time generator and writer this package and storage had
+// before generation, dumping and loading were spread over workers.
+func TestFlatFileHashes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates and dumps ≈ 95 MB of flat files")
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "flat_sha256_sf0.002_seed7.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := New(0.002, 7).GenerateAll().DumpDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(want)), "\n")
+	if len(lines) != len(schema.Tables()) {
+		t.Fatalf("%d hashes for %d tables", len(lines), len(schema.Tables()))
+	}
+	for _, line := range lines {
+		sum, file, _ := strings.Cut(line, "  ")
+		data, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != sum {
+			t.Errorf("%s: SHA-256 %s, recorded %s", file, got, sum)
+		}
 	}
 }
 

@@ -131,81 +131,128 @@ func (g *Generator) genTimeDim(def *schema.Table) *storage.Table {
 
 // genIncomeBand builds the 20 income bands of 10,000 each.
 func (g *Generator) genIncomeBand(def *schema.Table) *storage.Table {
-	t := storage.NewTable(def)
-	for i := int64(1); i <= g.rows("income_band"); i++ {
-		lower := (i - 1) * 10000
+	n := g.rows("income_band")
+	var sk, lower, upper []storage.Value
+	for i := int64(1); i <= n; i++ {
+		lo := (i - 1) * 10000
 		if i > 1 {
-			lower++
+			lo++
 		}
-		t.Append([]storage.Value{
-			storage.Int(i),
-			storage.Int(lower),
-			storage.Int(i * 10000),
-		})
+		sk, lower, upper = append(sk, storage.Int(i)), append(lower, storage.Int(lo)), append(upper, storage.Int(i*10000))
 	}
-	return t
+	return crossProduct(def, crossCol{0, sk}, crossCol{0, lower}, crossCol{0, upper})
 }
 
 // genCustomerDemographics builds the full demographic cross product
 // (1,920,800 rows = 2 genders x 5 marital x 7 education x 20 purchase
 // estimates x 4 credit ratings x 7^3 dependent counts).
 func (g *Generator) genCustomerDemographics(def *schema.Table) *storage.Table {
+	return crossProduct(def,
+		crossCol{surrogateKey, nil},
+		crossCol{0, strVals(dist.Genders)},
+		crossCol{1, strVals(dist.MaritalStatuses)},
+		crossCol{2, strVals(dist.EducationStatuses)},
+		crossCol{3, intVals(500, 10000, 500)},
+		crossCol{4, strVals(dist.CreditRatings)},
+		crossCol{5, intVals(0, 6, 1)},
+		crossCol{6, intVals(0, 6, 1)},
+		crossCol{7, intVals(0, 6, 1)},
+	)
+}
+
+// genHouseholdDemographics builds the 7200-row household cross product
+// (20 income bands x 6 buy potentials x 10 dep counts x 6 vehicles).
+func (g *Generator) genHouseholdDemographics(def *schema.Table) *storage.Table {
+	return crossProduct(def,
+		crossCol{surrogateKey, nil},
+		crossCol{0, intVals(1, 20, 1)},
+		crossCol{1, strVals(dist.BuyPotentials)},
+		crossCol{2, intVals(0, 9, 1)},
+		crossCol{3, intVals(0, 5, 1)},
+	)
+}
+
+// surrogateKey is the axis of a cross-product column that numbers the
+// rows from 1.
+const surrogateKey = -1
+
+// crossCol is one column of a cross-product table: the values it takes
+// along its axis, in order. Columns on the same axis vary together.
+type crossCol struct {
+	axis int
+	vals []storage.Value
+}
+
+// crossProduct builds def as the cross product of its columns' axes,
+// axis 0 outermost: the rows nested loops over the axes would append,
+// the loop over axis 0 outside. It fills a column at a time, as runs
+// of one value — a column on axis a holds each of its values for as
+// many rows as the axes after a have combinations, and repeats that
+// sequence once per combination of the axes before a — so each column
+// is checked and dictionary-encoded once per run, not once per row.
+func crossProduct(def *schema.Table, cols ...crossCol) *storage.Table {
+	var sizes []int
+	for _, c := range cols {
+		if c.axis == surrogateKey {
+			continue
+		}
+		for len(sizes) <= c.axis {
+			sizes = append(sizes, 0)
+		}
+		if sizes[c.axis] != 0 && sizes[c.axis] != len(c.vals) {
+			panic(fmt.Sprintf("datagen: %s: columns of axis %d differ in length", def.Name, c.axis))
+		}
+		sizes[c.axis] = len(c.vals)
+	}
+	rows := 1
+	for _, n := range sizes {
+		rows *= n
+	}
 	t := storage.NewTable(def)
-	t.Grow(1_920_800)
-	sk := int64(1)
-	for _, gender := range dist.Genders {
-		for _, ms := range dist.MaritalStatuses {
-			for _, edu := range dist.EducationStatuses {
-				for pe := 500; pe <= 10000; pe += 500 {
-					for _, cr := range dist.CreditRatings {
-						for depCount := 0; depCount < 7; depCount++ {
-							for depEmp := 0; depEmp < 7; depEmp++ {
-								for depCol := 0; depCol < 7; depCol++ {
-									t.Append([]storage.Value{
-										storage.Int(sk),
-										storage.Str(gender),
-										storage.Str(ms),
-										storage.Str(edu),
-										storage.Int(int64(pe)),
-										storage.Str(cr),
-										storage.Int(int64(depCount)),
-										storage.Int(int64(depEmp)),
-										storage.Int(int64(depCol)),
-									})
-									sk++
-								}
-							}
-						}
-					}
-				}
+	if len(cols) != t.NumCols() {
+		panic(fmt.Sprintf("datagen: %s: %d cross-product columns for %d", def.Name, len(cols), t.NumCols()))
+	}
+	if rows == 0 {
+		return t
+	}
+	t.Grow(rows)
+	for i, c := range cols {
+		col := t.Col(i)
+		if c.axis == surrogateKey {
+			for sk := 1; sk <= rows; sk++ {
+				col.Append(storage.Int(int64(sk)))
+			}
+			continue
+		}
+		run := 1
+		for _, n := range sizes[c.axis+1:] {
+			run *= n
+		}
+		for rep := rows / (run * len(c.vals)); rep > 0; rep-- {
+			for _, v := range c.vals {
+				col.AppendN(v, run)
 			}
 		}
 	}
 	return t
 }
 
-// genHouseholdDemographics builds the 7200-row household cross product
-// (20 income bands x 6 buy potentials x 10 dep counts x 6 vehicles).
-func (g *Generator) genHouseholdDemographics(def *schema.Table) *storage.Table {
-	t := storage.NewTable(def)
-	sk := int64(1)
-	for ib := int64(1); ib <= 20; ib++ {
-		for _, bp := range dist.BuyPotentials {
-			for dep := 0; dep < 10; dep++ {
-				for veh := 0; veh < 6; veh++ {
-					t.Append([]storage.Value{
-						storage.Int(sk),
-						storage.Int(ib),
-						storage.Str(bp),
-						storage.Int(int64(dep)),
-						storage.Int(int64(veh)),
-					})
-					sk++
-				}
-			}
-		}
+// strVals returns the domain as values.
+func strVals(domain []string) []storage.Value {
+	out := make([]storage.Value, len(domain))
+	for i, s := range domain {
+		out[i] = storage.Str(s)
 	}
-	return t
+	return out
+}
+
+// intVals returns lo, lo+step, ... up to hi as values.
+func intVals(lo, hi, step int64) []storage.Value {
+	var out []storage.Value
+	for v := lo; v <= hi; v += step {
+		out = append(out, storage.Int(v))
+	}
+	return out
 }
 
 // genReason builds the return-reason dimension; the domain scales mildly

@@ -8,10 +8,9 @@ import (
 )
 
 // SetObservability attaches a parent span and metrics registry to the
-// generator: GenerateAll and GenerateAllParallel then record per-phase
-// and per-table spans under parent, table build times in the
-// datagen_table_ns histogram, and generated row counts in the
-// datagen_rows counter. Observation never influences generation — the
+// generator: GenerateAll then records per-phase and per-table spans
+// under parent, table build times in the datagen_table_ns histogram,
+// and generated row counts in the datagen_rows counter. Observation never influences generation — the
 // per-(table, purpose) random streams are untouched, so an
 // instrumented run is bit-identical to a bare one.
 func (g *Generator) SetObservability(parent *obs.Span, reg *obs.Registry) {

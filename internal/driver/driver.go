@@ -60,8 +60,6 @@ type Config struct {
 	// instead of generating it in-process — the official load-test
 	// input path. The files must match the configured scale factor.
 	DataDir string
-	// ParallelLoad generates tables concurrently during the load test.
-	ParallelLoad bool
 	// Parallelism is the engine's morsel worker count: 0 uses every
 	// core, 1 forces serial execution. Results are identical at every
 	// setting.
@@ -205,10 +203,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("driver: load test: %w", err)
 		}
-	case cfg.ParallelLoad:
-		gen := datagen.New(cfg.SF, cfg.Seed)
-		gen.SetObservability(loadSp, cfg.Metrics)
-		db = gen.GenerateAllParallel()
 	default:
 		gen := datagen.New(cfg.SF, cfg.Seed)
 		gen.SetObservability(loadSp, cfg.Metrics)

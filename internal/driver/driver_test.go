@@ -262,30 +262,3 @@ func TestParallelExecutionMatchesSerial(t *testing.T) {
 		}
 	}
 }
-
-func TestParallelLoadProducesSameResults(t *testing.T) {
-	cfg := tinyCfg()
-	cfg.Streams = 1
-	seq, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ParallelLoad = true
-	par, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := func(r *Result) map[[3]int]int {
-		m := map[[3]int]int{}
-		for _, qt := range r.Queries {
-			m[[3]int{qt.Run, qt.Stream, qt.QueryID}] = qt.Rows
-		}
-		return m
-	}
-	a, b := rows(seq), rows(par)
-	for k, v := range a {
-		if b[k] != v {
-			t.Errorf("query %v: sequential %d rows vs parallel %d rows", k, v, b[k])
-		}
-	}
-}

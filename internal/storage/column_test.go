@@ -65,7 +65,7 @@ func colDef() *schema.Table {
 	}}
 }
 
-// runColumnOps interprets prog as Append / SetValue / Delete /
+// runColumnOps interprets prog as Append / AppendN / SetValue / Delete /
 // truncate / Grow calls on a (key, string) table and on a model of it
 // — two plain slices — and fails unless the table reads back as the
 // model does: Len and the touched row after every call, every row and
@@ -100,8 +100,19 @@ func runColumnOps(t *testing.T, vocab int, prog []byte) *Table {
 		prog = prog[1:]
 		touched := -1
 		switch op % 8 {
-		case 0, 1, 2:
+		case 0, 1:
 			add(vocabValue(vocab, arg()))
+			touched = len(strs) - 1
+		case 2:
+			// A run of 0-4 rows: the keys one by one, the string column
+			// in one AppendN, which must leave it as that many Appends.
+			v, n := vocabValue(vocab, arg()), int(op>>3)%5
+			for i := 0; i < n; i++ {
+				tb.Col(0).Append(Int(nextKey))
+				keys, strs = append(keys, nextKey), append(strs, v)
+				nextKey++
+			}
+			tb.Col(1).AppendN(v, n)
 			touched = len(strs) - 1
 		case 3:
 			add(Null)
@@ -204,6 +215,95 @@ func FuzzColumnOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, vocab uint8, prog []byte) {
 		runColumnOps(t, int(vocab)%vocabs, prog)
 	})
+}
+
+// TestAppendNEqualsAppends: AppendN(v, n) leaves a column as n
+// Appends of v do — every vector, the dictionary and the layout —
+// for every physical kind, NULL, n = 0, a new string at the point
+// where the column gives its dictionary up, and the same panics.
+func TestAppendNEqualsAppends(t *testing.T) {
+	raw := func(c *Column) string {
+		k, ints, flts, strs, codes, dict, nulls := c.Raw()
+		return fmt.Sprintf("%v %v %v %q %v %q %v plain=%v", k, ints, flts, strs, codes, dict, nulls, c.dict == nil)
+	}
+	// demoting is a string column one new value away from its dictionary
+	// being given up (dictTrial values in as many rows).
+	demoting := func() *Column {
+		c := &Column{Type: schema.Varchar, dict: &strDict{codes: map[string]uint16{}}}
+		for i := 0; i < dictTrial; i++ {
+			c.Append(Str(strconv.Itoa(i)))
+		}
+		return c
+	}
+	fresh := func(typ schema.Type) func() *Column {
+		return func() *Column {
+			c := &Column{Type: typ}
+			if physKind(typ) == KindString {
+				c.dict = &strDict{codes: map[string]uint16{}}
+			}
+			c.Append(Null) // something before the run
+			return c
+		}
+	}
+	cases := []struct {
+		name string
+		col  func() *Column
+		v    Value
+	}{
+		{"int", fresh(schema.Integer), Int(7)},
+		{"identifier null", fresh(schema.Identifier), Null},
+		{"decimal from int", fresh(schema.Decimal), Int(3)},
+		{"decimal", fresh(schema.Decimal), Float(2.5)},
+		{"date", fresh(schema.Date), DateV(100)},
+		{"date null", fresh(schema.Date), Null},
+		{"string", fresh(schema.Char), Str("M")},
+		{"empty string", fresh(schema.Char), Str("")},
+		{"string null", fresh(schema.Varchar), Null},
+		{"demoting string", demoting, Str("new")},
+		{"known string at the trial", demoting, Str("7")},
+		{"null at the trial", demoting, Null},
+	}
+	for _, tc := range cases {
+		for _, n := range []int{0, 1, 2, 5} {
+			want, got := tc.col(), tc.col()
+			for i := 0; i < n; i++ {
+				want.Append(tc.v)
+			}
+			got.AppendN(tc.v, n)
+			if a, b := raw(got), raw(want); a != b {
+				t.Errorf("%s, n=%d: AppendN gives\n%s\n%d Appends give\n%s", tc.name, n, a, n, b)
+			}
+		}
+	}
+	// After a demotion the run continues on the plain strings.
+	c := demoting()
+	c.AppendN(Str("new"), 3)
+	if c.dict != nil || c.Len() != dictTrial+3 || c.Get(dictTrial+2).S != "new" {
+		t.Error("a run of a new value at the trial did not turn the column plain")
+	}
+
+	panics := func(fn func()) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		fn()
+		return ""
+	}
+	for _, tc := range []struct {
+		typ schema.Type
+		v   Value
+	}{{schema.Integer, Str("x")}, {schema.Decimal, DateV(1)}, {schema.Char, Int(1)}, {schema.Date, Float(1)}} {
+		a := panics(func() { fresh(tc.typ)().Append(tc.v) })
+		b := panics(func() { fresh(tc.typ)().AppendN(tc.v, 3) })
+		if a == "" || a != b {
+			t.Errorf("%v into %v: Append panics %q, AppendN %q", tc.v, tc.typ, a, b)
+		}
+		if msg := panics(func() { fresh(tc.typ)().AppendN(tc.v, 0) }); msg != "" {
+			t.Errorf("%v into %v: an empty run panicked (%s); zero Appends do not", tc.v, tc.typ, msg)
+		}
+	}
 }
 
 // TestDictionaryDemotionRule pins the two conditions a column gives its

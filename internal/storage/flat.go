@@ -54,8 +54,22 @@ const (
 func (t *Table) WriteFlat(w io.Writer) error {
 	kinds := t.physKinds()
 	buf := make([]byte, 0, flatFlushAt+flatFlushAt/4)
-	n := t.NumRows()
-	for r := 0; r < n; r++ {
+	for r, n := 0, t.NumRows(); r < n; {
+		buf, r = t.appendFlatRows(buf[:0], kinds, r, n, flatFlushAt)
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// appendFlatRows renders rows lo, lo+1, ... of the table onto buf in
+// flat-file format, up to row hi or until buf holds limit bytes or
+// more, whichever comes first, and returns buf and the first row not
+// rendered. kinds is t.physKinds().
+func (t *Table) appendFlatRows(buf []byte, kinds []Kind, lo, hi, limit int) ([]byte, int) {
+	r := lo
+	for ; r < hi && len(buf) < limit; r++ {
 		for c := range t.cols {
 			col := &t.cols[c]
 			if !col.nulls[r] {
@@ -76,19 +90,8 @@ func (t *Table) WriteFlat(w io.Writer) error {
 			buf = append(buf, '|')
 		}
 		buf = append(buf, '\n')
-		if len(buf) >= flatFlushAt {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
 	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
+	return buf, r
 }
 
 // appendFlatFloat appends Float(f).String(): two decimals when that

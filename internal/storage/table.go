@@ -190,6 +190,43 @@ func (c *Column) Append(v Value) {
 	}
 }
 
+// AppendN adds n copies of v: the column ends as n calls of Append(v)
+// leave it — the same vectors, dictionary and layout, and the same
+// panic — but v is checked and dictionary-encoded once. The
+// cross-product dimensions are built from such runs, a column at a
+// time.
+func (c *Column) AppendN(v Value, n int) {
+	if n <= 0 {
+		return
+	}
+	c.Append(v) // the checks, and a new string's one dictionary entry
+	n--
+	c.nulls = repeatLast(c.nulls, n)
+	switch physKind(c.Type) {
+	case KindInt, KindDate:
+		c.ints = repeatLast(c.ints, n)
+	case KindFloat:
+		c.flts = repeatLast(c.flts, n)
+	default:
+		if c.dict != nil {
+			c.codes = repeatLast(c.codes, n)
+		} else {
+			c.strs = repeatLast(c.strs, n)
+		}
+	}
+}
+
+// repeatLast appends n copies of the last element of v.
+func repeatLast[T any](v []T, n int) []T {
+	x := v[len(v)-1]
+	v = slices.Grow(v, n)
+	run := v[len(v) : len(v)+n]
+	for i := range run {
+		run[i] = x
+	}
+	return v[:len(v)+n]
+}
+
 // Set overwrites the value at row i (used by in-place dimension updates,
 // Figure 8).
 func (c *Column) Set(i int, v Value) {
