@@ -279,9 +279,10 @@ func TestBitmapSelectionCounters(t *testing.T) {
 
 // TestBitmapCacheIntegrity runs the 99 templates twice on one engine:
 // the second pass must return what the first did, and afterwards every
-// value bitmap the engine holds must equal a fresh build from the table
-// — an AND into a cached bitmap instead of a private copy corrupts every
-// later query that reads it.
+// value index and every fact foreign-key index the engine holds must
+// equal a fresh build from the table — an AND or a scatter into a cached
+// index instead of a private bitmap corrupts every later query that
+// reads it.
 func TestBitmapCacheIntegrity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("all-99 double pass skipped in -short")
@@ -309,28 +310,52 @@ func TestBitmapCacheIntegrity(t *testing.T) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	column := func(key string) (*storage.Table, int) {
+		tab := db.Table(key[:strings.IndexByte(key, '.')])
+		return tab, tab.Def.ColumnIndex(key[strings.IndexByte(key, '.')+1:])
+	}
 	bitmapped := 0
 	for key, c := range e.valIdx {
 		if c.ix == nil {
 			continue
 		}
 		bitmapped++
-		tab := db.Table(key[:strings.IndexByte(key, '.')])
-		col := tab.Def.ColumnIndex(key[strings.IndexByte(key, '.')+1:])
-		fresh := freshValueIndex(tab, col)
-		if !slices.Equal(c.ix.Keys(), fresh.Keys()) || !sameNulls(c.ix, fresh) {
-			t.Errorf("cached %s: keys or NULL rows differ from a fresh build", key)
-			continue
-		}
-		for _, k := range fresh.Keys() {
-			if !c.ix.Lookup(k).Equal(fresh.Lookup(k)) {
-				t.Errorf("cached %s: the bitmap of value %d differs from a fresh build", key, k)
-			}
+		if err := sameIndex(c.ix, freshValueIndex(column(key))); err != "" {
+			t.Errorf("cached value index %s: %s", key, err)
 		}
 	}
 	if bitmapped == 0 {
 		t.Fatal("the templates left no value bitmap in the engine")
 	}
+	for key, c := range e.bmIdx {
+		tab, col := column(key)
+		if err := sameIndex(c.ix, index.BuildBitmapIndex(tab.ScanInt64(col))); err != "" {
+			t.Errorf("cached fact index %s: %s", key, err)
+		}
+	}
+	if len(e.bmIdx) == 0 {
+		t.Fatal("the templates left no fact index in the engine")
+	}
+	t.Logf("%d value indexes and %d fact indexes equal fresh builds", bitmapped, len(e.bmIdx))
+}
+
+// sameIndex describes how a differs from b — keys, NULL rows or one
+// key's rows — or returns "" when they index the same rows.
+func sameIndex(a, b *index.BitmapIndex) string {
+	if a.NumRows() != b.NumRows() || !slices.Equal(a.Keys(), b.Keys()) || !sameNulls(a, b) {
+		return "keys or NULL rows differ from a fresh build"
+	}
+	x, y := index.NewBitmap(a.NumRows()), index.NewBitmap(b.NumRows())
+	for _, k := range b.Keys() {
+		x.Clear()
+		y.Clear()
+		a.Or(x, []int64{k})
+		b.Or(y, []int64{k})
+		if !x.Equal(y) {
+			return fmt.Sprintf("the rows of key %d differ from a fresh build", k)
+		}
+	}
+	return ""
 }
 
 // sameNulls reports whether two indexes mark the same NULL rows; an

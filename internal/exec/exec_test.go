@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"tpcds/internal/datagen"
+	"tpcds/internal/obs"
 	"tpcds/internal/plan"
 	"tpcds/internal/schema"
 	"tpcds/internal/storage"
@@ -184,6 +185,37 @@ func TestStarEqualsHash(t *testing.T) {
 	}
 	if eStar.LastDecision().Strategy != plan.StarTransform {
 		t.Errorf("star engine decided %v", eStar.LastDecision())
+	}
+}
+
+// TestStarScratchCharged: the star node's scratch peak covers what it
+// holds at once after the morsel barrier — the merged fact bitmap and
+// its scratch (two filtered dimensions), the qualifying id list, the
+// row-major tuples and the per-table id vectors.
+func TestStarScratchCharged(t *testing.T) {
+	e := New(templateDB())
+	e.SetParallelism(1)
+	e.SetMorselSize(64) // batches of at most 64 rows: their scratch is below what is checked
+	e.SetProfiling(true)
+	_, tr, err := e.QueryTraced(`SELECT cs_order_number, i_item_id, d_date FROM catalog_sales, item, date_dim
+		WHERE cs_item_sk = i_item_sk AND cs_sold_date_sk = d_date_sk AND d_year = 2000 AND d_moy = 12
+		AND i_category IN ('Music', 'Books', 'Home')`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var star *obs.OpProfile
+	tr.Profile.Walk(func(n *obs.OpProfile) {
+		if n.Name == "star catalog_sales" {
+			star = n
+		}
+	})
+	if star == nil || star.RowsOut == 0 {
+		t.Fatalf("no star node with rows\n%s", tr.Profile)
+	}
+	bitmap := int64(e.DB().Table("catalog_sales").NumRows()+63) / 64 * 8
+	// ids ≥ rows out; tuples and vectors: 3 ids a row each.
+	if want := 2*bitmap + 4*star.RowsOut + 2*3*4*star.RowsOut; star.ScratchBytes < want {
+		t.Errorf("star scratch %d bytes, want ≥ %d (2 bitmaps of %d bytes, %d rows out)", star.ScratchBytes, want, bitmap, star.RowsOut)
 	}
 }
 

@@ -418,14 +418,15 @@ func (b *binder) answerable(ti int, preds []bexpr) bool {
 
 // answer splits table ti's conjuncts. One that reads a single column
 // with value bitmaps, and nothing else, keeps the rows of the values it
-// holds true for, and the NULL rows when it holds for NULL: the OR of
-// those bitmaps. The answers are ANDed into a private bitmap (the cached
-// ones are only read); the other conjuncts are left in rest. read is the
-// rows cold index builds read. Whether ti is under the table rule
-// (bitmapTable) is the caller's check.
+// holds true for, and the NULL rows when it holds for NULL: the union of
+// those values' rows. The answers are ANDed into a private bitmap (the
+// cached indexes are only read); the other conjuncts are left in rest.
+// read is the rows cold index builds read. Whether ti is under the
+// table rule (bitmapTable) is the caller's check.
 func (b *binder) answer(ti int, preds []bexpr) (sel *selection, read int) {
 	sel = &selection{}
 	inst := b.tableAt(ti)
+	var m index.Merge
 	for _, p := range preds {
 		var ix *index.BitmapIndex
 		col := soleColumn(inst, p)
@@ -438,17 +439,10 @@ func (b *binder) answer(ti int, preds []bexpr) (sel *selection, read int) {
 			sel.rest = append(sel.rest, p)
 			continue
 		}
-		hits := b.valueHits(inst, col, ix, p)
-		if sel.bm == nil {
-			sel.bm = index.NewBitmap(ix.NumRows())
-			for _, h := range hits {
-				sel.bm.Or(h)
-			}
-		} else {
-			sel.bm.AndAny(hits)
-		}
+		keys, nulls := b.valueHits(inst, col, ix, p)
+		m.AndAny(ix, keys, nulls)
 	}
-	if sel.rest == nil {
+	if sel.bm = m.Result(); sel.rest == nil {
 		sel.n = sel.bm.Count()
 	}
 	return sel, read
@@ -472,15 +466,13 @@ func soleColumn(inst *tabInst, p bexpr) int {
 	return -1
 }
 
-// valueHits returns the bitmaps of ix's values that p holds true for —
+// valueHits returns the keys of ix's values that p holds true for —
 // each value boxed as the column's reader boxes it, a code as its
-// dictionary string — plus the NULL rows' bitmap when p holds for NULL
-// and the column has NULL rows.
+// dictionary string — and whether p holds for NULL.
 // p reads column col of inst only, so its value decides p.
-func (b *binder) valueHits(inst *tabInst, col int, ix *index.BitmapIndex, p bexpr) []*index.Bitmap {
+func (b *binder) valueHits(inst *tabInst, col int, ix *index.BitmapIndex, p bexpr) (keys []int64, nulls bool) {
 	cr := newColReader(inst, col)
 	row := make([]storage.Value, b.total)
-	var hits []*index.Bitmap
 	for _, k := range ix.Keys() {
 		if cr.codes != nil {
 			row[cr.off] = storage.Str(cr.dict[k])
@@ -488,13 +480,11 @@ func (b *binder) valueHits(inst *tabInst, col int, ix *index.BitmapIndex, p bexp
 			row[cr.off] = storage.Value{K: cr.kind, I: k}
 		}
 		if truthy(p.eval(row)) {
-			hits = append(hits, ix.Lookup(k))
+			keys = append(keys, k)
 		}
 	}
-	if row[cr.off] = storage.Null; ix.Nulls() != nil && truthy(p.eval(row)) {
-		hits = append(hits, ix.Nulls())
-	}
-	return hits
+	row[cr.off] = storage.Null
+	return keys, truthy(p.eval(row))
 }
 
 // scanRest runs sel's remaining conjuncts as kernels, in morsels, over

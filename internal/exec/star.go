@@ -117,7 +117,7 @@ func (e *Engine) runStar(b *binder, filters []filterInfo, residual []bexpr, fact
 	}
 	tables := []int{fact}
 	var dimDatas []dimData
-	var accBitmap *index.Bitmap
+	var merge index.Merge // at most one scratch bitmap, shared by the dimensions after the first
 	for _, spec := range dims {
 		inst, sel := b.tableAt(spec.table), b.selection(spec.table, filters, tr)
 		var rows *index.HashIndex
@@ -129,12 +129,7 @@ func (e *Engine) runStar(b *binder, filters []filterInfo, residual []bexpr, fact
 			keys, ids := stagePairs(b.qc, sel, (&keySource{col: newColReader(inst, spec.pkCol)}).intAt)
 			rows = index.BuildHashIndexPairs(keys, ids)
 			if !sel.all {
-				bm := e.bitmapIndex(factInst.tab, spec.factCol.off-factInst.offset).UnionOf(keys)
-				if accBitmap == nil {
-					accBitmap = bm
-				} else {
-					accBitmap.And(bm)
-				}
+				merge.AndAny(e.bitmapIndex(factInst.tab, spec.factCol.off-factInst.offset), keys, false)
 			}
 		}
 		fk, ok := b.kernelCol(fact, spec.factCol)
@@ -144,6 +139,7 @@ func (e *Engine) runStar(b *binder, filters []filterInfo, residual []bexpr, fact
 		tables = append(tables, spec.table)
 		dimDatas = append(dimDatas, dimData{fk: keySource{col: *fk}, rows: rows})
 	}
+	accBitmap := merge.Result()
 	if accBitmap == nil {
 		return nil, false // no filtered dimension; plan should not choose star
 	}
@@ -178,7 +174,12 @@ func (e *Engine) runStar(b *binder, filters []filterInfo, residual []bexpr, fact
 		})
 		return out
 	})
+	// The merged bitmaps and the id list stay live until the tuples are
+	// split; charged here, on the coordinator, after the morsel barrier.
+	staged := merge.Bytes() + int64(len(ids))*4
+	b.qc.growScratch(staged)
 	rows := b.tupleRowSet(tables, flat)
+	b.qc.shrinkScratch(staged)
 	b.applyResidual(rows, residual)
 	b.qc.opRowsOut(sp, int64(rows.n))
 	return rows, true

@@ -1,12 +1,23 @@
 // Package index provides the access-path substrate of the engine: hash
 // indexes for key lookups and index-driven joins, bitmap indexes for the
 // star-transformation execution path (§2.1: "typical executions in a
-// star schema involve bitmap accesses, bitmap merges, bitmap joins"),
-// and sorted indexes for date-range scans used by the logically
-// clustered data-maintenance deletes (§4.2).
+// star schema involve bitmap accesses, bitmap merges, bitmap joins") and
+// for value selections on the large dimensions, and sorted indexes for
+// date-range scans used by the logically clustered data-maintenance
+// deletes (§4.2).
+//
+// A bitmap index stores each key's rows as a posting list of row ids, 4
+// bytes a row, and only a key holding more than 1/32 of the rows as a
+// dense bitmap, so its size is linear in rows whatever the number of
+// distinct keys. Its merges produce dense bitmaps: a posting list is
+// scattered into one, at the cost of its rows.
 package index
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // Bitmap is a fixed-capacity bitset over row ids.
 type Bitmap struct {
@@ -115,23 +126,8 @@ func (b *Bitmap) AppendIDs(dst []int32) []int32 {
 	return dst
 }
 
-// AndAny intersects b in place with the union of others: a row stays set
-// when it is set in b and in at least one of others (none: b empties).
-// The others are only read. Capacities must match.
-func (b *Bitmap) AndAny(others []*Bitmap) {
-	for _, o := range others {
-		if o.n != b.n {
-			panic("index: bitmap capacity mismatch in AndAny")
-		}
-	}
-	for i := range b.words {
-		var u uint64
-		for _, o := range others {
-			u |= o.words[i]
-		}
-		b.words[i] &= u
-	}
-}
+// Clear unsets every bit.
+func (b *Bitmap) Clear() { clear(b.words) }
 
 // Equal reports whether b and other have the same capacity and bits.
 func (b *Bitmap) Equal(other *Bitmap) bool {
@@ -146,19 +142,42 @@ func (b *Bitmap) Equal(other *Bitmap) bool {
 	return true
 }
 
-// BitmapIndex maps each distinct int64 key of a column to the bitmap of
-// rows carrying it. Suitable for low-cardinality columns and for fact
+// BitmapIndex maps each distinct int64 key of a column to the rows
+// carrying it. Suitable for low-cardinality columns and for fact
 // foreign keys joined against small dimensions (the star transformation
 // probes a dimension, collects the qualifying surrogate keys, ORs their
-// fact bitmaps and ANDs across dimensions).
+// fact rows and ANDs across dimensions).
+//
+// A key's rows are kept in the smaller of two forms. Most keys have a
+// posting list: the key's row ids, ascending, 4 bytes a row, every list
+// in one shared array. A key held by more than one row in denseShare has
+// a dense bitmap instead, rows/8 bytes, which is then the smaller form;
+// at most denseShare keys can be dense. The index therefore costs at
+// most 4 bytes a row plus a few words a key, whatever the number of
+// distinct keys.
 type BitmapIndex struct {
 	n    int
-	bits map[int64]*Bitmap
-	keys []int64 // the keys of bits, in build order
+	keys []int64         // the distinct non-NULL keys (Keys gives the order)
+	slot map[int64]int32 // key -> its position in keys
+	// off: slot s's posting list is ids[off[s]:off[s+1]]. A key holds at
+	// least one row, so an empty list marks a dense key.
+	off        []int32
+	ids        []int32
+	denseSlots []int32   // the dense keys' slots, ascending
+	dense      []*Bitmap // dense[i] holds the rows of slot denseSlots[i]
 	// nulls tracks rows whose key is NULL (never matched by joins); nil
-	// until the first NULL row.
+	// when no row is NULL.
 	nulls *Bitmap
 }
+
+// denseShare is the rule for a dense key: one holding more than
+// rows/denseShare rows, where a bitmap's rows/8 bytes undercut a
+// posting list's 4 bytes a row.
+const denseShare = 32
+
+// mapEntryBytes estimates one entry of the key→slot map, growth slack
+// included, for Bytes.
+const mapEntryBytes = 32
 
 // BuildBitmapIndex indexes the column given as parallel value and null
 // slices (from storage.Table.ScanInt64).
@@ -168,92 +187,361 @@ func BuildBitmapIndex(vals []int64, nulls []bool) *BitmapIndex {
 
 // BuildBitmapIndexUpTo is BuildBitmapIndex for a low-cardinality
 // column: nil as soon as a row holds a distinct non-NULL value past the
-// first maxKeys.
+// first maxKeys, found while counting, before any per-key allocation
+// (but for a key space narrower than denseShare, see buildSmall).
 func BuildBitmapIndexUpTo(vals []int64, nulls []bool, maxKeys int) *BitmapIndex {
-	ix := &BitmapIndex{n: len(vals), bits: map[int64]*Bitmap{}}
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for i, v := range vals {
+		if !nulls[i] {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+	}
+	d := uint64(hi) - uint64(lo) // the span of the values, less one
+	if lo <= hi && d < denseShare {
+		if ix := buildSmall(nulls, vals, lo, int(d)+1); len(ix.keys) <= maxKeys {
+			return ix
+		}
+		return nil
+	}
+	slot := map[int64]int32{}
+	var keys []int64
+	var counts []int32
+	if lo <= hi && d < uint64(len(vals)) && d/64 < uint64(maxKeys) {
+		// Values within a span no wider than the column, nor than 64
+		// entries per key allowed: slots found through a table indexed
+		// by value - lo, at most 4 bytes a row.
+		bySpan := make([]int32, d+1)
+		for j := range bySpan {
+			bySpan[j] = -1
+		}
+		for i, v := range vals {
+			if nulls[i] {
+				continue
+			}
+			s := bySpan[v-lo]
+			if s < 0 {
+				if len(keys) == maxKeys {
+					return nil
+				}
+				s = int32(len(keys))
+				bySpan[v-lo] = s
+				keys = append(keys, v)
+				counts = append(counts, 0)
+			}
+			counts[s]++
+		}
+		for s, k := range keys {
+			slot[k] = int32(s)
+		}
+		return build(nulls, keys, slot, counts, vals, lo, bySpan)
+	}
+	rowSlot := make([]int32, len(vals))
 	for i, v := range vals {
 		if nulls[i] {
-			ix.setNull(i)
 			continue
 		}
-		bm := ix.bits[v]
-		if bm == nil {
-			if len(ix.keys) == maxKeys {
+		s, ok := slot[v]
+		if !ok {
+			if len(keys) == maxKeys {
 				return nil
 			}
-			bm = NewBitmap(len(vals))
-			ix.bits[v] = bm
-			ix.keys = append(ix.keys, v)
+			s = int32(len(keys))
+			slot[v] = s
+			keys = append(keys, v)
+			counts = append(counts, 0)
 		}
-		bm.Set(i)
+		counts[s]++
+		rowSlot[i] = s
 	}
-	return ix
+	identity := make([]int32, len(keys))
+	for s := range identity {
+		identity[s] = int32(s)
+	}
+	return build(nulls, keys, slot, counts, rowSlot, 0, identity)
 }
 
 // BuildCodeIndex indexes a dictionary-coded column of ncodes codes by
-// code: the key of a bitmap is the code of the value its rows hold
-// (ignored on NULL rows). Only codes some row holds get a bitmap; Keys
-// lists them in code order.
+// code: a key is the code of the value its rows hold (ignored on NULL
+// rows). Only codes some row holds are keys; Keys lists them in code
+// order.
 func BuildCodeIndex(codes []uint16, nulls []bool, ncodes int) *BitmapIndex {
-	n := len(codes)
-	ix := &BitmapIndex{n: n, bits: make(map[int64]*Bitmap, ncodes)}
-	bms := make([]*Bitmap, ncodes)
+	if ncodes <= denseShare {
+		return buildSmall(nulls, codes, 0, ncodes)
+	}
+	perCode := make([]int32, ncodes)
 	for i, c := range codes {
-		if nulls[i] {
-			ix.setNull(i)
+		if !nulls[i] {
+			perCode[c]++
+		}
+	}
+	slot := map[int64]int32{}
+	var keys []int64
+	var counts []int32
+	for c, k := range perCode {
+		if k > 0 {
+			slot[int64(c)] = int32(len(keys))
+			perCode[c] = int32(len(keys)) // from here on: code -> slot
+			keys = append(keys, int64(c))
+			counts = append(counts, k)
+		}
+	}
+	return build(nulls, keys, slot, counts, codes, 0, perCode)
+}
+
+// build is the second of two passes: given each key's row count from
+// the first, it lays out the posting lists and dense bitmaps, then
+// scatters every row into its key's. Row i's slot is
+// toSlot[rowKey[i]-base]. counts is consumed.
+func build[K uint16 | int32 | int64](nulls []bool, keys []int64, slot map[int64]int32, counts []int32, rowKey []K, base int64, toSlot []int32) *BitmapIndex {
+	n := len(nulls)
+	ix := &BitmapIndex{n: n, keys: keys, slot: slot, off: make([]int32, len(keys)+1)}
+	// From here counts[s] is slot s's write cursor into ids, unless the
+	// key is dense and its rows go to denseOf[s].
+	denseOf := make([][]uint64, len(keys))
+	var pos, indexed int32
+	for s, c := range counts {
+		ix.off[s] = pos
+		indexed += c
+		if int(c)*denseShare > n {
+			bm := NewBitmap(n)
+			ix.denseSlots = append(ix.denseSlots, int32(s))
+			ix.dense = append(ix.dense, bm)
+			denseOf[s] = bm.words
 			continue
 		}
-		bm := bms[c]
-		if bm == nil {
-			bm = NewBitmap(n)
-			bms[c] = bm
-		}
-		bm.Set(i)
+		counts[s] = pos
+		pos += c
 	}
-	for c, bm := range bms {
-		if bm != nil {
-			ix.keys = append(ix.keys, int64(c))
-			ix.bits[int64(c)] = bm
+	ix.off[len(keys)] = pos
+	ids := make([]int32, pos)
+	ix.ids = ids
+	rowKey = rowKey[:n]
+	for i, null := range nulls {
+		if null {
+			continue
+		}
+		s := toSlot[int64(rowKey[i])-base]
+		if w := denseOf[s]; w != nil {
+			w[i>>6] |= 1 << (uint(i) & 63)
+		} else {
+			c := counts[s]
+			ids[c] = int32(i)
+			counts[s] = c + 1
 		}
 	}
+	ix.setNulls(nulls, int(indexed))
 	return ix
 }
 
-// setNull marks row i NULL, allocating the NULL bitmap on first use so
-// a column without NULLs carries none.
-func (ix *BitmapIndex) setNull(i int) {
-	if ix.nulls == nil {
-		ix.nulls = NewBitmap(ix.n)
+// buildSmall indexes a column whose key space has at most denseShare
+// slots — row i's slot is rowKey[i]-base — in one pass: every slot gets
+// a bitmap first (rows/8 bytes × denseShare: 4 bytes a row in all), the
+// popcounts are the row counts, and a slot the dense rule does not keep
+// becomes a posting list read back out of its bitmap. Slots no row
+// holds are no keys; Keys lists the others in slot order. Counting
+// first, then scattering, took twice as long on these columns.
+func buildSmall[K uint16 | int64](nulls []bool, rowKey []K, base int64, nslots int) *BitmapIndex {
+	n := len(nulls)
+	words := make([][]uint64, nslots)
+	for s := range words {
+		words[s] = make([]uint64, (n+63)/64)
 	}
-	ix.nulls.Set(i)
+	rowKey = rowKey[:n]
+	for i, null := range nulls {
+		if !null {
+			words[int64(rowKey[i])-base][i>>6] |= 1 << (uint(i) & 63)
+		}
+	}
+	counts := make([]int, nslots)
+	indexed, sparse := 0, 0
+	for s, w := range words {
+		for _, x := range w {
+			counts[s] += bits.OnesCount64(x)
+		}
+		if indexed += counts[s]; counts[s]*denseShare <= n {
+			sparse += counts[s]
+		}
+	}
+	ix := &BitmapIndex{n: n, slot: map[int64]int32{}, ids: make([]int32, 0, sparse)}
+	for s, w := range words {
+		if counts[s] == 0 {
+			continue
+		}
+		k := base + int64(s)
+		ix.slot[k] = int32(len(ix.keys))
+		ix.off = append(ix.off, int32(len(ix.ids)))
+		bm := &Bitmap{words: w, n: n}
+		if counts[s]*denseShare > n {
+			ix.denseSlots = append(ix.denseSlots, int32(len(ix.keys)))
+			ix.dense = append(ix.dense, bm)
+		} else {
+			ix.ids = bm.AppendIDs(ix.ids)
+		}
+		ix.keys = append(ix.keys, k)
+	}
+	ix.off = append(ix.off, int32(len(ix.ids)))
+	ix.setNulls(nulls, indexed)
+	return ix
+}
+
+// setNulls marks the NULL rows, when fewer than all rows are indexed.
+func (ix *BitmapIndex) setNulls(nulls []bool, indexed int) {
+	if indexed == ix.n {
+		return
+	}
+	ix.nulls = NewBitmap(ix.n)
+	for i, null := range nulls {
+		if null {
+			ix.nulls.Set(i)
+		}
+	}
 }
 
 // NumRows returns the indexed row count.
 func (ix *BitmapIndex) NumRows() int { return ix.n }
 
 // DistinctKeys returns the number of distinct non-null keys.
-func (ix *BitmapIndex) DistinctKeys() int { return len(ix.bits) }
+func (ix *BitmapIndex) DistinctKeys() int { return len(ix.keys) }
 
-// Keys returns the distinct non-NULL keys in build order. The slice is
-// shared: callers must not modify it.
+// Keys returns the distinct non-NULL keys: ascending for a dictionary
+// column (by code) and for values spanning fewer than denseShare, else
+// in the order rows first hold them. The slice is shared: callers must
+// not modify it.
 func (ix *BitmapIndex) Keys() []int64 { return ix.keys }
 
-// Lookup returns the bitmap for one key, or nil if absent. The returned
-// bitmap is shared — callers must Clone before mutating.
-func (ix *BitmapIndex) Lookup(key int64) *Bitmap { return ix.bits[key] }
-
 // Nulls returns the bitmap of the rows whose key is NULL, or nil when
-// no row is NULL. It is shared, like Lookup's.
+// no row is NULL. It is shared: callers must not modify it.
 func (ix *BitmapIndex) Nulls() *Bitmap { return ix.nulls }
 
-// UnionOf ORs the bitmaps of all given keys into a fresh bitmap — the
+// Bytes is the index's resident size: posting lists, dense and NULL
+// bitmaps, and per key its entries in keys, off and the key→slot map
+// (the map's at mapEntryBytes).
+func (ix *BitmapIndex) Bytes() int64 {
+	b := int64(len(ix.ids))*4 + int64(len(ix.off))*4 + int64(len(ix.keys))*(8+mapEntryBytes)
+	for _, d := range ix.dense {
+		b += 4 + 8 + int64(len(d.words))*8
+	}
+	if ix.nulls != nil {
+		b += int64(len(ix.nulls.words)) * 8
+	}
+	return b
+}
+
+// Or sets in b the rows holding one of keys (an absent key holds none):
+// a posting list costs its rows, a dense key one pass over the words.
+// The capacities must match.
+func (ix *BitmapIndex) Or(b *Bitmap, keys []int64) {
+	if b.n != ix.n {
+		panic("index: bitmap capacity mismatch in BitmapIndex.Or")
+	}
+	for _, k := range keys {
+		s, ok := ix.slot[k]
+		if !ok {
+			continue
+		}
+		lo, hi := ix.off[s], ix.off[s+1]
+		if lo == hi {
+			b.Or(ix.denseAt(s))
+			continue
+		}
+		for _, r := range ix.ids[lo:hi] {
+			b.words[r>>6] |= 1 << (uint(r) & 63)
+		}
+	}
+}
+
+// denseAt returns the bitmap of dense slot s.
+func (ix *BitmapIndex) denseAt(s int32) *Bitmap {
+	d, _ := slices.BinarySearch(ix.denseSlots, s)
+	return ix.dense[d]
+}
+
+// UnionOf returns the rows holding one of keys in a fresh bitmap — the
 // "bitmap merge" step of a star transformation.
 func (ix *BitmapIndex) UnionOf(keys []int64) *Bitmap {
 	out := NewBitmap(ix.n)
+	ix.Or(out, keys)
+	return out
+}
+
+// Merge ANDs unions of keys: across a table's conjuncts, each answered
+// by one column's index, or across a star's dimensions, each answered
+// by one fact foreign key's. The first AndAny lays its union down as the
+// result. A later one whose keys are all dense ANDs the OR of their
+// bitmaps in word by word; any other builds its union in one scratch
+// bitmap, reused, and ANDs that in. The indexes are only read. The zero
+// Merge is ready to use.
+type Merge struct {
+	bm, scratch *Bitmap
+}
+
+// AndAny intersects the result with the rows of ix holding one of keys,
+// and with its NULL rows too when nulls is set. Every index merged must
+// have the same row count.
+func (m *Merge) AndAny(ix *BitmapIndex, keys []int64, nulls bool) {
+	if m.bm == nil {
+		m.bm = ix.UnionOf(keys)
+		if nulls && ix.nulls != nil {
+			m.bm.Or(ix.nulls)
+		}
+		return
+	}
+	if m.bm.n != ix.n {
+		panic("index: bitmap capacity mismatch in Merge.AndAny")
+	}
+	if ds, ok := ix.denseBitmaps(keys); ok {
+		if nulls && ix.nulls != nil {
+			ds = append(ds, ix.nulls)
+		}
+		for i := range m.bm.words {
+			var u uint64
+			for _, d := range ds {
+				u |= d.words[i]
+			}
+			m.bm.words[i] &= u
+		}
+		return
+	}
+	if m.scratch == nil {
+		m.scratch = NewBitmap(ix.n)
+	} else {
+		m.scratch.Clear()
+	}
+	ix.Or(m.scratch, keys)
+	if nulls && ix.nulls != nil {
+		m.scratch.Or(ix.nulls)
+	}
+	m.bm.And(m.scratch)
+}
+
+// denseBitmaps returns the dense bitmaps of keys, absent keys skipped, and
+// whether every present key is dense.
+func (ix *BitmapIndex) denseBitmaps(keys []int64) ([]*Bitmap, bool) {
+	var ds []*Bitmap
 	for _, k := range keys {
-		if bm := ix.bits[k]; bm != nil {
-			out.Or(bm)
+		s, ok := ix.slot[k]
+		if !ok {
+			continue
+		}
+		if ix.off[s] != ix.off[s+1] {
+			return nil, false
+		}
+		ds = append(ds, ix.denseAt(s))
+	}
+	return ds, true
+}
+
+// Result returns the merged rows: nil before the first AndAny. The
+// bitmap belongs to the caller; further AndAny calls write to it.
+func (m *Merge) Result() *Bitmap { return m.bm }
+
+// Bytes is the footprint of the result and the scratch bitmap.
+func (m *Merge) Bytes() int64 {
+	var b int64
+	for _, bm := range []*Bitmap{m.bm, m.scratch} {
+		if bm != nil {
+			b += int64(len(bm.words)) * 8
 		}
 	}
-	return out
+	return b
 }

@@ -96,11 +96,11 @@ func TestBitmapIndex(t *testing.T) {
 	if ix.DistinctKeys() != 3 {
 		t.Errorf("DistinctKeys = %d, want 3 (null not counted)", ix.DistinctKeys())
 	}
-	if got := ix.Lookup(5).Rows(); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("Lookup(5) = %v (row 5 is NULL and must be excluded)", got)
+	if got := ix.UnionOf([]int64{5}).Rows(); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Errorf("rows of 5 = %v (row 5 is NULL and must be excluded)", got)
 	}
-	if ix.Lookup(404) != nil {
-		t.Error("Lookup of absent key should be nil")
+	if ix.UnionOf([]int64{404}).Count() != 0 {
+		t.Error("an absent key holds rows")
 	}
 	union := ix.UnionOf([]int64{5, 9, 404})
 	if got := union.Rows(); len(got) != 3 {
@@ -188,11 +188,7 @@ func TestQuickBitmapIndexEquivalence(t *testing.T) {
 				want = append(want, i)
 			}
 		}
-		bm := ix.Lookup(key)
-		if bm == nil {
-			return len(want) == 0
-		}
-		got := bm.Rows()
+		got := ix.UnionOf([]int64{key}).Rows()
 		if len(got) != len(want) {
 			return false
 		}
@@ -310,7 +306,7 @@ func TestBitmapIndexUpTo(t *testing.T) {
 		t.Errorf("keys %v nulls %d, want %v nulls %d", got.Keys(), got.Nulls().Count(), want.Keys(), want.Nulls().Count())
 	}
 	for _, k := range want.Keys() {
-		if !got.Lookup(k).Equal(want.Lookup(k)) {
+		if !got.UnionOf([]int64{k}).Equal(want.UnionOf([]int64{k})) {
 			t.Errorf("key %d rows differ", k)
 		}
 	}
@@ -333,7 +329,7 @@ func TestCodeIndex(t *testing.T) {
 		t.Errorf("Keys = %v, want [0 2 3]", ix.Keys())
 	}
 	for key, rows := range map[int64][]int{0: {3}, 2: {0, 2}, 3: {4}} {
-		if got := ix.Lookup(key).Rows(); !reflect.DeepEqual(got, rows) {
+		if got := ix.UnionOf([]int64{key}).Rows(); !reflect.DeepEqual(got, rows) {
 			t.Errorf("code %d: rows %v, want %v", key, got, rows)
 		}
 	}
@@ -345,29 +341,40 @@ func TestCodeIndex(t *testing.T) {
 	}
 }
 
-// TestAndAnyAndAppendIDs: AndAny keeps the rows set in b and in any of
-// the others and leaves the others alone; AppendIDs lists what Rows
-// lists.
+// TestAndAnyAndAppendIDs: Merge.AndAny keeps the rows set by every
+// call, each call the rows of its keys (plus the NULL rows when asked),
+// and leaves the indexes alone; AppendIDs lists what Rows lists.
 func TestAndAnyAndAppendIDs(t *testing.T) {
-	b, x, y := NewBitmap(200), NewBitmap(200), NewBitmap(200)
-	for i := 0; i < 200; i += 3 {
-		b.Set(i)
+	const n = 200
+	every3, parity := make([]int64, n), make([]int64, n)
+	nulls := make([]bool, n)
+	for i := range every3 {
+		every3[i], parity[i] = int64(i%3), int64(i%2)
 	}
-	x.Set(3)
-	x.Set(64)
-	y.Set(150)
-	y.Set(199)
-	xw, yw := x.Clone(), y.Clone()
-	b.AndAny([]*Bitmap{x, y})
-	if got := b.AppendIDs(nil); !reflect.DeepEqual(got, []int32{3, 150}) {
-		t.Errorf("AndAny rows %v, want [3 150]", got)
+	nulls[150] = true
+	a, p := BuildBitmapIndex(every3, make([]bool, n)), BuildBitmapIndex(parity, nulls)
+	before := p.UnionOf([]int64{0, 1})
+	var m Merge
+	if m.Result() != nil {
+		t.Fatal("a result before the first AndAny")
 	}
-	if !x.Equal(xw) || !y.Equal(yw) {
-		t.Error("AndAny wrote to an operand")
+	m.AndAny(a, []int64{0, 404}, false) // rows 0, 3, 6, …
+	m.AndAny(p, []int64{1}, true)       // odd rows and row 150
+	var want []int32
+	for i := int32(0); i < n; i++ {
+		if i%3 == 0 && (i%2 == 1 || i == 150) {
+			want = append(want, i)
+		}
 	}
-	b.AndAny(nil)
-	if b.Count() != 0 {
-		t.Error("AndAny with no operand must empty the bitmap")
+	if got := m.Result().AppendIDs(nil); !reflect.DeepEqual(got, want) {
+		t.Errorf("AndAny rows %v, want %v", got, want)
+	}
+	if !p.UnionOf([]int64{0, 1}).Equal(before) {
+		t.Error("AndAny wrote to an index")
+	}
+	m.AndAny(a, nil, false)
+	if m.Result().Count() != 0 {
+		t.Error("AndAny with no key must empty the result")
 	}
 	if NewBitmap(5).Equal(NewBitmap(6)) {
 		t.Error("bitmaps of different capacity compare equal")

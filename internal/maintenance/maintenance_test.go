@@ -349,7 +349,17 @@ func TestWarmEngineEqualsColdAfterRefresh(t *testing.T) {
 	const demo = `SELECT cd_demo_sk, cd_education_status FROM customer_demographics
 			WHERE cd_education_status IN ('Unknown', 'Revised 1', 'Revised 2') AND cd_marital_status = 'W'
 			AND cd_gender = 'M' AND cd_credit_rating = 'High Risk'`
-	checked := append(queries, lookup, demo)
+	// A star over catalog_sales with two filtered dimensions. The fact's
+	// foreign-key indexes are warmed as the load test warms them, and
+	// every refresh deletes and inserts catalog_sales rows and revises
+	// item, so the warm engine must rebuild what it cached.
+	const star = `SELECT cs_order_number, cs_item_sk, i_item_id, d_date FROM catalog_sales, item, date_dim
+			WHERE cs_item_sk = i_item_sk AND cs_sold_date_sk = d_date_sk AND d_year = 2000 AND d_moy = 12
+			AND i_category IN ('Music', 'Books', 'Home')`
+	for _, fk := range warm.DB().Table("catalog_sales").Def.ForeignKeys {
+		warm.WarmBitmapIndex("catalog_sales", fk.Column)
+	}
+	checked := append(queries, lookup, demo, star)
 	warm.SetProfiling(true)
 	run := func(eng *exec.Engine, q string) *exec.Result {
 		t.Helper()
@@ -420,6 +430,15 @@ func TestWarmEngineEqualsColdAfterRefresh(t *testing.T) {
 		}
 		if reg.Counter("exec_hash_build_rows").Value() == before {
 			t.Errorf("refresh %d: the lookup probed an index the refresh outdated", refresh)
+		}
+		_, tr, err = warm.QueryTraced(star)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps = map[string]bool{}
+		tr.Profile.Walk(func(n *obs.OpProfile) { steps[n.Name] = true })
+		if !steps["star catalog_sales"] {
+			t.Fatalf("refresh %d: the catalog_sales query did not run as a star\n%s", refresh, tr.Profile)
 		}
 		rows, read := runDemo()
 		if read == 0 {
