@@ -379,52 +379,11 @@ func BenchmarkMetricQphDS(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Ablation: star transformation vs hash joins across dimension
-// selectivity — locating the crossover of §2.1.
-// ---------------------------------------------------------------------
-
-func BenchmarkAblationStarVsHashJoin(b *testing.B) {
-	cases := []struct {
-		name string
-		// manager range width controls item-dimension selectivity.
-		managers int
-		months   string
-	}{
-		{"selective", 5, "AND d_moy = 12 AND d_year = 2000"},
-		{"medium", 30, "AND d_year = 2000"},
-		{"broad", 100, ""},
-	}
-	for _, c := range cases {
-		q := fmt.Sprintf(`SELECT i_brand, SUM(ss_ext_sales_price) r
-			FROM store_sales, item, date_dim
-			WHERE ss_item_sk = i_item_sk AND ss_sold_date_sk = d_date_sk
-			  AND i_manager_id BETWEEN 1 AND %d %s
-			GROUP BY i_brand ORDER BY r DESC LIMIT 10`, c.managers, c.months)
-		for _, mode := range []plan.Mode{plan.ForceHashJoin, plan.ForceStar} {
-			b.Run(fmt.Sprintf("%s/%s", c.name, mode), func(b *testing.B) {
-				e := engine()
-				e.SetMode(mode)
-				defer e.SetMode(plan.Auto)
-				// Warm indexes outside the timed region.
-				if _, err := e.Query(q); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := e.Query(q); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// ---------------------------------------------------------------------
 // Ablation: serial vs morsel-parallel execution — the same multi-join
 // and aggregation queries with the morsel executor off (1 worker) and
-// on (all cores). Results are bit-identical in both configurations; the
-// ratio of the two timings is the intra-query speedup.
+// on (GOMAXPROCS workers). Results are bit-identical in both
+// configurations; the ratio of the two timings is the intra-query
+// speedup.
 // ---------------------------------------------------------------------
 
 func BenchmarkParallelVsSerial(b *testing.B) {
@@ -447,7 +406,7 @@ func BenchmarkParallelVsSerial(b *testing.B) {
 			FROM store_sales GROUP BY ss_store_sk ORDER BY s DESC`},
 	}
 	for _, c := range cases {
-		for _, workers := range []int{1, 0} { // 1 = serial, 0 = all cores
+		for _, workers := range []int{1, 0} { // 1 = serial, 0 = GOMAXPROCS
 			label := "serial"
 			if workers != 1 {
 				label = "parallel"
@@ -569,86 +528,5 @@ func BenchmarkDataMaintenanceRun(b *testing.B) {
 		if len(stats.Ops) != 12 {
 			b.Fatalf("expected 12 operations, got %d", len(stats.Ops))
 		}
-	}
-}
-
-// ---------------------------------------------------------------------
-// Ablation: statistics-based vs heuristic selectivity estimation. The
-// load test gathers statistics (§5.2) because skewed TPC-DS data makes
-// fixed heuristics misjudge dimension filters; the metric here is the
-// relative estimation error of the filtered date_dim cardinality.
-// ---------------------------------------------------------------------
-
-func BenchmarkAblationStatsVsHeuristics(b *testing.B) {
-	e := engine()
-	q := `SELECT COUNT(*) c FROM store_sales, date_dim
-	      WHERE ss_sold_date_sk = d_date_sk AND d_year = 2000 AND d_moy = 12`
-	trueRows := 31.0 // December 2000 has 31 qualifying date_dim rows
-	estimate := func(useStats bool) float64 {
-		e.SetUseStatistics(useStats)
-		defer e.SetUseStatistics(true)
-		if _, err := e.Query(q); err != nil {
-			b.Fatal(err)
-		}
-		for _, tt := range e.LastTrace().Tables {
-			if tt.Binding == "date_dim" {
-				return tt.Estimate
-			}
-		}
-		return 0
-	}
-	var withStats, withHeuristics float64
-	for i := 0; i < b.N; i++ {
-		withStats = estimate(true)
-		withHeuristics = estimate(false)
-	}
-	relErr := func(est float64) float64 {
-		d := est - trueRows
-		if d < 0 {
-			d = -d
-		}
-		return d / trueRows
-	}
-	b.ReportMetric(relErr(withStats), "stats_rel_err")
-	b.ReportMetric(relErr(withHeuristics), "heuristic_rel_err")
-}
-
-// ---------------------------------------------------------------------
-// Ablation: greedy heuristic vs cost-based join planning, head-to-head
-// per template ("when greedy beats optimal" is an empirical question).
-// Both planners return bit-identical results for every template
-// (TestCostEqualsGreedyAllTemplates); this measures whether the
-// searched orders, the plan cache, decorrelation and CSE actually buy
-// latency. Each template is instantiated once outside the timed region
-// so the loop measures planning + execution, with the plan cache in
-// steady state from the second iteration — the 99-template ×
-// substitution workload the cache is built for.
-// ---------------------------------------------------------------------
-
-func BenchmarkAblationGreedyVsCost(b *testing.B) {
-	for _, pk := range []plan.PlannerKind{plan.Greedy, plan.CostBased} {
-		b.Run(pk.String(), func(b *testing.B) {
-			e := engine()
-			e.SetPlanner(pk)
-			defer e.SetPlanner(plan.CostBased)
-			for _, tpl := range queries.All() {
-				text, err := qgen.Instantiate(tpl, qgen.StreamSeed(1, 0, tpl.ID))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.Run(fmt.Sprintf("q%02d", tpl.ID), func(b *testing.B) {
-					// Warm indexes, statistics, and the plan cache.
-					if _, err := e.Query(text); err != nil {
-						b.Fatal(err)
-					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, err := e.Query(text); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		})
 	}
 }

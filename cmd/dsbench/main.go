@@ -5,7 +5,6 @@
 // Usage:
 //
 //	dsbench -sf 0.01 -streams 2 -seed 1
-//	dsbench -sf 0.01 -mode star        # force the star transformation
 //	dsbench -sf 0.01 -queries 1,20,52  # development subset
 //	dsbench -sf 0.01 -trace out.json   # Chrome/Perfetto timeline of the run
 //	dsbench -sf 0.01 -metrics -pprof ./prof
@@ -23,7 +22,6 @@ import (
 	"tpcds/internal/driver"
 	"tpcds/internal/metric"
 	"tpcds/internal/obs"
-	"tpcds/internal/plan"
 	"tpcds/internal/qgen"
 	"tpcds/internal/queries"
 )
@@ -32,9 +30,12 @@ import (
 // the process exit code is decided.
 func main() { os.Exit(run()) }
 
+// slowestShown is how many of the slowest queries the report lists.
+const slowestShown = 10
+
 // writeDigest emits one sorted line per query — run, stream, template,
-// row count, and result checksum — so two runs (e.g. -planner cost vs
-// -planner greedy) can be compared with a plain diff.
+// row count, and result checksum — so two runs (e.g. -parallelism 1 vs
+// -parallelism 4) can be compared with a plain diff.
 func writeDigest(path string, queries []driver.QueryTiming) error {
 	lines := make([]string, 0, len(queries))
 	for _, qt := range queries {
@@ -49,14 +50,12 @@ func run() int {
 	sf := flag.Float64("sf", 0.01, "scale factor")
 	streams := flag.Int("streams", 0, "query streams (0 = Figure 12 minimum)")
 	seed := flag.Uint64("seed", 1, "benchmark seed")
-	mode := flag.String("mode", "auto", "plan mode: auto|hash|star")
 	querySubset := flag.String("queries", "", "comma-separated template ids (development only)")
 	hw := flag.Float64("hw", 250000, "hardware cost (USD)")
 	sw := flag.Float64("sw", 150000, "software cost (USD)")
 	maint := flag.Float64("maint", 100000, "3-year maintenance cost (USD)")
-	topN := flag.Int("top", 10, "slowest queries to report")
 	dataDir := flag.String("data", "", "load from dsdgen flat files instead of generating")
-	parallelism := flag.Int("parallelism", 0, "morsel workers per query (0 = all cores, 1 = serial)")
+	parallelism := flag.Int("parallelism", 0, "morsel workers per query (0 = GOMAXPROCS, 1 = serial)")
 	runAudit := flag.Bool("audit", false, "audit the database after the benchmark (TPC audit checks)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline (0 = none), e.g. 30s")
 	onError := flag.String("on-error", driver.OnErrorAbort,
@@ -65,15 +64,13 @@ func run() int {
 	metrics := flag.Bool("metrics", false, "collect engine/driver metrics and append the dump to the report")
 	pprofDir := flag.String("pprof", "", "write cpu.pprof and heap.pprof into this directory")
 	maxConcurrent := flag.Int("max-concurrent", 0, "cap queries in flight across all streams (0 = no cap)")
-	planner := flag.String("planner", "cost", "join planner: cost (statistics + plan cache) or greedy (fixed heuristic baseline)")
-	digestOut := flag.String("digest", "", "write per-query result checksums to this file (for cross-planner diffing)")
+	digestOut := flag.String("digest", "", "write per-query result checksums to this file (for diffing two runs)")
 	feedback := flag.Bool("feedback", false, "profile every query and dump the per-template estimate-vs-actual worst offenders")
 	flag.Parse()
 
 	cfg := driver.Config{
 		SF: *sf, Streams: *streams, Seed: *seed,
-		DataDir: *dataDir, Parallelism: *parallelism,
-		Planner: *planner, Digest: *digestOut != "",
+		DataDir: *dataDir, Parallelism: *parallelism, Digest: *digestOut != "",
 		QueryTimeout: *timeout, OnError: *onError, MaxConcurrent: *maxConcurrent,
 		Price: metric.PriceModel{HardwareUSD: *hw, SoftwareUSD: *sw, MaintenanceUSD: *maint},
 	}
@@ -99,17 +96,6 @@ func run() int {
 				fmt.Fprintf(os.Stderr, "dsbench: %v\n", err)
 			}
 		}()
-	}
-	switch *mode {
-	case "auto":
-		cfg.Mode = plan.Auto
-	case "hash":
-		cfg.Mode = plan.ForceHashJoin
-	case "star":
-		cfg.Mode = plan.ForceStar
-	default:
-		fmt.Fprintf(os.Stderr, "dsbench: unknown mode %q\n", *mode)
-		return 2
 	}
 	if *querySubset != "" {
 		for _, part := range strings.Split(*querySubset, ",") {
@@ -185,7 +171,7 @@ func run() int {
 	}
 
 	fmt.Printf("\nSlowest queries:\n")
-	for _, qt := range res.SlowestQueries(*topN) {
+	for _, qt := range res.SlowestQueries(slowestShown) {
 		name, class := "(unknown)", "-"
 		if t, err := queries.ByID(qt.QueryID); err == nil {
 			name, class = t.Name, qgen.ClassOf(t).String()

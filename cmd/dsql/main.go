@@ -21,7 +21,6 @@ import (
 	"tpcds/internal/datagen"
 	"tpcds/internal/exec"
 	"tpcds/internal/obs"
-	"tpcds/internal/plan"
 )
 
 // main defers to run so the pprof stop and trace flush execute before
@@ -32,33 +31,12 @@ func run() int {
 	sf := flag.Float64("sf", 0.001, "scale factor")
 	seed := flag.Uint64("seed", 1, "generation seed")
 	query := flag.String("e", "", "query text (default: read stdin)")
-	mode := flag.String("mode", "auto", "plan mode: auto|hash|star")
-	explain := flag.Bool("explain", false, "print the optimizer decision after execution")
-	parallelism := flag.Int("parallelism", 0, "morsel workers (0 = all cores, 1 = serial)")
-	planner := flag.String("planner", "cost", "join planner: cost (statistics + plan cache) or greedy (fixed heuristic baseline)")
+	parallelism := flag.Int("parallelism", 0, "morsel workers (0 = GOMAXPROCS, 1 = serial)")
 	timeout := flag.Duration("timeout", 0, "query deadline (0 = none), e.g. 30s")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event timeline of the query to this file")
 	metrics := flag.Bool("metrics", false, "print the engine metrics dump after the query")
 	pprofDir := flag.String("pprof", "", "write cpu.pprof and heap.pprof into this directory")
 	flag.Parse()
-
-	var pm plan.Mode
-	switch *mode {
-	case "auto":
-		pm = plan.Auto
-	case "hash":
-		pm = plan.ForceHashJoin
-	case "star":
-		pm = plan.ForceStar
-	default:
-		fmt.Fprintf(os.Stderr, "dsql: unknown mode %q\n", *mode)
-		return 2
-	}
-	pk, err := plan.ParsePlanner(*planner)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "dsql: %v\n", err)
-		return 2
-	}
 
 	text := *query
 	if text == "" {
@@ -109,8 +87,6 @@ func run() int {
 	gen.SetObservability(loadSp, reg)
 	eng := exec.New(gen.GenerateAll())
 	loadSp.End()
-	eng.SetMode(pm)
-	eng.SetPlanner(pk)
 	eng.SetParallelism(*parallelism)
 	eng.SetMetrics(reg)
 	eng.SetProfiling(analyze)
@@ -147,9 +123,6 @@ func run() int {
 		fmt.Print(res.String())
 	}
 	fmt.Fprintf(os.Stderr, "%d rows in %v\n", len(res.Rows), time.Since(start).Round(time.Microsecond))
-	if *explain && !analyze {
-		fmt.Fprint(os.Stderr, tr.String())
-	}
 	if reg != nil {
 		if err := reg.WriteText(os.Stderr); err != nil {
 			fmt.Fprintf(os.Stderr, "dsql: %v\n", err)

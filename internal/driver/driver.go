@@ -23,7 +23,6 @@ import (
 	"tpcds/internal/maintenance"
 	"tpcds/internal/metric"
 	"tpcds/internal/obs"
-	"tpcds/internal/plan"
 	"tpcds/internal/qgen"
 	"tpcds/internal/queries"
 	"tpcds/internal/schema"
@@ -41,17 +40,10 @@ type Config struct {
 	Streams int
 	// Seed drives data generation and query substitution.
 	Seed uint64
-	// Mode constrains the engine's physical strategy (ablations).
-	Mode plan.Mode
-	// Planner selects the engine's join planner: "cost" (or empty, the
-	// default) for the statistics-driven cost-based planner with plan
-	// cache, "greedy" for the fixed-heuristic baseline. Results are
-	// bit-identical under either; only plan quality differs.
-	Planner string
 	// Digest computes a deterministic FNV-1a checksum of every query's
 	// result (all values, row order included) into
-	// QueryTiming.Checksum. CI diffs digests across planner settings to
-	// prove plan changes never change results.
+	// QueryTiming.Checksum. CI diffs the digests of a serial and a
+	// 4-worker run to prove the worker count never changes results.
 	Digest bool
 	// QueryIDs selects a template subset; empty means all 99. Subset
 	// runs are development-only (the metric requires the full set).
@@ -60,8 +52,8 @@ type Config struct {
 	// instead of generating it in-process — the official load-test
 	// input path. The files must match the configured scale factor.
 	DataDir string
-	// Parallelism is the engine's morsel worker count: 0 uses every
-	// core, 1 forces serial execution. Results are identical at every
+	// Parallelism is the engine's morsel worker count: 0 uses
+	// GOMAXPROCS workers, 1 forces serial execution. Results are identical at every
 	// setting.
 	Parallelism int
 	// MorselRows overrides the engine's scan morsel size (development
@@ -179,10 +171,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.MaxConcurrent < 0 {
 		return nil, fmt.Errorf("driver: negative MaxConcurrent")
 	}
-	planner, err := plan.ParsePlanner(cfg.Planner)
-	if err != nil {
-		return nil, fmt.Errorf("driver: %w", err)
-	}
 	tpl, err := selectTemplates(cfg.QueryIDs)
 	if err != nil {
 		return nil, err
@@ -209,8 +197,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		db = gen.GenerateAll()
 	}
 	eng := exec.New(db)
-	eng.SetMode(cfg.Mode)
-	eng.SetPlanner(planner)
 	eng.SetParallelism(cfg.Parallelism)
 	eng.SetMorselSize(cfg.MorselRows)
 	eng.SetQueryHook(cfg.QueryHook)
@@ -499,8 +485,8 @@ func runOneQuery(ctx context.Context, eng *exec.Engine, cfg Config, streamSp *ob
 // resultChecksum digests a query result — column names, then every
 // value of every row in order — with FNV-1a. Byte-identical results
 // (including row order) produce equal checksums, so diffing digests
-// across planner or parallelism settings proves result equality
-// without retaining the rows.
+// across parallelism settings proves result equality without retaining
+// the rows.
 func resultChecksum(r *exec.Result) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)

@@ -6,7 +6,6 @@ import (
 
 	"tpcds/internal/datagen"
 	"tpcds/internal/metric"
-	"tpcds/internal/plan"
 	"tpcds/internal/storage"
 )
 
@@ -121,36 +120,6 @@ func TestBadConfig(t *testing.T) {
 	}
 	if _, err := Run(Config{SF: 0.001, QueryIDs: []int{1234}}); err == nil {
 		t.Error("unknown query id should fail")
-	}
-}
-
-func TestModesProduceIdenticalRowCounts(t *testing.T) {
-	// The optimizer-correctness check at the benchmark level: forcing
-	// either physical strategy must not change any query's result size.
-	base := tinyCfg()
-	base.Streams = 1
-	base.Mode = plan.ForceHashJoin
-	hash, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base.Mode = plan.ForceStar
-	star, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := func(r *Result) map[[3]int]int {
-		m := map[[3]int]int{}
-		for _, qt := range r.Queries {
-			m[[3]int{qt.Run, qt.Stream, qt.QueryID}] = qt.Rows
-		}
-		return m
-	}
-	h, s := rows(hash), rows(star)
-	for k, v := range h {
-		if s[k] != v {
-			t.Errorf("query %v: hash rows %d vs star rows %d", k, v, s[k])
-		}
 	}
 }
 

@@ -13,45 +13,142 @@ import (
 	"tpcds/internal/plan"
 	"tpcds/internal/qgen"
 	"tpcds/internal/queries"
+	"tpcds/internal/storage"
 )
 
 var updateGoldens = flag.Bool("update", false, "rewrite the plan-snapshot golden file")
 
-// TestCostEqualsGreedyAllTemplates is the order-safety differential:
-// the cost-based planner — join-order search, plan cache, subquery
-// decorrelation, and CSE all active — must produce bit-identical
-// results to the greedy baseline for every one of the 99 templates,
-// serially and under the morsel executor.
-func TestCostEqualsGreedyAllTemplates(t *testing.T) {
+// referenceEngine returns an engine in the rewrite-free reference
+// configuration production is held to: the greedy join order, no
+// decorrelation, no CSE memo, no join-order search or plan cache, and
+// hash joins only; serial.
+func referenceEngine(db *storage.DB) *Engine {
+	e := New(db)
+	e.reference = true
+	e.SetParallelism(1)
+	return e
+}
+
+// referenceCases are statements over templateDB that reach what the
+// 99 templates never do there: the CSE memo (no template repeats a
+// subquery or a CTE body; these repeat both, identically and with one
+// literal changed), a star transformation with fact-local and residual
+// predicates, and a star over a CTE dimension, whose surrogate keys are
+// not its row numbers plus one as in every generated dimension.
+var referenceCases = []string{
+	`SELECT COUNT(*) c FROM item
+		WHERE i_current_price > (SELECT AVG(i_current_price) a FROM item WHERE i_category = 'Music')
+		AND i_wholesale_cost < (SELECT AVG(i_current_price) a FROM item WHERE i_category = 'Books')
+		AND i_wholesale_cost > (SELECT AVG(i_current_price) a FROM item WHERE i_category = 'Music') / 4`,
+	`SELECT COUNT(*) c FROM item
+		WHERE i_current_price > (WITH t AS (SELECT i_current_price p FROM item WHERE i_category = 'Music') SELECT AVG(p) a FROM t)
+		AND i_wholesale_cost < (WITH t AS (SELECT i_current_price p FROM item WHERE i_category = 'Books') SELECT AVG(p) a FROM t)
+		AND i_wholesale_cost > (WITH t AS (SELECT i_current_price p FROM item WHERE i_category = 'Music') SELECT MIN(p) a FROM t)`,
+	`SELECT ss_ticket_number, ss_quantity, i_item_id, d_date FROM store_sales, item, date_dim
+		WHERE ss_item_sk = i_item_sk AND ss_sold_date_sk = d_date_sk
+		AND d_year IN (1999, 2000, 2001, 2002) AND d_moy IN (11, 12) AND i_category IN ('Music', 'Books', 'Home', 'Sports')
+		AND ss_quantity > 20 AND ss_sales_price < i_current_price
+		ORDER BY ss_ticket_number, i_item_id`,
+	`WITH dec AS (SELECT d_date_sk, d_date FROM date_dim WHERE d_moy = 12 AND d_year IN (1999, 2000, 2001, 2002))
+		SELECT ss_ticket_number, i_item_id, d_date FROM store_sales, item, dec
+		WHERE ss_item_sk = i_item_sk AND ss_sold_date_sk = d_date_sk AND i_category IN ('Music', 'Books', 'Home', 'Sports')
+		ORDER BY ss_ticket_number, i_item_id`,
+}
+
+// TestPlannedEqualsReferenceAllTemplates is the order-safety
+// differential: production planning — join-order search, plan cache,
+// subquery decorrelation, CSE and the cost model's star choice — must
+// produce bit-identical results to the reference for every one of the
+// 99 templates and referenceCases: serially, on four workers, and with
+// the star transformation forced wherever the shape permits.
+func TestPlannedEqualsReferenceAllTemplates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("all-99 planner differential skipped in -short")
 	}
 	db := templateDB()
-	greedy := New(db)
-	greedy.SetPlanner(plan.Greedy)
-	greedy.SetParallelism(1)
-	costSerial := New(db) // cost-based is the default planner
-	costSerial.SetParallelism(1)
-	costPar := parallelEngine(New(db))
+	ref := referenceEngine(db)
+	serial := New(db)
+	serial.SetParallelism(1)
+	par := parallelEngine(New(db))
+	star := New(db)
+	star.SetParallelism(1)
+	star.SetMode(plan.ForceStar)
+	var labels, texts []string
 	for _, tpl := range queries.All() {
 		text, err := qgen.Instantiate(tpl, qgen.StreamSeed(1, 0, tpl.ID))
 		if err != nil {
 			t.Fatalf("query %d: %v", tpl.ID, err)
 		}
-		want, err := greedy.Query(text)
+		labels, texts = append(labels, fmt.Sprintf("query %d", tpl.ID)), append(texts, text)
+	}
+	for i, text := range referenceCases {
+		labels, texts = append(labels, fmt.Sprintf("case %d", i)), append(texts, text)
+	}
+	for i, text := range texts {
+		want, err := ref.Query(text)
 		if err != nil {
-			t.Fatalf("query %d greedy: %v", tpl.ID, err)
+			t.Fatalf("%s reference: %v", labels[i], err)
 		}
-		got, err := costSerial.Query(text)
+		for _, c := range []struct {
+			name string
+			eng  *Engine
+		}{{"serial", serial}, {"4 workers", par}, {"force-star", star}} {
+			got, err := c.eng.Query(text)
+			if err != nil {
+				t.Fatalf("%s %s: %v", labels[i], c.name, err)
+			}
+			assertSameResult(t, labels[i]+" "+c.name, want, got)
+		}
+	}
+	// The cases reach what they are there for, with rows to compare.
+	for i, text := range referenceCases {
+		res, tr, err := serial.QueryTraced(text)
 		if err != nil {
-			t.Fatalf("query %d cost serial: %v", tpl.ID, err)
+			t.Fatal(err)
 		}
-		assertSameResult(t, fmt.Sprintf("query %d cost serial", tpl.ID), want, got)
-		got, err = costPar.Query(text)
+		switch {
+		case len(res.Rows) == 0:
+			t.Errorf("case %d: an empty result proves nothing", i)
+		case i < 2 && tr.CSEHits == 0:
+			t.Errorf("case %d: no subquery or CTE answered from the CSE memo", i)
+		case i >= 2 && tr.Strategy != plan.StarTransform:
+			t.Errorf("case %d: ran as %v, not as a star", i, tr.Strategy)
+		}
+	}
+}
+
+// BenchmarkStarVsHashAllTemplates is the §2.1 ablation: one pass over
+// the 99 templates on templateDB per iteration, under the production
+// Auto choice and with either strategy forced through SetMode. Every
+// engine is warmed by one untimed pass (indexes, statistics, plans).
+// EXPERIMENTS.md records the same comparison at SF 0.01 and 0.1.
+func BenchmarkStarVsHashAllTemplates(b *testing.B) {
+	var texts []string
+	for _, tpl := range queries.All() {
+		text, err := qgen.Instantiate(tpl, qgen.StreamSeed(1, 0, tpl.ID))
 		if err != nil {
-			t.Fatalf("query %d cost parallel: %v", tpl.ID, err)
+			b.Fatalf("query %d: %v", tpl.ID, err)
 		}
-		assertSameResult(t, fmt.Sprintf("query %d cost parallel", tpl.ID), want, got)
+		texts = append(texts, text)
+	}
+	for _, mode := range []plan.Mode{plan.Auto, plan.ForceHashJoin, plan.ForceStar} {
+		b.Run(mode.String(), func(b *testing.B) {
+			e := New(templateDB())
+			e.SetParallelism(1)
+			e.SetMode(mode)
+			pass := func() {
+				for _, text := range texts {
+					if _, err := e.Query(text); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			pass()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pass()
+			}
+		})
 	}
 }
 
@@ -160,19 +257,17 @@ func TestPlanCacheInvalidation(t *testing.T) {
 }
 
 // TestDecorrelationAndCSEObservable checks the rewrites actually fire
-// and stay result-neutral: an IN-subquery decorrelates under the cost
-// planner, a repeated scalar subquery is answered by the CSE memo, and
-// both match the greedy (rewrite-free) execution bit for bit.
+// and stay result-neutral: an IN-subquery decorrelates, a repeated
+// scalar subquery is answered by the CSE memo, and both match the
+// rewrite-free reference bit for bit.
 func TestDecorrelationAndCSEObservable(t *testing.T) {
 	db := randDB(11, 300, 12)
-	greedy := New(db)
-	greedy.SetPlanner(plan.Greedy)
-	greedy.SetParallelism(1)
+	ref := referenceEngine(db)
 	cost := New(db)
 	cost.SetParallelism(1)
 
 	q := `SELECT f_o FROM f WHERE f_k IN (SELECT d_k FROM d WHERE d_g < 3) ORDER BY f_o`
-	want, err := greedy.Query(q)
+	want, err := ref.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +281,7 @@ func TestDecorrelationAndCSEObservable(t *testing.T) {
 	assertSameResult(t, "decorrelated IN", want, got)
 
 	q = `SELECT COUNT(*) c FROM f WHERE f_m > (SELECT AVG(f_m) a FROM f) AND f_v > (SELECT AVG(f_m) a FROM f)`
-	want, err = greedy.Query(q)
+	want, err = ref.Query(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package exec implements the query executor: binding of parsed SQL
 // against the storage catalog, the two physical join strategies of §2.1
-// (hash-join pipeline and bitmap star transformation, chosen by package
-// plan), hash aggregation, windowed aggregates, sorting and set
-// operations. The engine is safe for concurrent queries, which the
+// (hash-join pipeline and bitmap star transformation, chosen by the
+// engine's cost model in package plan), hash aggregation, windowed
+// aggregates, sorting and set operations. The engine is safe for concurrent queries, which the
 // execution rules require (§5.2: multiple concurrent query streams).
 package exec
 
@@ -19,11 +19,21 @@ import (
 
 // Engine executes SQL against a storage database.
 type Engine struct {
-	db   *storage.DB
+	db *storage.DB
+
+	// mode forces a physical strategy for the tests that compare the
+	// two (SetMode); production runs plan.Auto.
 	mode plan.Mode
 
+	// reference selects the rewrite-free configuration the tests
+	// compare production against: the greedy join order, no
+	// Decorrelate, no CSE memo, no join-order search or plan cache, and
+	// hash joins only. Only internal/exec tests set it.
+	reference bool
+
 	// parallelism is the configured worker count for morsel-driven
-	// execution: 0 means runtime.NumCPU(), 1 forces the serial path.
+	// execution: 0 means runtime.GOMAXPROCS(0), 1 forces the serial
+	// path.
 	// morselRows overrides the scan morsel size (tests and benchmarks
 	// shrink it so development-scale tables still split into morsels);
 	// the predicate batch is never larger than a morsel (batchSize).
@@ -35,7 +45,7 @@ type Engine struct {
 	vecHook func(b *binder, e bexpr, fr *frame, sel []int32, v view, tri []int8)
 
 	// mu guards the lazily built caches below (hashIdx, bmIdx, valIdx,
-	// statsCache) plus lastDecision/lastTrace. Concurrent benchmark
+	// statsCache) plus lastTrace. Concurrent benchmark
 	// streams race to build the same index; mu makes the first build
 	// win and the rest reuse it. Every acquisition is mu.Lock() paired
 	// with an immediate defer mu.Unlock() in the same function, so no
@@ -47,20 +57,10 @@ type Engine struct {
 	valIdx     map[string]cachedBitmapIndex // "table.column" -> value bitmaps, nil ix: the column has too many values
 	statsCache map[statsKey]colStats
 
-	// planner selects the join planner: plan.CostBased (the default)
-	// searches join orders against the cost model and caches plans;
-	// plan.Greedy is the original fixed heuristic, kept as the
-	// differential baseline. Results are bit-identical either way.
-	planner plan.PlannerKind
-
 	// planCache memoizes cost-based join plans keyed by statement shape
 	// + planning inputs; it has its own internal lock (never taken while
 	// holding mu).
 	planCache *plan.Cache
-
-	// useHeuristicsOnly disables statistics-based selectivity (the
-	// stats-vs-heuristics ablation).
-	useHeuristicsOnly bool
 
 	// em holds resolved metric handles when a registry is installed via
 	// SetMetrics; nil disables executor metrics at the cost of one nil
@@ -79,10 +79,9 @@ type Engine struct {
 	// error, never a process crash).
 	queryHook func(query string)
 
-	// Explain hooks: the most recent strategy decision and execution
-	// trace, for tests and EXPLAIN-style reporting. Guarded by mu.
-	lastDecision plan.Decision
-	lastTrace    Trace
+	// lastTrace is the most recent query's execution trace, for tests
+	// and EXPLAIN-style reporting. Guarded by mu.
+	lastTrace Trace
 }
 
 // cachedHashIndex is one hash-index cache entry together with the
@@ -100,7 +99,8 @@ type cachedBitmapIndex struct {
 	epoch   uint64
 }
 
-// New returns an engine over db using automatic strategy selection.
+// New returns an engine over db: cost planning over gathered
+// statistics, with the strategy chosen by the cost model.
 func New(db *storage.DB) *Engine {
 	return &Engine{
 		db:         db,
@@ -108,22 +108,21 @@ func New(db *storage.DB) *Engine {
 		bmIdx:      map[string]cachedBitmapIndex{},
 		valIdx:     map[string]cachedBitmapIndex{},
 		statsCache: map[statsKey]colStats{},
-		planner:    plan.CostBased,
 		planCache:  plan.NewCache(),
 	}
 }
 
-// SetMode constrains the physical strategy (used by the ablation
-// benchmarks). Not safe to call concurrently with queries.
+// SetMode forces a physical strategy. It is the reference hook of the
+// tests that hold the star transformation and the hash pipeline to
+// bit-identical results (internal/exec, internal/maintenance) and of
+// the star-vs-hash ablation benchmark; production engines keep
+// plan.Auto. Not safe to call concurrently with queries.
 func (e *Engine) SetMode(m plan.Mode) { e.mode = m }
 
-// Mode returns the current strategy mode.
-func (e *Engine) Mode() plan.Mode { return e.mode }
-
 // SetParallelism configures the morsel worker count: 0 (the default)
-// resolves to runtime.NumCPU(), 1 forces serial execution, n > 1 uses n
-// workers. Results are bit-identical at every setting. Not safe to call
-// concurrently with queries.
+// resolves to runtime.GOMAXPROCS(0), 1 forces serial execution, n > 1
+// uses n workers. Results are bit-identical at every setting. Not safe
+// to call concurrently with queries.
 func (e *Engine) SetParallelism(n int) {
 	if n < 0 {
 		n = 0
@@ -145,30 +144,13 @@ func (e *Engine) SetMorselSize(n int) {
 	e.morselRows = n
 }
 
-// SetPlanner selects the join planner: plan.CostBased (the default)
-// estimates costs, searches join orders and caches plans; plan.Greedy
-// is the original fixed heuristic, kept as the differential baseline.
-// Results are bit-identical under either planner. Not safe to call
-// concurrently with queries.
-func (e *Engine) SetPlanner(k plan.PlannerKind) { e.planner = k }
-
-// Planner returns the active join planner kind.
-func (e *Engine) Planner() plan.PlannerKind { return e.planner }
-
-// PlanCacheStats returns the cost planner's plan-cache hit/miss
-// counters (both zero under the greedy planner).
+// PlanCacheStats returns the plan cache's hit/miss counters.
 func (e *Engine) PlanCacheStats() (hits, misses int64) { return e.planCache.Stats() }
-
-// SetUseStatistics toggles statistics-based selectivity estimation (on
-// by default); with it off the optimizer falls back to fixed textbook
-// heuristics — the stats-vs-heuristics ablation. Not safe to call
-// concurrently with queries.
-func (e *Engine) SetUseStatistics(on bool) { e.useHeuristicsOnly = !on }
 
 // SetProfiling toggles per-operator runtime accounting. With it on,
 // every query records actual rows in/out, batches, morsels, wall time
 // and peak scratch bytes per operator into Trace.Profile (the EXPLAIN
-// ANALYZE surface); estimates from the cost planner ride along so the
+// ANALYZE surface); the planner's estimates ride along so the
 // profile reports per-operator q-error. Profiling never changes
 // results (the differential tests run with it on to prove it). Not
 // safe to call concurrently with queries.
@@ -186,20 +168,6 @@ func (e *Engine) SetQueryHook(h func(query string)) { e.queryHook = h }
 
 // DB exposes the underlying database (used by data maintenance).
 func (e *Engine) DB() *storage.DB { return e.db }
-
-// LastDecision returns the optimizer decision of the most recent star-
-// eligible query (diagnostic).
-func (e *Engine) LastDecision() plan.Decision {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.lastDecision
-}
-
-func (e *Engine) setDecision(d plan.Decision) {
-	e.mu.Lock()
-	e.lastDecision = d
-	e.mu.Unlock()
-}
 
 // InvalidateIndexes drops cached indexes for a table; the data
 // maintenance workload calls this after modifying a table ("the data

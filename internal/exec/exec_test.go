@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -170,7 +171,10 @@ func TestStarEqualsHash(t *testing.T) {
 
 	eStar := New(miniDB())
 	eStar.SetMode(plan.ForceStar)
-	starRes := q(t, eStar, query)
+	starRes, tr, err := eStar.QueryTraced(query)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if len(hashRes.Rows) != len(starRes.Rows) {
 		t.Fatalf("hash %d rows vs star %d rows", len(hashRes.Rows), len(starRes.Rows))
@@ -183,8 +187,8 @@ func TestStarEqualsHash(t *testing.T) {
 			}
 		}
 	}
-	if eStar.LastDecision().Strategy != plan.StarTransform {
-		t.Errorf("star engine decided %v", eStar.LastDecision())
+	if tr.Decision.Strategy != plan.StarTransform {
+		t.Errorf("star engine decided %v", tr.Decision)
 	}
 }
 
@@ -718,38 +722,25 @@ func TestStatisticsImproveEstimates(t *testing.T) {
 		WHERE s_date_sk = d_date_sk AND d_year = 2000 AND d_moy = 11`
 	actual := 1.0 // one dates row matches (2000, 11)
 
-	withStats := New(db)
-	if _, err := withStats.Query(q); err != nil {
+	e := New(db)
+	if _, err := e.Query(q); err != nil {
 		t.Fatal(err)
 	}
-	var estWith float64
-	for _, tt := range withStats.LastTrace().Tables {
+	estWith := -1.0
+	for _, tt := range e.LastTrace().Tables {
 		if tt.Binding == "dates" {
 			estWith = tt.Estimate
 		}
 	}
+	if estWith < 0 {
+		t.Fatal("no estimate for dates in the trace")
+	}
+	// What the textbook heuristics alone would estimate: two equality
+	// predicates on the dates rows.
+	eq := plan.EstimateFilterSelectivity("eq")
+	estWithout := float64(db.Table("dates").NumRows()) * eq * eq
 
-	noStats := New(db)
-	noStats.SetUseStatistics(false)
-	if _, err := noStats.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	var estWithout float64
-	for _, tt := range noStats.LastTrace().Tables {
-		if tt.Binding == "dates" {
-			estWithout = tt.Estimate
-		}
-	}
-
-	errWith := estWith - actual
-	if errWith < 0 {
-		errWith = -errWith
-	}
-	errWithout := estWithout - actual
-	if errWithout < 0 {
-		errWithout = -errWithout
-	}
-	if errWith > errWithout {
+	if math.Abs(estWith-actual) > math.Abs(estWithout-actual) {
 		t.Errorf("stats estimate %.2f is farther from truth (%.0f) than heuristic %.2f",
 			estWith, actual, estWithout)
 	}

@@ -20,12 +20,13 @@ type leftJoin struct {
 
 // joinRows produces the joined base rows of a query as a rowSet: one
 // row-id vector per table instance (values are gathered later, where an
-// expression reads them). The join order comes from the active planner
-// — the greedy heuristic, or the cost-based search with its plan cache
-// — and the star-vs-hash choice from the plan package. Either way the
-// emitted rows are bit-identical: planning may change cost, never
-// results. The returned trace belongs to this call alone, so concurrent
-// streams never see each other's plans.
+// expression reads them). The join order comes from the cost-based
+// search with its plan cache, and the star-vs-hash choice from the cost
+// model (plan.ChooseCost). The tests' reference takes the greedy order
+// and hash joins; the emitted rows are bit-identical either way:
+// planning may change cost, never results. The returned trace belongs
+// to this call alone, so concurrent streams never see each other's
+// plans.
 func (e *Engine) joinRows(b *binder, stmt *sql.SelectStmt, filters []filterInfo, edges []joinEdge, residual []bexpr, lefts []leftJoin) (*rowSet, Trace, error) {
 	if len(b.tables) == 0 {
 		return nil, Trace{}, fmt.Errorf("no tables to join")
@@ -46,28 +47,22 @@ func (e *Engine) joinRows(b *binder, stmt *sql.SelectStmt, filters []filterInfo,
 		return nil, Trace{}, fmt.Errorf("all tables are left-joined")
 	}
 
-	planned := plan.Cached{Order: gOrder, Source: "greedy"}
-	costBased := e.planner == plan.CostBased
-	if costBased {
-		var hit bool
-		planned, hit = e.costPlan(b, stmt, filters, edges, isLeft, driver, gOrder, connected)
-		tr.PlanSource = planned.Source
-		if hit {
-			tr.PlanSource = "cache:" + planned.Source
-		}
-		tr.EstBaseRows = planned.EstRows
-	} else {
+	if e.reference {
 		tr.PlanSource = "greedy"
+		rows, order := e.executeJoinOrder(b, gOrder, nil, filters, edges, residual, lefts, &tr)
+		tr.JoinOrder = order
+		tr.BaseRows = rows.n
+		return rows, tr, nil
 	}
+	planned, hit := e.costPlan(b, stmt, filters, edges, isLeft, driver, gOrder, connected)
+	tr.PlanSource = planned.Source
+	if hit {
+		tr.PlanSource = "cache:" + planned.Source
+	}
+	tr.EstBaseRows = planned.EstRows
 
 	if shape, fact, dims, ok := e.starShape(b, filters, edges, lefts, &tr); ok {
-		var decision plan.Decision
-		if costBased {
-			decision = plan.ChooseCost(shape, planned.Cost, e.mode)
-		} else {
-			decision = plan.Choose(shape, e.mode)
-		}
-		e.setDecision(decision)
+		decision := plan.ChooseCost(shape, planned.Cost, e.mode)
 		tr.Decision = decision
 		if decision.Strategy == plan.StarTransform {
 			starEst := shape.CombinedSelectivity() * float64(shape.FactRows)
@@ -97,10 +92,9 @@ func tablePreds(ti int, filters []filterInfo) []bexpr {
 	return preds
 }
 
-// estimateFiltered estimates the filtered cardinality of a table. With
-// statistics enabled (the default), analyzable predicates use NDV and
-// min/max stats; other predicates — and everything when statistics are
-// disabled — use the plan package's fixed heuristics.
+// estimateFiltered estimates the filtered cardinality of a table:
+// analyzable predicates use NDV and min/max statistics, other
+// predicates the plan package's fixed heuristics.
 func (e *Engine) estimateFiltered(b *binder, ti int, filters []filterInfo) float64 {
 	est := float64(b.tableAt(ti).tab.NumRows())
 	for _, f := range filters {
@@ -108,7 +102,7 @@ func (e *Engine) estimateFiltered(b *binder, ti int, filters []filterInfo) float
 			continue
 		}
 		sel := -1.0
-		if !e.useHeuristicsOnly && f.hintOK {
+		if f.hintOK {
 			if s, ok := e.hintSelectivity(b, f.hint); ok {
 				sel = s
 			}
@@ -125,12 +119,12 @@ func (e *Engine) estimateFiltered(b *binder, ti int, filters []filterInfo) float
 // a 3NF DSS system are dominated by large hash-joins") over an explicit
 // join order — driver first, then each inner table hash-built on its
 // join columns and probed, every step appending one row-id vector.
-// Both planners produce orders satisfying the probe-major order
-// invariant, so execution needs no knowledge of which one planned.
-// stepEst carries the cost planner's per-step output estimates aligned
-// with order (stepEst[k] estimates the intermediate cardinality after
-// joining order[k]); nil under the greedy planner. Estimates feed only
-// the profile — execution never branches on them.
+// The search and the reference's greedy order both satisfy the
+// probe-major order invariant, so execution needs no knowledge of
+// which one planned. stepEst carries the planner's per-step output
+// estimates aligned with order (stepEst[k] estimates the intermediate
+// cardinality after joining order[k]); nil in the reference. Estimates
+// feed only the profile — execution never branches on them.
 func (e *Engine) executeJoinOrder(b *binder, order []int, stepEst []float64, filters []filterInfo, edges []joinEdge, residual []bexpr, lefts []leftJoin, tr *Trace) (*rowSet, []string) {
 	if len(order) == 0 {
 		panic("exec: empty join order")

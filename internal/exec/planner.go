@@ -11,8 +11,8 @@ import (
 	"tpcds/internal/storage"
 )
 
-// The cost-based planner's executor-side half: it derives the greedy
-// baseline order (also the execution path of the greedy planner),
+// The planner's executor-side half: it derives the greedy baseline
+// order (also the join order of the tests' rewrite-free reference),
 // classifies which tables the join-order search may move, builds the
 // statistics-backed join graph, and memoizes the resulting plan.
 //
@@ -26,13 +26,14 @@ import (
 // interleave an unrelated table's row ids into the sort). Tables whose
 // join keys are provably unique ("free") match at most one row — they
 // filter, never branch — and may be placed anywhere connected. The
-// cost-vs-greedy differential test over all 99 templates enforces the
-// invariant end to end.
+// planned-vs-reference differential test over all 99 templates
+// enforces the invariant end to end.
 
 // greedyJoinOrder computes the baseline join order without executing
 // it: the same decisions the greedy pipeline has always made (largest
 // estimated fact drives, then the smallest-estimate connected table
-// joins next), factored out so both planners share one definition.
+// joins next), factored out so the search and the reference share one
+// definition.
 // Ties break toward the lower table index, making the order fully
 // deterministic. connected reports whether every step had a join edge
 // into the already-joined set — false means the baseline itself
@@ -115,13 +116,9 @@ func (e *Engine) greedyJoinOrder(b *binder, filters []filterInfo, edges []joinEd
 // classifyFree marks the tables the join-order search may move: every
 // join edge incident to the table must have a provably unique key on
 // the table's side (statistics: distinct == non-null), so joining it
-// can only filter the intermediate result, never expand it. With
-// statistics disabled nothing is provable and everything stays pinned.
+// can only filter the intermediate result, never expand it.
 func (e *Engine) classifyFree(b *binder, edges []joinEdge, isLeft map[int]bool) []bool {
 	free := make([]bool, len(b.tables))
-	if e.useHeuristicsOnly {
-		return free
-	}
 	for ti := range b.tables {
 		if isLeft[ti] {
 			continue
@@ -179,9 +176,6 @@ func (e *Engine) buildJoinGraph(b *binder, filters []filterInfo, edges []joinEdg
 // edgeNDV returns the distinct-value count of a join column, or 0 when
 // unknown (the cost model then assumes a key join).
 func (e *Engine) edgeNDV(b *binder, ti int, c *colExpr) float64 {
-	if e.useHeuristicsOnly {
-		return 0
-	}
 	inst := &b.tables[ti]
 	st := e.columnStats(b.qc, inst.tab, c.off-inst.offset)
 	if st.valid {
@@ -192,7 +186,7 @@ func (e *Engine) edgeNDV(b *binder, ti int, c *colExpr) float64 {
 
 // planKey builds the plan-cache key. Beyond the statement shape
 // (literals collapsed, IN-list lengths kept) it folds in everything
-// the cached decision is conditioned on: the engine mode, the greedy
+// the cached decision is conditioned on: the forced mode, the greedy
 // baseline order, and the free-set classification. That makes entries
 // self-validating — a literal change that shifts estimates enough to
 // change the baseline produces a different key and a fresh plan, so a
@@ -242,14 +236,14 @@ func scopeSig(ctes map[string]*storage.Table) string {
 }
 
 // subqueryResult evaluates an expression subquery (IN or scalar),
-// memoizing the result per query under the cost planner: repeated
+// memoizing the result per query (except in the reference): repeated
 // identical subqueries — TPC-DS templates love `(select avg(...) from
 // ...)` guards repeated across union blocks — run once.
 func (b *binder) subqueryResult(sub *sql.SelectStmt) (*Result, []schema.Type, error) {
 	sp := b.qc.startOp("subquery", "")
 	defer b.qc.endOp(sp)
 	key := ""
-	if b.eng.planner == plan.CostBased {
+	if !b.eng.reference {
 		key = "sub|" + plan.Fingerprint(sub, true) + scopeSig(b.ctes)
 		if ent, ok := b.qc.cse[key]; ok {
 			b.qc.countCSEHit()

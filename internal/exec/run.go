@@ -75,11 +75,11 @@ func (e *Engine) QueryTracedContext(ctx context.Context, q string) (res *Result,
 	return res, tr, nil
 }
 
-// rewrite applies the cost planner's statement rewrites (IN-subquery
+// rewrite applies the planner's statement rewrites (IN-subquery
 // decorrelation) ahead of execution. Copy-on-write: the caller's AST
 // is never mutated, so RunContext callers keep a pristine statement.
 func (e *Engine) rewrite(qc *qctx, stmt *sql.SelectStmt) *sql.SelectStmt {
-	if e.planner != plan.CostBased {
+	if e.reference {
 		return stmt
 	}
 	out, n := plan.Decorrelate(stmt)
@@ -149,9 +149,9 @@ func (e *Engine) runStatement(qc *qctx, stmt *sql.SelectStmt, outer map[string]*
 	return e.runSelect(qc, stmt, ctes)
 }
 
-// materializeCTE evaluates one CTE body into a storage table. Under
-// the cost planner, identical bodies in identical CTE scopes are
-// evaluated once per query: the memo key is the literal-preserving
+// materializeCTE evaluates one CTE body into a storage table.
+// Identical bodies in identical CTE scopes are evaluated once per
+// query: the memo key is the literal-preserving
 // statement fingerprint plus the identity of every table in scope, so
 // a repeated subquery block (the classic TPC-DS "with ... as" reuse
 // pattern) shares both the evaluation and — because statistics are
@@ -160,7 +160,7 @@ func (e *Engine) materializeCTE(qc *qctx, cte sql.CTE, ctes map[string]*storage.
 	sp := qc.startOp("cte", cte.Name)
 	defer qc.endOp(sp)
 	key := ""
-	if e.planner == plan.CostBased {
+	if !e.reference {
 		key = "cte|" + plan.Fingerprint(cte.Select, true) + scopeSig(ctes)
 		if ent, ok := qc.cse[key]; ok && ent.tab != nil {
 			qc.countCSEHit()

@@ -11,8 +11,8 @@ import (
 // statistics for the test database" is part of the timed load, §5.2).
 // The paper notes that un-skewed data "imposes little challenges on
 // statistic collection and optimal plan generation" — skewed TPC-DS
-// data makes these numbers matter, which the stats-vs-heuristics
-// ablation demonstrates.
+// data makes these numbers matter (TestStatisticsImproveEstimates;
+// EXPERIMENTS.md "statistics vs heuristics").
 //
 // valid is false for non-integer columns AND for columns with no
 // non-NULL values: an all-NULL (or empty) column has no min/max, and a

@@ -25,10 +25,10 @@ type Trace struct {
 	JoinOrder []string // driver first
 	BaseRows  int      // joined rows fed to aggregation/projection
 
-	// Cost-planner surface: PlanSource says how the join order was
-	// obtained ("dp", "greedy", or "cache:<source>" on a plan-cache
-	// hit), EstBaseRows is the cost model's estimate of BaseRows (0
-	// under the greedy planner — it does not estimate), CSEHits counts
+	// Planner surface: PlanSource says how the join order was obtained
+	// ("dp", "greedy", or "cache:<source>" on a plan-cache hit),
+	// EstBaseRows is the cost model's estimate of BaseRows (0 in the
+	// tests' reference, which does not estimate), CSEHits counts
 	// subquery/CTE evaluations answered from the per-query memo, and
 	// Decorrelated counts IN-subquery predicates rewritten to joins.
 	PlanSource   string

@@ -10,6 +10,7 @@ import (
 	"tpcds/internal/datagen"
 	"tpcds/internal/exec"
 	"tpcds/internal/obs"
+	"tpcds/internal/plan"
 	"tpcds/internal/schema"
 	"tpcds/internal/storage"
 )
@@ -314,8 +315,10 @@ func TestSecondRunComparability(t *testing.T) {
 // customer_demographics from the engine's cached value bitmaps. After
 // maintenance has revised dimensions and deleted from and inserted into
 // the facts, an engine that built those indexes before the refresh must
-// answer exactly as an engine built afterwards on the same tables does
-// — for two refresh sets in a row.
+// answer exactly as an engine built afterwards on the same tables does,
+// and as a cold engine held to the hash pipeline (SetMode) does, so the
+// star transformation equals the hash joins after every refresh — for
+// two refresh sets in a row.
 func TestWarmEngineEqualsColdAfterRefresh(t *testing.T) {
 	warm := freshEngine(t)
 	warm.SetParallelism(1)
@@ -417,6 +420,9 @@ func TestWarmEngineEqualsColdAfterRefresh(t *testing.T) {
 		cd.SetValue(row, col("cd_education_status"), revised)
 		cold := exec.New(warm.DB())
 		cold.SetParallelism(1)
+		coldHash := exec.New(warm.DB())
+		coldHash.SetParallelism(1)
+		coldHash.SetMode(plan.ForceHashJoin)
 		// The refresh revised item, so the lookup rebuilds its key index.
 		before := reg.Counter("exec_hash_build_rows").Value()
 		_, tr, err := warm.QueryTraced(lookup)
@@ -455,6 +461,10 @@ func TestWarmEngineEqualsColdAfterRefresh(t *testing.T) {
 			if !reflect.DeepEqual(got.Rows, want.Rows) {
 				t.Errorf("refresh %d: warm engine (%d rows) differs from cold engine (%d rows)\n%s",
 					refresh, len(got.Rows), len(want.Rows), q)
+			}
+			if hash := run(coldHash, q); !reflect.DeepEqual(hash.Rows, want.Rows) {
+				t.Errorf("refresh %d: cold hash-only engine (%d rows) differs from cold engine (%d rows)\n%s",
+					refresh, len(hash.Rows), len(want.Rows), q)
 			}
 		}
 	}

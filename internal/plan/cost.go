@@ -8,14 +8,14 @@ import "fmt"
 // order of a thousand column-touches). The executor now carries
 // intermediates as per-table row-id vectors, so an emitted row costs a
 // few 4-byte appends; the constants are deliberately left as they were
-// until they are recalibrated against the benchmark (ROADMAP item 3).
-// Bitmap and hash indexes are cached across queries,
-// so the star transformation's per-query cost is the dimension key-set
-// scans plus fetching only the qualifying fact rows — not the index
-// builds. The absolute scale is meaningless; only ratios steer
-// decisions, and the greedy-vs-cost ablation benchmark
-// (BenchmarkAblationGreedyVsCost, EXPERIMENTS.md) checks the decisions
-// against measured per-template latencies.
+// until they are recalibrated against the benchmark. Bitmap and hash
+// indexes are cached across queries, so the star transformation's
+// per-query cost is the dimension key-set scans plus fetching only the
+// qualifying fact rows — not the index builds. The absolute scale is
+// meaningless; only ratios steer decisions, and the star-vs-hash
+// ablation (BenchmarkStarVsHashAllTemplates in internal/exec,
+// EXPERIMENTS.md) checks the decisions against measured per-template
+// latencies.
 const (
 	// costScan is charged per build-side row scanned: filtering a
 	// table's rows for a hash build walks the whole column regardless
@@ -150,10 +150,10 @@ func EstimateStarCost(shape StarShape) float64 {
 	return cost
 }
 
-// ChooseCost picks the physical strategy from estimated costs — the
-// cost planner's replacement for the fixed selectivity threshold of
-// Choose. Mode constraints win over estimates, and ineligible shapes
-// always take the hash pipeline.
+// ChooseCost picks the physical strategy from estimated costs; it is
+// the engine's one star rule. Mode constraints (the tests' forced
+// references) win over estimates, and ineligible shapes always take the
+// hash pipeline.
 func ChooseCost(shape StarShape, hashCost float64, mode Mode) Decision {
 	sel := shape.CombinedSelectivity()
 	switch mode {

@@ -1,72 +1,37 @@
-// Package plan implements the optimizer decision layer of the engine:
-// given table statistics and the join shape of a bound query, it picks
-// between the two physical strategies the paper singles out (§2.1) —
-// the star transformation (bitmap accesses, bitmap merges, bitmap joins)
-// natural to star schemas, and the hash-join pipeline natural to 3NF —
-// "this seems to be an area in which today's query optimizers have huge
-// deficits." The executor consults this package and the ablation
-// benchmark sweeps its crossover.
+// Package plan implements the optimizer decision layer of the engine.
+// Paper §2.1 makes the choice between the two physical strategies it
+// singles out — the star transformation (bitmap accesses, bitmap
+// merges, bitmap joins) natural to star schemas, and the hash-join
+// pipeline natural to 3NF — the optimizer's job: "this seems to be an
+// area in which today's query optimizers have huge deficits." The
+// package holds the cost model with its one star rule (ChooseCost), the
+// join-order search and plan cache, and the statement rewrites and
+// fingerprints the executor plans with. There is one production
+// configuration: cost planning over gathered statistics under Auto.
 package plan
 
-import (
-	"fmt"
-	"runtime"
-)
+import "runtime"
 
 // Parallelism resolves a configured parallelism knob to a worker count
-// for morsel-driven execution: values <= 0 mean "use every core"
-// (runtime.NumCPU), 1 forces serial execution, higher values are taken
-// as-is. The executor, the driver and both CLIs share this rule.
+// for morsel-driven execution: values <= 0 mean "one worker per
+// schedulable thread" (runtime.GOMAXPROCS, as LoadDir and DumpDir use),
+// 1 forces serial execution, higher values are taken as-is. The
+// executor, the driver and both CLIs share this rule.
 func Parallelism(configured int) int {
 	if configured <= 0 {
-		return runtime.NumCPU()
+		return runtime.GOMAXPROCS(0)
 	}
 	return configured
 }
 
-// PlannerKind selects the join planner. CostBased (the default) builds
-// statistics into cardinality estimates, searches join orders under
-// order-safety constraints, decides star-vs-hash from estimated cost
-// and caches plans; Greedy is the original fixed heuristic, kept as
-// the differential baseline ("when greedy beats optimal" is an
-// empirical question the benchmark answers per template). Results are
-// bit-identical under either planner.
-type PlannerKind int
-
-const (
-	// CostBased plans with the cost model, join-order search and plan
-	// cache.
-	CostBased PlannerKind = iota
-	// Greedy plans with the fixed heuristic: largest estimated fact
-	// drives, smallest estimated connected table joins next.
-	Greedy
-)
-
-func (k PlannerKind) String() string {
-	if k == Greedy {
-		return "greedy"
-	}
-	return "cost"
-}
-
-// ParsePlanner converts a CLI/driver knob value to a PlannerKind; the
-// empty string selects the default (cost-based).
-func ParsePlanner(s string) (PlannerKind, error) {
-	switch s {
-	case "", "cost":
-		return CostBased, nil
-	case "greedy":
-		return Greedy, nil
-	}
-	return CostBased, fmt.Errorf("unknown planner %q (want cost or greedy)", s)
-}
-
-// Mode constrains the strategy choice; Auto lets the cost heuristic
-// decide. The ablation benchmark forces each mode in turn.
+// Mode constrains the strategy choice. Production always runs Auto,
+// where the cost model decides; the forced modes are references for
+// tests and the star-vs-hash ablation benchmark, which compare the two
+// strategies' results and times.
 type Mode int
 
 const (
-	// Auto picks the cheaper strategy by heuristic.
+	// Auto picks the cheaper strategy by estimated cost.
 	Auto Mode = iota
 	// ForceHashJoin always uses the hash-join pipeline.
 	ForceHashJoin
@@ -170,14 +135,6 @@ func (s StarShape) CombinedSelectivity() float64 {
 	return sel
 }
 
-// starSelectivityThreshold is the crossover the Choose heuristic uses:
-// when the dimensions filter the fact below this fraction, touching only
-// the matching fact rows (random access through bitmaps) beats streaming
-// the whole fact through hash probes (sequential access). The ablation
-// benchmark (BenchmarkAblationStarVsHashJoin) locates the empirical
-// crossover; 10-20% is typical for in-memory columnar scans.
-const starSelectivityThreshold = 0.15
-
 // Decision is the optimizer's output, kept explainable for EXPLAIN-style
 // reporting and tests.
 type Decision struct {
@@ -186,34 +143,9 @@ type Decision struct {
 	Selectivity float64
 }
 
-// Choose picks the physical strategy for a star-shaped query under the
-// given mode.
-func Choose(shape StarShape, mode Mode) Decision {
-	sel := shape.CombinedSelectivity()
-	switch mode {
-	case ForceHashJoin:
-		return Decision{HashJoinPipeline, "forced by mode", sel}
-	case ForceStar:
-		if shape.Eligible() {
-			return Decision{StarTransform, "forced by mode", sel}
-		}
-		return Decision{HashJoinPipeline, "star shape not eligible", sel}
-	}
-	if !shape.Eligible() {
-		return Decision{HashJoinPipeline, "star shape not eligible", sel}
-	}
-	if sel <= starSelectivityThreshold {
-		return Decision{StarTransform,
-			fmt.Sprintf("combined dimension selectivity %.4f below threshold %.2f",
-				sel, starSelectivityThreshold), sel}
-	}
-	return Decision{HashJoinPipeline,
-		fmt.Sprintf("combined dimension selectivity %.4f above threshold %.2f",
-			sel, starSelectivityThreshold), sel}
-}
-
 // EstimateFilterSelectivity is the textbook heuristic the binder uses
-// for local predicates when no value-level statistics are available.
+// for a local predicate that statistics do not cover (a string column,
+// an expression, a shape analyzeFilter does not recognise).
 // Kind strings match the predicate forms of the SQL subset.
 func EstimateFilterSelectivity(kind string) float64 {
 	switch kind {

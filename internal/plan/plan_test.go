@@ -1,6 +1,9 @@
 package plan
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func shape(factRows int, dims ...DimInfo) StarShape {
 	return StarShape{FactName: "store_sales", FactRows: factRows, Dims: dims}
@@ -53,34 +56,52 @@ func TestCombinedSelectivity(t *testing.T) {
 	}
 }
 
-func TestChooseBySelectivity(t *testing.T) {
-	selective := shape(1000000,
+func TestChooseCostByEstimate(t *testing.T) {
+	s := shape(1000000,
 		DimInfo{Name: "date_dim", Rows: 1000, FilteredRows: 10, PKJoin: true})
-	d := Choose(selective, Auto)
-	if d.Strategy != StarTransform {
-		t.Errorf("selective star chose %v (%s)", d.Strategy, d.Reason)
+	star := EstimateStarCost(s)
+	if d := ChooseCost(s, 2*star, Auto); d.Strategy != StarTransform {
+		t.Errorf("star cheaper than hash chose %v (%s)", d.Strategy, d.Reason)
 	}
-	broad := shape(1000000,
-		DimInfo{Name: "date_dim", Rows: 1000, FilteredRows: 900, PKJoin: true})
-	d = Choose(broad, Auto)
-	if d.Strategy != HashJoinPipeline {
-		t.Errorf("broad star chose %v (%s)", d.Strategy, d.Reason)
+	if d := ChooseCost(s, star/2, Auto); d.Strategy != HashJoinPipeline {
+		t.Errorf("hash cheaper than star chose %v (%s)", d.Strategy, d.Reason)
+	}
+	// An ineligible shape takes the hash pipeline whatever the costs.
+	broad := shape(1000, DimInfo{Name: "big", Rows: 1000, FilteredRows: 900, PKJoin: true})
+	if d := ChooseCost(broad, 1e18, Auto); d.Strategy != HashJoinPipeline {
+		t.Errorf("ineligible shape chose %v (%s)", d.Strategy, d.Reason)
 	}
 }
 
 func TestChooseForcedModes(t *testing.T) {
 	s := shape(1000000,
 		DimInfo{Name: "date_dim", Rows: 1000, FilteredRows: 10, PKJoin: true})
-	if d := Choose(s, ForceHashJoin); d.Strategy != HashJoinPipeline {
+	star := EstimateStarCost(s)
+	if d := ChooseCost(s, 2*star, ForceHashJoin); d.Strategy != HashJoinPipeline {
 		t.Errorf("ForceHashJoin chose %v", d.Strategy)
 	}
-	if d := Choose(s, ForceStar); d.Strategy != StarTransform {
+	if d := ChooseCost(s, star/2, ForceStar); d.Strategy != StarTransform {
 		t.Errorf("ForceStar chose %v", d.Strategy)
 	}
 	// ForceStar on an ineligible shape (non-PK join) falls back.
 	bad := shape(100000, DimInfo{Name: "d", Rows: 99, FilteredRows: 1, PKJoin: false})
-	if d := Choose(bad, ForceStar); d.Strategy != HashJoinPipeline {
+	if d := ChooseCost(bad, 1e18, ForceStar); d.Strategy != HashJoinPipeline {
 		t.Errorf("ineligible ForceStar should fall back to hash join, got %v", d.Strategy)
+	}
+}
+
+// TestParallelismFollowsGOMAXPROCS: parallelism 0 resolves to the
+// threads the scheduler may run at once, not the host's CPU count.
+func TestParallelismFollowsGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	if got := Parallelism(0); got != 3 {
+		t.Errorf("Parallelism(0) = %d under GOMAXPROCS 3, want 3", got)
+	}
+	if got := Parallelism(-1); got != 3 {
+		t.Errorf("Parallelism(-1) = %d under GOMAXPROCS 3, want 3", got)
+	}
+	if got := Parallelism(5); got != 5 {
+		t.Errorf("Parallelism(5) = %d, want 5", got)
 	}
 }
 
