@@ -19,7 +19,6 @@ import (
 	"tpcds/internal/exec"
 	"tpcds/internal/maintenance"
 	"tpcds/internal/metric"
-	"tpcds/internal/plan"
 	"tpcds/internal/qgen"
 	"tpcds/internal/queries"
 	"tpcds/internal/rng"
@@ -376,64 +375,6 @@ func BenchmarkMetricQphDS(b *testing.B) {
 	}
 	b.ReportMetric(q, "qphds_sf1000")
 	b.ReportMetric(float64(metric.TotalQueries(7)), "queries")
-}
-
-// ---------------------------------------------------------------------
-// Ablation: serial vs morsel-parallel execution — the same multi-join
-// and aggregation queries with the morsel executor off (1 worker) and
-// on (GOMAXPROCS workers). Results are bit-identical in both
-// configurations; the ratio of the two timings is the intra-query
-// speedup.
-// ---------------------------------------------------------------------
-
-func BenchmarkParallelVsSerial(b *testing.B) {
-	cases := []struct {
-		name string
-		q    string
-	}{
-		{"snowflake-join", `SELECT cur.ca_state, COUNT(*) c
-			FROM store_sales, customer, customer_address cur, customer_address sale
-			WHERE ss_customer_sk = c_customer_sk
-			  AND c_current_addr_sk = cur.ca_address_sk
-			  AND ss_addr_sk = sale.ca_address_sk
-			GROUP BY cur.ca_state ORDER BY c DESC LIMIT 10`},
-		{"multi-join-agg", `SELECT i_brand, SUM(ss_ext_sales_price) r
-			FROM store_sales, item, date_dim
-			WHERE ss_item_sk = i_item_sk AND ss_sold_date_sk = d_date_sk
-			  AND d_year = 2000
-			GROUP BY i_brand ORDER BY r DESC LIMIT 10`},
-		{"wide-agg", `SELECT ss_store_sk, COUNT(*) c, SUM(ss_net_paid) s, AVG(ss_quantity) a
-			FROM store_sales GROUP BY ss_store_sk ORDER BY s DESC`},
-	}
-	for _, c := range cases {
-		for _, workers := range []int{1, 0} { // 1 = serial, 0 = GOMAXPROCS
-			label := "serial"
-			if workers != 1 {
-				label = "parallel"
-			}
-			b.Run(fmt.Sprintf("%s/%s", c.name, label), func(b *testing.B) {
-				e := engine()
-				e.SetParallelism(workers)
-				// Development-scale tables are far below the production
-				// 64K-row morsel, so shrink morsels to get real fan-out.
-				e.SetMorselSize(4096)
-				defer func() {
-					e.SetParallelism(0)
-					e.SetMorselSize(0)
-				}()
-				if _, err := e.Query(c.q); err != nil { // warm indexes
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := e.Query(c.q); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(plan.Parallelism(workers)), "workers")
-			})
-		}
-	}
 }
 
 // ---------------------------------------------------------------------

@@ -34,8 +34,8 @@ func main() { os.Exit(run()) }
 const slowestShown = 10
 
 // writeDigest emits one sorted line per query — run, stream, template,
-// row count, and result checksum — so two runs (e.g. -parallelism 1 vs
-// -parallelism 4) can be compared with a plain diff.
+// row count, and result checksum — so two runs can be compared with a
+// plain diff.
 func writeDigest(path string, queries []driver.QueryTiming) error {
 	lines := make([]string, 0, len(queries))
 	for _, qt := range queries {
@@ -55,7 +55,6 @@ func run() int {
 	sw := flag.Float64("sw", 150000, "software cost (USD)")
 	maint := flag.Float64("maint", 100000, "3-year maintenance cost (USD)")
 	dataDir := flag.String("data", "", "load from dsdgen flat files instead of generating")
-	parallelism := flag.Int("parallelism", 0, "morsel workers per query (0 = GOMAXPROCS, 1 = serial)")
 	runAudit := flag.Bool("audit", false, "audit the database after the benchmark (TPC audit checks)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline (0 = none), e.g. 30s")
 	onError := flag.String("on-error", driver.OnErrorAbort,
@@ -70,7 +69,7 @@ func run() int {
 
 	cfg := driver.Config{
 		SF: *sf, Streams: *streams, Seed: *seed,
-		DataDir: *dataDir, Parallelism: *parallelism, Digest: *digestOut != "",
+		DataDir: *dataDir, Digest: *digestOut != "",
 		QueryTimeout: *timeout, OnError: *onError, MaxConcurrent: *maxConcurrent,
 		Price: metric.PriceModel{HardwareUSD: *hw, SoftwareUSD: *sw, MaintenanceUSD: *maint},
 	}

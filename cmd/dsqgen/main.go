@@ -25,6 +25,10 @@ func main() {
 	stream := flag.Int("stream", 0, "query stream number")
 	seed := flag.Uint64("seed", 1, "benchmark seed")
 	flag.Parse()
+	if *stream < 0 {
+		fmt.Fprintln(os.Stderr, "dsqgen: -stream must not be negative")
+		os.Exit(2)
+	}
 
 	switch {
 	case *list:

@@ -31,12 +31,15 @@ func run() int {
 	sf := flag.Float64("sf", 0.001, "scale factor")
 	seed := flag.Uint64("seed", 1, "generation seed")
 	query := flag.String("e", "", "query text (default: read stdin)")
-	parallelism := flag.Int("parallelism", 0, "morsel workers (0 = GOMAXPROCS, 1 = serial)")
 	timeout := flag.Duration("timeout", 0, "query deadline (0 = none), e.g. 30s")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event timeline of the query to this file")
 	metrics := flag.Bool("metrics", false, "print the engine metrics dump after the query")
 	pprofDir := flag.String("pprof", "", "write cpu.pprof and heap.pprof into this directory")
 	flag.Parse()
+	if *sf <= 0 {
+		fmt.Fprintln(os.Stderr, "dsql: -sf must be positive")
+		return 2
+	}
 
 	text := *query
 	if text == "" {
@@ -87,7 +90,6 @@ func run() int {
 	gen.SetObservability(loadSp, reg)
 	eng := exec.New(gen.GenerateAll())
 	loadSp.End()
-	eng.SetParallelism(*parallelism)
 	eng.SetMetrics(reg)
 	eng.SetProfiling(analyze)
 	fmt.Fprintf(os.Stderr, "loaded SF %v in %v\n", *sf, time.Since(loadStart).Round(time.Millisecond))

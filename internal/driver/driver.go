@@ -42,8 +42,8 @@ type Config struct {
 	Seed uint64
 	// Digest computes a deterministic FNV-1a checksum of every query's
 	// result (all values, row order included) into
-	// QueryTiming.Checksum. CI diffs the digests of a serial and a
-	// 4-worker run to prove the worker count never changes results.
+	// QueryTiming.Checksum. CI diffs the digests of two runs to prove
+	// that stream interleaving never changes results.
 	Digest bool
 	// QueryIDs selects a template subset; empty means all 99. Subset
 	// runs are development-only (the metric requires the full set).
@@ -52,17 +52,16 @@ type Config struct {
 	// instead of generating it in-process — the official load-test
 	// input path. The files must match the configured scale factor.
 	DataDir string
-	// Parallelism is the engine's morsel worker count: 0 uses
-	// GOMAXPROCS workers, 1 forces serial execution. Results are identical at every
-	// setting.
+	// Parallelism is ignored: every query runs on its stream's
+	// goroutine.
+	//
+	// Deprecated: kept only because the benchmark harness under bench/
+	// still sets it; the [benchmark] change of ROADMAP item 2(b) removes
+	// that setting and this field.
 	Parallelism int
-	// MorselRows overrides the engine's scan morsel size (development
-	// hook: development-scale tables never reach the production 64K-row
-	// morsels, so tests shrink it to exercise the parallel paths).
-	MorselRows int
 	// QueryTimeout is the per-query deadline inside each stream; 0
-	// means no deadline. A query exceeding it is cancelled (morsel
-	// workers drain between morsels) and recorded as a timeout.
+	// means no deadline. A query exceeding it is cancelled and
+	// recorded as a timeout.
 	QueryTimeout time.Duration
 	// OnError selects the stream policy for a failed or timed-out
 	// query: OnErrorAbort (the default) cancels the run, OnErrorSkip
@@ -78,11 +77,11 @@ type Config struct {
 	Price metric.PriceModel
 	// Tracer, when set, records the span tree of the whole benchmark:
 	// benchmark → load / query run N / maintenance, each query run →
-	// stream → query, and below the query the engine's operator and
-	// morsel spans. A nil Tracer keeps the hot path on the engine's
+	// stream → query, and below the query the engine's operator
+	// spans. A nil Tracer keeps the hot path on the engine's
 	// zero-cost disabled fast path.
 	Tracer *obs.Tracer
-	// Metrics, when set, receives the engine's row/morsel counters and
+	// Metrics, when set, receives the engine's row and batch counters and
 	// the driver's per-template execution-latency histograms; the
 	// distributions surface as Report.Latencies.
 	Metrics *obs.Registry
@@ -197,8 +196,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		db = gen.GenerateAll()
 	}
 	eng := exec.New(db)
-	eng.SetParallelism(cfg.Parallelism)
-	eng.SetMorselSize(cfg.MorselRows)
 	eng.SetQueryHook(cfg.QueryHook)
 	eng.SetMetrics(cfg.Metrics)
 	eng.SetProfiling(cfg.Profile)
@@ -485,8 +482,7 @@ func runOneQuery(ctx context.Context, eng *exec.Engine, cfg Config, streamSp *ob
 // resultChecksum digests a query result — column names, then every
 // value of every row in order — with FNV-1a. Byte-identical results
 // (including row order) produce equal checksums, so diffing digests
-// across parallelism settings proves result equality without retaining
-// the rows.
+// across runs proves result equality without retaining the rows.
 func resultChecksum(r *exec.Result) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)

@@ -197,37 +197,33 @@ func dumpFreshDatabase(cfg Config, dir string) error {
 	return db.DumpDir(dir)
 }
 
-// TestParallelExecutionMatchesSerial runs the full benchmark with the
-// morsel executor enabled against a serial run: row counts must match
-// per (run, stream, query). With 2 concurrent streams each fanning out
-// morsel workers, this is also the -race exercise of the engine and
-// driver concurrency (satellite: `go test -race ./internal/driver`).
-func TestParallelExecutionMatchesSerial(t *testing.T) {
+// TestRepeatedRunsMatch runs the full benchmark twice on fresh engines
+// with result digests on: every (run, stream, query) must return the
+// same rows and checksum both times, whatever order the two concurrent
+// streams' queries interleaved in and whichever stream built a shared
+// index, statistic or plan first. It is also the -race exercise of the
+// engine and driver concurrency (`go test -race ./internal/driver`).
+func TestRepeatedRunsMatch(t *testing.T) {
 	cfg := tinyCfg()
-	serial, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Parallelism = 4
-	cfg.MorselRows = 32 // force real morsel splits at development scale
-	par, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := func(r *Result) map[[3]int]int {
-		m := map[[3]int]int{}
-		for _, qt := range r.Queries {
-			m[[3]int{qt.Run, qt.Stream, qt.QueryID}] = qt.Rows
+	cfg.Digest = true
+	digests := func() map[[3]int][2]uint64 {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := map[[3]int][2]uint64{}
+		for _, qt := range res.Queries {
+			m[[3]int{qt.Run, qt.Stream, qt.QueryID}] = [2]uint64{uint64(qt.Rows), qt.Checksum}
 		}
 		return m
 	}
-	a, b := rows(serial), rows(par)
+	a, b := digests(), digests()
 	if len(a) != len(b) {
 		t.Fatalf("execution counts differ: %d vs %d", len(a), len(b))
 	}
 	for k, v := range a {
 		if b[k] != v {
-			t.Errorf("query %v: serial %d rows vs parallel %d rows", k, v, b[k])
+			t.Errorf("query %v: rows and checksum %v, then %v", k, v, b[k])
 		}
 	}
 }

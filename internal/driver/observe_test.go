@@ -14,8 +14,6 @@ import (
 // interval — down through the engine's operator spans.
 func TestBenchmarkSpanTree(t *testing.T) {
 	cfg := tinyCfg()
-	cfg.Parallelism = 4
-	cfg.MorselRows = 32
 	cfg.Tracer = obs.NewTracer()
 	cfg.Metrics = obs.NewRegistry()
 	res, err := Run(cfg)

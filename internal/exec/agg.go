@@ -103,7 +103,7 @@ func collectAggregates(e sql.Expr, aggs map[string]*sql.FuncCall, windows map[st
 // aggregate executes the grouping path: aggregation of the joined rows
 // under every grouping mask, windowed aggregates over the groups, then
 // HAVING, projection, DISTINCT, ORDER BY and LIMIT.
-func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderBy []sql.OrderItem, tr *Trace) (*Result, []schema.Type, error) {
+func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderBy []sql.OrderItem) (*Result, []schema.Type, error) {
 	// Gather distinct aggregate and window calls across all clauses.
 	aggMap := map[string]*sql.FuncCall{}
 	winMap := map[string]*sql.Window{}
@@ -174,8 +174,7 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderB
 		})
 		masks = append(masks, subsets...)
 	}
-	aggRows := e.groupRows(&rowSource{b: b, rs: rows, n: rows.n}, groupExprs, specs, masks, len(winMap), tr)
-	batch := e.batchSize()
+	aggRows := e.groupRows(&rowSource{b: b, rs: rows, n: rows.n}, groupExprs, specs, masks, len(winMap))
 
 	// The aggregates' slots follow the group expressions'.
 	for i, spec := range specs {
@@ -201,7 +200,7 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderB
 		}
 		a := &aggAcc{spec: aggSpec{fn: w.Agg.Name, arg: arg}}
 		if arg != nil {
-			v := src.view(arg, tr)
+			v := src.view(arg)
 			a.in = &v
 		}
 		var keys []keyVec
@@ -210,10 +209,10 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderB
 			if err != nil {
 				return nil, nil, err
 			}
-			keys = append(keys, e.keyIDs(b.qc, src.view(bp, tr), src.n, tr))
+			keys = append(keys, e.keyIDs(b.qc, src.view(bp), src.n))
 		}
 		gids, first := groupIDs(b.qc, keys, uint(1)<<uint(len(keys))-1, src.n)
-		st := a.fold(b.qc, gids, groupRun{0, first})
+		st := a.fold(b.qc, gids, len(first))
 		for ri, g := range gids {
 			if ri < len(aggRows) {
 				aggRows[ri] = append(aggRows[ri], st.result(int(g)))
@@ -229,7 +228,7 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderB
 			return nil, nil, err
 		}
 		w := 0
-		b.compileFilter([]bexpr{hv}).passing(b.qc, len(aggRows), batch, nil, aggRows, func(sel []int32) {
+		b.compileFilter([]bexpr{hv}).passing(b.qc, len(aggRows), batchLen, nil, aggRows, func(sel []int32) {
 			for _, p := range sel {
 				aggRows[w] = aggRows[p]
 				w++
@@ -242,7 +241,7 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderB
 		return nil, nil, err
 	}
 	src := &rowSource{b: b, vals: aggRows, n: len(aggRows)}
-	return e.finish(src, projs, keys, orderBy, stmt.Distinct, stmt.Limit, stmt.Offset, cols, tr), types, nil
+	return e.finish(src, projs, keys, orderBy, stmt.Distinct, stmt.Limit, stmt.Offset, cols), types, nil
 }
 
 // bindArg binds an aggregate call's argument: nil for COUNT(*).
@@ -257,24 +256,23 @@ func (b *binder) bindArg(fc *sql.FuncCall, clause string, agg bool) (bexpr, erro
 
 // groupRows aggregates src under each grouping mask into rows of the
 // aggregated layout: the group expressions (NULL where the mask leaves
-// one out), the aggregates, and room for extra (window) columns. The
-// groups fold in runs of consecutive ids, one per worker when src is
-// larger than a morsel, each run walking every row in order.
-func (e *Engine) groupRows(src *rowSource, groups []bexpr, specs []aggSpec, masks []uint, extra int, tr *Trace) [][]storage.Value {
+// one out), the aggregates, and room for extra (window) columns. Every
+// aggregate folds the rows in row order.
+func (e *Engine) groupRows(src *rowSource, groups []bexpr, specs []aggSpec, masks []uint, extra int) [][]storage.Value {
 	qc := src.b.qc
 	vals, keys := make([]keySource, len(groups)), make([]keyVec, len(groups))
 	for i, g := range groups {
-		vals[i] = src.view(g, tr)
-		keys[i] = e.keyIDs(qc, vals[i], src.n, tr)
+		vals[i] = src.view(g)
+		keys[i] = e.keyIDs(qc, vals[i], src.n)
 	}
 	accs := make([]*aggAcc, len(specs))
 	for i, s := range specs {
 		a := &aggAcc{spec: s}
 		if s.arg != nil {
-			v := src.view(s.arg, tr)
+			v := src.view(s.arg)
 			a.in = &v
 			if s.distinct {
-				a.dkeys = e.keyIDs(qc, v, src.n, tr)
+				a.dkeys = e.keyIDs(qc, v, src.n)
 			}
 		}
 		accs[i] = a
@@ -301,48 +299,25 @@ func (e *Engine) groupRows(src *rowSource, groups []bexpr, specs []aggSpec, mask
 				a.firsts = firsts
 			}
 		}
-		runs := splitGroups(first, e.parts(src.n))
-		states := make([][]aggState, len(runs))
-		parallelFor(len(runs), func(p int) {
-			for _, a := range accs {
-				states[p] = append(states[p], a.fold(qc, gids, runs[p]))
-			}
-		})
-		out = slices.Grow(out, len(first))
-		for p, run := range runs {
-			for k, f := range run.first {
-				r := make([]storage.Value, 0, len(groups)+len(specs)+extra)
-				for i, x := range vals {
-					v := storage.Null
-					if mask&(1<<uint(i)) != 0 && f >= 0 {
-						v = x.value(f)
-					}
-					r = append(r, v)
-				}
-				for _, s := range states[p] {
-					r = append(r, s.result(k))
-				}
-				out = append(out, r)
-			}
+		states := make([]aggState, len(accs))
+		for i, a := range accs {
+			states[i] = a.fold(qc, gids, len(first))
 		}
-	}
-	return out
-}
-
-// groupRun is a run of consecutive groups: lo and the first row of each.
-type groupRun struct {
-	lo    int
-	first []int32
-}
-
-// splitGroups cuts the groups into parts runs.
-func splitGroups(first []int32, parts int) []groupRun {
-	out := make([]groupRun, 0, parts)
-	lo, rest := 0, first
-	for p := parts; p > 0; p-- {
-		m := len(rest) / p
-		out = append(out, groupRun{lo, rest[:m]})
-		lo, rest = lo+m, rest[m:]
+		out = slices.Grow(out, len(first))
+		for k, f := range first {
+			r := make([]storage.Value, 0, len(groups)+len(specs)+extra)
+			for i, x := range vals {
+				v := storage.Null
+				if mask&(1<<uint(i)) != 0 && f >= 0 {
+					v = x.value(f)
+				}
+				r = append(r, v)
+			}
+			for _, s := range states {
+				r = append(r, s.result(k))
+			}
+			out = append(out, r)
+		}
 	}
 	return out
 }
@@ -356,11 +331,11 @@ type keyVec struct {
 
 // keyIDs numbers an expression's values in the n rows of a view: a
 // dictionary string's code + 1 and an integer's or a date's offset from
-// the smallest value + 1 (when the range fits 31 bits) in morsels; any
+// the smallest value + 1 (when the range fits 31 bits); any
 // other value interned in row order — plain strings as themselves, the
 // rest as GroupKey bytes, so float identity is GroupKey's: -0 and 0 are
 // two keys and every NaN is one.
-func (e *Engine) keyIDs(qc *qctx, v keySource, n int, tr *Trace) keyVec {
+func (e *Engine) keyIDs(qc *qctx, v keySource, n int) keyVec {
 	out, col := make([]uint32, n), &v.col
 	base, dom := int64(0), uint64(0)
 	switch {
@@ -372,25 +347,23 @@ func (e *Engine) keyIDs(qc *qctx, v keySource, n int, tr *Trace) keyVec {
 		}
 	}
 	if dom != 0 {
-		e.inMorsels(qc, tr, n, func(_, _, lo, hi int) {
-			rowKeys(qc, out[lo:hi], v, lo, base, true, nil)
-		})
+		rowKeys(qc, out, v, base, true, nil)
 		return keyVec{out, dom}
 	}
 	in := interner{}
-	rowKeys(qc, out, v, 0, 0, false, in)
+	rowKeys(qc, out, v, 0, false, in)
 	return keyVec{out, uint64(len(in)) + 1}
 }
 
-// rowKeys numbers the values of rows [lo, lo+len(dst)): codes and, when
+// rowKeys numbers the values of rows [0, len(dst)): codes and, when
 // numbered, integers by arithmetic, the rest in in.
-func rowKeys(qc *qctx, dst []uint32, v keySource, lo int, base int64, numbered bool, in interner) {
+func rowKeys(qc *qctx, dst []uint32, v keySource, base int64, numbered bool, in interner) {
 	var buf []byte
 	for i := range dst {
 		if i%tickInterval == 0 {
 			qc.checkNow()
 		}
-		switch r := v.row(int32(lo + i)); {
+		switch r := v.row(int32(i)); {
 		case r < 0 || v.col.nulls[r]:
 		case v.col.codes != nil:
 			dst[i] = uint32(v.col.codes[r]) + 1
@@ -550,7 +523,7 @@ type aggAcc struct {
 	firsts []bool
 }
 
-// aggState is one aggregate's cells for a run of groups, with the MIN
+// aggState is one aggregate's cells, one per group, with the MIN
 // or MAX value of each group in ext.
 type aggState struct {
 	spec  aggSpec
@@ -558,13 +531,14 @@ type aggState struct {
 	ext   []storage.Value
 }
 
-// fold aggregates the rows whose group lies in run, walking the rows in
-// order and reading the argument off its view; strings are only
+// fold aggregates the rows into the cells of their groups, ids
+// [0, groups), walking the rows in order and reading the argument off
+// its view; strings are only
 // counted (and compared, for MIN and MAX).
-func (a *aggAcc) fold(qc *qctx, gids []int32, run groupRun) aggState {
-	st := aggState{spec: a.spec, cells: make([]aggCell, len(run.first))}
+func (a *aggAcc) fold(qc *qctx, gids []int32, groups int) aggState {
+	st := aggState{spec: a.spec, cells: make([]aggCell, groups)}
 	if a.spec.fn == "MIN" || a.spec.fn == "MAX" {
-		st.ext = make([]storage.Value, len(run.first))
+		st.ext = make([]storage.Value, groups)
 	}
 	cells, ext, firsts := st.cells, st.ext, a.firsts
 	if len(firsts) != len(gids) && firsts != nil || a.in != nil && a.in.ids != nil && len(a.in.ids) != len(gids) {
@@ -582,7 +556,7 @@ func (a *aggAcc) fold(qc *qctx, gids []int32, run groupRun) aggState {
 		if i%tickInterval == 0 {
 			qc.checkNow()
 		}
-		k := int(g) - run.lo
+		k := int(g)
 		if k < 0 || k >= len(cells) || i < len(firsts) && !firsts[i] {
 			continue
 		}
@@ -610,10 +584,10 @@ func (a *aggAcc) fold(qc *qctx, gids []int32, run groupRun) aggState {
 	return st
 }
 
-// result is the aggregate's value for group k of the run.
+// result is the aggregate's value for group k.
 func (st aggState) result(k int) storage.Value {
 	if k < 0 || k >= len(st.cells) {
-		panic("exec: group outside its run")
+		panic("exec: group out of range")
 	}
 	c, ext := st.cells[k], storage.Null
 	if k < len(st.ext) {

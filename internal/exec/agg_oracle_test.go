@@ -20,7 +20,7 @@ import (
 // and ranges too wide for a dense table, dates, floats with -0 and NaN,
 // computed keys — crossed with every aggregate (DISTINCT too), ROLLUP,
 // CUBE, HAVING, windows, DISTINCT, ORDER BY with ties, NULLs and DESC,
-// LIMIT and OFFSET, serial and on four workers with 32-row morsels. Both
+// LIMIT and OFFSET. Both
 // sides bind and join through the same engine; rows, their order and
 // every float's bits must agree. The inputs avoid the reference's two
 // defects: no string holds a 0 byte, and no sort key can be NaN.
@@ -36,6 +36,21 @@ func (g *aggGen) chance(n int) bool          { return g.s.Intn(n) == 0 }
 // db builds fact t and dimension d. t_f holds -0 and NaN; t_g is a
 // NaN-free float with ties and -0, fit to sort on.
 func (g *aggGen) db() *storage.DB {
+	rows := g.s.Intn(40)
+	switch {
+	case g.chance(5): // across the batch edges of the vector loops
+		rows = batchEdges[g.s.Intn(len(batchEdges))]
+	case !g.chance(6):
+		rows = 300 + g.s.Intn(400) // enough distinct t_ps to demote its dictionary
+	}
+	return g.dbOf(rows)
+}
+
+// batchEdges are row counts on either side of a batch edge.
+var batchEdges = []int{1, batchLen - 1, batchLen, batchLen + 1, 2*batchLen + 7}
+
+// dbOf builds db's tables with rows rows in t; t_o numbers them.
+func (g *aggGen) dbOf(rows int) *storage.DB {
 	db := storage.NewDB()
 	dims := 1 + g.s.Intn(12)
 	d := db.Create(&schema.Table{Name: "d", Kind: schema.Dimension, PrimaryKey: []string{"d_k"}, Columns: []schema.Column{
@@ -53,11 +68,8 @@ func (g *aggGen) db() *storage.DB {
 		{Name: "t_dt", Type: schema.Date, Nullable: true},
 		{Name: "t_f", Type: schema.Decimal, Nullable: true},
 		{Name: "t_g", Type: schema.Decimal, Nullable: true},
+		{Name: "t_o", Type: schema.Identifier},
 	}})
-	rows := g.s.Intn(40)
-	if !g.chance(6) {
-		rows = 300 + g.s.Intn(400) // enough distinct t_ps to demote its dictionary
-	}
 	wide := []int64{1 << 53, 1<<53 + 1, -(1 << 53), -(1<<53 + 1), 1 << 60, -(1 << 60), math.MaxInt64, math.MinInt64, 7, -7}
 	floats := []float64{0, math.Copysign(0, -1), math.NaN(), 1.5, -2.25, 0.1, 1e300}
 	for r := 0; r < rows; r++ {
@@ -87,7 +99,7 @@ func (g *aggGen) db() *storage.DB {
 		t.Append([]storage.Value{
 			null(k), null(storage.Str(g.pick("", "red", "green", "blue", "o'k", "Z"))), null(storage.Str(ps)),
 			g.intOrNull(5), null(storage.Int(w)), null(storage.DateV(36500 + g.s.Int63n(60))),
-			null(storage.Float(f)), null(storage.Float(gv)),
+			null(storage.Float(f)), null(storage.Float(gv)), storage.Int(int64(r)),
 		})
 	}
 	return db
@@ -219,7 +231,7 @@ func refQuery(e *Engine, query string) (res *Result, err error) {
 			res, err = nil, fmt.Errorf("panic: %v", r)
 		}
 	}()
-	b, orderBy, rows, tr, err := e.joinSelect(e.newQctx(context.Background()), stmt, nil)
+	b, orderBy, rows, _, err := e.joinSelect(e.newQctx(context.Background()), stmt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -231,9 +243,9 @@ func refQuery(e *Engine, query string) (res *Result, err error) {
 		aggregated = aggregated || exprContainsAggregate(oi.Expr)
 	}
 	if aggregated {
-		res, _, err = e.refAggregate(stmt, b, rows, orderBy, &tr)
+		res, _, err = e.refAggregate(stmt, b, rows, orderBy)
 	} else {
-		res, _, err = e.refProjectSimple(stmt, b, rows, orderBy, &tr)
+		res, _, err = e.refProjectSimple(stmt, b, rows, orderBy)
 	}
 	return res, err
 }
@@ -251,38 +263,40 @@ func sameValue(a, b storage.Value) bool {
 	return a.I == b.I
 }
 
-// checkAggCase runs case seed serially and on four workers against the
-// reference.
+// checkAggCase runs case seed against the reference.
 func checkAggCase(t *testing.T, seed uint64) {
 	t.Helper()
 	g := &aggGen{s: rng.NewStream(seed)}
 	db := g.db()
 	for q := 0; q < 4; q++ {
-		query := g.query()
-		for _, workers := range []int{1, 4} {
-			e := New(db)
-			e.SetParallelism(workers)
-			e.SetMorselSize(32)
-			want, werr := refQuery(e, query)
-			got, gerr := e.Query(query)
-			if (werr != nil) != (gerr != nil) {
-				t.Fatalf("seed %d, %d workers: %s\nreference error %v, engine error %v", seed, workers, query, werr, gerr)
-			}
-			if werr != nil {
-				continue
-			}
-			if len(got.Rows) != len(want.Rows) {
-				t.Fatalf("seed %d, %d workers: %s\n%d rows, reference %d", seed, workers, query, len(got.Rows), len(want.Rows))
-			}
-			for i := range want.Rows {
-				for j := range want.Rows[i] {
-					if !sameValue(got.Rows[i][j], want.Rows[i][j]) {
-						t.Fatalf("seed %d, %d workers: %s\nrow %d: %v, reference %v", seed, workers, query, i, got.Rows[i], want.Rows[i])
-					}
-				}
+		checkAgainstReference(t, New(db), fmt.Sprintf("seed %d", seed), g.query())
+	}
+}
+
+// checkAgainstReference runs query on e and through the reference: both
+// fail, or both return the same rows in the same order, every float to
+// the bit. It returns the reference's error.
+func checkAgainstReference(t *testing.T, e *Engine, label, query string) error {
+	t.Helper()
+	want, werr := refQuery(e, query)
+	got, gerr := e.Query(query)
+	if (werr != nil) != (gerr != nil) {
+		t.Fatalf("%s: %s\nreference error %v, engine error %v", label, query, werr, gerr)
+	}
+	if werr != nil {
+		return werr
+	}
+	if len(got.Rows) != len(want.Rows) {
+		t.Fatalf("%s: %s\n%d rows, reference %d", label, query, len(got.Rows), len(want.Rows))
+	}
+	for i := range want.Rows {
+		for j := range want.Rows[i] {
+			if !sameValue(got.Rows[i][j], want.Rows[i][j]) {
+				t.Fatalf("%s: %s\nrow %d: %v, reference %v", label, query, i, got.Rows[i], want.Rows[i])
 			}
 		}
 	}
+	return nil
 }
 
 func TestAggregateEqualsReference(t *testing.T) {
@@ -302,6 +316,34 @@ func FuzzAggregate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64) { checkAggCase(t, seed) })
 }
 
+// TestBatchEdgesEqualReference holds the loops that run a batch at a
+// time after the scan to the reference at row counts on either side of
+// a batch edge: rowSource.view's group keys, aggregate arguments and
+// DISTINCT keys, HAVING's filter, sortKey and finish's projections —
+// over base rows, over joined rows and over one group per row (t_o).
+// No query cuts its rows with LIMIT, so every stage sees them all.
+func TestBatchEdgesEqualReference(t *testing.T) {
+	queries := []string{
+		"SELECT t_o, t_i * 2, t_g + t_i, COALESCE(t_ds, 'none'), t_ps, t_dt, t_f FROM t",
+		"SELECT t_ps, t_g, t_i + t_k, t_f FROM t ORDER BY 1 DESC, 2, 3",
+		"SELECT DISTINCT t_i * 2, t_ds FROM t ORDER BY 2, 1",
+		`SELECT t_i + t_k, COALESCE(t_ds, 'none'), COUNT(*), SUM(t_g + t_i), AVG(t_i * 2), MIN(t_ps)
+			FROM t GROUP BY t_i + t_k, COALESCE(t_ds, 'none') ORDER BY 1, 2`,
+		"SELECT t_o, SUM(t_i), MAX(t_g + 1) FROM t GROUP BY t_o HAVING SUM(t_i) > 0 OR MAX(t_g) < 0",
+		"SELECT DISTINCT COUNT(*), MAX(t_i) FROM t GROUP BY t_o ORDER BY 2 DESC, 1",
+		"SELECT t_o, d_s, t_g * d_g FROM t LEFT OUTER JOIN d ON t_k = d_k ORDER BY 3, 1 DESC",
+		"SELECT t_o, t_i - d_g, d_s FROM t, d WHERE t_k = d_k AND t_i > d_g",
+	}
+	for _, n := range batchEdges {
+		e := New((&aggGen{s: rng.NewStream(uint64(n))}).dbOf(n))
+		for _, q := range queries {
+			if err := checkAgainstReference(t, e, fmt.Sprintf("%d rows", n), q); err != nil {
+				t.Fatalf("%d rows: %s: %v", n, q, err)
+			}
+		}
+	}
+}
+
 // TestCompositeKeysWithNUL pins composite keys that concatenated
 // GroupKeys conflated: ("x\x00sy", "z") and ("x", "y\x00sz") encode to
 // the same bytes, so GROUP BY, DISTINCT and a two-column join each saw
@@ -313,26 +355,22 @@ func TestCompositeKeysWithNUL(t *testing.T) {
 	}})
 	tab.Append([]storage.Value{storage.Str("x\x00sy"), storage.Str("z")})
 	tab.Append([]storage.Value{storage.Str("x"), storage.Str("y\x00sz")})
-	for _, workers := range []int{1, 4} {
-		e := New(db)
-		e.SetParallelism(workers)
-		e.SetMorselSize(1)
-		for query, want := range map[string]int{
-			"SELECT a, b, COUNT(*) c FROM t GROUP BY a, b":                  2,
-			"SELECT DISTINCT a, b FROM t":                                   2,
-			"SELECT t1.a FROM t t1, t t2 WHERE t1.a = t2.a AND t1.b = t2.b": 2,
-		} {
-			res, err := e.Query(query)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Rows) != want {
-				t.Errorf("%d workers: %s: %d rows, want %d", workers, query, len(res.Rows), want)
-			}
-			for _, row := range res.Rows {
-				if len(row) == 3 && row[2].AsInt() != 1 {
-					t.Errorf("%d workers: %s: group %v counts %d rows, want 1", workers, query, row[:2], row[2].AsInt())
-				}
+	e := New(db)
+	for query, want := range map[string]int{
+		"SELECT a, b, COUNT(*) c FROM t GROUP BY a, b":                  2,
+		"SELECT DISTINCT a, b FROM t":                                   2,
+		"SELECT t1.a FROM t t1, t t2 WHERE t1.a = t2.a AND t1.b = t2.b": 2,
+	} {
+		res, err := e.Query(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != want {
+			t.Errorf("%s: %d rows, want %d", query, len(res.Rows), want)
+		}
+		for _, row := range res.Rows {
+			if len(row) == 3 && row[2].AsInt() != 1 {
+				t.Errorf("%s: group %v counts %d rows, want 1", query, row[:2], row[2].AsInt())
 			}
 		}
 	}
@@ -355,7 +393,6 @@ func TestAggregateAllocationBudget(t *testing.T) {
 				storage.Float(float64(r%100) / 4), storage.Str(fmt.Sprintf("p%d", r%8))})
 		}
 		e := New(db)
-		e.SetParallelism(1)
 		query := `SELECT t_ds, t_i, t_ps, COUNT(*) c, SUM(t_g) s, AVG(t_g + t_i) a, MAX(t_g) m, COUNT(DISTINCT t_i) d
 			FROM t GROUP BY t_ds, t_i, t_ps ORDER BY s DESC, c LIMIT 20`
 		if _, err := e.Query(query); err != nil { // warm: plan, statistics

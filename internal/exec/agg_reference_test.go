@@ -171,7 +171,7 @@ func (s *refRowSource) row(i int, scratch []storage.Value) []storage.Value {
 // base rows (gathered from the rowSet one scratch row at a time),
 // windowed aggregates over the groups, then HAVING, projection,
 // DISTINCT, ORDER BY and LIMIT.
-func (e *Engine) refAggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderBy []sql.OrderItem, tr *Trace) (*Result, []schema.Type, error) {
+func (e *Engine) refAggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderBy []sql.OrderItem) (*Result, []schema.Type, error) {
 	// Gather distinct aggregate and window calls across all clauses.
 	aggMap := map[string]*sql.FuncCall{}
 	winMap := map[string]*sql.Window{}
@@ -238,9 +238,8 @@ func (e *Engine) refAggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, ord
 	// mask is ordinary grouping; ROLLUP uses prefix masks, CUBE every
 	// subset (SQL-99 OLAP amendment).
 	type group struct {
-		vals  []storage.Value
-		accs  []refAcc
-		first int // first contributing row (serial emit order)
+		vals []storage.Value
+		accs []refAcc
 	}
 	width := len(groupExprs) + len(specs)
 	emit := func(groups []*group) [][]storage.Value {
@@ -255,7 +254,7 @@ func (e *Engine) refAggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, ord
 		}
 		return out
 	}
-	aggregateMaskSerial := func(mask uint) [][]storage.Value {
+	aggregateMask := func(mask uint) [][]storage.Value {
 		groups := map[string]*group{}
 		var order []*group // preserve first-seen order for determinism
 		// The group key is assembled in a reusable byte buffer and looked
@@ -302,125 +301,6 @@ func (e *Engine) refAggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, ord
 			order = append(order, &group{vals: make([]storage.Value, len(groupExprs)), accs: make([]refAcc, len(specs))})
 		}
 		return emit(order)
-	}
-
-	// Parallel aggregation: group-by and aggregate-argument expressions
-	// are evaluated once per row in morsels (shared by every mask), then
-	// each mask partitions groups by key hash. One worker per partition
-	// accumulates its groups walking the rows in global row order, so
-	// per-group accumulation order — and therefore every float sum —
-	// matches the serial fold bit for bit. Groups are emitted in
-	// first-seen row order, the serial emit order.
-	var gv, av [][]storage.Value // per-row group-expr / agg-arg values
-	precompute := func(workers, morsel int) {
-		if gv != nil {
-			return
-		}
-		n := rows.n
-		gv = make([][]storage.Value, n)
-		av = make([][]storage.Value, n)
-		// The per-row value arrays are the parallel aggregation's
-		// dominant scratch, beside one gather row per worker; they live
-		// until the last mask is emitted, so they count toward the
-		// aggregate node's peak only.
-		b.qc.growScratch((int64(n)*int64(len(groupExprs)+len(specs)+2) + int64(workers*b.total)) * valueBytes)
-		counts := forEachMorsel(b.qc, workers, n, morsel, func(_, _, lo, hi int) {
-			row := make([]storage.Value, b.total)
-			for r := lo; r < hi; r++ {
-				rr.fill(r, row)
-				g := make([]storage.Value, len(groupExprs))
-				for i := range groupExprs {
-					g[i] = groupExprs[i].eval(row)
-				}
-				a := make([]storage.Value, len(specs))
-				for i := range specs {
-					if specs[i].arg != nil {
-						a[i] = specs[i].arg.eval(row)
-					} else {
-						a[i] = storage.Int(1) // COUNT(*) counts rows
-					}
-				}
-				gv[r], av[r] = g, a
-			}
-		})
-		tr.addWork(counts)
-	}
-	aggregateMaskParallel := func(mask uint, workers, morsel int) [][]storage.Value {
-		precompute(workers, morsel)
-		n := rows.n
-		// Shadow with locals pinned to this mask's view: precompute
-		// guarantees one value slot per row, and the explicit check
-		// makes that contract a local fact rather than action at a
-		// distance through the lazily-filled captures.
-		gv, av := gv, av
-		if len(gv) != n || len(av) != n {
-			panic("exec: precompute row-value sizes out of sync with rows")
-		}
-		keys := make([]string, n)
-		parts := make([]int, n)
-		// Per-mask key/partition vectors (string header + int per row),
-		// released when this mask's groups have been emitted.
-		b.qc.growScratch(int64(n) * 24)
-		defer b.qc.shrinkScratch(int64(n) * 24)
-		counts := forEachMorsel(b.qc, workers, n, morsel, func(_, _, lo, hi int) {
-			var buf []byte
-			for r := lo; r < hi; r++ {
-				buf = buf[:0]
-				for i := range groupExprs {
-					if mask&(1<<uint(i)) != 0 {
-						buf = gv[r][i].AppendGroupKey(buf)
-					} else {
-						buf = append(buf, 0, '-')
-					}
-				}
-				keys[r] = string(buf)
-				parts[r] = partOf(buf, workers)
-			}
-		})
-		tr.addWork(counts)
-		partGroups := make([][]*group, workers)
-		parallelFor(workers, func(p int) {
-			groups := map[string]*group{}
-			var order []*group
-			for r := 0; r < n; r++ {
-				if r%(8*tickInterval) == 0 {
-					b.qc.checkNow()
-				}
-				if parts[r] != p {
-					continue
-				}
-				g := groups[keys[r]]
-				if g == nil {
-					gvals := make([]storage.Value, len(groupExprs))
-					for i := range groupExprs {
-						if mask&(1<<uint(i)) != 0 {
-							gvals[i] = gv[r][i]
-						} else {
-							gvals[i] = storage.Null
-						}
-					}
-					g = &group{vals: gvals, accs: make([]refAcc, len(specs)), first: r}
-					groups[keys[r]] = g
-					order = append(order, g)
-				}
-				for i := range specs {
-					g.accs[i].add(av[r][i], specs[i].distinct)
-				}
-			}
-			partGroups[p] = order
-		})
-		var all []*group
-		for _, pg := range partGroups {
-			all = append(all, pg...)
-		}
-		sort.Slice(all, func(a, b int) bool { return all[a].first < all[b].first })
-		return emit(all)
-	}
-	aggregateMask := func(mask uint) [][]storage.Value {
-		if workers, morsel := e.workers(), e.morselSize(); workers > 1 && rows.n > morsel {
-			return aggregateMaskParallel(mask, workers, morsel)
-		}
-		return aggregateMaskSerial(mask)
 	}
 
 	fullMask := uint(1)<<uint(len(groupExprs)) - 1
@@ -591,13 +471,13 @@ func (e *Engine) refAggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, ord
 		sortKeys = append(sortKeys, be)
 	}
 	src := refRowSource{vals: aggRows, n: len(aggRows)}
-	res := e.refFinish(b.qc, src, projs, sortKeys, orderBy, stmt.Distinct, stmt.Limit, stmt.Offset, outCols, tr)
+	res := e.refFinish(b.qc, src, projs, sortKeys, orderBy, stmt.Distinct, stmt.Limit, stmt.Offset, outCols)
 	return res, outTypes, nil
 }
 
 // refProjectSimple handles the non-aggregated path: project, DISTINCT,
 // ORDER BY, LIMIT.
-func (e *Engine) refProjectSimple(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderBy []sql.OrderItem, tr *Trace) (*Result, []schema.Type, error) {
+func (e *Engine) refProjectSimple(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderBy []sql.OrderItem) (*Result, []schema.Type, error) {
 	var outCols []string
 	var outTypes []schema.Type
 	var projs []bexpr
@@ -630,49 +510,37 @@ func (e *Engine) refProjectSimple(stmt *sql.SelectStmt, b *binder, rows *rowSet,
 		sortKeys = append(sortKeys, be)
 	}
 	src := refRowSource{rr: newRefRowReader(b, rows, refMaskOf(projs, sortKeys)), n: rows.n, width: b.total}
-	res := e.refFinish(b.qc, src, projs, sortKeys, orderBy, stmt.Distinct, stmt.Limit, stmt.Offset, outCols, tr)
+	res := e.refFinish(b.qc, src, projs, sortKeys, orderBy, stmt.Distinct, stmt.Limit, stmt.Offset, outCols)
 	return res, outTypes, nil
 }
 
 // refFinish evaluates projections and sort keys over the rows of src,
 // applies DISTINCT, ORDER BY and LIMIT, and assembles the result.
-// Evaluation runs in morsels (expressions are pure), each with its own
-// gather row and carving its projection and sort key values out of one
-// arena; DISTINCT dedup then walks the rows in order, so first-wins
-// matches the serial pass.
-func (e *Engine) refFinish(qc *qctx, src refRowSource, projs, sortKeys []bexpr, orderBy []sql.OrderItem, distinct bool, limit, offset int, outCols []string, tr *Trace) *Result {
+// Evaluation carves the projection and sort key values out of one
+// arena; DISTINCT dedup then walks the rows in order, first wins.
+func (e *Engine) refFinish(qc *qctx, src refRowSource, projs, sortKeys []bexpr, orderBy []sql.OrderItem, distinct bool, limit, offset int, outCols []string) *Result {
 	type outRow struct {
 		proj []storage.Value
 		keys []storage.Value
 	}
 	n, np, width := src.n, len(projs), len(projs)+len(sortKeys)
 	outs := make([]outRow, n)
-	evalRange := func(lo, hi int) {
-		scratch := make([]storage.Value, src.width)
-		arena := make([]storage.Value, (hi-lo)*width)
-		for i := lo; i < hi; i++ {
-			if i%tickInterval == 0 {
-				qc.checkNow()
-			}
-			row := src.row(i, scratch)
-			vals := arena[:width:width]
-			arena = arena[width:]
-			for j, p := range projs {
-				vals[j] = p.eval(row)
-			}
-			for j, k := range sortKeys {
-				vals[np+j] = k.eval(row)
-			}
-			outs[i] = outRow{vals[:np:np], vals[np:]}
+	scratch := make([]storage.Value, src.width)
+	arena := make([]storage.Value, n*width)
+	for i := 0; i < n; i++ {
+		if i%tickInterval == 0 {
+			qc.checkNow()
 		}
-	}
-	morsel := e.morselSize()
-	if workers := e.workers(); workers > 1 && n > morsel {
-		tr.addWork(forEachMorsel(qc, workers, n, morsel, func(_, _, lo, hi int) { evalRange(lo, hi) }))
-	} else {
-		for lo := 0; lo < n; lo += morsel {
-			evalRange(lo, min(lo+morsel, n))
+		row := src.row(i, scratch)
+		vals := arena[:width:width]
+		arena = arena[width:]
+		for j, p := range projs {
+			vals[j] = p.eval(row)
 		}
+		for j, k := range sortKeys {
+			vals[np+j] = k.eval(row)
+		}
+		outs[i] = outRow{vals[:np:np], vals[np:]}
 	}
 	if distinct {
 		seen := map[string]bool{}

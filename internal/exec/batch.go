@@ -2,7 +2,7 @@
 // compiled once per query (vcomp) into a typed vector program run a
 // batch of positions at a time (MonetDB/X100-style). A value node returns
 // a view: entry j is row idx[j] of a colReader's vectors — a bare
-// column's own, or its node's slot in a per-worker frame — of the
+// column's own, or its node's slot in a frame — of the
 // expression's static kind, a string on dictionary codes where the
 // dictionary is known at compile time. Predicates are the boolean case:
 // kernels writing 1 true, 0 false, -1 unknown. A position is what the
@@ -27,11 +27,6 @@ import (
 // selection vector and per-column working set inside the L1/L2 caches
 // while amortizing per-batch bookkeeping over enough rows.
 const batchLen = 1024
-
-// batchSize is the program batch row count: batchLen, or one morsel
-// when morsels are smaller (tests shrink them with SetMorselSize and so
-// get batch boundaries inside development-scale tables too).
-func (e *Engine) batchSize() int { return min(batchLen, e.morselSize()) }
 
 // colReader caches one column's physical vectors plus the absolute row
 // layout offset it fills — the batched replacement for Table.Get. A
@@ -206,8 +201,7 @@ func (b *binder) compileFilter(preds []bexpr) *tableFilter {
 	return tf
 }
 
-// batchScratch holds one filter run's reusable buffers. Each run owns
-// its scratch, so concurrent morsel workers never share mutable state.
+// batchScratch holds one filter run's reusable buffers.
 type batchScratch struct {
 	sel []int32
 	tri []int8
@@ -254,12 +248,11 @@ func (tf *tableFilter) apply(sel []int32, sc *batchScratch) []int32 {
 // positions of ids (the star's bitmap-qualified fact ids), or the
 // table's own row ids when ids is nil. fn receives each batch's
 // selection vector (valid only for the call). Cancellation is polled
-// per batch via checkNow — safe from morsel workers, and at the default
-// batch size exactly as frequent as the serial row loop's tick.
+// per batch via checkNow, at the default batch size exactly as
+// frequent as a row loop's tick. A range shorter than a batch gets
+// scratch for its own rows only.
 func (tf *tableFilter) scan(qc *qctx, batch int, ids []int32, lo, hi int, fn func(sel []int32)) {
-	if batch < 1 {
-		batch = 1
-	}
+	batch = max(1, min(batch, hi-lo))
 	sc := tf.newScratch(batch)
 	qc.growScratch(sc.bytes())
 	defer qc.shrinkScratch(sc.bytes())
@@ -359,9 +352,9 @@ type slot struct {
 	args  []storage.Value
 }
 
-// frame is one worker's binding and scratch for running the programs of
-// one vcomp: what positions name (ids, vals; see the package comment)
-// and one slot per node. A frame is never shared between goroutines.
+// frame is the binding and scratch for running the programs of one
+// vcomp: what positions name (ids, vals; see the package comment) and
+// one slot per node.
 type frame struct {
 	ids   [][]int32
 	vals  [][]storage.Value
@@ -389,7 +382,8 @@ func (fr *frame) out(k int, kind storage.Kind, n int, dict []string) *colReader 
 
 // vnode is a compiled value expression: val returns its values at the
 // positions sel, of kind kind (codes into dict whenever dict is set). It
-// closes over immutable data only: morsel workers share it.
+// closes over immutable data only, so one compiled program serves every
+// frame.
 type vnode struct {
 	kind storage.Kind
 	dict []string
@@ -1013,18 +1007,4 @@ func intJoinKey(probe, build []*colExpr) bool {
 	}
 	c := intClass(probe[0].t)
 	return c != 0 && c == intClass(build[0].t)
-}
-
-// partOfInt hashes an int64 join key to a partition — FNV-1a over the
-// key's little-endian bytes, deterministic like partOf.
-func partOfInt(k int64, parts int) int {
-	if parts <= 1 {
-		return 0
-	}
-	h := uint32(2166136261)
-	for s := uint(0); s < 64; s += 8 {
-		h ^= uint32(uint8(k >> s))
-		h *= 16777619
-	}
-	return int(h % uint32(parts))
 }

@@ -32,7 +32,7 @@ func bitmapSelect(b *binder, ti int, preds []bexpr) (ids []int32, answered int) 
 	defer func() { b.sels = nil }()
 	b.sels[ti], _ = b.answer(ti, preds)
 	answered = len(preds) - len(b.sels[ti].rest)
-	return b.selection(ti, filters, nil).rowIDs(), answered
+	return b.selection(ti, filters).rowIDs(), answered
 }
 
 // kernelSelect is the survivors of preds by compileFilter and one serial
@@ -90,7 +90,6 @@ func TestBitmapSelectionEqualsScanAllTemplates(t *testing.T) {
 		t.Skip("all-99 bitmap selection check skipped in -short")
 	}
 	e := New(templateDB())
-	e.SetParallelism(1)
 	type group struct {
 		b     *binder
 		ti    int
@@ -177,13 +176,6 @@ func valueDB(seed uint64, rows int) *storage.DB {
 	return db
 }
 
-// valueEngine is a serial engine over db.
-func valueEngine(db *storage.DB) *Engine {
-	e := New(db)
-	e.SetParallelism(1)
-	return e
-}
-
 // TestBitmapSelectionHandCases: literals absent from the index and from
 // the dictionary, IN with a NULL member, NULL rows, IS NULL and NOT IN
 // on a column without NULL rows, an empty BETWEEN, a column over the
@@ -193,7 +185,7 @@ func valueEngine(db *storage.DB) *Engine {
 // cases drive binder.answer directly (bitmapSelect); the table rule is
 // TestBitmapSelectionCounters'.
 func TestBitmapSelectionHandCases(t *testing.T) {
-	e := valueEngine(valueDB(3, 300))
+	e := New(valueDB(3, 300))
 	cases := []struct {
 		where    string
 		answered int
@@ -226,13 +218,13 @@ func TestBitmapSelectionHandCases(t *testing.T) {
 }
 
 // TestBitmapSelectionCounters pins what the counters say about a
-// bitmap answer, on a table one row over the default morsel, serial and
-// on four workers × 32-row morsels: the query that builds a column's
+// bitmap answer, on a table one row over the value-bitmap rule
+// (bitmapTableRows): the query that builds a column's
 // bitmaps counts the rows the build reads, a cached answer counts none,
 // and the conjuncts left to kernels count the rows they read — the
 // answer's rows. One row fewer and the table is scanned.
 func TestBitmapSelectionCounters(t *testing.T) {
-	db := valueDB(5, defaultMorselRows+1)
+	db := valueDB(5, bitmapTableRows+1)
 	rows := int64(db.Table("v").NumRows())
 	survivors := func(where string) int64 { return countWhere(t, New(db), "v", where) }
 	cases := []struct {
@@ -246,33 +238,28 @@ func TestBitmapSelectionCounters(t *testing.T) {
 		{"v_k > 10", 2 * rows}, // the build that finds v_k over the rule reads it, then the kernels
 		{"v_k > 10", rows},     // the verdict is cached
 	}
-	for _, par := range []bool{false, true} {
-		e := valueEngine(db)
-		if par {
-			parallelEngine(e)
+	e := New(db)
+	e.SetProfiling(true)
+	for i, c := range cases {
+		reg := obs.NewRegistry()
+		e.SetMetrics(reg)
+		if _, tr, err := e.QueryTraced("SELECT COUNT(*) FROM v WHERE " + c.where); err != nil {
+			t.Fatal(err)
+		} else if !strings.Contains(tr.Profile.String(), "scan v") {
+			t.Errorf("case %d %s: no scan node\n%s", i, c.where, tr.Profile)
 		}
-		e.SetProfiling(true)
-		for i, c := range cases {
-			reg := obs.NewRegistry()
-			e.SetMetrics(reg)
-			if _, tr, err := e.QueryTraced("SELECT COUNT(*) FROM v WHERE " + c.where); err != nil {
-				t.Fatal(err)
-			} else if !strings.Contains(tr.Profile.String(), "scan v") {
-				t.Errorf("parallel %v case %d %s: no scan node\n%s", par, i, c.where, tr.Profile)
-			}
-			if got := reg.Counter("exec_rows_scanned").Value(); got != c.scanned {
-				t.Errorf("parallel %v case %d %s: exec_rows_scanned = %d, want %d", par, i, c.where, got, c.scanned)
-			}
+		if got := reg.Counter("exec_rows_scanned").Value(); got != c.scanned {
+			t.Errorf("case %d %s: exec_rows_scanned = %d, want %d", i, c.where, got, c.scanned)
 		}
 	}
-	small := valueDB(5, defaultMorselRows)
-	e := parallelEngine(New(small))
+	small := valueDB(5, bitmapTableRows)
+	e = New(small)
 	for _, where := range []string{"v_i = 2", "v_i = 2"} {
 		reg := obs.NewRegistry()
 		e.SetMetrics(reg)
 		countWhere(t, e, "v", where)
 		if got, want := reg.Counter("exec_rows_scanned").Value(), int64(small.Table("v").NumRows()); got != want {
-			t.Errorf("one default morsel of rows, %s: exec_rows_scanned = %d, want the scan's %d", where, got, want)
+			t.Errorf("at the rule's size, %s: exec_rows_scanned = %d, want the scan's %d", where, got, want)
 		}
 	}
 }
@@ -289,7 +276,6 @@ func TestBitmapCacheIntegrity(t *testing.T) {
 	}
 	db := templateDB()
 	e := New(db)
-	e.SetParallelism(1)
 	var first []*Result
 	for pass := 0; pass < 2; pass++ {
 		for i, tpl := range queries.All() {
@@ -382,7 +368,7 @@ func TestBitmapFirstUsePublishesOnce(t *testing.T) {
 	db := valueDB(7, 5000)
 	tab := db.Table("v")
 	for _, col := range []string{"v_i", "v_s"} {
-		e := valueEngine(db)
+		e := New(db)
 		const n = 4
 		got := make([]*index.BitmapIndex, n)
 		var start, done sync.WaitGroup

@@ -26,7 +26,7 @@ func mustParse(t *testing.T, q string) *sql.SelectStmt {
 // expired deadline fails with context.DeadlineExceeded, observable
 // through errors.Is despite the query-context wrapping.
 func TestQueryContextExpiredDeadline(t *testing.T) {
-	e := parallelEngine(New(miniDB()))
+	e := New(miniDB())
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	res, err := e.QueryContext(ctx, `SELECT COUNT(*) FROM sales`)
@@ -42,7 +42,7 @@ func TestQueryContextExpiredDeadline(t *testing.T) {
 // is in flight (the hook holds the query until the context is done, so
 // the expiry is deterministic, not a timing race).
 func TestQueryContextDeadlineMidQuery(t *testing.T) {
-	e := parallelEngine(New(miniDB()))
+	e := New(miniDB())
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	e.SetQueryHook(func(string) { <-ctx.Done() })
@@ -57,15 +57,15 @@ func TestQueryContextDeadlineMidQuery(t *testing.T) {
 	}
 }
 
-// TestNoGoroutineLeakAfterTimeout runs parallel queries under tiny
-// deadlines — cancelling mid-scan, mid-join, mid-aggregate — and then
-// asserts the goroutine count settles back to the baseline: morsel
-// workers must drain on cancellation, never park forever.
+// TestNoGoroutineLeakAfterTimeout runs queries under tiny deadlines —
+// cancelling mid-scan, mid-join, mid-aggregate — and then asserts the
+// goroutine count settles back to the baseline: a cancelled query
+// leaves nothing running.
 func TestNoGoroutineLeakAfterTimeout(t *testing.T) {
 	db := randDB(11, 5000, 24)
-	e := parallelEngine(New(db))
+	e := New(db)
 	// Instrumentation on: cancellation unwinds through live operator
-	// and morsel spans, which must not change the drain behaviour.
+	// spans, which must not change how the query unwinds.
 	e.SetMetrics(obs.NewRegistry())
 	tracer := obs.NewTracer()
 	troot := tracer.Root("leaktest", "test")
@@ -101,7 +101,7 @@ func TestNoGoroutineLeakAfterTimeout(t *testing.T) {
 // (via the fault-injection hook) surfaces as an error naming the query,
 // and the engine keeps serving.
 func TestInjectedPanicBecomesError(t *testing.T) {
-	e := parallelEngine(New(miniDB()))
+	e := New(miniDB())
 	e.SetQueryHook(func(q string) {
 		if strings.Contains(q, "returns") {
 			panic("injected storage fault")
@@ -126,7 +126,7 @@ func TestInjectedPanicBecomesError(t *testing.T) {
 // engine; the stream hitting the fault gets an error while every other
 // stream's queries keep succeeding.
 func TestInjectedPanicSparesSiblingStreams(t *testing.T) {
-	e := parallelEngine(New(miniDB()))
+	e := New(miniDB())
 	e.SetQueryHook(func(q string) {
 		if strings.Contains(q, "returns") {
 			panic("injected fault")

@@ -25,7 +25,6 @@ var updateGoldens = flag.Bool("update", false, "rewrite the plan-snapshot golden
 func referenceEngine(db *storage.DB) *Engine {
 	e := New(db)
 	e.reference = true
-	e.SetParallelism(1)
 	return e
 }
 
@@ -59,19 +58,16 @@ var referenceCases = []string{
 // differential: production planning — join-order search, plan cache,
 // subquery decorrelation, CSE and the cost model's star choice — must
 // produce bit-identical results to the reference for every one of the
-// 99 templates and referenceCases: serially, on four workers, and with
-// the star transformation forced wherever the shape permits.
+// 99 templates and referenceCases, both as the engine plans them and
+// with the star transformation forced wherever the shape permits.
 func TestPlannedEqualsReferenceAllTemplates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("all-99 planner differential skipped in -short")
 	}
 	db := templateDB()
 	ref := referenceEngine(db)
-	serial := New(db)
-	serial.SetParallelism(1)
-	par := parallelEngine(New(db))
+	planned := New(db)
 	star := New(db)
-	star.SetParallelism(1)
 	star.SetMode(plan.ForceStar)
 	var labels, texts []string
 	for _, tpl := range queries.All() {
@@ -92,7 +88,7 @@ func TestPlannedEqualsReferenceAllTemplates(t *testing.T) {
 		for _, c := range []struct {
 			name string
 			eng  *Engine
-		}{{"serial", serial}, {"4 workers", par}, {"force-star", star}} {
+		}{{"planned", planned}, {"force-star", star}} {
 			got, err := c.eng.Query(text)
 			if err != nil {
 				t.Fatalf("%s %s: %v", labels[i], c.name, err)
@@ -102,7 +98,7 @@ func TestPlannedEqualsReferenceAllTemplates(t *testing.T) {
 	}
 	// The cases reach what they are there for, with rows to compare.
 	for i, text := range referenceCases {
-		res, tr, err := serial.QueryTraced(text)
+		res, tr, err := planned.QueryTraced(text)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +130,6 @@ func BenchmarkStarVsHashAllTemplates(b *testing.B) {
 	for _, mode := range []plan.Mode{plan.Auto, plan.ForceHashJoin, plan.ForceStar} {
 		b.Run(mode.String(), func(b *testing.B) {
 			e := New(templateDB())
-			e.SetParallelism(1)
 			e.SetMode(mode)
 			pass := func() {
 				for _, text := range texts {
@@ -174,7 +169,6 @@ func TestPlanCacheConcurrentStreams(t *testing.T) {
 	}
 
 	oracle := New(db)
-	oracle.SetParallelism(1)
 	want := make([]*Result, len(texts))
 	for i, q := range texts {
 		r, err := oracle.Query(q)
@@ -184,7 +178,7 @@ func TestPlanCacheConcurrentStreams(t *testing.T) {
 		want[i] = r
 	}
 
-	eng := parallelEngine(New(db))
+	eng := New(db)
 	// Warm the cache serially so the concurrent phase measures steady
 	// state (cold concurrent streams can all miss the same key at once).
 	for i, q := range texts {
@@ -235,7 +229,6 @@ func TestPlanCacheConcurrentStreams(t *testing.T) {
 func TestPlanCacheInvalidation(t *testing.T) {
 	db := randDB(3, 200, 10)
 	eng := New(db)
-	eng.SetParallelism(1)
 	const q = `SELECT d_s, COUNT(*) c FROM f, d WHERE f_k = d_k GROUP BY d_s`
 	if _, err := eng.Query(q); err != nil {
 		t.Fatal(err)
@@ -264,7 +257,6 @@ func TestDecorrelationAndCSEObservable(t *testing.T) {
 	db := randDB(11, 300, 12)
 	ref := referenceEngine(db)
 	cost := New(db)
-	cost.SetParallelism(1)
 
 	q := `SELECT f_o FROM f WHERE f_k IN (SELECT d_k FROM d WHERE d_g < 3) ORDER BY f_o`
 	want, err := ref.Query(q)
@@ -306,7 +298,6 @@ func TestPlanSnapshotsAllTemplates(t *testing.T) {
 	}
 	db := templateDB()
 	eng := New(db)
-	eng.SetParallelism(1)
 	var sb strings.Builder
 	for _, tpl := range queries.All() {
 		text, err := qgen.Instantiate(tpl, qgen.StreamSeed(1, 0, tpl.ID))

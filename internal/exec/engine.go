@@ -2,7 +2,8 @@
 // against the storage catalog, the two physical join strategies of §2.1
 // (hash-join pipeline and bitmap star transformation, chosen by the
 // engine's cost model in package plan), hash aggregation, windowed
-// aggregates, sorting and set operations. The engine is safe for concurrent queries, which the
+// aggregates, sorting and set operations. Each query runs on its calling
+// goroutine; the engine is safe for concurrent queries, which the
 // execution rules require (§5.2: multiple concurrent query streams).
 package exec
 
@@ -30,15 +31,6 @@ type Engine struct {
 	// Decorrelate, no CSE memo, no join-order search or plan cache, and
 	// hash joins only. Only internal/exec tests set it.
 	reference bool
-
-	// parallelism is the configured worker count for morsel-driven
-	// execution: 0 means runtime.GOMAXPROCS(0), 1 forces the serial
-	// path.
-	// morselRows overrides the scan morsel size (tests and benchmarks
-	// shrink it so development-scale tables still split into morsels);
-	// the predicate batch is never larger than a morsel (batchSize).
-	parallelism int
-	morselRows  int
 
 	// vecHook, set by tests only, sees every batch of every vector
 	// program node (batch.go).
@@ -119,39 +111,23 @@ func New(db *storage.DB) *Engine {
 // plan.Auto. Not safe to call concurrently with queries.
 func (e *Engine) SetMode(m plan.Mode) { e.mode = m }
 
-// SetParallelism configures the morsel worker count: 0 (the default)
-// resolves to runtime.GOMAXPROCS(0), 1 forces serial execution, n > 1
-// uses n workers. Results are bit-identical at every setting. Not safe
-// to call concurrently with queries.
-func (e *Engine) SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.parallelism = n
-}
-
-// Parallelism returns the configured (unresolved) parallelism knob.
-func (e *Engine) Parallelism() int { return e.parallelism }
-
-// SetMorselSize overrides the scan morsel row count (test/benchmark
-// hook: development-scale tables never reach the production 64K-row
-// morsels). n <= 0 restores the default. Not safe to call concurrently
-// with queries.
-func (e *Engine) SetMorselSize(n int) {
-	if n < 0 {
-		n = 0
-	}
-	e.morselRows = n
-}
+// SetParallelism does nothing: every query runs on its calling
+// goroutine, and concurrency comes from concurrent queries (§5.2's
+// streams).
+//
+// Deprecated: kept only because the benchmark harness under bench/
+// still calls it; the [benchmark] change of ROADMAP item 2(b) removes
+// those calls and this method.
+func (e *Engine) SetParallelism(int) {}
 
 // PlanCacheStats returns the plan cache's hit/miss counters.
 func (e *Engine) PlanCacheStats() (hits, misses int64) { return e.planCache.Stats() }
 
 // SetProfiling toggles per-operator runtime accounting. With it on,
-// every query records actual rows in/out, batches, morsels, wall time
-// and peak scratch bytes per operator into Trace.Profile (the EXPLAIN
-// ANALYZE surface); the planner's estimates ride along so the
-// profile reports per-operator q-error. Profiling never changes
+// every query records actual rows in/out, batches, wall time and peak
+// scratch bytes per operator into Trace.Profile (the EXPLAIN ANALYZE
+// surface); the planner's estimates ride along so the profile reports
+// per-operator q-error. Profiling never changes
 // results (the differential tests run with it on to prove it). Not
 // safe to call concurrently with queries.
 func (e *Engine) SetProfiling(on bool) { e.profiling = on }

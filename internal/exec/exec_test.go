@@ -193,13 +193,11 @@ func TestStarEqualsHash(t *testing.T) {
 }
 
 // TestStarScratchCharged: the star node's scratch peak covers what it
-// holds at once after the morsel barrier — the merged fact bitmap and
+// holds at once after the fact fetch — the merged fact bitmap and
 // its scratch (two filtered dimensions), the qualifying id list, the
 // row-major tuples and the per-table id vectors.
 func TestStarScratchCharged(t *testing.T) {
 	e := New(templateDB())
-	e.SetParallelism(1)
-	e.SetMorselSize(64) // batches of at most 64 rows: their scratch is below what is checked
 	e.SetProfiling(true)
 	_, tr, err := e.QueryTraced(`SELECT cs_order_number, i_item_id, d_date FROM catalog_sales, item, date_dim
 		WHERE cs_item_sk = i_item_sk AND cs_sold_date_sk = d_date_sk AND d_year = 2000 AND d_moy = 12

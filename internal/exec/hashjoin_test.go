@@ -68,8 +68,7 @@ func probeEvery(t *testing.T, label string, ht *hashTable, ref *refHashPart) {
 // and sparse keys, the flat build side lists exactly the row ids the
 // map build did, in the same order — for a whole table, for a
 // selection of it, and for the stream join's build over an intermediate
-// result read through an id vector with outer-miss (-1) rows — built in
-// one partition and in four.
+// result read through an id vector with outer-miss (-1) rows.
 func TestHashTableEqualsMapBuild(t *testing.T) {
 	e := New(storage.NewDB())
 	qc := e.newQctx(context.Background())
@@ -114,13 +113,11 @@ func TestHashTableEqualsMapBuild(t *testing.T) {
 				hashed++
 			}
 		}
-		for _, parts := range []int{1, 4} {
-			ht, built := newHashTable(qc, []keySource{c.ks}, true, c.sel, parts)
-			if built != hashed || len(ht.ints) != parts {
-				t.Fatalf("%s/%d parts: hashed %d rows into %d partitions, want %d rows", c.name, parts, built, len(ht.ints), hashed)
-			}
-			probeEvery(t, c.name, ht, ref)
+		ht, built := newHashTable(qc, []keySource{c.ks}, true, c.sel)
+		if built != hashed || ht.ints == nil {
+			t.Fatalf("%s: hashed %d rows, want %d rows in an int table", c.name, built, hashed)
 		}
+		probeEvery(t, c.name, ht, ref)
 	}
 }
 
@@ -154,11 +151,10 @@ func keyJoinDB(pRows, qRows int) *storage.DB {
 
 // TestHashTableJoinsEqualMapJoins runs the three joins that read the
 // flat table — probe (engine-cached index and built-from-selection),
-// stream and LEFT — serially and on four workers, and requires exactly
-// the rows, in exactly the order, a nested reference join through the
-// map build produces.
+// stream and LEFT — and requires exactly the rows, in exactly the
+// order, a nested reference join through the map build produces.
 func TestHashTableJoinsEqualMapJoins(t *testing.T) {
-	db := keyJoinDB(1000, 300)
+	db := keyJoinDB(2*batchLen+7, 300)
 	p, q := db.Table("p"), db.Table("q")
 	refJoin := func(pKeep, qKeep func(o int64) bool, left bool) [][]storage.Value {
 		part := &refHashPart{ints: map[int64][]int32{}}
@@ -199,28 +195,22 @@ func TestHashTableJoinsEqualMapJoins(t *testing.T) {
 			refJoin(func(o int64) bool { return o < 20 }, func(o int64) bool { return o >= 7 }, false)},
 		{"left", `SELECT p_o, q_o FROM p LEFT OUTER JOIN q ON p_k = q_k`, "left q", refJoin(all, all, true)},
 	}
-	for _, par := range []bool{false, true} {
-		e := New(db)
-		e.SetParallelism(1)
-		e.SetProfiling(true)
-		if par {
-			parallelEngine(e)
+	e := New(db)
+	e.SetProfiling(true)
+	for _, c := range cases {
+		res, tr, err := e.QueryTraced(c.query)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		for _, c := range cases {
-			res, tr, err := e.QueryTraced(c.query)
-			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-			ran := false
-			tr.Profile.Walk(func(n *obs.OpProfile) { ran = ran || n.Name == c.op })
-			if !ran {
-				t.Fatalf("%s (parallel=%v): no %q operator ran\n%s", c.name, par, c.op, tr.Profile)
-			}
-			assertSameResult(t, c.name, &Result{Columns: res.Columns, Rows: c.want}, res)
+		ran := false
+		tr.Profile.Walk(func(n *obs.OpProfile) { ran = ran || n.Name == c.op })
+		if !ran {
+			t.Fatalf("%s: no %q operator ran\n%s", c.name, c.op, tr.Profile)
 		}
-		if _, cached := e.hashIdx["q.q_k"]; !cached {
-			t.Errorf("parallel=%v: the unfiltered build of q did not go through the engine's index on q_k", par)
-		}
+		assertSameResult(t, c.name, &Result{Columns: res.Columns, Rows: c.want}, res)
+	}
+	if _, cached := e.hashIdx["q.q_k"]; !cached {
+		t.Error("the unfiltered build of q did not go through the engine's index on q_k")
 	}
 }
 
@@ -246,7 +236,7 @@ func BenchmarkBuildProbe(b *testing.B) {
 	b.Run("flat", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ht, _ := newHashTable(qc, bks, true, sel, 1)
+			ht, _ := newHashTable(qc, bks, true, sel)
 			for r := int32(0); r < probeRows; r++ {
 				m, _ := ht.probe(pks, r, nil)
 				sinkMatches += len(m)

@@ -34,9 +34,8 @@ func (e *Engine) joinRows(b *binder, stmt *sql.SelectStmt, filters []filterInfo,
 	b.sels = make([]*selection, len(b.tables))
 	defer func() { b.sels = nil }()
 	tr := Trace{
-		Strategy:    plan.HashJoinPipeline,
-		Tables:      e.buildTableTraces(b, filters),
-		Parallelism: e.workers(),
+		Strategy: plan.HashJoinPipeline,
+		Tables:   e.buildTableTraces(b, filters),
 	}
 	isLeft := map[int]bool{}
 	for _, lj := range lefts {
@@ -49,7 +48,7 @@ func (e *Engine) joinRows(b *binder, stmt *sql.SelectStmt, filters []filterInfo,
 
 	if e.reference {
 		tr.PlanSource = "greedy"
-		rows, order := e.executeJoinOrder(b, gOrder, nil, filters, edges, residual, lefts, &tr)
+		rows, order := e.executeJoinOrder(b, gOrder, nil, filters, edges, residual, lefts)
 		tr.JoinOrder = order
 		tr.BaseRows = rows.n
 		return rows, tr, nil
@@ -61,12 +60,12 @@ func (e *Engine) joinRows(b *binder, stmt *sql.SelectStmt, filters []filterInfo,
 	}
 	tr.EstBaseRows = planned.EstRows
 
-	if shape, fact, dims, ok := e.starShape(b, filters, edges, lefts, &tr); ok {
+	if shape, fact, dims, ok := e.starShape(b, filters, edges, lefts); ok {
 		decision := plan.ChooseCost(shape, planned.Cost, e.mode)
 		tr.Decision = decision
 		if decision.Strategy == plan.StarTransform {
 			starEst := shape.CombinedSelectivity() * float64(shape.FactRows)
-			rows, ok := e.runStar(b, filters, residual, fact, dims, starEst, &tr)
+			rows, ok := e.runStar(b, filters, residual, fact, dims, starEst)
 			if ok {
 				tr.Strategy = plan.StarTransform
 				tr.JoinOrder = []string{shape.FactName + " (bitmap-driven)"}
@@ -75,7 +74,7 @@ func (e *Engine) joinRows(b *binder, stmt *sql.SelectStmt, filters []filterInfo,
 			}
 		}
 	}
-	rows, order := e.executeJoinOrder(b, planned.Order, planned.StepEst, filters, edges, residual, lefts, &tr)
+	rows, order := e.executeJoinOrder(b, planned.Order, planned.StepEst, filters, edges, residual, lefts)
 	tr.JoinOrder = order
 	tr.BaseRows = rows.n
 	return rows, tr, nil
@@ -125,12 +124,12 @@ func (e *Engine) estimateFiltered(b *binder, ti int, filters []filterInfo) float
 // estimates aligned with order (stepEst[k] estimates the intermediate
 // cardinality after joining order[k]); nil in the reference. Estimates
 // feed only the profile — execution never branches on them.
-func (e *Engine) executeJoinOrder(b *binder, order []int, stepEst []float64, filters []filterInfo, edges []joinEdge, residual []bexpr, lefts []leftJoin, tr *Trace) (*rowSet, []string) {
+func (e *Engine) executeJoinOrder(b *binder, order []int, stepEst []float64, filters []filterInfo, edges []joinEdge, residual []bexpr, lefts []leftJoin) (*rowSet, []string) {
 	if len(order) == 0 {
 		panic("exec: empty join order")
 	}
 	driver := order[0]
-	current := e.scanFiltered(b, driver, filters, tr)
+	current := e.scanFiltered(b, driver, filters)
 	joined := map[int]bool{driver: true}
 	desc := []string{b.tableAt(driver).binding + " (driver)"}
 	for k, ti := range order[1:] {
@@ -138,13 +137,13 @@ func (e *Engine) executeJoinOrder(b *binder, order []int, stepEst []float64, fil
 		if s := k + 1; s >= 0 && s < len(stepEst) {
 			est = stepEst[s]
 		}
-		current = e.innerHashJoin(b, current, ti, filters, edges, joined, est, tr)
+		current = e.innerHashJoin(b, current, ti, filters, edges, joined, est)
 		joined[ti] = true
 		desc = append(desc, b.tableAt(ti).binding)
 	}
 	// LEFT OUTER joins, in declaration order.
 	for _, lj := range lefts {
-		current = e.leftHashJoin(b, current, lj, filters, tr)
+		current = e.leftHashJoin(b, current, lj, filters)
 		joined[lj.table] = true
 		desc = append(desc, b.tableAt(lj.table).binding+" (left)")
 	}
@@ -158,7 +157,7 @@ func (e *Engine) executeJoinOrder(b *binder, order []int, stepEst []float64, fil
 func (b *binder) applyResidual(rs *rowSet, residual []bexpr) {
 	if len(residual) > 0 {
 		w := 0
-		b.compileFilter(residual).passing(b.qc, rs.n, b.eng.batchSize(), rs.ids, nil, func(sel []int32) { w = rs.keep(w, sel) })
+		b.compileFilter(residual).passing(b.qc, rs.n, batchLen, rs.ids, nil, func(sel []int32) { w = rs.keep(w, sel) })
 		rs.truncate(w)
 	}
 }
@@ -209,7 +208,7 @@ func (b *binder) lookupKey(ti int, probe, build []*colExpr, filters []filterInfo
 // emit the same rows in the same order. Without a connecting edge it is
 // a cartesian product (rare; small sides only). stepEst is the
 // planner's output estimate for this join step (negative when none).
-func (e *Engine) innerHashJoin(b *binder, current *rowSet, ti int, filters []filterInfo, edges []joinEdge, joined map[int]bool, stepEst float64, tr *Trace) *rowSet {
+func (e *Engine) innerHashJoin(b *binder, current *rowSet, ti int, filters []filterInfo, edges []joinEdge, joined map[int]bool, stepEst float64) *rowSet {
 	probe, build := joinKeys(edges, joined, ti)
 	verb, col := "probe", b.lookupKey(ti, probe, build, filters, current.n)
 	var ht *hashTable
@@ -218,17 +217,14 @@ func (e *Engine) innerHashJoin(b *binder, current *rowSet, ti int, filters []fil
 		verb = "cartesian"
 	case col < 0:
 		if est := e.estimateFiltered(b, ti, filters); est > 2*float64(current.n) {
-			return e.streamJoin(b, current, ti, probe, build, filters, stepEst, tr)
+			return e.streamJoin(b, current, ti, probe, build, filters, stepEst)
 		}
-		ht = e.buildHashTable(b, ti, filters, probe, build, tr)
+		ht = e.buildHashTable(b, ti, filters, probe, build)
 	}
 	sp := b.startStep(verb, ti, current.n, stepEst)
 	defer b.qc.endOp(sp)
-	ht, tf, all := b.joinSide(ti, col, ht, filters, tr)
-	ks := b.keySources(current, probe)
-	pairs := collectMorsels(e, b.qc, current.n, tr, func(lo, hi int) []matchPair {
-		return b.joinMatches(ht, tf, all, ks, lo, hi)
-	})
+	ht, tf, all := b.joinSide(ti, col, ht, filters)
+	pairs := b.joinMatches(ht, tf, all, b.keySources(current, probe), current.n)
 	out := current.extend(b.qc, pairs, ti)
 	b.qc.opRowsOut(sp, int64(out.n))
 	return out
@@ -247,30 +243,30 @@ func (b *binder) startStep(verb string, ti, rowsIn int, stepEst float64) *obs.Sp
 // joinSide completes the build side of a join step onto table ti: the
 // engine's key index and ti's lookupFilter when lookupKey gave col ≥ 0,
 // else ht when one was built, else ti's whole selection.
-func (b *binder) joinSide(ti, col int, ht *hashTable, filters []filterInfo, tr *Trace) (*hashTable, *tableFilter, []int32) {
+func (b *binder) joinSide(ti, col int, ht *hashTable, filters []filterInfo) (*hashTable, *tableFilter, []int32) {
 	switch {
 	case col >= 0:
-		return &hashTable{ints: []*index.HashIndex{b.baseIndex(ti, col)}}, b.lookupFilter(ti, filters, tr), nil
+		return &hashTable{ints: b.baseIndex(ti, col)}, b.lookupFilter(ti, filters), nil
 	case ht != nil:
 		return ht, nil, nil
 	}
-	sel := b.selection(ti, filters, tr)
+	sel := b.selection(ti, filters)
 	b.readAll(sel)
 	return nil, nil, sel.rowIDs()
 }
 
-// joinMatches returns the (row, match) pairs of intermediate rows
-// [lo, hi) in probe-major order, the serial output order: ht's matches
-// for each row's key that pass tf, or, without ht, every row of all — a
-// product that grows as it is emitted, each row's share charged as
-// scratch first, so one too large to finish is cancelled early.
-func (b *binder) joinMatches(ht *hashTable, tf *tableFilter, all []int32, ks []keySource, lo, hi int) []matchPair {
+// joinMatches returns the (row, match) pairs of the n intermediate rows
+// in probe-major order: ht's matches for each row's key that pass tf,
+// or, without ht, every row of all — a product that grows as it is
+// emitted, each row's share charged as scratch first, so one too large
+// to finish is cancelled early.
+func (b *binder) joinMatches(ht *hashTable, tf *tableFilter, all []int32, ks []keySource, n int) []matchPair {
 	// Room for one match per row: key joins match at most once, and
 	// growing from nothing allocates twice the final size on the way.
-	out := make([]matchPair, 0, hi-lo)
+	out := make([]matchPair, 0, n)
 	var buf []byte
 	matches := all
-	for li := lo; li < hi; li++ {
+	for li := 0; li < n; li++ {
 		if li%tickInterval == 0 || ht == nil {
 			b.qc.checkNow()
 		}
@@ -286,17 +282,16 @@ func (b *binder) joinMatches(ht *hashTable, tf *tableFilter, all []int32, ks []k
 	if ht == nil {
 		b.qc.shrinkScratch(int64(len(out)) * matchPairBytes)
 	}
-	return tf.keep(b.qc, b.eng.batchSize(), out)
+	return tf.keep(b.qc, batchLen, out)
 }
 
 // leftHashJoin outer-joins current rows with the lj table: a row without
 // a match keeps id -1 for it, which every reader turns into NULLs. The
 // table's matches come from an index lookup, a build over its selection,
 // or, without an equality edge, the whole selection; the ON conditions
-// beyond the edges then decide which of them join. The probe side runs
-// in morsels over current (each probe row is independent; morsel-order
-// concatenation keeps the serial output order).
-func (e *Engine) leftHashJoin(b *binder, current *rowSet, lj leftJoin, filters []filterInfo, tr *Trace) *rowSet {
+// beyond the edges then decide which of them join. Every current row
+// emits its matches, or one NULL-extended row, in probe-major order.
+func (e *Engine) leftHashJoin(b *binder, current *rowSet, lj leftJoin, filters []filterInfo) *rowSet {
 	sp := b.startStep("left", lj.table, current.n, -1)
 	defer b.qc.endOp(sp)
 	var probe, build []*colExpr
@@ -307,9 +302,9 @@ func (e *Engine) leftHashJoin(b *binder, current *rowSet, lj leftJoin, filters [
 	var ht *hashTable
 	col := b.lookupKey(lj.table, probe, build, filters, current.n)
 	if len(probe) > 0 && col < 0 {
-		ht = e.buildHashTable(b, lj.table, filters, probe, build, tr)
+		ht = e.buildHashTable(b, lj.table, filters, probe, build)
 	}
-	ht, tf, all := b.joinSide(lj.table, col, ht, filters, tr)
+	ht, tf, all := b.joinSide(lj.table, col, ht, filters)
 	ks := b.keySources(current, probe)
 	// ON conditions beyond the equi edges run over the candidate pairs as
 	// a rowSet of their own: the joined tables through current's id
@@ -319,37 +314,208 @@ func (e *Engine) leftHashJoin(b *binder, current *rowSet, lj leftJoin, filters [
 	if len(lj.extra) > 0 {
 		on = b.compileFilter(lj.extra)
 	}
-	pairs := collectMorsels(e, b.qc, current.n, tr, func(lo, hi int) []matchPair {
-		matches := b.joinMatches(ht, tf, all, ks, lo, hi)
-		var ok []int32 // the positions of the matches ON holds for
-		if on != nil {
-			cand := current.extend(b.qc, matches, lj.table)
-			on.passing(b.qc, cand.n, b.eng.batchSize(), cand.ids, nil, func(sel []int32) { ok = append(ok, sel...) })
+	matches := b.joinMatches(ht, tf, all, ks, current.n)
+	var ok []int32 // the positions of the matches ON holds for
+	if on != nil {
+		cand := current.extend(b.qc, matches, lj.table)
+		on.passing(b.qc, cand.n, batchLen, cand.ids, nil, func(sel []int32) { ok = append(ok, sel...) })
+	}
+	pairs := make([]matchPair, 0, current.n) // every row emits at least one pair
+	j, k := 0, 0
+	for li := 0; li < current.n; li++ {
+		if li%tickInterval == 0 {
+			b.qc.checkNow()
 		}
-		out := make([]matchPair, 0, hi-lo) // every row emits at least one pair
-		j, k := 0, 0
-		for li := lo; li < hi; li++ {
-			if li%tickInterval == 0 {
-				b.qc.checkNow()
-			}
-			matched := false
-			for ; j < len(matches) && matches[j].li == int32(li); j++ {
-				if on != nil {
-					if k == len(ok) || ok[k] != int32(j) {
-						continue
-					}
-					k++
+		matched := false
+		for ; j < len(matches) && matches[j].li == int32(li); j++ {
+			if on != nil {
+				if k == len(ok) || ok[k] != int32(j) {
+					continue
 				}
-				out = append(out, matches[j])
-				matched = true
+				k++
 			}
-			if !matched {
-				out = append(out, matchPair{li: int32(li), r: -1})
-			}
+			pairs = append(pairs, matches[j])
+			matched = true
 		}
-		return out
-	})
+		if !matched {
+			pairs = append(pairs, matchPair{li: int32(li), r: -1})
+		}
+	}
 	out := current.extend(b.qc, pairs, lj.table)
+	b.qc.opRowsOut(sp, int64(out.n))
+	return out
+}
+
+// scanFiltered emits table ti's selection as the driver rowSet, which
+// takes the id vector over as its own. An unfiltered driver has no
+// filter scan behind it: its identity vector is materialised here,
+// under a scan node of its own, and charged to it on the way out.
+func (e *Engine) scanFiltered(b *binder, ti int, filters []filterInfo) *rowSet {
+	sel := b.selection(ti, filters)
+	rs := &rowSet{n: sel.n, ids: make([][]int32, len(b.tables))}
+	if sel.all {
+		sp := b.qc.startOp("scan", b.tableAt(ti).binding)
+		defer b.qc.endOp(sp)
+		b.qc.opRowsIn(sp, int64(sel.n))
+		b.qc.opRowsOut(sp, int64(sel.n))
+		b.readAll(sel)
+		defer rs.charge(b.qc, 0)
+	}
+	rs.ids[ti] = sel.rowIDs()
+	return rs
+}
+
+// hashTable is a join build side: row ids keyed by join key, the row
+// ids of a key in input order. Exactly one field is set: ints, the
+// raw-int64 fast path for a single integer-class column on both sides,
+// or strs, keyed on the GroupKey encoding.
+type hashTable struct {
+	ints *index.HashIndex
+	strs map[string][]int32
+}
+
+// probe returns the build-side row ids matching the key of position i
+// read through ks (nil on a NULL key: NULL never joins). buf is the
+// caller's reusable key buffer, returned possibly grown.
+func (h *hashTable) probe(ks []keySource, i int32, buf []byte) ([]int32, []byte) {
+	if h.ints != nil {
+		k, ok := ks[0].intAt(i)
+		if !ok {
+			return nil, buf
+		}
+		return h.ints.Lookup(k), buf
+	}
+	buf, ok := appendKey(ks, i, buf[:0])
+	if !ok {
+		return nil, buf
+	}
+	return h.strs[string(buf)], buf
+}
+
+// stagePairs reads the join key of every row of sel through key and
+// keeps the (key, row id) pairs whose key is not NULL (NULL never
+// joins), in selection order.
+func stagePairs[K any](qc *qctx, sel *selection, key func(r int32) (K, bool)) (keys []K, rows []int32) {
+	keys, rows = make([]K, 0, sel.n), make([]int32, 0, sel.n)
+	for i := 0; i < sel.n; i++ {
+		if i%tickInterval == 0 {
+			qc.checkNow()
+		}
+		r := sel.at(i)
+		if k, ok := key(r); ok {
+			keys, rows = append(keys, k), append(rows, r)
+		}
+	}
+	return keys, rows
+}
+
+// newHashTable hashes the rows of sel by the key read through ks; it
+// returns the table and the number of rows hashed. The staged pairs are
+// the build's dominant scratch (12 or 32 bytes a pair), dropped on
+// return.
+func newHashTable(qc *qctx, ks []keySource, intKeys bool, sel *selection) (*hashTable, int) {
+	if intKeys {
+		keys, rows := stagePairs(qc, sel, ks[0].intAt)
+		qc.growScratch(int64(len(rows)) * 12)
+		defer qc.shrinkScratch(int64(len(rows)) * 12)
+		return &hashTable{ints: index.BuildHashIndexPairs(keys, rows)}, len(rows)
+	}
+	var buf []byte
+	keys, rows := stagePairs(qc, sel, func(r int32) (key string, ok bool) {
+		buf, ok = appendKey(ks, r, buf[:0])
+		return string(buf), ok
+	})
+	qc.growScratch(int64(len(rows)) * 32)
+	defer qc.shrinkScratch(int64(len(rows)) * 32)
+	strs := make(map[string][]int32, len(keys))
+	for i, k := range keys {
+		strs[k] = append(strs[k], rows[i])
+	}
+	return &hashTable{strs: strs}, len(rows)
+}
+
+// baseIndex returns the engine's cached hash index on column col of
+// table ti, or nil when the instance is not the catalog's base table (a
+// CTE of the same name). A cold cache — first use, or maintenance changed
+// the table — builds the index here, and that one read and hashing of
+// the column goes on this query's counters.
+func (b *binder) baseIndex(ti, col int) *index.HashIndex {
+	inst := b.tableAt(ti)
+	if b.eng.db.Table(inst.tab.Def.Name) != inst.tab {
+		return nil
+	}
+	ix, built := b.eng.hashIndex(inst.tab, col)
+	if built {
+		b.qc.countScan(ix.NumRows())
+		b.qc.countBuild(ix.NumRows())
+	}
+	return ix
+}
+
+// buildHashTable indexes table ti's selection by the build key columns,
+// read straight off the column vectors. probe is consulted only to
+// decide the key representation: a single integer-class column pair
+// keys on raw int64 values (GroupKey keeps int and date keys disjoint,
+// so the raw fast path is only taken when both sides share a class).
+// An unfiltered base table on that path builds nothing: the engine's
+// index on the column lists the same row ids in the same order.
+func (e *Engine) buildHashTable(b *binder, ti int, filters []filterInfo, probe, build []*colExpr) *hashTable {
+	inst := b.tableAt(ti)
+	sel := b.selection(ti, filters)
+	sp := b.startStep("build", ti, sel.n, -1)
+	defer b.qc.endOp(sp)
+	intKeys := intJoinKey(probe, build)
+	if intKeys && sel.all {
+		if ix := b.baseIndex(ti, build[0].off-inst.offset); ix != nil {
+			b.qc.opRowsOut(sp, int64(sel.n))
+			return &hashTable{ints: ix}
+		}
+	}
+	b.readAll(sel)
+	ht, built := newHashTable(b.qc, b.keySources(nil, build), intKeys, sel)
+	b.qc.countBuild(built)
+	b.qc.opRowsOut(sp, int64(built))
+	return ht
+}
+
+// streamJoin hashes the (smaller) current intermediate result and
+// streams table ti's selection past it — the build-on-smaller-side
+// branch of the hash pipeline.
+//
+// Output order is probe-major — current rows ascending, matching table
+// rows ascending within each — exactly the order a probe produces.
+// That makes the build-side choice (and the runtime threshold behind
+// it) invisible in the output, which the planner's join-order search
+// depends on: any plan property may vary with estimates except row
+// order. The streamed side therefore collects (li, r) match pairs
+// (r-ascending) and a stable counting sort on li puts them in
+// probe-major order.
+func (e *Engine) streamJoin(b *binder, current *rowSet, ti int, probe, build []*colExpr, filters []filterInfo, stepEst float64) *rowSet {
+	sel := b.selection(ti, filters)
+	sp := b.startStep("stream", ti, sel.n, stepEst)
+	defer b.qc.endOp(sp)
+	b.readAll(sel)
+	// The build side is the current intermediate: its positions keyed by
+	// the probe columns read through the id vectors.
+	ht, built := newHashTable(b.qc, b.keySources(current, probe), intJoinKey(probe, build), &selection{n: current.n, all: true})
+	b.qc.countBuild(built)
+	// Keys of the streamed rows come straight off the table's vectors;
+	// survivors that probe nothing cost one table miss.
+	bks := b.keySources(nil, build)
+	var pairs []matchPair
+	var buf []byte
+	var lis []int32
+	for i := 0; i < sel.n; i++ {
+		if i%tickInterval == 0 {
+			b.qc.checkNow()
+		}
+		r := sel.at(i)
+		lis, buf = ht.probe(bks, r, buf)
+		for _, li := range lis {
+			pairs = append(pairs, matchPair{li: li, r: r})
+		}
+	}
+	out := current.extend(b.qc, sortPairsByLeft(pairs, current.n), ti)
 	b.qc.opRowsOut(sp, int64(out.n))
 	return out
 }

@@ -176,7 +176,7 @@ func allRows(n int) []int32 {
 // templates — reached the way runStatement reaches it, CTE bodies and
 // subqueries included — on every row of its table (a predicate text
 // repeated on the same table is checked once). Then every template runs,
-// serially and on four workers, and every program of every operator —
+// and every program of every operator —
 // local, residual and ON predicates, group keys, aggregate and window
 // arguments, HAVING, projections and sort keys — is checked on the rows
 // it runs over.
@@ -186,7 +186,6 @@ func TestKernelsEqualEvalAllTemplates(t *testing.T) {
 	}
 	db := templateDB()
 	walk := New(db)
-	walk.SetParallelism(1)
 	local := checkPrograms(walk)
 	type key struct {
 		tab  *storage.Table
@@ -207,22 +206,19 @@ func TestKernelsEqualEvalAllTemplates(t *testing.T) {
 	if len(seen) == 0 {
 		t.Error("no local predicate in any template: the walk lost its way")
 	}
-	serial := New(db)
-	serial.SetParallelism(1)
-	for _, e := range []*Engine{serial, parallelEngine(New(db))} {
-		c := checkPrograms(e)
-		for _, tpl := range queries.All() {
-			text, err := qgen.Instantiate(tpl, qgen.StreamSeed(1, 0, tpl.ID))
-			if err != nil {
-				t.Fatalf("query %d: %v", tpl.ID, err)
-			}
-			if _, err := e.Query(text); err != nil {
-				t.Fatalf("query %d: %v", tpl.ID, err)
-			}
-			c.report(t, fmt.Sprintf("q%02d on %d workers", tpl.ID, e.workers()))
+	e := New(db)
+	c := checkPrograms(e)
+	for _, tpl := range queries.All() {
+		text, err := qgen.Instantiate(tpl, qgen.StreamSeed(1, 0, tpl.ID))
+		if err != nil {
+			t.Fatalf("query %d: %v", tpl.ID, err)
 		}
-		t.Logf("%d workers: %d node batches, %d node rows checked", e.workers(), c.nodes, c.rows)
+		if _, err := e.Query(text); err != nil {
+			t.Fatalf("query %d: %v", tpl.ID, err)
+		}
+		c.report(t, fmt.Sprintf("q%02d", tpl.ID))
 	}
+	t.Logf("queries: %d node batches, %d node rows checked", c.nodes, c.rows)
 }
 
 // countWhere runs SELECT COUNT(*) FROM from [WHERE where] through e.
@@ -249,7 +245,7 @@ func count(t *testing.T, e *Engine, q string) int64 {
 // on the same template predicates, over the catalog tables, through
 // Engine.Query: every row makes p true, false or UNKNOWN, so
 // COUNT(*) WHERE p + COUNT(*) WHERE NOT (p) + COUNT(*) WHERE (p) IS NULL
-// is the table's row count — serial and on four workers. The identity
+// is the table's row count. The identity
 // needs no oracle; it fails when a kernel and its negation disagree on
 // which rows are UNKNOWN, or when batches drop or repeat rows.
 func TestPartitionIdentityAllTemplates(t *testing.T) {
@@ -257,11 +253,8 @@ func TestPartitionIdentityAllTemplates(t *testing.T) {
 		t.Skip("all-99 partition identity skipped in -short")
 	}
 	db := templateDB()
-	serial := New(db)
-	serial.SetParallelism(1)
-	par := parallelEngine(New(db))
+	e := New(db)
 	walk := New(db)
-	walk.SetParallelism(1)
 	seen, checked := map[string]bool{}, 0
 	for _, tpl := range queries.All() {
 		for _, lp := range templatePreds(t, walk, tpl) {
@@ -283,12 +276,10 @@ func TestPartitionIdentityAllTemplates(t *testing.T) {
 			seen[from+" "+p] = true
 			checked++
 			n := int64(inst.tab.NumRows())
-			for i, e := range []*Engine{serial, par} {
-				tr, fa, un := countWhere(t, e, from, p), countWhere(t, e, from, "NOT ("+p+")"), countWhere(t, e, from, "("+p+") IS NULL")
-				if tr+fa+un != n {
-					t.Errorf("q%02d %s over %s on %d workers: %d true + %d false + %d unknown = %d, table has %d rows",
-						tpl.ID, p, from, []int{1, 4}[i], tr, fa, un, tr+fa+un, n)
-				}
+			tr, fa, un := countWhere(t, e, from, p), countWhere(t, e, from, "NOT ("+p+")"), countWhere(t, e, from, "("+p+") IS NULL")
+			if tr+fa+un != n {
+				t.Errorf("q%02d %s over %s: %d true + %d false + %d unknown = %d, table has %d rows",
+					tpl.ID, p, from, tr, fa, un, tr+fa+un, n)
 			}
 		}
 	}
@@ -325,34 +316,34 @@ var havingPreds = []string{
 // the programs after the scan: the rows of f ⋈ d through a residual
 // predicate (WHERE p, NOT (p), (p) IS NULL), the candidate pairs of a
 // LEFT JOIN through its ON condition (COUNT(d_k) counts the pairs that
-// joined), and the groups through HAVING each sum to the total — serial
-// and on four workers.
+// joined), and the groups through HAVING each sum to the total. The
+// joined pairs span several batches.
 func TestPartitionIdentityPostJoin(t *testing.T) {
-	db := randDB(17, 700, 40)
-	serial := New(db)
-	serial.SetParallelism(1)
-	for i, e := range []*Engine{serial, parallelEngine(New(db))} {
-		pairs := countWhere(t, e, "f, d", "f_k = d_k")
-		for _, p := range postJoinPreds {
-			var where, on int64
-			for _, q := range []string{p, "NOT (" + p + ")", "(" + p + ") IS NULL"} {
-				where += countWhere(t, e, "f, d", "f_k = d_k AND "+q)
-				on += count(t, e, "SELECT COUNT(d_k) FROM f LEFT JOIN d ON f_k = d_k AND "+q)
-			}
-			if where != pairs || on != pairs {
-				t.Errorf("%s on %d workers: residual partition %d, ON partition %d, %d joined pairs", p, []int{1, 4}[i], where, on, pairs)
-			}
+	db := randDB(17, 3*batchLen, 40)
+	e := New(db)
+	pairs := countWhere(t, e, "f, d", "f_k = d_k")
+	if pairs <= 2*batchLen {
+		t.Fatalf("%d joined pairs fill no more than two batches", pairs)
+	}
+	for _, p := range postJoinPreds {
+		var where, on int64
+		for _, q := range []string{p, "NOT (" + p + ")", "(" + p + ") IS NULL"} {
+			where += countWhere(t, e, "f, d", "f_k = d_k AND "+q)
+			on += count(t, e, "SELECT COUNT(d_k) FROM f LEFT JOIN d ON f_k = d_k AND "+q)
 		}
-		const groups = "SELECT d_s, d_g FROM f, d WHERE f_k = d_k GROUP BY d_s, d_g"
-		all := count(t, e, "WITH h AS ("+groups+") SELECT COUNT(*) FROM h")
-		for _, p := range havingPreds {
-			var sum int64
-			for _, q := range []string{p, "NOT (" + p + ")", "(" + p + ") IS NULL"} {
-				sum += count(t, e, "WITH h AS ("+groups+" HAVING "+q+") SELECT COUNT(*) FROM h")
-			}
-			if sum != all {
-				t.Errorf("HAVING %s on %d workers: the partition has %d groups, the grouping %d", p, []int{1, 4}[i], sum, all)
-			}
+		if where != pairs || on != pairs {
+			t.Errorf("%s: residual partition %d, ON partition %d, %d joined pairs", p, where, on, pairs)
+		}
+	}
+	const groups = "SELECT d_s, d_g FROM f, d WHERE f_k = d_k GROUP BY d_s, d_g"
+	all := count(t, e, "WITH h AS ("+groups+") SELECT COUNT(*) FROM h")
+	for _, p := range havingPreds {
+		var sum int64
+		for _, q := range []string{p, "NOT (" + p + ")", "(" + p + ") IS NULL"} {
+			sum += count(t, e, "WITH h AS ("+groups+" HAVING "+q+") SELECT COUNT(*) FROM h")
+		}
+		if sum != all {
+			t.Errorf("HAVING %s: the partition has %d groups, the grouping %d", p, sum, all)
 		}
 	}
 }
@@ -366,25 +357,24 @@ func TestSharedDictionaryIdentity(t *testing.T) {
 	if !dictionary(db.Table("d"), 2) {
 		t.Fatal("d_s is not a dictionary column: the test compares nothing")
 	}
-	for _, e := range []*Engine{New(db), parallelEngine(New(db))} {
-		for _, q := range []string{
-			"SELECT COUNT(*) FROM d a, d b WHERE a.d_g = b.d_g AND a.d_s <> b.d_s%s",
-			"SELECT COUNT(*) FROM d a, d b WHERE a.d_g = b.d_g AND a.d_s = b.d_s%s",
-			"SELECT COUNT(*) FROM f, d a, d b WHERE f_k = a.d_k AND f_v = b.d_k AND a.d_s <> b.d_s%s",
-			"SELECT a.d_s%[1]s s, COUNT(*) c, SUM(f_m) m FROM f, d a WHERE f_k = a.d_k GROUP BY a.d_s%[1]s ORDER BY s",
-			"SELECT DISTINCT a.d_s%[1]s s FROM d a ORDER BY s",
-		} {
-			want, err := e.Query(fmt.Sprintf(q, " || ''"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := e.Query(fmt.Sprintf(q, ""))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want.Rows, got.Rows) {
-				t.Errorf("%s: on codes %v, on strings %v", fmt.Sprintf(q, ""), got.Rows, want.Rows)
-			}
+	e := New(db)
+	for _, q := range []string{
+		"SELECT COUNT(*) FROM d a, d b WHERE a.d_g = b.d_g AND a.d_s <> b.d_s%s",
+		"SELECT COUNT(*) FROM d a, d b WHERE a.d_g = b.d_g AND a.d_s = b.d_s%s",
+		"SELECT COUNT(*) FROM f, d a, d b WHERE f_k = a.d_k AND f_v = b.d_k AND a.d_s <> b.d_s%s",
+		"SELECT a.d_s%[1]s s, COUNT(*) c, SUM(f_m) m FROM f, d a WHERE f_k = a.d_k GROUP BY a.d_s%[1]s ORDER BY s",
+		"SELECT DISTINCT a.d_s%[1]s s FROM d a ORDER BY s",
+	} {
+		want, err := e.Query(fmt.Sprintf(q, " || ''"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := e.Query(fmt.Sprintf(q, ""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want.Rows, got.Rows) {
+			t.Errorf("%s: on codes %v, on strings %v", fmt.Sprintf(q, ""), got.Rows, want.Rows)
 		}
 	}
 }
@@ -571,7 +561,7 @@ func FuzzKernelEqualsEval(f *testing.F) {
 	f.Add(uint64(42), int8(-3), int8(2), uint64(4))
 	f.Fuzz(func(t *testing.T, seed uint64, c1, c2 int8, selSeed uint64) {
 		e := New(randDB(seed%512, 200, 10))
-		ve := valueEngine(valueDB(seed%512, 1+int(selSeed%400)))
+		ve := New(valueDB(seed%512, 1+int(selSeed%400)))
 		checks := []*vecChecker{checkPrograms(e), checkPrograms(ve)}
 		s := rng.NewStream(selSeed)
 		for _, form := range kernelForms {

@@ -192,7 +192,6 @@ func TestKernelCoverageAllTemplates(t *testing.T) {
 		t.Skip("all-99 program coverage skipped in -short")
 	}
 	eng := New(templateDB())
-	eng.SetParallelism(1)
 	ran := map[string]bool{}
 	eng.vecHook = func(b *binder, e bexpr, _ *frame, _ []int32, _ view, _ []int8) { ran[describeExpr(b, e)] = true }
 	var sb strings.Builder

@@ -97,21 +97,20 @@ var dimPreds = []string{
 // is joined by build + probe or stream. Random NULL, dangling and
 // repeated foreign keys, positional and hashed key indexes, zero, some
 // and all survivors, kernel and row-at-a-time predicates, inner and LEFT
-// joins, serial and on four workers with 32-row morsels.
+// joins, on two fresh engines per database.
 func TestLookupJoinEqualsHashJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	lookups := 0
 	for round := 0; round < 12; round++ {
 		factRows, dimRows := 20+rng.Intn(300), 200+rng.Intn(2000)
+		if round%4 == 3 { // joined rows past a batch edge
+			factRows += 2 * batchLen
+		}
 		db := lookupDB(rng, factRows, dimRows, round%2 == 1)
-		for _, par := range []bool{false, true} {
+		for pass := 0; pass < 2; pass++ {
 			e := New(db)
-			e.SetParallelism(1)
 			e.SetProfiling(true)
 			e.SetMode([]plan.Mode{plan.Auto, plan.ForceHashJoin}[round%3/2])
-			if par {
-				parallelEngine(e)
-			}
 			for q := 0; q < 8; q++ {
 				var conj []string
 				for _, p := range dimPreds {
@@ -132,7 +131,7 @@ func TestLookupJoinEqualsHashJoin(t *testing.T) {
 				} else {
 					query = `SELECT f_o, d_k, d_g, d_s FROM f, %s WHERE f_k = d_k` + where
 				}
-				label := fmt.Sprintf("round %d parallel=%v: %s", round, par, query)
+				label := fmt.Sprintf("round %d pass %d: %s", round, pass, query)
 				got, tr, err := e.QueryTraced(fmt.Sprintf(query, "d"))
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -165,7 +164,6 @@ func TestLookupJoinShape(t *testing.T) {
 		t.Skip("generates customer_demographics")
 	}
 	e := New(datagen.New(0.01, 1).GenerateAll())
-	e.SetParallelism(1)
 	e.SetProfiling(true)
 	e.WarmHashIndex("customer_demographics", "cd_demo_sk")
 	tpl, err := queries.ByID(10)
@@ -211,7 +209,6 @@ func TestCrossJoinGrowsAsItEmits(t *testing.T) {
 		}
 	}
 	e := New(db)
-	e.SetParallelism(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	e.SetQueryHook(func(string) { cancel() })
@@ -250,7 +247,6 @@ func BenchmarkLookupJoin(b *testing.B) {
 			}
 		}
 		e := New(db)
-		e.SetParallelism(1)
 		e.SetMode(plan.ForceHashJoin)
 		e.WarmHashIndex("d", "d_k")
 		for _, ratio := range ratios {

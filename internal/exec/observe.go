@@ -8,13 +8,10 @@ import "tpcds/internal/obs"
 // execMetrics pointer (no registry installed) and nil handles cost one
 // branch each.
 type execMetrics struct {
-	// rowsScanned counts base-table rows examined by scans (serial and
-	// morsel-parallel alike).
+	// rowsScanned counts base-table rows examined by scans.
 	rowsScanned *obs.Counter
 	// buildRows counts rows inserted into hash-join build sides.
 	buildRows *obs.Counter
-	// morsels counts morsels dispatched to workers.
-	morsels *obs.Counter
 	// batches counts vectorized batches processed by the batch scanner.
 	batches *obs.Counter
 	// planCacheHits / planCacheMisses count cost-planner plan-cache
@@ -28,9 +25,9 @@ type execMetrics struct {
 }
 
 // SetMetrics installs a metrics registry on the engine; the executor
-// then counts rows scanned, hash-build rows and morsels executed into
-// it. nil removes the instrumentation. Not safe to call concurrently
-// with queries.
+// then counts rows scanned, hash-build rows and batches into it. nil
+// removes the instrumentation. Not safe to call concurrently with
+// queries.
 func (e *Engine) SetMetrics(reg *obs.Registry) {
 	if reg == nil {
 		e.em = nil
@@ -39,7 +36,6 @@ func (e *Engine) SetMetrics(reg *obs.Registry) {
 	e.em = &execMetrics{
 		rowsScanned:     reg.Counter("exec_rows_scanned"),
 		buildRows:       reg.Counter("exec_hash_build_rows"),
-		morsels:         reg.Counter("exec_morsels"),
 		batches:         reg.Counter("exec_batches"),
 		planCacheHits:   reg.Counter("exec_plan_cache_hits"),
 		planCacheMisses: reg.Counter("exec_plan_cache_misses"),
@@ -47,7 +43,7 @@ func (e *Engine) SetMetrics(reg *obs.Registry) {
 	}
 }
 
-// countScan records base-table rows examined. Safe from any goroutine.
+// countScan records base-table rows examined.
 func (q *qctx) countScan(n int) {
 	if q == nil || q.em == nil {
 		return
@@ -55,7 +51,7 @@ func (q *qctx) countScan(n int) {
 	q.em.rowsScanned.Add(int64(n))
 }
 
-// countBuild records hash-build rows. Safe from any goroutine.
+// countBuild records hash-build rows.
 func (q *qctx) countBuild(n int) {
 	if q == nil || q.em == nil {
 		return
@@ -63,18 +59,8 @@ func (q *qctx) countBuild(n int) {
 	q.em.buildRows.Add(int64(n))
 }
 
-// countMorsel records one dispatched morsel. Safe from any goroutine.
-func (q *qctx) countMorsel() {
-	if q == nil || q.em == nil {
-		return
-	}
-	q.em.morsels.Add(1)
-}
-
 // countBatch records one vectorized batch, into both the engine
-// counter and the current operator's profile node. Safe from any
-// goroutine: the node pointer is published before workers spawn
-// (opSpan discipline) and its batch counter is atomic.
+// counter and the current operator's profile node.
 func (q *qctx) countBatch() {
 	if q == nil {
 		return
@@ -86,7 +72,7 @@ func (q *qctx) countBatch() {
 	q.em.batches.Add(1)
 }
 
-// countPlanCacheHit records one plan-cache hit. Coordinator only.
+// countPlanCacheHit records one plan-cache hit.
 func (q *qctx) countPlanCacheHit() {
 	if q == nil || q.em == nil {
 		return
@@ -94,7 +80,7 @@ func (q *qctx) countPlanCacheHit() {
 	q.em.planCacheHits.Add(1)
 }
 
-// countPlanCacheMiss records one plan-cache miss. Coordinator only.
+// countPlanCacheMiss records one plan-cache miss.
 func (q *qctx) countPlanCacheMiss() {
 	if q == nil || q.em == nil {
 		return
@@ -103,7 +89,7 @@ func (q *qctx) countPlanCacheMiss() {
 }
 
 // countCSEHit records one memoized subquery/CTE reuse and bumps the
-// per-query counter surfaced in the trace. Coordinator only.
+// per-query counter surfaced in the trace.
 func (q *qctx) countCSEHit() {
 	if q == nil {
 		return

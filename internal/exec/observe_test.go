@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,7 +15,7 @@ import (
 // TestDisabledObservabilityAllocatesNothing pins the "disabled means
 // free" contract on the query hot path: with no tracer in the context
 // and no registry on the engine, the span and metric helpers the
-// executor calls per operator and per morsel must not allocate.
+// executor calls per operator and per batch must not allocate.
 func TestDisabledObservabilityAllocatesNothing(t *testing.T) {
 	e := New(miniDB())
 	qc := e.newQctx(context.Background())
@@ -31,16 +32,10 @@ func TestDisabledObservabilityAllocatesNothing(t *testing.T) {
 		qc.countBatch()
 		qc.growScratch(1 << 20)
 		qc.shrinkScratch(1 << 20)
-		qc.opMorsels(4)
 		qc.opRowsOut(sp, 4096)
 		qc.endOp(sp)
 		qc.countScan(4096)
 		qc.countBuild(512)
-		qc.countMorsel()
-		op := qc.opSpan()
-		m := op.ChildTID("morsel", 1)
-		m.SetAttrInt("rows", 4096)
-		m.End()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled observability allocates %v per run, want 0", allocs)
@@ -52,11 +47,11 @@ func TestDisabledObservabilityAllocatesNothing(t *testing.T) {
 
 // TestQuerySpansCoverOperators runs one instrumented join+aggregate
 // query and checks the executor emitted the expected operator span
-// shapes under the query span, morsel spans included, and that the
-// engine counters saw the work.
+// shapes under the query span, and that the engine counters saw the
+// work.
 func TestQuerySpansCoverOperators(t *testing.T) {
 	db := randDB(3, 2000, 16)
-	e := parallelEngine(New(db))
+	e := New(db)
 	reg := obs.NewRegistry()
 	e.SetMetrics(reg)
 	tracer := obs.NewTracer()
@@ -83,7 +78,7 @@ func TestQuerySpansCoverOperators(t *testing.T) {
 		}
 		names[key]++
 	}
-	for _, want := range []string{"bind", "join", "scan", "aggregate", "morsel"} {
+	for _, want := range []string{"bind", "join", "scan", "aggregate"} {
 		if names[want] == 0 {
 			t.Errorf("no %q span recorded (got %v)", want, names)
 		}
@@ -105,9 +100,6 @@ func TestQuerySpansCoverOperators(t *testing.T) {
 	if got := reg.Counter("exec_rows_scanned").Value(); got < 2000 {
 		t.Errorf("exec_rows_scanned = %d, want >= the fact cardinality", got)
 	}
-	if got := reg.Counter("exec_morsels").Value(); got == 0 {
-		t.Errorf("exec_morsels = 0, want > 0 with 32-row morsels over 2000 rows")
-	}
 	if got := reg.Counter("exec_hash_build_rows").Value(); got == 0 {
 		t.Errorf("exec_hash_build_rows = 0, want > 0 for a hash join")
 	}
@@ -116,11 +108,10 @@ func TestQuerySpansCoverOperators(t *testing.T) {
 // TestProfileMirrorsSpans pins the structural contract behind EXPLAIN
 // ANALYZE: startOp pushes a span and a profile node from the same call
 // with the same name, so for any query the profile tree must have
-// exactly the operator spans' names with the same parent edges (morsel
-// worker spans excluded — they are trace lanes, not plan operators).
+// exactly the operator spans' names with the same parent edges.
 func TestProfileMirrorsSpans(t *testing.T) {
 	db := randDB(5, 2000, 16)
-	e := parallelEngine(New(db))
+	e := New(db)
 	e.SetProfiling(true)
 	for _, q := range []string{
 		`SELECT d_s, COUNT(*) c, SUM(f_m) m FROM f, d WHERE f_k = d_k GROUP BY d_s ORDER BY m DESC`,
@@ -151,7 +142,7 @@ func TestProfileMirrorsSpans(t *testing.T) {
 		}
 		spanEdges := map[string]int{}
 		for _, s := range snap {
-			if s.Cat != "exec" || strings.HasPrefix(s.Name, "morsel") {
+			if s.Cat != "exec" {
 				continue
 			}
 			parent := "query"
@@ -188,9 +179,8 @@ func TestProfileMirrorsSpans(t *testing.T) {
 }
 
 // TestProfiledEqualsUnprofiled is the EXPLAIN ANALYZE bit-identity
-// sweep: all 99 templates, serial-unprofiled (the oracle) vs
-// serial-profiled vs parallel-profiled over the same database, must
-// produce identical results — per-operator accounting never alters
+// sweep: all 99 templates, unprofiled (the oracle) vs profiled over the
+// same database, must produce identical results — per-operator accounting never alters
 // what the query returns. Every profiled trace must carry a profile
 // with estimate feedback on at least one join node.
 func TestProfiledEqualsUnprofiled(t *testing.T) {
@@ -199,12 +189,8 @@ func TestProfiledEqualsUnprofiled(t *testing.T) {
 	}
 	db := templateDB()
 	oracle := New(db)
-	oracle.SetParallelism(1)
-	serialProf := New(db)
-	serialProf.SetParallelism(1)
-	serialProf.SetProfiling(true)
-	parProf := parallelEngine(New(db))
-	parProf.SetProfiling(true)
+	prof := New(db)
+	prof.SetProfiling(true)
 	ctx := context.Background()
 	sawEst := false
 	for _, tpl := range queries.All() {
@@ -216,25 +202,15 @@ func TestProfiledEqualsUnprofiled(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d oracle: %v", tpl.ID, err)
 		}
-		for name, e := range map[string]*Engine{"serial": serialProf, "parallel": parProf} {
-			got, tr, err := e.QueryTracedContext(ctx, text)
-			if err != nil {
-				t.Fatalf("query %d %s profiled: %v", tpl.ID, name, err)
-			}
-			if !reflect.DeepEqual(want.Columns, got.Columns) || len(want.Rows) != len(got.Rows) {
-				t.Fatalf("query %d %s: shape differs under profiling", tpl.ID, name)
-			}
-			for ri := range want.Rows {
-				if !reflect.DeepEqual(want.Rows[ri], got.Rows[ri]) {
-					t.Fatalf("query %d %s row %d: %v vs %v under profiling",
-						tpl.ID, name, ri, want.Rows[ri], got.Rows[ri])
-				}
-			}
-			if tr.Profile == nil {
-				t.Fatalf("query %d %s: no profile in trace", tpl.ID, name)
-			}
-			tr.Profile.Walk(func(n *obs.OpProfile) { sawEst = sawEst || n.HasEst })
+		got, tr, err := prof.QueryTracedContext(ctx, text)
+		if err != nil {
+			t.Fatalf("query %d profiled: %v", tpl.ID, err)
 		}
+		assertSameResult(t, fmt.Sprintf("query %d under profiling", tpl.ID), want, got)
+		if tr.Profile == nil {
+			t.Fatalf("query %d: no profile in trace", tpl.ID)
+		}
+		tr.Profile.Walk(func(n *obs.OpProfile) { sawEst = sawEst || n.HasEst })
 	}
 	if !sawEst {
 		t.Error("no profile node in the whole sweep carried a cardinality estimate")

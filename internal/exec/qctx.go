@@ -13,45 +13,40 @@ import (
 // operator phase currently running (for error attribution when an
 // internal invariant violation is recovered at the Query boundary).
 //
-// Cancellation is cooperative. Serial operator loops call tick() once
-// per row (an int increment; the context is polled every tickInterval
-// rows), morsel workers call done() between morsels and drain cleanly,
-// and partition workers call checkNow() periodically. When the context
-// is done, the coordinating goroutine raises a cancelPanic, which the
-// QueryContext/RunContext recover converts into the context's error —
-// the same mechanism that turns internal panics into per-query errors,
-// so cancellation needs no error plumbing through the operator tree.
+// A query runs on its calling goroutine, so every field is that
+// goroutine's alone.
+//
+// Cancellation is cooperative. Operator loops call tick() once per row
+// (an int increment; the context is polled every tickInterval rows) or
+// checkNow() once per batch. When the context is done, they raise a
+// cancelPanic, which the QueryContext/RunContext recover converts into
+// the context's error — the same mechanism that turns internal panics
+// into per-query errors, so cancellation needs no error plumbing
+// through the operator tree.
 type qctx struct {
 	ctx   context.Context
-	phase string // current operator; coordinator goroutine only
-	ticks int    // serial poll counter; coordinator goroutine only
+	phase string // current operator
+	ticks int    // poll counter
 
 	// qspan is the query's observability span, taken from the context
 	// by the caller (driver or CLI); nil means tracing is disabled and
 	// the span helpers below are free no-ops. cur is the innermost open
-	// operator span — coordinator goroutine only; morsel workers read
-	// the operator span captured before they are spawned.
+	// operator span.
 	qspan *obs.Span
 	cur   *obs.Span
 	// prof is the root of the query's runtime profile tree (EXPLAIN
 	// ANALYZE); nil means profiling is disabled and every profile
 	// helper is a free no-op. pcur is the innermost open operator node,
-	// maintained in lockstep with cur by startOp/endOp. Both are
-	// coordinator-goroutine fields; morsel workers may read pcur (the
-	// coordinator writes it strictly before spawning and strictly after
-	// joining workers, the same happens-before discipline as cur) but
-	// touch only its atomic counters.
+	// maintained in lockstep with cur by startOp/endOp.
 	prof *obs.OpNode
 	pcur *obs.OpNode
 	// em carries the engine's metric handles (nil when no registry is
-	// installed); workers update them through sharded atomics.
+	// installed); they are shared with the engine's concurrent queries.
 	em *execMetrics
 
 	// cse memoizes subquery and CTE evaluations within this query by
 	// literal-preserving fingerprint + CTE scope (cost planner only).
 	// Values are shared read-only; the query lifetime bounds the memo.
-	// Coordinator goroutine only — subqueries bind before morsel
-	// workers exist.
 	cse map[string]cseEntry
 	// cseHits and decorrelated feed the query's trace: memo reuses and
 	// IN-subquery predicates rewritten to joins.
@@ -68,7 +63,7 @@ type cseEntry struct {
 	tab   *storage.Table
 }
 
-// tickInterval is the serial-path polling granularity: a context check
+// tickInterval is the row-loop polling granularity: a context check
 // every 1024 rows bounds cancellation latency without measurable
 // per-row cost.
 const tickInterval = 1024
@@ -92,8 +87,7 @@ func (e *Engine) newQctx(ctx context.Context) *qctx {
 	return q
 }
 
-// setPhase records the operator about to run. Coordinator goroutine
-// only; workers never call it.
+// setPhase records the operator about to run.
 func (q *qctx) setPhase(p string) {
 	if q == nil {
 		return
@@ -109,32 +103,21 @@ func (q *qctx) phaseName() string {
 	return q.phase
 }
 
-// done reports whether the query's context is cancelled or expired.
-// Safe from any goroutine.
-func (q *qctx) done() bool {
+// checkNow raises cancelPanic when the query's context is cancelled or
+// expired.
+func (q *qctx) checkNow() {
 	if q == nil || q.ctx == nil {
-		return false
+		return
 	}
 	select {
 	case <-q.ctx.Done():
-		return true
-	default:
-		return false
-	}
-}
-
-// checkNow raises cancelPanic when the context is done. Safe from any
-// goroutine (morsel and partition workers run under the pool's recover,
-// which re-raises on the coordinator).
-func (q *qctx) checkNow() {
-	if q.done() {
 		panic(cancelPanic{q.ctx.Err()})
+	default:
 	}
 }
 
-// tick is the serial-loop cancellation point: every tickInterval calls
-// it polls the context. Coordinator goroutine only — the counter is not
-// synchronized.
+// tick is the row-loop cancellation point: every tickInterval calls it
+// polls the context.
 func (q *qctx) tick() {
 	if q == nil {
 		return
@@ -147,11 +130,10 @@ func (q *qctx) tick() {
 
 // startOp opens an operator span ("scan store_sales", "build item")
 // nested under the innermost open operator — or the query span for
-// top-level phases — and makes it current so morsel workers parent
-// their per-morsel spans under the right operator. When profiling is
-// enabled it also pushes a profile node with the same name, so the
-// profile tree mirrors the span tree by construction. Coordinator
-// goroutine only. With both tracing and profiling disabled this is a
+// top-level phases — and makes it current. When profiling is enabled
+// it also pushes a profile node with the same name, so the profile
+// tree mirrors the span tree by construction. With both tracing and
+// profiling disabled this is a
 // nil check and nothing else: the name is assembled only on the
 // enabled path, so the hot path stays allocation-free.
 func (q *qctx) startOp(verb, detail string) *obs.Span {
@@ -185,7 +167,6 @@ func (q *qctx) startOp(verb, detail string) *obs.Span {
 // current operator; with profiling enabled it also pops the matching
 // profile node (startOp/endOp calls are strictly paired, so the node
 // stack stays in lockstep even when tracing is off and sp is nil).
-// Coordinator goroutine only.
 func (q *qctx) endOp(sp *obs.Span) {
 	if q != nil && q.prof != nil && q.pcur != nil {
 		q.pcur.End()
@@ -213,8 +194,8 @@ func (q *qctx) endOp(sp *obs.Span) {
 func (q *qctx) profiling() bool { return q != nil && q.prof != nil }
 
 // opRowsIn records rows entering the current operator on both the
-// operator span (as an attribute) and the profile node. Coordinator
-// goroutine only; free when observability is off.
+// operator span (as an attribute) and the profile node; free when
+// observability is off.
 func (q *qctx) opRowsIn(sp *obs.Span, n int64) {
 	sp.SetAttrInt("rows_in", n)
 	if q != nil {
@@ -223,7 +204,7 @@ func (q *qctx) opRowsIn(sp *obs.Span, n int64) {
 }
 
 // opRowsOut records rows leaving the current operator on both the
-// operator span and the profile node. Coordinator goroutine only.
+// operator span and the profile node.
 func (q *qctx) opRowsOut(sp *obs.Span, n int64) {
 	sp.SetAttrInt("rows_out", n)
 	if q != nil {
@@ -233,7 +214,7 @@ func (q *qctx) opRowsOut(sp *obs.Span, n int64) {
 
 // opEst records the planner's output-cardinality estimate for the
 // current operator, enabling estimate-vs-actual q-error in the
-// profile. Coordinator goroutine only.
+// profile.
 func (q *qctx) opEst(rows float64) {
 	if q == nil {
 		return
@@ -241,20 +222,9 @@ func (q *qctx) opEst(rows float64) {
 	q.pcur.SetEst(rows)
 }
 
-// opMorsels folds a parallel join's per-worker morsel counts into the
-// current operator node. Coordinator goroutine only (called after the
-// morsel barrier).
-func (q *qctx) opMorsels(n int64) {
-	if q == nil {
-		return
-	}
-	q.pcur.AddMorsels(n)
-}
-
 // growScratch / shrinkScratch account transient operator working
-// memory (selection vectors, hash partitions, group arrays) against
-// the current profile node. Safe from any goroutine: the node pointer
-// is published before workers spawn and the counters are atomic.
+// memory (selection vectors, hash tables, group arrays) against the
+// current profile node.
 func (q *qctx) growScratch(b int64) {
 	if q == nil {
 		return
@@ -270,24 +240,10 @@ func (q *qctx) shrinkScratch(b int64) {
 }
 
 // profile snapshots the query's profile tree (nil when profiling is
-// off). Coordinator goroutine only, after all workers have joined.
+// off).
 func (q *qctx) profile() *obs.OpProfile {
 	if q == nil || q.prof == nil {
 		return nil
 	}
 	return q.prof.Snapshot()
-}
-
-// opSpan returns the span per-morsel worker spans should parent under:
-// the innermost open operator, or the query span itself. nil when
-// tracing is off. Coordinator goroutine only (callers capture the
-// result before spawning workers).
-func (q *qctx) opSpan() *obs.Span {
-	if q == nil {
-		return nil
-	}
-	if q.cur != nil {
-		return q.cur
-	}
-	return q.qspan
 }

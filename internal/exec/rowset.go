@@ -7,9 +7,8 @@
 // vectors a batch at a time.
 //
 // Order contract: every constructor below takes its input in the
-// operator's serial emit order (probe-major, morsel chunks concatenated
-// in morsel order) and preserves it, so results stay bit-identical to a
-// row-at-a-time pipeline whatever the worker count.
+// operator's emit order (probe-major) and preserves it, so results stay
+// bit-identical to a row-at-a-time pipeline.
 package exec
 
 import (
@@ -51,9 +50,7 @@ func (rs *rowSet) bytes() int64 {
 }
 
 // charge accounts an operator's staging bytes plus its output id
-// vectors against the current profile node. Operators call it on the
-// coordinator after the morsel barrier, so the recorded peak does not
-// depend on the worker schedule.
+// vectors against the current profile node.
 func (rs *rowSet) charge(qc *qctx, staging int64) {
 	qc.growScratch(staging + rs.bytes())
 	qc.shrinkScratch(staging + rs.bytes())
@@ -241,46 +238,27 @@ func (s *rowSource) frame(slots int) *frame {
 
 // view reads e in every row of src for key numbering and aggregate
 // folds: a bare column through its table's id vector, anything else as
-// its program's output over all rows, in morsels.
-func (s *rowSource) view(e bexpr, tr *Trace) keySource {
+// its program's output over all rows, a batch at a time.
+func (s *rowSource) view(e bexpr) keySource {
 	if c, ok := e.(*colExpr); ok && s.rs != nil {
 		return s.b.keySources(s.rs, []*colExpr{c})[0]
 	}
 	c := &vcomp{b: s.b}
-	p, out, batch := c.val(e), keySource{}, s.b.eng.batchSize()
+	p, out := c.val(e), keySource{}
 	out.col.resize(p.kind, s.n, p.dict)
-	s.b.eng.inMorsels(s.b.qc, tr, s.n, func(_, _, lo, hi int) {
-		fr, pos := s.frame(c.slots), make([]int32, batch)
-		for base := lo; base < hi; base += batch {
-			s.b.qc.checkNow()
-			sel := pos[:min(batch, hi-base)]
-			for i := range sel {
-				sel[i] = int32(base + i)
-			}
-			v := p.val(fr, sel)
-			for j, r := range v.idx {
-				out.col.put(base+j, v.cr, r)
-			}
+	fr, pos := s.frame(c.slots), make([]int32, batchLen)
+	for base := 0; base < s.n; base += batchLen {
+		s.b.qc.checkNow()
+		sel := pos[:min(batchLen, s.n-base)]
+		for i := range sel {
+			sel[i] = int32(base + i)
 		}
-	})
-	return out
-}
-
-// collectMorsels runs fn over [0,n) — in morsels on the worker pool when
-// n is large, in one call otherwise — and concatenates what the calls
-// return in morsel order, which is the serial order. fn runs on worker
-// goroutines: it polls cancellation with checkNow, never tick.
-func collectMorsels[T any](e *Engine, qc *qctx, n int, tr *Trace, fn func(lo, hi int) []T) []T {
-	workers, morsel := e.parts(n), e.morselSize()
-	if workers <= 1 {
-		return fn(0, n)
+		v := p.val(fr, sel)
+		for j, r := range v.idx {
+			out.col.put(base+j, v.cr, r)
+		}
 	}
-	chunks := make([][]T, (n+morsel-1)/morsel)
-	counts := forEachMorsel(qc, workers, n, morsel, func(_, m, lo, hi int) {
-		chunks[m] = fn(lo, hi)
-	})
-	tr.addWork(counts)
-	return slices.Concat(chunks...)
+	return out
 }
 
 // selection is the rows of one table instance that survive its local
@@ -331,8 +309,8 @@ func (b *binder) readAll(sel *selection) {
 // filtering on first use: once per query, under a scan node of its own.
 // joinRows owns the cache and drops it when it returns. Without local
 // predicates nothing is filtered or materialised.
-func (b *binder) selection(ti int, filters []filterInfo, tr *Trace) *selection {
-	sel := b.filterRows(ti, filters, tr, true)
+func (b *binder) selection(ti int, filters []filterInfo) *selection {
+	sel := b.filterRows(ti, filters, true)
 	if !sel.all && sel.ids == nil && sel.n > 0 {
 		sel.ids = sel.bm.AppendIDs(make([]int32, 0, sel.n))
 		b.qc.growScratch(int64(sel.n) * 4)
@@ -345,7 +323,7 @@ func (b *binder) selection(ti int, filters []filterInfo, tr *Trace) *selection {
 // answer on first use, and, when whole is set, the remaining conjuncts
 // over its rows, so that n is exact. Rows read — by a kernel or by a
 // cold index build — count as scanned; a cached bitmap reads none.
-func (b *binder) filterRows(ti int, filters []filterInfo, tr *Trace, whole bool) *selection {
+func (b *binder) filterRows(ti int, filters []filterInfo, whole bool) *selection {
 	if ti < 0 || ti >= len(b.sels) {
 		panic(fmt.Sprintf("exec: selection of table %d requested outside the join phase (%d tables)", ti, len(b.sels)))
 	}
@@ -379,7 +357,7 @@ func (b *binder) filterRows(ti int, filters []filterInfo, tr *Trace, whole bool)
 		b.sels[ti] = sel
 	}
 	if whole && sel.rest != nil {
-		read += b.scanRest(ti, sel, tr)
+		read += b.scanRest(ti, sel)
 	}
 	b.qc.countScan(read)
 	b.qc.opRowsIn(sp, int64(read))
@@ -400,14 +378,18 @@ func (b *binder) filterRows(ti int, filters []filterInfo, tr *Trace, whole bool)
 }
 
 // bitmapTable is the rule for which tables answer conjuncts from value
-// bitmaps: a catalog table that is not a fact, with more rows than one
-// default morsel (customer_demographics, date_dim and time_dim at every
-// scale factor). The morsel size an engine is set to plays no part.
-// Which of its columns have bitmaps is Engine.valueIndex's rule.
+// bitmaps: a catalog table that is not a fact, with more than
+// bitmapTableRows rows (customer_demographics, date_dim and time_dim at
+// every scale factor). Which of its columns have bitmaps is
+// Engine.valueIndex's rule.
 func (b *binder) bitmapTable(ti int) bool {
 	inst := b.tableAt(ti)
-	return inst.tab.Def.Kind != schema.Fact && inst.tab.NumRows() > defaultMorselRows && b.eng.db.Table(inst.tab.Def.Name) == inst.tab
+	return inst.tab.Def.Kind != schema.Fact && inst.tab.NumRows() > bitmapTableRows && b.eng.db.Table(inst.tab.Def.Name) == inst.tab
 }
+
+// bitmapTableRows is the size above which a dimension answers
+// one-column conjuncts from value bitmaps instead of scanning.
+const bitmapTableRows = 64 * 1024
 
 // answerable reports whether value bitmaps may answer one of preds: ti
 // is under the rule and a conjunct reads one column alone.
@@ -487,11 +469,11 @@ func (b *binder) valueHits(inst *tabInst, col int, ix *index.BitmapIndex, p bexp
 	return keys, truthy(p.eval(row))
 }
 
-// scanRest runs sel's remaining conjuncts as kernels, in morsels, over
-// bm's rows or, when no conjunct was answered, over the whole table, and
-// lists the survivors. It returns the number of rows read.
-func (b *binder) scanRest(ti int, sel *selection, tr *Trace) int {
-	tf, batch := b.compileFilter(sel.rest), b.eng.batchSize()
+// scanRest runs sel's remaining conjuncts as kernels over bm's rows or,
+// when no conjunct was answered, over the whole table, and lists the
+// survivors. It returns the number of rows read.
+func (b *binder) scanRest(ti int, sel *selection) int {
+	tf := b.compileFilter(sel.rest)
 	var ids []int32
 	n := b.tableAt(ti).tab.NumRows()
 	if sel.bm != nil {
@@ -499,11 +481,8 @@ func (b *binder) scanRest(ti int, sel *selection, tr *Trace) int {
 		n = len(ids)
 	}
 	// Exact-sized chunks, one per batch, joined once into one vector.
-	chunks := collectMorsels(b.eng, b.qc, n, tr, func(lo, hi int) [][]int32 {
-		var out [][]int32
-		tf.scan(b.qc, batch, ids, lo, hi, func(s []int32) { out = append(out, slices.Clone(s)) })
-		return out
-	})
+	var chunks [][]int32
+	tf.scan(b.qc, batchLen, ids, 0, n, func(s []int32) { chunks = append(chunks, slices.Clone(s)) })
 	sel.ids = slices.Concat(chunks...)
 	sel.n, sel.bm, sel.rest = len(sel.ids), nil, nil
 	return n
@@ -513,8 +492,8 @@ func (b *binder) scanRest(ti int, sel *selection, tr *Trace) int {
 // matched rows by (nil when ti is unfiltered): a bit test against the
 // selection's bitmap — listed from its ids when the kernels already ran
 // — then the conjuncts no bitmap answered, when they have not run yet.
-func (b *binder) lookupFilter(ti int, filters []filterInfo, tr *Trace) *tableFilter {
-	sel := b.filterRows(ti, filters, tr, false)
+func (b *binder) lookupFilter(ti int, filters []filterInfo) *tableFilter {
+	sel := b.filterRows(ti, filters, false)
 	if sel.all {
 		return nil
 	}

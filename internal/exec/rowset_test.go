@@ -15,25 +15,7 @@ import (
 // table under two bindings, a CTE-backed instance, a cartesian step, an
 // empty driver, a residual predicate gathered across tables — is run
 // over randDB's f/d tables and compared with a nested-loop reference
-// over the raw tables, serial and on 4 workers.
-
-// rowsetEngines returns the engine configurations the rowSet cases run
-// under.
-func rowsetEngines(db *storage.DB, mode plan.Mode) map[string]*Engine {
-	out := map[string]*Engine{}
-	for _, par := range []bool{false, true} {
-		e := New(db)
-		e.SetMode(mode)
-		e.SetParallelism(1)
-		name := "serial"
-		if par {
-			parallelEngine(e)
-			name = "parallel"
-		}
-		out[name] = e
-	}
-	return out
-}
+// over the raw tables.
 
 // renderSorted renders rows as sorted GroupKey strings (a multiset).
 func renderSorted(rows [][]storage.Value) []string {
@@ -59,22 +41,22 @@ func checkAgainstRef(t *testing.T, db *storage.DB, query string, want [][]storag
 func checkModeAgainstRef(t *testing.T, db *storage.DB, mode plan.Mode, query string, want [][]storage.Value) {
 	t.Helper()
 	ref := renderSorted(want)
-	for name, e := range rowsetEngines(db, mode) {
-		res, tr, err := e.QueryTraced(query)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if mode == plan.ForceStar && tr.Strategy != plan.StarTransform {
-			t.Fatalf("%s: forced star ran %v\n%s", name, tr.Strategy, query)
-		}
-		got := renderSorted(res.Rows)
-		if len(got) != len(ref) {
-			t.Fatalf("%s: %d rows, reference has %d\n%s", name, len(got), len(ref), query)
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("%s: sorted row %d = %q, reference %q\n%s", name, i, got[i], ref[i], query)
-			}
+	e := New(db)
+	e.SetMode(mode)
+	res, tr, err := e.QueryTraced(query)
+	if err != nil {
+		t.Fatalf("%v: %v", mode, err)
+	}
+	if mode == plan.ForceStar && tr.Strategy != plan.StarTransform {
+		t.Fatalf("forced star ran %v\n%s", tr.Strategy, query)
+	}
+	got := renderSorted(res.Rows)
+	if len(got) != len(ref) {
+		t.Fatalf("%v: %d rows, reference has %d\n%s", mode, len(got), len(ref), query)
+	}
+	for i := range ref {
+		if got[i] != ref[i] {
+			t.Fatalf("%v: sorted row %d = %q, reference %q\n%s", mode, i, got[i], ref[i], query)
 		}
 	}
 }
@@ -219,7 +201,6 @@ func TestJoinAllocationBudget(t *testing.T) {
 	const budgetBytesPerRow = 1024
 	e := New(datagen.New(0.002, 7).GenerateAll())
 	e.SetMode(plan.ForceHashJoin)
-	e.SetParallelism(1)
 	query := `
 		SELECT i_brand_id, s_store_name, hd_dep_count, ss_ext_sales_price
 		FROM store_sales, item, store, household_demographics

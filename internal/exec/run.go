@@ -28,8 +28,8 @@ func (e *Engine) Query(q string) (*Result, error) {
 
 // QueryContext executes one SELECT statement under a cancellation
 // context. A cancelled or expired context aborts the query between
-// operator steps (serial loops poll every tickInterval rows; morsel
-// workers check between morsels and drain cleanly) and the error wraps
+// operator steps (row loops poll every tickInterval rows, batch loops
+// every batch) and the error wraps
 // ctx.Err(), so errors.Is(err, context.DeadlineExceeded) reports a
 // per-query timeout.
 func (e *Engine) QueryContext(ctx context.Context, q string) (*Result, error) {
@@ -266,7 +266,7 @@ func (e *Engine) runUnion(qc *qctx, head *sql.SelectStmt, ctes map[string]*stora
 		keys[i] = &colExpr{off: k, t: types[k]}
 	}
 	src := &rowSource{b: newBinder(e, qc, ctes), vals: out.Rows, n: len(out.Rows)}
-	out = e.finish(src, nil, keys, orderBy, false, head.Limit, head.Offset, out.Columns, &headTrace)
+	out = e.finish(src, nil, keys, orderBy, false, head.Limit, head.Offset, out.Columns)
 	return out, types, headTrace, nil
 }
 
@@ -309,13 +309,13 @@ func (e *Engine) runSelect(qc *qctx, stmt *sql.SelectStmt, ctes map[string]*stor
 	if aggregated {
 		qc.setPhase("aggregate")
 		aggSp := qc.startOp("aggregate", "")
-		res, types, err := e.aggregate(stmt, b, rows, orderBy, &tr)
+		res, types, err := e.aggregate(stmt, b, rows, orderBy)
 		qc.endOp(aggSp)
 		return res, types, tr, err
 	}
 	qc.setPhase("project")
 	projSp := qc.startOp("project", "")
-	res, types, err := e.projectSimple(stmt, b, rows, orderBy, &tr)
+	res, types, err := e.projectSimple(stmt, b, rows, orderBy)
 	qc.endOp(projSp)
 	return res, types, tr, err
 }
@@ -407,13 +407,13 @@ func (e *Engine) joinSelect(qc *qctx, stmt *sql.SelectStmt, ctes map[string]*sto
 
 // projectSimple handles the non-aggregated path: project, DISTINCT,
 // ORDER BY, LIMIT.
-func (e *Engine) projectSimple(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderBy []sql.OrderItem, tr *Trace) (*Result, []schema.Type, error) {
+func (e *Engine) projectSimple(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderBy []sql.OrderItem) (*Result, []schema.Type, error) {
 	cols, types, projs, keys, err := b.bindOutput(stmt, orderBy, false)
 	if err != nil {
 		return nil, nil, err
 	}
 	src := &rowSource{b: b, rs: rows, n: rows.n}
-	return e.finish(src, projs, keys, orderBy, stmt.Distinct, stmt.Limit, stmt.Offset, cols, tr), types, nil
+	return e.finish(src, projs, keys, orderBy, stmt.Distinct, stmt.Limit, stmt.Offset, cols), types, nil
 }
 
 // bindOutput binds the select list, expanding *, and the sort keys.
@@ -460,7 +460,7 @@ func (b *binder) bindIn(e sql.Expr, clause string, agg bool) (bexpr, error) {
 // sort keys become typed vectors, and the rows sort by them and then by
 // position, which makes any sort the stable one; OFFSET and LIMIT cut
 // the sorted rows, and only those are projected.
-func (e *Engine) finish(src *rowSource, projs, sortKeys []bexpr, orderBy []sql.OrderItem, distinct bool, limit, offset int, outCols []string, tr *Trace) *Result {
+func (e *Engine) finish(src *rowSource, projs, sortKeys []bexpr, orderBy []sql.OrderItem, distinct bool, limit, offset int, outCols []string) *Result {
 	qc := src.b.qc
 	rows := make([]int32, src.n)
 	for i := range rows {
@@ -469,7 +469,7 @@ func (e *Engine) finish(src *rowSource, projs, sortKeys []bexpr, orderBy []sql.O
 	if distinct {
 		keys := make([]keyVec, len(projs))
 		for i, p := range projs {
-			keys[i] = e.keyIDs(qc, src.view(p, tr), src.n, tr)
+			keys[i] = e.keyIDs(qc, src.view(p), src.n)
 		}
 		_, rows = groupIDs(qc, keys, uint(1)<<uint(len(keys))-1, src.n)
 	}
@@ -527,25 +527,23 @@ func (e *Engine) finish(src *rowSource, projs, sortKeys []bexpr, orderBy []sql.O
 	for p, x := range projs {
 		progs[p] = c.val(x)
 	}
-	np, batch := len(projs), e.batchSize()
+	np := len(projs)
 	arena := make([]storage.Value, len(rows)*np)
-	e.inMorsels(qc, tr, len(rows), func(_, _, lo, hi int) {
-		fr, views := src.frame(c.slots), make([]view, np)
-		for base := lo; base < hi; base += batch {
-			qc.checkNow()
-			pos := rows[base:min(base+batch, hi)]
-			for p, prog := range progs {
-				views[p] = prog.val(fr, pos)
-			}
-			for j := range pos {
-				out := arena[(base+j)*np : (base+j+1)*np : (base+j+1)*np]
-				for p, v := range views {
-					out[p] = v.cr.value(v.idx[j])
-				}
-				res.Rows[base+j] = out
-			}
+	fr, views := src.frame(c.slots), make([]view, np)
+	for base := 0; base < len(rows); base += batchLen {
+		qc.checkNow()
+		pos := rows[base:min(base+batchLen, len(rows))]
+		for p, prog := range progs {
+			views[p] = prog.val(fr, pos)
 		}
-	})
+		for j := range pos {
+			out := arena[(base+j)*np : (base+j+1)*np : (base+j+1)*np]
+			for p, v := range views {
+				out[p] = v.cr.value(v.idx[j])
+			}
+			res.Rows[base+j] = out
+		}
+	}
 	return res
 }
 
@@ -559,7 +557,7 @@ func (e *Engine) finish(src *rowSource, projs, sortKeys []bexpr, orderBy []sql.O
 func sortKey(src *rowSource, key bexpr, rows []int32, desc bool) []uint64 {
 	comp := &vcomp{b: src.b}
 	p := comp.val(key)
-	fr, batch, text := src.frame(comp.slots), src.b.eng.batchSize(), p.kind == storage.KindString
+	fr, batch, text := src.frame(comp.slots), batchLen, p.kind == storage.KindString
 	out, strs := make([]uint64, len(rows)), interner{}
 	var byCode []uint32
 	if p.dict != nil && len(p.dict) <= 4*len(rows) {

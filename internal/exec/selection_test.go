@@ -74,9 +74,8 @@ const starJoin = `SELECT a_g, COUNT(*) c, SUM(sf_m) m FROM sf, da, db, dc
 // strategy and the strategy that joins share one selection — plus, in
 // the hash pipeline, the fact's rows (read by its filter scan or, when
 // unfiltered, by the operator it drives or streams through; the star
-// fetches fact rows by bitmap instead). Serial or in morsels. An
-// unfiltered dimension adds nothing: its build probes the warm engine
-// index.
+// fetches fact rows by bitmap instead). An unfiltered dimension adds
+// nothing: its build probes the warm engine index.
 func TestScanOncePerQuery(t *testing.T) {
 	db := starDB(3000)
 	cases := []struct {
@@ -88,34 +87,28 @@ func TestScanOncePerQuery(t *testing.T) {
 		{` AND b_g = 1 AND sf_m < 50`, starB},
 	}
 	for _, mode := range []plan.Mode{plan.ForceStar, plan.ForceHashJoin, plan.Auto} {
-		for _, par := range []bool{false, true} {
-			e := New(db)
-			e.SetMode(mode)
-			e.SetParallelism(1)
-			if par {
-				parallelEngine(e)
+		e := New(db)
+		e.SetMode(mode)
+		for _, d := range []string{"a", "b", "c"} {
+			e.WarmHashIndex("d"+d, d+"_k")
+		}
+		for _, c := range cases {
+			reg := obs.NewRegistry()
+			e.SetMetrics(reg)
+			_, tr, err := e.QueryTraced(starJoin + c.where + ` GROUP BY a_g ORDER BY a_g`)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, d := range []string{"a", "b", "c"} {
-				e.WarmHashIndex("d"+d, d+"_k")
+			if mode == plan.ForceStar && tr.Strategy != plan.StarTransform || mode == plan.ForceHashJoin && tr.Strategy != plan.HashJoinPipeline {
+				t.Fatalf("mode %v ran %v", mode, tr.Strategy)
 			}
-			for _, c := range cases {
-				reg := obs.NewRegistry()
-				e.SetMetrics(reg)
-				_, tr, err := e.QueryTraced(starJoin + c.where + ` GROUP BY a_g ORDER BY a_g`)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if mode == plan.ForceStar && tr.Strategy != plan.StarTransform || mode == plan.ForceHashJoin && tr.Strategy != plan.HashJoinPipeline {
-					t.Fatalf("mode %v ran %v", mode, tr.Strategy)
-				}
-				want := c.dims
-				if tr.Strategy == plan.HashJoinPipeline {
-					want += 3000
-				}
-				if got := reg.Counter("exec_rows_scanned").Value(); got != want {
-					t.Errorf("mode %v parallel=%v%s: exec_rows_scanned = %d, want %d (each table read once)",
-						mode, par, c.where, got, want)
-				}
+			want := c.dims
+			if tr.Strategy == plan.HashJoinPipeline {
+				want += 3000
+			}
+			if got := reg.Counter("exec_rows_scanned").Value(); got != want {
+				t.Errorf("mode %v%s: exec_rows_scanned = %d, want %d (each table read once)",
+					mode, c.where, got, want)
 			}
 		}
 	}
@@ -128,7 +121,6 @@ func TestScanOncePerQuery(t *testing.T) {
 func TestUnfilteredReadsAreCounted(t *testing.T) {
 	e := New(starDB(3000))
 	e.SetMode(plan.ForceHashJoin)
-	e.SetParallelism(1)
 	for run, want := range [][2]int64{{3000 + starA, starA}, {3000, 0}} {
 		reg := obs.NewRegistry()
 		e.SetMetrics(reg)
@@ -169,7 +161,6 @@ func TestStarPlanDeterministic(t *testing.T) {
 	for _, mode := range []plan.Mode{plan.Auto, plan.ForceStar} {
 		e := New(starDB(3000))
 		e.SetMode(mode)
-		e.SetParallelism(1)
 		e.SetProfiling(true)
 		var first Trace
 		var firstShape string
@@ -228,23 +219,20 @@ func (c *pollCtx) Err() error {
 }
 
 // TestCancelMidSelectionAndBuild cancels one query at every one of its
-// cancellation points in turn — inside the morsel-parallel selection
-// scans, the key staging, the partitioned build, the probes — on a cold
-// engine each time, so the lazy engine indexes are being built when the
+// cancellation points in turn — inside the selection scans, the key
+// staging, the build, the probes, the aggregation — on a cold engine
+// each time, so the lazy engine indexes are being built when the
 // cancellation lands. Every run ends in context.Canceled or a full
 // result; afterwards no goroutine is left, every index the engine
 // published is complete, and the engine answers as a fresh one does.
 func TestCancelMidSelectionAndBuild(t *testing.T) {
-	db := randDB(21, 600, 24)
-	// d2 is unfiltered on an int key (engine index); d1 is filtered and
-	// large enough for a four-way partitioned build.
+	// Loops poll once per 1024-row batch or tick, so every table spans
+	// several: d2 is unfiltered on an int key (engine index); d1 is
+	// filtered, so its build stages pairs from a selection.
+	db := randDB(21, 16384, 3000)
 	query := `SELECT d1.d_s, COUNT(*) c, SUM(f_m) m FROM f, d d1, d d2
 		WHERE f_k = d1.d_k AND f_v = d2.d_k AND d1.d_g >= 0 AND f_o >= 10 GROUP BY d1.d_s ORDER BY d1.d_s`
-	newEngine := func() *Engine {
-		e := parallelEngine(New(db))
-		e.SetMorselSize(8)
-		return e
-	}
+	newEngine := func() *Engine { return New(db) }
 	want, err := newEngine().Query(query)
 	if err != nil {
 		t.Fatal(err)

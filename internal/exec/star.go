@@ -21,7 +21,7 @@ type dimSpec struct {
 // shape summary, the fact's table index and the executable dimension
 // specs — both lists in ascending table order, so the float selectivity
 // product, the plan decision and the trace repeat on every run.
-func (e *Engine) starShape(b *binder, filters []filterInfo, edges []joinEdge, lefts []leftJoin, tr *Trace) (plan.StarShape, int, []dimSpec, bool) {
+func (e *Engine) starShape(b *binder, filters []filterInfo, edges []joinEdge, lefts []leftJoin) (plan.StarShape, int, []dimSpec, bool) {
 	none := func() (plan.StarShape, int, []dimSpec, bool) { return plan.StarShape{}, -1, nil, false }
 	if len(lefts) > 0 || len(b.tables) < 2 {
 		return none()
@@ -89,7 +89,7 @@ func (e *Engine) starShape(b *binder, filters []filterInfo, edges []joinEdge, le
 	shape := plan.StarShape{FactName: b.tableAt(fact).binding, FactRows: b.tableAt(fact).tab.NumRows()}
 	for _, d := range dims {
 		inst := b.tableAt(d.table)
-		n := b.filterRows(d.table, filters, tr, true).n
+		n := b.filterRows(d.table, filters, true).n
 		shape.Dims = append(shape.Dims, plan.DimInfo{Name: inst.binding, Rows: inst.tab.NumRows(), FilteredRows: n, PKJoin: true})
 	}
 	return shape, fact, dims, true
@@ -100,9 +100,9 @@ func (e *Engine) starShape(b *binder, filters []filterInfo, edges []joinEdge, le
 // through the fact FK's bitmap index (bitmap access), the bitmaps are
 // merged (AND), and only the qualifying fact rows are fetched and joined
 // back to the dimensions by key lookup (bitmap join). The fact fetch
-// runs in morsels over the qualifying row ids and emits (fact, dim...)
-// row-id tuples.
-func (e *Engine) runStar(b *binder, filters []filterInfo, residual []bexpr, fact int, dims []dimSpec, est float64, tr *Trace) (*rowSet, bool) {
+// walks the qualifying row ids in order and emits (fact, dim...) row-id
+// tuples.
+func (e *Engine) runStar(b *binder, filters []filterInfo, residual []bexpr, fact int, dims []dimSpec, est float64) (*rowSet, bool) {
 	factInst := b.tableAt(fact)
 	sp := b.qc.startOp("star", factInst.binding)
 	b.qc.opRowsIn(sp, int64(factInst.tab.NumRows()))
@@ -119,7 +119,7 @@ func (e *Engine) runStar(b *binder, filters []filterInfo, residual []bexpr, fact
 	var dimDatas []dimData
 	var merge index.Merge // at most one scratch bitmap, shared by the dimensions after the first
 	for _, spec := range dims {
-		inst, sel := b.tableAt(spec.table), b.selection(spec.table, filters, tr)
+		inst, sel := b.tableAt(spec.table), b.selection(spec.table, filters)
 		var rows *index.HashIndex
 		if sel.all {
 			rows = b.baseIndex(spec.table, spec.pkCol)
@@ -144,38 +144,32 @@ func (e *Engine) runStar(b *binder, filters []filterInfo, residual []bexpr, fact
 		return nil, false // no filtered dimension; plan should not choose star
 	}
 
-	// Collect the qualifying fact row ids, then filter + join them back in
-	// morsels. Per-morsel tuples concatenate in bitmap order, so the
-	// output matches a serial walk of the ids exactly.
+	// Collect the qualifying fact row ids, in bitmap order. Fact-local
+	// predicates run over the id list batch by batch; survivors look up
+	// each dimension row by the fact's FK value.
 	ids := accBitmap.AppendIDs(make([]int32, 0, accBitmap.Count()))
-	// Fact-local predicates run over the qualifying id list batch by
-	// batch; survivors look up each dimension row by the fact's FK value.
-	tf, batch := b.compileFilter(tablePreds(fact, filters)), e.batchSize()
-	flat := collectMorsels(e, b.qc, len(ids), tr, func(lo, hi int) []int32 {
-		var out []int32
-		tuple := make([]int32, 1+len(dimDatas))
-		tf.scan(b.qc, batch, ids, lo, hi, func(sel []int32) {
-		nextRow:
-			for _, r := range sel {
-				tuple[0] = r
-				for d := range dimDatas {
-					fk, ok := dimDatas[d].fk.intAt(r)
-					if !ok {
-						continue nextRow
-					}
-					dimRow := dimDatas[d].rows.First(fk)
-					if dimRow < 0 {
-						continue nextRow
-					}
-					tuple[1+d] = dimRow
+	var flat []int32
+	tuple := make([]int32, 1+len(dimDatas))
+	b.compileFilter(tablePreds(fact, filters)).scan(b.qc, batchLen, ids, 0, len(ids), func(sel []int32) {
+	nextRow:
+		for _, r := range sel {
+			tuple[0] = r
+			for d := range dimDatas {
+				fk, ok := dimDatas[d].fk.intAt(r)
+				if !ok {
+					continue nextRow
 				}
-				out = append(out, tuple...)
+				dimRow := dimDatas[d].rows.First(fk)
+				if dimRow < 0 {
+					continue nextRow
+				}
+				tuple[1+d] = dimRow
 			}
-		})
-		return out
+			flat = append(flat, tuple...)
+		}
 	})
 	// The merged bitmaps and the id list stay live until the tuples are
-	// split; charged here, on the coordinator, after the morsel barrier.
+	// split.
 	staged := merge.Bytes() + int64(len(ids))*4
 	b.qc.growScratch(staged)
 	rows := b.tupleRowSet(tables, flat)

@@ -36,33 +36,11 @@ type Trace struct {
 	CSEHits      int
 	Decorrelated int
 
-	// Morsel-execution accounting: Parallelism is the resolved worker
-	// count, WorkerMorsels[i] the number of morsels worker i processed
-	// across all parallel operators of the query. Empty when every
-	// operator took the serial path.
-	Parallelism   int
-	WorkerMorsels []int
-
 	// Profile is the per-operator runtime accounting tree (EXPLAIN
 	// ANALYZE): actual rows, batches, wall time, and peak scratch per
 	// operator, with the planner's estimate and q-error where one
 	// exists. Nil unless Engine.SetProfiling(true) was called.
 	Profile *obs.OpProfile
-}
-
-// addWork folds one parallel operator's per-worker morsel counts into
-// the trace. Only the goroutine coordinating the operator calls it, so
-// no locking is needed. Nil-safe so serial helpers can pass nil.
-func (t *Trace) addWork(counts []int) {
-	if t == nil {
-		return
-	}
-	for len(t.WorkerMorsels) < len(counts) {
-		t.WorkerMorsels = append(t.WorkerMorsels, 0)
-	}
-	for i, c := range counts {
-		t.WorkerMorsels[i] += c
-	}
 }
 
 // String renders the trace in an EXPLAIN-like layout.
@@ -94,10 +72,6 @@ func (t Trace) String() string {
 		fmt.Fprintf(&sb, "joined base rows: %d (est. %.0f)\n", t.BaseRows, t.EstBaseRows)
 	} else {
 		fmt.Fprintf(&sb, "joined base rows: %d\n", t.BaseRows)
-	}
-	if len(t.WorkerMorsels) > 0 {
-		fmt.Fprintf(&sb, "parallelism: %d workers, morsels per worker %v\n",
-			t.Parallelism, t.WorkerMorsels)
 	}
 	if t.Profile != nil {
 		sb.WriteString("profile:\n")

@@ -280,7 +280,7 @@ func containsNode(root, needle ast.Node) bool {
 // cancellationDriven recognizes goroutine bodies whose exit is driven
 // by cancellation: a receive from a Done() channel or a call to a
 // niladic done() predicate, in a body that also returns or falls off
-// its end (the morsel-worker `for !qc.done() { ... }` shape).
+// its end (a worker `for !qc.done() { ... }` shape).
 func (p *Package) cancellationDriven(body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {

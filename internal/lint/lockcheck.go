@@ -16,8 +16,7 @@ package lint
 //     release is reported at its Lock() site; a second Lock of an
 //     already-held lock is an immediate self-deadlock; a channel send
 //     or receive while any lock is held is reported (a blocked
-//     goroutine must never sit on a mutex — the morsel pool's drain
-//     guarantee depends on it).
+//     goroutine must never sit on a mutex).
 //
 // Function literals are analyzed as their own functions (a goroutine
 // body acquiring a lock must release it itself).

@@ -321,7 +321,6 @@ func TestSecondRunComparability(t *testing.T) {
 // two refresh sets in a row.
 func TestWarmEngineEqualsColdAfterRefresh(t *testing.T) {
 	warm := freshEngine(t)
-	warm.SetParallelism(1)
 	reg := obs.NewRegistry()
 	warm.SetMetrics(reg)
 	// Build sides: item and store (history keeping: revisions are
@@ -419,9 +418,7 @@ func TestWarmEngineEqualsColdAfterRefresh(t *testing.T) {
 		revised := storage.Str("Revised " + strconv.Itoa(refresh))
 		cd.SetValue(row, col("cd_education_status"), revised)
 		cold := exec.New(warm.DB())
-		cold.SetParallelism(1)
 		coldHash := exec.New(warm.DB())
-		coldHash.SetParallelism(1)
 		coldHash.SetMode(plan.ForceHashJoin)
 		// The refresh revised item, so the lookup rebuilds its key index.
 		before := reg.Counter("exec_hash_build_rows").Value()

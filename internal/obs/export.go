@@ -30,7 +30,7 @@ type chromeTrace struct {
 }
 
 // chromeEvents converts the tracer's snapshot. Span tids become trace
-// tids, so streams and morsel workers land on their own tracks.
+// tids, so streams land on their own tracks.
 func chromeEvents(t *Tracer) []chromeEvent {
 	snap := t.Snapshot()
 	evs := make([]chromeEvent, 0, len(snap))

@@ -5,7 +5,7 @@
 // plain-text metric dumps and pprof files.
 //
 // The package exists so the benchmark can answer "where did the time
-// go" — which operator, which morsel worker, which stream — without
+// go" — which operator, which query, which stream — without
 // perturbing what it measures. A run is observed after it finishes:
 // every exporter reads the completed record of a finished run, and
 // nothing is served while the run is in progress. Two contracts follow:
@@ -20,9 +20,9 @@
 //
 //   - Observation never alters results. Spans and metrics only read
 //     the clock and count; they carry no row data and make no
-//     scheduling decisions, so the engine's bit-identical-results and
-//     goroutine-ownership invariants hold with tracing on or off (the
-//     differential tests run under an active tracer to prove it).
+//     scheduling decisions, so the engine's bit-identical results hold
+//     with tracing on or off (the differential tests run under an
+//     active tracer to prove it).
 //
 // Timestamps are monotonic durations since the tracer's epoch
 // (time.Since on a time.Time retains the monotonic reading), so spans
@@ -37,7 +37,7 @@ import (
 )
 
 // Attr is one key/value annotation on a span (row counts, table names,
-// worker ids). Values must be JSON-encodable.
+// query ids). Values must be JSON-encodable.
 type Attr struct {
 	Key string `json:"k"`
 	Val any    `json:"v"`
@@ -51,8 +51,8 @@ type SpanRecord struct {
 	Name   string `json:"name"`
 	Cat    string `json:"cat,omitempty"`
 	// TID is the exporter lane: Chrome trace viewers stack spans with
-	// the same tid on one horizontal track, so streams and morsel
-	// workers get distinct lanes.
+	// the same tid on one horizontal track, so streams get distinct
+	// lanes.
 	TID     int    `json:"tid"`
 	StartNs int64  `json:"start_ns"`
 	DurNs   int64  `json:"dur_ns"`
@@ -139,8 +139,7 @@ func (s *Span) ChildCat(name, cat string) *Span {
 	return s.child(name, cat, s.tid)
 }
 
-// ChildTID opens a nested span on its own exporter lane (streams,
-// morsel workers).
+// ChildTID opens a nested span on its own exporter lane (a stream).
 func (s *Span) ChildTID(name string, tid int) *Span {
 	if s == nil {
 		return nil
@@ -172,14 +171,6 @@ func (s *Span) Parent() *Span {
 		return nil
 	}
 	return s.parent
-}
-
-// TID returns the span's exporter lane.
-func (s *Span) TID() int {
-	if s == nil {
-		return 0
-	}
-	return s.tid
 }
 
 // End completes the span, publishes its record to the tracer, and

@@ -88,7 +88,6 @@ func TestDisabledIsNilSafe(t *testing.T) {
 		c = c.ChildTID("c", 3)
 		c.SetAttr("k", 1)
 		_ = c.Parent()
-		_ = c.TID()
 		c.End()
 		sp.End()
 		reg.Counter("n").Add(1)

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
@@ -11,16 +10,11 @@ import (
 // The tree mirrors the plan shape the span tree describes (bind, join,
 // scan/build/probe/stream/star, aggregate, sort, ...), but where spans
 // record only intervals, OpNodes accumulate the operator's runtime
-// accounting: actual rows in/out, batch and morsel counts, and peak
-// scratch bytes.
+// accounting: actual rows in/out, batch counts, and peak scratch
+// bytes.
 //
-// Ownership follows the span contract exactly. A node is created and
-// ended by the query's coordinator goroutine, which also owns rowsIn,
-// rowsOut, morsels, and the child list. Morsel workers may only touch
-// the atomic fields (batches, scratch) — those are commutative sums
-// and maxima, so the aggregate is deterministic regardless of worker
-// scheduling. The coordinator is blocked in the morsel join while
-// workers run, so its plain fields never race with worker updates.
+// A profile tree belongs to one query, which runs on one goroutine:
+// nothing in it is synchronized.
 //
 // A nil *OpNode is the disabled profile: every method returns
 // immediately and StartChild returns nil, so instrumented code threads
@@ -34,13 +28,12 @@ type OpNode struct {
 	wallNs  int64
 	rowsIn  int64
 	rowsOut int64
-	morsels int64
 	estRows float64
 	hasEst  bool
 
-	batches     atomic.Int64
-	scratchCur  atomic.Int64
-	scratchPeak atomic.Int64
+	batches     int64
+	scratchCur  int64
+	scratchPeak int64
 }
 
 // NewProfile opens a profile tree rooted at name (conventionally the
@@ -50,7 +43,7 @@ func NewProfile(name string) *OpNode {
 }
 
 // StartChild opens a child operator node and starts its clock. Returns
-// nil on a nil node. Coordinator goroutine only.
+// nil on a nil node.
 func (n *OpNode) StartChild(name string) *OpNode {
 	if n == nil {
 		return nil
@@ -61,7 +54,7 @@ func (n *OpNode) StartChild(name string) *OpNode {
 }
 
 // End stops the node's clock. Idempotent (the recorded wall time is
-// the first End). Coordinator goroutine only.
+// the first End).
 func (n *OpNode) End() {
 	if n == nil || n.wallNs != 0 {
 		return
@@ -80,7 +73,7 @@ func (n *OpNode) Parent() *OpNode {
 	return n.parent
 }
 
-// AddRowsIn accumulates rows entering the operator. Coordinator only.
+// AddRowsIn accumulates rows entering the operator.
 func (n *OpNode) AddRowsIn(d int64) {
 	if n == nil {
 		return
@@ -88,7 +81,7 @@ func (n *OpNode) AddRowsIn(d int64) {
 	n.rowsIn += d
 }
 
-// AddRowsOut accumulates rows leaving the operator. Coordinator only.
+// AddRowsOut accumulates rows leaving the operator.
 func (n *OpNode) AddRowsOut(d int64) {
 	if n == nil {
 		return
@@ -96,17 +89,8 @@ func (n *OpNode) AddRowsOut(d int64) {
 	n.rowsOut += d
 }
 
-// AddMorsels accumulates the morsel count after a parallel join (the
-// coordinator sums per-worker counts once workers have joined).
-func (n *OpNode) AddMorsels(d int64) {
-	if n == nil {
-		return
-	}
-	n.morsels += d
-}
-
 // SetEst records the planner's cardinality estimate for the operator's
-// output, enabling q-error in the snapshot. Coordinator only.
+// output, enabling q-error in the snapshot.
 func (n *OpNode) SetEst(rows float64) {
 	if n == nil {
 		return
@@ -115,29 +99,22 @@ func (n *OpNode) SetEst(rows float64) {
 	n.hasEst = true
 }
 
-// AddBatches counts vectorized batches. Safe from any worker.
+// AddBatches counts vectorized batches.
 func (n *OpNode) AddBatches(d int64) {
 	if n == nil {
 		return
 	}
-	n.batches.Add(d)
+	n.batches += d
 }
 
 // GrowScratch records the allocation of b scratch bytes and advances
-// the peak. Safe from any worker; the peak is a CAS-max so concurrent
-// growth from several workers lands deterministically at the true
-// high-water mark of the sum.
+// the peak.
 func (n *OpNode) GrowScratch(b int64) {
 	if n == nil {
 		return
 	}
-	cur := n.scratchCur.Add(b)
-	for {
-		peak := n.scratchPeak.Load()
-		if cur <= peak || n.scratchPeak.CompareAndSwap(peak, cur) {
-			return
-		}
-	}
+	n.scratchCur += b
+	n.scratchPeak = max(n.scratchPeak, n.scratchCur)
 }
 
 // ShrinkScratch releases b scratch bytes (the peak is unaffected).
@@ -145,7 +122,7 @@ func (n *OpNode) ShrinkScratch(b int64) {
 	if n == nil {
 		return
 	}
-	n.scratchCur.Add(-b)
+	n.scratchCur -= b
 }
 
 // OpProfile is the exported snapshot of one profile node: plain data,
@@ -156,9 +133,8 @@ type OpProfile struct {
 	RowsIn  int64  `json:"rows_in,omitempty"`
 	RowsOut int64  `json:"rows_out,omitempty"`
 	Batches int64  `json:"batches,omitempty"`
-	Morsels int64  `json:"morsels,omitempty"`
 	// ScratchBytes is the peak transient working memory attributed to
-	// the operator (selection vectors, hash partitions, group arrays).
+	// the operator (selection vectors, hash tables, group arrays).
 	// It is an accounting of the dominant allocation sites, not a
 	// byte-exact heap measurement.
 	ScratchBytes int64 `json:"scratch_bytes,omitempty"`
@@ -190,9 +166,8 @@ func QErrorOf(est, act float64) float64 {
 	return act / est
 }
 
-// Snapshot exports the subtree rooted at n. Coordinator goroutine
-// only, after every worker touching the tree has joined. An un-ended
-// node is snapshotted with the time accumulated so far.
+// Snapshot exports the subtree rooted at n. An un-ended node is
+// snapshotted with the time accumulated so far.
 func (n *OpNode) Snapshot() *OpProfile {
 	if n == nil {
 		return nil
@@ -206,9 +181,8 @@ func (n *OpNode) Snapshot() *OpProfile {
 		WallNs:       wall,
 		RowsIn:       n.rowsIn,
 		RowsOut:      n.rowsOut,
-		Batches:      n.batches.Load(),
-		Morsels:      n.morsels,
-		ScratchBytes: n.scratchPeak.Load(),
+		Batches:      n.batches,
+		ScratchBytes: n.scratchPeak,
 		EstRows:      n.estRows,
 		HasEst:       n.hasEst,
 	}
@@ -251,9 +225,6 @@ func (p *OpProfile) render(b *strings.Builder, depth int) {
 	}
 	if p.Batches > 0 {
 		fmt.Fprintf(b, " batches=%d", p.Batches)
-	}
-	if p.Morsels > 0 {
-		fmt.Fprintf(b, " morsels=%d", p.Morsels)
 	}
 	if p.ScratchBytes > 0 {
 		fmt.Fprintf(b, " scratch=%s", byteSize(p.ScratchBytes))

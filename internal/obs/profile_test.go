@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -25,7 +24,6 @@ func TestProfileTreeAccounting(t *testing.T) {
 	probe.AddRowsOut(400)
 	probe.SetEst(380)
 	probe.AddBatches(2)
-	probe.AddMorsels(8)
 	probe.End()
 	join.AddRowsOut(400)
 	join.End()
@@ -43,8 +41,8 @@ func TestProfileTreeAccounting(t *testing.T) {
 	if b.Name != "build d" || b.RowsOut != 50 || b.ScratchBytes != 4096 {
 		t.Errorf("build node = %+v, want 50 rows out, 4096 peak scratch", b)
 	}
-	if pr.RowsIn != 1000 || pr.RowsOut != 400 || pr.Batches != 2 || pr.Morsels != 8 {
-		t.Errorf("probe node = %+v, want in=1000 out=400 batches=2 morsels=8", pr)
+	if pr.RowsIn != 1000 || pr.RowsOut != 400 || pr.Batches != 2 {
+		t.Errorf("probe node = %+v, want in=1000 out=400 batches=2", pr)
 	}
 	if !pr.HasEst || pr.EstRows != 380 {
 		t.Errorf("probe est = %v (has=%v), want 380", pr.EstRows, pr.HasEst)
@@ -93,7 +91,6 @@ func TestProfileNilSafe(t *testing.T) {
 	n.End()
 	n.AddRowsIn(1)
 	n.AddRowsOut(1)
-	n.AddMorsels(1)
 	n.AddBatches(1)
 	n.SetEst(10)
 	n.GrowScratch(100)
@@ -105,32 +102,26 @@ func TestProfileNilSafe(t *testing.T) {
 	p.Walk(func(*OpProfile) { t.Error("Walk visited a nil profile") })
 }
 
-// TestProfileWorkerCountersRace exercises the worker-safe fields from
-// many goroutines (run under -race) and checks the sums and the
-// CAS-max peak land deterministically.
-func TestProfileWorkerCountersRace(t *testing.T) {
+// TestProfileScratchPeak checks the accumulating fields: batches sum,
+// and the scratch peak is the high-water mark of the running total —
+// nested growth adds up, released bytes never lower it.
+func TestProfileScratchPeak(t *testing.T) {
 	n := NewProfile("op")
-	const workers, iters = 8, 200
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				n.AddBatches(1)
-				n.GrowScratch(64)
-				n.ShrinkScratch(64)
-			}
-		}()
+	for i := 0; i < 3; i++ {
+		n.AddBatches(1)
+		n.GrowScratch(64)
+		n.GrowScratch(32)
+		n.ShrinkScratch(32)
+		n.ShrinkScratch(64)
 	}
-	wg.Wait()
+	n.GrowScratch(16)
 	n.End()
 	p := n.Snapshot()
-	if p.Batches != workers*iters {
-		t.Errorf("batches = %d, want %d", p.Batches, workers*iters)
+	if p.Batches != 3 {
+		t.Errorf("batches = %d, want 3", p.Batches)
 	}
-	if p.ScratchBytes < 64 || p.ScratchBytes > workers*64 {
-		t.Errorf("peak scratch = %d, want within [64, %d]", p.ScratchBytes, workers*64)
+	if p.ScratchBytes != 96 {
+		t.Errorf("peak scratch = %d, want 96", p.ScratchBytes)
 	}
 }
 
@@ -150,7 +141,7 @@ func TestProfileRenderGolden(t *testing.T) {
 					{
 						Name: "probe d", WallNs: 1_500_000, RowsIn: 1000, RowsOut: 400,
 						EstRows: 380, HasEst: true, QError: QErrorOf(380, 400),
-						Batches: 2, Morsels: 8,
+						Batches: 2,
 					},
 				},
 			},
@@ -161,7 +152,7 @@ func TestProfileRenderGolden(t *testing.T) {
 		"  bind                   time=100µs\n" +
 		"  join                   time=2ms rows_in=1000 rows_out=400\n" +
 		"    build d              time=300µs rows_in=50 rows_out=50 scratch=4.0KiB\n" +
-		"    probe d              time=1.5ms rows_in=1000 rows_out=400 est=380 q=1.05 batches=2 morsels=8\n" +
+		"    probe d              time=1.5ms rows_in=1000 rows_out=400 est=380 q=1.05 batches=2\n" +
 		"  sort                   time=200µs rows_in=400 rows_out=400 scratch=3.0MiB\n"
 	if got := p.String(); got != want {
 		t.Errorf("render drifted:\n--- got ---\n%s--- want ---\n%s", got, want)

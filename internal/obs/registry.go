@@ -61,8 +61,8 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // counterShards spreads concurrent Add calls across cache lines.
-// Morsel workers from every stream hit the same few counters; 16
-// shards keep the common core counts contention-free.
+// Queries from every stream hit the same few counters; 16 shards keep
+// the common core counts contention-free.
 const counterShards = 16
 
 type counterShard struct {
@@ -128,7 +128,7 @@ func makeDurationBuckets() []int64 {
 }
 
 // Histogram counts observations into fixed buckets with atomic
-// count/max, cheap enough for per-query and per-morsel recording.
+// count/max, cheap enough for per-query and per-batch recording.
 // Quantiles are approximate (bucket upper bounds, clamped to the exact
 // max); Max is exact.
 type Histogram struct {

@@ -7,8 +7,8 @@ import (
 )
 
 // TestRegistryConcurrentUpdates hammers one counter and one
-// histogram from many goroutines — the shape morsel workers from
-// concurrent streams produce. Run under -race (CI does) this is the
+// histogram from many goroutines — the shape concurrent streams
+// produce. Run under -race (CI does) this is the
 // registry's data-race proof; the totals prove no update is lost.
 func TestRegistryConcurrentUpdates(t *testing.T) {
 	reg := NewRegistry()
@@ -39,8 +39,8 @@ func TestRegistryConcurrentUpdates(t *testing.T) {
 }
 
 // TestTracerConcurrentSpans proves span creation and completion are
-// goroutine-safe: many workers open and end child spans of a shared
-// parent, as morsel workers do under a live operator span.
+// goroutine-safe: many goroutines open and end child spans of a shared
+// parent, as concurrent streams do under a live run span.
 func TestTracerConcurrentSpans(t *testing.T) {
 	tr := NewTracer()
 	parent := tr.Root("op", "exec")
@@ -52,7 +52,7 @@ func TestTracerConcurrentSpans(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < spansPer; i++ {
-				sp := parent.ChildTID("morsel", w+1)
+				sp := parent.ChildTID("query", w+1)
 				sp.SetAttr("i", i)
 				sp.End()
 			}

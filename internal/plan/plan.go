@@ -10,20 +10,6 @@
 // configuration: cost planning over gathered statistics under Auto.
 package plan
 
-import "runtime"
-
-// Parallelism resolves a configured parallelism knob to a worker count
-// for morsel-driven execution: values <= 0 mean "one worker per
-// schedulable thread" (runtime.GOMAXPROCS, as LoadDir and DumpDir use),
-// 1 forces serial execution, higher values are taken as-is. The
-// executor, the driver and both CLIs share this rule.
-func Parallelism(configured int) int {
-	if configured <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return configured
-}
-
 // Mode constrains the strategy choice. Production always runs Auto,
 // where the cost model decides; the forced modes are references for
 // tests and the star-vs-hash ablation benchmark, which compare the two

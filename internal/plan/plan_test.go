@@ -1,9 +1,6 @@
 package plan
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 func shape(factRows int, dims ...DimInfo) StarShape {
 	return StarShape{FactName: "store_sales", FactRows: factRows, Dims: dims}
@@ -87,21 +84,6 @@ func TestChooseForcedModes(t *testing.T) {
 	bad := shape(100000, DimInfo{Name: "d", Rows: 99, FilteredRows: 1, PKJoin: false})
 	if d := ChooseCost(bad, 1e18, ForceStar); d.Strategy != HashJoinPipeline {
 		t.Errorf("ineligible ForceStar should fall back to hash join, got %v", d.Strategy)
-	}
-}
-
-// TestParallelismFollowsGOMAXPROCS: parallelism 0 resolves to the
-// threads the scheduler may run at once, not the host's CPU count.
-func TestParallelismFollowsGOMAXPROCS(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
-	if got := Parallelism(0); got != 3 {
-		t.Errorf("Parallelism(0) = %d under GOMAXPROCS 3, want 3", got)
-	}
-	if got := Parallelism(-1); got != 3 {
-		t.Errorf("Parallelism(-1) = %d under GOMAXPROCS 3, want 3", got)
-	}
-	if got := Parallelism(5); got != 5 {
-		t.Errorf("Parallelism(5) = %d, want 5", got)
 	}
 }
 
