@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"tpcds/internal/datagen"
-	"tpcds/internal/obs"
 	"tpcds/internal/scaling"
 	"tpcds/internal/schema"
 	"tpcds/internal/storage"
@@ -28,8 +27,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "generation seed")
 	dir := flag.String("dir", ".", "output directory")
 	tables := flag.String("tables", "", "comma-separated table subset (default: all 24)")
-	traceOut := flag.String("trace", "", "write a Chrome trace_event timeline of generation to this file")
-	metrics := flag.Bool("metrics", false, "print per-table generation metrics after the run")
 	flag.Parse()
 
 	if *sf <= 0 {
@@ -60,33 +57,7 @@ func main() {
 	}
 
 	start := time.Now()
-	g := datagen.New(*sf, *seed)
-	var tracer *obs.Tracer
-	var root *obs.Span
-	if *traceOut != "" {
-		tracer = obs.NewTracer()
-		root = tracer.Root("dsdgen", "datagen")
-	}
-	var reg *obs.Registry
-	if *metrics {
-		reg = obs.NewRegistry()
-	}
-	g.SetObservability(root, reg)
-	db := g.GenerateAll()
-	root.End()
-	if tracer != nil {
-		if err := obs.WriteFile(*traceOut, tracer, obs.WriteChromeTrace); err != nil {
-			fmt.Fprintf(os.Stderr, "dsdgen: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d spans to %s\n", tracer.Len(), *traceOut)
-	}
-	if reg != nil {
-		if err := reg.WriteText(os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "dsdgen: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	db := datagen.New(*sf, *seed).GenerateAll()
 	out := db
 	if len(want) > 0 {
 		out = storage.NewDB()

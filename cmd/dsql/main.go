@@ -6,7 +6,6 @@
 //	dsql -sf 0.001 -e "SELECT i_category, COUNT(*) c FROM item GROUP BY i_category ORDER BY c DESC"
 //	echo "SELECT ..." | dsql -sf 0.001
 //	dsql -sf 0.001 -e "EXPLAIN ANALYZE SELECT ..."   # per-operator runtime profile
-//	dsql -sf 0.001 -e "..." -trace out.json -metrics
 package main
 
 import (
@@ -23,8 +22,8 @@ import (
 	"tpcds/internal/obs"
 )
 
-// main defers to run so the pprof stop and trace flush execute before
-// the process exit code is decided.
+// main defers to run so the pprof stop executes before the process exit
+// code is decided.
 func main() { os.Exit(run()) }
 
 func run() int {
@@ -32,8 +31,6 @@ func run() int {
 	seed := flag.Uint64("seed", 1, "generation seed")
 	query := flag.String("e", "", "query text (default: read stdin)")
 	timeout := flag.Duration("timeout", 0, "query deadline (0 = none), e.g. 30s")
-	traceOut := flag.String("trace", "", "write a Chrome trace_event timeline of the query to this file")
-	metrics := flag.Bool("metrics", false, "print the engine metrics dump after the query")
 	pprofDir := flag.String("pprof", "", "write cpu.pprof and heap.pprof into this directory")
 	flag.Parse()
 	if *sf <= 0 {
@@ -73,24 +70,8 @@ func run() int {
 			}
 		}()
 	}
-	var tracer *obs.Tracer
-	var root *obs.Span
-	if *traceOut != "" {
-		tracer = obs.NewTracer()
-		root = tracer.Root("dsql", "driver")
-	}
-	var reg *obs.Registry
-	if *metrics {
-		reg = obs.NewRegistry()
-	}
-
 	loadStart := time.Now()
-	loadSp := root.Child("load")
-	gen := datagen.New(*sf, *seed)
-	gen.SetObservability(loadSp, reg)
-	eng := exec.New(gen.GenerateAll())
-	loadSp.End()
-	eng.SetMetrics(reg)
+	eng := exec.New(datagen.New(*sf, *seed).GenerateAll())
 	eng.SetProfiling(analyze)
 	fmt.Fprintf(os.Stderr, "loaded SF %v in %v\n", *sf, time.Since(loadStart).Round(time.Millisecond))
 
@@ -100,19 +81,8 @@ func run() int {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	qsp := root.Child("query")
-	ctx = obs.ContextWithSpan(ctx, qsp)
 	start := time.Now()
 	res, tr, err := eng.QueryTracedContext(ctx, text)
-	qsp.End()
-	root.End()
-	if tracer != nil {
-		if werr := obs.WriteFile(*traceOut, tracer, obs.WriteChromeTrace); werr != nil {
-			fmt.Fprintf(os.Stderr, "dsql: %v\n", werr)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d spans to %s\n", tracer.Len(), *traceOut)
-	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsql: %v\n", err)
 		return 1
@@ -125,11 +95,5 @@ func run() int {
 		fmt.Print(res.String())
 	}
 	fmt.Fprintf(os.Stderr, "%d rows in %v\n", len(res.Rows), time.Since(start).Round(time.Microsecond))
-	if reg != nil {
-		if err := reg.WriteText(os.Stderr); err != nil {
-			fmt.Fprintf(os.Stderr, "dsql: %v\n", err)
-			return 1
-		}
-	}
 	return 0
 }

@@ -561,10 +561,9 @@ func (e *Engine) refFinish(qc *qctx, src refRowSource, projs, sortKeys []bexpr, 
 		outs = outs[:w]
 	}
 	if len(sortKeys) > 0 {
-		sortSp := qc.startOp("sort", "")
-		sortSp.SetAttrInt("rows", int64(len(outs)))
-		qc.opRowsIn(nil, int64(len(outs)))
-		qc.opRowsOut(nil, int64(len(outs)))
+		qc.startOp("sort", "")
+		qc.opRowsIn(int64(len(outs)))
+		qc.opRowsOut(int64(len(outs)))
 		slices.SortStableFunc(outs, func(a, b outRow) int {
 			for i := range sortKeys {
 				if c := storage.Compare(a.keys[i], b.keys[i]); c != 0 {
@@ -576,7 +575,7 @@ func (e *Engine) refFinish(qc *qctx, src refRowSource, projs, sortKeys []bexpr, 
 			}
 			return 0
 		})
-		qc.endOp(sortSp)
+		qc.endOp()
 	}
 	if offset > 0 {
 		if offset >= len(outs) {

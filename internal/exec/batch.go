@@ -262,7 +262,8 @@ func (tf *tableFilter) scan(qc *qctx, batch int, ids []int32, lo, hi int, fn fun
 	}
 	for base := lo; base < hi; base += batch {
 		qc.checkNow()
-		qc.countBatch()
+		qc.batches++
+		qc.pcur.AddBatches(1)
 		end := min(base+batch, hi)
 		sel := buf[:end-base]
 		if ids != nil {
@@ -319,7 +320,7 @@ func (tf *tableFilter) keep(qc *qctx, batch int, pairs []matchPair) []matchPair 
 	if len(tf.kernels) == 0 || len(pairs) == 0 {
 		return pairs
 	}
-	qc.countScan(len(pairs))
+	qc.rowsScanned += len(pairs)
 	ids, kept := make([]int32, len(pairs)), make([]int32, 0, len(pairs))
 	for i, p := range pairs {
 		ids[i] = p.r

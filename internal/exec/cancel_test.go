@@ -175,3 +175,21 @@ func TestRunContextCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// TestRunContextRunsQueryHook: the hook runs for pre-parsed statements
+// too, inside the same recover scope, so its panic is that query's
+// error.
+func TestRunContextRunsQueryHook(t *testing.T) {
+	e := New(miniDB())
+	e.SetQueryHook(func(string) { panic("injected run fault") })
+	defer e.SetQueryHook(nil)
+	stmt := mustParse(t, `SELECT COUNT(*) FROM sales`)
+	res, err := e.RunContext(context.Background(), stmt)
+	if res != nil || err == nil || !strings.Contains(err.Error(), "injected run fault") {
+		t.Fatalf("RunContext under a panicking hook: res=%v err=%v", res, err)
+	}
+	e.SetQueryHook(nil)
+	if res, err := e.RunContext(context.Background(), stmt); err != nil || len(res.Rows) != 1 {
+		t.Fatalf("engine broken after injected panic: %v", err)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"tpcds/internal/index"
+	"tpcds/internal/obs"
 	"tpcds/internal/plan"
 	"tpcds/internal/schema"
 	"tpcds/internal/storage"
@@ -54,10 +55,9 @@ type Engine struct {
 	// holding mu).
 	planCache *plan.Cache
 
-	// em holds resolved metric handles when a registry is installed via
-	// SetMetrics; nil disables executor metrics at the cost of one nil
-	// check per recording site.
-	em *execMetrics
+	// metrics is the registry SetMetrics installed; nil disables the
+	// executor counters.
+	metrics *obs.Registry
 
 	// profiling enables per-operator runtime accounting (EXPLAIN
 	// ANALYZE): every query builds a profile tree mirroring the plan
@@ -65,10 +65,10 @@ type Engine struct {
 	// path allocates nothing.
 	profiling bool
 
-	// queryHook, when set, runs at the start of every Query/QueryContext
-	// call inside the per-query recover scope — the fault-injection
-	// point for robustness tests (a hook panic becomes that query's
-	// error, never a process crash).
+	// queryHook, when set, runs at the start of every query inside the
+	// per-query recover scope — the fault-injection point for
+	// robustness tests (a hook panic becomes that query's error, never
+	// a process crash).
 	queryHook func(query string)
 
 	// lastTrace is the most recent query's execution trace, for tests
@@ -132,14 +132,19 @@ func (e *Engine) PlanCacheStats() (hits, misses int64) { return e.planCache.Stat
 // safe to call concurrently with queries.
 func (e *Engine) SetProfiling(on bool) { e.profiling = on }
 
-// Profiling reports whether per-operator accounting is enabled.
-func (e *Engine) Profiling() bool { return e.profiling }
+// SetMetrics installs a metrics registry on the engine: every query,
+// failed or not, adds its rows scanned, hash-build rows, batches,
+// plan-cache hits and misses and CSE hits to the exec_* counters once
+// as it ends. nil removes the instrumentation. Not safe to call
+// concurrently with queries.
+func (e *Engine) SetMetrics(reg *obs.Registry) { e.metrics = reg }
 
 // SetQueryHook installs a hook invoked at the start of every query
-// inside the per-query recover scope. It exists for fault injection:
-// robustness tests make it panic or block to prove one query's failure
-// stays confined to that query. Not safe to call concurrently with
-// queries; nil removes the hook.
+// inside the per-query recover scope, with the query's SQL text (empty
+// for a statement RunContext received parsed). It exists for fault
+// injection: robustness tests make it panic or block to prove one
+// query's failure stays confined to that query. Not safe to call
+// concurrently with queries; nil removes the hook.
 func (e *Engine) SetQueryHook(h func(query string)) { e.queryHook = h }
 
 // DB exposes the underlying database (used by data maintenance).
@@ -331,6 +336,9 @@ func (r *Result) String() string {
 
 // queryError wraps binder and executor errors with the failing SQL.
 func queryError(q string, err error) error {
+	if q == "" {
+		return fmt.Errorf("exec: %w", err)
+	}
 	if len(q) > 120 {
 		q = q[:117] + "..."
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"tpcds/internal/index"
-	"tpcds/internal/obs"
 	"tpcds/internal/plan"
 	"tpcds/internal/sql"
 )
@@ -221,23 +220,22 @@ func (e *Engine) innerHashJoin(b *binder, current *rowSet, ti int, filters []fil
 		}
 		ht = e.buildHashTable(b, ti, filters, probe, build)
 	}
-	sp := b.startStep(verb, ti, current.n, stepEst)
-	defer b.qc.endOp(sp)
+	b.startStep(verb, ti, current.n, stepEst)
+	defer b.qc.endOp()
 	ht, tf, all := b.joinSide(ti, col, ht, filters)
 	pairs := b.joinMatches(ht, tf, all, b.keySources(current, probe), current.n)
 	out := current.extend(b.qc, pairs, ti)
-	b.qc.opRowsOut(sp, int64(out.n))
+	b.qc.opRowsOut(int64(out.n))
 	return out
 }
 
 // startStep opens the profile node of a join step onto table ti.
-func (b *binder) startStep(verb string, ti, rowsIn int, stepEst float64) *obs.Span {
-	sp := b.qc.startOp(verb, b.tableAt(ti).binding)
-	b.qc.opRowsIn(sp, int64(rowsIn))
+func (b *binder) startStep(verb string, ti, rowsIn int, stepEst float64) {
+	b.qc.startOp(verb, b.tableAt(ti).binding)
+	b.qc.opRowsIn(int64(rowsIn))
 	if stepEst >= 0 {
 		b.qc.opEst(stepEst)
 	}
-	return sp
 }
 
 // joinSide completes the build side of a join step onto table ti: the
@@ -292,8 +290,8 @@ func (b *binder) joinMatches(ht *hashTable, tf *tableFilter, all []int32, ks []k
 // beyond the edges then decide which of them join. Every current row
 // emits its matches, or one NULL-extended row, in probe-major order.
 func (e *Engine) leftHashJoin(b *binder, current *rowSet, lj leftJoin, filters []filterInfo) *rowSet {
-	sp := b.startStep("left", lj.table, current.n, -1)
-	defer b.qc.endOp(sp)
+	b.startStep("left", lj.table, current.n, -1)
+	defer b.qc.endOp()
 	var probe, build []*colExpr
 	for _, ed := range lj.edges {
 		probe = append(probe, ed.aCol)
@@ -342,7 +340,7 @@ func (e *Engine) leftHashJoin(b *binder, current *rowSet, lj leftJoin, filters [
 		}
 	}
 	out := current.extend(b.qc, pairs, lj.table)
-	b.qc.opRowsOut(sp, int64(out.n))
+	b.qc.opRowsOut(int64(out.n))
 	return out
 }
 
@@ -354,10 +352,10 @@ func (e *Engine) scanFiltered(b *binder, ti int, filters []filterInfo) *rowSet {
 	sel := b.selection(ti, filters)
 	rs := &rowSet{n: sel.n, ids: make([][]int32, len(b.tables))}
 	if sel.all {
-		sp := b.qc.startOp("scan", b.tableAt(ti).binding)
-		defer b.qc.endOp(sp)
-		b.qc.opRowsIn(sp, int64(sel.n))
-		b.qc.opRowsOut(sp, int64(sel.n))
+		b.qc.startOp("scan", b.tableAt(ti).binding)
+		defer b.qc.endOp()
+		b.qc.opRowsIn(int64(sel.n))
+		b.qc.opRowsOut(int64(sel.n))
 		b.readAll(sel)
 		defer rs.charge(b.qc, 0)
 	}
@@ -446,8 +444,8 @@ func (b *binder) baseIndex(ti, col int) *index.HashIndex {
 	}
 	ix, built := b.eng.hashIndex(inst.tab, col)
 	if built {
-		b.qc.countScan(ix.NumRows())
-		b.qc.countBuild(ix.NumRows())
+		b.qc.rowsScanned += ix.NumRows()
+		b.qc.buildRows += ix.NumRows()
 	}
 	return ix
 }
@@ -462,19 +460,19 @@ func (b *binder) baseIndex(ti, col int) *index.HashIndex {
 func (e *Engine) buildHashTable(b *binder, ti int, filters []filterInfo, probe, build []*colExpr) *hashTable {
 	inst := b.tableAt(ti)
 	sel := b.selection(ti, filters)
-	sp := b.startStep("build", ti, sel.n, -1)
-	defer b.qc.endOp(sp)
+	b.startStep("build", ti, sel.n, -1)
+	defer b.qc.endOp()
 	intKeys := intJoinKey(probe, build)
 	if intKeys && sel.all {
 		if ix := b.baseIndex(ti, build[0].off-inst.offset); ix != nil {
-			b.qc.opRowsOut(sp, int64(sel.n))
+			b.qc.opRowsOut(int64(sel.n))
 			return &hashTable{ints: ix}
 		}
 	}
 	b.readAll(sel)
 	ht, built := newHashTable(b.qc, b.keySources(nil, build), intKeys, sel)
-	b.qc.countBuild(built)
-	b.qc.opRowsOut(sp, int64(built))
+	b.qc.buildRows += built
+	b.qc.opRowsOut(int64(built))
 	return ht
 }
 
@@ -492,13 +490,13 @@ func (e *Engine) buildHashTable(b *binder, ti int, filters []filterInfo, probe, 
 // probe-major order.
 func (e *Engine) streamJoin(b *binder, current *rowSet, ti int, probe, build []*colExpr, filters []filterInfo, stepEst float64) *rowSet {
 	sel := b.selection(ti, filters)
-	sp := b.startStep("stream", ti, sel.n, stepEst)
-	defer b.qc.endOp(sp)
+	b.startStep("stream", ti, sel.n, stepEst)
+	defer b.qc.endOp()
 	b.readAll(sel)
 	// The build side is the current intermediate: its positions keyed by
 	// the probe columns read through the id vectors.
 	ht, built := newHashTable(b.qc, b.keySources(current, probe), intJoinKey(probe, build), &selection{n: current.n, all: true})
-	b.qc.countBuild(built)
+	b.qc.buildRows += built
 	// Keys of the streamed rows come straight off the table's vectors;
 	// survivors that probe nothing cost one table miss.
 	bks := b.keySources(nil, build)
@@ -516,6 +514,6 @@ func (e *Engine) streamJoin(b *binder, current *rowSet, ti int, probe, build []*
 		}
 	}
 	out := current.extend(b.qc, sortPairsByLeft(pairs, current.n), ti)
-	b.qc.opRowsOut(sp, int64(out.n))
+	b.qc.opRowsOut(int64(out.n))
 	return out
 }

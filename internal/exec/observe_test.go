@@ -13,29 +13,29 @@ import (
 )
 
 // TestDisabledObservabilityAllocatesNothing pins the "disabled means
-// free" contract on the query hot path: with no tracer in the context
-// and no registry on the engine, the span and metric helpers the
-// executor calls per operator and per batch must not allocate.
+// free" contract on the query hot path: with no tracer in the context,
+// profiling off and no registry on the engine, the operator and counter
+// helpers the executor calls per operator and per batch, and the
+// query's exit, must not allocate.
 func TestDisabledObservabilityAllocatesNothing(t *testing.T) {
 	e := New(miniDB())
 	qc := e.newQctx(context.Background())
-	if qc.qspan != nil || qc.em != nil {
-		t.Fatal("plain context should produce a disabled qctx")
-	}
-	if qc.prof != nil {
-		t.Fatal("engine without SetProfiling(true) should not build a profile tree")
+	if qc.prof != nil || qc.profiling() {
+		t.Fatal("an unobserved query should not build an operator tree")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		sp := qc.startOp("scan", "store_sales")
-		qc.opRowsIn(sp, 4096)
+		qc.startOp("scan", "store_sales")
+		qc.opRowsIn(4096)
 		qc.opEst(4096)
-		qc.countBatch()
+		qc.batches++
+		qc.pcur.AddBatches(1)
 		qc.growScratch(1 << 20)
 		qc.shrinkScratch(1 << 20)
-		qc.opRowsOut(sp, 4096)
-		qc.endOp(sp)
-		qc.countScan(4096)
-		qc.countBuild(512)
+		qc.opRowsOut(4096)
+		qc.endOp()
+		qc.rowsScanned += 4096
+		qc.buildRows += 512
+		qc.observe(e.metrics)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled observability allocates %v per run, want 0", allocs)
@@ -105,10 +105,12 @@ func TestQuerySpansCoverOperators(t *testing.T) {
 	}
 }
 
-// TestProfileMirrorsSpans pins the structural contract behind EXPLAIN
-// ANALYZE: startOp pushes a span and a profile node from the same call
-// with the same name, so for any query the profile tree must have
-// exactly the operator spans' names with the same parent edges.
+// TestProfileMirrorsSpans pins the one-record contract: the trace's
+// exec spans are the profile tree published at the query's end, so for
+// any query they have the tree's names and parent edges, in order, each
+// span's interval is its node's wall time and nests in its parent's,
+// and every span carries its node's rows_in and rows_out — the sort's
+// included.
 func TestProfileMirrorsSpans(t *testing.T) {
 	db := randDB(5, 2000, 16)
 	e := New(db)
@@ -117,6 +119,7 @@ func TestProfileMirrorsSpans(t *testing.T) {
 		`SELECT d_s, COUNT(*) c, SUM(f_m) m FROM f, d WHERE f_k = d_k GROUP BY d_s ORDER BY m DESC`,
 		`SELECT DISTINCT f_v FROM f`,
 		`SELECT f_o, d_g FROM f LEFT OUTER JOIN d ON f_k = d_k`,
+		`SELECT f_o FROM f WHERE f_v IN (SELECT d_g FROM d WHERE d_s = 's1') ORDER BY f_o LIMIT 5`,
 	} {
 		tracer := obs.NewTracer()
 		root := tracer.Root("q", "driver")
@@ -133,37 +136,48 @@ func TestProfileMirrorsSpans(t *testing.T) {
 			t.Fatalf("%s: profiling on but trace has no profile", q)
 		}
 
-		// Edge multiset from the spans: operator name -> parent operator
-		// name ("query" when the parent is the query span itself).
-		snap := tracer.Snapshot()
-		byID := map[uint64]obs.SpanRecord{}
-		for _, s := range snap {
-			byID[s.ID] = s
-		}
-		spanEdges := map[string]int{}
-		for _, s := range snap {
-			if s.Cat != "exec" {
+		// Children of each span in start order (the snapshot's order).
+		var rootRec obs.SpanRecord
+		kids := map[uint64][]obs.SpanRecord{}
+		for _, s := range tracer.Snapshot() {
+			if s.Parent == 0 {
+				rootRec = s
 				continue
 			}
-			parent := "query"
-			if p, ok := byID[s.Parent]; ok && p.Cat == "exec" {
-				parent = p.Name
+			kids[s.Parent] = append(kids[s.Parent], s)
+		}
+		var match func(p *obs.OpProfile, sp obs.SpanRecord, path string)
+		match = func(p *obs.OpProfile, sp obs.SpanRecord, path string) {
+			got := kids[sp.ID]
+			if len(got) != len(p.Children) {
+				t.Errorf("%s: %s has %d exec spans, %d profile children", q, path, len(got), len(p.Children))
+				return
 			}
-			spanEdges[s.Name+" <- "+parent]++
-		}
-		profEdges := map[string]int{}
-		var walk func(p *obs.OpProfile, parent string)
-		walk = func(p *obs.OpProfile, parent string) {
-			profEdges[p.Name+" <- "+parent]++
-			for _, c := range p.Children {
-				walk(c, p.Name)
+			for i, c := range p.Children {
+				s, at := got[i], path+"/"+c.Name
+				if s.Name != c.Name || s.Cat != "exec" || s.TID != sp.TID {
+					t.Errorf("%s: %s: span %q cat %q tid %d", q, at, s.Name, s.Cat, s.TID)
+				}
+				if s.DurNs != c.WallNs {
+					t.Errorf("%s: %s: span lasts %dns, node %dns", q, at, s.DurNs, c.WallNs)
+				}
+				if s.StartNs < sp.StartNs || s.StartNs+s.DurNs > sp.StartNs+sp.DurNs {
+					t.Errorf("%s: %s escapes its parent", q, at)
+				}
+				want := []obs.Attr{{Key: "rows_in", Val: c.RowsIn}, {Key: "rows_out", Val: c.RowsOut}}
+				if !reflect.DeepEqual(s.Attrs, want) {
+					t.Errorf("%s: %s: span attrs %v, want %v", q, at, s.Attrs, want)
+				}
+				match(c, s, at)
 			}
 		}
-		for _, c := range tr.Profile.Children {
-			walk(c, "query")
-		}
-		if !reflect.DeepEqual(spanEdges, profEdges) {
-			t.Errorf("%s:\nspan edges    %v\nprofile edges %v", q, spanEdges, profEdges)
+		match(tr.Profile, rootRec, "query")
+		if strings.Contains(q, "ORDER BY") {
+			var sorted bool
+			tr.Profile.Walk(func(n *obs.OpProfile) { sorted = sorted || n.Name == "sort" && n.RowsOut > 0 })
+			if !sorted {
+				t.Errorf("%s: no sort node with rows_out", q)
+			}
 		}
 		// Accounting sanity on the snapshot: the root saw wall time and
 		// some node carries the scanned rows.
@@ -175,6 +189,36 @@ func TestProfileMirrorsSpans(t *testing.T) {
 		if !sawRows {
 			t.Errorf("%s: no profile node recorded rows_out", q)
 		}
+	}
+}
+
+// TestFailedQueryCounted: a query that fails after reading its table
+// still adds what it did to the engine counters, and publishes the
+// operators it finished.
+func TestFailedQueryCounted(t *testing.T) {
+	e := New(randDB(3, 2000, 16))
+	reg := obs.NewRegistry()
+	e.SetMetrics(reg)
+	tracer := obs.NewTracer()
+	root := tracer.Root("q", "driver")
+	ctx := obs.ContextWithSpan(context.Background(), root)
+	// ORDER BY binds after the join phase has filtered f.
+	_, err := e.QueryContext(ctx, `SELECT f_o FROM f WHERE f_v > 10 ORDER BY nosuch`)
+	root.End()
+	if err == nil {
+		t.Fatal("query over an unknown ORDER BY column succeeded")
+	}
+	if got := reg.Counter("exec_rows_scanned").Value(); got < 2000 {
+		t.Errorf("exec_rows_scanned = %d after a failed query, want >= 2000", got)
+	}
+	scans := 0
+	for _, s := range tracer.Snapshot() {
+		if s.Cat == "exec" && strings.HasPrefix(s.Name, "scan ") {
+			scans++
+		}
+	}
+	if scans == 0 {
+		t.Error("a failed query published no scan span")
 	}
 }
 

@@ -240,15 +240,15 @@ func scopeSig(ctes map[string]*storage.Table) string {
 // identical subqueries — TPC-DS templates love `(select avg(...) from
 // ...)` guards repeated across union blocks — run once.
 func (b *binder) subqueryResult(sub *sql.SelectStmt) (*Result, []schema.Type, error) {
-	sp := b.qc.startOp("subquery", "")
-	defer b.qc.endOp(sp)
+	b.qc.startOp("subquery", "")
+	defer b.qc.endOp()
 	key := ""
 	if !b.eng.reference {
 		key = "sub|" + plan.Fingerprint(sub, true) + scopeSig(b.ctes)
 		if ent, ok := b.qc.cse[key]; ok {
-			b.qc.countCSEHit()
+			b.qc.cseHits++
 			// Memo hit stays a leaf node — the profile's view of CSE reuse.
-			b.qc.opRowsOut(sp, int64(len(ent.res.Rows)))
+			b.qc.opRowsOut(int64(len(ent.res.Rows)))
 			return ent.res, ent.types, nil
 		}
 	}
@@ -256,7 +256,7 @@ func (b *binder) subqueryResult(sub *sql.SelectStmt) (*Result, []schema.Type, er
 	if err != nil {
 		return nil, nil, err
 	}
-	b.qc.opRowsOut(sp, int64(len(res.Rows)))
+	b.qc.opRowsOut(int64(len(res.Rows)))
 	if key != "" {
 		if b.qc.cse == nil {
 			b.qc.cse = map[string]cseEntry{}
@@ -269,15 +269,15 @@ func (b *binder) subqueryResult(sub *sql.SelectStmt) (*Result, []schema.Type, er
 // costPlan produces the cost-based join plan for one select block,
 // consulting the plan cache first. fromCache reports a cache hit.
 func (e *Engine) costPlan(b *binder, stmt *sql.SelectStmt, filters []filterInfo, edges []joinEdge, isLeft map[int]bool, driver int, gOrder []int, connected bool) (plan.Cached, bool) {
-	sp := b.qc.startOp("plan", "")
-	defer b.qc.endOp(sp)
+	b.qc.startOp("plan", "")
+	defer b.qc.endOp()
 	free := e.classifyFree(b, edges, isLeft)
 	key := e.planKey(stmt, gOrder, free)
 	if c, ok := e.planCache.Get(key); ok {
-		b.qc.countPlanCacheHit()
+		b.qc.planCacheHits++
 		return c, true
 	}
-	b.qc.countPlanCacheMiss()
+	b.qc.planCacheMisses++
 	var pinned, freeList []int
 	for _, ti := range gOrder[1:] {
 		if free[ti] {

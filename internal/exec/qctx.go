@@ -9,9 +9,10 @@ import (
 )
 
 // qctx carries the per-query execution state that is not part of the
-// binder's name-resolution job: the cancellation context and the
+// binder's name-resolution job: the cancellation context, the
 // operator phase currently running (for error attribution when an
-// internal invariant violation is recovered at the Query boundary).
+// internal invariant violation is recovered at the query's exit), and
+// what the query's observers receive when it ends.
 //
 // A query runs on its calling goroutine, so every field is that
 // goroutine's alone.
@@ -19,7 +20,7 @@ import (
 // Cancellation is cooperative. Operator loops call tick() once per row
 // (an int increment; the context is polled every tickInterval rows) or
 // checkNow() once per batch. When the context is done, they raise a
-// cancelPanic, which the QueryContext/RunContext recover converts into
+// cancelPanic, which the recover at the query's exit converts into
 // the context's error — the same mechanism that turns internal panics
 // into per-query errors, so cancellation needs no error plumbing
 // through the operator tree.
@@ -28,28 +29,31 @@ type qctx struct {
 	phase string // current operator
 	ticks int    // poll counter
 
-	// qspan is the query's observability span, taken from the context
-	// by the caller (driver or CLI); nil means tracing is disabled and
-	// the span helpers below are free no-ops. cur is the innermost open
-	// operator span.
-	qspan *obs.Span
-	cur   *obs.Span
-	// prof is the root of the query's runtime profile tree (EXPLAIN
-	// ANALYZE); nil means profiling is disabled and every profile
-	// helper is a free no-op. pcur is the innermost open operator node,
-	// maintained in lockstep with cur by startOp/endOp.
-	prof *obs.OpNode
-	pcur *obs.OpNode
-	// em carries the engine's metric handles (nil when no registry is
-	// installed); they are shared with the engine's concurrent queries.
-	em *execMetrics
+	// prof is the root of the query's operator tree, the one
+	// per-operator record: EXPLAIN ANALYZE reads it, and at the query's
+	// end it is published as the exec spans of qspan, the query span the
+	// caller (driver or CLI) put in the context. prof is nil when the
+	// query is not observed (no span, profiling off), and every operator
+	// helper is then a free no-op. pcur is the innermost open node.
+	// profiled reports SetProfiling(true): the tree is then also the
+	// trace's Profile, with the planner's estimates on it.
+	qspan    *obs.Span
+	prof     *obs.OpNode
+	pcur     *obs.OpNode
+	profiled bool
+
+	// The engine counters of this query, added to the installed registry
+	// once, when the query ends (see SetMetrics).
+	rowsScanned, buildRows, batches int
+	planCacheHits, planCacheMisses  int
 
 	// cse memoizes subquery and CTE evaluations within this query by
 	// literal-preserving fingerprint + CTE scope (cost planner only).
 	// Values are shared read-only; the query lifetime bounds the memo.
 	cse map[string]cseEntry
-	// cseHits and decorrelated feed the query's trace: memo reuses and
-	// IN-subquery predicates rewritten to joins.
+	// cseHits and decorrelated feed the query's trace (cseHits its
+	// counter too): memo reuses and IN-subquery predicates rewritten to
+	// joins.
 	cseHits      int
 	decorrelated int
 }
@@ -80,8 +84,8 @@ func (e *Engine) newQctx(ctx context.Context) *qctx {
 		//lint:ignore ctxflow nil-ctx fallback for the documented context-free wrappers; never overrides a caller-supplied ctx
 		ctx = context.Background()
 	}
-	q := &qctx{ctx: ctx, phase: "parse", qspan: obs.SpanFromContext(ctx), em: e.em}
-	if e.profiling {
+	q := &qctx{ctx: ctx, phase: "parse", qspan: obs.SpanFromContext(ctx), profiled: e.profiling}
+	if q.profiled || q.qspan != nil {
 		q.prof = obs.NewProfile("query")
 	}
 	return q
@@ -128,85 +132,53 @@ func (q *qctx) tick() {
 	}
 }
 
-// startOp opens an operator span ("scan store_sales", "build item")
-// nested under the innermost open operator — or the query span for
-// top-level phases — and makes it current. When profiling is enabled
-// it also pushes a profile node with the same name, so the profile
-// tree mirrors the span tree by construction. With both tracing and
-// profiling disabled this is a
-// nil check and nothing else: the name is assembled only on the
-// enabled path, so the hot path stays allocation-free.
-func (q *qctx) startOp(verb, detail string) *obs.Span {
-	if q == nil || (q.qspan == nil && q.prof == nil) {
-		return nil
+// startOp opens an operator node ("scan store_sales", "build item")
+// nested under the innermost open one and makes it current. On an
+// unobserved query this is a nil check and nothing else: the name is
+// assembled only on the observed path, so the hot path stays
+// allocation-free.
+func (q *qctx) startOp(verb, detail string) {
+	if q == nil || q.prof == nil {
+		return
 	}
 	name := verb
 	if detail != "" {
 		name = verb + " " + detail
 	}
-	if q.prof != nil {
-		node := q.pcur
-		if node == nil {
-			node = q.prof
-		}
-		q.pcur = node.StartChild(name)
+	node := q.pcur
+	if node == nil {
+		node = q.prof
 	}
-	if q.qspan == nil {
-		return nil
-	}
-	parent := q.cur
-	if parent == nil {
-		parent = q.qspan
-	}
-	sp := parent.ChildCat(name, "exec")
-	q.cur = sp
-	return sp
+	q.pcur = node.StartChild(name)
 }
 
-// endOp completes an operator span and restores its parent as the
-// current operator; with profiling enabled it also pops the matching
-// profile node (startOp/endOp calls are strictly paired, so the node
-// stack stays in lockstep even when tracing is off and sp is nil).
-func (q *qctx) endOp(sp *obs.Span) {
-	if q != nil && q.prof != nil && q.pcur != nil {
-		q.pcur.End()
-		if p := q.pcur.Parent(); p != q.prof {
-			q.pcur = p
-		} else {
-			q.pcur = nil
-		}
-	}
-	if sp == nil {
+// endOp ends the current operator node and makes its parent current
+// (startOp/endOp calls are strictly paired).
+func (q *qctx) endOp() {
+	if q == nil || q.pcur == nil {
 		return
 	}
-	sp.End()
-	if q != nil {
-		if p := sp.Parent(); p != q.qspan {
-			q.cur = p
-		} else {
-			q.cur = nil
-		}
+	q.pcur.End()
+	if p := q.pcur.Parent(); p != q.prof {
+		q.pcur = p
+	} else {
+		q.pcur = nil
 	}
 }
 
-// profiling reports whether this query records a profile tree. Used to
-// gate work (like estimate computation) that only the profile consumes.
-func (q *qctx) profiling() bool { return q != nil && q.prof != nil }
+// profiling reports whether this query records a profile. Used to gate
+// work (like estimate computation) that only the profile consumes.
+func (q *qctx) profiling() bool { return q != nil && q.profiled }
 
-// opRowsIn records rows entering the current operator on both the
-// operator span (as an attribute) and the profile node; free when
-// observability is off.
-func (q *qctx) opRowsIn(sp *obs.Span, n int64) {
-	sp.SetAttrInt("rows_in", n)
+// opRowsIn records rows entering the current operator.
+func (q *qctx) opRowsIn(n int64) {
 	if q != nil {
 		q.pcur.AddRowsIn(n)
 	}
 }
 
-// opRowsOut records rows leaving the current operator on both the
-// operator span and the profile node.
-func (q *qctx) opRowsOut(sp *obs.Span, n int64) {
-	sp.SetAttrInt("rows_out", n)
+// opRowsOut records rows leaving the current operator.
+func (q *qctx) opRowsOut(n int64) {
 	if q != nil {
 		q.pcur.AddRowsOut(n)
 	}
@@ -239,11 +211,34 @@ func (q *qctx) shrinkScratch(b int64) {
 	q.pcur.ShrinkScratch(b)
 }
 
-// profile snapshots the query's profile tree (nil when profiling is
-// off).
+// profile snapshots the query's profile tree (nil unless profiling is
+// on).
 func (q *qctx) profile() *obs.OpProfile {
-	if q == nil || q.prof == nil {
+	if !q.profiling() {
 		return nil
 	}
 	return q.prof.Snapshot()
+}
+
+// observe is the query's one observation point, run as it ends —
+// failed or not: the operator tree becomes the query span's exec
+// spans, and each counter is added to reg once.
+func (q *qctx) observe(reg *obs.Registry) {
+	q.qspan.PublishOps(q.prof, "exec")
+	if reg == nil {
+		return
+	}
+	for _, c := range [...]struct {
+		name string
+		n    int
+	}{
+		{"exec_rows_scanned", q.rowsScanned},
+		{"exec_hash_build_rows", q.buildRows},
+		{"exec_batches", q.batches},
+		{"exec_plan_cache_hits", q.planCacheHits},
+		{"exec_plan_cache_misses", q.planCacheMisses},
+		{"exec_cse_hits", q.cseHits},
+	} {
+		reg.Counter(c.name).Add(int64(c.n))
+	}
 }

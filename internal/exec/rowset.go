@@ -301,7 +301,7 @@ func (s *selection) rowIDs() []int32 {
 // operator that reads the unfiltered table itself, not through an index.
 func (b *binder) readAll(sel *selection) {
 	if sel.all {
-		b.qc.countScan(sel.n)
+		b.qc.rowsScanned += sel.n
 	}
 }
 
@@ -343,8 +343,8 @@ func (b *binder) filterRows(ti int, filters []filterInfo, whole bool) *selection
 			return b.sels[ti]
 		}
 	}
-	sp := b.qc.startOp("scan", inst.binding)
-	defer b.qc.endOp(sp)
+	b.qc.startOp("scan", inst.binding)
+	defer b.qc.endOp()
 	if b.qc.profiling() {
 		b.qc.opEst(b.eng.estimateFiltered(b, ti, filters))
 	}
@@ -359,8 +359,8 @@ func (b *binder) filterRows(ti int, filters []filterInfo, whole bool) *selection
 	if whole && sel.rest != nil {
 		read += b.scanRest(ti, sel)
 	}
-	b.qc.countScan(read)
-	b.qc.opRowsIn(sp, int64(read))
+	b.qc.rowsScanned += read
+	b.qc.opRowsIn(int64(read))
 	out, scratch := sel.n, int64(len(sel.ids))*4
 	switch {
 	case sel.rest != nil && sel.bm != nil:
@@ -371,7 +371,7 @@ func (b *binder) filterRows(ti int, filters []filterInfo, whole bool) *selection
 	if sel.bm != nil {
 		scratch += int64(sel.bm.Len()+7) / 8
 	}
-	b.qc.opRowsOut(sp, int64(out))
+	b.qc.opRowsOut(int64(out))
 	b.qc.growScratch(scratch)
 	b.qc.shrinkScratch(scratch)
 	return sel

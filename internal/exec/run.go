@@ -47,32 +47,42 @@ func (e *Engine) QueryTraced(q string) (*Result, Trace, error) {
 }
 
 // QueryTracedContext is QueryTraced under a cancellation context.
-func (e *Engine) QueryTracedContext(ctx context.Context, q string) (res *Result, tr Trace, err error) {
+func (e *Engine) QueryTracedContext(ctx context.Context, q string) (*Result, Trace, error) {
+	return e.query(ctx, q, nil)
+}
+
+// query is the one path of every entry point: it runs the query hook,
+// parses text unless stmt is given, and executes the rewritten
+// statement. As the query ends — failed or not — a panic becomes the
+// query's error and the query's record goes to the observers: its exec
+// spans, the engine counters, and on success the trace.
+func (e *Engine) query(ctx context.Context, text string, stmt *sql.SelectStmt) (res *Result, tr Trace, err error) {
 	qc := e.newQctx(ctx)
 	defer func() {
 		if r := recover(); r != nil {
-			res, tr = nil, Trace{}
-			err = queryError(q, recoveredError(qc, r))
+			err = recoveredError(qc, r)
 		}
+		qc.observe(e.metrics)
+		if err != nil {
+			res, tr, err = nil, Trace{}, queryError(text, err)
+			return
+		}
+		tr.Decorrelated = qc.decorrelated
+		tr.CSEHits = qc.cseHits
+		tr.Profile = qc.profile()
+		e.setTrace(tr)
 	}()
 	if hook := e.queryHook; hook != nil {
-		hook(q)
+		hook(text)
 	}
 	qc.checkNow()
-	stmt, err := sql.Parse(q)
-	if err != nil {
-		return nil, Trace{}, queryError(q, err)
+	if stmt == nil {
+		if stmt, err = sql.Parse(text); err != nil {
+			return nil, Trace{}, err
+		}
 	}
-	stmt = e.rewrite(qc, stmt)
-	res, _, tr, err = e.runStatement(qc, stmt, nil)
-	if err != nil {
-		return nil, Trace{}, queryError(q, err)
-	}
-	tr.Decorrelated = qc.decorrelated
-	tr.CSEHits = qc.cseHits
-	tr.Profile = qc.profile()
-	e.setTrace(tr)
-	return res, tr, nil
+	res, _, tr, err = e.runStatement(qc, e.rewrite(qc, stmt), nil)
+	return res, tr, err
 }
 
 // rewrite applies the planner's statement rewrites (IN-subquery
@@ -94,23 +104,9 @@ func (e *Engine) Run(stmt *sql.SelectStmt) (*Result, error) {
 }
 
 // RunContext executes an already parsed statement under a cancellation
-// context, with the same panic-to-error hardening as QueryContext.
-func (e *Engine) RunContext(ctx context.Context, stmt *sql.SelectStmt) (res *Result, err error) {
-	qc := e.newQctx(ctx)
-	defer func() {
-		if r := recover(); r != nil {
-			res = nil
-			err = fmt.Errorf("exec: %w", recoveredError(qc, r))
-		}
-	}()
-	qc.checkNow()
-	res, _, tr, err := e.runStatement(qc, e.rewrite(qc, stmt), nil)
-	if err == nil {
-		tr.Decorrelated = qc.decorrelated
-		tr.CSEHits = qc.cseHits
-		tr.Profile = qc.profile()
-		e.setTrace(tr)
-	}
+// context, through the same path as QueryContext.
+func (e *Engine) RunContext(ctx context.Context, stmt *sql.SelectStmt) (*Result, error) {
+	res, _, err := e.query(ctx, "", stmt)
 	return res, err
 }
 
@@ -157,16 +153,16 @@ func (e *Engine) runStatement(qc *qctx, stmt *sql.SelectStmt, outer map[string]*
 // pattern) shares both the evaluation and — because statistics are
 // keyed by table instance — the gathered statistics.
 func (e *Engine) materializeCTE(qc *qctx, cte sql.CTE, ctes map[string]*storage.Table) (*storage.Table, error) {
-	sp := qc.startOp("cte", cte.Name)
-	defer qc.endOp(sp)
+	qc.startOp("cte", cte.Name)
+	defer qc.endOp()
 	key := ""
 	if !e.reference {
 		key = "cte|" + plan.Fingerprint(cte.Select, true) + scopeSig(ctes)
 		if ent, ok := qc.cse[key]; ok && ent.tab != nil {
-			qc.countCSEHit()
+			qc.cseHits++
 			// Memo hit: the node stays a leaf (no nested operator work),
 			// which is exactly what CSE reuse looks like in the profile.
-			qc.opRowsOut(sp, int64(ent.tab.NumRows()))
+			qc.opRowsOut(int64(ent.tab.NumRows()))
 			return ent.tab, nil
 		}
 	}
@@ -178,7 +174,7 @@ func (e *Engine) materializeCTE(qc *qctx, cte sql.CTE, ctes map[string]*storage.
 	if err != nil {
 		return nil, err
 	}
-	qc.opRowsOut(sp, int64(tab.NumRows()))
+	qc.opRowsOut(int64(tab.NumRows()))
 	if key != "" {
 		if qc.cse == nil {
 			qc.cse = map[string]cseEntry{}
@@ -308,15 +304,15 @@ func (e *Engine) runSelect(qc *qctx, stmt *sql.SelectStmt, ctes map[string]*stor
 
 	if aggregated {
 		qc.setPhase("aggregate")
-		aggSp := qc.startOp("aggregate", "")
+		qc.startOp("aggregate", "")
 		res, types, err := e.aggregate(stmt, b, rows, orderBy)
-		qc.endOp(aggSp)
+		qc.endOp()
 		return res, types, tr, err
 	}
 	qc.setPhase("project")
-	projSp := qc.startOp("project", "")
+	qc.startOp("project", "")
 	res, types, err := e.projectSimple(stmt, b, rows, orderBy)
-	qc.endOp(projSp)
+	qc.endOp()
 	return res, types, tr, err
 }
 
@@ -324,10 +320,10 @@ func (e *Engine) runSelect(qc *qctx, stmt *sql.SelectStmt, ctes map[string]*stor
 // none when a constant predicate is false — and the rewritten ORDER BY.
 func (e *Engine) joinSelect(qc *qctx, stmt *sql.SelectStmt, ctes map[string]*storage.Table) (*binder, []sql.OrderItem, *rowSet, Trace, error) {
 	qc.setPhase("bind")
-	// Phase spans mirror setPhase. A phase abandoned by an error return
-	// simply never completes — the tracer exports only finished spans,
-	// so a failed query leaves a truncated (not corrupt) timeline.
-	bindSp := qc.startOp("bind", "")
+	// Phase nodes mirror setPhase. A phase abandoned by an error return
+	// never ends, and the trace leaves unended nodes out, so a failed
+	// query leaves a truncated (not corrupt) timeline.
+	qc.startOp("bind", "")
 	b := newBinder(e, qc, ctes)
 	for _, ref := range stmt.From {
 		if err := b.addTable(ref); err != nil {
@@ -390,7 +386,7 @@ func (e *Engine) joinSelect(qc *qctx, stmt *sql.SelectStmt, ctes map[string]*sto
 		}
 		leftJoins = append(leftJoins, spec)
 	}
-	qc.endOp(bindSp)
+	qc.endOp()
 	for _, p := range constPreds { // constant folding: evaluated once
 		if !truthy(p.eval(nil)) {
 			return b, orderBy, &rowSet{ids: make([][]int32, len(b.tables))}, Trace{}, nil
@@ -399,9 +395,9 @@ func (e *Engine) joinSelect(qc *qctx, stmt *sql.SelectStmt, ctes map[string]*sto
 
 	// Produce joined base rows.
 	qc.setPhase("join")
-	joinSp := qc.startOp("join", "")
+	qc.startOp("join", "")
 	rows, tr, err := e.joinRows(b, stmt, filters, edges, residual, leftJoins)
-	qc.endOp(joinSp)
+	qc.endOp()
 	return b, orderBy, rows, tr, err
 }
 
@@ -474,10 +470,9 @@ func (e *Engine) finish(src *rowSource, projs, sortKeys []bexpr, orderBy []sql.O
 		_, rows = groupIDs(qc, keys, uint(1)<<uint(len(keys))-1, src.n)
 	}
 	if len(sortKeys) > 0 {
-		sortSp := qc.startOp("sort", "")
-		sortSp.SetAttrInt("rows", int64(len(rows)))
-		qc.opRowsIn(nil, int64(len(rows)))
-		qc.opRowsOut(nil, int64(len(rows)))
+		qc.startOp("sort", "")
+		qc.opRowsIn(int64(len(rows)))
+		qc.opRowsOut(int64(len(rows)))
 		keys := make([][]uint64, len(sortKeys))
 		for k, key := range sortKeys {
 			keys[k] = sortKey(src, key, rows, orderBy[k].Desc)
@@ -509,7 +504,7 @@ func (e *Engine) finish(src *rowSource, projs, sortKeys []bexpr, orderBy []sql.O
 		for j, e := range ents {
 			rows[j] = int32(e.k)
 		}
-		qc.endOp(sortSp)
+		qc.endOp()
 	}
 	rows = rows[min(max(offset, 0), len(rows)):]
 	if limit >= 0 && len(rows) > limit {

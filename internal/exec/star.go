@@ -104,10 +104,10 @@ func (e *Engine) starShape(b *binder, filters []filterInfo, edges []joinEdge, le
 // tuples.
 func (e *Engine) runStar(b *binder, filters []filterInfo, residual []bexpr, fact int, dims []dimSpec, est float64) (*rowSet, bool) {
 	factInst := b.tableAt(fact)
-	sp := b.qc.startOp("star", factInst.binding)
-	b.qc.opRowsIn(sp, int64(factInst.tab.NumRows()))
+	b.qc.startOp("star", factInst.binding)
+	b.qc.opRowsIn(int64(factInst.tab.NumRows()))
 	b.qc.opEst(est)
-	defer b.qc.endOp(sp)
+	defer b.qc.endOp()
 
 	// Index each dimension's selection by surrogate key (first row of a
 	// key wins), and resolve the fact-side key column it is looked up by.
@@ -175,6 +175,6 @@ func (e *Engine) runStar(b *binder, filters []filterInfo, residual []bexpr, fact
 	rows := b.tupleRowSet(tables, flat)
 	b.qc.shrinkScratch(staged)
 	b.applyResidual(rows, residual)
-	b.qc.opRowsOut(sp, int64(rows.n))
+	b.qc.opRowsOut(int64(rows.n))
 	return rows, true
 }

@@ -1,8 +1,9 @@
 // Package obs is the zero-dependency observability core: a span tracer
-// for execution timelines, a metrics registry of sharded-atomic
-// counters and histograms, the per-operator profile tree behind
-// EXPLAIN ANALYZE, and exporters for Chrome trace_event JSON,
-// plain-text metric dumps and pprof files.
+// for execution timelines, a metrics registry of atomic counters and
+// histograms, the per-operator profile tree behind EXPLAIN ANALYZE
+// (published into a trace as operator spans by Span.PublishOps), and
+// exporters for Chrome trace_event JSON, plain-text metric dumps and
+// pprof files.
 //
 // The package exists so the benchmark can answer "where did the time
 // go" — which operator, which query, which stream — without
@@ -130,8 +131,8 @@ func (s *Span) Child(name string) *Span {
 	return s.child(name, s.cat, s.tid)
 }
 
-// ChildCat opens a nested span with its own category (e.g. an "exec"
-// operator under a "driver" query).
+// ChildCat opens a nested span with its own category (e.g. a
+// "datagen" table under a "driver" load phase).
 func (s *Span) ChildCat(name, cat string) *Span {
 	if s == nil {
 		return nil
@@ -163,14 +164,6 @@ func (s *Span) SetAttrInt(key string, v int64) {
 		return
 	}
 	s.attrs = append(s.attrs, Attr{Key: key, Val: v})
-}
-
-// Parent returns the enclosing span (nil for roots and nil spans).
-func (s *Span) Parent() *Span {
-	if s == nil {
-		return nil
-	}
-	return s.parent
 }
 
 // End completes the span, publishes its record to the tracer, and

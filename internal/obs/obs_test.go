@@ -87,7 +87,7 @@ func TestDisabledIsNilSafe(t *testing.T) {
 		c = c.ChildCat("b", "z")
 		c = c.ChildTID("c", 3)
 		c.SetAttr("k", 1)
-		_ = c.Parent()
+		c.PublishOps(nil, "exec")
 		c.End()
 		sp.End()
 		reg.Counter("n").Add(1)

@@ -6,12 +6,12 @@ import (
 	"time"
 )
 
-// OpNode is one live operator node in a query's runtime profile tree.
-// The tree mirrors the plan shape the span tree describes (bind, join,
-// scan/build/probe/stream/star, aggregate, sort, ...), but where spans
-// record only intervals, OpNodes accumulate the operator's runtime
-// accounting: actual rows in/out, batch counts, and peak scratch
-// bytes.
+// OpNode is one live operator node in a query's runtime profile tree,
+// which follows the plan shape (bind, join, scan/build/probe/stream/
+// star, aggregate, sort, ...). Each node keeps its interval and the
+// operator's runtime accounting: actual rows in/out, batch counts, and
+// peak scratch bytes. It is the query's one per-operator record: a
+// trace gets its operator spans from it (PublishOps).
 //
 // A profile tree belongs to one query, which runs on one goroutine:
 // nothing in it is synchronized.
@@ -123,6 +123,43 @@ func (n *OpNode) ShrinkScratch(b int64) {
 		return
 	}
 	n.scratchCur -= b
+}
+
+// PublishOps records the operator nodes below root as completed child
+// spans of s in category cat, on s's lane: each with the node's name,
+// its interval against the tracer's epoch, and its rows_in and
+// rows_out. A node that never ended (an operator its query abandoned)
+// is left out with its subtree, as an unfinished span would be. A nil
+// span or root publishes nothing.
+func (s *Span) PublishOps(root *OpNode, cat string) {
+	if s == nil || root == nil {
+		return
+	}
+	var recs []SpanRecord
+	var walk func(n *OpNode, parent uint64)
+	walk = func(n *OpNode, parent uint64) {
+		for _, c := range n.childs {
+			if c.wallNs == 0 {
+				continue
+			}
+			id := s.tr.ids.Add(1)
+			recs = append(recs, SpanRecord{
+				ID:      id,
+				Parent:  parent,
+				Name:    c.name,
+				Cat:     cat,
+				TID:     s.tid,
+				StartNs: int64(c.start.Sub(s.tr.epoch)),
+				DurNs:   c.wallNs,
+				Attrs:   []Attr{{Key: "rows_in", Val: c.rowsIn}, {Key: "rows_out", Val: c.rowsOut}},
+			})
+			walk(c, id)
+		}
+	}
+	walk(root, s.id)
+	s.tr.mu.Lock()
+	s.tr.done = append(s.tr.done, recs...)
+	s.tr.mu.Unlock()
 }
 
 // OpProfile is the exported snapshot of one profile node: plain data,

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 )
 
 // Registry is a named collection of counters and histograms.
@@ -60,55 +59,27 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// counterShards spreads concurrent Add calls across cache lines.
-// Queries from every stream hit the same few counters; 16 shards keep
-// the common core counts contention-free.
-const counterShards = 16
-
-type counterShard struct {
-	n atomic.Int64
-	// Pad to a 64-byte cache line so neighbouring shards never
-	// false-share.
-	_ [56]byte
-}
-
-// Counter is a monotonically adjusted sum, sharded so concurrent
-// writers rarely contend. Reads sum the shards (Value is not a point-
-// in-time snapshot under concurrent writes, which is fine for
-// monotonic counts).
+// Counter is a monotonically adjusted sum. Lock-free; the engine adds
+// its counters once per query, so one word takes every writer.
 type Counter struct {
-	shards [counterShards]counterShard
+	n atomic.Int64
 }
 
-// shardIndex picks a shard from the address of a stack byte: distinct
-// goroutines have distinct stacks (allocated in multi-KB chunks), so
-// concurrent writers spread across shards without any goroutine-id API
-// or registration. A collision only costs contention, never
-// correctness.
-func shardIndex() int {
-	var b byte
-	return int(uintptr(unsafe.Pointer(&b))>>13) & (counterShards - 1)
-}
-
-// Add increments the counter. Lock-free; safe from any goroutine; a
-// no-op on a nil counter.
+// Add increments the counter. Safe from any goroutine; a no-op on a
+// nil counter.
 func (c *Counter) Add(d int64) {
 	if c == nil {
 		return
 	}
-	c.shards[shardIndex()].n.Add(d)
+	c.n.Add(d)
 }
 
-// Value returns the current sum across shards.
+// Value returns the current sum.
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	var sum int64
-	for i := range c.shards {
-		sum += c.shards[i].n.Load()
-	}
-	return sum
+	return c.n.Load()
 }
 
 // DurationBuckets are the fixed histogram bounds in nanoseconds:

@@ -71,11 +71,3 @@ func TestTracerConcurrentSpans(t *testing.T) {
 		seen[s.ID] = true
 	}
 }
-
-func TestCounterShardIndexInRange(t *testing.T) {
-	for i := 0; i < 100; i++ {
-		if s := shardIndex(); s < 0 || s >= counterShards {
-			t.Fatalf("shard index %d out of range", s)
-		}
-	}
-}
