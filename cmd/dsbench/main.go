@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -84,17 +85,13 @@ func run() int {
 	if *feedback {
 		cfg.Profile = true
 	}
+	var stopProfiles func() error
 	if *pprofDir != "" {
-		stop, err := obs.StartProfiles(*pprofDir)
-		if err != nil {
+		var err error
+		if stopProfiles, err = obs.StartProfiles(*pprofDir); err != nil {
 			fmt.Fprintf(os.Stderr, "dsbench: %v\n", err)
 			return 1
 		}
-		defer func() {
-			if err := stop(); err != nil {
-				fmt.Fprintf(os.Stderr, "dsbench: %v\n", err)
-			}
-		}()
 	}
 	if *querySubset != "" {
 		for _, part := range strings.Split(*querySubset, ",") {
@@ -108,6 +105,15 @@ func run() int {
 	}
 
 	res, err := driver.Run(cfg)
+	if stopProfiles != nil {
+		// Stop while the database is still referenced: the in-use view
+		// of heap.pprof then shows it, not the garbage it becomes once
+		// run returns.
+		if perr := stopProfiles(); perr != nil {
+			fmt.Fprintf(os.Stderr, "dsbench: %v\n", perr)
+		}
+		runtime.KeepAlive(res) // res.Engine holds the database
+	}
 	// Flush the timeline even when the run fails: a trace of a failed
 	// run is exactly what the flag is for.
 	if cfg.Tracer != nil {

@@ -2,38 +2,29 @@
 // layers and exits nonzero if either finds anything:
 //
 //   - source analyzers (internal/lint): the statement-level rules
-//     (determinism, cancelcheck, errcheck, panics, strayio), the
-//     flow-sensitive tier built on the CFG + dataflow framework
-//     (lockcheck, goleak, ctxflow, taintdet), and the rules that also
-//     read interprocedural summaries (pubfreeze, nilcheck, errcontract)
-//     — all pure stdlib go/ast + go/types, no external tooling;
+//     (cancelcheck, errcheck, panics, strayio), the flow-sensitive tier
+//     built on the CFG + dataflow framework (lockcheck, goleak,
+//     ctxflow, taintdet), and the rules that also read interprocedural
+//     summaries (nilcheck, errcontract) — all pure stdlib go/ast +
+//     go/types, no external tooling;
 //   - the schema-aware template checker (internal/lint/templatecheck):
 //     every one of the 99 query templates must substitute, parse, and
 //     resolve cleanly against the snowstorm schema catalog.
 //
 // Usage:
 //
-//	dslint [-source=false] [-templates=false] [-rules lockcheck,goleak] [-json] [packages]
-//	dslint -summary '(Engine).costPlan'
+//	dslint [-templates=false] [-json] [-timings] [-baseline file] [-budget d] [packages]
 //
-// -rules restricts the source layer to a comma-separated subset of
-// analyzers (see -rules=help for the list); unknown names are a usage
-// error. -json replaces the human-readable listing with one JSON
-// object {"findings": [...]} on stdout — source findings first (sorted
-// by position), then template findings in template order — for CI
+// -json replaces the human-readable listing with one JSON object
+// {"findings": [...]} on stdout — source findings first (sorted by
+// position), then template findings in template order — for CI
 // artifact upload; with -timings a "timings" member carries the
 // per-analyzer wall time.
 //
-// -summary prints the computed interprocedural summary (mutation, taint
-// transfer, error contract) of one function and exits — the triage tool for
-// pubfreeze/taintdet/errcontract findings. The name is matched as an exact
-// display name ("exec.(Engine).costPlan") or any unique suffix.
-//
 // -baseline enforces the suppression ratchet: the JSON file holds the
 // accepted per-rule //lint:ignore counts; a rule whose live count
-// exceeds its baseline fails the run, and counts below baseline print
-// a ratchet-down reminder. -write-baseline rewrites the file from the
-// current counts (the only way the numbers move).
+// exceeds its baseline fails the run, and a count below its baseline
+// prints a reminder to lower it. The file is edited by hand.
 //
 // -timings reports per-analyzer wall time; -budget fails the run when
 // the source layer exceeds the given total duration — the CI guard
@@ -52,7 +43,6 @@ import (
 	"go/token"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"tpcds/internal/lint"
@@ -61,111 +51,54 @@ import (
 )
 
 func main() {
-	source := flag.Bool("source", true, "run the source analyzers")
 	templates := flag.Bool("templates", true, "run the schema-aware template checker")
-	rulesFlag := flag.String("rules", "", "comma-separated subset of source analyzers to run (default: all; 'help' lists them)")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	summaryFlag := flag.String("summary", "", "print the interprocedural summary of the named function and exit")
 	baselineFlag := flag.String("baseline", "", "suppression-ratchet file: fail if any rule's //lint:ignore count grows past it")
-	writeBaseline := flag.Bool("write-baseline", false, "rewrite the -baseline file from the current suppression counts")
 	timingsFlag := flag.Bool("timings", false, "report per-analyzer wall time")
 	budgetFlag := flag.Duration("budget", 0, "fail when the source layer exceeds this total wall time (0 = no limit)")
 	flag.Parse()
 
-	if *rulesFlag == "help" {
-		fmt.Fprintf(os.Stderr, "dslint: source rules: %s\n", strings.Join(lint.Rules(), ", "))
-		os.Exit(0)
+	_, pkgs, err := lint.Module(".")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dslint: %v\n", err)
+		os.Exit(2)
 	}
-
-	if *summaryFlag != "" {
-		_, pkgs, err := lint.Module(".")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dslint: %v\n", err)
-			os.Exit(2)
-		}
-		pr := lint.BuildProgram(pkgs)
-		node, candidates := pr.FindNode(*summaryFlag)
-		if node == nil {
-			if len(candidates) > 0 {
-				fmt.Fprintf(os.Stderr, "dslint: %q is ambiguous: %s\n", *summaryFlag, strings.Join(candidates, ", "))
-			} else {
-				fmt.Fprintf(os.Stderr, "dslint: no function matches %q\n", *summaryFlag)
-			}
-			os.Exit(2)
-		}
-		fmt.Printf("%s: %s\n", node.Name, node.Summary())
-		var callees []string
-		for _, c := range node.Calls {
-			callees = append(callees, c.Name)
-		}
-		if len(callees) > 0 {
-			fmt.Printf("  calls: %s\n", strings.Join(callees, ", "))
-		}
-		if node.CallsUnknown {
-			fmt.Println("  calls unresolved functions (interface methods, function values, or stdlib)")
-		}
-		return
-	}
-	var rules []string
-	if *rulesFlag != "" {
-		for _, r := range strings.Split(*rulesFlag, ",") {
-			r = strings.TrimSpace(r)
-			if r == "" {
-				continue
-			}
-			if !lint.KnownRule(r) {
-				fmt.Fprintf(os.Stderr, "dslint: unknown rule %q (known: %s)\n", r, strings.Join(lint.Rules(), ", "))
-				os.Exit(2)
-			}
-			rules = append(rules, r)
-		}
-	}
+	res := lint.Check(pkgs)
 
 	// all accumulates every finding as a lint.Diagnostic so -json emits
 	// one uniform object: source findings first (already sorted by
 	// position), then template findings as rule "template" in template
 	// order. Both orders are deterministic, so the artifact is diffable
 	// across CI runs.
-	var all []lint.Diagnostic
+	all := res.Diagnostics
 	failed := false
 	var timings map[string]float64
-	if *source {
-		_, pkgs, err := lint.Module(".")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dslint: %v\n", err)
-			os.Exit(2)
+	fmt.Fprintf(os.Stderr, "dslint: source: %d packages, %d findings, %d suppressed by //lint:ignore\n",
+		len(pkgs), len(res.Diagnostics), res.Suppressed)
+	var total time.Duration
+	for _, d := range res.Timings {
+		total += d
+	}
+	if *timingsFlag {
+		timings = map[string]float64{}
+		var names []string
+		for name, d := range res.Timings {
+			names = append(names, name)
+			timings[name] = float64(d.Microseconds()) / 1000
 		}
-		res := lint.CheckRules(pkgs, rules)
-		all = append(all, res.Diagnostics...)
-		fmt.Fprintf(os.Stderr, "dslint: source: %d packages, %d findings, %d suppressed by //lint:ignore\n",
-			len(pkgs), len(res.Diagnostics), res.Suppressed)
-		var total time.Duration
-		for _, d := range res.Timings {
-			total += d
+		sort.Strings(names)
+		for _, name := range names {
+			fmt.Fprintf(os.Stderr, "dslint: timing: %-12s %s\n", name, res.Timings[name].Round(time.Millisecond))
 		}
-		if *timingsFlag {
-			timings = map[string]float64{}
-			var names []string
-			for name, d := range res.Timings {
-				names = append(names, name)
-				timings[name] = float64(d.Microseconds()) / 1000
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				fmt.Fprintf(os.Stderr, "dslint: timing: %-12s %s\n", name, res.Timings[name].Round(time.Millisecond))
-			}
-			fmt.Fprintf(os.Stderr, "dslint: timing: %-12s %s\n", "total", total.Round(time.Millisecond))
-		}
-		if *budgetFlag > 0 && total > *budgetFlag {
-			fmt.Fprintf(os.Stderr, "dslint: source layer took %s, over the %s budget\n",
-				total.Round(time.Millisecond), *budgetFlag)
-			failed = true
-		}
-		if *baselineFlag != "" {
-			if !ratchet(*baselineFlag, *writeBaseline, rules, res.SuppressedByRule) {
-				failed = true
-			}
-		}
+		fmt.Fprintf(os.Stderr, "dslint: timing: %-12s %s\n", "total", total.Round(time.Millisecond))
+	}
+	if *budgetFlag > 0 && total > *budgetFlag {
+		fmt.Fprintf(os.Stderr, "dslint: source layer took %s, over the %s budget\n",
+			total.Round(time.Millisecond), *budgetFlag)
+		failed = true
+	}
+	if *baselineFlag != "" && !ratchet(*baselineFlag, res.SuppressedByRule) {
+		failed = true
 	}
 	if *templates {
 		diags := templatecheck.CheckAll(queries.All())
@@ -205,73 +138,39 @@ func main() {
 }
 
 // ratchet implements -baseline: current per-rule suppression counts may
-// only move down relative to the committed file. Rules that did not run
-// are left out of the comparison (their count is vacuously zero). With
-// write set, the file is rewritten from the current counts, keeping the
-// stored value for rules that did not run.
-func ratchet(path string, write bool, rules []string, current map[string]int) bool {
+// only move down relative to the committed file. The file is edited by
+// hand; a count below its baseline prints a reminder to lower it.
+func ratchet(path string, current map[string]int) bool {
 	stored := map[string]int{}
 	data, err := os.ReadFile(path)
 	if err == nil {
-		if err := json.Unmarshal(data, &stored); err != nil {
-			fmt.Fprintf(os.Stderr, "dslint: baseline %s: %v\n", path, err)
-			return false
-		}
-	} else if !write {
-		fmt.Fprintf(os.Stderr, "dslint: baseline %s: %v (run -write-baseline to create it)\n", path, err)
+		err = json.Unmarshal(data, &stored)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dslint: baseline %s: %v\n", path, err)
 		return false
 	}
-	ran := map[string]bool{}
-	if len(rules) == 0 {
-		for _, r := range lint.Rules() {
-			ran[r] = true
-		}
-	} else {
-		for _, r := range rules {
-			ran[r] = true
-		}
-	}
-	if write {
-		next := map[string]int{}
-		for rule, n := range stored {
-			if !ran[rule] && n > 0 {
-				next[rule] = n
-			}
-		}
-		for rule, n := range current {
-			if n > 0 {
-				next[rule] = n
-			}
-		}
-		out, err := json.MarshalIndent(next, "", "\t")
-		if err == nil {
-			err = os.WriteFile(path, append(out, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dslint: writing baseline %s: %v\n", path, err)
-			return false
-		}
-		fmt.Fprintf(os.Stderr, "dslint: baseline %s rewritten\n", path)
-		return true
-	}
-	ok := true
 	var names []string
-	for rule := range ran {
-		if current[rule] > 0 || stored[rule] > 0 {
+	for rule := range stored {
+		names = append(names, rule)
+	}
+	for rule := range current {
+		if _, ok := stored[rule]; !ok {
 			names = append(names, rule)
 		}
 	}
 	sort.Strings(names)
+	ok := true
 	for _, rule := range names {
 		cur, base := current[rule], stored[rule]
 		switch {
 		case cur > base:
-			fmt.Fprintf(os.Stderr, "dslint: suppression ratchet: rule %s has %d //lint:ignore directives, baseline allows %d — fix the code or justify and -write-baseline\n",
-				rule, cur, base)
+			fmt.Fprintf(os.Stderr, "dslint: suppression ratchet: rule %s has %d //lint:ignore directives, baseline allows %d — fix the code, or justify the directive and raise the count in %s\n",
+				rule, cur, base, path)
 			ok = false
 		case cur < base:
-			fmt.Fprintf(os.Stderr, "dslint: suppression ratchet: rule %s is down to %d (baseline %d) — ratchet down with -write-baseline\n",
-				rule, cur, base)
+			fmt.Fprintf(os.Stderr, "dslint: suppression ratchet: rule %s is down to %d (baseline %d) — lower its count in %s\n",
+				rule, cur, base, path)
 		}
 	}
 	return ok

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -58,17 +59,13 @@ func run() int {
 		text = trimmed[len(analyzePrefix):]
 	}
 
+	var stopProfiles func() error
 	if *pprofDir != "" {
-		stop, err := obs.StartProfiles(*pprofDir)
-		if err != nil {
+		var err error
+		if stopProfiles, err = obs.StartProfiles(*pprofDir); err != nil {
 			fmt.Fprintf(os.Stderr, "dsql: %v\n", err)
 			return 1
 		}
-		defer func() {
-			if err := stop(); err != nil {
-				fmt.Fprintf(os.Stderr, "dsql: %v\n", err)
-			}
-		}()
 	}
 	loadStart := time.Now()
 	eng := exec.New(datagen.New(*sf, *seed).GenerateAll())
@@ -83,6 +80,15 @@ func run() int {
 	}
 	start := time.Now()
 	res, tr, err := eng.QueryTracedContext(ctx, text)
+	if stopProfiles != nil {
+		// Stop while eng is still referenced: the in-use view of
+		// heap.pprof then shows the database, not the garbage it becomes
+		// once run returns.
+		if perr := stopProfiles(); perr != nil {
+			fmt.Fprintf(os.Stderr, "dsql: %v\n", perr)
+		}
+		runtime.KeepAlive(eng)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsql: %v\n", err)
 		return 1

@@ -2,95 +2,10 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strconv"
 	"strings"
 )
-
-// deterministicPkgs are the generator-side packages whose output must
-// be bit-identical across runs and parallelism levels (§3: everything
-// the seeded-stream design guarantees, a wall-clock read or a global
-// rand call silently destroys). The planner is held to the same bar:
-// plan choice determines result row order, so a map-order or
-// wall-clock dependence there breaks the cost-vs-greedy differential.
-var deterministicPkgs = map[string]bool{
-	"tpcds/internal/rng":     true,
-	"tpcds/internal/dist":    true,
-	"tpcds/internal/datagen": true,
-	"tpcds/internal/qgen":    true,
-	"tpcds/internal/scaling": true,
-	"tpcds/internal/plan":    true,
-}
-
-// wallClockFuncs are the time package functions that read the clock.
-var wallClockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
-
-// analyzeDeterminism bans wall-clock reads, the global math/rand and
-// map-order-dependent iteration in generator packages.
-func analyzeDeterminism(p *Package) []Diagnostic {
-	if !deterministicPkgs[p.Path] {
-		return nil
-	}
-	var out []Diagnostic
-	for _, f := range p.Files {
-		for _, imp := range f.Imports {
-			path, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				continue // unparseable import path; the compiler already rejects it
-			}
-			if path == "math/rand" || path == "math/rand/v2" {
-				out = append(out, p.diag(imp, "determinism",
-					"import of %s: generator packages draw only from seeded internal/rng streams", path))
-			}
-		}
-		// Wall-clock reads whose values flow only into internal/obs
-		// recording calls are sanctioned (see obssanction.go).
-		sanctionedObs := p.obsSanctionedRanges(f)
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch v := n.(type) {
-			case *ast.SelectorExpr:
-				obj := p.Info.Uses[v.Sel]
-				if obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "time" && wallClockFuncs[obj.Name()] &&
-					!containsPos(sanctionedObs, v.Pos()) {
-					out = append(out, p.diag(v, "determinism",
-						"time.%s reads the wall clock; generator output must be bit-deterministic", obj.Name()))
-				}
-			case *ast.RangeStmt:
-				if tv, ok := p.Info.Types[v.X]; ok && tv.Type != nil {
-					if _, isMap := tv.Type.Underlying().(*types.Map); isMap && !isCollectAppend(v) {
-						out = append(out, p.diag(v, "determinism",
-							"iteration over map %s has nondeterministic order; collect and sort keys first",
-							types.ExprString(v.X)))
-					}
-				}
-			}
-			return true
-		})
-	}
-	return out
-}
-
-// isCollectAppend recognizes the one sanctioned map-range shape: a body
-// that is exactly `s = append(s, k)`. Collecting keys is order-safe as
-// long as the slice is sorted before use, which the surrounding code is
-// expected to do (the "collect and sort" half of the idiom the rule's
-// message asks for).
-func isCollectAppend(v *ast.RangeStmt) bool {
-	if v.Body == nil || len(v.Body.List) != 1 {
-		return false
-	}
-	as, ok := v.Body.List[0].(*ast.AssignStmt)
-	if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-		return false
-	}
-	call, ok := unparen(as.Rhs[0]).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	id, ok := unparen(call.Fun).(*ast.Ident)
-	return ok && id.Name == "append"
-}
 
 // cancelHelpers are the qctx methods a row-scale loop polls.
 var cancelHelpers = map[string]bool{"tick": true, "done": true, "checkNow": true}

@@ -1,8 +1,8 @@
 package lint
 
 // callgraph.go builds the module-wide call graph the interprocedural
-// tier (summary.go, pubfreeze.go, the interprocedural half of taintdet,
-// the error facts of errcontract.go) runs on. The graph is computed
+// tier (summary.go, the interprocedural half of taintdet, the error
+// facts of errcontract.go) runs on. The graph is computed
 // over the same pure-stdlib load as everything else: nodes are the
 // function and method declarations of the analyzed packages, edges are
 // the statically resolvable calls between them.
@@ -37,7 +37,6 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // FuncNode is one declared function or method in the call graph.
@@ -65,7 +64,6 @@ type FuncNode struct {
 // call graph plus the per-function summaries computed bottom-up over
 // it. Built once per Check run by buildProgram.
 type Program struct {
-	Pkgs  []*Package
 	Nodes []*FuncNode
 
 	byObj map[*types.Func]*FuncNode
@@ -74,7 +72,7 @@ type Program struct {
 // buildProgram constructs the call graph over pkgs and computes
 // summaries bottom-up.
 func buildProgram(pkgs []*Package) *Program {
-	pr := &Program{Pkgs: pkgs, byObj: map[*types.Func]*FuncNode{}}
+	pr := &Program{byObj: map[*types.Func]*FuncNode{}}
 	for _, p := range pkgs {
 		for _, f := range p.Files {
 			for _, d := range f.Decls {
@@ -194,45 +192,6 @@ func (pr *Program) knownLeafCall(p *Package, call *ast.CallExpr) bool {
 		return true
 	}
 	return false
-}
-
-// NodeByObj returns the graph node declaring f, nil if f is not part of
-// the analyzed set.
-func (pr *Program) NodeByObj(f *types.Func) *FuncNode {
-	if f == nil {
-		return nil
-	}
-	return pr.byObj[f]
-}
-
-// BuildProgram exposes the interprocedural view for tooling — the
-// cmd/dslint -summary flag and the tests.
-func BuildProgram(pkgs []*Package) *Program {
-	return buildProgram(pkgs)
-}
-
-// FindNode resolves a function by display name: an exact match on
-// "pkg.Func" / "pkg.(T).Method", or a unique suffix of it ("costPlan",
-// "(Engine).costPlan"). Ambiguous or unknown names return nil and the
-// candidate list.
-func (pr *Program) FindNode(name string) (*FuncNode, []string) {
-	var matches []*FuncNode
-	for _, n := range pr.Nodes {
-		if n.Name == name {
-			return n, nil
-		}
-		if strings.HasSuffix(n.Name, name) {
-			matches = append(matches, n)
-		}
-	}
-	if len(matches) == 1 {
-		return matches[0], nil
-	}
-	var names []string
-	for _, n := range matches {
-		names = append(names, n.Name)
-	}
-	return nil, names
 }
 
 // sccs partitions the call graph into strongly connected components in

@@ -2,11 +2,6 @@
 // enforces engine invariants the Go compiler cannot check, at analysis
 // time rather than after a multi-minute benchmark run:
 //
-//   - determinism: generator packages (rng, dist, datagen, qgen,
-//     scaling) must be bit-deterministic across runs and parallelism
-//     levels (the paper's §3 MUDD-style seeded streams), so wall-clock
-//     reads, the global math/rand and map-iteration-order-dependent
-//     loops are banned there;
 //   - cancelcheck: row-scale loops in internal/exec must poll the
 //     per-query cancellation helpers (qctx tick/done/checkNow) so
 //     timeouts and aborts keep bounded latency;
@@ -32,22 +27,24 @@
 //     callee that accepts one;
 //   - taintdet: a forward taint analysis catching wall-clock/rand/env
 //     values that reach storage emission or exported results through
-//     intermediate assignments — the flows the syntactic determinism
-//     rule cannot see.
+//     intermediate assignments and helper calls, in the generator
+//     packages, internal/exec and internal/storage.
 //
 // The last tier also reads per-function summaries computed over a
 // module-wide call graph (callgraph.go, summary.go):
 //
-//   - pubfreeze: a value published into a shared cache is not modified
-//     afterwards;
 //   - nilcheck and errcontract: definite-nil dereferences, and (T,
 //     error) results used before their error is checked or wrapped so
 //     the chain breaks — both on the nilness lattice of nilness.go.
 //
+// Each rule catches a seeded defect nothing else in CI catches
+// (EXPERIMENTS.md "seeded-defect study at one goroutine per query").
+//
 // False positives are suppressed, never silently: a
 // "//lint:ignore <rule> <reason>" comment on the flagged line or the
 // line above suppresses one rule there, is counted in the result, and
-// becomes itself a finding when it stops matching anything.
+// becomes itself a finding when it stops matching anything or names no
+// rule.
 //
 // The implementation is pure standard library (go/parser, go/ast,
 // go/types); see load.go for how module packages are type-checked from
@@ -106,13 +103,12 @@ type Result struct {
 // Clean reports whether no findings survived.
 func (r *Result) Clean() bool { return len(r.Diagnostics) == 0 }
 
-// analyzers lists the source rules: the five statement-level analyzers
+// analyzers lists the source rules: the four statement-level analyzers
 // followed by the three intraprocedural flow-sensitive ones.
 var analyzers = []struct {
 	name string
 	fn   func(*Package) []Diagnostic
 }{
-	{"determinism", analyzeDeterminism},
 	{"cancelcheck", analyzeCancelCheck},
 	{"errcheck", analyzeErrCheck},
 	{"panics", analyzePanics},
@@ -131,21 +127,8 @@ var interAnalyzers = []struct {
 	fn   func(*Program, *Package) []Diagnostic
 }{
 	{"taintdet", analyzeTaintDet},
-	{"pubfreeze", analyzePubFreeze},
 	{"nilcheck", analyzeNilCheck},
 	{"errcontract", analyzeErrContract},
-}
-
-// Rules lists the registered analyzer names in registration order.
-func Rules() []string {
-	var out []string
-	for _, a := range analyzers {
-		out = append(out, a.name)
-	}
-	for _, a := range interAnalyzers {
-		out = append(out, a.name)
-	}
-	return out
 }
 
 // KnownRule reports whether name is a registered analyzer.
@@ -165,53 +148,24 @@ func KnownRule(name string) bool {
 
 // Check runs every analyzer over every package, applies //lint:ignore
 // directives, and returns the surviving findings sorted by position.
-func Check(pkgs []*Package) *Result { return CheckRules(pkgs, nil) }
-
-// CheckRules is Check restricted to a subset of analyzers; nil or empty
-// runs all of them. Stale-directive findings are only produced for
-// rules that actually ran (a directive for a skipped rule cannot prove
-// itself useful).
-func CheckRules(pkgs []*Package, rules []string) *Result {
-	run := map[string]bool{}
-	if len(rules) == 0 {
-		for _, a := range analyzers {
-			run[a.name] = true
-		}
-		for _, a := range interAnalyzers {
-			run[a.name] = true
-		}
-	} else {
-		for _, r := range rules {
-			run[r] = true
-		}
-	}
+func Check(pkgs []*Package) *Result {
 	// The Program (call graph + bottom-up summaries) is built once over
 	// the whole set and shared by every interprocedural rule.
-	var pr *Program
-	for _, a := range interAnalyzers {
-		if run[a.name] {
-			pr = buildProgram(pkgs)
-			break
-		}
-	}
+	pr := buildProgram(pkgs)
 	res := &Result{SuppressedByRule: map[string]int{}, Timings: map[string]time.Duration{}}
 	for _, p := range pkgs {
 		dirs, dirDiags := collectDirectives(p)
 		res.Diagnostics = append(res.Diagnostics, dirDiags...)
 		var raw []Diagnostic
 		for _, a := range analyzers {
-			if run[a.name] {
-				start := time.Now()
-				raw = append(raw, a.fn(p)...)
-				res.Timings[a.name] += time.Since(start)
-			}
+			start := time.Now()
+			raw = append(raw, a.fn(p)...)
+			res.Timings[a.name] += time.Since(start)
 		}
 		for _, a := range interAnalyzers {
-			if run[a.name] {
-				start := time.Now()
-				raw = append(raw, a.fn(pr, p)...)
-				res.Timings[a.name] += time.Since(start)
-			}
+			start := time.Now()
+			raw = append(raw, a.fn(pr, p)...)
+			res.Timings[a.name] += time.Since(start)
 		}
 		for _, d := range raw {
 			if suppress(dirs, d) {
@@ -223,17 +177,14 @@ func CheckRules(pkgs []*Package, rules []string) *Result {
 		}
 		for _, ds := range dirs {
 			for _, dir := range ds {
-				// A directive for a rule that did not run cannot prove
-				// itself useful — skip the staleness check for it; a
-				// directive naming an unknown rule is always stale.
-				if !dir.used && (run[dir.rule] || !KnownRule(dir.rule)) {
-					res.Diagnostics = append(res.Diagnostics, Diagnostic{
-						Pos:  dir.pos,
-						Rule: "directive",
-						Message: fmt.Sprintf("//lint:ignore %s directive suppresses nothing (stale?)",
-							dir.rule),
-					})
+				if dir.used {
+					continue
 				}
+				msg := fmt.Sprintf("//lint:ignore %s directive suppresses nothing (stale?)", dir.rule)
+				if !KnownRule(dir.rule) {
+					msg = fmt.Sprintf("//lint:ignore %s names no dslint rule", dir.rule)
+				}
+				res.Diagnostics = append(res.Diagnostics, Diagnostic{Pos: dir.pos, Rule: "directive", Message: msg})
 			}
 		}
 	}

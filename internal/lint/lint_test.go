@@ -13,7 +13,7 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 
 // fixtures are the known-bad packages under testdata/src; each is
 // type-checked under a virtual import path so path-conditional rules
-// (determinism's package list, cancelcheck's internal/exec condition)
+// (taintdet's package list, cancelcheck's internal/exec condition)
 // fire without the fixtures living in the real tree.
 var fixtures = []struct {
 	name        string
@@ -22,7 +22,6 @@ var fixtures = []struct {
 	// least one finding of; empty means the fixture name is the rule.
 	rule string
 }{
-	{name: "determinism", virtualPath: "tpcds/internal/datagen"},
 	{name: "cancelcheck", virtualPath: "tpcds/internal/exec"},
 	{name: "errcheck", virtualPath: "tpcds/internal/errfix"},
 	{name: "panics", virtualPath: "tpcds/internal/panicfix"},
@@ -31,16 +30,11 @@ var fixtures = []struct {
 	{name: "lockcheck", virtualPath: "tpcds/internal/lockfix"},
 	{name: "goleak", virtualPath: "tpcds/internal/goleakfix"},
 	{name: "ctxflow", virtualPath: "tpcds/internal/ctxfix"},
-	// taintdet poses as a generator package on purpose: the golden
-	// shows the syntactic determinism findings and the flow-sensitive
-	// taint findings layering over the same file.
 	{name: "taintdet", virtualPath: "tpcds/internal/datagen"},
-	// obssanction exercises the observability carve-out: clock values
-	// flowing only into obs are clean, values reaching both obs and
-	// storage (or read back out of obs) are flagged by determinism and
-	// taintdet.
-	{name: "obssanction", virtualPath: "tpcds/internal/datagen", rule: "determinism"},
-	{name: "pubfreeze", virtualPath: "tpcds/internal/pubfix"},
+	// obssanction exercises taintdet at the observability boundary:
+	// clock values flowing only into obs are clean, values reaching
+	// storage (or read back out of obs) are flagged.
+	{name: "obssanction", virtualPath: "tpcds/internal/datagen", rule: "taintdet"},
 	// taintinter is the interprocedural taintdet fixture: clock values
 	// crossing function boundaries (including a mutually recursive SCC)
 	// before reaching storage emission.

@@ -5,8 +5,7 @@ package lint
 //
 //   - mutation: does the function write memory reachable from its
 //     receiver or parameters (directly, through sync/atomic, or through
-//     a callee) — what pubfreeze flags after publication and what the
-//     nilness engine forgets across a call;
+//     a callee) — what the nilness engine forgets across a call;
 //   - taint transfer: can a nondeterministic value (wall clock, rand,
 //     environment — the taintdet sources) originate inside the function
 //     and flow to a result, and can taint on parameter i reach a
@@ -34,8 +33,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
-	"strings"
 )
 
 // Summary is the interprocedural abstract of one function. Parameter
@@ -61,43 +58,6 @@ type Summary struct {
 	CallsUnknown bool // body contains a call the graph cannot resolve
 }
 
-// String renders the summary for the -summary debug flag and tests:
-// a space-separated list of the set facts, "pure" when none are.
-func (s *Summary) String() string {
-	var parts []string
-	flag := func(cond bool, name string) {
-		if cond {
-			parts = append(parts, name)
-		}
-	}
-	bits := func(b uint32, name string) {
-		if b == 0 {
-			return
-		}
-		var idx []string
-		for i := 0; i < 32; i++ {
-			if b&(1<<i) != 0 {
-				idx = append(idx, strconv.Itoa(i))
-			}
-		}
-		parts = append(parts, name+"="+strings.Join(idx, ","))
-	}
-	flag(s.MutatesRecv, "mutates-recv")
-	bits(s.MutatesParam, "mutates-param")
-	flag(s.TaintsReturn, "taints-return("+s.TaintSrc+")")
-	bits(s.ParamToRet, "param-to-ret")
-	flag(s.RecvToRet, "recv-to-ret")
-	bits(s.ParamToSink, "param-to-sink")
-	flag(s.RecvToSink, "recv-to-sink")
-	bits(s.ReturnsNilErrOn, "nil-err")
-	bits(s.NonNilResultWhenNilErr, "nonnil-on-ok")
-	flag(s.CallsUnknown, "calls-unknown")
-	if len(parts) == 0 {
-		return "pure"
-	}
-	return strings.Join(parts, " ")
-}
-
 // summaryOf returns n's current summary, computing nothing: during the
 // SCC fixpoint partial summaries under-approximate and iteration closes
 // the gap. A nil node yields the unknown-callee summary.
@@ -110,10 +70,6 @@ func (pr *Program) summaryOf(n *FuncNode) *Summary {
 	}
 	return n.sum
 }
-
-// Summary exposes a node's computed summary (read-only; -summary flag
-// and tests).
-func (n *FuncNode) Summary() *Summary { return n.sum }
 
 // computeSummaries runs the bottom-up fixpoint.
 func (pr *Program) computeSummaries() {

@@ -1,16 +1,18 @@
 package lint
 
-// taintdet is the dataflow upgrade of the determinism rule. The
-// syntactic rule (analyzers.go) bans calling time.Now in a generator
-// package; it cannot see `t := time.Now(); ...; row = append(row,
-// storage.Int(t.Unix()))` when the call and the emission are separated
-// by assignments. taintdet closes that hole with a forward taint
-// analysis over the function CFG:
+// taintdet keeps generated data and query results bit-deterministic.
+// A wall-clock read is harmless where its value only reaches a timer;
+// it is a defect where the value reaches a table or a result, even
+// when the call and the emission are separated by assignments (`t :=
+// time.Now(); ...; row = append(row, storage.Int(t.Unix()))`) or by
+// helper calls. taintdet is a forward taint analysis over the function
+// CFG:
 //
 //   - sources: wall-clock reads (time.Now/Since/Until), the global
-//     math/rand and math/rand/v2, crypto/rand, and process-environment
-//     reads (os.Getenv/Environ/Getpid/Getppid/Hostname) — anything
-//     whose value differs between two runs of the same seed;
+//     math/rand and math/rand/v2, crypto/rand, process-environment
+//     reads (os.Getenv/Environ/Getpid/Getppid/Hostname), and values
+//     read back out of obs instruments — anything whose value differs
+//     between two runs of the same seed;
 //   - propagation: assignment, compound assignment, range binding and
 //     field stores move taint between locals (strong updates on plain
 //     reassignment, so laundering through a variable is tracked but an
@@ -21,9 +23,11 @@ package lint
 //     results escape to the harness and become benchmark data).
 //
 // Scope: the deterministic generator packages plus internal/exec
-// (query results) and internal/storage itself (the emission layer) —
-// in storage there is no syntactic ban, so taintdet is the only thing
-// standing between a wall-clock read and the flat files.
+// (query results) and internal/storage itself (the emission layer).
+// A clock value that reaches a generated table changes the committed
+// flat-file hashes, which the tests check; one that reaches a query
+// result on a rare path (a literal that fails to parse, say) changes
+// nothing a test compares, and taintdet is what reports it.
 
 import (
 	"go/ast"
@@ -31,16 +35,31 @@ import (
 	"go/types"
 )
 
-// taintScopePkgs are the packages whose emitted values must be
-// bit-deterministic. The deterministic generator set is shared with the
-// syntactic rule.
-var taintScopeExtra = map[string]bool{
+// taintScope are the packages whose emitted values must be
+// bit-identical across runs: the generator side (§3: everything the
+// seeded-stream design guarantees, a wall-clock read or a global rand
+// call silently destroys), the planner (plan choice determines result
+// row order), the executor (query results) and the emission layer.
+var taintScope = map[string]bool{
+	"tpcds/internal/rng":     true,
+	"tpcds/internal/dist":    true,
+	"tpcds/internal/datagen": true,
+	"tpcds/internal/qgen":    true,
+	"tpcds/internal/scaling": true,
+	"tpcds/internal/plan":    true,
 	"tpcds/internal/exec":    true,
 	"tpcds/internal/storage": true,
 }
 
 // storagePkgPath is the emission layer every generator writes through.
 const storagePkgPath = "tpcds/internal/storage"
+
+// obsPkgPath is the observability package: recording into it is not a
+// sink, and reading its instruments back is a taint source.
+const obsPkgPath = "tpcds/internal/obs"
+
+// wallClockFuncs are the time package functions that read the clock.
+var wallClockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 
 // taintFacts maps tainted local objects to the source description that
 // tainted them ("time.Now") and the source position.
@@ -73,7 +92,7 @@ func cloneTaintFacts(s taintFacts) taintFacts {
 }
 
 func analyzeTaintDet(pr *Program, p *Package) []Diagnostic {
-	if !deterministicPkgs[p.Path] && !taintScopeExtra[p.Path] {
+	if !taintScope[p.Path] {
 		return nil
 	}
 	var out []Diagnostic
@@ -363,7 +382,7 @@ func (p *Package) taintSource(call *ast.CallExpr) (string, bool) {
 	// Values read BACK from obs instruments are wall-clock-derived: a
 	// span duration or a counter snapshot flowing into generated data
 	// is as nondeterministic as time.Now itself. (Recording INTO obs is
-	// sanctioned — see obssanction.go; these are the read-out methods.)
+	// not a sink; these are the read-out methods.)
 	if obj.Pkg().Path() == obsPkgPath {
 		switch name {
 		case "End", "Value", "Count", "Sum", "Max", "Quantile":

@@ -16,3 +16,5 @@ func malformed() {}
 
 //lint:ignore errcheck nothing on this line returns an error
 func stale() {}
+
+//lint:ignore sharecap a directive naming a rule dslint does not have is reported

@@ -1,7 +1,7 @@
-// Fixture for the observability carve-out of the determinism rules:
-// wall-clock values flowing only into internal/obs recording calls are
-// sanctioned; the same value also reaching storage stays banned, and a
-// value read back OUT of obs instruments is a taint source.
+// Fixture for taintdet at the observability boundary: wall-clock
+// values flowing only into internal/obs recording calls are clean; the
+// same value also reaching storage is flagged, and a value read back
+// OUT of obs instruments is a taint source.
 package datagen
 
 import (
@@ -22,10 +22,10 @@ func observeOnly(tr *obs.Tracer, reg *obs.Registry) {
 	sp.End()
 }
 
-// leakToStorage is flagged twice over: the clock readings reach
-// storage (so the syntactic sanction must NOT apply, even though the
-// same value also feeds an obs histogram) and the tainted value hits
-// the storage sink.
+// leakToStorage is flagged: the clock reading reaches the storage
+// sink, even though the same value also feeds an obs histogram. (It is
+// unexported, so its return is not a second sink; the emission is the
+// finding.)
 func leakToStorage(reg *obs.Registry) storage.Value {
 	start := time.Now()
 	elapsed := time.Since(start)

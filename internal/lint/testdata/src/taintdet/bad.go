@@ -1,11 +1,11 @@
 // Package taintfix is a known-bad fixture for the taintdet analyzer.
 // It is type-checked under the virtual import path
-// "tpcds/internal/datagen", so the syntactic determinism rule fires
-// alongside the flow analysis — the golden file shows the layering:
-// determinism flags the time.Now call site itself, while taintdet
-// follows the laundered value to where it actually escapes
-// (storage emission or an exported result). os.Getenv is invisible to
-// the syntactic rule; only the taint flow catches it.
+// "tpcds/internal/datagen", a generator package. taintdet does not
+// flag a clock read by itself: it follows the laundered value to
+// where it actually escapes (storage emission or an exported
+// result), so the time.Now call site carries no finding of its own.
+// os.Getenv and os.Getpid are taint sources just like the clock;
+// only the taint flow catches them.
 package taintfix
 
 import (

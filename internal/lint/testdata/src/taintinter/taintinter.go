@@ -1,10 +1,10 @@
 // Package taintinterfix is a known-bad fixture for the
 // interprocedural half of taintdet: nondeterminism that crosses a
 // function boundary before reaching storage emission. It poses as a
-// generator package (virtual path "tpcds/internal/datagen") so the
-// syntactic determinism rule flags the clock reads at their sites
-// while taintdet reports where the laundered values actually escape —
-// the golden shows both layers. The mutually recursive pair pins the
+// generator package (virtual path "tpcds/internal/datagen"); the
+// clock reads carry no finding at their sites, and taintdet reports
+// where the laundered values actually escape through a helper's
+// summary. The mutually recursive pair pins the
 // SCC fixpoint: summary computation must terminate on the cycle and
 // still carry the param-to-return transfer through it.
 package taintinterfix
@@ -72,4 +72,12 @@ func rowsFor(scale int) int {
 
 func emitClean(scale int) storage.Value {
 	return storage.Int(int64(rowsFor(scale)))
+}
+
+// rename writes through its parameter: its summary records
+// MutatesParam, which the nilness engine forgets facts by. Clean.
+type entry struct{ name string }
+
+func rename(e *entry, name string) {
+	e.name = name
 }

@@ -340,7 +340,6 @@ func SessionPermutation(benchSeed uint64, stream int, tpls []Template) []int {
 			posOf[tpls[idx].Sequence] = append(posOf[tpls[idx].Sequence], pos)
 		}
 	}
-	//lint:ignore determinism each sequence's rewrite touches only its own positions, so visit order cannot change the result
 	for _, positions := range posOf {
 		// Members at these positions, sorted by template ID.
 		members := make([]int, len(positions))
