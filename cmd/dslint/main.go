@@ -26,9 +26,9 @@
 // exceeds its baseline fails the run, and a count below its baseline
 // prints a reminder to lower it. The file is edited by hand.
 //
-// -timings reports per-analyzer wall time; -budget fails the run when
-// the source layer exceeds the given total duration — the CI guard
-// keeping the fixpoint analyses interactive.
+// -timings reports per-analyzer and call-graph ("program") wall time;
+// -budget fails the run when their total exceeds the given duration —
+// the CI guard keeping the fixpoint analyses interactive.
 //
 // The package argument is accepted for familiarity ("./...") but the
 // tool always analyzes the whole module containing the working
@@ -54,7 +54,7 @@ func main() {
 	templates := flag.Bool("templates", true, "run the schema-aware template checker")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	baselineFlag := flag.String("baseline", "", "suppression-ratchet file: fail if any rule's //lint:ignore count grows past it")
-	timingsFlag := flag.Bool("timings", false, "report per-analyzer wall time")
+	timingsFlag := flag.Bool("timings", false, "report per-analyzer wall time and the call-graph build")
 	budgetFlag := flag.Duration("budget", 0, "fail when the source layer exceeds this total wall time (0 = no limit)")
 	flag.Parse()
 

@@ -14,29 +14,22 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
 	"tpcds/internal/datagen"
 	"tpcds/internal/exec"
-	"tpcds/internal/obs"
 )
 
-// main defers to run so the pprof stop executes before the process exit
-// code is decided.
-func main() { os.Exit(run()) }
-
-func run() int {
+func main() {
 	sf := flag.Float64("sf", 0.001, "scale factor")
 	seed := flag.Uint64("seed", 1, "generation seed")
 	query := flag.String("e", "", "query text (default: read stdin)")
 	timeout := flag.Duration("timeout", 0, "query deadline (0 = none), e.g. 30s")
-	pprofDir := flag.String("pprof", "", "write cpu.pprof and heap.pprof into this directory")
 	flag.Parse()
 	if *sf <= 0 {
 		fmt.Fprintln(os.Stderr, "dsql: -sf must be positive")
-		return 2
+		os.Exit(2)
 	}
 
 	text := *query
@@ -44,7 +37,7 @@ func run() int {
 		data, err := io.ReadAll(os.Stdin)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dsql: %v\n", err)
-			return 1
+			os.Exit(1)
 		}
 		text = string(data)
 	}
@@ -59,14 +52,6 @@ func run() int {
 		text = trimmed[len(analyzePrefix):]
 	}
 
-	var stopProfiles func() error
-	if *pprofDir != "" {
-		var err error
-		if stopProfiles, err = obs.StartProfiles(*pprofDir); err != nil {
-			fmt.Fprintf(os.Stderr, "dsql: %v\n", err)
-			return 1
-		}
-	}
 	loadStart := time.Now()
 	eng := exec.New(datagen.New(*sf, *seed).GenerateAll())
 	eng.SetProfiling(analyze)
@@ -80,18 +65,9 @@ func run() int {
 	}
 	start := time.Now()
 	res, tr, err := eng.QueryTracedContext(ctx, text)
-	if stopProfiles != nil {
-		// Stop while eng is still referenced: the in-use view of
-		// heap.pprof then shows the database, not the garbage it becomes
-		// once run returns.
-		if perr := stopProfiles(); perr != nil {
-			fmt.Fprintf(os.Stderr, "dsql: %v\n", perr)
-		}
-		runtime.KeepAlive(eng)
-	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsql: %v\n", err)
-		return 1
+		os.Exit(1)
 	}
 	if analyze {
 		// EXPLAIN ANALYZE output is the plan trace with the profile tree;
@@ -101,5 +77,4 @@ func run() int {
 		fmt.Print(res.String())
 	}
 	fmt.Fprintf(os.Stderr, "%d rows in %v\n", len(res.Rows), time.Since(start).Round(time.Microsecond))
-	return 0
 }

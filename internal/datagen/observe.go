@@ -25,8 +25,8 @@ func (g *Generator) phase(name string) *obs.Span {
 
 // instrument runs one table build under a span and records its
 // duration and cardinality. The wall-clock reading here flows ONLY
-// into obs recording calls — never into generated data — which is
-// exactly the boundary the determinism lint enforces for this package.
+// into obs recording calls — never into generated data — the boundary
+// dslint's taintdet rule and TestFlatFileHashes hold for this package.
 func (g *Generator) instrument(parent *obs.Span, name string, gen func() *storage.Table) *storage.Table {
 	sp := parent.ChildCat(name, "datagen")
 	start := time.Now()

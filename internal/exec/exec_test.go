@@ -229,6 +229,40 @@ func TestNullFKNeverJoins(t *testing.T) {
 	}
 }
 
+// TestStarNullFKMatchingKeyPayload: a NULL foreign key stores 0 as its
+// payload, so a dimension whose surviving keys include 0 must still not
+// join the fact's NULL rows under the star transformation.
+func TestStarNullFKMatchingKeyPayload(t *testing.T) {
+	db := storage.NewDB()
+	dim := db.Create(&schema.Table{
+		Name: "z", Kind: schema.Dimension, PrimaryKey: []string{"z_k"},
+		Columns: []schema.Column{{Name: "z_k", Type: schema.Identifier}, {Name: "z_g", Type: schema.Integer}},
+	})
+	for _, r := range [][2]int64{{0, 1}, {1, 1}, {2, 2}} {
+		dim.Append([]storage.Value{storage.Int(r[0]), storage.Int(r[1])})
+	}
+	fact := db.Create(&schema.Table{
+		Name: "zf", Kind: schema.Fact,
+		Columns: []schema.Column{{Name: "zf_k", Type: schema.Identifier, Nullable: true}, {Name: "zf_m", Type: schema.Integer}},
+	})
+	fact.Append([]storage.Value{storage.Int(0), storage.Int(10)})
+	fact.Append([]storage.Value{storage.Null, storage.Int(20)})
+	fact.Append([]storage.Value{storage.Int(1), storage.Int(30)})
+	fact.Append([]storage.Value{storage.Int(2), storage.Int(40)})
+	e := New(db)
+	e.SetMode(plan.ForceStar)
+	res, tr, err := e.QueryTraced(`SELECT COUNT(*) c, SUM(zf_m) m FROM zf, z WHERE zf_k = z_k AND z_g = 1`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Strategy != plan.StarTransform {
+		t.Fatalf("ran %v, not the star transformation", tr.Strategy)
+	}
+	if c, m := res.Rows[0][0].AsInt(), res.Rows[0][1].AsInt(); c != 2 || m != 40 {
+		t.Errorf("count %d sum %d, want 2 and 40 (the NULL row excluded)", c, m)
+	}
+}
+
 func TestLeftJoin(t *testing.T) {
 	e := New(miniDB())
 	res := q(t, e, `SELECT s_ticket, r_qty FROM sales LEFT OUTER JOIN returns

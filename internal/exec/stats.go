@@ -53,10 +53,9 @@ func (s colStats) fresh(t *storage.Table) bool {
 // with no non-NULL values. The qctx keeps the full-column gathering
 // scan cancellable on large tables.
 //
-// The statsCache store below is a lock-guarded map publication, which
-// dslint's pubfreeze rule tracks; it stays trivially frozen because
-// colStats is an all-scalar value copy — nothing the reader gets back
-// can be mutated retroactively.
+// The statsCache store below is a lock-guarded map publication; it
+// stays trivially frozen because colStats is an all-scalar value copy —
+// nothing the reader gets back can be mutated retroactively.
 func (e *Engine) columnStats(qc *qctx, t *storage.Table, col int) colStats {
 	switch t.Def.Columns[col].Type {
 	case schema.Identifier, schema.Integer, schema.Date:

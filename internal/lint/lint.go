@@ -94,7 +94,8 @@ type Result struct {
 	SuppressedByRule map[string]int
 
 	// Timings is the cumulative wall time per analyzer across all
-	// packages (cmd/dslint -timings). Whichever of nilcheck and
+	// packages, plus a "program" row for the shared call graph and
+	// summaries (cmd/dslint -timings). Whichever of nilcheck and
 	// errcontract runs first absorbs their shared per-package pass; the
 	// other reads its cache.
 	Timings map[string]time.Duration
@@ -151,8 +152,9 @@ func KnownRule(name string) bool {
 func Check(pkgs []*Package) *Result {
 	// The Program (call graph + bottom-up summaries) is built once over
 	// the whole set and shared by every interprocedural rule.
+	start := time.Now()
 	pr := buildProgram(pkgs)
-	res := &Result{SuppressedByRule: map[string]int{}, Timings: map[string]time.Duration{}}
+	res := &Result{SuppressedByRule: map[string]int{}, Timings: map[string]time.Duration{"program": time.Since(start)}}
 	for _, p := range pkgs {
 		dirs, dirDiags := collectDirectives(p)
 		res.Diagnostics = append(res.Diagnostics, dirDiags...)

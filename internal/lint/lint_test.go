@@ -125,6 +125,27 @@ func TestFixturesAreDetected(t *testing.T) {
 	}
 }
 
+// TestProgramTimed: the call graph and summaries are built outside
+// every analyzer, so their time is a row of its own, which -timings
+// prints and -budget counts.
+func TestProgramTimed(t *testing.T) {
+	loader, _, err := Module(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, err := filepath.Abs(filepath.Join("testdata", "src", "taintinter"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := loader.LoadDir(dir, "tpcds/internal/datagen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, ok := Check([]*Package{pkg}).Timings["program"]; !ok || d <= 0 {
+		t.Errorf(`Timings["program"] = %v, %v; want a positive duration`, d, ok)
+	}
+}
+
 // TestLiveTreeClean asserts the real module passes its own gate — the
 // same invariant CI enforces by running cmd/dslint. Skipped in -short
 // mode: type-checking the whole module from source takes seconds.

@@ -67,7 +67,7 @@ func (c *Cache) Get(key string) (Cached, bool) {
 // Put stores a plan under key, recording the base tables it depends on.
 // Put publishes p and deps: the moment it returns, Get hands them to
 // concurrent readers unlocked, so the caller must not modify either
-// afterwards. dslint's pubfreeze rule checks every Put call site.
+// afterwards (the -race stream tests report a later write).
 func (c *Cache) Put(key string, p Cached, deps []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
