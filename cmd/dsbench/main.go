@@ -1,6 +1,8 @@
 // Command dsbench runs the complete TPC-DS benchmark test (paper §5,
 // Figure 11): load test, Query Run 1, Data Maintenance, Query Run 2, and
-// prints the QphDS@SF executive summary plus per-phase diagnostics.
+// prints the QphDS@SF executive summary plus per-phase diagnostics,
+// then audits the database it leaves (TPC audit checks; a finding exits
+// 1).
 //
 // Usage:
 //
@@ -56,7 +58,6 @@ func run() int {
 	sw := flag.Float64("sw", 150000, "software cost (USD)")
 	maint := flag.Float64("maint", 100000, "3-year maintenance cost (USD)")
 	dataDir := flag.String("data", "", "load from dsdgen flat files instead of generating")
-	runAudit := flag.Bool("audit", false, "audit the database after the benchmark (TPC audit checks)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline (0 = none), e.g. 30s")
 	onError := flag.String("on-error", driver.OnErrorAbort,
 		"failed-query policy: abort the run or skip to the stream's next query")
@@ -65,7 +66,6 @@ func run() int {
 	pprofDir := flag.String("pprof", "", "write cpu.pprof and heap.pprof into this directory")
 	maxConcurrent := flag.Int("max-concurrent", 0, "cap queries in flight across all streams (0 = no cap)")
 	digestOut := flag.String("digest", "", "write per-query result checksums to this file (for diffing two runs)")
-	feedback := flag.Bool("feedback", false, "profile every query and dump the per-template estimate-vs-actual worst offenders")
 	flag.Parse()
 
 	cfg := driver.Config{
@@ -77,13 +77,8 @@ func run() int {
 	if *traceOut != "" {
 		cfg.Tracer = obs.NewTracer()
 	}
-	// The feedback report needs the q-error counters, so it implies a
-	// registry.
-	if *metrics || *feedback {
+	if *metrics {
 		cfg.Metrics = obs.NewRegistry()
-	}
-	if *feedback {
-		cfg.Profile = true
 	}
 	var stopProfiles func() error
 	if *pprofDir != "" {
@@ -137,16 +132,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "wrote %d query digests to %s\n", len(res.Queries), *digestOut)
 	}
 
-	if *feedback && len(res.Report.Misestimates) > 0 {
-		fmt.Printf("\nEstimate-vs-actual feedback (worst operator per template, %d templates):\n",
-			len(res.Report.Misestimates))
-		fmt.Printf("  tmpl   q-error          est       actual  nodes  operator\n")
-		for _, m := range res.Report.Misestimates {
-			fmt.Printf("  q%-4d %8.1f %12.0f %12d %6d  %s\n",
-				m.ID, m.QError, m.Est, m.Actual, m.Nodes, m.Op)
-		}
-	}
-
 	if cfg.Metrics != nil {
 		fmt.Printf("\nMetrics:\n")
 		if err := cfg.Metrics.WriteText(os.Stdout); err != nil {
@@ -185,14 +170,12 @@ func run() int {
 			qt.Run, qt.Stream, qt.QueryID, name, class, qt.Duration, qt.Rows)
 	}
 
-	if *runAudit {
-		// Row counts shifted during data maintenance, so the SF check is
-		// off; the structural invariants must hold.
-		rep := audit.Run(res.Engine.DB(), audit.Options{})
-		fmt.Printf("\n%s", rep.String())
-		if !rep.Passed() {
-			return 1
-		}
+	// Row counts shifted during data maintenance, so the SF check is
+	// off; the structural invariants must hold.
+	rep := audit.Run(res.Engine.DB(), audit.Options{})
+	fmt.Printf("\n%s", rep.String())
+	if !rep.Passed() {
+		return 1
 	}
 	return 0
 }

@@ -85,13 +85,6 @@ type Config struct {
 	// the driver's per-template execution-latency histograms; the
 	// distributions surface as Report.Latencies.
 	Metrics *obs.Registry
-	// Profile enables per-operator runtime accounting (the EXPLAIN
-	// ANALYZE profile tree) on every query of the run. Each estimated
-	// node's q-error is observed into the plan_qerror_x1000 histogram
-	// (with Metrics set) and the per-template worst offenders surface as
-	// Report.Misestimates. Results are bit-identical with profiling on
-	// or off; only accounting is added.
-	Profile bool
 	// MaxConcurrent caps the queries in flight across all streams of a
 	// query run; 0 means no cap (every stream's query is admitted
 	// immediately). With a cap, the time a query spends waiting for
@@ -198,23 +191,15 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	eng := exec.New(db)
 	eng.SetQueryHook(cfg.QueryHook)
 	eng.SetMetrics(cfg.Metrics)
-	eng.SetProfiling(cfg.Profile)
 	warmAuxiliaryStructures(eng)
 	timings.Load = time.Since(loadStart)
 	loadSp.End()
 	res.Engine = eng
 
-	// Estimate-vs-actual aggregation for profiled runs; nil keeps the
-	// unprofiled path untouched.
-	var mis *misestimates
-	if cfg.Profile {
-		mis = newMisestimates()
-	}
-
 	// ---- Query Run 1. ----
 	qr1Sp := root.Child("query run 1")
 	qr1Start := time.Now()
-	t1, err := runQueryRun(ctx, eng, tpl, cfg, 1, qr1Sp, mis)
+	t1, err := runQueryRun(ctx, eng, tpl, cfg, 1, qr1Sp)
 	timings.QR1 = time.Since(qr1Start)
 	qr1Sp.End()
 	res.Queries = append(res.Queries, t1...)
@@ -240,7 +225,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// ---- Query Run 2 (fresh substitutions, §5.2). ----
 	qr2Sp := root.Child("query run 2")
 	qr2Start := time.Now()
-	t2, err := runQueryRun(ctx, eng, tpl, cfg, 2, qr2Sp, mis)
+	t2, err := runQueryRun(ctx, eng, tpl, cfg, 2, qr2Sp)
 	timings.QR2 = time.Since(qr2Start)
 	qr2Sp.End()
 	res.Queries = append(res.Queries, t2...)
@@ -265,7 +250,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	res.Report = res.Report.WithErrorCounts(errs, timeouts)
 	res.Report.Latencies = templateLatencies(cfg.Metrics, res.Queries)
-	res.Report.Misestimates = mis.report()
 	return res, nil
 }
 
@@ -318,7 +302,7 @@ func warmAuxiliaryStructures(eng *exec.Engine) {
 // in its stream's timings and moves on; abort cancels the sibling
 // streams (they drain at their next cancellation point) and fails the
 // run with the first non-cancellation error.
-func runQueryRun(ctx context.Context, eng *exec.Engine, tpl []qgen.Template, cfg Config, run int, runSp *obs.Span, mis *misestimates) ([]QueryTiming, error) {
+func runQueryRun(ctx context.Context, eng *exec.Engine, tpl []qgen.Template, cfg Config, run int, runSp *obs.Span) ([]QueryTiming, error) {
 	type streamResult struct {
 		timings []QueryTiming
 		err     error
@@ -373,7 +357,7 @@ func runQueryRun(ctx context.Context, eng *exec.Engine, tpl []qgen.Template, cfg
 					cancelRun()
 					return
 				}
-				qt, err := runOneQuery(runCtx, eng, cfg, streamSp, gate, t.ID, text, mis)
+				qt, err := runOneQuery(runCtx, eng, cfg, streamSp, gate, t.ID, text)
 				qt.Run, qt.Stream, qt.QueryID = run, stream, t.ID
 				out = append(out, qt)
 				if err != nil && !skip {
@@ -418,7 +402,7 @@ func errRank(err error) int {
 // The admission gate is acquired BEFORE the timeout context is created,
 // so a query never times out while queued — the deadline measures the
 // engine, not the driver's own backpressure.
-func runOneQuery(ctx context.Context, eng *exec.Engine, cfg Config, streamSp *obs.Span, gate chan struct{}, tplID int, text string, mis *misestimates) (QueryTiming, error) {
+func runOneQuery(ctx context.Context, eng *exec.Engine, cfg Config, streamSp *obs.Span, gate chan struct{}, tplID int, text string) (QueryTiming, error) {
 	qsp := streamSp.Child(fmt.Sprintf("q%d", tplID))
 	defer qsp.End()
 	var qt QueryTiming
@@ -445,19 +429,7 @@ func runOneQuery(ctx context.Context, eng *exec.Engine, cfg Config, streamSp *ob
 	defer cancel()
 	qctx = obs.ContextWithSpan(qctx, qsp)
 	start := time.Now()
-	var r *exec.Result
-	var err error
-	if cfg.Profile {
-		// The traced form hands back this call's Trace (and with it the
-		// profile tree) without racing concurrent streams on LastTrace.
-		var tr exec.Trace
-		r, tr, err = eng.QueryTracedContext(qctx, text)
-		if err == nil {
-			mis.record(cfg.Metrics, tplID, tr.Profile)
-		}
-	} else {
-		r, err = eng.QueryContext(qctx, text)
-	}
+	r, err := eng.QueryContext(qctx, text)
 	qt.Exec = time.Since(start)
 	qt.Duration = qt.Wait + qt.Exec
 	if cfg.Metrics != nil {

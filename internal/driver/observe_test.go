@@ -155,105 +155,54 @@ func TestUninstrumentedRunUnchanged(t *testing.T) {
 	}
 }
 
-// TestProfiledRunMisestimates runs the benchmark with Profile on and
-// checks the estimate-vs-actual feedback loop end to end: the q-error
-// histogram observed every estimated operator, the report carries the
-// per-template misestimation table sorted worst-first, and the
-// rendering includes it. The "4 streams traced" case turns every
-// post-run surface on at once (profile tree, tracer, metrics) across
-// four concurrent streams; under -race it is the check that they share
-// memory safely.
+// TestProfiledRunMisestimates keeps its name from when a run also
+// carried a profile tree and a misestimation table; both are gone, and
+// what stays is its "4 streams traced" case. That case turns every
+// post-run surface a driver run has on at once (tracer and metrics)
+// across four concurrent streams; under -race it is the check that
+// they share memory safely. Each run records operator spans and exec_*
+// counters, and two identical runs return the same result checksums.
 func TestProfiledRunMisestimates(t *testing.T) {
-	traced := tinyCfg()
-	traced.Streams = 4
-	traced.QueryIDs = []int{1, 9, 20, 42, 52}
-	traced.Tracer = obs.NewTracer()
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{{"2 streams", tinyCfg()}, {"4 streams traced", traced}} {
-		t.Run(tc.name, func(t *testing.T) { checkProfiledRun(t, tc.cfg) })
-	}
+	t.Run("4 streams traced", checkTracedMeteredStreams)
 }
 
-func checkProfiledRun(t *testing.T, cfg Config) {
-	cfg.Profile = true
-	cfg.Metrics = obs.NewRegistry()
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Report.Misestimates) == 0 {
-		t.Fatal("profiled run produced no misestimation report")
-	}
-	seen := map[int]bool{}
-	for i, m := range res.Report.Misestimates {
-		if m.QError < 1 {
-			t.Errorf("q%d q-error %v < 1", m.ID, m.QError)
+func checkTracedMeteredStreams(t *testing.T) {
+	run := func() *Result {
+		cfg := tinyCfg()
+		cfg.Streams = 4
+		cfg.QueryIDs = []int{1, 9, 20, 42, 52}
+		cfg.Digest = true
+		cfg.Tracer = obs.NewTracer()
+		cfg.Metrics = obs.NewRegistry()
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if m.Nodes <= 0 {
-			t.Errorf("q%d estimated-node count %d, want > 0", m.ID, m.Nodes)
+		ops := 0
+		for _, s := range cfg.Tracer.Snapshot() {
+			if s.Cat == "exec" {
+				ops++
+			}
 		}
-		if m.Op == "" {
-			t.Errorf("q%d worst operator missing", m.ID)
+		if ops == 0 {
+			t.Error("traced run recorded no operator spans")
 		}
-		if i > 0 && m.QError > res.Report.Misestimates[i-1].QError {
-			t.Errorf("misestimates not sorted: %v after %v", m.QError, res.Report.Misestimates[i-1].QError)
+		for _, name := range []string{"exec_rows_scanned", "exec_batches"} {
+			if cfg.Metrics.Counter(name).Value() == 0 {
+				t.Errorf("%s = 0 after a metered run", name)
+			}
 		}
-		if seen[m.ID] {
-			t.Errorf("template q%d listed twice", m.ID)
+		return res
+	}
+	a, b := run(), run()
+	if len(a.Queries) != len(b.Queries) {
+		t.Fatalf("identical runs executed %d and %d queries", len(a.Queries), len(b.Queries))
+	}
+	for i, qa := range a.Queries {
+		qb := b.Queries[i]
+		if qa.Run != qb.Run || qa.Stream != qb.Stream || qa.QueryID != qb.QueryID || qa.Checksum != qb.Checksum {
+			t.Errorf("query %d differs across identical runs: run %d stream %d q%d sum %016x vs run %d stream %d q%d sum %016x",
+				i, qa.Run, qa.Stream, qa.QueryID, qa.Checksum, qb.Run, qb.Stream, qb.QueryID, qb.Checksum)
 		}
-		seen[m.ID] = true
-	}
-	for _, id := range cfg.QueryIDs {
-		if !seen[id] {
-			t.Errorf("template q%d missing from the misestimation report", id)
-		}
-	}
-	h := cfg.Metrics.Histogram(QErrorHistogram)
-	if h.Count() == 0 {
-		t.Errorf("%s histogram saw no observations", QErrorHistogram)
-	}
-	if q0 := h.Quantile(0); q0 < 1000 {
-		t.Errorf("%s min = %d, want >= 1000 (q-error is clamped >= 1)", QErrorHistogram, q0)
-	}
-	if !strings.Contains(res.Report.String(), "Worst Misestimates") {
-		t.Error("report rendering missing the misestimation section")
-	}
-	if cfg.Tracer != nil && cfg.Tracer.Len() == 0 {
-		t.Error("traced profiled run recorded no spans")
-	}
-	// Determinism across identical runs: same templates, same worst
-	// operators, same q-errors (the engine and data are seeded).
-	res2, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Report.Misestimates) != len(res.Report.Misestimates) {
-		t.Fatalf("misestimate count differs across identical runs: %d vs %d",
-			len(res.Report.Misestimates), len(res2.Report.Misestimates))
-	}
-	for i := range res.Report.Misestimates {
-		a, b := res.Report.Misestimates[i], res2.Report.Misestimates[i]
-		if a != b {
-			t.Errorf("misestimate %d differs across identical runs:\n%+v\n%+v", i, a, b)
-		}
-	}
-}
-
-// TestUnprofiledRunHasNoMisestimates: without Profile the report omits
-// the section entirely.
-func TestUnprofiledRunHasNoMisestimates(t *testing.T) {
-	cfg := tinyCfg()
-	cfg.Streams = 1
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Report.Misestimates) != 0 {
-		t.Errorf("unprofiled run reported misestimates: %+v", res.Report.Misestimates)
-	}
-	if strings.Contains(res.Report.String(), "Misestimates") {
-		t.Error("unprofiled report renders a misestimation section")
 	}
 }

@@ -126,10 +126,9 @@ func (e *Engine) PlanCacheStats() (hits, misses int64) { return e.planCache.Stat
 // SetProfiling toggles per-operator runtime accounting. With it on,
 // every query records actual rows in/out, batches, wall time and peak
 // scratch bytes per operator into Trace.Profile (the EXPLAIN ANALYZE
-// surface); the planner's estimates ride along so the profile reports
-// per-operator q-error. Profiling never changes
-// results (the differential tests run with it on to prove it). Not
-// safe to call concurrently with queries.
+// surface). Profiling never changes results (the differential tests
+// run with it on to prove it). Not safe to call concurrently with
+// queries.
 func (e *Engine) SetProfiling(on bool) { e.profiling = on }
 
 // SetMetrics installs a metrics registry on the engine: every query,

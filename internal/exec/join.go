@@ -47,7 +47,7 @@ func (e *Engine) joinRows(b *binder, stmt *sql.SelectStmt, filters []filterInfo,
 
 	if e.reference {
 		tr.PlanSource = "greedy"
-		rows, order := e.executeJoinOrder(b, gOrder, nil, filters, edges, residual, lefts)
+		rows, order := e.executeJoinOrder(b, gOrder, filters, edges, residual, lefts)
 		tr.JoinOrder = order
 		tr.BaseRows = rows.n
 		return rows, tr, nil
@@ -63,8 +63,7 @@ func (e *Engine) joinRows(b *binder, stmt *sql.SelectStmt, filters []filterInfo,
 		decision := plan.ChooseCost(shape, planned.Cost, e.mode)
 		tr.Decision = decision
 		if decision.Strategy == plan.StarTransform {
-			starEst := shape.CombinedSelectivity() * float64(shape.FactRows)
-			rows, ok := e.runStar(b, filters, residual, fact, dims, starEst)
+			rows, ok := e.runStar(b, filters, residual, fact, dims)
 			if ok {
 				tr.Strategy = plan.StarTransform
 				tr.JoinOrder = []string{shape.FactName + " (bitmap-driven)"}
@@ -73,7 +72,7 @@ func (e *Engine) joinRows(b *binder, stmt *sql.SelectStmt, filters []filterInfo,
 			}
 		}
 	}
-	rows, order := e.executeJoinOrder(b, planned.Order, planned.StepEst, filters, edges, residual, lefts)
+	rows, order := e.executeJoinOrder(b, planned.Order, filters, edges, residual, lefts)
 	tr.JoinOrder = order
 	tr.BaseRows = rows.n
 	return rows, tr, nil
@@ -119,11 +118,8 @@ func (e *Engine) estimateFiltered(b *binder, ti int, filters []filterInfo) float
 // join columns and probed, every step appending one row-id vector.
 // The search and the reference's greedy order both satisfy the
 // probe-major order invariant, so execution needs no knowledge of
-// which one planned. stepEst carries the planner's per-step output
-// estimates aligned with order (stepEst[k] estimates the intermediate
-// cardinality after joining order[k]); nil in the reference. Estimates
-// feed only the profile — execution never branches on them.
-func (e *Engine) executeJoinOrder(b *binder, order []int, stepEst []float64, filters []filterInfo, edges []joinEdge, residual []bexpr, lefts []leftJoin) (*rowSet, []string) {
+// which one planned.
+func (e *Engine) executeJoinOrder(b *binder, order []int, filters []filterInfo, edges []joinEdge, residual []bexpr, lefts []leftJoin) (*rowSet, []string) {
 	if len(order) == 0 {
 		panic("exec: empty join order")
 	}
@@ -131,12 +127,8 @@ func (e *Engine) executeJoinOrder(b *binder, order []int, stepEst []float64, fil
 	current := e.scanFiltered(b, driver, filters)
 	joined := map[int]bool{driver: true}
 	desc := []string{b.tableAt(driver).binding + " (driver)"}
-	for k, ti := range order[1:] {
-		est := -1.0
-		if s := k + 1; s >= 0 && s < len(stepEst) {
-			est = stepEst[s]
-		}
-		current = e.innerHashJoin(b, current, ti, filters, edges, joined, est)
+	for _, ti := range order[1:] {
+		current = e.innerHashJoin(b, current, ti, filters, edges, joined)
 		joined[ti] = true
 		desc = append(desc, b.tableAt(ti).binding)
 	}
@@ -205,9 +197,8 @@ func (b *binder) lookupKey(ti int, probe, build []*colExpr, filters []filterInfo
 // selection probed by current, or, when ti's selection is the larger
 // side, a build over current that ti's selection streams past. All three
 // emit the same rows in the same order. Without a connecting edge it is
-// a cartesian product (rare; small sides only). stepEst is the
-// planner's output estimate for this join step (negative when none).
-func (e *Engine) innerHashJoin(b *binder, current *rowSet, ti int, filters []filterInfo, edges []joinEdge, joined map[int]bool, stepEst float64) *rowSet {
+// a cartesian product (rare; small sides only).
+func (e *Engine) innerHashJoin(b *binder, current *rowSet, ti int, filters []filterInfo, edges []joinEdge, joined map[int]bool) *rowSet {
 	probe, build := joinKeys(edges, joined, ti)
 	verb, col := "probe", b.lookupKey(ti, probe, build, filters, current.n)
 	var ht *hashTable
@@ -216,11 +207,11 @@ func (e *Engine) innerHashJoin(b *binder, current *rowSet, ti int, filters []fil
 		verb = "cartesian"
 	case col < 0:
 		if est := e.estimateFiltered(b, ti, filters); est > 2*float64(current.n) {
-			return e.streamJoin(b, current, ti, probe, build, filters, stepEst)
+			return e.streamJoin(b, current, ti, probe, build, filters)
 		}
 		ht = e.buildHashTable(b, ti, filters, probe, build)
 	}
-	b.startStep(verb, ti, current.n, stepEst)
+	b.startStep(verb, ti, current.n)
 	defer b.qc.endOp()
 	ht, tf, all := b.joinSide(ti, col, ht, filters)
 	pairs := b.joinMatches(ht, tf, all, b.keySources(current, probe), current.n)
@@ -230,12 +221,9 @@ func (e *Engine) innerHashJoin(b *binder, current *rowSet, ti int, filters []fil
 }
 
 // startStep opens the profile node of a join step onto table ti.
-func (b *binder) startStep(verb string, ti, rowsIn int, stepEst float64) {
+func (b *binder) startStep(verb string, ti, rowsIn int) {
 	b.qc.startOp(verb, b.tableAt(ti).binding)
 	b.qc.opRowsIn(int64(rowsIn))
-	if stepEst >= 0 {
-		b.qc.opEst(stepEst)
-	}
 }
 
 // joinSide completes the build side of a join step onto table ti: the
@@ -290,7 +278,7 @@ func (b *binder) joinMatches(ht *hashTable, tf *tableFilter, all []int32, ks []k
 // beyond the edges then decide which of them join. Every current row
 // emits its matches, or one NULL-extended row, in probe-major order.
 func (e *Engine) leftHashJoin(b *binder, current *rowSet, lj leftJoin, filters []filterInfo) *rowSet {
-	b.startStep("left", lj.table, current.n, -1)
+	b.startStep("left", lj.table, current.n)
 	defer b.qc.endOp()
 	var probe, build []*colExpr
 	for _, ed := range lj.edges {
@@ -460,7 +448,7 @@ func (b *binder) baseIndex(ti, col int) *index.HashIndex {
 func (e *Engine) buildHashTable(b *binder, ti int, filters []filterInfo, probe, build []*colExpr) *hashTable {
 	inst := b.tableAt(ti)
 	sel := b.selection(ti, filters)
-	b.startStep("build", ti, sel.n, -1)
+	b.startStep("build", ti, sel.n)
 	defer b.qc.endOp()
 	intKeys := intJoinKey(probe, build)
 	if intKeys && sel.all {
@@ -488,9 +476,9 @@ func (e *Engine) buildHashTable(b *binder, ti int, filters []filterInfo, probe, 
 // order. The streamed side therefore collects (li, r) match pairs
 // (r-ascending) and a stable counting sort on li puts them in
 // probe-major order.
-func (e *Engine) streamJoin(b *binder, current *rowSet, ti int, probe, build []*colExpr, filters []filterInfo, stepEst float64) *rowSet {
+func (e *Engine) streamJoin(b *binder, current *rowSet, ti int, probe, build []*colExpr, filters []filterInfo) *rowSet {
 	sel := b.selection(ti, filters)
-	b.startStep("stream", ti, sel.n, stepEst)
+	b.startStep("stream", ti, sel.n)
 	defer b.qc.endOp()
 	b.readAll(sel)
 	// The build side is the current intermediate: its positions keyed by

@@ -26,7 +26,6 @@ func TestDisabledObservabilityAllocatesNothing(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		qc.startOp("scan", "store_sales")
 		qc.opRowsIn(4096)
-		qc.opEst(4096)
 		qc.batches++
 		qc.pcur.AddBatches(1)
 		qc.growScratch(1 << 20)
@@ -225,8 +224,7 @@ func TestFailedQueryCounted(t *testing.T) {
 // TestProfiledEqualsUnprofiled is the EXPLAIN ANALYZE bit-identity
 // sweep: all 99 templates, unprofiled (the oracle) vs profiled over the
 // same database, must produce identical results — per-operator accounting never alters
-// what the query returns. Every profiled trace must carry a profile
-// with estimate feedback on at least one join node.
+// what the query returns. Every profiled trace must carry a profile.
 func TestProfiledEqualsUnprofiled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("all-99 profiled differential skipped in -short")
@@ -236,7 +234,6 @@ func TestProfiledEqualsUnprofiled(t *testing.T) {
 	prof := New(db)
 	prof.SetProfiling(true)
 	ctx := context.Background()
-	sawEst := false
 	for _, tpl := range queries.All() {
 		text, err := qgen.Instantiate(tpl, qgen.StreamSeed(1, 0, tpl.ID))
 		if err != nil {
@@ -254,9 +251,5 @@ func TestProfiledEqualsUnprofiled(t *testing.T) {
 		if tr.Profile == nil {
 			t.Fatalf("query %d: no profile in trace", tpl.ID)
 		}
-		tr.Profile.Walk(func(n *obs.OpProfile) { sawEst = sawEst || n.HasEst })
-	}
-	if !sawEst {
-		t.Error("no profile node in the whole sweep carried a cardinality estimate")
 	}
 }

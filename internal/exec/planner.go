@@ -295,8 +295,7 @@ func (e *Engine) costPlan(b *binder, stmt *sql.SelectStmt, filters []filterInfo,
 		GreedyOrder:     gOrder,
 		GreedyConnected: connected,
 	})
-	c := plan.Cached{Order: jp.Order, Cost: jp.Cost, EstRows: jp.EstRows,
-		Source: jp.Source, StepEst: g.StepCards(jp.Order)}
+	c := plan.Cached{Order: jp.Order, Cost: jp.Cost, EstRows: jp.EstRows, Source: jp.Source}
 	e.planCache.Put(key, c, planDeps(b))
 	return c, false
 }

@@ -36,7 +36,7 @@ type qctx struct {
 	// query is not observed (no span, profiling off), and every operator
 	// helper is then a free no-op. pcur is the innermost open node.
 	// profiled reports SetProfiling(true): the tree is then also the
-	// trace's Profile, with the planner's estimates on it.
+	// trace's Profile.
 	qspan    *obs.Span
 	prof     *obs.OpNode
 	pcur     *obs.OpNode
@@ -166,8 +166,7 @@ func (q *qctx) endOp() {
 	}
 }
 
-// profiling reports whether this query records a profile. Used to gate
-// work (like estimate computation) that only the profile consumes.
+// profiling reports whether this query's trace carries its profile.
 func (q *qctx) profiling() bool { return q != nil && q.profiled }
 
 // opRowsIn records rows entering the current operator.
@@ -182,16 +181,6 @@ func (q *qctx) opRowsOut(n int64) {
 	if q != nil {
 		q.pcur.AddRowsOut(n)
 	}
-}
-
-// opEst records the planner's output-cardinality estimate for the
-// current operator, enabling estimate-vs-actual q-error in the
-// profile.
-func (q *qctx) opEst(rows float64) {
-	if q == nil {
-		return
-	}
-	q.pcur.SetEst(rows)
 }
 
 // growScratch / shrinkScratch account transient operator working

@@ -345,9 +345,6 @@ func (b *binder) filterRows(ti int, filters []filterInfo, whole bool) *selection
 	}
 	b.qc.startOp("scan", inst.binding)
 	defer b.qc.endOp()
-	if b.qc.profiling() {
-		b.qc.opEst(b.eng.estimateFiltered(b, ti, filters))
-	}
 	read := 0
 	if sel == nil {
 		sel = &selection{rest: preds}

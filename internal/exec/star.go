@@ -102,11 +102,10 @@ func (e *Engine) starShape(b *binder, filters []filterInfo, edges []joinEdge, le
 // back to the dimensions by key lookup (bitmap join). The fact fetch
 // walks the qualifying row ids in order and emits (fact, dim...) row-id
 // tuples.
-func (e *Engine) runStar(b *binder, filters []filterInfo, residual []bexpr, fact int, dims []dimSpec, est float64) (*rowSet, bool) {
+func (e *Engine) runStar(b *binder, filters []filterInfo, residual []bexpr, fact int, dims []dimSpec) (*rowSet, bool) {
 	factInst := b.tableAt(fact)
 	b.qc.startOp("star", factInst.binding)
 	b.qc.opRowsIn(int64(factInst.tab.NumRows()))
-	b.qc.opEst(est)
 	defer b.qc.endOp()
 
 	// Index each dimension's selection by surrogate key (first row of a

@@ -38,8 +38,7 @@ type Trace struct {
 
 	// Profile is the per-operator runtime accounting tree (EXPLAIN
 	// ANALYZE): actual rows, batches, wall time, and peak scratch per
-	// operator, with the planner's estimate and q-error where one
-	// exists. Nil unless Engine.SetProfiling(true) was called.
+	// operator. Nil unless Engine.SetProfiling(true) was called.
 	Profile *obs.OpProfile
 }
 

@@ -526,16 +526,7 @@ func (pr *Program) sumTaintFunc(n *FuncNode, pi paramInfo, sum *Summary) {
 		boundary[obj] = taintVal{params: 1 << i}
 	}
 	st := &sumTaintWalk{pr: pr, p: p, sum: sum}
-	g := buildCFG(n.Decl.Body, p.terminatesStmt)
-	transfer := func(blk *Block, in sumTaintFacts) sumTaintFacts {
-		facts := cloneSumTaint(in)
-		for _, node := range blk.Nodes {
-			st.transferNode(node, facts)
-		}
-		return facts
-	}
-	solveForward(g, boundary, func() sumTaintFacts { return sumTaintFacts{} },
-		cloneSumTaint, joinSumTaint, transfer)
+	st.solve(n.Decl.Body, boundary)
 	// Literal bodies: a closure constructed here may run inside this
 	// call (passed to an in-function iterator) and return through a
 	// captured variable; the flow-insensitive approximation is to run
@@ -554,11 +545,34 @@ func (pr *Program) sumTaintFunc(n *FuncNode, pi paramInfo, sum *Summary) {
 	}
 }
 
+// litReturnTaint reports the nondeterminism source that can reach one
+// of lit's own return statements: the taint a call of the function
+// value returns.
+func (pr *Program) litReturnTaint(p *Package, lit *ast.FuncLit) (string, bool) {
+	sum := &Summary{}
+	(&sumTaintWalk{pr: pr, p: p, sum: sum}).solve(lit.Body, sumTaintFacts{})
+	return sum.TaintSrc, sum.TaintsReturn
+}
+
 // sumTaintWalk interprets nodes for the taint-transfer summary.
 type sumTaintWalk struct {
 	pr  *Program
 	p   *Package
 	sum *Summary
+}
+
+// solve runs the forward taint fixpoint over body's CFG from boundary,
+// recording what reaches a return into st.sum.
+func (st *sumTaintWalk) solve(body *ast.BlockStmt, boundary sumTaintFacts) {
+	transfer := func(blk *Block, in sumTaintFacts) sumTaintFacts {
+		facts := cloneSumTaint(in)
+		for _, node := range blk.Nodes {
+			st.transferNode(node, facts)
+		}
+		return facts
+	}
+	solveForward(buildCFG(body, st.p.terminatesStmt), boundary, func() sumTaintFacts { return sumTaintFacts{} },
+		cloneSumTaint, joinSumTaint, transfer)
 }
 
 func (st *sumTaintWalk) transferNode(node ast.Node, facts sumTaintFacts) {
@@ -777,6 +791,12 @@ func (st *sumTaintWalk) exprVal(e ast.Expr, facts sumTaintFacts) taintVal {
 		return st.exprVal(v.X, facts)
 	case *ast.TypeAssertExpr:
 		return st.exprVal(v.X, facts)
+	case *ast.FuncLit:
+		// A function value carries what its body can return, so a call
+		// through a variable bound to it returns that taint.
+		if src, ok := st.pr.litReturnTaint(st.p, v); ok {
+			return taintVal{src: src, pos: v.Pos()}
+		}
 	case *ast.CompositeLit:
 		out := taintVal{}
 		for _, el := range v.Elts {
@@ -818,13 +838,12 @@ func (st *sumTaintWalk) callVal(call *ast.CallExpr, facts sumTaintFacts) taintVa
 		return out
 	}
 	// Conversions preserve taint; unknown calls conservatively launder
-	// every argument into the result (strconv.Itoa(tainted) is tainted).
-	out := taintVal{}
+	// every argument into the result (strconv.Itoa(tainted) is tainted),
+	// and the callee expression too: a method value's receiver, or a
+	// function value carrying its literal's return taint.
+	out := st.exprVal(call.Fun, facts)
 	for _, arg := range call.Args {
 		out = mergeTaintVal(out, st.exprVal(arg, facts))
-	}
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && st.p.Info.Selections[sel] != nil {
-		out = mergeTaintVal(out, st.exprVal(sel.X, facts))
 	}
 	return out
 }

@@ -16,7 +16,9 @@ package lint
 //   - propagation: assignment, compound assignment, range binding and
 //     field stores move taint between locals (strong updates on plain
 //     reassignment, so laundering through a variable is tracked but an
-//     overwrite genuinely clears);
+//     overwrite genuinely clears); a function literal carries the taint
+//     its body can return, so `pick := func() int { return
+//     rand.Intn(n) }; v := pick()` taints v;
 //   - sinks: any call into internal/storage with a tainted argument
 //     (flat-file emission and table building both live there) and any
 //     tainted value returned by an exported function (generator
@@ -105,18 +107,16 @@ func analyzeTaintDet(pr *Program, p *Package) []Diagnostic {
 }
 
 func (p *Package) taintFunc(pr *Program, fs funcScope) []Diagnostic {
-	// Cheap pre-pass: a function that neither calls a source directly
-	// nor calls a helper whose summary says it returns tainted values
-	// cannot taint anything (closures inherit no taint — see the scope
-	// note below).
+	// Cheap pre-pass: a function that neither calls a source directly,
+	// nor calls a helper whose summary says it returns tainted values,
+	// nor builds a closure that can return one cannot taint anything.
 	hasSource := false
-	inspectShallow(fs.body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if _, ok := p.taintSourceInter(pr, call); ok {
-				hasSource = true
-			}
+	ast.Inspect(fs.body, func(n ast.Node) bool {
+		if _, ok := p.nodeTaint(pr, n); ok {
+			hasSource = true
 		}
-		return !hasSource
+		_, isLit := n.(*ast.FuncLit)
+		return !hasSource && !isLit
 	})
 	if !hasSource {
 		return nil
@@ -329,24 +329,34 @@ func (p *Package) taintAssign(pr *Program, as *ast.AssignStmt, st taintFacts) {
 func (p *Package) exprTaint(pr *Program, e ast.Expr, st taintFacts) (taintOrigin, bool) {
 	var origin taintOrigin
 	found := false
-	inspectShallow(e, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.CallExpr:
-			if src, ok := p.taintSourceInter(pr, v); ok {
-				origin = taintOrigin{src: src, pos: v.Pos()}
-				found = true
-			}
-		case *ast.Ident:
-			if obj := p.Info.Uses[v]; obj != nil {
-				if o, ok := st[obj]; ok {
-					origin = o
-					found = true
-				}
-			}
+	ast.Inspect(e, func(n ast.Node) bool {
+		if found {
+			return false
 		}
-		return !found
+		if src, ok := p.nodeTaint(pr, n); ok {
+			origin, found = taintOrigin{src: src, pos: n.Pos()}, true
+		} else if id, ok := n.(*ast.Ident); ok {
+			origin, found = st[p.Info.Uses[id]]
+		}
+		_, isLit := n.(*ast.FuncLit)
+		return !found && !isLit
 	})
 	return origin, found
+}
+
+// nodeTaint reports the nondeterminism source n itself produces: a
+// source call (taintSourceInter), or a function literal whose body can
+// return a tainted value.
+func (p *Package) nodeTaint(pr *Program, n ast.Node) (string, bool) {
+	switch v := n.(type) {
+	case *ast.CallExpr:
+		return p.taintSourceInter(pr, v)
+	case *ast.FuncLit:
+		if pr != nil {
+			return pr.litReturnTaint(p, v)
+		}
+	}
+	return "", false
 }
 
 // taintSourceInter is taintSource plus the interprocedural case: a call

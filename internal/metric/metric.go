@@ -145,20 +145,6 @@ type TemplateLatency struct {
 	Max   time.Duration
 }
 
-// Misestimate names the worst-misestimated operator of one query
-// template across a profiled run: the profile node with the highest
-// q-error (max(est/actual, actual/est), both sides clamped to >= 1).
-// Nodes counts how many estimated operator nodes the template
-// contributed in total.
-type Misestimate struct {
-	ID     int     `json:"id"`
-	Op     string  `json:"op"`
-	Est    float64 `json:"est"`
-	Actual int64   `json:"actual"`
-	QError float64 `json:"q_error"`
-	Nodes  int64   `json:"nodes"`
-}
-
 // Report is a publication-style result summary.
 type Report struct {
 	SF       float64
@@ -196,10 +182,6 @@ type Report struct {
 	// Latencies is the per-template execution-latency distribution of
 	// an instrumented run (empty — and unreported — otherwise).
 	Latencies []TemplateLatency
-	// Misestimates is the per-template worst-operator q-error table of a
-	// profiled run, sorted worst first (empty — and unreported —
-	// otherwise). The estimate-vs-actual feedback loop for the planner.
-	Misestimates []Misestimate
 }
 
 // WithErrorCounts returns a copy of the report carrying per-query
@@ -283,21 +265,6 @@ func (r Report) String() string {
 		for _, l := range r.Latencies {
 			s += fmt.Sprintf("    q%-4d %5d %10v %10v %10v\n",
 				l.ID, l.Count, l.P50, l.P95, l.Max)
-		}
-	}
-	// Like the latency table, the misestimation table only exists for
-	// profiled runs; the summary shows the worst offenders and leaves
-	// the full list to the machine-readable artifact.
-	if len(r.Misestimates) > 0 {
-		n := len(r.Misestimates)
-		if n > 10 {
-			n = 10
-		}
-		s += fmt.Sprintf("  Worst Misestimates (top %d of %d templates, by q-error):\n", n, len(r.Misestimates))
-		s += "    tmpl   q-error          est       actual  operator\n"
-		for _, m := range r.Misestimates[:n] {
-			s += fmt.Sprintf("    q%-4d %8.1f %12.0f %12d  %s\n",
-				m.ID, m.QError, m.Est, m.Actual, m.Op)
 		}
 	}
 	return s

@@ -251,7 +251,7 @@ func TestRegistryTextDumpDeterministic(t *testing.T) {
 			reg.Counter(name).Add(7)
 		}
 		reg.Histogram("query_ns").Observe(1000)
-		reg.Histogram("plan_qerror_x1000").Observe(1500)
+		reg.Histogram("driver_query_wait_ns").Observe(1500)
 		return reg
 	}
 	var a, b strings.Builder

@@ -28,8 +28,6 @@ type OpNode struct {
 	wallNs  int64
 	rowsIn  int64
 	rowsOut int64
-	estRows float64
-	hasEst  bool
 
 	batches     int64
 	scratchCur  int64
@@ -87,16 +85,6 @@ func (n *OpNode) AddRowsOut(d int64) {
 		return
 	}
 	n.rowsOut += d
-}
-
-// SetEst records the planner's cardinality estimate for the operator's
-// output, enabling q-error in the snapshot.
-func (n *OpNode) SetEst(rows float64) {
-	if n == nil {
-		return
-	}
-	n.estRows = rows
-	n.hasEst = true
 }
 
 // AddBatches counts vectorized batches.
@@ -174,33 +162,8 @@ type OpProfile struct {
 	// the operator (selection vectors, hash tables, group arrays).
 	// It is an accounting of the dominant allocation sites, not a
 	// byte-exact heap measurement.
-	ScratchBytes int64 `json:"scratch_bytes,omitempty"`
-	// EstRows is the planner's output-cardinality estimate; HasEst
-	// distinguishes "estimated zero" from "never estimated".
-	EstRows float64 `json:"est_rows,omitempty"`
-	HasEst  bool    `json:"has_est,omitempty"`
-	// QError is max(est/act, act/est) with both sides clamped to >= 1,
-	// the symmetric misestimation factor (1 = perfect). Zero when the
-	// operator has no estimate.
-	QError   float64      `json:"qerror,omitempty"`
-	Children []*OpProfile `json:"children,omitempty"`
-}
-
-// QErrorOf computes the symmetric q-error between an estimated and an
-// actual cardinality. Both sides are clamped to >= 1 so empty results
-// and sub-row estimates compare stably (est 0.2 vs actual 0 is a
-// perfect 1.0, not an infinity).
-func QErrorOf(est, act float64) float64 {
-	if est < 1 {
-		est = 1
-	}
-	if act < 1 {
-		act = 1
-	}
-	if est > act {
-		return est / act
-	}
-	return act / est
+	ScratchBytes int64        `json:"scratch_bytes,omitempty"`
+	Children     []*OpProfile `json:"children,omitempty"`
 }
 
 // Snapshot exports the subtree rooted at n. An un-ended node is
@@ -220,11 +183,6 @@ func (n *OpNode) Snapshot() *OpProfile {
 		RowsOut:      n.rowsOut,
 		Batches:      n.batches,
 		ScratchBytes: n.scratchPeak,
-		EstRows:      n.estRows,
-		HasEst:       n.hasEst,
-	}
-	if n.hasEst {
-		p.QError = QErrorOf(n.estRows, float64(n.rowsOut))
 	}
 	for _, c := range n.childs {
 		p.Children = append(p.Children, c.Snapshot())
@@ -256,9 +214,6 @@ func (p *OpProfile) render(b *strings.Builder, depth int) {
 	}
 	if p.RowsOut > 0 || p.RowsIn > 0 {
 		fmt.Fprintf(b, " rows_out=%d", p.RowsOut)
-	}
-	if p.HasEst {
-		fmt.Fprintf(b, " est=%.0f q=%.2f", p.EstRows, p.QError)
 	}
 	if p.Batches > 0 {
 		fmt.Fprintf(b, " batches=%d", p.Batches)

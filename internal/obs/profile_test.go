@@ -22,7 +22,6 @@ func TestProfileTreeAccounting(t *testing.T) {
 	probe := join.StartChild("probe d")
 	probe.AddRowsIn(1000)
 	probe.AddRowsOut(400)
-	probe.SetEst(380)
 	probe.AddBatches(2)
 	probe.End()
 	join.AddRowsOut(400)
@@ -44,12 +43,6 @@ func TestProfileTreeAccounting(t *testing.T) {
 	if pr.RowsIn != 1000 || pr.RowsOut != 400 || pr.Batches != 2 {
 		t.Errorf("probe node = %+v, want in=1000 out=400 batches=2", pr)
 	}
-	if !pr.HasEst || pr.EstRows != 380 {
-		t.Errorf("probe est = %v (has=%v), want 380", pr.EstRows, pr.HasEst)
-	}
-	if want := QErrorOf(380, 400); pr.QError != want {
-		t.Errorf("probe q-error = %v, want %v", pr.QError, want)
-	}
 	for _, n := range []*OpProfile{p, j, b, pr} {
 		if n.WallNs <= 0 {
 			t.Errorf("node %q wall = %d, want > 0 after End", n.Name, n.WallNs)
@@ -60,22 +53,6 @@ func TestProfileTreeAccounting(t *testing.T) {
 	p.Walk(func(n *OpProfile) { order = append(order, n.Name) })
 	if want := []string{"query", "join", "build d", "probe d"}; !reflect.DeepEqual(order, want) {
 		t.Errorf("Walk order = %v, want %v", order, want)
-	}
-}
-
-func TestQErrorOf(t *testing.T) {
-	cases := []struct{ est, act, want float64 }{
-		{100, 100, 1},
-		{100, 25, 4},
-		{25, 100, 4},
-		{0, 0, 1},   // both clamp to 1: empty estimated empty is perfect
-		{0.2, 0, 1}, // sub-row estimate vs empty actual
-		{0, 50, 50}, // estimated empty, got 50
-	}
-	for _, c := range cases {
-		if got := QErrorOf(c.est, c.act); got != c.want {
-			t.Errorf("QErrorOf(%v, %v) = %v, want %v", c.est, c.act, got, c.want)
-		}
 	}
 }
 
@@ -92,7 +69,6 @@ func TestProfileNilSafe(t *testing.T) {
 	n.AddRowsIn(1)
 	n.AddRowsOut(1)
 	n.AddBatches(1)
-	n.SetEst(10)
 	n.GrowScratch(100)
 	n.ShrinkScratch(100)
 	if n.Parent() != nil || n.Snapshot() != nil {
@@ -140,7 +116,6 @@ func TestProfileRenderGolden(t *testing.T) {
 					{Name: "build d", WallNs: 300_000, RowsIn: 50, RowsOut: 50, ScratchBytes: 4096},
 					{
 						Name: "probe d", WallNs: 1_500_000, RowsIn: 1000, RowsOut: 400,
-						EstRows: 380, HasEst: true, QError: QErrorOf(380, 400),
 						Batches: 2,
 					},
 				},
@@ -152,7 +127,7 @@ func TestProfileRenderGolden(t *testing.T) {
 		"  bind                   time=100µs\n" +
 		"  join                   time=2ms rows_in=1000 rows_out=400\n" +
 		"    build d              time=300µs rows_in=50 rows_out=50 scratch=4.0KiB\n" +
-		"    probe d              time=1.5ms rows_in=1000 rows_out=400 est=380 q=1.05 batches=2\n" +
+		"    probe d              time=1.5ms rows_in=1000 rows_out=400 batches=2\n" +
 		"  sort                   time=200µs rows_in=400 rows_out=400 scratch=3.0MiB\n"
 	if got := p.String(); got != want {
 		t.Errorf("render drifted:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -166,8 +141,8 @@ func TestProfileRenderGolden(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Children[1].Children[1].QError != p.Children[1].Children[1].QError {
-		t.Error("q-error did not round-trip through JSON")
+	if !reflect.DeepEqual(&back, p) {
+		t.Error("profile did not round-trip through JSON")
 	}
 }
 

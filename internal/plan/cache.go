@@ -5,22 +5,18 @@ import (
 	"sync"
 )
 
-// Cached is one memoized planning decision: the join order (driver
-// first), the star-vs-hash choice, and the estimates behind it. The
-// executor re-derives everything else (hash tables, bitmaps, filter
-// closures) per execution; only the decisions are worth caching.
+// Cached is one memoized join-order decision: the order (driver
+// first), its estimated cost and output cardinality, and the search
+// that chose it. The executor re-derives everything else (hash tables,
+// bitmaps, filter closures) per execution, and the star-vs-hash choice
+// is made on each execution by ChooseCost from the cached cost; only
+// the join order is worth caching. Order is published by Cache.Put and
+// must not be mutated afterwards.
 type Cached struct {
 	Order   []int
-	Star    bool
 	Cost    float64
 	EstRows float64
 	Source  string
-	// StepEst[k] is the cost model's estimated intermediate cardinality
-	// after joining Order[k] (StepEst[0] = driver's filtered estimate).
-	// It feeds the runtime profile's estimate-vs-actual comparison and
-	// never influences execution. Like Order, it is published by
-	// Cache.Put and must not be mutated afterwards.
-	StepEst []float64
 }
 
 type cacheEntry struct {

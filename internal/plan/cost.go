@@ -112,30 +112,6 @@ func (g *Graph) orderCost(driver int, order []int) (cost, card float64) {
 	return cost, card
 }
 
-// StepCards returns the per-step view of orderCost's cardinality walk
-// for a full join order (driver first): StepCards(order)[0] is the
-// driver's filtered estimate, StepCards(order)[k] the estimated
-// intermediate cardinality after joining order[k]. Exported so the
-// executor can thread the plan's estimates into the runtime profile
-// (estimate-vs-actual q-error) without re-running the search.
-func (g *Graph) StepCards(order []int) []float64 {
-	if len(order) == 0 {
-		return nil
-	}
-	driver := order[0]
-	out := make([]float64, len(order))
-	card := g.Tables[driver].Est
-	out[0] = card
-	joined := make([]bool, len(g.Tables))
-	joined[driver] = true
-	for k, t := range order[1:] {
-		card = g.joinCard(card, func(i int) bool { return joined[i] }, t)
-		joined[t] = true
-		out[k+1] = card
-	}
-	return out
-}
-
 // EstimateStarCost estimates executing a star-shaped query via the
 // bitmap star transformation: scan each dimension to build its key set
 // (the fact bitmaps are cached), intersect, then materialize only the
