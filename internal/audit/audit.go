@@ -134,7 +134,7 @@ func checkReferentialIntegrity(db *storage.DB, r *Report) {
 			vals, nulls := t.ScanInt64(col)
 			bad := 0
 			for i, v := range vals {
-				if !nulls[i] && (v < 1 || v > maxSK) {
+				if !storage.IsNull(nulls, i) && (v < 1 || v > maxSK) {
 					bad++
 				}
 			}
@@ -151,7 +151,7 @@ func collectMaxSK(t *storage.Table) int64 {
 	vals, nulls := t.ScanInt64(pk)
 	var max int64
 	for i, v := range vals {
-		if !nulls[i] && v > max {
+		if !storage.IsNull(nulls, i) && v > max {
 			max = v
 		}
 	}
@@ -241,7 +241,7 @@ func checkSeasonality(db *storage.DB, r *Report) {
 	vals, nulls := ss.ScanInt64(dateCol)
 	total := 0.0
 	for i, v := range vals {
-		if nulls[i] {
+		if storage.IsNull(nulls, i) {
 			continue
 		}
 		_, m, _ := storage.YMDFromDays(storage.DaysFromSK(v))

@@ -583,3 +583,31 @@ func TestFlatFileRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestNullVectorsOnlyWhereNull: after GenerateAll at SF 0.01, seed 1,
+// exactly the columns holding a NULL — 81 of the 425 — carry a null
+// vector; every other column stores no byte a row for NULLs.
+func TestNullVectorsOnlyWhereNull(t *testing.T) {
+	db := New(0.01, 1).GenerateAll()
+	cols, held := 0, 0
+	for _, name := range db.Names() {
+		tb := db.Table(name)
+		for c := 0; c < tb.NumCols(); c++ {
+			col := tb.Col(c)
+			null := false
+			for r := 0; r < col.Len() && !null; r++ {
+				null = col.Get(r).IsNull()
+			}
+			if _, _, _, _, _, _, nulls := col.Raw(); (nulls != nil) != null {
+				t.Errorf("%s.%s: holds a NULL = %v, has a null vector = %v", name, tb.Def.Columns[c].Name, null, nulls != nil)
+			}
+			cols++
+			if null {
+				held++
+			}
+		}
+	}
+	if cols != 425 || held != 81 {
+		t.Errorf("%d of %d columns hold a NULL, want 81 of 425", held, cols)
+	}
+}

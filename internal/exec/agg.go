@@ -364,7 +364,7 @@ func rowKeys(qc *qctx, dst []uint32, v keySource, base int64, numbered bool, in 
 			qc.checkNow()
 		}
 		switch r := v.row(int32(i)); {
-		case r < 0 || v.col.nulls[r]:
+		case r < 0 || v.col.null(r):
 		case v.col.codes != nil:
 			dst[i] = uint32(v.col.codes[r]) + 1
 		case numbered:
@@ -384,7 +384,7 @@ func intSpan(v keySource, n int) (lo int64, span uint64, ok bool) {
 	var hi int64
 	for i := 0; i < n; i++ {
 		r := v.row(int32(i))
-		if r < 0 || v.col.nulls[r] {
+		if r < 0 || v.col.null(r) {
 			continue
 		}
 		if x := v.col.ints[r]; !ok {
@@ -566,7 +566,7 @@ func (a *aggAcc) fold(qc *qctx, gids []int32, groups int) aggState {
 			continue
 		}
 		switch r := in.row(int32(i)); {
-		case r < 0 || in.col.nulls[r]:
+		case r < 0 || in.col.null(r):
 			continue
 		case in.col.kind == storage.KindFloat:
 			c.add(in.col.flts[r], 0, false, sq)

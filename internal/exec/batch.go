@@ -30,7 +30,9 @@ const batchLen = 1024
 
 // colReader caches one column's physical vectors plus the absolute row
 // layout offset it fills — the batched replacement for Table.Get. A
-// program node's computed batch is one too.
+// program node's computed batch is one too. A table column without
+// NULLs has nil nulls (storage.Column.Raw); a computed batch always
+// has them.
 type colReader struct {
 	off   int
 	kind  storage.Kind
@@ -85,11 +87,14 @@ func (cr *colReader) str(r int32) string {
 	panic("exec: string code outside its column's dictionary")
 }
 
+// null reports whether row r is NULL (a nil vector holds none).
+func (cr *colReader) null(r int32) bool { return storage.IsNull(cr.nulls, int(r)) }
+
 // value boxes row r of the column — identical to Column.Get. (It is
-// written to stay inside the compiler's inlining budget: every key
-// encoding and every projected value goes through it.)
+// written to stay inside the compiler's inlining budget, null spelled
+// out: every key encoding and every projected value goes through it.)
 func (cr *colReader) value(r int32) storage.Value {
-	if cr.nulls[r] {
+	if cr.nulls != nil && cr.nulls[r] {
 		return storage.Null
 	}
 	switch cr.kind {
@@ -140,7 +145,7 @@ func (cr *colReader) resize(kind storage.Kind, n int, dict []string) {
 // put writes row r of src (-1: NULL) into entry j, converted to cr's
 // kind as conform converts; codes are copied (a node has one dictionary).
 func (cr *colReader) put(j int, src *colReader, r int32) {
-	if cr.nulls[j] = r < 0 || src.nulls[r]; cr.nulls[j] {
+	if cr.nulls[j] = r < 0 || src.null(r); cr.nulls[j] {
 		return
 	}
 	switch {
@@ -533,7 +538,7 @@ func (c *vcomp) arith(v *binExpr) vnode {
 		out := fr.out(k, kind, len(sel), nil)
 		for j := range sel {
 			ra, rb := a.idx[j], b.idx[j]
-			if out.nulls[j] = a.cr.nulls[ra] || b.cr.nulls[rb]; out.nulls[j] {
+			if out.nulls[j] = a.cr.null(ra) || b.cr.null(rb); out.nulls[j] {
 				continue
 			}
 			switch kind {
@@ -618,7 +623,7 @@ func (c *vcomp) choice(conds, results []bexpr, elseE bexpr, t schema.Type) vnode
 		for j := 0; j < n; j++ {
 			b := 0
 			if len(cs) == 0 {
-				for b < len(rs) && views[b].cr.nulls[views[b].idx[j]] {
+				for b < len(rs) && views[b].cr.null(views[b].idx[j]) {
 					b++
 				}
 			} else {
@@ -631,7 +636,7 @@ func (c *vcomp) choice(conds, results []bexpr, elseE bexpr, t schema.Type) vnode
 				continue
 			}
 			v := views[b]
-			if r := v.idx[j]; remaps != nil && !v.cr.nulls[r] {
+			if r := v.idx[j]; remaps != nil && !v.cr.null(r) {
 				out.nulls[j], out.codes[j] = false, remaps[b][v.cr.codes[r]]
 			} else {
 				out.put(j, v.cr, r)
@@ -701,9 +706,8 @@ func (c *vcomp) truth(e bexpr) triFn {
 		x, not := c.val(v.x), v.not
 		return func(fr *frame, sel []int32, out []int8) {
 			xv := x.val(fr, sel)
-			nulls := xv.cr.nulls
 			for j, r := range xv.idx {
-				out[j] = b2t(nulls[r] != not)
+				out[j] = b2t(xv.cr.null(r) != not)
 			}
 		}
 	}
@@ -714,7 +718,7 @@ func (c *vcomp) truth(e bexpr) triFn {
 		xv := x.val(fr, sel)
 		for j, r := range xv.idx {
 			out[j] = -1
-			if !xv.cr.nulls[r] {
+			if !xv.cr.null(r) {
 				out[j] = b2t(xv.cr.value(r).AsInt() != 0)
 			}
 		}
@@ -814,7 +818,7 @@ func (c *vcomp) compare(v *binExpr) triFn {
 		an, bn := a.cr.nulls, b.cr.nulls
 		for j := range out {
 			switch ra, rb := a.idx[j], b.idx[j]; {
-			case an[ra] || bn[rb]:
+			case an != nil && an[ra] || bn != nil && bn[rb]:
 				out[j] = -1
 			case codes:
 				out[j] = b2t(pass[b2t(a.cr.codes[ra] != b.cr.codes[rb])+1])
@@ -831,9 +835,8 @@ func strTest(x vnode, test func(s string) int8) triFn {
 	if x.dict == nil {
 		return func(fr *frame, sel []int32, out []int8) {
 			v := x.val(fr, sel)
-			nulls := v.cr.nulls
 			for j, r := range v.idx {
-				if nulls[r] {
+				if v.cr.null(r) {
 					out[j] = -1
 				} else {
 					out[j] = test(v.cr.text(r))
@@ -847,10 +850,18 @@ func strTest(x vnode, test func(s string) int8) triFn {
 	}
 	// A code past the table is a fault (a stale table, a corrupt
 	// column): the unguarded index makes it a query error instead of a
-	// silently dropped row.
+	// silently dropped row. A column without NULLs takes a loop with no
+	// NULL test: per row it is a table lookup, and the test cost 42 %
+	// (EXPERIMENTS.md "A column without NULLs carries no null vector").
 	return func(fr *frame, sel []int32, out []int8) {
 		v := x.val(fr, sel)
 		nulls, codes := v.cr.nulls, v.cr.codes
+		if nulls == nil {
+			for j, r := range v.idx {
+				out[j] = tab[codes[r]]
+			}
+			return
+		}
 		for j, r := range v.idx {
 			if nulls[r] {
 				out[j] = -1
@@ -892,7 +903,7 @@ func (c *vcomp) between(v *betweenExpr) triFn {
 		a, l, h := x.val(fr, sel), lo.val(fr, sel), hi.val(fr, sel)
 		for j := range out {
 			ra, rl, rh := a.idx[j], l.idx[j], h.idx[j]
-			if a.cr.nulls[ra] || l.cr.nulls[rl] || h.cr.nulls[rh] {
+			if a.cr.null(ra) || l.cr.null(rl) || h.cr.null(rh) {
 				out[j] = -1
 			} else {
 				out[j] = b2t((cmpAt(a.cr, ra, l.cr, rl) >= 0 && cmpAt(a.cr, ra, h.cr, rh) <= 0) != not)
@@ -934,8 +945,18 @@ func rangeTri(x vnode, lo, hi float64, not bool) triFn {
 	}
 }
 
+// rangeKernel runs a loop with no NULL test on a column without NULLs:
+// the test cost 10 % (integers) to 32 % (floats) of the kernel
+// (EXPERIMENTS.md "A column without NULLs carries no null vector").
 func rangeKernel[T int64 | float64](vals []T, nulls []bool, idx []int32, lo, hi float64, not bool, out []int8) {
 	nb := b2t(not) // branch-free: b2t compiles to a flag set
+	if nulls == nil {
+		for i, r := range idx {
+			f := float64(vals[r])
+			out[i] = b2t(f >= lo)&b2t(f <= hi) ^ nb
+		}
+		return
+	}
 	for i, r := range idx {
 		if nulls[r] {
 			out[i] = -1
@@ -973,10 +994,9 @@ func (c *vcomp) in(v *inExpr) triFn {
 	}
 	return func(fr *frame, sel []int32, out []int8) {
 		xv := x.val(fr, sel)
-		nulls := xv.cr.nulls
 		for j, r := range xv.idx {
 			out[j] = -1
-			if !nulls[r] {
+			if !xv.cr.null(r) {
 				out[j] = member(found(xv.cr, r))
 			}
 		}

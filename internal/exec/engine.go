@@ -236,9 +236,9 @@ func (e *Engine) valueIndex(t *storage.Table, col int) (ix *index.BitmapIndex, r
 	kind, ints, _, _, codes, dict, nulls := t.Col(col).Raw()
 	switch {
 	case codes != nil && len(dict) <= maxBitmapValues:
-		ix, read = index.BuildCodeIndex(codes, nulls, len(dict)), len(nulls)
+		ix, read = index.BuildCodeIndex(codes, nulls, len(dict)), len(codes)
 	case kind == storage.KindInt || kind == storage.KindDate:
-		ix, read = index.BuildBitmapIndexUpTo(ints, nulls, maxBitmapValues), len(nulls)
+		ix, read = index.BuildBitmapIndexUpTo(ints, nulls, maxBitmapValues), len(ints)
 	}
 	e.valIdx[key] = cachedBitmapIndex{ix: ix, tableID: t.ID(), epoch: t.Epoch()}
 	return ix, read

@@ -43,7 +43,9 @@ func joinKeyColumn(n int, seed int64) (ints []int64, nulls []bool) {
 
 // probeEvery probes ht, through a key column holding every key of ref,
 // the neighbours of each (absent unless drawn) and a NULL, and requires
-// the reference's row-id list for each.
+// the reference's row-id list for each: read directly and through an id
+// vector (every row backwards, then an outer miss), and the same again
+// on the column without its NULL row, which has no null vector.
 func probeEvery(t *testing.T, label string, ht *hashTable, ref *refHashPart) {
 	t.Helper()
 	var keys []int64
@@ -52,14 +54,31 @@ func probeEvery(t *testing.T, label string, ht *hashTable, ref *refHashPart) {
 	}
 	nulls := make([]bool, len(keys)+1)
 	keys, nulls[len(keys)] = append(keys, 0), true
-	pks := []keySource{{col: colReader{kind: storage.KindInt, ints: keys, nulls: nulls}}}
-	for i, k := range keys {
-		want := ref.ints[k]
-		if nulls[i] {
-			want = nil
+	for _, col := range []colReader{
+		{kind: storage.KindInt, ints: keys, nulls: nulls},
+		{kind: storage.KindInt, ints: keys[:len(keys)-1]},
+	} {
+		backwards := make([]int32, len(col.ints)+1)
+		for i := range col.ints {
+			backwards[i] = int32(len(col.ints) - 1 - i)
 		}
-		if got, _ := ht.probe(pks, int32(i), nil); !slices.Equal(got, want) {
-			t.Fatalf("%s: probe(%d) = %v, reference map has %v", label, k, got, want)
+		backwards[len(col.ints)] = -1
+		for _, ks := range []keySource{{col: col}, {ids: backwards, col: col}} {
+			n := len(col.ints)
+			if ks.ids != nil {
+				n = len(ks.ids)
+			}
+			probe := ht.prober([]keySource{ks})
+			for i := 0; i < n; i++ {
+				r := ks.row(int32(i))
+				var want []int32
+				if r >= 0 && !col.null(r) {
+					want = ref.ints[keys[r]]
+				}
+				if got := probe(int32(i)); !slices.Equal(got, want) {
+					t.Fatalf("%s: probe of row %d (ids %v, nulls %v) = %v, reference map has %v", label, r, ks.ids != nil, col.nulls != nil, got, want)
+				}
+			}
 		}
 	}
 }
@@ -74,6 +93,7 @@ func TestHashTableEqualsMapBuild(t *testing.T) {
 	qc := e.newQctx(context.Background())
 	ints, nulls := joinKeyColumn(5000, 1)
 	col := colReader{kind: storage.KindInt, ints: ints, nulls: nulls}
+	noNulls := colReader{kind: storage.KindInt, ints: ints} // a column that never held a NULL
 
 	every3 := &selection{}
 	for r := 0; r < len(ints); r += 3 {
@@ -98,6 +118,8 @@ func TestHashTableEqualsMapBuild(t *testing.T) {
 		{"table", keySource{col: col}, &selection{n: len(ints), all: true}},
 		{"selection", keySource{col: col}, every3},
 		{"intermediate", keySource{ids: through, col: col}, &selection{n: len(through), all: true}},
+		{"table without NULLs", keySource{col: noNulls}, &selection{n: len(ints), all: true}},
+		{"intermediate without NULLs", keySource{ids: through, col: noNulls}, &selection{n: len(through), all: true}},
 	}
 	for _, c := range cases {
 		ref := &refHashPart{ints: map[int64][]int32{}}
@@ -108,7 +130,7 @@ func TestHashTableEqualsMapBuild(t *testing.T) {
 			if c.ks.ids != nil {
 				r = c.ks.ids[pos]
 			}
-			if r >= 0 && !nulls[r] {
+			if r >= 0 && !c.ks.col.null(r) {
 				ref.add(ints[r], pos)
 				hashed++
 			}
@@ -222,11 +244,11 @@ var sinkMatches int
 func BenchmarkBuildProbe(b *testing.B) {
 	const buildRows, probeRows = 73_049, 288_000
 	rng := rand.New(rand.NewSource(1))
-	build := colReader{kind: storage.KindInt, ints: make([]int64, buildRows), nulls: make([]bool, buildRows)}
+	build := colReader{kind: storage.KindInt, ints: make([]int64, buildRows)} // keys without NULLs
 	for i := range build.ints {
 		build.ints[i] = int64(2415022 + i)
 	}
-	probe := colReader{kind: storage.KindInt, ints: make([]int64, probeRows), nulls: make([]bool, probeRows)}
+	probe := colReader{kind: storage.KindInt, ints: make([]int64, probeRows)}
 	for i := range probe.ints {
 		probe.ints[i] = int64(2415022 + rng.Intn(buildRows+buildRows/10)) // one in eleven misses
 	}
@@ -237,8 +259,9 @@ func BenchmarkBuildProbe(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			ht, _ := newHashTable(qc, bks, true, sel)
+			matchesOf := ht.prober(pks)
 			for r := int32(0); r < probeRows; r++ {
-				m, _ := ht.probe(pks, r, nil)
+				m := matchesOf(r)
 				sinkMatches += len(m)
 			}
 		}

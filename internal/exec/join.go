@@ -250,14 +250,17 @@ func (b *binder) joinMatches(ht *hashTable, tf *tableFilter, all []int32, ks []k
 	// Room for one match per row: key joins match at most once, and
 	// growing from nothing allocates twice the final size on the way.
 	out := make([]matchPair, 0, n)
-	var buf []byte
+	var matchesOf func(i int32) []int32
+	if ht != nil {
+		matchesOf = ht.prober(ks)
+	}
 	matches := all
 	for li := 0; li < n; li++ {
 		if li%tickInterval == 0 || ht == nil {
 			b.qc.checkNow()
 		}
 		if ht != nil {
-			matches, buf = ht.probe(ks, int32(li), buf)
+			matches = matchesOf(int32(li))
 		} else {
 			b.qc.growScratch(int64(len(all)) * matchPairBytes)
 		}
@@ -360,22 +363,21 @@ type hashTable struct {
 	strs map[string][]int32
 }
 
-// probe returns the build-side row ids matching the key of position i
-// read through ks (nil on a NULL key: NULL never joins). buf is the
-// caller's reusable key buffer, returned possibly grown.
-func (h *hashTable) probe(ks []keySource, i int32, buf []byte) ([]int32, []byte) {
+// prober returns the probe of the positions read through ks: the
+// build-side row ids matching the key of position i (nil on a NULL key:
+// NULL never joins).
+func (h *hashTable) prober(ks []keySource) func(i int32) []int32 {
 	if h.ints != nil {
-		k, ok := ks[0].intAt(i)
-		if !ok {
-			return nil, buf
+		return ks[0].matcher(h.ints)
+	}
+	var buf []byte // the encoded key, reused row to row
+	return func(i int32) []int32 {
+		var ok bool
+		if buf, ok = appendKey(ks, i, buf[:0]); !ok {
+			return nil
 		}
-		return h.ints.Lookup(k), buf
+		return h.strs[string(buf)]
 	}
-	buf, ok := appendKey(ks, i, buf[:0])
-	if !ok {
-		return nil, buf
-	}
-	return h.strs[string(buf)], buf
 }
 
 // stagePairs reads the join key of every row of sel through key and
@@ -487,17 +489,14 @@ func (e *Engine) streamJoin(b *binder, current *rowSet, ti int, probe, build []*
 	b.qc.buildRows += built
 	// Keys of the streamed rows come straight off the table's vectors;
 	// survivors that probe nothing cost one table miss.
-	bks := b.keySources(nil, build)
+	matchesOf := ht.prober(b.keySources(nil, build))
 	var pairs []matchPair
-	var buf []byte
-	var lis []int32
 	for i := 0; i < sel.n; i++ {
 		if i%tickInterval == 0 {
 			b.qc.checkNow()
 		}
 		r := sel.at(i)
-		lis, buf = ht.probe(bks, r, buf)
-		for _, li := range lis {
+		for _, li := range matchesOf(r) {
 			pairs = append(pairs, matchPair{li: li, r: r})
 		}
 	}

@@ -191,6 +191,46 @@ func TestProfileMirrorsSpans(t *testing.T) {
 	}
 }
 
+// TestAggregateAndProjectRecordRows: the aggregate and project nodes
+// record the joined rows they take in and the result rows they give
+// out, as every other operator node does.
+func TestAggregateAndProjectRecordRows(t *testing.T) {
+	e := New(randDB(5, 2000, 16))
+	e.SetProfiling(true)
+	count := func(q string) int64 {
+		res, err := e.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		return res.Rows[0][0].I
+	}
+	joined, filtered := count(`SELECT COUNT(*) FROM f, d WHERE f_k = d_k`), count(`SELECT COUNT(*) FROM f WHERE f_v > 10`)
+	for _, c := range []struct {
+		op, q string
+		in    int64
+	}{
+		{"aggregate", `SELECT d_s, COUNT(*) c FROM f, d WHERE f_k = d_k GROUP BY d_s`, joined},
+		{"project", `SELECT f_o FROM f WHERE f_v > 10 ORDER BY f_o LIMIT 5`, filtered},
+	} {
+		res, tr, err := e.QueryTracedContext(context.Background(), c.q)
+		if err != nil || tr.Profile == nil {
+			t.Fatalf("%s: err %v, profile %v", c.q, err, tr.Profile)
+		}
+		var nodes []*obs.OpProfile
+		tr.Profile.Walk(func(n *obs.OpProfile) {
+			if n.Name == c.op {
+				nodes = append(nodes, n)
+			}
+		})
+		if len(nodes) != 1 || nodes[0].RowsIn != c.in || nodes[0].RowsOut != int64(len(res.Rows)) || c.in == 0 {
+			for _, n := range nodes {
+				t.Logf("%s: rows_in=%d rows_out=%d", n.Name, n.RowsIn, n.RowsOut)
+			}
+			t.Errorf("%s: want one %s node with rows_in=%d rows_out=%d", c.q, c.op, c.in, len(res.Rows))
+		}
+	}
+}
+
 // TestFailedQueryCounted: a query that fails after reading its table
 // still adds what it did to the engine counters, and publishes the
 // operators it finished.

@@ -187,10 +187,40 @@ func (k *keySource) value(i int32) storage.Value {
 // (NULL never joins).
 func (k *keySource) intAt(i int32) (int64, bool) {
 	r := k.row(i)
-	if r < 0 || k.col.nulls[r] {
+	if r < 0 || k.col.null(r) {
 		return 0, false
 	}
 	return k.col.ints[r], true
+}
+
+// matcher returns the reader of the rows of ix holding the raw int64 key
+// at a position (nil on NULL: NULL never joins), with the lookup fused
+// into the one call a probe makes per row. The NULL and id tests are
+// chosen here, once: a column without NULLs reads no null vector, and a
+// base-table row no id vector (EXPERIMENTS.md "A column without NULLs
+// carries no null vector" has the probe measurement).
+func (k *keySource) matcher(ix *index.HashIndex) func(i int32) []int32 {
+	ids, ints, nulls := k.ids, k.col.ints, k.col.nulls
+	switch {
+	case nulls != nil:
+		return func(i int32) []int32 {
+			if ids != nil {
+				i = ids[i]
+			}
+			if i < 0 || nulls[i] {
+				return nil
+			}
+			return ix.Lookup(ints[i])
+		}
+	case ids != nil:
+		return func(i int32) []int32 {
+			if r := ids[i]; r >= 0 {
+				return ix.Lookup(ints[r])
+			}
+			return nil
+		}
+	}
+	return func(i int32) []int32 { return ix.Lookup(ints[i]) }
 }
 
 // appendKey appends the encoded join key at position i to buf; ok=false
@@ -198,7 +228,7 @@ func (k *keySource) intAt(i int32) (int64, bool) {
 func appendKey(ks []keySource, i int32, buf []byte) ([]byte, bool) {
 	for k := range ks {
 		r := ks[k].row(i)
-		if r < 0 || ks[k].col.nulls[r] {
+		if r < 0 || ks[k].col.null(r) {
 			return buf, false
 		}
 		buf = appendKeyPart(buf, ks[k].col.value(r))

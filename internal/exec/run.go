@@ -203,6 +203,7 @@ func materialize(name string, res *Result, types []schema.Type) (*storage.Table,
 	}
 	def.PrimaryKey = []string{def.Columns[0].Name}
 	tab := storage.NewTable(def)
+	tab.Grow(len(res.Rows))
 	for _, row := range res.Rows {
 		tab.Append(row)
 	}
@@ -302,16 +303,17 @@ func (e *Engine) runSelect(qc *qctx, stmt *sql.SelectStmt, ctes map[string]*stor
 		}
 	}
 
+	op, run := "project", e.projectSimple
 	if aggregated {
-		qc.setPhase("aggregate")
-		qc.startOp("aggregate", "")
-		res, types, err := e.aggregate(stmt, b, rows, orderBy)
-		qc.endOp()
-		return res, types, tr, err
+		op, run = "aggregate", e.aggregate
 	}
-	qc.setPhase("project")
-	qc.startOp("project", "")
-	res, types, err := e.projectSimple(stmt, b, rows, orderBy)
+	qc.setPhase(op)
+	qc.startOp(op, "")
+	qc.opRowsIn(int64(rows.n))
+	res, types, err := run(stmt, b, rows, orderBy)
+	if err == nil {
+		qc.opRowsOut(int64(len(res.Rows)))
+	}
 	qc.endOp()
 	return res, types, tr, err
 }
@@ -563,7 +565,7 @@ func sortKey(src *rowSource, key bexpr, rows []int32, desc bool) []uint64 {
 		v := p.val(fr, rows[base:min(base+batch, len(rows))])
 		for m, r := range v.idx {
 			switch j := base + m; {
-			case v.cr.nulls[r]: // 0
+			case v.cr.null(r): // 0
 			case byCode != nil:
 				out[j] = uint64(byCode[v.cr.codes[r]]) + 1
 			case text:

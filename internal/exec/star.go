@@ -109,13 +109,10 @@ func (e *Engine) runStar(b *binder, filters []filterInfo, residual []bexpr, fact
 	defer b.qc.endOp()
 
 	// Index each dimension's selection by surrogate key (first row of a
-	// key wins), and resolve the fact-side key column it is looked up by.
-	type dimData struct {
-		fk   keySource
-		rows *index.HashIndex // sk -> base-table row id
-	}
+	// key wins), and resolve the fact-side key column it is looked up by:
+	// dimMatch[d](r) are dimension d's rows holding fact row r's key.
 	tables := []int{fact}
-	var dimDatas []dimData
+	var dimMatch []func(r int32) []int32
 	var merge index.Merge // at most one scratch bitmap, shared by the dimensions after the first
 	for _, spec := range dims {
 		inst, sel := b.tableAt(spec.table), b.selection(spec.table, filters)
@@ -136,7 +133,7 @@ func (e *Engine) runStar(b *binder, filters []filterInfo, residual []bexpr, fact
 			panic("exec: star join key is not a fact column")
 		}
 		tables = append(tables, spec.table)
-		dimDatas = append(dimDatas, dimData{fk: keySource{col: *fk}, rows: rows})
+		dimMatch = append(dimMatch, (&keySource{col: *fk}).matcher(rows))
 	}
 	accBitmap := merge.Result()
 	if accBitmap == nil {
@@ -148,21 +145,17 @@ func (e *Engine) runStar(b *binder, filters []filterInfo, residual []bexpr, fact
 	// each dimension row by the fact's FK value.
 	ids := accBitmap.AppendIDs(make([]int32, 0, accBitmap.Count()))
 	var flat []int32
-	tuple := make([]int32, 1+len(dimDatas))
+	tuple := make([]int32, 1+len(dimMatch))
 	b.compileFilter(tablePreds(fact, filters)).scan(b.qc, batchLen, ids, 0, len(ids), func(sel []int32) {
 	nextRow:
 		for _, r := range sel {
 			tuple[0] = r
-			for d := range dimDatas {
-				fk, ok := dimDatas[d].fk.intAt(r)
-				if !ok {
+			for d, match := range dimMatch {
+				rs := match(r)
+				if len(rs) == 0 {
 					continue nextRow
 				}
-				dimRow := dimDatas[d].rows.First(fk)
-				if dimRow < 0 {
-					continue nextRow
-				}
-				tuple[1+d] = dimRow
+				tuple[1+d] = rs[0]
 			}
 			flat = append(flat, tuple...)
 		}

@@ -74,7 +74,7 @@ func (e *Engine) columnStats(qc *qctx, t *storage.Table, col int) colStats {
 	st := colStats{rows: t.NumRows(), tableID: t.ID(), epoch: t.Epoch()}
 	for i, v := range vals {
 		qc.tick()
-		if nulls[i] {
+		if storage.IsNull(nulls, i) {
 			continue
 		}
 		if st.nonNull == 0 || v < st.min {
@@ -104,7 +104,7 @@ func countDistinct(qc *qctx, vals []int64, nulls []bool, lo, hi int64) int {
 		seen := make(map[int64]struct{}, 1024)
 		for i, v := range vals {
 			qc.tick()
-			if !nulls[i] {
+			if !storage.IsNull(nulls, i) {
 				seen[v] = struct{}{}
 			}
 		}
@@ -113,7 +113,7 @@ func countDistinct(qc *qctx, vals []int64, nulls []bool, lo, hi int64) int {
 	seen := index.NewBitmap(int(span) + 1)
 	for i, v := range vals {
 		qc.tick()
-		if !nulls[i] {
+		if !storage.IsNull(nulls, i) {
 			seen.Set(int(uint64(v) - uint64(lo)))
 		}
 	}

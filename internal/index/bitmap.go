@@ -17,6 +17,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+
+	"tpcds/internal/storage"
 )
 
 // Bitmap is a fixed-capacity bitset over row ids.
@@ -180,7 +182,7 @@ const denseShare = 32
 const mapEntryBytes = 32
 
 // BuildBitmapIndex indexes the column given as parallel value and null
-// slices (from storage.Table.ScanInt64).
+// slices (from storage.Table.ScanInt64; nil nulls: no row is NULL).
 func BuildBitmapIndex(vals []int64, nulls []bool) *BitmapIndex {
 	return BuildBitmapIndexUpTo(vals, nulls, len(vals))
 }
@@ -192,7 +194,7 @@ func BuildBitmapIndex(vals []int64, nulls []bool) *BitmapIndex {
 func BuildBitmapIndexUpTo(vals []int64, nulls []bool, maxKeys int) *BitmapIndex {
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for i, v := range vals {
-		if !nulls[i] {
+		if !storage.IsNull(nulls, i) {
 			lo, hi = min(lo, v), max(hi, v)
 		}
 	}
@@ -215,7 +217,7 @@ func BuildBitmapIndexUpTo(vals []int64, nulls []bool, maxKeys int) *BitmapIndex 
 			bySpan[j] = -1
 		}
 		for i, v := range vals {
-			if nulls[i] {
+			if storage.IsNull(nulls, i) {
 				continue
 			}
 			s := bySpan[v-lo]
@@ -237,7 +239,7 @@ func BuildBitmapIndexUpTo(vals []int64, nulls []bool, maxKeys int) *BitmapIndex 
 	}
 	rowSlot := make([]int32, len(vals))
 	for i, v := range vals {
-		if nulls[i] {
+		if storage.IsNull(nulls, i) {
 			continue
 		}
 		s, ok := slot[v]
@@ -262,15 +264,15 @@ func BuildBitmapIndexUpTo(vals []int64, nulls []bool, maxKeys int) *BitmapIndex 
 
 // BuildCodeIndex indexes a dictionary-coded column of ncodes codes by
 // code: a key is the code of the value its rows hold (ignored on NULL
-// rows). Only codes some row holds are keys; Keys lists them in code
-// order.
+// rows; nil nulls: no row is NULL). Only codes some row holds are keys;
+// Keys lists them in code order.
 func BuildCodeIndex(codes []uint16, nulls []bool, ncodes int) *BitmapIndex {
 	if ncodes <= denseShare {
 		return buildSmall(nulls, codes, 0, ncodes)
 	}
 	perCode := make([]int32, ncodes)
 	for i, c := range codes {
-		if !nulls[i] {
+		if !storage.IsNull(nulls, i) {
 			perCode[c]++
 		}
 	}
@@ -291,9 +293,10 @@ func BuildCodeIndex(codes []uint16, nulls []bool, ncodes int) *BitmapIndex {
 // build is the second of two passes: given each key's row count from
 // the first, it lays out the posting lists and dense bitmaps, then
 // scatters every row into its key's. Row i's slot is
-// toSlot[rowKey[i]-base]. counts is consumed.
+// toSlot[rowKey[i]-base], unless nulls (nil: none) marks it NULL.
+// counts is consumed.
 func build[K uint16 | int32 | int64](nulls []bool, keys []int64, slot map[int64]int32, counts []int32, rowKey []K, base int64, toSlot []int32) *BitmapIndex {
-	n := len(nulls)
+	n := len(rowKey)
 	ix := &BitmapIndex{n: n, keys: keys, slot: slot, off: make([]int32, len(keys)+1)}
 	// From here counts[s] is slot s's write cursor into ids, unless the
 	// key is dense and its rows go to denseOf[s].
@@ -315,12 +318,11 @@ func build[K uint16 | int32 | int64](nulls []bool, keys []int64, slot map[int64]
 	ix.off[len(keys)] = pos
 	ids := make([]int32, pos)
 	ix.ids = ids
-	rowKey = rowKey[:n]
-	for i, null := range nulls {
-		if null {
+	for i, k := range rowKey {
+		if storage.IsNull(nulls, i) {
 			continue
 		}
-		s := toSlot[int64(rowKey[i])-base]
+		s := toSlot[int64(k)-base]
 		if w := denseOf[s]; w != nil {
 			w[i>>6] |= 1 << (uint(i) & 63)
 		} else {
@@ -334,22 +336,22 @@ func build[K uint16 | int32 | int64](nulls []bool, keys []int64, slot map[int64]
 }
 
 // buildSmall indexes a column whose key space has at most denseShare
-// slots — row i's slot is rowKey[i]-base — in one pass: every slot gets
+// slots — row i's slot is rowKey[i]-base, unless nulls (nil: none)
+// marks it NULL — in one pass: every slot gets
 // a bitmap first (rows/8 bytes × denseShare: 4 bytes a row in all), the
 // popcounts are the row counts, and a slot the dense rule does not keep
 // becomes a posting list read back out of its bitmap. Slots no row
 // holds are no keys; Keys lists the others in slot order. Counting
 // first, then scattering, took twice as long on these columns.
 func buildSmall[K uint16 | int64](nulls []bool, rowKey []K, base int64, nslots int) *BitmapIndex {
-	n := len(nulls)
+	n := len(rowKey)
 	words := make([][]uint64, nslots)
 	for s := range words {
 		words[s] = make([]uint64, (n+63)/64)
 	}
-	rowKey = rowKey[:n]
-	for i, null := range nulls {
-		if !null {
-			words[int64(rowKey[i])-base][i>>6] |= 1 << (uint(i) & 63)
+	for i, k := range rowKey {
+		if !storage.IsNull(nulls, i) {
+			words[int64(k)-base][i>>6] |= 1 << (uint(i) & 63)
 		}
 	}
 	counts := make([]int, nslots)
@@ -384,7 +386,8 @@ func buildSmall[K uint16 | int64](nulls []bool, rowKey []K, base int64, nslots i
 	return ix
 }
 
-// setNulls marks the NULL rows, when fewer than all rows are indexed.
+// setNulls marks the NULL rows, when fewer than all rows are indexed
+// (never so when nulls is nil).
 func (ix *BitmapIndex) setNulls(nulls []bool, indexed int) {
 	if indexed == ix.n {
 		return

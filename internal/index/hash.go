@@ -3,6 +3,8 @@ package index
 import (
 	"math/bits"
 	"sort"
+
+	"tpcds/internal/storage"
 )
 
 // HashIndex maps int64 keys to the row ids carrying them — the engine's
@@ -40,7 +42,8 @@ type hashSlot struct {
 // slotSpill is the overflow room reserved past the power of two.
 const slotSpill = 16
 
-// BuildHashIndex indexes the column given as parallel value/null slices.
+// BuildHashIndex indexes the column given as parallel value/null slices
+// (nil nulls: no row is NULL).
 func BuildHashIndex(vals []int64, nulls []bool) *HashIndex {
 	return buildHashIndex(vals, nulls, nil)
 }
@@ -67,7 +70,7 @@ func buildHashIndex(keys []int64, nulls []bool, rows []int32) *HashIndex {
 	// Counting sort by slot: count each key's rows in hi, turn the counts
 	// into group ends, then fill every group back to front.
 	for i, v := range keys {
-		if nulls == nil || !nulls[i] {
+		if !storage.IsNull(nulls, i) {
 			s := ix.slot(v)
 			s.key = v
 			s.hi++
@@ -86,7 +89,7 @@ func buildHashIndex(keys []int64, nulls []bool, rows []int32) *HashIndex {
 	}
 	ix.rows = make([]int32, next)
 	for i := len(keys) - 1; i >= 0; i-- {
-		if nulls == nil || !nulls[i] {
+		if !storage.IsNull(nulls, i) {
 			r := int32(i)
 			if rows != nil {
 				r = rows[i]
@@ -108,7 +111,7 @@ func buildPositional(keys []int64, nulls []bool, rows []int32) *HashIndex {
 	}
 	lo, hi := keys[0], keys[0]
 	for i, v := range keys {
-		if nulls != nil && nulls[i] {
+		if storage.IsNull(nulls, i) {
 			return nil
 		}
 		lo, hi = min(lo, v), max(hi, v)
@@ -201,11 +204,11 @@ type SortedIndex struct {
 }
 
 // BuildSortedIndex indexes the column given as parallel value/null
-// slices. NULL keys are omitted.
+// slices (nil nulls: no row is NULL). NULL keys are omitted.
 func BuildSortedIndex(vals []int64, nulls []bool) *SortedIndex {
 	ix := &SortedIndex{n: len(vals)}
 	for i, v := range vals {
-		if nulls[i] {
+		if storage.IsNull(nulls, i) {
 			continue
 		}
 		ix.keys = append(ix.keys, v)

@@ -12,7 +12,7 @@ import (
 func refHashIndex(vals []int64, nulls []bool) map[int64][]int32 {
 	ref := map[int64][]int32{}
 	for i, v := range vals {
-		if !nulls[i] {
+		if nulls == nil || !nulls[i] {
 			ref[v] = append(ref[v], int32(i))
 		}
 	}
@@ -64,16 +64,21 @@ func hashColumns() map[string][]int64 {
 }
 
 // TestHashIndexEqualsMap: for every column shape, with and without
-// NULLs, the index answers exactly as a map[int64][]int32 built in row
+// NULLs (and without NULLs both with no null vector, as storage keeps a
+// column that never held one, and with a vector that holds none, as it
+// keeps one whose NULLs were deleted or overwritten), the index answers exactly as a map[int64][]int32 built in row
 // order does — same keys, same row ids, ascending per key — and absent
 // keys (the neighbours of every present key included) find nothing.
 func TestHashIndexEqualsMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for name, vals := range hashColumns() {
-		for _, nullEvery := range []int{0, 1, 3} {
-			nulls := make([]bool, len(vals))
-			for i := range nulls {
-				nulls[i] = nullEvery > 0 && rng.Intn(nullEvery) == 0
+		for _, nullEvery := range []int{-1, 0, 1, 3} { // -1: no null vector
+			var nulls []bool
+			if nullEvery >= 0 {
+				nulls = make([]bool, len(vals))
+				for i := range nulls {
+					nulls[i] = nullEvery > 0 && rng.Intn(nullEvery) == 0
+				}
 			}
 			ix := BuildHashIndex(vals, nulls)
 			ref := refHashIndex(vals, nulls)
@@ -86,7 +91,7 @@ func TestHashIndexEqualsMap(t *testing.T) {
 			var keys []int64
 			var rows []int32
 			for i, v := range vals {
-				if !nulls[i] {
+				if nulls == nil || !nulls[i] {
 					keys, rows = append(keys, v), append(rows, int32(i))
 				}
 			}

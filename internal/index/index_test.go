@@ -231,16 +231,20 @@ func TestQuickInclusionExclusion(t *testing.T) {
 	}
 }
 
-// Property: sorted-index range equals a filter scan.
+// Property: sorted-index range equals a filter scan, over a column
+// without NULLs given either no null vector or one with no NULL in it.
 func TestQuickSortedRangeEquivalence(t *testing.T) {
-	f := func(data []int16, lo, hi int16) bool {
+	f := func(data []int16, lo, hi int16, vector bool) bool {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
 		vals := make([]int64, len(data))
-		nulls := make([]bool, len(data))
 		for i, d := range data {
 			vals[i] = int64(d)
+		}
+		var nulls []bool
+		if vector {
+			nulls = make([]bool, len(data))
 		}
 		ix := BuildSortedIndex(vals, nulls)
 		got := ix.Range(int64(lo), int64(hi))

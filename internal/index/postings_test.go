@@ -18,7 +18,7 @@ type denseRef struct {
 func buildDenseRef(vals []int64, nulls []bool) *denseRef {
 	r := &denseRef{bits: map[int64]*Bitmap{}}
 	for i, v := range vals {
-		if nulls[i] {
+		if nulls != nil && nulls[i] {
 			if r.nulls == nil {
 				r.nulls = NewBitmap(len(vals))
 			}
@@ -60,14 +60,19 @@ func sameKeys(a, b []int64) bool {
 
 // randomColumn draws n values: a few heavy keys over the rows/32 rule
 // (sometimes none), many light keys under it, and NULLs at a random rate
-// (sometimes none). The keys are consecutive multiples of a stride: 1
-// keeps them within a span narrower than the column, 7919 spreads them.
+// (sometimes none: then either no null vector, as storage keeps a column
+// that never held a NULL, or one with no NULL in it, as it keeps a
+// column whose NULLs were deleted or overwritten). The keys are consecutive multiples of a stride: 1 keeps them
+// within a span narrower than the column, 7919 spreads them.
 func randomColumn(rng *rand.Rand, n int) ([]int64, []bool) {
 	heavy := rng.Intn(4)
 	light := 1 + rng.Intn(n/2+1)
 	stride := []int64{1, 7919}[rng.Intn(2)]
 	nullRate := []float64{0, 0.01, 0.3}[rng.Intn(3)]
-	vals, nulls := make([]int64, n), make([]bool, n)
+	vals, nulls := make([]int64, n), []bool(nil)
+	if nullRate > 0 || rng.Intn(2) == 0 {
+		nulls = make([]bool, n)
+	}
 	for i := range vals {
 		switch f := rng.Float64(); {
 		case f < nullRate:

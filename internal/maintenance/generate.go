@@ -188,7 +188,7 @@ func maxInt64Col(t *storage.Table, col int) int64 {
 	vals, nulls := t.ScanInt64(col)
 	var max int64
 	for i, v := range vals {
-		if !nulls[i] && v > max {
+		if !storage.IsNull(nulls, i) && v > max {
 			max = v
 		}
 	}

@@ -302,7 +302,7 @@ func insertRevision(t *storage.Table, row int, u DimUpdate, updateDateSK int64) 
 	maxSK := int64(0)
 	vals, nulls := t.ScanInt64(skCol)
 	for i, v := range vals {
-		if !nulls[i] && v > maxSK {
+		if !storage.IsNull(nulls, i) && v > maxSK {
 			maxSK = v
 		}
 	}
@@ -329,7 +329,7 @@ func deleteChannel(db *storage.DB, channel string, rs *RefreshSet) (int, error) 
 		var victims []int
 		vals, nulls := t.ScanInt64(dateCol)
 		for r, v := range vals {
-			if !nulls[r] && v >= rng[0] && v <= rng[1] {
+			if !storage.IsNull(nulls, r) && v >= rng[0] && v <= rng[1] {
 				victims = append(victims, r)
 			}
 		}
@@ -490,7 +490,7 @@ func refreshInventory(db *storage.DB, rs *RefreshSet) (int, error) {
 	type key struct{ date, item, wh int64 }
 	var fresh []key
 	for r, v := range vals {
-		if !nulls[r] && v >= rng[0] && v <= rng[1] {
+		if !storage.IsNull(nulls, r) && v >= rng[0] && v <= rng[1] {
 			victims = append(victims, r)
 			fresh = append(fresh, key{
 				date: v,

@@ -480,4 +480,75 @@ func TestWarmEngineEqualsColdAfterRefresh(t *testing.T) {
 	if got := run(warm, byState).Rows; !reflect.DeepEqual(got, want) {
 		t.Errorf("after s_state := 'ZZ' on the last store: %v, want %v", got, want)
 	}
+
+	// A column's first NULL. date_dim.d_moy and catalog_sales.cs_item_sk
+	// have never held one, and the warm engine holds value postings and
+	// statistics over d_moy (star filters d_moy = 12) and fact postings
+	// over cs_item_sk. One December 2000 date loses its month, and a copy
+	// of a catalog_sales row sold on another enters with a NULL item.
+	dd, cs := warm.DB().Table("date_dim"), warm.DB().Table("catalog_sales")
+	moy, year := dd.Def.ColumnIndex("d_moy"), dd.Def.ColumnIndex("d_year")
+	itemSK, sold, order := cs.Def.ColumnIndex("cs_item_sk"), cs.Def.ColumnIndex("cs_sold_date_sk"), cs.Def.ColumnIndex("cs_order_number")
+	for _, c := range []*storage.Column{dd.Col(moy), cs.Col(itemSK)} {
+		if _, _, _, _, _, _, nulls := c.Raw(); nulls != nil {
+			t.Fatal("d_moy or cs_item_sk has held a NULL before the test gives it one")
+		}
+	}
+	dateRow := map[int64]int{}
+	for r := 0; r < dd.NumRows(); r++ {
+		dateRow[dd.Get(r, dd.Def.ColumnIndex("d_date_sk")).I] = r
+	}
+	var december []int // the December 2000 rows of date_dim that catalog_sales rows were sold on, one catalog_sales row each
+	soldOn := map[int]int{}
+	for r := 0; r < cs.NumRows(); r++ {
+		d, ok := dateRow[cs.Get(r, sold).I]
+		if _, seen := soldOn[d]; ok && !seen && !cs.Get(r, sold).IsNull() && dd.Get(d, year).I == 2000 && dd.Get(d, moy).I == 12 {
+			december, soldOn[d] = append(december, d), r
+		}
+	}
+	if len(december) < 2 {
+		t.Fatalf("catalog_sales sold on %d December 2000 dates, want 2", len(december))
+	}
+	nullQueries := []string{
+		star,
+		`SELECT d_date_sk, d_year FROM date_dim WHERE d_moy IS NULL`,
+		`SELECT d_date_sk, d_moy FROM date_dim WHERE d_year = 2000 AND d_moy >= 11`,
+		`SELECT cs_order_number, cs_sold_date_sk FROM catalog_sales WHERE cs_item_sk IS NULL`,
+		`SELECT cs_order_number, i_item_id FROM catalog_sales, item WHERE cs_item_sk = i_item_sk AND i_category IN ('Music', 'Books', 'Home')`,
+		`SELECT cs_order_number, cs_item_sk, d_moy FROM catalog_sales, date_dim WHERE cs_sold_date_sk = d_date_sk AND d_year = 2000 AND d_moy >= 11`,
+	}
+	for _, q := range nullQueries {
+		run(warm, q) // postings, statistics and plans on the NULL-free columns
+	}
+	dd.SetValue(december[0], moy, storage.Null)
+	copied := cs.Row(soldOn[december[1]])
+	copied[itemSK], copied[order] = storage.Null, storage.Int(1<<40)
+	cs.Append(copied)
+	for _, c := range []*storage.Column{dd.Col(moy), cs.Col(itemSK)} {
+		if _, _, _, _, _, _, nulls := c.Raw(); len(nulls) != c.Len() {
+			t.Fatalf("after the first NULL: %d null entries for %d rows", len(nulls), c.Len())
+		}
+	}
+	cold, coldHash := exec.New(warm.DB()), exec.New(warm.DB())
+	coldHash.SetMode(plan.ForceHashJoin)
+	for _, q := range nullQueries {
+		got, want := run(warm, q), run(cold, q)
+		if !reflect.DeepEqual(got.Rows, want.Rows) {
+			t.Errorf("after the first NULLs: warm engine (%d rows) differs from cold engine (%d rows)\n%s", len(got.Rows), len(want.Rows), q)
+		}
+		if hash := run(coldHash, q); !reflect.DeepEqual(hash.Rows, want.Rows) {
+			t.Errorf("after the first NULLs: cold hash-only engine (%d rows) differs from cold engine (%d rows)\n%s", len(hash.Rows), len(want.Rows), q)
+		}
+	}
+	if got := run(warm, nullQueries[1]).Rows; len(got) != 1 || got[0][0] != dd.Get(december[0], dd.Def.ColumnIndex("d_date_sk")) {
+		t.Errorf("d_moy IS NULL: %v, want the one date whose month was cleared", got)
+	}
+	if got := run(warm, nullQueries[3]).Rows; len(got) != 1 || got[0][0] != storage.Int(1<<40) {
+		t.Errorf("cs_item_sk IS NULL: %v, want the one inserted row", got)
+	}
+	for _, q := range []string{star, nullQueries[4]} {
+		if slices.ContainsFunc(run(warm, q).Rows, func(r []storage.Value) bool { return r[0] == storage.Int(1<<40) }) {
+			t.Errorf("the row with a NULL cs_item_sk joined item\n%s", q)
+		}
+	}
 }

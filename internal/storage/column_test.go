@@ -68,14 +68,17 @@ func colDef() *schema.Table {
 // runColumnOps interprets prog as Append / AppendN / SetValue / Delete /
 // truncate / Grow calls on a (key, string) table and on a model of it
 // — two plain slices — and fails unless the table reads back as the
-// model does: Len and the touched row after every call, every row and
-// the WriteFlat bytes at the end. It returns the table.
+// model does: Len, the touched row and the null vectors after every
+// call (none while no NULL was ever stored in the column, else one
+// entry per model row), every row and the WriteFlat bytes at the end.
+// It returns the table.
 func runColumnOps(t *testing.T, vocab int, prog []byte) *Table {
 	t.Helper()
 	tb := NewTable(colDef())
 	var keys []int64
 	var strs []Value
 	nextKey := int64(0)
+	stored := false // whether the program has stored a NULL in the string column
 	add := func(v Value) {
 		tb.Append([]Value{Int(nextKey), v})
 		keys, strs = append(keys, nextKey), append(strs, v)
@@ -116,7 +119,7 @@ func runColumnOps(t *testing.T, vocab int, prog []byte) *Table {
 			touched = len(strs) - 1
 		case 3:
 			add(Null)
-			touched = len(strs) - 1
+			touched, stored = len(strs)-1, true
 		case 4:
 			if len(strs) == 0 {
 				continue
@@ -124,7 +127,7 @@ func runColumnOps(t *testing.T, vocab int, prog []byte) *Table {
 			touched = int(arg()) % len(strs)
 			v := vocabValue(vocab, arg())
 			if op&8 != 0 {
-				v = Null
+				v, stored = Null, true
 			}
 			tb.SetValue(touched, 1, v)
 			strs[touched] = v
@@ -157,6 +160,24 @@ func runColumnOps(t *testing.T, vocab int, prog []byte) *Table {
 		}
 		if touched >= 0 && !sameValue(tb.Get(touched, 1), strs[touched]) {
 			t.Fatalf("after op %d: row %d reads %#v, want %#v", op%8, touched, tb.Get(touched, 1), strs[touched])
+		}
+		if _, _, _, _, _, _, nulls := tb.Col(0).Raw(); nulls != nil {
+			t.Fatalf("after op %d: the key column, never NULL, has a null vector", op%8)
+		}
+		_, _, _, _, _, _, nulls := tb.Col(1).Raw()
+		if !stored {
+			if nulls != nil {
+				t.Fatalf("after op %d: a null vector before the first NULL", op%8)
+			}
+			continue
+		}
+		if len(nulls) != len(strs) {
+			t.Fatalf("after op %d: %d null entries for %d rows", op%8, len(nulls), len(strs))
+		}
+		for r, v := range strs {
+			if nulls[r] != v.IsNull() {
+				t.Fatalf("after op %d: row %d null = %v, model %#v", op%8, r, nulls[r], v)
+			}
 		}
 	}
 	var want strings.Builder
@@ -395,19 +416,30 @@ type streamOnly struct{ io.Reader }
 // room, and no vector ReadFlat filled ends more than a sixteenth larger
 // than its contents — whether the input could be counted first (a
 // seekable reader: reserved once, exactly) or not (grown by doubling,
-// then cut back).
+// then cut back). A column without NULLs has no null vector to size;
+// a column holding a NULL has its vector sized as its payload is.
 func TestCapacityHygiene(t *testing.T) {
-	caps := func(tb *Table) (out []int) {
+	// caps lists every column's payload capacity, then the null vector
+	// capacity of each column in nullCols, failing unless exactly those
+	// columns have a null vector.
+	caps := func(tb *Table, nullCols ...int) (out []int) {
 		for i := range tb.cols {
 			c := &tb.cols[i]
-			out = append(out, cap(c.nulls), cap(c.ints)+cap(c.flts)+cap(c.strs)+cap(c.codes))
+			out = append(out, cap(c.ints)+cap(c.flts)+cap(c.strs)+cap(c.codes))
+			if (c.nulls != nil) != slices.Contains(nullCols, i) {
+				t.Fatalf("column %d: has a null vector = %v, want it on columns %v only", i, c.nulls != nil, nullCols)
+			}
+		}
+		for _, i := range nullCols {
+			out = append(out, cap(tb.cols[i].nulls))
 		}
 		return out
 	}
+	const nullCol = 4 // the one NULL appended below
 	tb := NewTable(testDef())
 	tb.Grow(1000)
 	tb.Append([]Value{Int(1), Int(5), Float(3.25), Str("a"), Null})
-	reserved := caps(tb)
+	reserved := caps(tb, nullCol)
 	for _, c := range reserved {
 		if c < 1000 {
 			t.Fatalf("capacities after Grow(1000): %v", reserved)
@@ -415,18 +447,24 @@ func TestCapacityHygiene(t *testing.T) {
 	}
 	first := &tb.cols[0].ints[0]
 	tb.Grow(999)
-	if got := caps(tb); fmt.Sprint(got) != fmt.Sprint(reserved) || &tb.cols[0].ints[0] != first {
+	if got := caps(tb, nullCol); fmt.Sprint(got) != fmt.Sprint(reserved) || &tb.cols[0].ints[0] != first {
 		t.Errorf("Grow within capacity reallocated: capacities %v, before %v", got, reserved)
 	}
 	tb.Grow(1000)
-	if got := caps(tb); got[0] < 1001 || got[1] < 1001 {
+	if got := caps(tb, nullCol); got[0] < 1001 || got[nullCol] < 1001 || got[len(got)-1] < 1001 {
 		t.Errorf("Grow past capacity did not grow: %v", got)
 	}
 
 	var file strings.Builder
 	for i := 0; i < 5000; i++ {
 		// Lines lengthen along the file, as they do under a counting key.
-		fmt.Fprintf(&file, "%d|%d|1.5|%s|2000-01-01|\n", i, i, strings.Repeat("x", i/500))
+		// The string is NULL (the empty field) on the first 500 lines,
+		// the date on every seventh line from the fourth.
+		date := "2000-01-01"
+		if i%7 == 3 {
+			date = ""
+		}
+		fmt.Fprintf(&file, "%d|%d|1.5|%s|%s|\n", i, i, strings.Repeat("x", i/500), date)
 	}
 	for name, r := range map[string]io.Reader{
 		"seekable": strings.NewReader(file.String()),
@@ -436,10 +474,125 @@ func TestCapacityHygiene(t *testing.T) {
 		if n, err := tb.ReadFlat(r); n != 5000 || err != nil {
 			t.Fatalf("%s: %d rows, err %v", name, n, err)
 		}
-		for i, c := range caps(tb) {
+		for i, c := range caps(tb, 3, 4) {
 			if c < 5000 || c-5000 > 5000/16 {
 				t.Errorf("%s: vector %d has capacity %d for 5000 rows", name, i, c)
 			}
 		}
 	}
+}
+
+// TestFirstNull: a column that never held a NULL has no null vector, and
+// its first NULL — through each way a NULL gets into a column — creates
+// one, after which the table reads as a model of its rows does through
+// Get, Len and WriteFlat, and goes on doing so after Delete and
+// truncate. The other columns, still without NULLs, keep no vector.
+func TestFirstNull(t *testing.T) {
+	row := func(i int) []Value {
+		return []Value{Int(int64(i)), Int(int64(10 + i)), Float(float64(i) + 0.25), Str(fmt.Sprint("s", i%3)), DateV(int64(10000 + i))}
+	}
+	withNull := func(r []Value, c int) []Value {
+		r = slices.Clone(r)
+		r[c] = Null
+		return r
+	}
+	// Each way gives column c of tb, holding the model's rows, its first
+	// NULL and returns the model after it.
+	ways := map[string]func(tb *Table, rows [][]Value, c int) [][]Value{
+		"Append": func(tb *Table, rows [][]Value, c int) [][]Value {
+			r := withNull(row(len(rows)), c)
+			tb.Append(r)
+			return append(rows, r)
+		},
+		"AppendN": func(tb *Table, rows [][]Value, c int) [][]Value {
+			r := withNull(row(len(rows)), c)
+			for j, v := range r {
+				tb.Col(j).AppendN(v, 3)
+			}
+			return append(rows, r, r, r)
+		},
+		"Set": func(tb *Table, rows [][]Value, c int) [][]Value {
+			tb.Col(c).Set(2, Null)
+			rows[2] = withNull(rows[2], c)
+			return rows
+		},
+		"Update": func(tb *Table, rows [][]Value, c int) [][]Value {
+			rows[1] = withNull(row(40), c)
+			tb.Update(1, rows[1])
+			return rows
+		},
+		"SetValue": func(tb *Table, rows [][]Value, c int) [][]Value {
+			tb.SetValue(3, c, Null)
+			rows[3] = withNull(rows[3], c)
+			return rows
+		},
+		"flat line": func(tb *Table, rows [][]Value, c int) [][]Value {
+			r := withNull(row(len(rows)), c)
+			if n, err := tb.ReadFlat(strings.NewReader(modelFlat([][]Value{r}))); n != 1 || err != nil {
+				t.Fatalf("ReadFlat: %d rows, err %v", n, err)
+			}
+			return append(rows, r)
+		},
+	}
+	check := func(label string, tb *Table, rows [][]Value, c int) {
+		t.Helper()
+		for j := 0; j < tb.NumCols(); j++ {
+			col := tb.Col(j)
+			_, _, _, _, _, _, nulls := col.Raw()
+			if col.Len() != len(rows) || (nulls != nil) != (j == c) || nulls != nil && len(nulls) != len(rows) {
+				t.Fatalf("%s: column %d has %d rows and %d null entries (vector %v), want %d rows and a vector only on column %d",
+					label, j, col.Len(), len(nulls), nulls != nil, len(rows), c)
+			}
+			for r := range rows {
+				if got := col.Get(r); !sameValue(got, rows[r][j]) {
+					t.Fatalf("%s: row %d column %d reads %#v, want %#v", label, r, j, got, rows[r][j])
+				}
+			}
+		}
+		var got strings.Builder
+		if err := tb.WriteFlat(&got); err != nil || got.String() != modelFlat(rows) {
+			t.Fatalf("%s: WriteFlat (err %v)\n%q\nwant\n%q", label, err, got.String(), modelFlat(rows))
+		}
+	}
+	for name, give := range ways {
+		for c := 1; c < len(testDef().Columns); c++ {
+			label := fmt.Sprintf("%s, column %d", name, c)
+			tb := NewTable(testDef())
+			var rows [][]Value
+			for i := 0; i < 6; i++ {
+				rows = append(rows, row(i))
+				tb.Append(rows[i])
+			}
+			check(label+", before", tb, rows, -1)
+			rows = give(tb, rows, c)
+			check(label, tb, rows, c)
+			tb.Delete([]int{0, 2})
+			rows = append(rows[1:2], rows[3:]...)
+			check(label+", after Delete", tb, rows, c)
+			tb.truncate(len(rows) - 1)
+			rows = rows[:len(rows)-1]
+			check(label+", after truncate", tb, rows, c)
+		}
+	}
+}
+
+// modelFlat renders rows in flat-file format from their values alone.
+func modelFlat(rows [][]Value) string {
+	var b strings.Builder
+	for _, r := range rows {
+		for _, v := range r {
+			switch {
+			case v.IsNull():
+			case v.K == KindString && v.S == "":
+				b.WriteString(`\e`)
+			case v.K == KindString:
+				b.WriteString(refEscapeFlat(v.S))
+			default:
+				b.WriteString(v.String())
+			}
+			b.WriteByte('|')
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }

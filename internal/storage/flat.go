@@ -72,7 +72,7 @@ func (t *Table) appendFlatRows(buf []byte, kinds []Kind, lo, hi, limit int) ([]b
 	for ; r < hi && len(buf) < limit; r++ {
 		for c := range t.cols {
 			col := &t.cols[c]
-			if !col.nulls[r] {
+			if !IsNull(col.nulls, r) {
 				switch kinds[c] {
 				case KindInt:
 					buf = strconv.AppendInt(buf, col.ints[r], 10)
@@ -365,15 +365,15 @@ func (d *flatDecoder) row(line []byte) (col int, err error) {
 				appendStr(c, line[pos:end])
 			}
 		}
-		if ok {
-			c.nulls = append(c.nulls, false)
-		} else {
+		if !ok {
 			var field []byte
 			var explicit bool
 			field, explicit, end = d.unescape(line, pos)
 			if err := d.appendSlow(ci, field, explicit); err != nil {
 				return ci, err
 			}
+		} else if c.nulls != nil {
+			c.nulls = append(c.nulls, false)
 		}
 		pos = end + 1
 	}
@@ -418,7 +418,9 @@ func (d *flatDecoder) appendSlow(ci int, field []byte, explicit bool) error {
 			return nil
 		}
 		appendStr(c, field)
-		c.nulls = append(c.nulls, false)
+		if c.nulls != nil {
+			c.nulls = append(c.nulls, false)
+		}
 		return nil
 	}
 	if len(field) == 0 && explicit {

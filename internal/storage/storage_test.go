@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -273,8 +274,12 @@ func TestScanInt64(t *testing.T) {
 	tb := NewTable(testDef())
 	tb.Append([]Value{Int(7), Int(1), Float(0), Str(""), Null})
 	vals, nulls := tb.ScanInt64(0)
-	if len(vals) != 1 || vals[0] != 7 || nulls[0] {
+	if len(vals) != 1 || vals[0] != 7 || nulls != nil {
 		t.Errorf("ScanInt64 = %v %v", vals, nulls)
+	}
+	tb.Append([]Value{Int(8), Null, Float(0), Str(""), Null})
+	if vals, nulls = tb.ScanInt64(1); len(vals) != 2 || vals[0] != 1 || !slices.Equal(nulls, []bool{false, true}) {
+		t.Errorf("ScanInt64 after a NULL = %v %v", vals, nulls)
 	}
 	defer func() {
 		if recover() == nil {

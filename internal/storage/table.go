@@ -9,14 +9,17 @@ import (
 	"tpcds/internal/schema"
 )
 
-// Column is a typed column vector with a null vector. The physical
-// representation is chosen by the logical schema type: identifiers,
-// integers and dates share the int64 vector; decimals use float64;
-// char/varchar start dictionary-encoded — one uint16 code per row into
-// a dictionary of the distinct values in first-seen order — and fall
-// back for good to one string per row when the column's own values show
-// a dictionary does not pay (see encode). Exactly one payload vector is
-// in use; the others stay nil.
+// Column is a typed column vector. The physical representation is
+// chosen by the logical schema type: identifiers, integers and dates
+// share the int64 vector; decimals use float64; char/varchar start
+// dictionary-encoded — one uint16 code per row into a dictionary of the
+// distinct values in first-seen order — and fall back for good to one
+// string per row when the column's own values show a dictionary does
+// not pay (see encode). Exactly one payload vector is in use; the others
+// stay nil. The null vector exists only once the column has held a
+// NULL: nil means no row is NULL, and a vector that exists has one
+// entry per row. The first NULL creates it, all false, at the column's
+// length.
 type Column struct {
 	Type  schema.Type
 	ints  []int64
@@ -118,12 +121,23 @@ func physKind(t schema.Type) Kind {
 	}
 }
 
-// Len returns the number of entries in the column.
-func (c *Column) Len() int { return len(c.nulls) }
+// Len returns the number of entries in the column: the length of its
+// one payload vector in use (the others are nil).
+func (c *Column) Len() int { return len(c.ints) + len(c.flts) + len(c.strs) + len(c.codes) }
+
+// nullVec returns the null vector, creating it on the column's first
+// NULL: all false at the column's length, with its payload's capacity.
+func (c *Column) nullVec() []bool {
+	if c.nulls == nil {
+		n := c.Len()
+		c.nulls = make([]bool, n, max(cap(c.ints)+cap(c.flts)+cap(c.strs)+cap(c.codes), n+1))
+	}
+	return c.nulls
+}
 
 // Get returns the value at row i.
 func (c *Column) Get(i int) Value {
-	if c.nulls[i] {
+	if IsNull(c.nulls, i) {
 		return Null
 	}
 	switch physKind(c.Type) {
@@ -140,7 +154,7 @@ func (c *Column) Get(i int) Value {
 
 // appendNull adds a NULL to a column of physical kind k.
 func (c *Column) appendNull(k Kind) {
-	c.nulls = append(c.nulls, true)
+	c.nulls = append(c.nullVec(), true)
 	switch k {
 	case KindInt, KindDate:
 		c.ints = append(c.ints, 0)
@@ -157,7 +171,9 @@ func (c *Column) appendNull(k Kind) {
 
 // truncate drops the entries from n on.
 func (c *Column) truncate(n int) {
-	c.nulls = c.nulls[:n]
+	if c.nulls != nil {
+		c.nulls = c.nulls[:n]
+	}
 	c.ints, c.flts = c.ints[:min(n, len(c.ints))], c.flts[:min(n, len(c.flts))]
 	c.strs, c.codes = c.strs[:min(n, len(c.strs))], c.codes[:min(n, len(c.codes))]
 }
@@ -170,7 +186,9 @@ func (c *Column) Append(v Value) {
 		c.appendNull(physKind(c.Type))
 		return
 	}
-	c.nulls = append(c.nulls, false)
+	if c.nulls != nil {
+		c.nulls = append(c.nulls, false)
+	}
 	switch physKind(c.Type) {
 	case KindInt, KindDate:
 		if v.K != KindInt && v.K != KindDate {
@@ -201,7 +219,9 @@ func (c *Column) AppendN(v Value, n int) {
 	}
 	c.Append(v) // the checks, and a new string's one dictionary entry
 	n--
-	c.nulls = repeatLast(c.nulls, n)
+	if c.nulls != nil {
+		c.nulls = repeatLast(c.nulls, n)
+	}
 	switch physKind(c.Type) {
 	case KindInt, KindDate:
 		c.ints = repeatLast(c.ints, n)
@@ -231,10 +251,12 @@ func repeatLast[T any](v []T, n int) []T {
 // Figure 8).
 func (c *Column) Set(i int, v Value) {
 	if v.IsNull() {
-		c.nulls[i] = true
+		c.nullVec()[i] = true
 		return
 	}
-	c.nulls[i] = false
+	if c.nulls != nil {
+		c.nulls[i] = false
+	}
 	switch physKind(c.Type) {
 	case KindInt, KindDate:
 		c.ints[i] = v.I
@@ -291,7 +313,9 @@ func NewTable(def *schema.Table) *Table {
 func (t *Table) Grow(n int) {
 	for i := range t.cols {
 		c := &t.cols[i]
-		c.nulls = slices.Grow(c.nulls, n)
+		if c.nulls != nil {
+			c.nulls = slices.Grow(c.nulls, n)
+		}
 		switch physKind(c.Type) {
 		case KindInt, KindDate:
 			c.ints = slices.Grow(c.ints, n)
@@ -425,7 +449,7 @@ func (t *Table) Delete(rowIDs []int) int {
 	t.epoch++
 	for c := range t.cols {
 		col := &t.cols[c]
-		col.nulls = compact(col.nulls, victim)
+		col.nulls = compact(col.nulls, victim) // nil stays nil
 		col.ints, col.flts = compact(col.ints, victim), compact(col.flts, victim)
 		col.strs, col.codes = compact(col.strs, victim), compact(col.codes, victim)
 	}
@@ -447,9 +471,10 @@ func compact[T any](v []T, victim []bool) []T {
 
 // Raw exposes the column's physical vectors for vectorized execution:
 // the physical kind, the payload slice valid for that kind, and the
-// null vector. A string column has either strs, or codes with the
-// dictionary they index (row i holds dict[codes[i]]; the order of dict
-// means nothing). Callers must treat the slices as read-only.
+// null vector — nil when no row is NULL, else one entry per row. A
+// string column has either strs, or codes with the dictionary they
+// index (row i holds dict[codes[i]]; the order of dict means nothing).
+// Callers must treat the slices as read-only.
 func (c *Column) Raw() (k Kind, ints []int64, flts []float64, strs []string, codes []uint16, dict []string, nulls []bool) {
 	if c.dict != nil {
 		dict = c.dict.vals
@@ -457,9 +482,10 @@ func (c *Column) Raw() (k Kind, ints []int64, flts []float64, strs []string, cod
 	return physKind(c.Type), c.ints, c.flts, c.strs, c.codes, dict, c.nulls
 }
 
-// ScanInt64 returns the raw int64 vector and null bitmap for a key
+// ScanInt64 returns the raw int64 vector and null vector for a key
 // column — the zero-copy path used by hash joins and bitmap index
-// construction. It panics if the column is not integer-typed.
+// construction; nulls is nil when no row is NULL. It panics if the
+// column is not integer-typed.
 func (t *Table) ScanInt64(col int) (vals []int64, nulls []bool) {
 	c := &t.cols[col]
 	if k := physKind(c.Type); k != KindInt && k != KindDate {
@@ -467,6 +493,10 @@ func (t *Table) ScanInt64(col int) (vals []int64, nulls []bool) {
 	}
 	return c.ints, c.nulls
 }
+
+// IsNull reports whether row i is NULL by a null vector from Raw or
+// ScanInt64: a nil vector holds no NULL.
+func IsNull(nulls []bool, i int) bool { return nulls != nil && nulls[i] }
 
 // DB is a named collection of tables — the system under test.
 type DB struct {

@@ -1,9 +1,10 @@
 // Package storage implements the in-memory columnar storage engine the
-// benchmark workload runs against: typed column vectors with null
-// bitmaps, tables addressed by row id, and the pipe-separated flat-file
-// format the data generator emits and the data-maintenance workload
-// consumes (paper §4.2: "the data extraction step ... is assumed and
-// represented in the benchmark in the form of generated flat files").
+// benchmark workload runs against: typed column vectors, with a null
+// vector only on a column that has held a NULL, tables addressed by row
+// id, and the pipe-separated flat-file format the data generator emits
+// and the data-maintenance workload consumes (paper §4.2: "the data
+// extraction step ... is assumed and represented in the benchmark in
+// the form of generated flat files").
 package storage
 
 import (
