@@ -103,13 +103,13 @@ func collectAggregates(e sql.Expr, aggs map[string]*sql.FuncCall, windows map[st
 // aggregate executes the grouping path: aggregation of the joined rows
 // under every grouping mask, windowed aggregates over the groups, then
 // HAVING, projection, DISTINCT, ORDER BY and LIMIT.
-func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderBy []sql.OrderItem) (*Result, []schema.Type, error) {
+func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderBy []sql.OrderItem) (*block, error) {
 	// Gather distinct aggregate and window calls across all clauses.
 	aggMap := map[string]*sql.FuncCall{}
 	winMap := map[string]*sql.Window{}
 	for _, item := range stmt.Items {
 		if item.Star {
-			return nil, nil, fmt.Errorf("SELECT * cannot be combined with aggregation")
+			return nil, fmt.Errorf("SELECT * cannot be combined with aggregation")
 		}
 		collectAggregates(item.Expr, aggMap, winMap)
 	}
@@ -127,7 +127,7 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderB
 	for _, g := range stmt.GroupBy {
 		be, err := b.bind(g)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		slots[g.Render()] = &colExpr{off: len(groupExprs), t: be.typ()}
 		groupExprs = append(groupExprs, be)
@@ -138,7 +138,7 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderB
 	for render, fc := range aggMap {
 		arg, err := b.bindArg(fc, "aggregate argument", false)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		specs = append(specs, aggSpec{render: render, fn: fc.Name, arg: arg, distinct: fc.Distinct})
 	}
@@ -150,9 +150,9 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderB
 	fullMask := uint(1)<<uint(len(groupExprs)) - 1
 	masks := []uint{fullMask}
 	if (stmt.Rollup || stmt.Cube) && len(winMap) > 0 {
-		return nil, nil, fmt.Errorf("ROLLUP/CUBE cannot be combined with window functions")
+		return nil, fmt.Errorf("ROLLUP/CUBE cannot be combined with window functions")
 	} else if stmt.Cube && len(groupExprs) > 12 {
-		return nil, nil, fmt.Errorf("CUBE over %d columns exceeds the supported 12", len(groupExprs))
+		return nil, fmt.Errorf("CUBE over %d columns exceeds the supported 12", len(groupExprs))
 	}
 	switch {
 	case stmt.Rollup:
@@ -174,7 +174,7 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderB
 		})
 		masks = append(masks, subsets...)
 	}
-	aggRows := e.groupRows(&rowSource{b: b, rs: rows, n: rows.n}, groupExprs, specs, masks, len(winMap))
+	layout, n := e.groupRows(&rowSource{b: b, rs: rows, n: rows.n}, groupExprs, specs, masks)
 
 	// The aggregates' slots follow the group expressions'.
 	for i, spec := range specs {
@@ -183,20 +183,20 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderB
 
 	// Windows, in render order, over the aggregated layout: each groups
 	// the aggregated rows by its partition — key ids, group ids and cells
-	// as above — and appends its value to every row, in a slot past the
-	// aggregates.
-	b.slots = slots
-	defer func() { b.slots = nil }()
+	// as above — and adds its value at every row as a vector, a slot past
+	// the aggregates.
+	b.slots, b.layout = slots, layout
+	defer func() { b.slots, b.layout = nil, nil }()
 	var renders []string
 	for render := range winMap {
 		renders = append(renders, render)
 	}
 	slices.Sort(renders)
 	for wi, render := range renders {
-		w, src := winMap[render], &rowSource{b: b, vals: aggRows, n: len(aggRows)}
+		w, src := winMap[render], &rowSource{b: b, n: n}
 		arg, err := b.bindArg(w.Agg, "window argument", true)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		a := &aggAcc{spec: aggSpec{fn: w.Agg.Name, arg: arg}}
 		if arg != nil {
@@ -207,41 +207,43 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderB
 		for _, p := range w.PartitionBy {
 			bp, err := b.bindIn(p, "window partition", true)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			keys = append(keys, e.keyIDs(b.qc, src.view(bp), src.n))
 		}
 		gids, first := groupIDs(b.qc, keys, uint(1)<<uint(len(keys))-1, src.n)
-		st := a.fold(b.qc, gids, len(first))
+		st, t := a.fold(b.qc, gids, len(first)), aggOutType(a.spec.fn, a.spec.arg)
+		var col colReader
+		col.resize(kindOf(t), n, nil)
 		for ri, g := range gids {
-			if ri < len(aggRows) {
-				aggRows[ri] = append(aggRows[ri], st.result(int(g)))
-			}
+			col.set(ri, st.result(int(g)))
 		}
-		slots[render] = &colExpr{off: len(groupExprs) + len(specs) + wi, t: aggOutType(a.spec.fn, a.spec.arg)}
+		b.layout = append(b.layout, col)
+		slots[render] = &colExpr{off: len(groupExprs) + len(specs) + wi, t: t}
 	}
 
 	// HAVING, projection and ORDER BY over the aggregated layout.
 	if stmt.Having != nil {
 		hv, err := b.bindIn(stmt.Having, "HAVING", true)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		w := 0
-		b.compileFilter([]bexpr{hv}).passing(b.qc, len(aggRows), batchLen, nil, aggRows, func(sel []int32) {
-			for _, p := range sel {
-				aggRows[w] = aggRows[p]
-				w++
+		var kept []int32
+		b.compileFilter([]bexpr{hv}).passing(b.qc, n, batchLen, nil, func(sel []int32) { kept = append(kept, sel...) })
+		for k, cr := range b.layout { // the kept rows, into vectors of their own
+			b.layout[k] = colReader{}
+			b.layout[k].resize(cr.kind, len(kept), cr.dict)
+			for j, r := range kept {
+				b.layout[k].put(j, &cr, r)
 			}
-		})
-		aggRows = aggRows[:w]
+		}
+		n = len(kept)
 	}
 	cols, types, projs, keys, err := b.bindOutput(stmt, orderBy, true)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	src := &rowSource{b: b, vals: aggRows, n: len(aggRows)}
-	return e.finish(src, projs, keys, orderBy, stmt.Distinct, stmt.Limit, stmt.Offset, cols), types, nil
+	return e.finish(&rowSource{b: b, n: n}, projs, keys, orderBy, stmt.Distinct, stmt.Limit, stmt.Offset, cols, types), nil
 }
 
 // bindArg binds an aggregate call's argument: nil for COUNT(*).
@@ -254,11 +256,12 @@ func (b *binder) bindArg(fc *sql.FuncCall, clause string, agg bool) (bexpr, erro
 	return b.bindIn(fc.Args[0], clause, agg)
 }
 
-// groupRows aggregates src under each grouping mask into rows of the
-// aggregated layout: the group expressions (NULL where the mask leaves
-// one out), the aggregates, and room for extra (window) columns. Every
-// aggregate folds the rows in row order.
-func (e *Engine) groupRows(src *rowSource, groups []bexpr, specs []aggSpec, masks []uint, extra int) [][]storage.Value {
+// groupRows aggregates src under each grouping mask into the n rows of
+// the aggregated layout, the masks' groups one after another: a typed
+// vector per group expression (NULL where the mask leaves it out; codes
+// stay codes) and per aggregate. Every aggregate folds the rows in row
+// order.
+func (e *Engine) groupRows(src *rowSource, groups []bexpr, specs []aggSpec, masks []uint) (layout []colReader, n int) {
 	qc := src.b.qc
 	vals, keys := make([]keySource, len(groups)), make([]keyVec, len(groups))
 	for i, g := range groups {
@@ -280,8 +283,8 @@ func (e *Engine) groupRows(src *rowSource, groups []bexpr, specs []aggSpec, mask
 	perRow := int64(src.n) * int64(4*len(groups)+12) // key ids, group ids, a combined key
 	qc.growScratch(perRow)
 	defer qc.shrinkScratch(perRow)
-	var out [][]storage.Value
-	for _, mask := range masks {
+	firsts, states := make([][]int32, len(masks)), make([][]aggState, len(masks))
+	for m, mask := range masks {
 		gids, first := groupIDs(qc, keys, mask, src.n)
 		if mask == 0 && len(first) == 0 {
 			first = []int32{-1} // a global aggregate over no rows has one group
@@ -299,27 +302,37 @@ func (e *Engine) groupRows(src *rowSource, groups []bexpr, specs []aggSpec, mask
 				a.firsts = firsts
 			}
 		}
-		states := make([]aggState, len(accs))
+		firsts[m], states[m] = first, make([]aggState, len(accs))
 		for i, a := range accs {
-			states[i] = a.fold(qc, gids, len(first))
+			states[m][i] = a.fold(qc, gids, len(first))
 		}
-		out = slices.Grow(out, len(first))
-		for k, f := range first {
-			r := make([]storage.Value, 0, len(groups)+len(specs)+extra)
-			for i, x := range vals {
-				v := storage.Null
+		n += len(first)
+	}
+	layout = make([]colReader, len(groups)+len(specs))
+	for i := range vals {
+		layout[i].resize(vals[i].col.kind, n, vals[i].col.dict)
+	}
+	for i, a := range accs {
+		layout[len(groups)+i].resize(kindOf(aggOutType(a.spec.fn, a.spec.arg)), n, nil)
+	}
+	j := 0
+	for m, mask := range masks {
+		qc.checkNow()
+		for k, f := range firsts[m] {
+			for i := range vals {
+				r := int32(-1)
 				if mask&(1<<uint(i)) != 0 && f >= 0 {
-					v = x.value(f)
+					r = vals[i].row(f)
 				}
-				r = append(r, v)
+				layout[i].put(j, &vals[i].col, r)
 			}
-			for _, s := range states {
-				r = append(r, s.result(k))
+			for i, st := range states[m] {
+				layout[len(groups)+i].set(j, st.result(k))
 			}
-			out = append(out, r)
+			j++
 		}
 	}
-	return out
+	return layout, n
 }
 
 // keyVec numbers the values of one expression: ids[i] is 0 for a NULL,

@@ -412,3 +412,51 @@ func TestAggregateAllocationBudget(t *testing.T) {
 		t.Errorf("aggregating 16x the rows into the same groups made %d allocations, not about %d: is an operator allocating per row again?", large, small)
 	}
 }
+
+// TestIntermediateAllocationBudget guards the one intermediate form: a
+// materialized CTE and an IN subquery's result are typed vectors, so the
+// bytes a query allocates for each more row of them stay near the
+// payload's 8 bytes a cell — not a boxed storage.Value (40 bytes) per
+// cell and a row header (24) per row, re-encoded into a table after. The
+// cost per row is the difference between two table sizes, so what a
+// query allocates once does not count. (The IN subquery is a NOT IN,
+// which decorrelation leaves as a subquery.)
+func TestIntermediateAllocationBudget(t *testing.T) {
+	queries := []struct {
+		name, text string
+		cells      int
+	}{
+		{"CTE", `WITH c AS (SELECT t_a, t_b, t_c, t_d FROM t) SELECT COUNT(*) n FROM c WHERE t_c < 0`, 4},
+		{"IN subquery", `SELECT COUNT(*) n FROM t WHERE t_c < 0 AND t_b NOT IN (SELECT t_b FROM t)`, 1},
+	}
+	allocated := func(rows int, text string) uint64 {
+		db := storage.NewDB()
+		tab := db.Create(&schema.Table{Name: "t", Kind: schema.Fact, Columns: []schema.Column{
+			{Name: "t_a", Type: schema.Identifier}, {Name: "t_b", Type: schema.Integer},
+			{Name: "t_c", Type: schema.Decimal}, {Name: "t_d", Type: schema.Date},
+		}})
+		for r := 0; r < rows; r++ {
+			tab.Append([]storage.Value{storage.Int(int64(r)), storage.Int(int64(r % 16)),
+				storage.Float(float64(r) / 4), storage.DateV(int64(r % 400))})
+		}
+		e := New(db)
+		if _, err := e.Query(text); err != nil { // warm: plan, statistics
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := e.Query(text); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const small, large = 16 << 10, 64 << 10
+	for _, c := range queries {
+		perRow := float64(allocated(large, c.text)-allocated(small, c.text)) / (large - small)
+		t.Logf("%s: %.1f bytes a row, %d cells of 8 payload bytes", c.name, perRow, c.cells)
+		if perRow > float64(3*8*c.cells) {
+			t.Errorf("%s: %.1f bytes allocated a row of %d cells, over 3x the payload's 8 bytes a cell: are intermediates boxed again?", c.name, perRow, c.cells)
+		}
+	}
+}

@@ -6,9 +6,10 @@
 // expression's static kind, a string on dictionary codes where the
 // dictionary is known at compile time. Predicates are the boolean case:
 // kernels writing 1 true, 0 false, -1 unknown. A position is what the
-// frame binds it to: a row of the filtered table (frame.ids nil), an
-// intermediate row of a rowSet (frame.ids; an id of -1 reads NULL) or an
-// aggregated row (frame.vals). Programs replicate bexpr.eval bit for bit;
+// frame binds it to: a row of the filtered table (frame.ids nil) or an
+// intermediate row of a rowSet (frame.ids; an id of -1 reads NULL); a
+// slot of the aggregated layout (binder.layout, typed vectors) is read
+// at the position itself. Programs replicate bexpr.eval bit for bit;
 // kernel_test.go holds every node the 99 templates run to eval
 // (Engine.vecHook). DESIGN.md "Batch execution" has the rest.
 package exec
@@ -160,6 +161,16 @@ func (cr *colReader) put(j int, src *colReader, r int32) {
 	}
 }
 
+// putVia is put with src's code read through remap into cr's
+// dictionary when remap is set.
+func (cr *colReader) putVia(j int, src *colReader, r int32, remap []uint16) {
+	if remap == nil || r < 0 || src.null(r) {
+		cr.put(j, src, r)
+		return
+	}
+	cr.nulls[j], cr.codes[j] = false, remap[src.codes[r]]
+}
+
 // set writes v, of cr's kind or NULL, into entry j.
 func (cr *colReader) set(j int, v storage.Value) {
 	if cr.nulls[j] = v.IsNull(); cr.nulls[j] {
@@ -289,11 +300,11 @@ func (tf *tableFilter) scan(qc *qctx, batch int, ids []int32, lo, hi int, fn fun
 }
 
 // passing streams the positions of [0, n) that pass, batch by batch, on
-// a frame bound to ids or vals; fn may compact the bound rows in place
-// (later batches read later positions only). It counts no batch.
-func (tf *tableFilter) passing(qc *qctx, n, batch int, ids [][]int32, vals [][]storage.Value, fn func(sel []int32)) {
+// a frame bound to ids; fn may compact the rows read in place (later
+// batches read later positions only). It counts no batch.
+func (tf *tableFilter) passing(qc *qctx, n, batch int, ids [][]int32, fn func(sel []int32)) {
 	sc := tf.newScratch(batch)
-	sc.fr.ids, sc.fr.vals = ids, vals
+	sc.fr.ids = ids
 	for base := 0; base < n; base += batch {
 		qc.checkNow()
 		sel := sc.sel[:min(batch, n-base)]
@@ -359,11 +370,10 @@ type slot struct {
 }
 
 // frame is the binding and scratch for running the programs of one
-// vcomp: what positions name (ids, vals; see the package comment) and
-// one slot per node.
+// vcomp: what positions name (ids; see the package comment) and one
+// slot per node.
 type frame struct {
 	ids   [][]int32
-	vals  [][]storage.Value
 	slots []slot
 }
 
@@ -474,19 +484,13 @@ func (c *vcomp) value(e bexpr) vnode {
 
 // column reads a table column through the frame's id vector for its
 // table (none: the positions are its rows), or a slot of the aggregated
-// layout (no table bit).
+// layout (no table bit) at the positions themselves.
 func (c *vcomp) column(e *colExpr) vnode {
-	k := c.slot()
 	if e.tblBit == 0 {
-		off, kind := e.off, kindOf(e.t)
-		return vnode{kind: kind, val: func(fr *frame, sel []int32) view {
-			out := fr.out(k, kind, len(sel), nil)
-			for j, p := range sel {
-				out.set(j, conform(fr.vals[p][off], kind))
-			}
-			return view{out, seq[:len(sel)]}
-		}}
+		cr := c.b.layout[e.off]
+		return vnode{kind: cr.kind, dict: cr.dict, val: func(_ *frame, sel []int32) view { return view{&cr, sel} }}
 	}
+	k := c.slot()
 	ti := bitIndex(e.tblBit)
 	cr, ok := c.b.kernelCol(ti, e)
 	if !ok {
@@ -579,7 +583,7 @@ func (c *vcomp) function(fn func([]storage.Value) storage.Value, es []bexpr, t s
 }
 
 // maxMergedDict bounds the dictionaries a choice merges at compile
-// time: past it, strings are decoded.
+// time, or a UNION ALL column: past it, strings are decoded.
 const maxMergedDict = 4096
 
 // recode returns s's code in dict, appending it on first sight.
@@ -601,15 +605,16 @@ func (c *vcomp) choice(conds, results []bexpr, elseE bexpr, t schema.Type) vnode
 	if elseE != nil {
 		results = append(results[:len(results):len(results)], elseE)
 	}
-	cs, rs := make([]triFn, len(conds)), make([]vnode, len(results))
+	cs, rs, dicts := make([]triFn, len(conds)), make([]vnode, len(results)), make([][]string, len(results))
 	for i, e := range conds {
 		cs[i] = c.tri(e)
 	}
 	for i, e := range results {
 		rs[i] = c.val(e)
+		dicts[i] = rs[i].dict
 	}
 	kind, k := kindOf(t), c.slot()
-	dict, remaps := mergeDicts(kind, rs)
+	dict, remaps := mergeDicts(kind, dicts)
 	return vnode{kind: kind, dict: dict, val: func(fr *frame, sel []int32) view {
 		n, s := len(sel), &fr.slots[k]
 		tri, views := grow(&s.tri, n*len(cs)), grow(&s.views, len(rs))
@@ -635,31 +640,27 @@ func (c *vcomp) choice(conds, results []bexpr, elseE bexpr, t schema.Type) vnode
 				out.nulls[j] = true
 				continue
 			}
-			v := views[b]
-			if r := v.idx[j]; remaps != nil && !v.cr.null(r) {
-				out.nulls[j], out.codes[j] = false, remaps[b][v.cr.codes[r]]
-			} else {
-				out.put(j, v.cr, r)
-			}
+			out.putVia(j, views[b].cr, views[b].idx[j], remaps[b])
 		}
 		return view{out, seq[:n]}
 	}}
 }
 
-// mergeDicts merges the dictionaries of string results into one, each
-// string once: remaps[i][c] is result i's code c there. nil unless
-// every result is on a dictionary and they are small.
-func mergeDicts(kind storage.Kind, rs []vnode) (dict []string, remaps [][]uint16) {
+// mergeDicts merges the dictionaries of string vectors into one, each
+// string once: remaps[i][c] is vector i's code c there. dict is nil, and
+// every remap, unless every vector is on a dictionary and they are small.
+func mergeDicts(kind storage.Kind, dicts [][]string) (dict []string, remaps [][]uint16) {
+	none := make([][]uint16, len(dicts))
 	if kind != storage.KindString {
-		return nil, nil
+		return nil, none
 	}
 	codes, dict := map[string]uint16{}, []string{}
-	for _, r := range rs {
-		if r.dict == nil || len(dict)+len(r.dict) > maxMergedDict {
-			return nil, nil
+	for _, d := range dicts {
+		if d == nil || len(dict)+len(d) > maxMergedDict {
+			return nil, none
 		}
-		m := make([]uint16, len(r.dict))
-		for i, s := range r.dict {
+		m := make([]uint16, len(d))
+		for i, s := range d {
 			m[i] = recode(codes, &dict, s)
 		}
 		remaps = append(remaps, m)

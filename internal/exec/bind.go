@@ -33,6 +33,7 @@ type binder struct {
 	tables []tabInst
 	total  int
 	slots  map[string]bexpr
+	layout []colReader // the aggregated layout's vectors the slots read
 	// sels caches each table's selection during joinRows; nil outside it.
 	sels []*selection
 }
@@ -302,21 +303,25 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 		}
 		in := &inExpr{x: x, set: map[string]bool{}, not: v.Not}
 		if v.Sub != nil {
-			res, _, err := b.subqueryResult(v.Sub)
+			tab, err := b.eng.materialize(b.qc, "subquery", "", v.Sub, b.ctes)
 			if err != nil {
 				return nil, fmt.Errorf("IN subquery: %w", err)
 			}
-			if len(res.Columns) != 1 {
-				return nil, fmt.Errorf("IN subquery must return one column, got %d", len(res.Columns))
+			if tab.NumCols() != 1 {
+				return nil, fmt.Errorf("IN subquery must return one column, got %d", tab.NumCols())
 			}
-			for _, row := range res.Rows {
+			col, key := tab.Col(0), []byte(nil)
+			for r := 0; r < col.Len(); r++ {
 				b.qc.tick()
-				if row[0].IsNull() {
+				m := col.Get(r)
+				if m.IsNull() {
 					in.hasNull = true
 					continue
 				}
-				in.set[row[0].GroupKey()] = true
-				in.vals = append(in.vals, row[0])
+				if key = m.AppendGroupKey(key[:0]); !in.set[string(key)] {
+					in.set[string(key)] = true
+					in.vals = append(in.vals, m)
+				}
 			}
 			return in, nil
 		}
@@ -402,21 +407,21 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 	case *sql.Window:
 		return nil, fmt.Errorf("window function not allowed in this context")
 	case *sql.SubQuery:
-		res, types, err := b.subqueryResult(v.Select)
+		tab, err := b.eng.materialize(b.qc, "subquery", "", v.Select, b.ctes)
 		if err != nil {
 			return nil, fmt.Errorf("scalar subquery: %w", err)
 		}
-		if len(res.Columns) != 1 {
+		if tab.NumCols() != 1 {
 			return nil, fmt.Errorf("scalar subquery must return one column")
 		}
-		if len(res.Rows) > 1 {
-			return nil, fmt.Errorf("scalar subquery returned %d rows", len(res.Rows))
+		if n := tab.NumRows(); n > 1 {
+			return nil, fmt.Errorf("scalar subquery returned %d rows", n)
 		}
 		val := storage.Null
-		if len(res.Rows) == 1 {
-			val = conform(res.Rows[0][0], kindOf(types[0]))
+		if tab.NumRows() == 1 {
+			val = tab.Get(0, 0)
 		}
-		return &litExpr{v: val, t: types[0]}, nil
+		return &litExpr{v: val, t: tab.Def.Columns[0].Type}, nil
 	default:
 		return nil, fmt.Errorf("unsupported expression %T", e)
 	}

@@ -29,29 +29,66 @@ func referenceEngine(db *storage.DB) *Engine {
 }
 
 // referenceCases are statements over templateDB that reach what the
-// 99 templates never do there: the CSE memo (no template repeats a
-// subquery or a CTE body; these repeat both, identically and with one
+// 99 templates never do there, each with what it must reach as the
+// engine plans it: the CSE memo (no template repeats a subquery or a
+// CTE body; the "cse" cases repeat both, identically and with one
 // literal changed), a star transformation with fact-local and residual
 // predicates, and a star over a CTE dimension, whose surrogate keys are
-// not its row numbers plus one as in every generated dimension.
-var referenceCases = []string{
-	`SELECT COUNT(*) c FROM item
+// not its row numbers plus one as in every generated dimension. The
+// "rows" cases take the intermediates past the joins through their edges:
+// a UNION ALL of promoted and dictionary columns under ORDER BY, LIMIT
+// and OFFSET (past the end: "empty"), an empty CTE, a CTE column that is
+// NULL in every row, scalar subqueries over no row and one, IN and NOT IN
+// subqueries holding NULL, and windows with HAVING over the aggregated
+// layout.
+var referenceCases = []struct{ reach, text string }{
+	{"cse", `SELECT COUNT(*) c FROM item
 		WHERE i_current_price > (SELECT AVG(i_current_price) a FROM item WHERE i_category = 'Music')
 		AND i_wholesale_cost < (SELECT AVG(i_current_price) a FROM item WHERE i_category = 'Books')
-		AND i_wholesale_cost > (SELECT AVG(i_current_price) a FROM item WHERE i_category = 'Music') / 4`,
-	`SELECT COUNT(*) c FROM item
+		AND i_wholesale_cost > (SELECT AVG(i_current_price) a FROM item WHERE i_category = 'Music') / 4`},
+	{"cse", `SELECT COUNT(*) c FROM item
 		WHERE i_current_price > (WITH t AS (SELECT i_current_price p FROM item WHERE i_category = 'Music') SELECT AVG(p) a FROM t)
 		AND i_wholesale_cost < (WITH t AS (SELECT i_current_price p FROM item WHERE i_category = 'Books') SELECT AVG(p) a FROM t)
-		AND i_wholesale_cost > (WITH t AS (SELECT i_current_price p FROM item WHERE i_category = 'Music') SELECT MIN(p) a FROM t)`,
-	`SELECT ss_ticket_number, ss_quantity, i_item_id, d_date FROM store_sales, item, date_dim
+		AND i_wholesale_cost > (WITH t AS (SELECT i_current_price p FROM item WHERE i_category = 'Music') SELECT MIN(p) a FROM t)`},
+	{"star", `SELECT ss_ticket_number, ss_quantity, i_item_id, d_date FROM store_sales, item, date_dim
 		WHERE ss_item_sk = i_item_sk AND ss_sold_date_sk = d_date_sk
 		AND d_year IN (1999, 2000, 2001, 2002) AND d_moy IN (11, 12) AND i_category IN ('Music', 'Books', 'Home', 'Sports')
 		AND ss_quantity > 20 AND ss_sales_price < i_current_price
-		ORDER BY ss_ticket_number, i_item_id`,
-	`WITH dec AS (SELECT d_date_sk, d_date FROM date_dim WHERE d_moy = 12 AND d_year IN (1999, 2000, 2001, 2002))
+		ORDER BY ss_ticket_number, i_item_id`},
+	{"star", `WITH dec AS (SELECT d_date_sk, d_date FROM date_dim WHERE d_moy = 12 AND d_year IN (1999, 2000, 2001, 2002))
 		SELECT ss_ticket_number, i_item_id, d_date FROM store_sales, item, dec
 		WHERE ss_item_sk = i_item_sk AND ss_sold_date_sk = d_date_sk AND i_category IN ('Music', 'Books', 'Home', 'Sports')
-		ORDER BY ss_ticket_number, i_item_id`,
+		ORDER BY ss_ticket_number, i_item_id`},
+	{"rows", `SELECT i_category c, i_current_price p FROM item WHERE i_category = 'Music'
+		UNION ALL SELECT i_class, i_manager_id FROM item WHERE i_category = 'Books'
+		UNION ALL SELECT d_day_name, d_moy FROM date_dim WHERE d_year = 2000 AND d_dom = 1
+		ORDER BY p DESC, c LIMIT 25 OFFSET 3`},
+	{"empty", `SELECT i_category c, i_current_price p FROM item WHERE i_category = 'Music'
+		UNION ALL SELECT i_class, i_manager_id FROM item WHERE i_category = 'Books'
+		ORDER BY 2, 1 LIMIT 10 OFFSET 100000`},
+	{"rows", `WITH none AS (SELECT i_item_sk k, i_category c, i_current_price p FROM item WHERE i_current_price < 0)
+		SELECT i_item_id, c, p, (SELECT COUNT(*) n FROM none) n, (SELECT MAX(c) m FROM none) m
+		FROM item LEFT JOIN none ON i_item_sk = k WHERE i_item_sk < 20 ORDER BY i_item_id`},
+	{"rows", `WITH blank AS (SELECT i_item_sk k, CASE WHEN i_current_price < 0 THEN i_category END c,
+			CASE WHEN i_current_price < 0 THEN i_current_price END p, i_brand b FROM item)
+		SELECT c, b, COUNT(*) n, SUM(p) s, MAX(c) m, COUNT(c) cc FROM blank
+		WHERE k < 60 AND c IS NULL GROUP BY c, b ORDER BY b`},
+	{"rows", `SELECT i_item_id, (SELECT i_current_price p FROM item WHERE i_item_sk = 3) one,
+			(SELECT i_current_price p FROM item WHERE i_item_sk < 0) none
+		FROM item WHERE i_item_sk < 8
+		AND i_current_price > COALESCE((SELECT i_wholesale_cost w FROM item WHERE i_item_sk < 0), 0)
+		AND i_current_price <> (SELECT i_current_price p FROM item WHERE i_item_sk = 3)
+		ORDER BY i_item_id`},
+	{"rows", `SELECT i_item_sk FROM item
+		WHERE i_item_sk IN (SELECT CASE WHEN i_item_sk > 5 THEN i_item_sk END k FROM item WHERE i_item_sk < 12)
+		ORDER BY i_item_sk`},
+	{"rows", `SELECT COUNT(*) n, SUM(CASE WHEN i_item_sk NOT IN (SELECT CASE WHEN i_item_sk > 5 THEN i_item_sk END k FROM item WHERE i_item_sk < 12) IS NULL THEN 1 ELSE 0 END) u
+		FROM item WHERE i_item_sk NOT IN (SELECT i_item_sk FROM item WHERE i_item_sk > 5)`},
+	{"rows", `SELECT i_category c, i_class k, SUM(i_current_price) s,
+			SUM(SUM(i_current_price)) OVER (PARTITION BY i_category) cs, COUNT(*) OVER (PARTITION BY i_category) nk
+		FROM item GROUP BY i_category, i_class
+		HAVING SUM(i_current_price) * 8 > SUM(SUM(i_current_price)) OVER (PARTITION BY i_category)
+		ORDER BY c, s DESC, k`},
 }
 
 // TestPlannedEqualsReferenceAllTemplates is the order-safety
@@ -77,8 +114,8 @@ func TestPlannedEqualsReferenceAllTemplates(t *testing.T) {
 		}
 		labels, texts = append(labels, fmt.Sprintf("query %d", tpl.ID)), append(texts, text)
 	}
-	for i, text := range referenceCases {
-		labels, texts = append(labels, fmt.Sprintf("case %d", i)), append(texts, text)
+	for i, c := range referenceCases {
+		labels, texts = append(labels, fmt.Sprintf("case %d", i)), append(texts, c.text)
 	}
 	for i, text := range texts {
 		want, err := ref.Query(text)
@@ -96,18 +133,20 @@ func TestPlannedEqualsReferenceAllTemplates(t *testing.T) {
 			assertSameResult(t, labels[i]+" "+c.name, want, got)
 		}
 	}
-	// The cases reach what they are there for, with rows to compare.
-	for i, text := range referenceCases {
-		res, tr, err := planned.QueryTraced(text)
+	// The cases reach what they are there for, with rows to compare
+	// unless the case is there for the empty result.
+	for i, c := range referenceCases {
+		res, tr, err := planned.QueryTraced(c.text)
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Logf("case %d: %d rows", i, len(res.Rows))
 		switch {
-		case len(res.Rows) == 0:
-			t.Errorf("case %d: an empty result proves nothing", i)
-		case i < 2 && tr.CSEHits == 0:
+		case (len(res.Rows) == 0) != (c.reach == "empty"):
+			t.Errorf("case %d: %d rows where the case is there for %s", i, len(res.Rows), c.reach)
+		case c.reach == "cse" && tr.CSEHits == 0:
 			t.Errorf("case %d: no subquery or CTE answered from the CSE memo", i)
-		case i >= 2 && tr.Strategy != plan.StarTransform:
+		case c.reach == "star" && tr.Strategy != plan.StarTransform:
 			t.Errorf("case %d: ran as %v, not as a star", i, tr.Strategy)
 		}
 	}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -489,6 +490,29 @@ func TestUnionAll(t *testing.T) {
 	}
 	if res.Rows[0][0].S != "acme" || res.Rows[2][0].S != "zeta" {
 		t.Errorf("union order = %v", res.Rows)
+	}
+}
+
+// TestUnionAllPromotes holds every row of a UNION ALL column to the
+// kind its blocks' types promote to — here an INTEGER block and a
+// DECIMAL one, so a float — whether the union is the query's output or a
+// CTE body, so both render each row alike.
+func TestUnionAllPromotes(t *testing.T) {
+	e := New(miniDB())
+	union := `SELECT d_year AS x FROM dates WHERE d_date_sk = 1
+		UNION ALL SELECT d_year * 1.5 AS x FROM dates WHERE d_date_sk = 1`
+	for _, text := range []string{union, "WITH u AS (" + union + ") SELECT x FROM u"} {
+		res := q(t, e, text)
+		var got []string
+		for _, row := range res.Rows {
+			if row[0].K != storage.KindFloat {
+				t.Errorf("%s: row %v is a %v, not a decimal", text, row, row[0].K)
+			}
+			got = append(got, row[0].String())
+		}
+		if want := []string{"2000.00", "3000.00"}; !slices.Equal(got, want) {
+			t.Errorf("%s renders %q, want %q", text, got, want)
+		}
 	}
 }
 

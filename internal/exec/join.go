@@ -148,7 +148,7 @@ func (e *Engine) executeJoinOrder(b *binder, order []int, filters []filterInfo, 
 func (b *binder) applyResidual(rs *rowSet, residual []bexpr) {
 	if len(residual) > 0 {
 		w := 0
-		b.compileFilter(residual).passing(b.qc, rs.n, batchLen, rs.ids, nil, func(sel []int32) { w = rs.keep(w, sel) })
+		b.compileFilter(residual).passing(b.qc, rs.n, batchLen, rs.ids, func(sel []int32) { w = rs.keep(w, sel) })
 		rs.truncate(w)
 	}
 }
@@ -307,7 +307,7 @@ func (e *Engine) leftHashJoin(b *binder, current *rowSet, lj leftJoin, filters [
 	var ok []int32 // the positions of the matches ON holds for
 	if on != nil {
 		cand := current.extend(b.qc, matches, lj.table)
-		on.passing(b.qc, cand.n, batchLen, cand.ids, nil, func(sel []int32) { ok = append(ok, sel...) })
+		on.passing(b.qc, cand.n, batchLen, cand.ids, func(sel []int32) { ok = append(ok, sel...) })
 	}
 	pairs := make([]matchPair, 0, current.n) // every row emits at least one pair
 	j, k := 0, 0

@@ -80,28 +80,24 @@ func checkPrograms(e *Engine) *vecChecker {
 }
 
 func (c *vecChecker) check(b *binder, e bexpr, fr *frame, sel []int32, v view, tri []int8) {
-	cols, row := exprCols(e), make([]storage.Value, b.total)
+	cols, r := exprCols(e), make([]storage.Value, max(b.total, len(b.layout)))
 	var bad []string
 	for j, p := range sel {
-		r := row
-		if fr.vals != nil {
-			r = fr.vals[p]
-		} else {
-			for _, col := range cols {
-				ti, id := bitIndex(col.tblBit), p
-				if ti < len(fr.ids) && fr.ids[ti] != nil {
-					id = fr.ids[ti][p]
-				}
-				r[col.off] = storage.Null
-				if inst := b.tableAt(ti); id >= 0 {
-					r[col.off] = inst.tab.Get(int(id), col.off-inst.offset)
-				}
+		for _, col := range cols {
+			if col.tblBit == 0 { // a slot of the aggregated layout, at the position
+				r[col.off] = b.layout[col.off].value(p)
+				continue
+			}
+			ti, id := bitIndex(col.tblBit), p
+			if ti < len(fr.ids) && fr.ids[ti] != nil {
+				id = fr.ids[ti][p]
+			}
+			r[col.off] = storage.Null
+			if inst := b.tableAt(ti); id >= 0 {
+				r[col.off] = inst.tab.Get(int(id), col.off-inst.offset)
 			}
 		}
 		want, kind := e.eval(r), kindOf(e.typ())
-		if ce, ok := e.(*colExpr); ok && ce.tblBit == 0 {
-			want = conform(want, kind) // an aggregated layout slot: a UNION ALL's column holds each block's kind
-		}
 		switch {
 		case !want.IsNull() && want.K != kind:
 			bad = append(bad, fmt.Sprintf("%s: eval gives a %v, typ() says %v", describeExpr(b, e), want.K, kind))

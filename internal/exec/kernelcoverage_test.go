@@ -122,7 +122,7 @@ func (w *predLister) statement(stmt *sql.SelectStmt, outer map[string]*storage.T
 	}
 	for _, cte := range stmt.With {
 		w.statement(cte.Select, ctes)
-		tab, err := w.e.materializeCTE(w.qc, cte, ctes)
+		tab, err := w.e.materialize(w.qc, "cte", cte.Name, cte.Select, ctes)
 		if err != nil {
 			w.t.Fatalf("WITH %s: %v", cte.Name, err)
 		}

@@ -235,37 +235,6 @@ func scopeSig(ctes map[string]*storage.Table) string {
 	return sb.String()
 }
 
-// subqueryResult evaluates an expression subquery (IN or scalar),
-// memoizing the result per query (except in the reference): repeated
-// identical subqueries — TPC-DS templates love `(select avg(...) from
-// ...)` guards repeated across union blocks — run once.
-func (b *binder) subqueryResult(sub *sql.SelectStmt) (*Result, []schema.Type, error) {
-	b.qc.startOp("subquery", "")
-	defer b.qc.endOp()
-	key := ""
-	if !b.eng.reference {
-		key = "sub|" + plan.Fingerprint(sub, true) + scopeSig(b.ctes)
-		if ent, ok := b.qc.cse[key]; ok {
-			b.qc.cseHits++
-			// Memo hit stays a leaf node — the profile's view of CSE reuse.
-			b.qc.opRowsOut(int64(len(ent.res.Rows)))
-			return ent.res, ent.types, nil
-		}
-	}
-	res, types, _, err := b.eng.runStatement(b.qc, sub, b.ctes)
-	if err != nil {
-		return nil, nil, err
-	}
-	b.qc.opRowsOut(int64(len(res.Rows)))
-	if key != "" {
-		if b.qc.cse == nil {
-			b.qc.cse = map[string]cseEntry{}
-		}
-		b.qc.cse[key] = cseEntry{res: res, types: types}
-	}
-	return res, types, nil
-}
-
 // costPlan produces the cost-based join plan for one select block,
 // consulting the plan cache first. fromCache reports a cache hit.
 func (e *Engine) costPlan(b *binder, stmt *sql.SelectStmt, filters []filterInfo, edges []joinEdge, isLeft map[int]bool, driver int, gOrder []int, connected bool) (plan.Cached, bool) {

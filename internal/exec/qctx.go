@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"tpcds/internal/obs"
-	"tpcds/internal/schema"
 	"tpcds/internal/storage"
 )
 
@@ -47,24 +46,15 @@ type qctx struct {
 	rowsScanned, buildRows, batches int
 	planCacheHits, planCacheMisses  int
 
-	// cse memoizes subquery and CTE evaluations within this query by
-	// literal-preserving fingerprint + CTE scope (cost planner only).
-	// Values are shared read-only; the query lifetime bounds the memo.
-	cse map[string]cseEntry
+	// cse memoizes CTE and subquery tables within this query
+	// (Engine.materialize). Tables are shared read-only; the query
+	// lifetime bounds the memo.
+	cse map[string]*storage.Table
 	// cseHits and decorrelated feed the query's trace (cseHits its
 	// counter too): memo reuses and IN-subquery predicates rewritten to
 	// joins.
 	cseHits      int
 	decorrelated int
-}
-
-// cseEntry is one memoized subquery evaluation: the raw result for
-// expression subqueries, plus the materialized table when the same
-// body backed a CTE.
-type cseEntry struct {
-	res   *Result
-	types []schema.Type
-	tab   *storage.Table
 }
 
 // tickInterval is the row-loop polling granularity: a context check
@@ -84,7 +74,7 @@ func (e *Engine) newQctx(ctx context.Context) *qctx {
 		//lint:ignore ctxflow nil-ctx fallback for the documented context-free wrappers; never overrides a caller-supplied ctx
 		ctx = context.Background()
 	}
-	q := &qctx{ctx: ctx, phase: "parse", qspan: obs.SpanFromContext(ctx), profiled: e.profiling}
+	q := &qctx{ctx: ctx, phase: "parse", qspan: obs.SpanFromContext(ctx), profiled: e.profiling, cse: map[string]*storage.Table{}}
 	if q.profiled || q.qspan != nil {
 		q.prof = obs.NewProfile("query")
 	}

@@ -175,14 +175,6 @@ func (k *keySource) row(i int32) int32 {
 	return i
 }
 
-// value returns the column's value at position i.
-func (k *keySource) value(i int32) storage.Value {
-	if r := k.row(i); r >= 0 {
-		return k.col.value(r)
-	}
-	return storage.Null
-}
-
 // intAt returns the raw int64 key at position i; ok=false on NULL
 // (NULL never joins).
 func (k *keySource) intAt(i int32) (int64, bool) {
@@ -247,19 +239,17 @@ func appendKeyPart(buf []byte, v storage.Value) []byte {
 }
 
 // rowSource is the input of the post-join operators: the joined rowSet
-// in the base layout, or, when rs is nil, materialised rows (vals, the
-// aggregated layout).
+// in the base layout, or, when rs is nil, the n rows of the binder's
+// aggregated layout.
 type rowSource struct {
-	b    *binder
-	rs   *rowSet
-	vals [][]storage.Value
-	n    int
+	b  *binder
+	rs *rowSet
+	n  int
 }
 
 // frame returns a frame of slots slots bound to src's rows.
 func (s *rowSource) frame(slots int) *frame {
 	fr := newFrame(slots)
-	fr.vals = s.vals
 	if s.rs != nil {
 		fr.ids = s.rs.ids
 	}
@@ -267,25 +257,39 @@ func (s *rowSource) frame(slots int) *frame {
 }
 
 // view reads e in every row of src for key numbering and aggregate
-// folds: a bare column through its table's id vector, anything else as
-// its program's output over all rows, a batch at a time.
+// folds: a bare column through its table's id vector, a slot of the
+// aggregated layout as it is, anything else gathered.
 func (s *rowSource) view(e bexpr) keySource {
 	if c, ok := e.(*colExpr); ok && s.rs != nil {
 		return s.b.keySources(s.rs, []*colExpr{c})[0]
+	} else if ok && c.tblBit == 0 {
+		return keySource{col: s.b.layout[c.off]}
 	}
-	c := &vcomp{b: s.b}
-	p, out := c.val(e), keySource{}
-	out.col.resize(p.kind, s.n, p.dict)
-	fr, pos := s.frame(c.slots), make([]int32, batchLen)
-	for base := 0; base < s.n; base += batchLen {
+	return keySource{col: s.gather(e, nil)}
+}
+
+// gather runs e's program over the rows at positions rows (nil: every
+// row of src), a batch at a time, into a vector of its own.
+func (s *rowSource) gather(e bexpr, rows []int32) colReader {
+	c, n := &vcomp{b: s.b}, len(rows)
+	p, out := c.val(e), colReader{}
+	if rows == nil {
+		n = s.n
+	}
+	out.resize(p.kind, n, p.dict)
+	fr, pos := s.frame(c.slots), make([]int32, min(n, batchLen))
+	for base := 0; base < n; base += batchLen {
 		s.b.qc.checkNow()
-		sel := pos[:min(batchLen, s.n-base)]
+		sel := pos[:min(batchLen, n-base)]
 		for i := range sel {
 			sel[i] = int32(base + i)
 		}
+		if rows != nil {
+			sel = rows[base : base+len(sel)]
+		}
 		v := p.val(fr, sel)
 		for j, r := range v.idx {
-			out.col.put(base+j, v.cr, r)
+			out.put(base+j, v.cr, r)
 		}
 	}
 	return out

@@ -81,8 +81,11 @@ func (e *Engine) query(ctx context.Context, text string, stmt *sql.SelectStmt) (
 			return nil, Trace{}, err
 		}
 	}
-	res, _, tr, err = e.runStatement(qc, e.rewrite(qc, stmt), nil)
-	return res, tr, err
+	out, tr, err := e.runStatement(qc, e.rewrite(qc, stmt), nil)
+	if err != nil {
+		return nil, Trace{}, err
+	}
+	return out.result(qc), tr, nil
 }
 
 // rewrite applies the planner's statement rewrites (IN-subquery
@@ -122,20 +125,69 @@ func recoveredError(qc *qctx, r any) error {
 	return fmt.Errorf("internal error in %s: %v", qc.phaseName(), r)
 }
 
+// block is a statement's output, the one intermediate form past the
+// joins: n rows of a typed vector per output column (codes where the
+// projection was on a dictionary). CTEs and subqueries bind it as a
+// table; only the query's head block is boxed into rows.
+type block struct {
+	cols  []string
+	types []schema.Type
+	vecs  []colReader
+	n     int
+}
+
+// result boxes the block, a column at a time, into the query's Result,
+// every row a window of one arena.
+func (bl *block) result(qc *qctx) *Result {
+	res, np := &Result{Columns: bl.cols, Rows: make([][]storage.Value, bl.n)}, len(bl.vecs)
+	arena := make([]storage.Value, bl.n*np)
+	for p := range bl.vecs {
+		qc.checkNow()
+		for i := range res.Rows {
+			arena[i*np+p] = bl.vecs[p].value(int32(i))
+		}
+	}
+	for i := range res.Rows {
+		res.Rows[i] = arena[i*np : (i+1)*np : (i+1)*np]
+	}
+	return res
+}
+
+// table makes the block an anonymous storage table over its vectors,
+// so a CTE is referenced like a base table; a repeated column name is
+// suffixed with its ordinal.
+func (bl *block) table(name string) *storage.Table {
+	def := &schema.Table{Name: name, Kind: schema.Dimension}
+	seen := map[string]bool{}
+	for i, col := range bl.cols {
+		cname := col
+		for seen[cname] {
+			cname = fmt.Sprintf("%s_%d", col, i)
+		}
+		seen[cname] = true
+		def.Columns = append(def.Columns, schema.Column{Name: cname, Type: bl.types[i], Nullable: true})
+	}
+	def.PrimaryKey = []string{def.Columns[0].Name}
+	tab := storage.NewTable(def)
+	for i, v := range bl.vecs {
+		tab.Adopt(i, v.ints, v.flts, v.strs, v.codes, v.dict, v.nulls)
+	}
+	return tab
+}
+
 // runStatement materializes WITH clauses, dispatches union chains, and
-// runs the head select. It returns the result, per-column types (for
-// CTE materialization), and the trace of the head block (CTE and
-// subquery traces stay local to their execution).
-func (e *Engine) runStatement(qc *qctx, stmt *sql.SelectStmt, outer map[string]*storage.Table) (*Result, []schema.Type, Trace, error) {
+// runs the head select. It returns the output and the trace of the head
+// block (CTE and subquery traces stay local to their execution).
+func (e *Engine) runStatement(qc *qctx, stmt *sql.SelectStmt, outer map[string]*storage.Table) (*block, Trace, error) {
 	ctes := map[string]*storage.Table{}
 	for k, v := range outer {
 		ctes[k] = v
 	}
 	for _, cte := range stmt.With {
 		qc.checkNow()
-		tab, err := e.materializeCTE(qc, cte, ctes)
+		tab, err := e.materialize(qc, "cte", cte.Name, cte.Select, ctes)
 		if err != nil {
-			return nil, nil, Trace{}, fmt.Errorf("WITH %s: %w", cte.Name, err)
+			return nil, Trace{}, fmt.Errorf("WITH %s: %w", cte.Name, err)
 		}
 		ctes[cte.Name] = tab
 	}
@@ -145,126 +197,113 @@ func (e *Engine) runStatement(qc *qctx, stmt *sql.SelectStmt, outer map[string]*
 	return e.runSelect(qc, stmt, ctes)
 }
 
-// materializeCTE evaluates one CTE body into a storage table.
-// Identical bodies in identical CTE scopes are evaluated once per
-// query: the memo key is the literal-preserving
-// statement fingerprint plus the identity of every table in scope, so
-// a repeated subquery block (the classic TPC-DS "with ... as" reuse
-// pattern) shares both the evaluation and — because statistics are
-// keyed by table instance — the gathered statistics.
-func (e *Engine) materializeCTE(qc *qctx, cte sql.CTE, ctes map[string]*storage.Table) (*storage.Table, error) {
-	qc.startOp("cte", cte.Name)
+// materialize evaluates a CTE body (op "cte") or an expression
+// subquery (op "subquery") into a table, under a node of its kind.
+// Outside the reference, identical statements in identical CTE scopes
+// run once per query: the memo key is the literal-preserving
+// fingerprint plus the identity of every table in scope, so a repeated
+// block shares the evaluation and — statistics are keyed by table
+// instance — the gathered statistics.
+func (e *Engine) materialize(qc *qctx, op, name string, stmt *sql.SelectStmt, ctes map[string]*storage.Table) (*storage.Table, error) {
+	qc.startOp(op, name)
 	defer qc.endOp()
 	key := ""
 	if !e.reference {
-		key = "cte|" + plan.Fingerprint(cte.Select, true) + scopeSig(ctes)
-		if ent, ok := qc.cse[key]; ok && ent.tab != nil {
+		key = op + "|" + plan.Fingerprint(stmt, true) + scopeSig(ctes)
+		if tab, ok := qc.cse[key]; ok {
 			qc.cseHits++
 			// Memo hit: the node stays a leaf (no nested operator work),
 			// which is exactly what CSE reuse looks like in the profile.
-			qc.opRowsOut(int64(ent.tab.NumRows()))
-			return ent.tab, nil
+			qc.opRowsOut(int64(tab.NumRows()))
+			return tab, nil
 		}
 	}
-	res, types, _, err := e.runStatement(qc, cte.Select, ctes)
+	out, _, err := e.runStatement(qc, stmt, ctes)
 	if err != nil {
 		return nil, err
 	}
-	tab, err := materialize(cte.Name, res, types)
-	if err != nil {
-		return nil, err
-	}
+	tab := out.table(name)
 	qc.opRowsOut(int64(tab.NumRows()))
 	if key != "" {
-		if qc.cse == nil {
-			qc.cse = map[string]cseEntry{}
-		}
-		qc.cse[key] = cseEntry{res: res, types: types, tab: tab}
-	}
-	return tab, nil
-}
-
-// materialize turns a query result into an anonymous storage table so
-// CTEs can be referenced like base tables.
-func materialize(name string, res *Result, types []schema.Type) (*storage.Table, error) {
-	def := &schema.Table{Name: name, Kind: schema.Dimension}
-	seen := map[string]bool{}
-	for i, col := range res.Columns {
-		cname := col
-		for seen[cname] {
-			cname = fmt.Sprintf("%s_%d", col, i)
-		}
-		seen[cname] = true
-		t := schema.Char
-		if i < len(types) {
-			t = types[i]
-		}
-		def.Columns = append(def.Columns, schema.Column{Name: cname, Type: t, Nullable: true})
-	}
-	def.PrimaryKey = []string{def.Columns[0].Name}
-	tab := storage.NewTable(def)
-	tab.Grow(len(res.Rows))
-	for _, row := range res.Rows {
-		tab.Append(row)
+		qc.cse[key] = tab
 	}
 	return tab, nil
 }
 
 // runUnion executes a UNION ALL chain; ORDER BY / LIMIT of the head
-// apply to the concatenated result and may only reference output columns
-// by name or ordinal. The returned trace is the first block's (the
-// head's FROM clause).
-func (e *Engine) runUnion(qc *qctx, head *sql.SelectStmt, ctes map[string]*storage.Table) (*Result, []schema.Type, Trace, error) {
-	var out *Result
-	var types []schema.Type
+// apply to the concatenated output and may only reference output
+// columns by name or ordinal. The returned trace is the first block's
+// (the head's FROM clause).
+func (e *Engine) runUnion(qc *qctx, head *sql.SelectStmt, ctes map[string]*storage.Table) (*block, Trace, error) {
+	var blocks []*block
 	var headTrace Trace
-	orderBy := head.OrderBy
 	for cur := head; cur != nil; cur = cur.UnionAll {
 		qc.checkNow()
-		block := *cur
-		block.OrderBy = nil
-		block.Limit = -1
-		block.Offset = 0
-		block.UnionAll = nil
-		block.With = nil
-		res, ts, tr, err := e.runSelect(qc, &block, ctes)
+		one := *cur
+		one.OrderBy, one.Limit, one.Offset, one.UnionAll, one.With = nil, -1, 0, nil, nil
+		out, tr, err := e.runSelect(qc, &one, ctes)
 		if err != nil {
-			return nil, nil, Trace{}, err
+			return nil, Trace{}, err
 		}
-		if out == nil {
-			out, types, headTrace = res, ts, tr
-			continue
+		if len(blocks) == 0 {
+			headTrace = tr
+		} else if len(out.cols) != len(blocks[0].cols) {
+			return nil, Trace{}, fmt.Errorf("UNION ALL blocks have %d vs %d columns", len(blocks[0].cols), len(out.cols))
 		}
-		if len(res.Columns) != len(out.Columns) {
-			return nil, nil, Trace{}, fmt.Errorf("UNION ALL blocks have %d vs %d columns",
-				len(out.Columns), len(res.Columns))
-		}
-		for k := range types {
-			types[k] = promote(types[k], ts[k])
-		}
-		out.Rows = append(out.Rows, res.Rows...)
+		blocks = append(blocks, out)
 	}
-	keys := make([]bexpr, len(orderBy))
-	for i, oi := range orderBy {
+	all, keys := concat(qc, blocks), make([]bexpr, len(head.OrderBy))
+	projs := make([]bexpr, len(all.cols))
+	for k, t := range all.types {
+		projs[k] = &colExpr{off: k, t: t}
+	}
+	for i, oi := range head.OrderBy {
 		k := -1
-		switch v := oi.Expr.(type) {
-		case *sql.ColRef:
-			if k = slices.Index(out.Columns, v.Name); k < 0 {
-				return nil, nil, Trace{}, fmt.Errorf("ORDER BY %s not in union output", v.Name)
-			}
-		case *sql.Lit:
-			if !v.IsInt || v.IntVal < 1 || int(v.IntVal) > len(out.Columns) {
-				return nil, nil, Trace{}, fmt.Errorf("ORDER BY ordinal out of range")
-			}
+		if v, ok := oi.Expr.(*sql.ColRef); ok {
+			k = slices.Index(all.cols, v.Name)
+		} else if v, ok := oi.Expr.(*sql.Lit); ok && v.IsInt && v.IntVal >= 1 && int(v.IntVal) <= len(all.cols) {
 			k = int(v.IntVal) - 1
-		default:
-			return nil, nil, Trace{}, fmt.Errorf("ORDER BY over UNION ALL must use column names or ordinals")
 		}
-		keys[i] = &colExpr{off: k, t: types[k]}
+		if k < 0 {
+			return nil, Trace{}, fmt.Errorf("ORDER BY %s over UNION ALL is not an output column's name or ordinal", oi.Expr.Render())
+		}
+		keys[i] = projs[k]
 	}
-	src := &rowSource{b: newBinder(e, qc, ctes), vals: out.Rows, n: len(out.Rows)}
-	out = e.finish(src, nil, keys, orderBy, false, head.Limit, head.Offset, out.Columns)
-	return out, types, headTrace, nil
+	b := newBinder(e, qc, ctes)
+	b.layout = all.vecs
+	return e.finish(&rowSource{b: b, n: all.n}, projs, keys, head.OrderBy, false, head.Limit, head.Offset, all.cols, all.types), headTrace, nil
+}
+
+// concat is UNION ALL's output: the blocks' rows one after another,
+// each column of the type its blocks' types promote to, converted as
+// conform converts; string columns whose every block is on a small
+// dictionary stay codes, on the blocks' merged dictionary.
+func concat(qc *qctx, blocks []*block) *block {
+	out := &block{cols: blocks[0].cols, types: slices.Clone(blocks[0].types), vecs: make([]colReader, len(blocks[0].vecs))}
+	for _, bl := range blocks {
+		out.n += bl.n
+		for k, t := range bl.types {
+			out.types[k] = promote(out.types[k], t)
+		}
+	}
+	dicts := make([][]string, len(blocks))
+	for k := range out.vecs {
+		for i, bl := range blocks {
+			dicts[i] = bl.vecs[k].dict
+		}
+		kind, col := kindOf(out.types[k]), &out.vecs[k]
+		dict, remaps := mergeDicts(kind, dicts)
+		col.resize(kind, out.n, dict)
+		j := 0
+		for i, bl := range blocks {
+			qc.checkNow()
+			for r := int32(0); int(r) < bl.n; r++ {
+				col.putVia(j, &bl.vecs[k], r, remaps[i])
+				j++
+			}
+		}
+	}
+	return out
 }
 
 // filterInfo records one bound single-table predicate with the AST
@@ -286,10 +325,10 @@ type joinEdge struct {
 
 // runSelect executes one plain SELECT block: its joined rows, then the
 // post-join operators.
-func (e *Engine) runSelect(qc *qctx, stmt *sql.SelectStmt, ctes map[string]*storage.Table) (*Result, []schema.Type, Trace, error) {
+func (e *Engine) runSelect(qc *qctx, stmt *sql.SelectStmt, ctes map[string]*storage.Table) (*block, Trace, error) {
 	b, orderBy, rows, tr, err := e.joinSelect(qc, stmt, ctes)
 	if err != nil {
-		return nil, nil, Trace{}, err
+		return nil, Trace{}, err
 	}
 	aggregated := len(stmt.GroupBy) > 0 || stmt.Having != nil
 	for _, item := range stmt.Items {
@@ -310,12 +349,12 @@ func (e *Engine) runSelect(qc *qctx, stmt *sql.SelectStmt, ctes map[string]*stor
 	qc.setPhase(op)
 	qc.startOp(op, "")
 	qc.opRowsIn(int64(rows.n))
-	res, types, err := run(stmt, b, rows, orderBy)
+	out, err := run(stmt, b, rows, orderBy)
 	if err == nil {
-		qc.opRowsOut(int64(len(res.Rows)))
+		qc.opRowsOut(int64(out.n))
 	}
 	qc.endOp()
-	return res, types, tr, err
+	return out, tr, err
 }
 
 // joinSelect binds a SELECT block and produces its joined base rows —
@@ -405,13 +444,13 @@ func (e *Engine) joinSelect(qc *qctx, stmt *sql.SelectStmt, ctes map[string]*sto
 
 // projectSimple handles the non-aggregated path: project, DISTINCT,
 // ORDER BY, LIMIT.
-func (e *Engine) projectSimple(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderBy []sql.OrderItem) (*Result, []schema.Type, error) {
+func (e *Engine) projectSimple(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderBy []sql.OrderItem) (*block, error) {
 	cols, types, projs, keys, err := b.bindOutput(stmt, orderBy, false)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	src := &rowSource{b: b, rs: rows, n: rows.n}
-	return e.finish(src, projs, keys, orderBy, stmt.Distinct, stmt.Limit, stmt.Offset, cols), types, nil
+	return e.finish(src, projs, keys, orderBy, stmt.Distinct, stmt.Limit, stmt.Offset, cols, types), nil
 }
 
 // bindOutput binds the select list, expanding *, and the sort keys.
@@ -457,8 +496,10 @@ func (b *binder) bindIn(e sql.Expr, clause string, agg bool) (bexpr, error) {
 // row of each projection tuple (key ids and group ids, as GROUP BY); the
 // sort keys become typed vectors, and the rows sort by them and then by
 // position, which makes any sort the stable one; OFFSET and LIMIT cut
-// the sorted rows, and only those are projected.
-func (e *Engine) finish(src *rowSource, projs, sortKeys []bexpr, orderBy []sql.OrderItem, distinct bool, limit, offset int, outCols []string) *Result {
+// the sorted rows, and only those are projected, each into a typed
+// vector of its program's kind (on its dictionary's codes when it has
+// one).
+func (e *Engine) finish(src *rowSource, projs, sortKeys []bexpr, orderBy []sql.OrderItem, distinct bool, limit, offset int, outCols []string, types []schema.Type) *block {
 	qc := src.b.qc
 	rows := make([]int32, src.n)
 	for i := range rows {
@@ -512,36 +553,11 @@ func (e *Engine) finish(src *rowSource, projs, sortKeys []bexpr, orderBy []sql.O
 	if limit >= 0 && len(rows) > limit {
 		rows = rows[:limit]
 	}
-	res := &Result{Columns: outCols, Rows: make([][]storage.Value, len(rows))}
-	if projs == nil { // the rows are the output already
-		for j, i := range rows {
-			res.Rows[j] = src.vals[i]
-		}
-		return res
-	}
-	c := &vcomp{b: src.b}
-	progs := make([]vnode, len(projs))
+	out := &block{cols: outCols, types: types, vecs: make([]colReader, len(projs)), n: len(rows)}
 	for p, x := range projs {
-		progs[p] = c.val(x)
+		out.vecs[p] = src.gather(x, rows)
 	}
-	np := len(projs)
-	arena := make([]storage.Value, len(rows)*np)
-	fr, views := src.frame(c.slots), make([]view, np)
-	for base := 0; base < len(rows); base += batchLen {
-		qc.checkNow()
-		pos := rows[base:min(base+batchLen, len(rows))]
-		for p, prog := range progs {
-			views[p] = prog.val(fr, pos)
-		}
-		for j := range pos {
-			out := arena[(base+j)*np : (base+j+1)*np : (base+j+1)*np]
-			for p, v := range views {
-				out[p] = v.cr.value(v.idx[j])
-			}
-			res.Rows[base+j] = out
-		}
-	}
-	return res
+	return out
 }
 
 // sortKey encodes one ORDER BY key of rows, through its vector program,

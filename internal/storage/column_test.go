@@ -596,3 +596,36 @@ func modelFlat(rows [][]Value) string {
 	}
 	return b.String()
 }
+
+// TestAdoptReadsAsAppended adopts vectors into an empty table — an
+// integer column with an all-false null vector, a string column on a
+// shared dictionary — and requires the rows Append would have made, no
+// null vector where no row is NULL, and a dictionary that still takes
+// new values without writing into the one it was handed.
+func TestAdoptReadsAsAppended(t *testing.T) {
+	dict := make([]string, 3, 8)
+	copy(dict, []string{"x", "y", "z"})
+	tb := NewTable(colDef())
+	tb.Adopt(0, []int64{7, 8, 9}, nil, nil, nil, nil, []bool{false, false, false})
+	tb.Adopt(1, nil, nil, nil, []uint16{2, 0, 0}, dict, []bool{false, true, false})
+	want := [][]Value{{Int(7), Str("z")}, {Int(8), Null}, {Int(9), Str("x")}}
+	for i, row := range want {
+		if got := tb.Row(i); !slices.Equal(got, row) {
+			t.Fatalf("row %d reads %v, want %v", i, got, row)
+		}
+	}
+	if tb.Col(0).nulls != nil || tb.Col(1).nulls == nil {
+		t.Fatal("a null vector without a NULL was kept, or one with a NULL dropped")
+	}
+	tb.Append([]Value{Int(10), Str("w")})
+	tb.Append([]Value{Int(11), Str("y")})
+	if got := tb.Get(3, 1).S + tb.Get(4, 1).S; got != "wy" || tb.Col(1).dict == nil || dict[:4][3] != "" {
+		t.Fatalf("appends after adoption read %q, or wrote into the handed dictionary", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("adopting into a column that holds rows did not panic")
+		}
+	}()
+	tb.Adopt(0, []int64{1}, nil, nil, nil, nil, nil)
+}

@@ -63,6 +63,12 @@ func encode[T ~string | ~[]byte](c *Column, v T) (code uint16, ok bool) {
 	if int(*slot) < len(d.vals) && d.vals[*slot] == string(v) {
 		return *slot, true
 	}
+	if d.codes == nil { // an adopted dictionary (Table.Adopt)
+		d.codes = make(map[string]uint16, len(d.vals))
+		for i, s := range d.vals {
+			d.codes[s] = uint16(i)
+		}
+	}
 	if code, ok = d.codes[string(v)]; !ok {
 		n := len(d.vals)
 		if n == dictMax || n >= dictTrial && 2*n > len(c.codes) {
@@ -480,6 +486,38 @@ func (c *Column) Raw() (k Kind, ints []int64, flts []float64, strs []string, cod
 		dict = c.dict.vals
 	}
 	return physKind(c.Type), c.ints, c.flts, c.strs, c.codes, dict, c.nulls
+}
+
+// Adopt is Raw's inverse: column col of t, still empty, takes over
+// vectors laid out as Raw returns them — the payload of the column's
+// physical kind (for a string column codes with the dictionary they
+// index, or plain strings) and a null vector, kept only when it holds
+// a NULL. Nothing is copied, so the caller must write none of the
+// vectors afterwards. The dictionary's lookup map is built on the first
+// value encoded into it, if any ever is.
+func (t *Table) Adopt(col int, ints []int64, flts []float64, strs []string, codes []uint16, dict []string, nulls []bool) {
+	c := &t.cols[col]
+	if c.Len() != 0 {
+		panic(fmt.Sprintf("storage: adopting vectors into column %d, which holds rows", col))
+	}
+	switch physKind(c.Type) {
+	case KindInt, KindDate:
+		c.ints = ints
+	case KindFloat:
+		c.flts = flts
+	default:
+		c.strs, c.codes, c.dict = strs, nil, nil
+		if dict != nil {
+			c.strs, c.codes, c.dict = nil, codes, &strDict{vals: dict[:len(dict):len(dict)]}
+		}
+	}
+	if c.nulls = nil; slices.Contains(nulls, true) {
+		c.nulls = nulls
+	}
+	if c.nulls != nil && len(c.nulls) != c.Len() {
+		panic(fmt.Sprintf("storage: adopted null vector of %d rows beside a payload of %d", len(c.nulls), c.Len()))
+	}
+	t.epoch++
 }
 
 // ScanInt64 returns the raw int64 vector and null vector for a key
