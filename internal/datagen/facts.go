@@ -305,6 +305,7 @@ func (g *Generator) generateInventory(db *storage.DB) *storage.Table {
 		day++
 	}
 	weeks := int64(SalesYears * 52)
+	t.Grow(int(min(target, weeks*nItem*nWH)))
 	var emitted int64
 	for w := int64(0); w < weeks && emitted < target; w++ {
 		weekDay := day + w*7

@@ -968,8 +968,8 @@ func rangeKernel[T int64 | float64](vals []T, nulls []bool, idx []int32, lo, hi 
 	}
 }
 
-// in compiles x [NOT] IN (members): members of x's own kind in typed
-// sets (GroupKey is injective per kind), floats by GroupKey as eval.
+// in compiles x [NOT] IN (members): a row looks its value up in the
+// member set of x's kind, the set eval uses.
 func (c *vcomp) in(v *inExpr) triFn {
 	x, hasNull, not := c.val(v.x), v.hasNull, v.not
 	member := func(found bool) int8 {
@@ -978,20 +978,20 @@ func (c *vcomp) in(v *inExpr) triFn {
 		}
 		return b2t(found != not)
 	}
-	found := func(cr *colReader, r int32) bool { return v.set[cr.value(r).GroupKey()] }
+	found := func(cr *colReader, r int32) bool { return v.set.has(cr.value(r)) }
 	switch x.kind {
 	case storage.KindString:
-		set := map[string]bool{}
-		for _, m := range v.vals {
-			set[m.S] = set[m.S] || m.K == storage.KindString
-		}
+		set := v.set.strs
 		return strTest(x, func(s string) int8 { return member(set[s]) })
 	case storage.KindInt, storage.KindDate:
-		set := map[int64]bool{}
-		for _, m := range v.vals {
-			set[m.I] = set[m.I] || m.K == x.kind
+		set := v.set.ints
+		if x.kind == storage.KindDate {
+			set = v.set.dates
 		}
 		found = func(cr *colReader, r int32) bool { return set[cr.ints[r]] }
+	case storage.KindFloat:
+		set := v.set.flts
+		found = func(cr *colReader, r int32) bool { return set[floatMember(cr.flts[r])] }
 	}
 	return func(fr *frame, sel []int32, out []int8) {
 		xv := x.val(fr, sel)

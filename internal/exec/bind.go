@@ -301,7 +301,7 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		in := &inExpr{x: x, set: map[string]bool{}, not: v.Not}
+		in := &inExpr{x: x, not: v.Not}
 		if v.Sub != nil {
 			tab, err := b.eng.materialize(b.qc, "subquery", "", v.Sub, b.ctes)
 			if err != nil {
@@ -310,17 +310,13 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 			if tab.NumCols() != 1 {
 				return nil, fmt.Errorf("IN subquery must return one column, got %d", tab.NumCols())
 			}
-			col, key := tab.Col(0), []byte(nil)
+			col := tab.Col(0)
 			for r := 0; r < col.Len(); r++ {
 				b.qc.tick()
-				m := col.Get(r)
-				if m.IsNull() {
+				if m := col.Get(r); m.IsNull() {
 					in.hasNull = true
-					continue
-				}
-				if key = m.AppendGroupKey(key[:0]); !in.set[string(key)] {
-					in.set[string(key)] = true
-					in.vals = append(in.vals, m)
+				} else {
+					in.set.add(m)
 				}
 			}
 			return in, nil
@@ -339,8 +335,7 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 				in.hasNull = true
 				continue
 			}
-			in.set[lit.v.GroupKey()] = true
-			in.vals = append(in.vals, lit.v)
+			in.set.add(lit.v)
 		}
 		return in, nil
 	case *sql.Like:

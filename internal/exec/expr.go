@@ -280,13 +280,69 @@ func (b *betweenExpr) eval(row []storage.Value) storage.Value {
 }
 
 // inExpr is x [NOT] IN (values). Subqueries are evaluated at bind time
-// into the same value-set representation.
+// into the same member set.
 type inExpr struct {
 	x       bexpr
-	set     map[string]bool // GroupKey-encoded members
-	vals    []storage.Value // non-NULL members (for typed kernel sets)
-	hasNull bool            // the list/subquery contained NULL
+	set     inSet
+	hasNull bool // the list/subquery contained NULL
 	not     bool
+}
+
+// inSet holds the non-NULL members of an IN, each once, in the typed
+// set of its kind, for eval and the kernels alike. A value matches a
+// member of its own kind only, as equal GroupKeys do: floats by their
+// bits, with every NaN one member.
+type inSet struct {
+	ints, dates map[int64]bool
+	flts        map[uint64]bool
+	strs        map[string]bool
+}
+
+// add enters a non-NULL member.
+func (s *inSet) add(v storage.Value) {
+	switch v.K {
+	case storage.KindInt:
+		s.ints = enter(s.ints, v.I)
+	case storage.KindDate:
+		s.dates = enter(s.dates, v.I)
+	case storage.KindFloat:
+		s.flts = enter(s.flts, floatMember(v.F))
+	default:
+		s.strs = enter(s.strs, v.S)
+	}
+}
+
+// enter adds k to m, making m on its first member.
+func enter[K comparable](m map[K]bool, k K) map[K]bool {
+	if m == nil {
+		m = map[K]bool{}
+	}
+	m[k] = true
+	return m
+}
+
+// has reports whether v is a member.
+func (s *inSet) has(v storage.Value) bool {
+	switch v.K {
+	case storage.KindInt:
+		return s.ints[v.I]
+	case storage.KindDate:
+		return s.dates[v.I]
+	case storage.KindFloat:
+		return s.flts[floatMember(v.F)]
+	case storage.KindString:
+		return s.strs[v.S]
+	}
+	return false
+}
+
+// floatMember is the set key of a float member: its bits, one for
+// every NaN.
+func floatMember(f float64) uint64 {
+	if f != f {
+		return math.Float64bits(math.NaN())
+	}
+	return math.Float64bits(f)
 }
 
 func (i *inExpr) typ() schema.Type { return schema.Integer }
@@ -296,7 +352,7 @@ func (i *inExpr) eval(row []storage.Value) storage.Value {
 	if x.IsNull() {
 		return storage.Null
 	}
-	found := i.set[x.GroupKey()]
+	found := i.set.has(x)
 	if !found && i.hasNull {
 		// x IN (..., NULL) is UNKNOWN when no member matches.
 		return storage.Null

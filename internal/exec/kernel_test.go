@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strconv"
@@ -585,4 +586,27 @@ func FuzzKernelEqualsEval(f *testing.F) {
 			checkSelect(t, fmt.Sprintf("seed %d: %s", seed, where), b, 0, preds)
 		}
 	})
+}
+
+// TestInSetMatchesGroupKey: a value is a member of an IN's set exactly
+// when its GroupKey is a member's — kinds apart (an int is no date of
+// the same number, nor the float of its value), floats by their bits
+// (-0 is not 0) and every NaN one member.
+func TestInSetMatchesGroupKey(t *testing.T) {
+	nan, negNaN := storage.Float(math.NaN()), storage.Float(math.Copysign(math.NaN(), -1))
+	members := []storage.Value{storage.Int(5), storage.DateV(7), storage.Float(2.5), storage.Float(math.Copysign(0, -1)),
+		nan, storage.Str("a"), storage.Str("")}
+	probes := append(slices.Clone(members), storage.Int(7), storage.DateV(5), storage.Float(5), storage.Float(0), negNaN,
+		storage.Str("5"), storage.Str("b"), storage.Int(0), storage.Null)
+	var set inSet
+	keys := map[string]bool{}
+	for _, m := range members {
+		set.add(m)
+		keys[m.GroupKey()] = true
+	}
+	for _, v := range probes {
+		if got, want := set.has(v), keys[v.GroupKey()] && !v.IsNull(); got != want {
+			t.Errorf("%#v: member %v, by GroupKey %v", v, got, want)
+		}
+	}
 }

@@ -189,16 +189,24 @@ func (t *Table) readFlat(r io.Reader, blockSize, maxLine int) (rows int, err err
 		return 0, fmt.Errorf("storage: read %s: table has no columns", t.Def.Name)
 	}
 	defer func() { t.epoch += uint64(rows) }()
-	d := flatDecoder{t: t, kinds: t.physKinds()}
 	// Input that cannot be counted first grows its vectors by doubling;
 	// hand back what that overshot.
-	defer func() {
-		for i := range t.cols {
-			c := &t.cols[i]
-			c.nulls, c.ints, c.flts = fit(c.nulls), fit(c.ints), fit(c.flts)
-			c.strs, c.codes = fit(c.strs), fit(c.codes)
-		}
-	}()
+	defer t.fit()
+	buf := make([]byte, blockSize)
+	lines, err := countLines(r, buf)
+	if err != nil {
+		return 0, fmt.Errorf("storage: read %s: %w", t.Def.Name, err)
+	}
+	t.Grow(lines)
+	return t.decodeFlat(r, buf, 0, maxLine)
+}
+
+// decodeFlat appends the lines r delivers to t, numbering them on from
+// line in messages. buf is the block buffer; a copy of it doubles up to
+// maxLine bytes while a line does not fit. An error names the table,
+// the line and the column, and the failing row leaves nothing behind.
+func (t *Table) decodeFlat(r io.Reader, buf []byte, line, maxLine int) (rows int, err error) {
+	d := flatDecoder{t: t, kinds: t.physKinds()}
 	fail := func(line, col int, cause error) error {
 		return fmt.Errorf("storage: read %s: line %d, column %s: %w", t.Def.Name, line, t.Def.Columns[col].Name, cause)
 	}
@@ -218,14 +226,8 @@ func (t *Table) readFlat(r io.Reader, blockSize, maxLine int) (rows int, err err
 		return nil
 	}
 
-	buf := make([]byte, blockSize)
-	lines, err := countLines(r, buf)
-	if err != nil {
-		return 0, fmt.Errorf("storage: read %s: %w", t.Def.Name, err)
-	}
-	t.Grow(lines)
 	start, end := 0, 0 // buf[start:end] is read and not yet decoded
-	lineNo := 0        // lines decoded so far
+	lineNo := line     // lines decoded so far
 	for idle, eof := 0, false; !eof; {
 		if start > 0 {
 			end = copy(buf, buf[start:end])
@@ -274,6 +276,16 @@ func (t *Table) readFlat(r io.Reader, blockSize, maxLine int) (rows int, err err
 		}
 	}
 	return rows, nil
+}
+
+// fit moves every vector of t with more than a sixteenth of its array
+// unused into an array of its own length.
+func (t *Table) fit() {
+	for i := range t.cols {
+		c := &t.cols[i]
+		c.nulls, c.ints, c.flts = fit(c.nulls), fit(c.ints), fit(c.flts)
+		c.strs, c.codes = fit(c.strs), fit(c.codes)
+	}
 }
 
 // fit returns v in an array of its own length when more than a

@@ -37,9 +37,11 @@ func sameTables(t *testing.T, what string, got, want *Table) {
 // both accept or both reject, and both leave the same rows behind —
 // NULL versus \e and every float bit included. The reader runs twice,
 // once with a 16-byte block so that refills land inside fields, escapes
-// and CR LF pairs. Whatever loads must also survive being written back
-// out.
+// and CR LF pairs. LoadDir's pieces, cut at two sizes, must give the
+// table or the error ReadFlat gives. Whatever loads must also survive
+// being written back out.
 func FuzzReadFlat(f *testing.F) {
+	f.Add("") // one empty piece
 	f.Add("1|5|3.25|hello world|1999-02-21|\n2|||||\n")
 	f.Add("1|2|\n")
 	f.Add(`1||0.5|esc\|aped|` + "|\n")
@@ -86,6 +88,19 @@ func FuzzReadFlat(f *testing.F) {
 		}
 		sameTables(t, "reader vs reference", tb, ref)
 		sameTables(t, "16-byte blocks vs reference", small, ref)
+
+		// The pieces LoadDir cuts: one a line, and pieces of a size the
+		// input picks. Each load is the serial one, or fails with its
+		// error.
+		for _, size := range []int64{1, 1 + int64(hashBytes(data)%uint64(len(data)+1))} {
+			tables, errs := loadFlat([]flatSource{{testDef(), strings.NewReader(data), int64(len(data))}}, size)
+			if fmt.Sprint(errs[0]) != fmt.Sprint(err) {
+				t.Fatalf("%d-byte pieces: error %v, serial reader %v", size, errs[0], err)
+			}
+			if err == nil {
+				sameLayout(t, fmt.Sprintf("%d-byte pieces", size), tables[0], tb)
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -1,7 +1,10 @@
 package storage
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -31,28 +34,51 @@ const (
 // flat files). Missing files are an error; the loader validates row
 // widths and field types as it goes.
 //
-// Tables load whole, one per worker at a time over GOMAXPROCS workers,
-// largest file first. Each table is read by one ReadFlat, so its
-// dictionaries and layouts are those of a serial load. The tables are
-// registered in definition order, and on failure the error is that of
-// the first failing table in definition order — the one a serial load
-// would have met first.
+// The work is handed out as pieces over GOMAXPROCS workers, largest
+// first: a file of more than loadPiece bytes is cut at line breaks
+// into pieces of about that size, a smaller one is one piece. A
+// counting pass gives every piece its line count, the table's vectors
+// are reserved once, and each piece decodes into its own window of
+// them. The worker that finishes a table's last piece merges its
+// pieces into the table one ReadFlat of the file would have built:
+// the same rows, dictionaries in the same order, the same layouts and
+// null vectors. The tables are registered in definition order. On
+// failure the error is that of the first failing table in definition
+// order and, within it, of the first failing line — the one a serial
+// load would have met first.
 func LoadDir(dir string, defs []*schema.Table) (*DB, error) {
-	size := make([]int64, len(defs))
-	order := make([]int, len(defs))
+	return loadDir(dir, defs, loadPiece)
+}
+
+// loadDir is LoadDir with the piece size as a parameter (tests shrink
+// it to cut every table).
+func loadDir(dir string, defs []*schema.Table, pieceSize int64) (*DB, error) {
+	srcs := make([]flatSource, len(defs))
+	errs := make([]error, len(defs))
+	files := make([]*os.File, len(defs))
 	for i, def := range defs {
-		order[i] = i
-		if fi, err := os.Stat(filepath.Join(dir, def.Name+".dat")); err == nil {
-			size[i] = fi.Size()
+		srcs[i].def = def
+		f, err := os.Open(filepath.Join(dir, def.Name+".dat"))
+		if err != nil {
+			errs[i] = fmt.Errorf("storage: load %s: %w", def.Name, err)
+			continue
+		}
+		files[i] = f
+		if fi, err := f.Stat(); err != nil {
+			errs[i] = fmt.Errorf("storage: load %s: %w", f.Name(), err)
+		} else {
+			srcs[i].r, srcs[i].size = f, fi.Size()
 		}
 	}
-	sort.SliceStable(order, func(a, b int) bool { return size[order[a]] > size[order[b]] })
-	tables := make([]*Table, len(defs))
-	errs := make([]error, len(defs))
-	forEachParallel(runtime.GOMAXPROCS(0), len(order), func(_, k int) {
-		i := order[k]
-		tables[i], errs[i] = loadFile(dir, defs[i])
-	})
+	tables, rerrs := loadFlat(srcs, pieceSize)
+	for i, f := range files {
+		// A read error is the one to report, else the close error.
+		if f != nil {
+			if err := cmp.Or(rerrs[i], f.Close()); err != nil && errs[i] == nil {
+				errs[i] = fmt.Errorf("storage: load %s: %w", f.Name(), err)
+			}
+		}
+	}
 	db := NewDB()
 	for i, t := range tables {
 		if errs[i] != nil {
@@ -63,23 +89,405 @@ func LoadDir(dir string, defs []*schema.Table) (*DB, error) {
 	return db, nil
 }
 
-// loadFile reads the flat file of one table.
-func loadFile(dir string, def *schema.Table) (*Table, error) {
-	path := filepath.Join(dir, def.Name+".dat")
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("storage: load %s: %w", def.Name, err)
+// loadPiece is the size in bytes above which LoadDir cuts a flat file
+// into pieces, and the least size of every piece but a file's last:
+// large enough that a piece costs a few reads and one small
+// dictionary to merge, small enough that the largest generated file
+// (customer_demographics, 1.9 M rows at every scale factor) spreads
+// over every worker.
+const loadPiece = 4 << 20
+
+// flatSource is the flat file of one table, read through ReadAt.
+type flatSource struct {
+	def  *schema.Table
+	r    io.ReaderAt // nil: the table is not loaded
+	size int64
+}
+
+// flatPiece is the byte range [lo, hi) of a table's flat file, cut
+// where a line starts.
+type flatPiece struct {
+	tl     *tableLoad
+	lo, hi int64
+	line   int    // lines of the file before the piece: the start of its window
+	lines  int    // lines in the piece: the size of its window
+	t      *Table // the piece's rows, in a window of tl.t's vectors
+	err    error
+}
+
+// tableLoad is the load of one table by pieces.
+type tableLoad struct {
+	src      flatSource
+	t        *Table
+	pieces   []*flatPiece // in file order
+	counting atomic.Int32 // pieces not yet counted
+	decoding atomic.Int32 // pieces not yet decoded
+	err      error
+}
+
+// loadFlat loads every source with a reader into a table of its
+// definition, through pieces of pieceSize bytes on GOMAXPROCS workers.
+// The error of table i, if any, is errs[i]: that of its first failing
+// piece in file order, in ReadFlat's words.
+func loadFlat(srcs []flatSource, pieceSize int64) (tables []*Table, errs []error) {
+	loads := make([]*tableLoad, len(srcs))
+	var pieces []*flatPiece
+	var probe [512]byte
+	for i, src := range srcs {
+		if src.r == nil {
+			continue
+		}
+		tl := &tableLoad{src: src}
+		loads[i] = tl
+		if len(src.def.Columns) == 0 {
+			tl.err = fmt.Errorf("storage: read %s: table has no columns", src.def.Name)
+			continue
+		}
+		for lo := int64(0); ; {
+			hi, err := src.size, error(nil)
+			if src.size-lo > pieceSize {
+				hi, err = lineStart(src.r, lo+pieceSize-1, src.size, probe[:])
+			}
+			if err != nil {
+				hi, err = src.size, fmt.Errorf("storage: read %s: %w", src.def.Name, err)
+			}
+			tl.pieces = append(tl.pieces, &flatPiece{tl: tl, lo: lo, hi: hi, err: err})
+			if lo = hi; lo >= src.size { // an empty file is one empty piece
+				break
+			}
+		}
+		tl.counting.Store(int32(len(tl.pieces)))
+		tl.decoding.Store(int32(len(tl.pieces)))
+		pieces = append(pieces, tl.pieces...)
 	}
-	t := NewTable(def)
-	_, rerr := t.ReadFlat(f)
-	cerr := f.Close()
-	if rerr != nil {
-		return nil, fmt.Errorf("storage: load %s: %w", path, rerr)
+	sort.SliceStable(pieces, func(a, b int) bool { return pieces[a].hi-pieces[a].lo > pieces[b].hi-pieces[b].lo })
+
+	workers := runtime.GOMAXPROCS(0)
+	bufs := make([][]byte, workers) // a block buffer per worker, made on its first piece
+	buf := func(w int) []byte {
+		if bufs[w] == nil {
+			bufs[w] = make([]byte, flatBlockSize)
+		}
+		return bufs[w]
 	}
-	if cerr != nil {
-		return nil, fmt.Errorf("storage: load %s: %w", path, cerr)
+	forEachParallel(workers, len(pieces), func(w, k int) {
+		p := pieces[k]
+		if p.err == nil {
+			if p.lines, p.err = countPiece(p.tl.src.r, p.lo, p.hi, buf(w)); p.err != nil {
+				p.err = fmt.Errorf("storage: read %s: %w", p.tl.src.def.Name, p.err)
+			}
+		}
+		if p.tl.counting.Add(-1) == 0 {
+			p.tl.reserve()
+		}
+	})
+	forEachParallel(workers, len(pieces), func(w, k int) {
+		p := pieces[k]
+		if p.err == nil {
+			p.t = p.tl.t.window(p.line, p.lines)
+			sr := io.NewSectionReader(p.tl.src.r, p.lo, p.hi-p.lo)
+			_, p.err = p.t.decodeFlat(sr, buf(w), p.line, flatMaxLine)
+		}
+		if p.tl.decoding.Add(-1) == 0 {
+			p.tl.finish()
+		}
+	})
+
+	tables, errs = make([]*Table, len(srcs)), make([]error, len(srcs))
+	for i, tl := range loads {
+		if tl != nil {
+			tables[i], errs[i] = tl.t, tl.err
+		}
 	}
-	return t, nil
+	return tables, errs
+}
+
+// lineStart returns the offset just past the first line break at or
+// after offset from in r, or size when none follows.
+func lineStart(r io.ReaderAt, from, size int64, buf []byte) (int64, error) {
+	for from < size {
+		n, err := r.ReadAt(buf[:min(int64(len(buf)), size-from)], from)
+		if i := bytes.IndexByte(buf[:n], '\n'); i >= 0 {
+			return from + int64(i) + 1, nil
+		}
+		if err != nil && err != io.EOF {
+			return 0, err
+		}
+		if n == 0 {
+			break
+		}
+		from += int64(n)
+	}
+	return size, nil
+}
+
+// countPiece returns the number of lines in bytes [lo, hi) of r: its
+// line breaks, plus one for a last line without a break.
+func countPiece(r io.ReaderAt, lo, hi int64, buf []byte) (lines int, err error) {
+	last := byte('\n')
+	for lo < hi {
+		n, err := r.ReadAt(buf[:min(int64(len(buf)), hi-lo)], lo)
+		if n > 0 {
+			lines += bytes.Count(buf[:n], []byte{'\n'})
+			last = buf[n-1]
+		}
+		if err != nil && (err != io.EOF || n == 0) {
+			return 0, err
+		}
+		lo += int64(n)
+	}
+	if last != '\n' {
+		lines++
+	}
+	return lines, nil
+}
+
+// reserve, run once every piece is counted, numbers the pieces' lines
+// and reserves the table's vectors for all of them.
+func (tl *tableLoad) reserve() {
+	line := 0
+	for _, p := range tl.pieces {
+		p.line = line
+		line += p.lines
+	}
+	tl.t = NewTable(tl.src.def)
+	tl.t.Grow(line)
+}
+
+// finish, run once every piece is decoded, sets the table's error from
+// its first failing piece, or merges the pieces into the table.
+func (tl *tableLoad) finish() {
+	for _, p := range tl.pieces {
+		if p.err != nil {
+			tl.t, tl.err = nil, p.err
+			return
+		}
+	}
+	parts := make([]*Table, len(tl.pieces))
+	for i, p := range tl.pieces {
+		parts[i] = p.t
+	}
+	tl.t.merge(parts)
+}
+
+// window returns a table of t's definition whose vectors are windows
+// of n rows of t's reserved vectors from row off on, with a dictionary
+// of its own: appending to it fills the window in place. A column that
+// gives its dictionary up, or meets its first NULL, leaves the window
+// for vectors of its own.
+func (t *Table) window(off, n int) *Table {
+	w := &Table{Def: t.Def, cols: make([]Column, len(t.cols))}
+	for i := range t.cols {
+		c, wc := &t.cols[i], &w.cols[i]
+		wc.Type = c.Type
+		switch physKind(c.Type) {
+		case KindInt, KindDate:
+			wc.ints = c.ints[off : off : off+n]
+		case KindFloat:
+			wc.flts = c.flts[off : off : off+n]
+		default:
+			wc.codes, wc.dict = c.codes[off:off:off+n], &strDict{codes: map[string]uint16{}}
+		}
+	}
+	return w
+}
+
+// merge makes t, whose reserved vectors parts decoded into through
+// window, the table one ReadFlat of the parts' lines in turn would have
+// built. Windows are moved down over the rows that empty lines did not
+// fill, piece null vectors are copied into one, and string columns
+// replay the dictionary (mergeStrings).
+func (t *Table) merge(parts []*Table) {
+	at := make([]int, len(parts)+1) // at[k]: the table row of part k's row 0
+	for k, p := range parts {
+		at[k+1] = at[k] + p.NumRows()
+	}
+	rows := at[len(parts)]
+	for ci := range t.cols {
+		c := &t.cols[ci]
+		for k, p := range parts {
+			pc := &p.cols[ci]
+			if pc.nulls != nil && c.nulls == nil {
+				c.nulls = make([]bool, rows)
+			}
+			if pc.nulls != nil {
+				copy(c.nulls[at[k]:], pc.nulls)
+			}
+			switch physKind(c.Type) {
+			case KindInt, KindDate:
+				c.ints = place(c.ints, at[k], pc.ints)
+			case KindFloat:
+				c.flts = place(c.flts, at[k], pc.flts)
+			}
+		}
+		if physKind(c.Type) == KindString {
+			t.mergeStrings(ci, parts, at)
+		}
+	}
+	t.fit()
+	t.epoch += uint64(rows)
+}
+
+// place moves w, a window of v's array at or past row at, to row at
+// and returns v extended over it.
+func place[T any](v []T, at int, w []T) []T {
+	v = v[:at+len(w)]
+	if len(w) > 0 && &v[at] != &w[0] {
+		copy(v[at:], w)
+	}
+	return v
+}
+
+// mergeStrings gives string column ci of t the dictionary, layout and
+// cells a serial load would have given it. The first part saw the
+// serial rows from row 0 on under encode's rule, so its dictionary —
+// or its plain layout — is the serial one up to its end. Each later
+// part then enters the values that dictionary lacks in the order it
+// first holds them, each at the table row where it first holds it,
+// under encode's rule, until the rule gives the dictionary up.
+func (t *Table) mergeStrings(ci int, parts []*Table, at []int) {
+	c := &t.cols[ci]
+	dict := parts[0].cols[ci].dict
+	plainAt := -1 // the row from which a serial load holds plain strings
+	if dict == nil {
+		plainAt = 0
+	}
+	for k := 1; k < len(parts) && plainAt < 0; k++ {
+		plainAt = replay(dict, &parts[k].cols[ci], at[k])
+	}
+	rows := at[len(parts)]
+	if plainAt < 0 {
+		c.dict, c.codes = dict, c.codes[:rows]
+		for k := 1; k < len(parts); k++ {
+			remapCodes(dict, &parts[k].cols[ci], c.codes[at[k]:at[k+1]])
+		}
+		return
+	}
+	// A NULL row's payload is what a serial load leaves in it: code 0
+	// decoded to the first value before the dictionary was given up,
+	// "" after.
+	var first string
+	if dict != nil {
+		first = dict.vals[0]
+	}
+	c.dict, c.codes, c.strs = nil, nil, make([]string, rows)
+	for k, p := range parts {
+		pc, strs := &p.cols[ci], c.strs[at[k]:at[k+1]]
+		if k == 0 && pc.dict == nil {
+			copy(strs, pc.strs)
+			continue
+		}
+		for r := range strs {
+			switch {
+			case IsNull(pc.nulls, r):
+				if at[k]+r < plainAt {
+					strs[r] = first
+				}
+			case pc.dict != nil:
+				strs[r] = pc.dict.vals[pc.codes[r]]
+			default:
+				strs[r] = pc.strs[r]
+			}
+		}
+	}
+}
+
+// replay enters into dict the values of piece column pc that dict
+// lacks, as encode would have entered them had pc's rows followed the
+// dictionary's from table row at on. It returns the table row at which
+// encode gives the dictionary up, or -1.
+func replay(dict *strDict, pc *Column, at int) int {
+	if pc.dict == nil { // the piece gave its own dictionary up: check it row by row
+		for r, v := range pc.strs {
+			if IsNull(pc.nulls, r) {
+				continue
+			}
+			if _, ok := dict.codes[v]; !ok && !admit(dict, v, at+r) {
+				return at + r
+			}
+		}
+		return -1
+	}
+	var firsts []int
+	for code, v := range pc.dict.vals {
+		if _, ok := dict.codes[v]; ok {
+			continue
+		}
+		row := at // the row matters from dictTrial values on
+		if len(dict.vals) >= dictTrial {
+			if firsts == nil {
+				firsts = firstRows(pc)
+			}
+			row += firsts[code]
+		}
+		if !admit(dict, v, row) {
+			return row
+		}
+	}
+	return -1
+}
+
+// admit enters v, new to dict and first held at table row row, unless
+// encode's rule gives the dictionary up there; it reports whether it
+// entered v.
+func admit(dict *strDict, v string, row int) bool {
+	n := len(dict.vals)
+	if n == dictMax || n >= dictTrial && 2*n > row {
+		return false
+	}
+	dict.codes[v] = uint16(n)
+	dict.vals = append(dict.vals, v)
+	return true
+}
+
+// firstRows returns the first row of dictionary column pc that holds
+// each code. Codes are handed out in first-seen order, so the first
+// rows come in code order.
+func firstRows(pc *Column) []int {
+	firsts := make([]int, 0, len(pc.dict.vals))
+	for r, code := range pc.codes {
+		if int(code) == len(firsts) && !IsNull(pc.nulls, r) {
+			if firsts = append(firsts, r); len(firsts) == cap(firsts) {
+				break
+			}
+		}
+	}
+	return firsts
+}
+
+// remapCodes writes into dst, which starts at or before pc's window in
+// the same array, the codes of pc's rows in dict; a NULL row gets 0.
+func remapCodes(dict *strDict, pc *Column, dst []uint16) {
+	if pc.dict == nil { // the piece gave its own dictionary up
+		for r, v := range pc.strs {
+			dst[r] = 0
+			if !IsNull(pc.nulls, r) {
+				dst[r] = dict.codes[v]
+			}
+		}
+		return
+	}
+	to, same := make([]uint16, len(pc.dict.vals)), true
+	for code, v := range pc.dict.vals {
+		to[code] = dict.codes[v]
+		same = same && to[code] == uint16(code)
+	}
+	if same {
+		place(dst[:0], 0, pc.codes)
+		return
+	}
+	if pc.nulls == nil {
+		for r, code := range pc.codes {
+			dst[r] = to[code]
+		}
+		return
+	}
+	for r, code := range pc.codes {
+		dst[r] = 0
+		if !pc.nulls[r] {
+			dst[r] = to[code]
+		}
+	}
 }
 
 // DumpDir writes every table of the database as "<table>.dat" flat

@@ -3,9 +3,11 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -30,6 +32,34 @@ func fillRows(t *Table, n int) {
 			row[1], row[2], row[3], row[4] = Null, Null, Null, Null
 		}
 		t.Append(row)
+	}
+}
+
+// sameLayout fails the test unless got is want bit for bit: the same
+// rows and epoch, and per column the same layout, dictionary in the
+// same order, null vector (or none) and payload in every row, NULL
+// rows included.
+func sameLayout(t testing.TB, what string, got, want *Table) {
+	t.Helper()
+	if got.NumRows() != want.NumRows() || got.epoch != want.epoch {
+		t.Fatalf("%s: %d rows at epoch %d, serial load %d at epoch %d", what, got.NumRows(), got.epoch, want.NumRows(), want.epoch)
+	}
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for c := range want.cols {
+		g, w := &got.cols[c], &want.cols[c]
+		col := fmt.Sprintf("%s column %s", what, want.Def.Columns[c].Name)
+		switch {
+		case (g.dict == nil) != (w.dict == nil):
+			t.Fatalf("%s: dictionary-coded %v, serial load %v", col, g.dict != nil, w.dict != nil)
+		case (g.nulls == nil) != (w.nulls == nil) || !slices.Equal(g.nulls, w.nulls):
+			t.Fatalf("%s: null vectors differ (nil %v, serial nil %v)", col, g.nulls == nil, w.nulls == nil)
+		case g.dict != nil && !slices.Equal(g.dict.vals, w.dict.vals):
+			t.Fatalf("%s: dictionary of %d values, serial load %d, or in another order", col, len(g.dict.vals), len(w.dict.vals))
+		case !slices.Equal(g.ints, w.ints) || !slices.Equal(g.strs, w.strs) || !slices.Equal(g.codes, w.codes):
+			t.Fatalf("%s: cells differ from the serial load's", col)
+		case !slices.EqualFunc(g.flts, w.flts, sameBits):
+			t.Fatalf("%s: float cells differ from the serial load's", col)
+		}
 	}
 }
 
