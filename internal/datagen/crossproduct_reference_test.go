@@ -112,10 +112,10 @@ func TestCrossProductShapes(t *testing.T) {
 		{Name: "a2", Type: schema.Integer},
 	}}
 	tb := crossProduct(def,
-		crossCol{surrogateKey, nil},
-		crossCol{0, strVals([]string{"p", "q"})},
-		crossCol{1, intVals(1, 3, 1)},
-		crossCol{0, intVals(10, 20, 10)},
+		crossCol{axis: surrogateKey},
+		crossCol{axis: 0, strs: []string{"p", "q"}},
+		crossCol{axis: 1, ints: intRange(1, 3, 1)},
+		crossCol{axis: 0, ints: intRange(10, 20, 10)},
 	)
 	var got bytes.Buffer
 	if err := tb.WriteFlat(&got); err != nil {
@@ -125,7 +125,7 @@ func TestCrossProductShapes(t *testing.T) {
 	if got.String() != want {
 		t.Errorf("cross product:\n%s\nwant\n%s", got.String(), want)
 	}
-	empty := crossProduct(def, crossCol{surrogateKey, nil}, crossCol{0, nil}, crossCol{1, intVals(1, 3, 1)}, crossCol{0, nil})
+	empty := crossProduct(def, crossCol{axis: surrogateKey}, crossCol{axis: 0}, crossCol{axis: 1, ints: intRange(1, 3, 1)}, crossCol{axis: 0})
 	if empty.NumRows() != 0 {
 		t.Errorf("an empty axis gave %d rows", empty.NumRows())
 	}
@@ -138,7 +138,7 @@ func TestCrossProductShapes(t *testing.T) {
 		fn()
 	}
 	mustPanic("axis lengths differ", func() {
-		crossProduct(def, crossCol{surrogateKey, nil}, crossCol{0, strVals([]string{"p"})}, crossCol{1, nil}, crossCol{0, intVals(1, 2, 1)})
+		crossProduct(def, crossCol{axis: surrogateKey}, crossCol{axis: 0, strs: []string{"p"}}, crossCol{axis: 1}, crossCol{axis: 0, ints: intRange(1, 2, 1)})
 	})
-	mustPanic("too few columns", func() { crossProduct(def, crossCol{0, intVals(1, 2, 1)}) })
+	mustPanic("too few columns", func() { crossProduct(def, crossCol{axis: 0, ints: intRange(1, 2, 1)}) })
 }

@@ -229,14 +229,27 @@ func pickUniform(s *rng.Stream, vocab []string) string {
 	return vocab[s.Intn(len(vocab))]
 }
 
+// nullInt is a generated int or date cell that may be NULL.
+type nullInt struct {
+	v    int64
+	null bool
+}
+
+// write writes the cell.
+func (x nullInt) write(w *storage.Writer) {
+	if x.null {
+		w.Null()
+	} else {
+		w.Int(x.v)
+	}
+}
+
 // maybeNull returns NULL with probability pct/100, else v. The generated
 // data carries NULLs in nullable fact foreign keys, challenging joins
-// and statistics as real warehouse data does.
-func maybeNull(s *rng.Stream, pct int, v storage.Value) storage.Value {
-	if s.Intn(100) < pct {
-		return storage.Null
-	}
-	return v
+// and statistics as real warehouse data does. The caller draws v
+// before the call, so a cell's value is drawn before its NULL choice.
+func maybeNull(s *rng.Stream, pct int, v int64) nullInt {
+	return nullInt{v, s.Intn(100) < pct}
 }
 
 // money rounds a float to cents.

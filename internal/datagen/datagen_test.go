@@ -417,7 +417,7 @@ func TestSCDHelperExactRows(t *testing.T) {
 		var lastOpen bool
 		forEachSCDRow(rng.NewStream(1), n, func(r scdRow) {
 			rows++
-			lastOpen = r.recEnd.IsNull()
+			lastOpen = r.recEnd.null
 		})
 		if rows != n {
 			t.Errorf("forEachSCDRow(%d) emitted %d rows", n, rows)

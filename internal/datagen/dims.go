@@ -16,8 +16,10 @@ var wordsVocab = dist.Words
 func (g *Generator) genDateDim(def *schema.Table) *storage.Table {
 	t := storage.NewTable(def)
 	t.Grow(storage.DateDimRows)
+	w := t.Writer()
 	monthSeq, weekSeq, quarterSeq := 0, 1, 0
 	prevYear, prevMonth := 0, 0
+	quarterName := "" // the name of quarterSeq
 	for day := int64(0); day < storage.DateDimRows; day++ {
 		y, m, d := storage.YMDFromDays(day)
 		if y != prevYear || m != prevMonth {
@@ -28,7 +30,9 @@ func (g *Generator) genDateDim(def *schema.Table) *storage.Table {
 			weekSeq++
 		}
 		qoy := (m-1)/3 + 1
-		quarterSeq = (y-1900)*4 + qoy
+		if seq := (y-1900)*4 + qoy; seq != quarterSeq {
+			quarterSeq, quarterName = seq, fmt.Sprintf("%dQ%d", y, qoy)
+		}
 		dow := storage.Weekday(day)
 		weekend := "N"
 		if dow == 0 || dow == 6 {
@@ -40,35 +44,28 @@ func (g *Generator) genDateDim(def *schema.Table) *storage.Table {
 		}
 		firstDOM := storage.DaysFromYMD(y, m, 1)
 		lastDOM := firstDOM + int64(daysInMonthOf(y, m)) - 1
-		t.Append([]storage.Value{
-			storage.Int(storage.DateSK(day)),          // d_date_sk
-			storage.Str(bkey(storage.DateSK(day))),    // d_date_id
-			storage.DateV(day),                        // d_date
-			storage.Int(int64(monthSeq)),              // d_month_seq
-			storage.Int(int64(weekSeq)),               // d_week_seq
-			storage.Int(int64(quarterSeq)),            // d_quarter_seq
-			storage.Int(int64(y)),                     // d_year
-			storage.Int(int64(dow)),                   // d_dow
-			storage.Int(int64(m)),                     // d_moy
-			storage.Int(int64(d)),                     // d_dom
-			storage.Int(int64(qoy)),                   // d_qoy
-			storage.Int(int64(y)),                     // d_fy_year
-			storage.Int(int64(quarterSeq)),            // d_fy_quarter_seq
-			storage.Int(int64(weekSeq)),               // d_fy_week_seq
-			storage.Str(storage.DayName(day)),         // d_day_name
-			storage.Str(fmt.Sprintf("%dQ%d", y, qoy)), // d_quarter_name
-			storage.Str(holiday),                      // d_holiday
-			storage.Str(weekend),                      // d_weekend
-			storage.Str("N"),                          // d_following_holiday
-			storage.Int(storage.DateSK(firstDOM)),     // d_first_dom
-			storage.Int(storage.DateSK(lastDOM)),      // d_last_dom
-			storage.Int(storage.DateSK(day) - 365),    // d_same_day_ly
-			storage.Int(storage.DateSK(day) - 91),     // d_same_day_lq
-			storage.Str("N"), storage.Str("N"),        // d_current_day, d_current_week
-			storage.Str("N"), storage.Str("N"), // d_current_month, d_current_quarter
-			storage.Str("N"), // d_current_year
-		})
+		sk := storage.DateSK(day)
+		w.Int(sk)       // d_date_sk
+		w.Str(bkey(sk)) // d_date_id
+		w.Int(day)      // d_date
+		for _, v := range [...]int{monthSeq, weekSeq, quarterSeq, y, dow, m, d, qoy, y, quarterSeq, weekSeq} {
+			w.Int(int64(v)) // d_month_seq ... d_fy_week_seq
+		}
+		w.Str(storage.DayName(day))     // d_day_name
+		w.Str(quarterName)              // d_quarter_name
+		w.Str(holiday)                  // d_holiday
+		w.Str(weekend)                  // d_weekend
+		w.Str("N")                      // d_following_holiday
+		w.Int(storage.DateSK(firstDOM)) // d_first_dom
+		w.Int(storage.DateSK(lastDOM))  // d_last_dom
+		w.Int(sk - 365)                 // d_same_day_ly
+		w.Int(sk - 91)                  // d_same_day_lq
+		for range 5 {
+			w.Str("N") // d_current_day, _week, _month, _quarter, _year
+		}
+		w.EndRow()
 	}
+	w.Close()
 	return t
 }
 
@@ -85,6 +82,7 @@ func daysInMonthOf(year, month int) int {
 func (g *Generator) genTimeDim(def *schema.Table) *storage.Table {
 	t := storage.NewTable(def)
 	t.Grow(86400)
+	w := t.Writer()
 	for sec := int64(0); sec < 86400; sec++ {
 		h := sec / 3600
 		m := (sec % 3600) / 60
@@ -109,38 +107,38 @@ func (g *Generator) genTimeDim(def *schema.Table) *storage.Table {
 		case h >= 17 && h < 21:
 			meal = "dinner"
 		}
-		mealVal := storage.Null
-		if meal != "" {
-			mealVal = storage.Str(meal)
+		w.Int(sec + 1)       // t_time_sk
+		w.Str(bkey(sec + 1)) // t_time_id
+		w.Int(sec)           // t_time
+		w.Int(h)             // t_hour
+		w.Int(m)             // t_minute
+		w.Int(s)             // t_second
+		w.Str(amPM)          // t_am_pm
+		w.Str(shift)         // t_shift
+		w.Str(shift)         // t_sub_shift
+		if meal != "" {      // t_meal_time
+			w.Str(meal)
+		} else {
+			w.Null()
 		}
-		t.Append([]storage.Value{
-			storage.Int(sec + 1),       // t_time_sk
-			storage.Str(bkey(sec + 1)), // t_time_id
-			storage.Int(sec),           // t_time
-			storage.Int(h),             // t_hour
-			storage.Int(m),             // t_minute
-			storage.Int(s),             // t_second
-			storage.Str(amPM),          // t_am_pm
-			storage.Str(shift),         // t_shift
-			storage.Str(shift),         // t_sub_shift
-			mealVal,                    // t_meal_time
-		})
+		w.EndRow()
 	}
+	w.Close()
 	return t
 }
 
 // genIncomeBand builds the 20 income bands of 10,000 each.
 func (g *Generator) genIncomeBand(def *schema.Table) *storage.Table {
 	n := g.rows("income_band")
-	var sk, lower, upper []storage.Value
+	var sk, lower, upper []int64
 	for i := int64(1); i <= n; i++ {
 		lo := (i - 1) * 10000
 		if i > 1 {
 			lo++
 		}
-		sk, lower, upper = append(sk, storage.Int(i)), append(lower, storage.Int(lo)), append(upper, storage.Int(i*10000))
+		sk, lower, upper = append(sk, i), append(lower, lo), append(upper, i*10000)
 	}
-	return crossProduct(def, crossCol{0, sk}, crossCol{0, lower}, crossCol{0, upper})
+	return crossProduct(def, crossCol{ints: sk}, crossCol{ints: lower}, crossCol{ints: upper})
 }
 
 // genCustomerDemographics builds the full demographic cross product
@@ -148,15 +146,15 @@ func (g *Generator) genIncomeBand(def *schema.Table) *storage.Table {
 // estimates x 4 credit ratings x 7^3 dependent counts).
 func (g *Generator) genCustomerDemographics(def *schema.Table) *storage.Table {
 	return crossProduct(def,
-		crossCol{surrogateKey, nil},
-		crossCol{0, strVals(dist.Genders)},
-		crossCol{1, strVals(dist.MaritalStatuses)},
-		crossCol{2, strVals(dist.EducationStatuses)},
-		crossCol{3, intVals(500, 10000, 500)},
-		crossCol{4, strVals(dist.CreditRatings)},
-		crossCol{5, intVals(0, 6, 1)},
-		crossCol{6, intVals(0, 6, 1)},
-		crossCol{7, intVals(0, 6, 1)},
+		crossCol{axis: surrogateKey},
+		crossCol{axis: 0, strs: dist.Genders},
+		crossCol{axis: 1, strs: dist.MaritalStatuses},
+		crossCol{axis: 2, strs: dist.EducationStatuses},
+		crossCol{axis: 3, ints: intRange(500, 10000, 500)},
+		crossCol{axis: 4, strs: dist.CreditRatings},
+		crossCol{axis: 5, ints: intRange(0, 6, 1)},
+		crossCol{axis: 6, ints: intRange(0, 6, 1)},
+		crossCol{axis: 7, ints: intRange(0, 6, 1)},
 	)
 }
 
@@ -164,11 +162,11 @@ func (g *Generator) genCustomerDemographics(def *schema.Table) *storage.Table {
 // (20 income bands x 6 buy potentials x 10 dep counts x 6 vehicles).
 func (g *Generator) genHouseholdDemographics(def *schema.Table) *storage.Table {
 	return crossProduct(def,
-		crossCol{surrogateKey, nil},
-		crossCol{0, intVals(1, 20, 1)},
-		crossCol{1, strVals(dist.BuyPotentials)},
-		crossCol{2, intVals(0, 9, 1)},
-		crossCol{3, intVals(0, 5, 1)},
+		crossCol{axis: surrogateKey},
+		crossCol{axis: 0, ints: intRange(1, 20, 1)},
+		crossCol{axis: 1, strs: dist.BuyPotentials},
+		crossCol{axis: 2, ints: intRange(0, 9, 1)},
+		crossCol{axis: 3, ints: intRange(0, 5, 1)},
 	)
 }
 
@@ -177,10 +175,12 @@ func (g *Generator) genHouseholdDemographics(def *schema.Table) *storage.Table {
 const surrogateKey = -1
 
 // crossCol is one column of a cross-product table: the values it takes
-// along its axis, in order. Columns on the same axis vary together.
+// along its axis, in order, as ints for an int column or strs for a
+// string column. Columns on the same axis vary together.
 type crossCol struct {
 	axis int
-	vals []storage.Value
+	ints []int64
+	strs []string
 }
 
 // crossProduct builds def as the cross product of its columns' axes,
@@ -188,8 +188,11 @@ type crossCol struct {
 // the loop over axis 0 outside. It fills a column at a time, as runs
 // of one value — a column on axis a holds each of its values for as
 // many rows as the axes after a have combinations, and repeats that
-// sequence once per combination of the axes before a — so each column
-// is checked and dictionary-encoded once per run, not once per row.
+// sequence once per combination of the axes before a — so a column on
+// an inner axis is checked and dictionary-encoded once per run, not
+// once per row. The surrogate key and the columns of the last axis
+// (runs of one) are typed loops. Built a column at a time and never
+// by row, the table keeps epoch 0.
 func crossProduct(def *schema.Table, cols ...crossCol) *storage.Table {
 	var sizes []int
 	for _, c := range cols {
@@ -199,10 +202,11 @@ func crossProduct(def *schema.Table, cols ...crossCol) *storage.Table {
 		for len(sizes) <= c.axis {
 			sizes = append(sizes, 0)
 		}
-		if sizes[c.axis] != 0 && sizes[c.axis] != len(c.vals) {
+		n := len(c.ints) + len(c.strs)
+		if sizes[c.axis] != 0 && sizes[c.axis] != n {
 			panic(fmt.Sprintf("datagen: %s: columns of axis %d differ in length", def.Name, c.axis))
 		}
-		sizes[c.axis] = len(c.vals)
+		sizes[c.axis] = n
 	}
 	rows := 1
 	for _, n := range sizes {
@@ -220,7 +224,7 @@ func crossProduct(def *schema.Table, cols ...crossCol) *storage.Table {
 		col := t.Col(i)
 		if c.axis == surrogateKey {
 			for sk := 1; sk <= rows; sk++ {
-				col.Append(storage.Int(int64(sk)))
+				col.AppendInt(int64(sk))
 			}
 			continue
 		}
@@ -228,29 +232,31 @@ func crossProduct(def *schema.Table, cols ...crossCol) *storage.Table {
 		for _, n := range sizes[c.axis+1:] {
 			run *= n
 		}
-		for rep := rows / (run * len(c.vals)); rep > 0; rep-- {
-			for _, v := range c.vals {
-				col.AppendN(v, run)
+		for rep := rows / (run * sizes[c.axis]); rep > 0; rep-- {
+			for _, v := range c.ints {
+				if run == 1 {
+					col.AppendInt(v)
+				} else {
+					col.AppendN(storage.Int(v), run)
+				}
+			}
+			for _, v := range c.strs {
+				if run == 1 {
+					col.AppendString(v)
+				} else {
+					col.AppendN(storage.Str(v), run)
+				}
 			}
 		}
 	}
 	return t
 }
 
-// strVals returns the domain as values.
-func strVals(domain []string) []storage.Value {
-	out := make([]storage.Value, len(domain))
-	for i, s := range domain {
-		out[i] = storage.Str(s)
-	}
-	return out
-}
-
-// intVals returns lo, lo+step, ... up to hi as values.
-func intVals(lo, hi, step int64) []storage.Value {
-	var out []storage.Value
+// intRange returns lo, lo+step, ... up to hi.
+func intRange(lo, hi, step int64) []int64 {
+	var out []int64
 	for v := lo; v <= hi; v += step {
-		out = append(out, storage.Int(v))
+		out = append(out, v)
 	}
 	return out
 }
@@ -260,37 +266,39 @@ func intVals(lo, hi, step int64) []storage.Value {
 func (g *Generator) genReason(def *schema.Table) *storage.Table {
 	t := storage.NewTable(def)
 	n := g.rows("reason")
+	w := t.Writer()
 	for i := int64(1); i <= n; i++ {
 		desc := dist.ReasonDescs[int(i-1)%len(dist.ReasonDescs)]
 		if int(i) > len(dist.ReasonDescs) {
 			desc = fmt.Sprintf("%s (%d)", desc, i)
 		}
-		t.Append([]storage.Value{
-			storage.Int(i),
-			storage.Str(bkey(i)),
-			storage.Str(desc),
-		})
+		w.Int(i)
+		w.Str(bkey(i))
+		w.Str(desc)
+		w.EndRow()
 	}
+	w.Close()
 	return t
 }
 
 // genShipMode builds the 20-row ship mode dimension (5 types x 4 codes).
 func (g *Generator) genShipMode(def *schema.Table) *storage.Table {
 	t := storage.NewTable(def)
+	w := t.Writer()
 	sk := int64(1)
 	for _, typ := range dist.ShipModeTypes {
 		for ci, code := range dist.ShipModeCodes {
 			carrier := dist.Carriers[(int(sk)-1)%len(dist.Carriers)]
-			t.Append([]storage.Value{
-				storage.Int(sk),
-				storage.Str(bkey(sk)),
-				storage.Str(typ),
-				storage.Str(code),
-				storage.Str(carrier),
-				storage.Str(fmt.Sprintf("contract-%d-%d", sk, ci)),
-			})
+			w.Int(sk)
+			w.Str(bkey(sk))
+			w.Str(typ)
+			w.Str(code)
+			w.Str(carrier)
+			w.Str(fmt.Sprintf("contract-%d-%d", sk, ci))
+			w.EndRow()
 			sk++
 		}
 	}
+	w.Close()
 	return t
 }

@@ -78,7 +78,10 @@ func (g *Generator) sizes(db *storage.DB) dimSizes {
 
 // generateSales builds one of the three sales fact tables. Rows are
 // emitted in ticket/order groups (mean basket near the paper's 10.5
-// items per shopping cart) sharing a date, customer and outlet.
+// items per shopping cart) sharing a date, customer and outlet. Each
+// row is written a cell at a time in column order, and a cell drawn in
+// the row is drawn as it is written: the order of the draws is part of
+// the data.
 func (g *Generator) generateSales(db *storage.DB, name string) *storage.Table {
 	def := g.defs[name]
 	if def == nil {
@@ -89,6 +92,7 @@ func (g *Generator) generateSales(db *storage.DB, name string) *storage.Table {
 	d := g.sizes(db)
 	target := g.rows(name)
 	t.Grow(int(target))
+	w := t.Writer()
 	var emitted, ticket int64
 	for emitted < target {
 		ticket++
@@ -97,77 +101,93 @@ func (g *Generator) generateSales(db *storage.DB, name string) *storage.Table {
 			k = target - emitted
 		}
 		day := pickSalesDate(s)
-		dateSK := storage.Int(storage.DateSK(day))
-		timeSK := maybeNull(s, 2, storage.Int(1+s.Int63n(d.timeRows)))
-		cust := maybeNull(s, 3, storage.Int(1+s.Int63n(d.customer)))
-		cdemo := maybeNull(s, 3, storage.Int(1+s.Int63n(d.cdemo)))
-		hdemo := maybeNull(s, 3, storage.Int(1+s.Int63n(d.hdemo)))
-		addr := maybeNull(s, 3, storage.Int(1+s.Int63n(d.addr)))
+		dateSK := storage.DateSK(day)
+		timeSK := maybeNull(s, 2, 1+s.Int63n(d.timeRows))
+		cust := maybeNull(s, 3, 1+s.Int63n(d.customer))
+		cdemo := maybeNull(s, 3, 1+s.Int63n(d.cdemo))
+		hdemo := maybeNull(s, 3, 1+s.Int63n(d.hdemo))
+		addr := maybeNull(s, 3, 1+s.Int63n(d.addr))
+		household := func() { // bill_* or ship_*: the same household
+			for _, c := range [...]nullInt{cust, cdemo, hdemo, addr} {
+				c.write(w)
+			}
+		}
 		for j := int64(0); j < k; j++ {
 			item := 1 + s.Int63n(d.item)
-			promo := maybeNull(s, 50, storage.Int(1+s.Int63n(d.promo)))
+			promo := maybeNull(s, 50, 1+s.Int63n(d.promo))
 			li := genLineItem(s)
 			switch name {
 			case "store_sales":
-				t.Append([]storage.Value{
-					dateSK, timeSK, storage.Int(item), cust, cdemo, hdemo, addr,
-					maybeNull(s, 2, storage.Int(1+s.Int63n(d.store))),
-					promo, storage.Int(ticket), storage.Int(li.quantity),
-					storage.Float(li.wholesale), storage.Float(li.list),
-					storage.Float(li.sales), storage.Float(li.extDiscount),
-					storage.Float(li.extSales), storage.Float(li.extWholesale),
-					storage.Float(li.extList), storage.Float(li.extTax),
-					storage.Float(li.coupon), storage.Float(li.netPaid),
-					storage.Float(li.netPaidIncTax), storage.Float(li.netProfit),
-				})
+				w.Int(dateSK)
+				timeSK.write(w)
+				w.Int(item)
+				household()
+				maybeNull(s, 2, 1+s.Int63n(d.store)).write(w)
+				promo.write(w)
+				w.Int(ticket)
+				w.Int(li.quantity)
+				li.writeAmounts(w)
 			case "catalog_sales":
-				shipDate := storage.Int(storage.DateSK(day + 2 + s.Int63n(88)))
-				t.Append([]storage.Value{
-					dateSK, timeSK, shipDate,
-					cust, cdemo, hdemo, addr, // bill_*
-					cust, cdemo, hdemo, addr, // ship_* (same household)
-					maybeNull(s, 2, storage.Int(1+s.Int63n(d.callCenter))),
-					maybeNull(s, 2, storage.Int(1+s.Int63n(d.catalogPage))),
-					maybeNull(s, 2, storage.Int(1+s.Int63n(d.shipMode))),
-					maybeNull(s, 2, storage.Int(1+s.Int63n(d.wh))),
-					storage.Int(item), promo, storage.Int(ticket),
-					storage.Int(li.quantity),
-					storage.Float(li.wholesale), storage.Float(li.list),
-					storage.Float(li.sales), storage.Float(li.extDiscount),
-					storage.Float(li.extSales), storage.Float(li.extWholesale),
-					storage.Float(li.extList), storage.Float(li.extTax),
-					storage.Float(li.coupon), storage.Float(li.extShipCost),
-					storage.Float(li.netPaid), storage.Float(li.netPaidIncTax),
-					storage.Float(li.netPaidIncShip), storage.Float(li.netPIST),
-					storage.Float(li.netProfit),
-				})
+				shipDate := storage.DateSK(day + 2 + s.Int63n(88))
+				w.Int(dateSK)
+				timeSK.write(w)
+				w.Int(shipDate)
+				household()
+				household()
+				maybeNull(s, 2, 1+s.Int63n(d.callCenter)).write(w)
+				maybeNull(s, 2, 1+s.Int63n(d.catalogPage)).write(w)
+				maybeNull(s, 2, 1+s.Int63n(d.shipMode)).write(w)
+				maybeNull(s, 2, 1+s.Int63n(d.wh)).write(w)
+				w.Int(item)
+				promo.write(w)
+				w.Int(ticket)
+				w.Int(li.quantity)
+				li.writeAmountsWithShipping(w)
 			case "web_sales":
-				shipDate := storage.Int(storage.DateSK(day + 1 + s.Int63n(60)))
-				t.Append([]storage.Value{
-					dateSK, timeSK, shipDate, storage.Int(item),
-					cust, cdemo, hdemo, addr, // bill_*
-					cust, cdemo, hdemo, addr, // ship_*
-					maybeNull(s, 2, storage.Int(1+s.Int63n(d.webPage))),
-					maybeNull(s, 2, storage.Int(1+s.Int63n(d.webSite))),
-					maybeNull(s, 2, storage.Int(1+s.Int63n(d.shipMode))),
-					maybeNull(s, 2, storage.Int(1+s.Int63n(d.wh))),
-					promo, storage.Int(ticket), storage.Int(li.quantity),
-					storage.Float(li.wholesale), storage.Float(li.list),
-					storage.Float(li.sales), storage.Float(li.extDiscount),
-					storage.Float(li.extSales), storage.Float(li.extWholesale),
-					storage.Float(li.extList), storage.Float(li.extTax),
-					storage.Float(li.coupon), storage.Float(li.extShipCost),
-					storage.Float(li.netPaid), storage.Float(li.netPaidIncTax),
-					storage.Float(li.netPaidIncShip), storage.Float(li.netPIST),
-					storage.Float(li.netProfit),
-				})
+				shipDate := storage.DateSK(day + 1 + s.Int63n(60))
+				w.Int(dateSK)
+				timeSK.write(w)
+				w.Int(shipDate)
+				w.Int(item)
+				household()
+				household()
+				maybeNull(s, 2, 1+s.Int63n(d.webPage)).write(w)
+				maybeNull(s, 2, 1+s.Int63n(d.webSite)).write(w)
+				maybeNull(s, 2, 1+s.Int63n(d.shipMode)).write(w)
+				maybeNull(s, 2, 1+s.Int63n(d.wh)).write(w)
+				promo.write(w)
+				w.Int(ticket)
+				w.Int(li.quantity)
+				li.writeAmountsWithShipping(w)
 			default:
 				panic("datagen: generateSales on non-sales table " + name)
 			}
+			w.EndRow()
 			emitted++
 		}
 	}
+	w.Close()
 	return t
+}
+
+// writeAmounts writes the monetary columns of a store sales row.
+func (li *lineItem) writeAmounts(w *storage.Writer) {
+	for _, f := range [...]float64{li.wholesale, li.list, li.sales, li.extDiscount,
+		li.extSales, li.extWholesale, li.extList, li.extTax, li.coupon,
+		li.netPaid, li.netPaidIncTax, li.netProfit} {
+		w.Float(f)
+	}
+}
+
+// writeAmountsWithShipping writes the monetary columns of a catalog or
+// web sales row, which carry the shipping cost and its totals.
+func (li *lineItem) writeAmountsWithShipping(w *storage.Writer) {
+	for _, f := range [...]float64{li.wholesale, li.list, li.sales, li.extDiscount,
+		li.extSales, li.extWholesale, li.extList, li.extTax, li.coupon,
+		li.extShipCost, li.netPaid, li.netPaidIncTax, li.netPaidIncShip,
+		li.netPIST, li.netProfit} {
+		w.Float(f)
+	}
 }
 
 // generateReturns builds a returns fact whose rows reference actual rows
@@ -188,25 +208,33 @@ func (g *Generator) generateReturns(db *storage.DB, name string, sales *storage.
 	if nSales == 0 {
 		panic("datagen: returns generated before sales")
 	}
-	sdef := sales.Def
-	colOf := func(col string) int { return sdef.ColumnIndex(col) }
-	// Per-channel source column positions in the sales fact.
-	var cDate, cItem, cOrder, cCust, cCDemo, cHDemo, cAddr, cStore, cQty int
+	col := func(name string) salesCol {
+		v, nulls := sales.ScanInt64(sales.Def.ColumnIndex(name))
+		return salesCol{v, nulls}
+	}
+	// Per-channel source columns in the sales fact.
+	var cDate, cItem, cOrder, cCust, cCDemo, cHDemo, cAddr, cStore, cQty salesCol
 	switch name {
 	case "store_returns":
-		cDate, cItem, cOrder = colOf("ss_sold_date_sk"), colOf("ss_item_sk"), colOf("ss_ticket_number")
-		cCust, cCDemo, cHDemo = colOf("ss_customer_sk"), colOf("ss_cdemo_sk"), colOf("ss_hdemo_sk")
-		cAddr, cStore, cQty = colOf("ss_addr_sk"), colOf("ss_store_sk"), colOf("ss_quantity")
+		cDate, cItem, cOrder = col("ss_sold_date_sk"), col("ss_item_sk"), col("ss_ticket_number")
+		cCust, cCDemo, cHDemo = col("ss_customer_sk"), col("ss_cdemo_sk"), col("ss_hdemo_sk")
+		cAddr, cStore, cQty = col("ss_addr_sk"), col("ss_store_sk"), col("ss_quantity")
 	case "catalog_returns":
-		cDate, cItem, cOrder = colOf("cs_sold_date_sk"), colOf("cs_item_sk"), colOf("cs_order_number")
-		cCust, cCDemo, cHDemo = colOf("cs_bill_customer_sk"), colOf("cs_bill_cdemo_sk"), colOf("cs_bill_hdemo_sk")
-		cAddr, cStore, cQty = colOf("cs_bill_addr_sk"), colOf("cs_call_center_sk"), colOf("cs_quantity")
+		cDate, cItem, cOrder = col("cs_sold_date_sk"), col("cs_item_sk"), col("cs_order_number")
+		cCust, cCDemo, cHDemo = col("cs_bill_customer_sk"), col("cs_bill_cdemo_sk"), col("cs_bill_hdemo_sk")
+		cAddr, cStore, cQty = col("cs_bill_addr_sk"), col("cs_call_center_sk"), col("cs_quantity")
 	case "web_returns":
-		cDate, cItem, cOrder = colOf("ws_sold_date_sk"), colOf("ws_item_sk"), colOf("ws_order_number")
-		cCust, cCDemo, cHDemo = colOf("ws_bill_customer_sk"), colOf("ws_bill_cdemo_sk"), colOf("ws_bill_hdemo_sk")
-		cAddr, cStore, cQty = colOf("ws_bill_addr_sk"), colOf("ws_web_page_sk"), colOf("ws_quantity")
+		cDate, cItem, cOrder = col("ws_sold_date_sk"), col("ws_item_sk"), col("ws_order_number")
+		cCust, cCDemo, cHDemo = col("ws_bill_customer_sk"), col("ws_bill_cdemo_sk"), col("ws_bill_hdemo_sk")
+		cAddr, cStore, cQty = col("ws_bill_addr_sk"), col("ws_web_page_sk"), col("ws_quantity")
 	default:
 		panic("datagen: generateReturns on non-returns table " + name)
+	}
+	w := t.Writer()
+	household := func(row int) { // returning_* or refunded_*
+		for _, c := range [...]salesCol{cCust, cCDemo, cHDemo, cAddr} {
+			c.at(row).write(w)
+		}
 	}
 	// Stride through the sales fact so returns cover the full history.
 	stride := nSales / target
@@ -215,18 +243,15 @@ func (g *Generator) generateReturns(db *storage.DB, name string, sales *storage.
 	}
 	for i := int64(0); i < target; i++ {
 		saleRow := int((i * stride) % nSales)
-		soldDateSK := sales.Get(saleRow, cDate)
 		var returnedDay int64
-		if soldDateSK.IsNull() {
+		if soldDateSK := cDate.at(saleRow); soldDateSK.null {
 			returnedDay = pickSalesDate(s)
 		} else {
-			returnedDay = storage.DaysFromSK(soldDateSK.AsInt()) + 1 + s.Int63n(90)
+			returnedDay = storage.DaysFromSK(soldDateSK.v) + 1 + s.Int63n(90)
 		}
-		item := sales.Get(saleRow, cItem)
-		order := sales.Get(saleRow, cOrder)
-		soldQty := sales.Get(saleRow, cQty).AsInt()
-		if soldQty < 1 {
-			soldQty = 1
+		soldQty := int64(1)
+		if q := cQty.at(saleRow); !q.null && q.v > 1 {
+			soldQty = q.v
 		}
 		retQty := 1 + s.Int63n(soldQty)
 		amt := money(float64(retQty) * (1 + s.Float64()*99))
@@ -237,56 +262,46 @@ func (g *Generator) generateReturns(db *storage.DB, name string, sales *storage.
 		reversed := money((amt - refunded) * s.Float64())
 		credit := money(amt - refunded - reversed)
 		loss := money(fee + shipCost + amt*0.1)
-		timeSK := maybeNull(s, 2, storage.Int(1+s.Int63n(d.timeRows)))
-		retDate := storage.Int(storage.DateSK(returnedDay))
+		timeSK := maybeNull(s, 2, 1+s.Int63n(d.timeRows))
+		w.Int(storage.DateSK(returnedDay))
+		timeSK.write(w)
+		cItem.at(saleRow).write(w)
+		household(saleRow)
 		switch name {
 		case "store_returns":
-			t.Append([]storage.Value{
-				retDate, timeSK, item,
-				sales.Get(saleRow, cCust), sales.Get(saleRow, cCDemo),
-				sales.Get(saleRow, cHDemo), sales.Get(saleRow, cAddr),
-				sales.Get(saleRow, cStore),
-				maybeNull(s, 2, storage.Int(1+s.Int63n(d.reason))),
-				order, storage.Int(retQty),
-				storage.Float(amt), storage.Float(tax), storage.Float(money(amt + tax)),
-				storage.Float(fee), storage.Float(shipCost), storage.Float(refunded),
-				storage.Float(reversed), storage.Float(credit), storage.Float(loss),
-			})
+			cStore.at(saleRow).write(w)
+			maybeNull(s, 2, 1+s.Int63n(d.reason)).write(w)
 		case "catalog_returns":
-			t.Append([]storage.Value{
-				retDate, timeSK, item,
-				sales.Get(saleRow, cCust), sales.Get(saleRow, cCDemo),
-				sales.Get(saleRow, cHDemo), sales.Get(saleRow, cAddr),
-				sales.Get(saleRow, cCust), sales.Get(saleRow, cCDemo),
-				sales.Get(saleRow, cHDemo), sales.Get(saleRow, cAddr),
-				sales.Get(saleRow, cStore), // cr_call_center_sk from cs_call_center_sk
-				maybeNull(s, 2, storage.Int(1+s.Int63n(d.catalogPage))),
-				maybeNull(s, 2, storage.Int(1+s.Int63n(d.shipMode))),
-				maybeNull(s, 2, storage.Int(1+s.Int63n(d.wh))),
-				maybeNull(s, 2, storage.Int(1+s.Int63n(d.reason))),
-				order, storage.Int(retQty),
-				storage.Float(amt), storage.Float(tax), storage.Float(money(amt + tax)),
-				storage.Float(fee), storage.Float(shipCost), storage.Float(refunded),
-				storage.Float(reversed), storage.Float(credit), storage.Float(loss),
-			})
+			household(saleRow)
+			cStore.at(saleRow).write(w) // cr_call_center_sk from cs_call_center_sk
+			maybeNull(s, 2, 1+s.Int63n(d.catalogPage)).write(w)
+			maybeNull(s, 2, 1+s.Int63n(d.shipMode)).write(w)
+			maybeNull(s, 2, 1+s.Int63n(d.wh)).write(w)
+			maybeNull(s, 2, 1+s.Int63n(d.reason)).write(w)
 		case "web_returns":
-			t.Append([]storage.Value{
-				retDate, timeSK, item,
-				sales.Get(saleRow, cCust), sales.Get(saleRow, cCDemo),
-				sales.Get(saleRow, cHDemo), sales.Get(saleRow, cAddr),
-				sales.Get(saleRow, cCust), sales.Get(saleRow, cCDemo),
-				sales.Get(saleRow, cHDemo), sales.Get(saleRow, cAddr),
-				sales.Get(saleRow, cStore), // wr_web_page_sk from ws_web_page_sk
-				maybeNull(s, 2, storage.Int(1+s.Int63n(d.reason))),
-				order, storage.Int(retQty),
-				storage.Float(amt), storage.Float(tax), storage.Float(money(amt + tax)),
-				storage.Float(fee), storage.Float(shipCost), storage.Float(refunded),
-				storage.Float(reversed), storage.Float(credit), storage.Float(loss),
-			})
+			household(saleRow)
+			cStore.at(saleRow).write(w) // wr_web_page_sk from ws_web_page_sk
+			maybeNull(s, 2, 1+s.Int63n(d.reason)).write(w)
 		}
+		cOrder.at(saleRow).write(w)
+		w.Int(retQty)
+		for _, f := range [...]float64{amt, tax, money(amt + tax), fee, shipCost, refunded, reversed, credit, loss} {
+			w.Float(f)
+		}
+		w.EndRow()
 	}
+	w.Close()
 	return t
 }
+
+// salesCol is an int column of a sales fact, read as its vectors.
+type salesCol struct {
+	v     []int64
+	nulls []bool
+}
+
+// at returns the cell at row i.
+func (c salesCol) at(i int) nullInt { return nullInt{c.v[i], storage.IsNull(c.nulls, i)} }
 
 // generateInventory builds the weekly inventory snapshot fact shared by
 // the catalog and web channels: (week, item, warehouse) combinations
@@ -306,20 +321,21 @@ func (g *Generator) generateInventory(db *storage.DB) *storage.Table {
 	}
 	weeks := int64(SalesYears * 52)
 	t.Grow(int(min(target, weeks*nItem*nWH)))
+	w := t.Writer()
 	var emitted int64
-	for w := int64(0); w < weeks && emitted < target; w++ {
-		weekDay := day + w*7
+	for week := int64(0); week < weeks && emitted < target; week++ {
+		dateSK := storage.DateSK(day + week*7)
 		for it := int64(1); it <= nItem && emitted < target; it++ {
 			for wh := int64(1); wh <= nWH && emitted < target; wh++ {
-				t.Append([]storage.Value{
-					storage.Int(storage.DateSK(weekDay)),
-					storage.Int(it),
-					storage.Int(wh),
-					maybeNull(s, 2, storage.Int(s.Int63n(1000))),
-				})
+				w.Int(dateSK)
+				w.Int(it)
+				w.Int(wh)
+				maybeNull(s, 2, s.Int63n(1000)).write(w)
+				w.EndRow()
 				emitted++
 			}
 		}
 	}
+	w.Close()
 	return t
 }

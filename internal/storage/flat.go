@@ -52,10 +52,10 @@ const (
 // rendered from the typed vectors into one reused buffer, so the number
 // of allocations does not depend on the row count.
 func (t *Table) WriteFlat(w io.Writer) error {
-	kinds := t.physKinds()
+	dicts := t.renderDicts()
 	buf := make([]byte, 0, flatFlushAt+flatFlushAt/4)
 	for r, n := 0, t.NumRows(); r < n; {
-		buf, r = t.appendFlatRows(buf[:0], kinds, r, n, flatFlushAt)
+		buf, r = t.appendFlatRows(buf[:0], dicts, r, n, flatFlushAt)
 		if _, err := w.Write(buf); err != nil {
 			return err
 		}
@@ -63,17 +63,56 @@ func (t *Table) WriteFlat(w io.Writer) error {
 	return nil
 }
 
+// flatDicts is every dictionary of a table rendered once for the flat
+// file, so that a dictionary-coded cell costs one copy. For column c,
+// b = ends[c] is -1 without a dictionary, else value i of it renders
+// as bytes[ends[b+i]:ends[b+i+1]]. Made in three allocations whatever
+// the table's size, it is read-only once made, so workers rendering
+// the table share it.
+type flatDicts struct {
+	ends  []int
+	bytes []byte
+}
+
+// renderDicts renders the table's dictionaries.
+func (t *Table) renderDicts() flatDicts {
+	n, size := len(t.cols), 0
+	for c := range t.cols {
+		if d := t.cols[c].dict; d != nil {
+			n += len(d.vals) + 1
+			for _, v := range d.vals {
+				size += flatStringLen(v)
+			}
+		}
+	}
+	f := flatDicts{ends: make([]int, len(t.cols), n), bytes: make([]byte, 0, size)}
+	for c := range t.cols {
+		d := t.cols[c].dict
+		if d == nil {
+			f.ends[c] = -1
+			continue
+		}
+		f.ends[c] = len(f.ends)
+		f.ends = append(f.ends, len(f.bytes))
+		for _, v := range d.vals {
+			f.bytes = appendFlatString(f.bytes, v)
+			f.ends = append(f.ends, len(f.bytes))
+		}
+	}
+	return f
+}
+
 // appendFlatRows renders rows lo, lo+1, ... of the table onto buf in
 // flat-file format, up to row hi or until buf holds limit bytes or
 // more, whichever comes first, and returns buf and the first row not
-// rendered. kinds is t.physKinds().
-func (t *Table) appendFlatRows(buf []byte, kinds []Kind, lo, hi, limit int) ([]byte, int) {
+// rendered. dicts is t.renderDicts().
+func (t *Table) appendFlatRows(buf []byte, dicts flatDicts, lo, hi, limit int) ([]byte, int) {
 	r := lo
 	for ; r < hi && len(buf) < limit; r++ {
 		for c := range t.cols {
 			col := &t.cols[c]
 			if !IsNull(col.nulls, r) {
-				switch kinds[c] {
+				switch physKind(col.Type) {
 				case KindInt:
 					buf = strconv.AppendInt(buf, col.ints[r], 10)
 				case KindFloat:
@@ -84,7 +123,12 @@ func (t *Table) appendFlatRows(buf []byte, kinds []Kind, lo, hi, limit int) ([]b
 					// Only strings can carry framing bytes; numeric and
 					// date renderings never contain '|', '\', or line
 					// breaks.
-					buf = appendFlatString(buf, col.str(r))
+					if b := dicts.ends[c]; b >= 0 {
+						i := b + int(col.codes[r])
+						buf = append(buf, dicts.bytes[dicts.ends[i]:dicts.ends[i+1]]...)
+					} else {
+						buf = appendFlatString(buf, col.strs[r])
+					}
 				}
 			}
 			buf = append(buf, '|')
@@ -112,6 +156,21 @@ func appendFlatFloat(buf []byte, f float64) []byte {
 		}
 	}
 	return append(buf, Float(f).String()...)
+}
+
+// flatStringLen returns the length appendFlatString renders s to.
+func flatStringLen(s string) int {
+	if s == "" {
+		return 2
+	}
+	n := len(s)
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '|', '\\', '\n', '\r':
+			n++
+		}
+	}
+	return n
 }
 
 // appendFlatString appends a string payload protected from the

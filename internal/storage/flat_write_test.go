@@ -1,9 +1,15 @@
 package storage
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+
+	"tpcds/internal/schema"
 )
 
 // TestAppendFormattersEqualString: the writer's append-formatters
@@ -65,5 +71,49 @@ func TestAppendFormattersEqualString(t *testing.T) {
 		if got := string(appendFlatString([]byte("x|"), s)); got != want {
 			t.Fatalf("appendFlatString(%q) = %q, want %q", s, got, want)
 		}
+	}
+}
+
+// TestDictionaryRendersAsPlain: a dictionary-coded string column, whose
+// cells WriteFlat and DumpDir copy from its dictionary rendered once,
+// writes the bytes the same column written plain does, for the empty
+// string, the delimiter, a backslash, a line feed, a carriage return
+// and NULL.
+func TestDictionaryRendersAsPlain(t *testing.T) {
+	def := &schema.Table{Name: "strs", Kind: schema.Dimension, Columns: []schema.Column{
+		{Name: "s", Type: schema.Varchar, Nullable: true},
+	}}
+	vals := []Value{Str(""), Str("a|b"), Str(`x\y`), Str("\n"), Str("\r"), Null, Str("ok")}
+	coded, plain := NewTable(def), NewTable(def)
+	for r := 0; r < 3*len(vals); r++ {
+		coded.Append([]Value{vals[r%len(vals)]})
+		plain.Append([]Value{vals[r%len(vals)]})
+	}
+	plain.cols[0].decode()
+	if coded.cols[0].dict == nil || plain.cols[0].dict != nil {
+		t.Fatal("want one dictionary-coded column and one plain")
+	}
+	flat := func(tb *Table) string {
+		var b bytes.Buffer
+		if err := tb.WriteFlat(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	want := strings.Repeat(`\e|`+"\n"+`a\|b|`+"\n"+`x\\y|`+"\n"+`\n|`+"\n"+`\r|`+"\n"+"|\n"+"ok|\n", 3)
+	if got := flat(plain); got != want {
+		t.Fatalf("plain column writes %q, want %q", got, want)
+	}
+	if got := flat(coded); got != want {
+		t.Fatalf("dictionary column writes %q, plain %q", got, want)
+	}
+	db := NewDB()
+	db.Put(coded)
+	dir := t.TempDir()
+	if err := db.DumpDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "strs.dat")); err != nil || string(got) != want {
+		t.Fatalf("DumpDir of the dictionary column writes %q (%v), plain %q", got, err, want)
 	}
 }

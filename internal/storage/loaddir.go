@@ -495,7 +495,8 @@ func remapCodes(dict *strDict, pc *Column, dst []uint16) {
 //
 // Every table is cut into pieces of dumpRows rows (an empty table is
 // one empty piece), and GOMAXPROCS workers render the pieces into one
-// reused buffer each. The pieces are written in turn, in table-name
+// reused buffer each, sharing each table's flatDicts: a dictionary-coded
+// column is escaped once a dump, not once a cell. The pieces are written in turn, in table-name
 // order and in row order within a table, so each file is the bytes one
 // WriteFlat gives, files are created in the serial order, and a failure
 // stops the dump at the file a serial dump would have stopped at, with
@@ -507,7 +508,7 @@ func (db *DB) DumpDir(dir string) error {
 	type piece struct {
 		name   string
 		t      *Table
-		kinds  []Kind
+		dicts  flatDicts
 		lo, hi int
 	}
 	names, count := db.Names(), 0
@@ -517,9 +518,9 @@ func (db *DB) DumpDir(dir string) error {
 	pieces := make([]piece, 0, count)
 	for _, name := range names {
 		t := db.Table(name)
-		kinds, n := t.physKinds(), t.NumRows()
+		dicts, n := t.renderDicts(), t.NumRows()
 		for lo := 0; lo == 0 || lo < n; lo += dumpRows {
-			pieces = append(pieces, piece{name, t, kinds, lo, min(lo+dumpRows, n)})
+			pieces = append(pieces, piece{name, t, dicts, lo, min(lo+dumpRows, n)})
 		}
 	}
 	var (
@@ -556,7 +557,7 @@ func (db *DB) DumpDir(dir string) error {
 		if bufs[w] == nil {
 			bufs[w] = make([]byte, 0, dumpBuf)
 		}
-		bufs[w], _ = p.t.appendFlatRows(bufs[w][:0], p.kinds, p.lo, p.hi, math.MaxInt)
+		bufs[w], _ = p.t.appendFlatRows(bufs[w][:0], p.dicts, p.lo, p.hi, math.MaxInt)
 		mu.Lock()
 		defer mu.Unlock()
 		for written != k {

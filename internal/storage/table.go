@@ -189,30 +189,78 @@ func (c *Column) truncate(n int) {
 // should fail loudly, not corrupt data).
 func (c *Column) Append(v Value) {
 	if v.IsNull() {
-		c.appendNull(physKind(c.Type))
+		c.AppendNull()
 		return
-	}
-	if c.nulls != nil {
-		c.nulls = append(c.nulls, false)
 	}
 	switch physKind(c.Type) {
 	case KindInt, KindDate:
 		if v.K != KindInt && v.K != KindDate {
-			panic(fmt.Sprintf("storage: appending %v to %v column", v.K, c.Type))
+			c.wrongKind(v.K)
 		}
-		c.ints = append(c.ints, v.I)
+		c.AppendInt(v.I)
 	case KindFloat:
 		if v.K != KindFloat && v.K != KindInt {
-			panic(fmt.Sprintf("storage: appending %v to decimal column", v.K))
+			c.wrongKind(v.K)
 		}
-		c.flts = append(c.flts, v.AsFloat())
+		c.AppendFloat(v.AsFloat())
 	default:
 		if v.K != KindString {
-			panic(fmt.Sprintf("storage: appending %v to string column", v.K))
+			c.wrongKind(v.K)
 		}
-		appendStr(c, v.S)
+		c.AppendString(v.S)
 	}
 }
+
+// The logical types each typed append accepts, one bit per schema.Type,
+// so that the kind check is one test per cell.
+const (
+	intTypes = 1<<schema.Identifier | 1<<schema.Integer | 1<<schema.Date
+	strTypes = 1<<schema.Char | 1<<schema.Varchar
+)
+
+// wrongKind panics on a cell of kind k appended to the column.
+func (c *Column) wrongKind(k Kind) {
+	panic(fmt.Sprintf("storage: appending %v to %v column", k, c.Type))
+}
+
+// AppendInt appends a non-NULL cell to an identifier, integer or date
+// column (a date as days since 1900-01-01); a column of another kind
+// panics. Append and the generators write through these typed appends.
+func (c *Column) AppendInt(v int64) {
+	if 1<<c.Type&intTypes == 0 {
+		c.wrongKind(KindInt)
+	}
+	if c.nulls != nil {
+		c.nulls = append(c.nulls, false)
+	}
+	c.ints = append(c.ints, v)
+}
+
+// AppendFloat appends a non-NULL cell to a decimal column.
+func (c *Column) AppendFloat(v float64) {
+	if c.Type != schema.Decimal {
+		c.wrongKind(KindFloat)
+	}
+	if c.nulls != nil {
+		c.nulls = append(c.nulls, false)
+	}
+	c.flts = append(c.flts, v)
+}
+
+// AppendString appends a non-NULL cell to a string column, through
+// the dictionary while the column keeps one.
+func (c *Column) AppendString(v string) {
+	if 1<<c.Type&strTypes == 0 {
+		c.wrongKind(KindString)
+	}
+	if c.nulls != nil {
+		c.nulls = append(c.nulls, false)
+	}
+	appendStr(c, v)
+}
+
+// AppendNull appends a NULL to a column of any kind.
+func (c *Column) AppendNull() { c.appendNull(physKind(c.Type)) }
 
 // AppendN adds n copies of v: the column ends as n calls of Append(v)
 // leave it — the same vectors, dictionary and layout, and the same
@@ -412,6 +460,61 @@ func (t *Table) Append(row []Value) {
 		t.cols[i].Append(v)
 	}
 	t.epoch++
+}
+
+// A Writer appends rows to a table a cell at a time, in column order,
+// through the columns' typed appends: no row of Values is built. EndRow
+// ends each row, and Close ends the writing.
+type Writer struct {
+	t    *Table
+	col  int // the column of the next cell
+	rows int // the table's rows when the writer was made
+}
+
+// Writer returns a writer that appends to t.
+func (t *Table) Writer() *Writer { return &Writer{t: t, rows: t.NumRows()} }
+
+// next returns the column of the next cell and moves past it.
+func (w *Writer) next() *Column {
+	c := &w.t.cols[w.col]
+	w.col++
+	return c
+}
+
+// Int writes an identifier, integer or date cell (Column.AppendInt).
+func (w *Writer) Int(v int64) { w.next().AppendInt(v) }
+
+// Float writes a decimal cell (Column.AppendFloat).
+func (w *Writer) Float(v float64) { w.next().AppendFloat(v) }
+
+// Str writes a string cell (Column.AppendString).
+func (w *Writer) Str(v string) { w.next().AppendString(v) }
+
+// Null writes a NULL cell.
+func (w *Writer) Null() { w.next().AppendNull() }
+
+// EndRow ends a row; it panics unless the row has a cell for every
+// column.
+func (w *Writer) EndRow() {
+	if w.col != len(w.t.cols) {
+		panic(fmt.Sprintf("storage: row of %d cells for %d columns in %s", w.col, len(w.t.cols), w.t.Def.Name))
+	}
+	w.col = 0
+}
+
+// Close ends the writing. It panics, naming the table, unless every
+// column holds the same number of rows, and bumps the epoch once per
+// row written, as per-row Appends would have.
+func (w *Writer) Close() {
+	t := w.t
+	n := t.NumRows()
+	for i := range t.cols {
+		if t.cols[i].Len() != n {
+			panic(fmt.Sprintf("storage: ragged table %s: column %s holds %d rows, column %s %d",
+				t.Def.Name, t.Def.Columns[0].Name, n, t.Def.Columns[i].Name, t.cols[i].Len()))
+		}
+	}
+	t.epoch += uint64(n - w.rows)
 }
 
 // Update overwrites row i with the given values (in-place dimension
