@@ -454,26 +454,27 @@ func runOneQuery(ctx context.Context, eng *exec.Engine, cfg Config, streamSp *ob
 // resultChecksum digests a query result — column names, then every
 // value of every row in order — with FNV-1a. Byte-identical results
 // (including row order) produce equal checksums, so diffing digests
-// across runs proves result equality without retaining the rows.
+// across runs proves result equality without retaining the rows. A
+// value's AppendGroupKey bytes are hashed where they are encoded.
 func resultChecksum(r *exec.Result) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
+	mix := func(s []byte) {
+		for _, b := range s {
+			h ^= uint64(b)
 			h *= prime
 		}
 		h ^= 0xff // field separator
 		h *= prime
 	}
 	for _, c := range r.Columns {
-		mix(c)
+		mix([]byte(c))
 	}
 	var buf []byte
 	for _, row := range r.Rows {
 		for _, v := range row {
 			buf = v.AppendGroupKey(buf[:0])
-			mix(string(buf))
+			mix(buf)
 		}
 	}
 	return h

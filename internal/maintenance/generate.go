@@ -116,15 +116,18 @@ func GenerateRefresh(db *storage.DB, seed uint64, n int) (*RefreshSet, error) {
 		tables = append(tables, table)
 	}
 	sort.Strings(tables)
+	listed := map[string][]string{"item": items, "customer": customers} // each dimension's keys are listed once
 	for _, table := range tables {
 		cols := updatable[table]
 		t := db.Table(table)
 		if t == nil || t.Def.BusinessKey == "" {
 			continue
 		}
-		keys, err := businessKeys(db, table)
-		if err != nil {
-			return nil, err
+		keys, ok := listed[table]
+		if !ok {
+			if keys, err = businessKeys(db, table); err != nil {
+				return nil, err
+			}
 		}
 		count := len(keys) / 20
 		if count < 2 {
@@ -160,9 +163,10 @@ func GenerateRefresh(db *storage.DB, seed uint64, n int) (*RefreshSet, error) {
 	return rs, nil
 }
 
-// businessKeys returns the distinct business keys of a dimension (one
-// entry per entity — revisions of history-keeping dimensions share the
-// key).
+// businessKeys returns the distinct business keys of a dimension in
+// first-seen row order (one entry per entity — revisions of
+// history-keeping dimensions share the key), read from the key
+// column's vectors.
 func businessKeys(db *storage.DB, table string) ([]string, error) {
 	t := db.Table(table)
 	if t == nil {
@@ -171,13 +175,13 @@ func businessKeys(db *storage.DB, table string) ([]string, error) {
 	if t.Def.BusinessKey == "" {
 		return nil, fmt.Errorf("maintenance: %s has no business key", table)
 	}
-	col := t.Def.ColumnIndex(t.Def.BusinessKey)
-	seen := map[string]bool{}
+	keys := businessKeyColumn(t)
+	seen := make(map[string]struct{}, t.NumRows())
 	var out []string
 	for r := 0; r < t.NumRows(); r++ {
-		k := t.Get(r, col).S
-		if !seen[k] {
-			seen[k] = true
+		k := keys.at(r)
+		if _, ok := seen[k]; !ok {
+			seen[k] = struct{}{}
 			out = append(out, k)
 		}
 	}

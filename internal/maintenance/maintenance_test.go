@@ -247,6 +247,124 @@ func TestSurrogateKeysResolveToOpenRevision(t *testing.T) {
 	}
 }
 
+// TestRevisionMovesKey: the run's business key index follows its own
+// revisions. Two updates of one item in one refresh set revise the
+// revision the first one opened, so one revision stays open, with the
+// second price and the largest surrogate key, and the staged sale
+// resolves to it.
+func TestRevisionMovesKey(t *testing.T) {
+	eng := freshEngine(t)
+	db := eng.DB()
+	item := db.Table("item")
+	bk := item.Get(0, item.Def.ColumnIndex("i_item_id")).S
+	before := item.NumRows()
+	update := func(price float64) DimUpdate {
+		return DimUpdate{Table: "item", BusinessKey: bk, Set: map[string]storage.Value{"i_current_price": storage.Float(price)}}
+	}
+	rs := &RefreshSet{
+		Sales: map[string][]StagedSale{
+			"store": {{
+				SoldDateSK: storage.DateSK(storage.DaysFromYMD(2001, 5, 5)),
+				SoldTimeSK: 1, ItemID: bk,
+				CustomerID: db.Table("customer").Get(0, 1).S,
+				Order:      9_999_999, Quantity: 2, SalesPrice: 10, Wholesale: 5,
+			}},
+		},
+		Returns: map[string][]StagedReturn{}, DeleteRange: map[string][2]int64{},
+		UpdateDateSK: storage.DateSK(storage.DaysFromYMD(2003, 3, 1)),
+		DimUpdates:   []DimUpdate{update(77), update(88)},
+	}
+	if _, err := Run(eng, rs); err != nil {
+		t.Fatal(err)
+	}
+	if item.NumRows() != before+2 {
+		t.Fatalf("two revisions should add two rows: %d -> %d", before, item.NumRows())
+	}
+	res, err := eng.Query(`SELECT i_item_sk, i_current_price FROM item
+		WHERE i_item_id = '` + bk + `' AND i_rec_end_date IS NULL`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := item.Get(item.NumRows()-1, 0)
+	if len(res.Rows) != 1 || res.Rows[0][0] != last || res.Rows[0][1].AsFloat() != 88 {
+		t.Fatalf("open revisions of %s: %v, want the last row (sk %v, price 88)", bk, res.Rows, last)
+	}
+	res, err = eng.Query(`SELECT ss_item_sk FROM store_sales WHERE ss_ticket_number = 9999999`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0] != last {
+		t.Fatalf("the staged sale resolves to %v, want the open revision %v", res.Rows, last)
+	}
+}
+
+// TestKeyIndexSkipsClosedRevisions: a history-keeping dimension's key
+// maps to its open revision even when a closed revision of the entity
+// comes after it in the table (the generator and Figure 9 always
+// append the open one last, so only a table edited otherwise shows
+// it).
+func TestKeyIndexSkipsClosedRevisions(t *testing.T) {
+	item := freshEngine(t).DB().Table("item")
+	bkCol, endCol := item.Def.ColumnIndex("i_item_id"), item.Def.ColumnIndex("i_rec_end_date")
+	open := 0
+	for !item.Get(open, endCol).IsNull() {
+		open++
+	}
+	closed := item.Row(open)
+	closed[endCol] = storage.DateV(storage.DaysFromYMD(2003, 1, 1))
+	item.Append(closed)
+	if got := bkIndex(item)[item.Get(open, bkCol).S]; got != open {
+		t.Errorf("key index maps %s to row %d, want its open revision, row %d", item.Get(open, bkCol).S, got, open)
+	}
+}
+
+// TestRefreshInventory: operation 12 replaces every inventory snapshot
+// in the store channel's deleted range with one for the same week,
+// item and warehouse, appended in the order it had, with a quantity
+// derived from its position, and leaves the row count as it was. (The
+// generated inventory covers only its first weeks at small scale
+// factors, so a random refresh range seldom meets it.)
+func TestRefreshInventory(t *testing.T) {
+	eng := freshEngine(t)
+	inv := eng.DB().Table("inventory")
+	dates, _ := inv.ScanInt64(0)
+	week := dates[0]
+	type snapshot struct{ date, item, wh int64 }
+	var kept, replaced []snapshot
+	for r := 0; r < inv.NumRows(); r++ {
+		s := snapshot{inv.Get(r, 0).I, inv.Get(r, 1).I, inv.Get(r, 2).I}
+		if s.date == week {
+			replaced = append(replaced, s)
+		} else {
+			kept = append(kept, s)
+		}
+	}
+	rows := inv.NumRows()
+	rs := &RefreshSet{
+		Sales: map[string][]StagedSale{}, Returns: map[string][]StagedReturn{},
+		DeleteRange:  map[string][2]int64{"store": {week, week}},
+		UpdateDateSK: storage.DateSK(storage.DaysFromYMD(2003, 1, 1)),
+	}
+	if _, err := Run(eng, rs); err != nil {
+		t.Fatal(err)
+	}
+	if inv.NumRows() != rows || len(replaced) == 0 {
+		t.Fatalf("inventory holds %d rows after replacing %d, had %d", inv.NumRows(), len(replaced), rows)
+	}
+	want := append(kept, replaced...)
+	for r := 0; r < rows; r++ {
+		got := snapshot{inv.Get(r, 0).I, inv.Get(r, 1).I, inv.Get(r, 2).I}
+		if got != want[r] {
+			t.Fatalf("row %d holds %+v, want %+v", r, got, want[r])
+		}
+		if i := r - len(kept); i >= 0 {
+			if q, want := inv.Get(r, 3), (got.item*31+got.wh*7+int64(i))%1000+1; q.I != want || q.IsNull() {
+				t.Fatalf("replaced row %d has quantity %v, want %d", r, q, want)
+			}
+		}
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	eng := freshEngine(t)
 	rs := &RefreshSet{

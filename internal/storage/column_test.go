@@ -132,7 +132,9 @@ func runColumnOps(t *testing.T, vocab int, prog []byte) *Table {
 			tb.SetValue(touched, 1, v)
 			strs[touched] = v
 		case 5:
-			ids := []int{int(arg()), int(arg()) - 3, len(strs) - 1}
+			// Unsorted, with duplicates, and often out of range.
+			a, b := int(arg()), int(arg())-3
+			ids := []int{len(strs) - 1, a, b, a % max(len(strs), 1), len(strs) - 1, b}
 			victim := map[int]bool{}
 			for _, id := range ids {
 				victim[id] = true

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -103,6 +104,131 @@ func TestDeleteCompacts(t *testing.T) {
 	if tb.Delete(nil) != 0 {
 		t.Error("Delete(nil) should remove nothing")
 	}
+}
+
+// deleteDef is a table whose columns cover Delete's vectors: an int key
+// and a dictionary string column without a null vector, an int column
+// with one, a decimal column, and a plain string column.
+func deleteDef() *schema.Table {
+	return &schema.Table{Name: "del", Kind: schema.Dimension, Columns: []schema.Column{
+		{Name: "k", Type: schema.Identifier},
+		{Name: "n", Type: schema.Integer, Nullable: true},
+		{Name: "f", Type: schema.Decimal},
+		{Name: "d", Type: schema.Char, Len: 1},
+		{Name: "p", Type: schema.Varchar, Len: 20},
+	}}
+}
+
+// TestDeleteModel holds Table.Delete to a model — the rows whose ids
+// the call does not name, in order — over unsorted ids, duplicates,
+// ids out of range, the first, the last and every row, adjacent and
+// single-row runs. Each call must keep every vector's capacity and
+// layout, leave a missing null vector missing, raise the epoch by
+// exactly one when it removes a row (by none otherwise) and leave the
+// caller's ids as they were.
+func TestDeleteModel(t *testing.T) {
+	const n = 600 // past dictTrial, so that p, all distinct, is plain
+	build := func() (*Table, [][]Value) {
+		tb := NewTable(deleteDef())
+		var model [][]Value
+		for i := 0; i < n; i++ {
+			nv := Int(int64(i * 10))
+			if i%7 == 3 {
+				nv = Null
+			}
+			row := []Value{Int(int64(i)), nv, Float(float64(i) / 4), Str(string(rune('a' + i%3))), Str("p" + strconv.Itoa(i))}
+			tb.Append(row)
+			model = append(model, row)
+		}
+		return tb, model
+	}
+	every := make([]int, n)
+	for i := range every {
+		every[i] = n - 1 - i
+	}
+	cases := map[string][]int{
+		"unsorted with duplicates and out of range": {17, 5, 300, -1, 5, n, 2, 1 << 40, 17, 599},
+		"first row":                 {0},
+		"last row":                  {n - 1},
+		"every row":                 every,
+		"adjacent runs":             {10, 11, 12, 13, 20, 21, 22, 23, 24, 25},
+		"single-row runs":           {1, 3, 5, 7, 400},
+		"sorted with duplicates":    {4, 4, 9, 9, 9},
+		"none in range":             {-3, n, n + 1},
+		"empty":                     nil,
+		"the first and last halves": append(slicesRange(0, 100), slicesRange(500, 600)...),
+	}
+	for name, ids := range cases {
+		tb, model := build()
+		before := slices.Clone(ids)
+		victim := map[int]bool{}
+		for _, id := range ids {
+			victim[id] = true
+		}
+		var want [][]Value
+		for r, row := range model {
+			if !victim[r] {
+				want = append(want, row)
+			}
+		}
+		type shape struct{ payload, nulls int }
+		shapes := func() []shape {
+			var out []shape
+			for c := 0; c < tb.NumCols(); c++ {
+				_, ints, flts, strs, codes, _, nulls := tb.Col(c).Raw()
+				s := shape{cap(ints) + cap(flts) + cap(strs) + cap(codes), -1}
+				if nulls != nil {
+					s.nulls = cap(nulls)
+				}
+				out = append(out, s)
+			}
+			return out
+		}
+		caps, epoch := shapes(), tb.Epoch()
+		if !DictLayout(tb.Col(3)) || DictLayout(tb.Col(4)) {
+			t.Fatalf("%s: column d must be dictionary-coded and p plain", name)
+		}
+		removed := tb.Delete(ids)
+		if removed != n-len(want) {
+			t.Errorf("%s: Delete removed %d rows, want %d", name, removed, n-len(want))
+		}
+		if rise := tb.Epoch() - epoch; rise != uint64(min(removed, 1)) {
+			t.Errorf("%s: the epoch rose by %d", name, rise)
+		}
+		if !slices.Equal(ids, before) {
+			t.Errorf("%s: Delete changed its argument to %v", name, ids)
+		}
+		if got := shapes(); !slices.Equal(got, caps) {
+			t.Errorf("%s: capacities and null vectors %v, before the delete %v", name, got, caps)
+		}
+		if !DictLayout(tb.Col(3)) || DictLayout(tb.Col(4)) {
+			t.Errorf("%s: Delete changed a string column's layout", name)
+		}
+		if tb.NumRows() != len(want) {
+			t.Fatalf("%s: %d rows, want %d", name, tb.NumRows(), len(want))
+		}
+		for c := 0; c < tb.NumCols(); c++ {
+			if tb.Col(c).Len() != len(want) {
+				t.Fatalf("%s: column %d holds %d rows, want %d", name, c, tb.Col(c).Len(), len(want))
+			}
+		}
+		for r, row := range want {
+			for c, v := range row {
+				if got := tb.Get(r, c); !sameValue(got, v) {
+					t.Fatalf("%s: row %d column %d reads %#v, want %#v", name, r, c, got, v)
+				}
+			}
+		}
+	}
+}
+
+// slicesRange returns lo, lo+1, ..., hi-1.
+func slicesRange(lo, hi int) []int {
+	out := make([]int, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		out = append(out, i)
+	}
+	return out
 }
 
 func TestFlatFileRoundTrip(t *testing.T) {

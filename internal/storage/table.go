@@ -535,45 +535,63 @@ func (t *Table) SetValue(row, col int, v Value) {
 	t.epoch++
 }
 
-// Delete removes the given row ids (any order, duplicates allowed) and
-// compacts the table. Fact-table deletes are logically clustered on a
-// date range (§4.2), so a compaction pass over contiguous victims is
-// cheap in practice. Returns the number of rows removed.
+// Delete removes the given row ids (any order, duplicates and ids out
+// of range ignored) and compacts the table, keeping each vector's
+// capacity; a column without a null vector stays without one. The ids
+// are sorted only when they are not already, and the rows kept between
+// two victims move down as one run. Fact-table deletes are logically
+// clustered on a date range (§4.2), so the runs are few and long.
+// Returns the number of rows removed; the epoch rises by one when that
+// is not zero.
 func (t *Table) Delete(rowIDs []int) int {
-	if len(rowIDs) == 0 {
-		return 0
-	}
-	n := t.NumRows()
-	victim := make([]bool, n)
-	removed := 0
-	for _, id := range rowIDs {
-		if id >= 0 && id < n && !victim[id] {
-			victim[id] = true
-			removed++
-		}
-	}
-	if removed == 0 {
+	ids := sortedVictims(rowIDs, t.NumRows())
+	if len(ids) == 0 {
 		return 0
 	}
 	t.epoch++
 	for c := range t.cols {
 		col := &t.cols[c]
-		col.nulls = compact(col.nulls, victim) // nil stays nil
-		col.ints, col.flts = compact(col.ints, victim), compact(col.flts, victim)
-		col.strs, col.codes = compact(col.strs, victim), compact(col.codes, victim)
+		col.nulls = dropRows(col.nulls, ids)
+		col.ints, col.flts = dropRows(col.ints, ids), dropRows(col.flts, ids)
+		col.strs, col.codes = dropRows(col.strs, ids), dropRows(col.codes, ids)
 	}
-	return removed
+	return len(ids)
 }
 
-// compact moves the entries of v that victim does not mark to the
-// front, in order, and returns them.
-func compact[T any](v []T, victim []bool) []T {
-	w := 0
-	for r, x := range v {
-		if !victim[r] {
-			v[w] = x
-			w++
+// sortedVictims returns the distinct ids in [0, n) in ascending order:
+// ids itself when it already is that, else a sorted copy without
+// duplicates or ids out of range.
+func sortedVictims(ids []int, n int) []int {
+	clean := len(ids) == 0 || ids[0] >= 0 && ids[len(ids)-1] < n
+	for i := 1; clean && i < len(ids); i++ {
+		clean = ids[i-1] < ids[i]
+	}
+	if clean {
+		return ids
+	}
+	ids = slices.Clone(ids)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	lo, _ := slices.BinarySearch(ids, 0)
+	hi, _ := slices.BinarySearch(ids, n)
+	return ids[lo:hi]
+}
+
+// dropRows removes the entries at ids (ascending, distinct, in range)
+// from v, moving each run of kept entries down with one copy. An empty
+// vector (a payload not in use, a missing null vector) is returned as
+// it is.
+func dropRows[T any](v []T, ids []int) []T {
+	if len(v) == 0 {
+		return v
+	}
+	w := ids[0]
+	for i, id := range ids {
+		end := len(v)
+		if i+1 < len(ids) {
+			end = ids[i+1]
 		}
+		w += copy(v[w:], v[id+1:end])
 	}
 	return v[:w]
 }
