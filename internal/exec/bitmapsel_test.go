@@ -296,33 +296,29 @@ func TestBitmapCacheIntegrity(t *testing.T) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	column := func(key string) (*storage.Table, int) {
-		tab := db.Table(key[:strings.IndexByte(key, '.')])
-		return tab, tab.Def.ColumnIndex(key[strings.IndexByte(key, '.')+1:])
-	}
-	bitmapped := 0
-	for key, c := range e.valIdx {
-		if c.ix == nil {
-			continue
-		}
-		bitmapped++
-		if err := sameIndex(c.ix, freshValueIndex(column(key))); err != "" {
-			t.Errorf("cached value index %s: %s", key, err)
+	bitmapped, facts := 0, 0
+	for key, c := range e.aux {
+		tab := db.Table(key.table)
+		switch ix, _ := c.v.(*index.BitmapIndex); {
+		case key.kind == auxValues && ix != nil:
+			bitmapped++
+			if err := sameIndex(ix, freshValueIndex(tab, key.col)); err != "" {
+				t.Errorf("cached value index %s.%d: %s", key.table, key.col, err)
+			}
+		case key.kind == auxPostings:
+			facts++
+			if err := sameIndex(ix, index.BuildBitmapIndex(tab.ScanInt64(key.col))); err != "" {
+				t.Errorf("cached fact index %s.%d: %s", key.table, key.col, err)
+			}
 		}
 	}
 	if bitmapped == 0 {
 		t.Fatal("the templates left no value bitmap in the engine")
 	}
-	for key, c := range e.bmIdx {
-		tab, col := column(key)
-		if err := sameIndex(c.ix, index.BuildBitmapIndex(tab.ScanInt64(col))); err != "" {
-			t.Errorf("cached fact index %s: %s", key, err)
-		}
-	}
-	if len(e.bmIdx) == 0 {
+	if facts == 0 {
 		t.Fatal("the templates left no fact index in the engine")
 	}
-	t.Logf("%d value indexes and %d fact indexes equal fresh builds", bitmapped, len(e.bmIdx))
+	t.Logf("%d value indexes and %d fact indexes equal fresh builds", bitmapped, facts)
 }
 
 // sameIndex describes how a differs from b — keys, NULL rows or one
@@ -391,8 +387,8 @@ func TestBitmapFirstUsePublishesOnce(t *testing.T) {
 				t.Errorf("%s: goroutine %d got a second index", col, g)
 			}
 		}
-		if len(e.valIdx) != 1 {
-			t.Errorf("%s: %d cache entries, want 1", col, len(e.valIdx))
+		if len(e.aux) != 1 {
+			t.Errorf("%s: %d cache entries, want 1", col, len(e.aux))
 		}
 	}
 }

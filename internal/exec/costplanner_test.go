@@ -262,29 +262,65 @@ func TestPlanCacheConcurrentStreams(t *testing.T) {
 	}
 }
 
-// TestPlanCacheInvalidation: maintenance on a dependency table must
-// evict cached plans so the next execution replans against fresh
-// statistics.
+// TestPlanCacheInvalidation: a cached plan serves a repeat of its
+// statement while the tables it reads are unchanged, and a change to one
+// row of one of them makes the next execution replan, with no call into
+// the engine between: the table's epoch is the plan cache's freshness
+// rule. The replanned entry replaces the stale one under the same key.
 func TestPlanCacheInvalidation(t *testing.T) {
 	db := randDB(3, 200, 10)
 	eng := New(db)
-	const q = `SELECT d_s, COUNT(*) c FROM f, d WHERE f_k = d_k GROUP BY d_s`
+	const q = `SELECT d_s, COUNT(*) c FROM f, d WHERE f_k = d_k GROUP BY d_s ORDER BY d_s`
+	run := func(step string) (hits, misses int64) {
+		t.Helper()
+		res, err := eng.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := New(db).Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResult(t, step, cold, res)
+		return eng.PlanCacheStats()
+	}
+	_, m0 := run("first run")
+	h1, m1 := run("unchanged")
+	if h1 == 0 || m1 != m0 {
+		t.Fatalf("a repeat over unchanged tables did not hit the plan cache: %d hits, %d -> %d misses", h1, m0, m1)
+	}
+	d := db.Table("d")
+	d.SetValue(0, d.Def.ColumnIndex("d_s"), storage.Str("s9"))
+	h2, m2 := run("after one row of d changed")
+	if h2 != h1 || m2 == m1 {
+		t.Fatalf("a change to d did not force a replan: hits %d -> %d, misses %d -> %d", h1, h2, m1, m2)
+	}
+	h3, m3 := run("repeat after the replan")
+	if h3 == h2 || m3 != m2 {
+		t.Fatalf("the replanned entry was not served: hits %d -> %d, misses %d -> %d", h2, h3, m2, m3)
+	}
+	if n := eng.planCache.Len(); n != 1 {
+		t.Errorf("plan cache holds %d entries, want the replan to replace the one", n)
+	}
+}
+
+// TestPlanCacheHitsOverCTE: a block that joins a CTE is planned once
+// for its statement shape. Every execution materializes the CTE as a new
+// table instance, so the plan cache keeps CTE-backed tables out of the
+// versions an entry records; with them in, such a plan never hits.
+func TestPlanCacheHitsOverCTE(t *testing.T) {
+	eng := New(randDB(3, 200, 10))
+	const q = `WITH dd AS (SELECT d_k, d_s FROM d WHERE d_g < 3)
+		SELECT d_s, COUNT(*) c FROM f, dd WHERE f_k = d_k GROUP BY d_s ORDER BY d_s`
 	if _, err := eng.Query(q); err != nil {
 		t.Fatal(err)
 	}
+	h0, m0 := eng.PlanCacheStats()
 	if _, err := eng.Query(q); err != nil {
 		t.Fatal(err)
 	}
-	if hits, _ := eng.PlanCacheStats(); hits == 0 {
-		t.Fatal("repeated query did not hit the plan cache")
-	}
-	eng.InvalidateIndexes("d")
-	if _, err := eng.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	_, misses := eng.PlanCacheStats()
-	if misses < 2 {
-		t.Fatalf("invalidation did not force a replan: %d misses", misses)
+	if h1, m1 := eng.PlanCacheStats(); h1 == h0 || m1 != m0 {
+		t.Fatalf("a repeat over a fresh CTE materialization replanned: hits %d -> %d, misses %d -> %d", h0, h1, m0, m1)
 	}
 }
 

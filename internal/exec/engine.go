@@ -9,7 +9,6 @@ package exec
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"tpcds/internal/index"
@@ -37,18 +36,16 @@ type Engine struct {
 	// program node (batch.go).
 	vecHook func(b *binder, e bexpr, fr *frame, sel []int32, v view, tri []int8)
 
-	// mu guards the lazily built caches below (hashIdx, bmIdx, valIdx,
-	// statsCache) plus lastTrace. Concurrent benchmark
-	// streams race to build the same index; mu makes the first build
-	// win and the rest reuse it. Every acquisition is mu.Lock() paired
-	// with an immediate defer mu.Unlock() in the same function, so no
-	// lock is ever held across a channel operation or query execution —
-	// the invariant lockcheck proves.
-	mu         sync.Mutex
-	hashIdx    map[string]cachedHashIndex   // "table.column" -> index
-	bmIdx      map[string]cachedBitmapIndex // "table.column" -> index
-	valIdx     map[string]cachedBitmapIndex // "table.column" -> value bitmaps, nil ix: the column has too many values
-	statsCache map[statsKey]colStats
+	// mu guards aux and lastTrace. Concurrent benchmark streams race to
+	// build the same structure; mu makes the first build win and the
+	// rest reuse it. Every acquisition is mu.Lock() paired with an
+	// immediate defer mu.Unlock() in the same function, so no lock is
+	// ever held across a blocking channel operation or query execution —
+	// the invariant lockcheck proves. (A statistics build polls its
+	// query's context without blocking; a cancellation panics out
+	// through the deferred unlock and publishes nothing.)
+	mu  sync.Mutex
+	aux map[auxKey]auxEntry
 
 	// planCache memoizes cost-based join plans keyed by statement shape
 	// + planning inputs; it has its own internal lock (never taken while
@@ -76,31 +73,39 @@ type Engine struct {
 	lastTrace Trace
 }
 
-// cachedHashIndex is one hash-index cache entry together with the
-// identity and epoch of the table contents it was built from.
-type cachedHashIndex struct {
-	ix      *index.HashIndex
-	tableID uint64
-	epoch   uint64
+// auxKind names a kind of derived structure the engine keeps per
+// column of a table.
+type auxKind uint8
+
+const (
+	auxHash     auxKind = iota // surrogate-key hash index (*index.HashIndex)
+	auxPostings                // fact foreign-key postings (*index.BitmapIndex)
+	auxValues                  // value postings (*index.BitmapIndex; nil: too many values)
+	auxStats                   // column statistics (colStats)
+)
+
+// auxKey identifies one cached structure. A struct key cannot collide
+// the way a concatenated "table.column" string can.
+type auxKey struct {
+	kind  auxKind
+	table string
+	col   int
 }
 
-// cachedBitmapIndex is the bitmap-index analogue of cachedHashIndex.
-type cachedBitmapIndex struct {
-	ix      *index.BitmapIndex
-	tableID uint64
-	epoch   uint64
+// auxEntry is one cached structure stamped with the instance id and
+// epoch of the table contents it was derived from.
+type auxEntry struct {
+	v         any
+	id, epoch uint64
 }
 
 // New returns an engine over db: cost planning over gathered
 // statistics, with the strategy chosen by the cost model.
 func New(db *storage.DB) *Engine {
 	return &Engine{
-		db:         db,
-		hashIdx:    map[string]cachedHashIndex{},
-		bmIdx:      map[string]cachedBitmapIndex{},
-		valIdx:     map[string]cachedBitmapIndex{},
-		statsCache: map[statsKey]colStats{},
-		planCache:  plan.NewCache(),
+		db:        db,
+		aux:       map[auxKey]auxEntry{},
+		planCache: plan.NewCache(),
 	}
 }
 
@@ -116,7 +121,7 @@ func (e *Engine) SetMode(m plan.Mode) { e.mode = m }
 // streams).
 //
 // Deprecated: kept only because the benchmark harness under bench/
-// still calls it; the [benchmark] change of ROADMAP item 2(b) removes
+// still calls it; the [benchmark] change of ROADMAP item 1(a) removes
 // those calls and this method.
 func (e *Engine) SetParallelism(int) {}
 
@@ -149,68 +154,41 @@ func (e *Engine) SetQueryHook(h func(query string)) { e.queryHook = h }
 // DB exposes the underlying database (used by data maintenance).
 func (e *Engine) DB() *storage.DB { return e.db }
 
-// InvalidateIndexes drops cached indexes for a table; the data
-// maintenance workload calls this after modifying a table ("the data
-// maintenance run measures the system's ability ... to maintain
-// auxiliary data structures", §5.2 — rebuilding on next use is our
-// maintenance model).
-func (e *Engine) InvalidateIndexes(table string) {
+// cached returns the structure of the given kind on column col of t,
+// calling build when the cache holds none derived from t's current
+// instance id and epoch, and reports whether it built. This is the one
+// freshness rule of every derived structure the engine keeps: only the
+// table's own mutators (Append, Writer, Update, SetValue, Delete, Adopt)
+// make one stale, by bumping the epoch, and the next use rebuilds it —
+// the data maintenance run's "maintain auxiliary data structures" cost
+// (§5.2) is paid there. A row count is no freshness test: a same-size
+// reload or in-place update must rebuild. The build runs under mu, so
+// concurrent first uses build once and publish once.
+func cached[T any](e *Engine, kind auxKind, t *storage.Table, col int, build func() T) (v T, built bool) {
+	key := auxKey{kind: kind, table: t.Def.Name, col: col}
 	e.mu.Lock()
-	prefix := table + "."
-	for k := range e.hashIdx {
-		if strings.HasPrefix(k, prefix) {
-			delete(e.hashIdx, k)
-		}
+	defer e.mu.Unlock()
+	if c, ok := e.aux[key]; ok && c.id == t.ID() && c.epoch == t.Epoch() {
+		return c.v.(T), false
 	}
-	for _, m := range []map[string]cachedBitmapIndex{e.bmIdx, e.valIdx} {
-		for k := range m {
-			if strings.HasPrefix(k, prefix) {
-				delete(m, k)
-			}
-		}
-	}
-	for k := range e.statsCache {
-		if k.table == table {
-			delete(e.statsCache, k)
-		}
-	}
-	e.mu.Unlock()
-	// Cached join plans embed estimates derived from the table's old
-	// statistics; drop them so the next query replans. (The epoch check
-	// already forces index/stats re-gather; this keeps the plan cache
-	// from serving plans shaped by stale estimates.)
-	e.planCache.InvalidateTable(table)
+	v = build()
+	e.aux[key] = auxEntry{v: v, id: t.ID(), epoch: t.Epoch()}
+	return v, true
 }
 
 // hashIndex returns the hash index on table.column and whether this
-// call had to build it. Freshness is (instance id, epoch), not row
-// count: a same-size reload or in-place update must rebuild.
-func (e *Engine) hashIndex(t *storage.Table, col int) (ix *index.HashIndex, built bool) {
-	key := t.Def.Name + "." + t.Def.Columns[col].Name
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if c, ok := e.hashIdx[key]; ok && c.tableID == t.ID() && c.epoch == t.Epoch() {
-		return c.ix, false
-	}
-	vals, nulls := t.ScanInt64(col)
-	ix = index.BuildHashIndex(vals, nulls)
-	e.hashIdx[key] = cachedHashIndex{ix: ix, tableID: t.ID(), epoch: t.Epoch()}
-	return ix, true
+// call built it.
+func (e *Engine) hashIndex(t *storage.Table, col int) (*index.HashIndex, bool) {
+	return cached(e, auxHash, t, col, func() *index.HashIndex {
+		return index.BuildHashIndex(t.ScanInt64(col))
+	})
 }
 
-// bitmapIndex returns (building if needed) a bitmap index on
-// table.column, with the same (instance id, epoch) freshness rule as
-// hashIndex.
+// bitmapIndex returns the fact postings on table.column.
 func (e *Engine) bitmapIndex(t *storage.Table, col int) *index.BitmapIndex {
-	key := t.Def.Name + "." + t.Def.Columns[col].Name
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if c, ok := e.bmIdx[key]; ok && c.tableID == t.ID() && c.epoch == t.Epoch() {
-		return c.ix
-	}
-	vals, nulls := t.ScanInt64(col)
-	ix := index.BuildBitmapIndex(vals, nulls)
-	e.bmIdx[key] = cachedBitmapIndex{ix: ix, tableID: t.ID(), epoch: t.Epoch()}
+	ix, _ := cached(e, auxPostings, t, col, func() *index.BitmapIndex {
+		return index.BuildBitmapIndex(t.ScanInt64(col))
+	})
 	return ix
 }
 
@@ -224,46 +202,35 @@ const maxBitmapValues = 256
 // column — or nil when the column is neither or holds more than
 // maxBitmapValues distinct values (a dictionary column: has more
 // dictionary entries). read is the number of rows this call read to
-// build it: 0 when the cache answered or no row needed reading. The
-// freshness rule is hashIndex's, and a nil answer is cached too.
+// build it: 0 when the cache answered or no row needed reading. A nil
+// answer is cached too.
 func (e *Engine) valueIndex(t *storage.Table, col int) (ix *index.BitmapIndex, read int) {
-	key := t.Def.Name + "." + t.Def.Columns[col].Name
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if c, ok := e.valIdx[key]; ok && c.tableID == t.ID() && c.epoch == t.Epoch() {
-		return c.ix, 0
-	}
-	kind, ints, _, _, codes, dict, nulls := t.Col(col).Raw()
-	switch {
-	case codes != nil && len(dict) <= maxBitmapValues:
-		ix, read = index.BuildCodeIndex(codes, nulls, len(dict)), len(codes)
-	case kind == storage.KindInt || kind == storage.KindDate:
-		ix, read = index.BuildBitmapIndexUpTo(ints, nulls, maxBitmapValues), len(ints)
-	}
-	e.valIdx[key] = cachedBitmapIndex{ix: ix, tableID: t.ID(), epoch: t.Epoch()}
+	ix, _ = cached(e, auxValues, t, col, func() *index.BitmapIndex {
+		kind, ints, _, _, codes, dict, nulls := t.Col(col).Raw()
+		switch {
+		case codes != nil && len(dict) <= maxBitmapValues:
+			read = len(codes)
+			return index.BuildCodeIndex(codes, nulls, len(dict))
+		case kind == storage.KindInt || kind == storage.KindDate:
+			read = len(ints)
+			return index.BuildBitmapIndexUpTo(ints, nulls, maxBitmapValues)
+		}
+		return nil
+	})
 	return ix, read
 }
 
 // WarmHashIndex eagerly builds the hash index on table.column (part of
 // the load test's "create auxiliary data structures" step, §5.2). It is
 // a no-op for unknown tables/columns or non-integer columns.
-func (e *Engine) WarmHashIndex(table, column string) {
-	t := e.db.Table(table)
-	if t == nil {
-		return
-	}
-	ci := t.Def.ColumnIndex(column)
-	if ci < 0 {
-		return
-	}
-	switch t.Def.Columns[ci].Type {
-	case schema.Identifier, schema.Integer, schema.Date:
-		e.hashIndex(t, ci)
-	}
-}
+func (e *Engine) WarmHashIndex(table, column string) { e.warm(auxHash, table, column) }
 
-// WarmBitmapIndex eagerly builds the bitmap index on table.column.
-func (e *Engine) WarmBitmapIndex(table, column string) {
+// WarmBitmapIndex eagerly builds the fact postings on table.column, on
+// the same terms as WarmHashIndex.
+func (e *Engine) WarmBitmapIndex(table, column string) { e.warm(auxPostings, table, column) }
+
+// warm builds the index of the given kind on table.column.
+func (e *Engine) warm(kind auxKind, table, column string) {
 	t := e.db.Table(table)
 	if t == nil {
 		return
@@ -274,7 +241,11 @@ func (e *Engine) WarmBitmapIndex(table, column string) {
 	}
 	switch t.Def.Columns[ci].Type {
 	case schema.Identifier, schema.Integer, schema.Date:
-		e.bitmapIndex(t, ci)
+		if kind == auxHash {
+			e.hashIndex(t, ci)
+		} else {
+			e.bitmapIndex(t, ci)
+		}
 	}
 }
 

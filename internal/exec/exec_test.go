@@ -643,13 +643,15 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
-func TestInvalidateIndexes(t *testing.T) {
+// TestMutationOutdatesIndexes: a table's own mutation is all it takes
+// to outdate what the engine derived from it. The first query caches
+// indexes, statistics and a plan over sales; a row appended to sales,
+// with no call into the engine, must show in the next answer.
+func TestMutationOutdatesIndexes(t *testing.T) {
 	e := New(miniDB())
 	q(t, e, `SELECT COUNT(*) c FROM sales, item WHERE s_item_sk = i_item_sk AND i_category = 'Books'`)
-	// Append a row, invalidate, re-query: count must reflect new data.
 	sales := e.DB().Table("sales")
 	sales.Append([]storage.Value{storage.Int(2), storage.Int(1), storage.Int(1), storage.Float(10), storage.Int(200)})
-	e.InvalidateIndexes("sales")
 	res := q(t, e, `SELECT COUNT(*) c FROM sales, item WHERE s_item_sk = i_item_sk AND i_category = 'Books'`)
 	if res.Rows[0][0].AsInt() != 4 {
 		t.Errorf("count after insert = %v, want 4", res.Rows[0][0])
@@ -830,8 +832,8 @@ func TestStatsSelectivityShapes(t *testing.T) {
 	}
 }
 
-// TestStatsInvalidation: maintenance-style invalidation refreshes the
-// cached statistics.
+// TestStatsInvalidation: appending to a table refreshes its cached
+// statistics on the next query, with no call into the engine between.
 func TestStatsInvalidation(t *testing.T) {
 	db := miniDB()
 	e := New(db)
@@ -840,12 +842,11 @@ func TestStatsInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := e.LastTrace().Tables[0].Estimate
-	// Double the table: estimates must track after invalidation.
+	// Double the table: estimates must track the new rows.
 	item := db.Table("item")
 	for i := 5; i <= 8; i++ {
 		item.Append([]storage.Value{storage.Int(int64(i)), storage.Str("new"), storage.Float(1), storage.Str("Books")})
 	}
-	e.InvalidateIndexes("item")
 	if _, err := e.Query(rangeQuery); err != nil {
 		t.Fatal(err)
 	}

@@ -231,7 +231,7 @@ func TestHashTableJoinsEqualMapJoins(t *testing.T) {
 		}
 		assertSameResult(t, c.name, &Result{Columns: res.Columns, Rows: c.want}, res)
 	}
-	if _, cached := e.hashIdx["q.q_k"]; !cached {
+	if _, cached := e.aux[auxKey{auxHash, "q", db.Table("q").Def.ColumnIndex("q_k")}]; !cached {
 		t.Error("the unfiltered build of q did not go through the engine's index on q_k")
 	}
 }

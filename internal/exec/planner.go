@@ -202,20 +202,17 @@ func (e *Engine) planKey(stmt *sql.SelectStmt, gOrder []int, free []bool) string
 	return fmt.Sprintf("%s|m%d|g%v|f%x", plan.Fingerprint(stmt, false), e.mode, gOrder, mask)
 }
 
-// planDeps lists the distinct underlying table names of a query for
-// cache invalidation. CTE-backed entries are included harmlessly: the
-// maintenance layer only ever invalidates schema table names.
-func planDeps(b *binder) []string {
-	seen := map[string]bool{}
-	var deps []string
+// planReads lists the versions of the catalog tables a block reads, in
+// binding order, for the plan cache. A CTE-backed table stays out: a
+// fresh materialization has a fresh id, and its plan would never hit.
+func (e *Engine) planReads(b *binder) []plan.Version {
+	var reads []plan.Version
 	for ti := range b.tables {
-		n := b.tables[ti].tab.Def.Name
-		if !seen[n] {
-			seen[n] = true
-			deps = append(deps, n)
+		if t := b.tables[ti].tab; e.db.Table(t.Def.Name) == t {
+			reads = append(reads, plan.Version{ID: t.ID(), Epoch: t.Epoch()})
 		}
 	}
-	return deps
+	return reads
 }
 
 // scopeSig renders the identity of every CTE table in scope, sorted by
@@ -241,8 +238,8 @@ func (e *Engine) costPlan(b *binder, stmt *sql.SelectStmt, filters []filterInfo,
 	b.qc.startOp("plan", "")
 	defer b.qc.endOp()
 	free := e.classifyFree(b, edges, isLeft)
-	key := e.planKey(stmt, gOrder, free)
-	if c, ok := e.planCache.Get(key); ok {
+	key, reads := e.planKey(stmt, gOrder, free), e.planReads(b)
+	if c, ok := e.planCache.Get(key, reads); ok {
 		b.qc.planCacheHits++
 		return c, true
 	}
@@ -265,6 +262,6 @@ func (e *Engine) costPlan(b *binder, stmt *sql.SelectStmt, filters []filterInfo,
 		GreedyConnected: connected,
 	})
 	c := plan.Cached{Order: jp.Order, Cost: jp.Cost, EstRows: jp.EstRows, Source: jp.Source}
-	e.planCache.Put(key, c, planDeps(b))
+	e.planCache.Put(key, c, reads)
 	return c, false
 }

@@ -248,17 +248,21 @@ func TestCancelMidSelectionAndBuild(t *testing.T) {
 		// Whatever the cancelled query left in the engine's index cache is
 		// a whole index over the current table.
 		e.mu.Lock()
-		for key, c := range e.hashIdx {
-			tab := db.Table(key[:strings.IndexByte(key, '.')])
-			vals, nulls := tab.ScanInt64(tab.Def.ColumnIndex(key[strings.IndexByte(key, '.')+1:]))
+		for key, c := range e.aux {
+			ix, ok := c.v.(*index.HashIndex)
+			if !ok {
+				continue
+			}
+			tab := db.Table(key.table)
+			vals, nulls := tab.ScanInt64(key.col)
 			fresh := index.BuildHashIndex(vals, nulls)
-			if c.ix.NumRows() != tab.NumRows() || c.ix.DistinctKeys() != fresh.DistinctKeys() {
-				t.Errorf("poll %d: published index %s covers %d rows / %d keys, table has %d / %d",
-					polls, key, c.ix.NumRows(), c.ix.DistinctKeys(), tab.NumRows(), fresh.DistinctKeys())
+			if ix.NumRows() != tab.NumRows() || ix.DistinctKeys() != fresh.DistinctKeys() {
+				t.Errorf("poll %d: published index %s.%d covers %d rows / %d keys, table has %d / %d",
+					polls, key.table, key.col, ix.NumRows(), ix.DistinctKeys(), tab.NumRows(), fresh.DistinctKeys())
 			}
 			for _, v := range vals {
-				if !slices.Equal(c.ix.Lookup(v), fresh.Lookup(v)) {
-					t.Fatalf("poll %d: published index %s disagrees with a fresh build on key %d", polls, key, v)
+				if !slices.Equal(ix.Lookup(v), fresh.Lookup(v)) {
+					t.Fatalf("poll %d: published index %s.%d disagrees with a fresh build on key %d", polls, key.table, key.col, v)
 				}
 			}
 		}

@@ -25,53 +25,26 @@ type colStats struct {
 	nonNull  int
 	rows     int // table row count at gather time
 	valid    bool
-
-	// tableID/epoch identify the exact table contents the stats were
-	// gathered from (see storage.Table.Epoch). A row-count comparison is
-	// not a freshness check: maintenance can delete and insert the same
-	// number of rows, and two CTE materializations can share a name and
-	// a row count while holding different data.
-	tableID uint64
-	epoch   uint64
 }
 
-// statsKey identifies a cached statistics entry. A struct key cannot
-// collide the way a concatenated "name#stats#column" string can (table
-// "a#stats#b" column "c" versus table "a" column "b#stats#c").
-type statsKey struct {
-	table  string
-	column string
-}
-
-// fresh reports whether the cached entry still describes table t.
-func (s colStats) fresh(t *storage.Table) bool {
-	return s.tableID == t.ID() && s.epoch == t.Epoch()
-}
-
-// columnStats computes (and caches) statistics for an integer-typed
-// column; valid is false for string/decimal columns and for columns
-// with no non-NULL values. The qctx keeps the full-column gathering
-// scan cancellable on large tables.
-//
-// The statsCache store below is a lock-guarded map publication; it
-// stays trivially frozen because colStats is an all-scalar value copy —
-// nothing the reader gets back can be mutated retroactively.
+// columnStats returns the statistics of an integer-typed column,
+// gathered once per table epoch (cached); valid is false for
+// string/decimal columns and for columns with no non-NULL values. The
+// qctx keeps the full-column gathering scan cancellable on large tables.
 func (e *Engine) columnStats(qc *qctx, t *storage.Table, col int) colStats {
 	switch t.Def.Columns[col].Type {
 	case schema.Identifier, schema.Integer, schema.Date:
 	default:
 		return colStats{}
 	}
-	key := statsKey{table: t.Def.Name, column: t.Def.Columns[col].Name}
-	e.mu.Lock()
-	if st, ok := e.statsCache[key]; ok && st.fresh(t) {
-		e.mu.Unlock()
-		return st
-	}
-	e.mu.Unlock()
+	st, _ := cached(e, auxStats, t, col, func() colStats { return gatherStats(qc, t, col) })
+	return st
+}
 
+// gatherStats scans column col of t for its statistics.
+func gatherStats(qc *qctx, t *storage.Table, col int) colStats {
 	vals, nulls := t.ScanInt64(col)
-	st := colStats{rows: t.NumRows(), tableID: t.ID(), epoch: t.Epoch()}
+	st := colStats{rows: t.NumRows()}
 	for i, v := range vals {
 		qc.tick()
 		if storage.IsNull(nulls, i) {
@@ -87,9 +60,6 @@ func (e *Engine) columnStats(qc *qctx, t *storage.Table, col int) colStats {
 	}
 	st.distinct = countDistinct(qc, vals, nulls, st.min, st.max)
 	st.valid = st.nonNull > 0
-	e.mu.Lock()
-	e.statsCache[key] = st
-	e.mu.Unlock()
 	return st
 }
 

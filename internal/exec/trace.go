@@ -81,8 +81,8 @@ func (t Trace) String() string {
 
 func (e *Engine) setTrace(t Trace) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.lastTrace = t
-	e.mu.Unlock()
 }
 
 // LastTrace returns the execution trace of the most recent completed

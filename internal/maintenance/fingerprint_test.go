@@ -53,22 +53,11 @@ func refreshHash(rs *RefreshSet) uint64 {
 
 // tableFingerprint describes one table: its row count and epoch, per
 // column the layout (int, float, a dictionary with its size, or plain
-// strings) and whether it carries a null vector, and an FNV-1a hash of
-// every cell in row order.
+// strings) and whether it carries a null vector, and its cellHash.
 func tableFingerprint(b *strings.Builder, tb *storage.Table) {
-	type raw struct {
-		ints  []int64
-		flts  []float64
-		strs  []string
-		codes []uint16
-		dict  []string
-		nulls []bool
-	}
-	cols := make([]raw, tb.NumCols())
 	fmt.Fprintf(b, "%s rows=%d epoch=%d\n", tb.Def.Name, tb.NumRows(), tb.Epoch())
-	for c := range cols {
-		kind, ints, flts, strs, codes, dict, nulls := tb.Col(c).Raw()
-		cols[c] = raw{ints, flts, strs, codes, dict, nulls}
+	for c := range tb.NumCols() {
+		kind, _, _, _, _, dict, nulls := tb.Col(c).Raw()
 		layout := kind.String()
 		switch {
 		case kind != storage.KindString:
@@ -81,6 +70,24 @@ func tableFingerprint(b *strings.Builder, tb *storage.Table) {
 			layout += " nulls"
 		}
 		fmt.Fprintf(b, "  %s %s\n", tb.Def.Columns[c].Name, layout)
+	}
+	fmt.Fprintf(b, "  cells %016x\n", cellHash(tb))
+}
+
+// cellHash is an FNV-1a hash of every cell of tb in row order.
+func cellHash(tb *storage.Table) uint64 {
+	type raw struct {
+		ints  []int64
+		flts  []float64
+		strs  []string
+		codes []uint16
+		dict  []string
+		nulls []bool
+	}
+	cols := make([]raw, tb.NumCols())
+	for c := range cols {
+		_, ints, flts, strs, codes, dict, nulls := tb.Col(c).Raw()
+		cols[c] = raw{ints, flts, strs, codes, dict, nulls}
 	}
 	h := fnv.New64a()
 	var buf []byte
@@ -102,7 +109,7 @@ func tableFingerprint(b *strings.Builder, tb *storage.Table) {
 			h.Write(append(buf, 0xff))
 		}
 	}
-	fmt.Fprintf(b, "  cells %016x\n", h.Sum64())
+	return h.Sum64()
 }
 
 // TestRefreshFingerprint pins the data maintenance end to end: at SF

@@ -464,8 +464,8 @@ func TestWarmEngineEqualsColdAfterRefresh(t *testing.T) {
 	// rows at every scale factor), each answered from value bitmaps. No
 	// maintenance operation touches the table, so after each refresh an
 	// in-place update stands in for one: it moves a row demo skips to an
-	// education status no row held before. Maintenance does not
-	// invalidate this table's indexes; the epoch check alone must see it.
+	// education status no row held before; the epoch check must see it,
+	// as it sees every change.
 	const demo = `SELECT cd_demo_sk, cd_education_status FROM customer_demographics
 			WHERE cd_education_status IN ('Unknown', 'Revised 1', 'Revised 2') AND cd_marital_status = 'W'
 			AND cd_gender = 'M' AND cd_credit_rating = 'High Risk'`

@@ -1,7 +1,7 @@
 package plan
 
 import (
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -19,12 +19,17 @@ type Cached struct {
 	Source  string
 }
 
+// Version is the state of one catalog table a plan was made from: the
+// instance id and data epoch that storage.Table reports (ID, Epoch).
+type Version struct{ ID, Epoch uint64 }
+
 type cacheEntry struct {
 	plan Cached
-	// deps are the base-table names the plan's statistics came from;
-	// mutating any of them invalidates the entry. CTE-backed tables are
-	// never deps — their identity is already part of the key.
-	deps []string
+	// reads are the versions of the catalog tables the plan's
+	// statistics came from. CTE-backed tables are never among them:
+	// every execution materializes a CTE afresh, under a fresh id, so
+	// the plan would miss every time.
+	reads []Version
 }
 
 // Cache memoizes planning decisions across executions of the same
@@ -47,12 +52,14 @@ func NewCache() *Cache {
 	return &Cache{m: make(map[string]cacheEntry)}
 }
 
-// Get looks up a cached plan and counts the hit or miss.
-func (c *Cache) Get(key string) (Cached, bool) {
+// Get looks up the plan cached under key and counts the hit or miss.
+// reads are the versions of the catalog tables the caller reads now; a
+// plan made from other versions is a miss, and the Put that follows
+// replaces it.
+func (c *Cache) Get(key string, reads []Version) (Cached, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.m[key]
-	if ok {
+	if e, ok := c.m[key]; ok && slices.Equal(e.reads, reads) {
 		c.hits++
 		return e.plan, true
 	}
@@ -60,35 +67,15 @@ func (c *Cache) Get(key string) (Cached, bool) {
 	return Cached{}, false
 }
 
-// Put stores a plan under key, recording the base tables it depends on.
-// Put publishes p and deps: the moment it returns, Get hands them to
-// concurrent readers unlocked, so the caller must not modify either
-// afterwards (the -race stream tests report a later write).
-func (c *Cache) Put(key string, p Cached, deps []string) {
+// Put stores a plan under key, with the versions of the catalog tables
+// it was made from. Put publishes p and reads: the moment it returns,
+// Get hands the plan to concurrent readers unlocked, so the caller must
+// not modify either afterwards (the -race stream tests report a later
+// write).
+func (c *Cache) Put(key string, p Cached, reads []Version) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m[key] = cacheEntry{plan: p, deps: deps}
-}
-
-// InvalidateTable drops every cached plan that depends on the named
-// base table. The maintenance layer calls this (via the engine's index
-// invalidation) after refresh runs mutate a table.
-func (c *Cache) InvalidateTable(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var keys []string
-	for k := range c.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		for _, d := range c.m[k].deps {
-			if d == name {
-				delete(c.m, k)
-				break
-			}
-		}
-	}
+	c.m[key] = cacheEntry{plan: p, reads: reads}
 }
 
 // Stats returns the cumulative hit and miss counts.

@@ -133,12 +133,13 @@ func TestSearchDeterministic(t *testing.T) {
 
 func TestCacheBasics(t *testing.T) {
 	c := NewCache()
-	if _, ok := c.Get("k"); ok {
+	v1 := []Version{{ID: 7, Epoch: 3}, {ID: 9, Epoch: 1}}
+	if _, ok := c.Get("k", v1); ok {
 		t.Fatal("empty cache hit")
 	}
 	p := Cached{Order: []int{0, 2, 1}, Cost: 42, EstRows: 5, Source: "dp"}
-	c.Put("k", p, []string{"store_sales", "date_dim"})
-	got, ok := c.Get("k")
+	c.Put("k", p, v1)
+	got, ok := c.Get("k", []Version{{ID: 7, Epoch: 3}, {ID: 9, Epoch: 1}})
 	if !ok || !reflect.DeepEqual(got, p) {
 		t.Fatalf("get = %+v, %v", got, ok)
 	}
@@ -149,14 +150,31 @@ func TestCacheBasics(t *testing.T) {
 		t.Fatalf("len = %d", c.Len())
 	}
 
-	// Invalidation removes exactly the entries depending on the table.
-	c.Put("other", Cached{Source: "greedy"}, []string{"item"})
-	c.InvalidateTable("date_dim")
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("entry survived invalidation of its dependency")
+	// A plan made from other versions of its tables is a miss: a moved
+	// epoch, another instance of the table, or another table list.
+	other := []Version{{ID: 11, Epoch: 0}}
+	c.Put("other", Cached{Source: "greedy"}, other)
+	for _, moved := range [][]Version{
+		{{ID: 7, Epoch: 4}, {ID: 9, Epoch: 1}},
+		{{ID: 7, Epoch: 3}, {ID: 10, Epoch: 1}},
+		{{ID: 7, Epoch: 3}},
+		nil,
+	} {
+		if _, ok := c.Get("k", moved); ok {
+			t.Errorf("entry made from %v served a lookup at %v", v1, moved)
+		}
 	}
-	if _, ok := c.Get("other"); !ok {
-		t.Fatal("unrelated entry was invalidated")
+	if _, ok := c.Get("other", other); !ok {
+		t.Fatal("an entry whose tables did not move missed")
+	}
+	// The replan's Put replaces the stale entry under the same key.
+	moved := []Version{{ID: 7, Epoch: 4}, {ID: 9, Epoch: 1}}
+	c.Put("k", Cached{Source: "greedy"}, moved)
+	if got, ok := c.Get("k", moved); !ok || got.Source != "greedy" {
+		t.Fatalf("after the replan: get = %+v, %v", got, ok)
+	}
+	if c.Len() != 2 {
+		t.Fatalf("len = %d after the replan, want 2", c.Len())
 	}
 }
 
