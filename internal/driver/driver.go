@@ -57,8 +57,8 @@ type Config struct {
 	// goroutine.
 	//
 	// Deprecated: kept only because the benchmark harness under bench/
-	// still sets it; the [benchmark] change of ROADMAP item 2(b) removes
-	// that setting and this field.
+	// still sets it; the [benchmark] change that deletes the harness's
+	// no-op parallelism settings removes that setting and this field.
 	Parallelism int
 	// QueryTimeout is the per-query deadline inside each stream; 0
 	// means no deadline. A query exceeding it is cancelled and

@@ -121,8 +121,8 @@ func (e *Engine) SetMode(m plan.Mode) { e.mode = m }
 // streams).
 //
 // Deprecated: kept only because the benchmark harness under bench/
-// still calls it; the [benchmark] change of ROADMAP item 1(a) removes
-// those calls and this method.
+// still calls it; the [benchmark] change that deletes the harness's
+// no-op parallelism settings removes those calls and this method.
 func (e *Engine) SetParallelism(int) {}
 
 // PlanCacheStats returns the plan cache's hit/miss counters.

@@ -296,7 +296,7 @@ func (t *Table) window(off, n int) *Table {
 // window, the table one ReadFlat of the parts' lines in turn would have
 // built. Windows are moved down over the rows that empty lines did not
 // fill, piece null vectors are copied into one, and string columns
-// replay the dictionary (mergeStrings).
+// re-enter their cells through encode (mergeStrings).
 func (t *Table) merge(parts []*Table) {
 	at := make([]int, len(parts)+1) // at[k]: the table row of part k's row 0
 	for k, p := range parts {
@@ -339,153 +339,59 @@ func place[T any](v []T, at int, w []T) []T {
 }
 
 // mergeStrings gives string column ci of t the dictionary, layout and
-// cells a serial load would have given it. The first part saw the
-// serial rows from row 0 on under encode's rule, so its dictionary —
-// or its plain layout — is the serial one up to its end. Each later
-// part then enters the values that dictionary lacks in the order it
-// first holds them, each at the table row where it first holds it,
-// under encode's rule, until the rule gives the dictionary up.
+// cells a serial load would have given it, by encode's own rule. The
+// first part saw the serial rows from row 0 on, so its column is the
+// serial one up to its end. Every later part's cells then enter in row
+// order through the column's encode:
+//   - While the column and the part are on dictionaries whose sizes sum
+//     to at most dictTrial, no value can meet the ratio rule, so the
+//     part's values enter in code order (its first-seen order) and its
+//     codes are translated, or only moved when the translation is the
+//     identity.
+//   - Otherwise each row goes through appendStr, its cell read before
+//     its row is written (the part's codes may share the column's
+//     array).
+//
+// A NULL row's payload is what a serial load leaves: code 0, or ""
+// once the column is plain.
 func (t *Table) mergeStrings(ci int, parts []*Table, at []int) {
-	c := &t.cols[ci]
-	dict := parts[0].cols[ci].dict
-	plainAt := -1 // the row from which a serial load holds plain strings
-	if dict == nil {
-		plainAt = 0
+	c, rows := &t.cols[ci], at[len(parts)]
+	if c.dict = parts[0].cols[ci].dict; c.dict != nil {
+		c.codes = c.codes[:at[1]]
+	} else {
+		c.codes, c.strs = nil, append(make([]string, 0, rows), parts[0].cols[ci].strs...)
 	}
-	for k := 1; k < len(parts) && plainAt < 0; k++ {
-		plainAt = replay(dict, &parts[k].cols[ci], at[k])
-	}
-	rows := at[len(parts)]
-	if plainAt < 0 {
-		c.dict, c.codes = dict, c.codes[:rows]
-		for k := 1; k < len(parts); k++ {
-			remapCodes(dict, &parts[k].cols[ci], c.codes[at[k]:at[k+1]])
-		}
-		return
-	}
-	// A NULL row's payload is what a serial load leaves in it: code 0
-	// decoded to the first value before the dictionary was given up,
-	// "" after.
-	var first string
-	if dict != nil {
-		first = dict.vals[0]
-	}
-	c.dict, c.codes, c.strs = nil, nil, make([]string, rows)
-	for k, p := range parts {
-		pc, strs := &p.cols[ci], c.strs[at[k]:at[k+1]]
-		if k == 0 && pc.dict == nil {
-			copy(strs, pc.strs)
-			continue
-		}
-		for r := range strs {
-			switch {
-			case IsNull(pc.nulls, r):
-				if at[k]+r < plainAt {
-					strs[r] = first
-				}
-			case pc.dict != nil:
-				strs[r] = pc.dict.vals[pc.codes[r]]
-			default:
-				strs[r] = pc.strs[r]
+	for k := 1; k < len(parts); k++ {
+		pc := &parts[k].cols[ci]
+		if c.dict != nil && pc.dict != nil && len(c.dict.vals)+len(pc.dict.vals) <= dictTrial {
+			to, same := make([]uint16, len(pc.dict.vals)), true
+			for code, v := range pc.dict.vals {
+				to[code], _ = encode(c, v)
+				same = same && to[code] == uint16(code)
 			}
-		}
-	}
-}
-
-// replay enters into dict the values of piece column pc that dict
-// lacks, as encode would have entered them had pc's rows followed the
-// dictionary's from table row at on. It returns the table row at which
-// encode gives the dictionary up, or -1.
-func replay(dict *strDict, pc *Column, at int) int {
-	if pc.dict == nil { // the piece gave its own dictionary up: check it row by row
-		for r, v := range pc.strs {
-			if IsNull(pc.nulls, r) {
+			if same {
+				c.codes = place(c.codes, at[k], pc.codes)
 				continue
 			}
-			if _, ok := dict.codes[v]; !ok && !admit(dict, v, at+r) {
-				return at + r
+			dst := c.codes[at[k]:at[k+1]]
+			for r, code := range pc.codes {
+				dst[r] = to[code]
+				if IsNull(pc.nulls, r) {
+					dst[r] = 0
+				}
 			}
-		}
-		return -1
-	}
-	var firsts []int
-	for code, v := range pc.dict.vals {
-		if _, ok := dict.codes[v]; ok {
+			c.codes = c.codes[:at[k+1]]
 			continue
 		}
-		row := at // the row matters from dictTrial values on
-		if len(dict.vals) >= dictTrial {
-			if firsts == nil {
-				firsts = firstRows(pc)
+		for r := range at[k+1] - at[k] {
+			switch {
+			case !IsNull(pc.nulls, r):
+				appendStr(c, pc.str(r))
+			case c.dict != nil:
+				c.codes = append(c.codes, 0)
+			default:
+				c.strs = append(c.strs, "")
 			}
-			row += firsts[code]
-		}
-		if !admit(dict, v, row) {
-			return row
-		}
-	}
-	return -1
-}
-
-// admit enters v, new to dict and first held at table row row, unless
-// encode's rule gives the dictionary up there; it reports whether it
-// entered v.
-func admit(dict *strDict, v string, row int) bool {
-	n := len(dict.vals)
-	if n == dictMax || n >= dictTrial && 2*n > row {
-		return false
-	}
-	dict.codes[v] = uint16(n)
-	dict.vals = append(dict.vals, v)
-	return true
-}
-
-// firstRows returns the first row of dictionary column pc that holds
-// each code. Codes are handed out in first-seen order, so the first
-// rows come in code order.
-func firstRows(pc *Column) []int {
-	firsts := make([]int, 0, len(pc.dict.vals))
-	for r, code := range pc.codes {
-		if int(code) == len(firsts) && !IsNull(pc.nulls, r) {
-			if firsts = append(firsts, r); len(firsts) == cap(firsts) {
-				break
-			}
-		}
-	}
-	return firsts
-}
-
-// remapCodes writes into dst, which starts at or before pc's window in
-// the same array, the codes of pc's rows in dict; a NULL row gets 0.
-func remapCodes(dict *strDict, pc *Column, dst []uint16) {
-	if pc.dict == nil { // the piece gave its own dictionary up
-		for r, v := range pc.strs {
-			dst[r] = 0
-			if !IsNull(pc.nulls, r) {
-				dst[r] = dict.codes[v]
-			}
-		}
-		return
-	}
-	to, same := make([]uint16, len(pc.dict.vals)), true
-	for code, v := range pc.dict.vals {
-		to[code] = dict.codes[v]
-		same = same && to[code] == uint16(code)
-	}
-	if same {
-		place(dst[:0], 0, pc.codes)
-		return
-	}
-	if pc.nulls == nil {
-		for r, code := range pc.codes {
-			dst[r] = to[code]
-		}
-		return
-	}
-	for r, code := range pc.codes {
-		dst[r] = 0
-		if !pc.nulls[r] {
-			dst[r] = to[code]
 		}
 	}
 }
