@@ -9,7 +9,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -23,9 +22,7 @@ import (
 
 func main() {
 	sf := flag.Float64("sf", 0.001, "scale factor")
-	seed := flag.Uint64("seed", 1, "generation seed")
 	query := flag.String("e", "", "query text (default: read stdin)")
-	timeout := flag.Duration("timeout", 0, "query deadline (0 = none), e.g. 30s")
 	flag.Parse()
 	if *sf <= 0 {
 		fmt.Fprintln(os.Stderr, "dsql: -sf must be positive")
@@ -53,18 +50,12 @@ func main() {
 	}
 
 	loadStart := time.Now()
-	eng := exec.New(datagen.New(*sf, *seed).GenerateAll())
+	eng := exec.New(datagen.New(*sf, 1).GenerateAll())
 	eng.SetProfiling(analyze)
 	fmt.Fprintf(os.Stderr, "loaded SF %v in %v\n", *sf, time.Since(loadStart).Round(time.Millisecond))
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
 	start := time.Now()
-	res, tr, err := eng.QueryTracedContext(ctx, text)
+	res, tr, err := eng.QueryTraced(text)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsql: %v\n", err)
 		os.Exit(1)

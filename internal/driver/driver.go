@@ -164,6 +164,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.MaxConcurrent < 0 {
 		return nil, fmt.Errorf("driver: negative MaxConcurrent")
 	}
+	if cfg.QueryTimeout < 0 {
+		return nil, fmt.Errorf("driver: negative QueryTimeout")
+	}
 	tpl, err := selectTemplates(cfg.QueryIDs)
 	if err != nil {
 		return nil, err

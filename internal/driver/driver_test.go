@@ -121,6 +121,9 @@ func TestBadConfig(t *testing.T) {
 	if _, err := Run(Config{SF: 0.001, QueryIDs: []int{1234}}); err == nil {
 		t.Error("unknown query id should fail")
 	}
+	if _, err := Run(Config{SF: 0.001, QueryTimeout: -time.Second}); err == nil {
+		t.Error("negative query timeout should fail")
+	}
 }
 
 func TestSlowestQueriesAndDelta(t *testing.T) {

@@ -246,14 +246,19 @@ func (e *Engine) aggregate(stmt *sql.SelectStmt, b *binder, rows *rowSet, orderB
 	return e.finish(&rowSource{b: b, n: n}, projs, keys, orderBy, stmt.Distinct, stmt.Limit, stmt.Offset, cols, types), nil
 }
 
-// bindArg binds an aggregate call's argument: nil for COUNT(*).
+// bindArg binds an aggregate call's argument: nil for COUNT(*). SUM, AVG
+// and STDDEV_SAMP take a number.
 func (b *binder) bindArg(fc *sql.FuncCall, clause string, agg bool) (bexpr, error) {
 	if fc.Star {
 		return nil, nil
 	} else if len(fc.Args) != 1 {
-		return nil, fmt.Errorf("%s expects one argument", fc.Name)
+		return nil, bindErrorf(sql.ExprPos(fc), "%s expects one argument", fc.Name)
 	}
-	return b.bindIn(fc.Args[0], clause, agg)
+	arg, err := b.bindIn(fc.Args[0], clause, agg)
+	if err == nil && fc.Name != "COUNT" && fc.Name != "MIN" && fc.Name != "MAX" {
+		err = checkNumeric(sql.ExprPos(fc), fc.Name, arg)
+	}
+	return arg, err
 }
 
 // groupRows aggregates src under each grouping mask into the n rows of

@@ -50,16 +50,16 @@ func (b *binder) addTable(ref sql.TableRef) error {
 	} else if t := b.eng.db.Table(ref.Table); t != nil {
 		tab = t
 	} else {
-		return fmt.Errorf("unknown table %q", ref.Table)
+		return bindErrorf(ref.Pos, "unknown table %q", ref.Table)
 	}
 	binding := ref.Binding()
 	for _, ti := range b.tables {
 		if ti.binding == binding {
-			return fmt.Errorf("duplicate table binding %q", binding)
+			return bindErrorf(ref.Pos, "duplicate table binding %q", binding)
 		}
 	}
 	if len(b.tables) >= 64 {
-		return fmt.Errorf("too many tables in FROM (max 64)")
+		return bindErrorf(ref.Pos, "too many tables in FROM (max 64)")
 	}
 	b.tables = append(b.tables, tabInst{
 		binding:  binding,
@@ -82,12 +82,12 @@ func (b *binder) resolveColumn(c *sql.ColRef) (*colExpr, error) {
 			}
 			ci := inst.tab.Def.ColumnIndex(c.Name)
 			if ci < 0 {
-				return nil, fmt.Errorf("table %q has no column %q", c.Table, c.Name)
+				return nil, bindErrorf(c.Pos, "table %q has no column %q", c.Table, c.Name)
 			}
 			col, _ := inst.tab.Def.Column(c.Name)
 			return &colExpr{off: inst.offset + ci, t: col.Type, tblBit: 1 << uint(ti)}, nil
 		}
-		return nil, fmt.Errorf("unknown table binding %q", c.Table)
+		return nil, bindErrorf(c.Pos, "unknown table binding %q", c.Table)
 	}
 	var found *colExpr
 	for ti := range b.tables {
@@ -97,13 +97,13 @@ func (b *binder) resolveColumn(c *sql.ColRef) (*colExpr, error) {
 			continue
 		}
 		if found != nil {
-			return nil, fmt.Errorf("ambiguous column %q", c.Name)
+			return nil, bindErrorf(c.Pos, "ambiguous column %q", c.Name)
 		}
 		col, _ := inst.tab.Def.Column(c.Name)
 		found = &colExpr{off: inst.offset + ci, t: col.Type, tblBit: 1 << uint(ti)}
 	}
 	if found == nil {
-		return nil, fmt.Errorf("unknown column %q", c.Name)
+		return nil, bindErrorf(c.Pos, "unknown column %q", c.Name)
 	}
 	return found, nil
 }
@@ -146,26 +146,39 @@ func coerceDate(target, e bexpr) bexpr {
 	return e
 }
 
-// checkComparable rejects comparisons between string and numeric
-// operands at bind time — the engine's values are dynamically typed,
-// but such a comparison can never be meaningful and would otherwise
-// fail deep inside execution.
-func checkComparable(op string, l, r bexpr) error {
-	isStr := func(t schema.Type) bool { return t == schema.Char || t == schema.Varchar }
-	isNum := func(t schema.Type) bool {
-		return t == schema.Integer || t == schema.Identifier || t == schema.Decimal || t == schema.Date
+// bindErrorf is a bind error at byte offset pos of the query text.
+func bindErrorf(pos int, format string, args ...any) error {
+	return &sql.Error{Offset: pos, Msg: fmt.Sprintf(format, args...), Bind: true}
+}
+
+func isStrType(t schema.Type) bool { return kindOf(t) == storage.KindString }
+
+// isNullLit reports the NULL literal: it binds as a string but fits
+// every type.
+func isNullLit(e bexpr) bool {
+	l, ok := e.(*litExpr)
+	return ok && l.v.IsNull()
+}
+
+// checkComparable rejects comparing a string with a number or a date at
+// bind time — the engine's values are dynamically typed, but such a
+// comparison can never be meaningful. NULL compares with anything
+// (always UNKNOWN). pos is the offset the error points at.
+func checkComparable(pos int, op string, l, r bexpr) error {
+	if isStrType(l.typ()) == isStrType(r.typ()) || isNullLit(l) || isNullLit(r) {
+		return nil
 	}
-	lt, rt := l.typ(), r.typ()
-	if (isStr(lt) && isNum(rt)) || (isNum(lt) && isStr(rt)) {
-		// NULL literals bind as Char; comparing NULL with anything is
-		// legal (always UNKNOWN).
-		if le, ok := l.(*litExpr); ok && le.v.IsNull() {
-			return nil
+	return bindErrorf(pos, "cannot compare %v with %v (operator %s)", l.typ(), r.typ(), op)
+}
+
+// checkNumeric rejects a string operand of op other than a NULL literal:
+// arithmetic, unary minus, ABS, ROUND, SUM, AVG and STDDEV_SAMP would
+// compute with 0 or NULL in its place.
+func checkNumeric(pos int, op string, es ...bexpr) error {
+	for _, e := range es {
+		if isStrType(e.typ()) && !isNullLit(e) {
+			return bindErrorf(pos, "cannot apply %s to %v", op, e.typ())
 		}
-		if re, ok := r.(*litExpr); ok && re.v.IsNull() {
-			return nil
-		}
-		return fmt.Errorf("cannot compare %v with %v (operator %s)", lt, rt, op)
 	}
 	return nil
 }
@@ -181,35 +194,29 @@ func isComparison(op string) bool {
 // arithType types arithmetic as eval computes it: a string for ||, a
 // decimal for / and whenever an operand is not an integer or a date;
 // otherwise a date for date ± days and an integer for the rest (date -
-// date is a day count). A string operand other than a NULL literal is an
-// error: eval would compute with 0 in its place.
-func arithType(op string, l, r bexpr) (schema.Type, error) {
+// date is a day count). Operands other than ||'s must be numbers
+// (checkNumeric).
+func arithType(op string, l, r bexpr) schema.Type {
 	intish := func(t schema.Type) bool { return isIntType(t) || t == schema.Date }
-	for _, e := range []bexpr{l, r} {
-		if lit, ok := e.(*litExpr); op != "||" && kindOf(e.typ()) == storage.KindString && !(ok && lit.v.IsNull()) {
-			return 0, fmt.Errorf("cannot apply %s to %v", op, e.typ())
-		}
-	}
 	switch lt, rt := l.typ(), r.typ(); {
 	case op == "||":
-		return schema.Varchar, nil
+		return schema.Varchar
 	case op == "/" || !intish(lt) || !intish(rt):
-		return schema.Decimal, nil
+		return schema.Decimal
 	case op != "*" && (lt == schema.Date) != (rt == schema.Date):
-		return schema.Date, nil
+		return schema.Date
 	}
-	return schema.Integer, nil
+	return schema.Integer
 }
 
 // promote types a value from an expression of type t or u (CASE
 // branches, COALESCE arguments, UNION ALL blocks): a string, else a
 // decimal, else the common type, else an integer.
 func promote(t, u schema.Type) schema.Type {
-	isStr := func(t schema.Type) bool { return t == schema.Char || t == schema.Varchar }
 	switch {
 	case t == u:
 		return t
-	case isStr(t) || isStr(u):
+	case isStrType(t) || isStrType(u):
 		return schema.Varchar
 	case t == schema.Decimal || u == schema.Decimal:
 		return schema.Decimal
@@ -222,7 +229,7 @@ func promote(t, u schema.Type) schema.Type {
 func promoteAll(es []bexpr) schema.Type {
 	t, seen := schema.Char, false
 	for _, e := range es {
-		if l, ok := e.(*litExpr); e == nil || ok && l.v.IsNull() {
+		if e == nil || isNullLit(e) {
 			continue
 		}
 		if seen {
@@ -262,15 +269,16 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 			l2 := coerceDate(r, l)
 			r2 := coerceDate(l, r)
 			l, r = l2, r2
-			if err := checkComparable(v.Op, l, r); err != nil {
+			if err := checkComparable(sql.ExprPos(v), v.Op, l, r); err != nil {
 				return nil, err
 			}
 		} else if v.Op != "AND" && v.Op != "OR" {
-			at, err := arithType(v.Op, l, r)
-			if err != nil {
-				return nil, err
+			if v.Op != "||" {
+				if err := checkNumeric(sql.ExprPos(v), v.Op, l, r); err != nil {
+					return nil, err
+				}
 			}
-			return foldConst(&binExpr{op: v.Op, l: l, r: r, t: at}, l, r), nil
+			return foldConst(&binExpr{op: v.Op, l: l, r: r, t: arithType(v.Op, l, r)}, l, r), nil
 		}
 		return &binExpr{op: v.Op, l: l, r: r, t: t}, nil
 	case *sql.UnaryOp:
@@ -280,6 +288,9 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 		}
 		if v.Op == "NOT" {
 			return &notExpr{x: x}, nil
+		}
+		if err := checkNumeric(sql.ExprPos(v), "unary -", x); err != nil {
+			return nil, err
 		}
 		return foldConst(&negExpr{x: x}, x), nil
 	case *sql.Between:
@@ -295,7 +306,13 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &betweenExpr{x: x, lo: coerceDate(x, lo), hi: coerceDate(x, hi), not: v.Not}, nil
+		lo, hi = coerceDate(x, lo), coerceDate(x, hi)
+		for _, bound := range []bexpr{lo, hi} {
+			if err := checkComparable(sql.ExprPos(v), "BETWEEN", x, bound); err != nil {
+				return nil, err
+			}
+		}
+		return &betweenExpr{x: x, lo: lo, hi: hi, not: v.Not}, nil
 	case *sql.In:
 		x, err := b.bind(v.X)
 		if err != nil {
@@ -308,7 +325,11 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 				return nil, fmt.Errorf("IN subquery: %w", err)
 			}
 			if tab.NumCols() != 1 {
-				return nil, fmt.Errorf("IN subquery must return one column, got %d", tab.NumCols())
+				return nil, bindErrorf(sql.ExprPos(v), "IN subquery must return one column, got %d", tab.NumCols())
+			}
+			// The subquery's column, as the right operand of a comparison.
+			if err := checkComparable(sql.ExprPos(v), "IN", x, &colExpr{t: tab.Def.Columns[0].Type}); err != nil {
+				return nil, err
 			}
 			col := tab.Col(0)
 			for r := 0; r < col.Len(); r++ {
@@ -329,7 +350,10 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 			lv = coerceDate(x, lv)
 			lit, ok := lv.(*litExpr)
 			if !ok {
-				return nil, fmt.Errorf("IN list members must be literals")
+				return nil, bindErrorf(sql.ExprPos(v), "IN list members must be literals")
+			}
+			if err := checkComparable(sql.ExprPos(v), "IN", x, lv); err != nil {
+				return nil, err
 			}
 			if lit.v.IsNull() {
 				in.hasNull = true
@@ -342,6 +366,14 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 		x, err := b.bind(v.X)
 		if err != nil {
 			return nil, err
+		}
+		// SQL-99 defines LIKE on character strings only.
+		if !isStrType(x.typ()) {
+			op := "LIKE"
+			if v.Not {
+				op = "NOT LIKE"
+			}
+			return nil, bindErrorf(sql.ExprPos(v), "cannot apply %s to %v", op, x.typ())
 		}
 		return &likeExpr{x: x, pattern: v.Pattern, not: v.Not}, nil
 	case *sql.IsNull:
@@ -375,11 +407,11 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 		return c, nil
 	case *sql.FuncCall:
 		if sql.IsAggregate(v.Name) {
-			return nil, fmt.Errorf("aggregate %s not allowed in this context", v.Name)
+			return nil, bindErrorf(sql.ExprPos(v), "aggregate %s not allowed in this context", v.Name)
 		}
 		sf, ok := scalarFuncs[v.Name]
 		if !ok {
-			return nil, fmt.Errorf("unknown function %s", v.Name)
+			return nil, bindErrorf(sql.ExprPos(v), "unknown function %s", v.Name)
 		}
 		f := &funcExpr{name: v.Name, t: sf.t}
 		for _, a := range v.Args {
@@ -390,7 +422,12 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 			f.args = append(f.args, ba)
 		}
 		if len(f.args) == 0 || len(f.args) == 1 && strings.HasPrefix(v.Name, "SUBSTR") {
-			return nil, fmt.Errorf("function %s requires more arguments", v.Name)
+			return nil, bindErrorf(sql.ExprPos(v), "function %s requires more arguments", v.Name)
+		}
+		if v.Name == "ABS" || v.Name == "ROUND" {
+			if err := checkNumeric(sql.ExprPos(v), v.Name, f.args...); err != nil {
+				return nil, err
+			}
 		}
 		switch {
 		case v.Name == "COALESCE":
@@ -400,7 +437,7 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 		}
 		return foldConst(f, f.args...), nil
 	case *sql.Window:
-		return nil, fmt.Errorf("window function not allowed in this context")
+		return nil, bindErrorf(sql.ExprPos(v), "window function not allowed in this context")
 	case *sql.SubQuery:
 		tab, err := b.eng.materialize(b.qc, "subquery", "", v.Select, b.ctes)
 		if err != nil {
@@ -451,42 +488,17 @@ func conjuncts(e sql.Expr) []sql.Expr {
 
 // exprContainsAggregate reports whether the AST contains an aggregate or
 // window call (deciding whether a query is an aggregation).
-func exprContainsAggregate(e sql.Expr) bool {
-	switch v := e.(type) {
-	case *sql.FuncCall:
-		if sql.IsAggregate(v.Name) {
-			return true
+func exprContainsAggregate(e sql.Expr) (found bool) {
+	sql.Walk(e, func(x sql.Expr) bool {
+		switch v := x.(type) {
+		case *sql.FuncCall:
+			found = found || sql.IsAggregate(v.Name)
+		case *sql.Window:
+			found = true
 		}
-		for _, a := range v.Args {
-			if exprContainsAggregate(a) {
-				return true
-			}
-		}
-	case *sql.Window:
-		return true
-	case *sql.BinOp:
-		return exprContainsAggregate(v.L) || exprContainsAggregate(v.R)
-	case *sql.UnaryOp:
-		return exprContainsAggregate(v.X)
-	case *sql.Between:
-		return exprContainsAggregate(v.X) || exprContainsAggregate(v.Lo) || exprContainsAggregate(v.Hi)
-	case *sql.In:
-		return exprContainsAggregate(v.X)
-	case *sql.Like:
-		return exprContainsAggregate(v.X)
-	case *sql.IsNull:
-		return exprContainsAggregate(v.X)
-	case *sql.CaseExpr:
-		for _, w := range v.Whens {
-			if exprContainsAggregate(w.Cond) || exprContainsAggregate(w.Result) {
-				return true
-			}
-		}
-		if v.Else != nil {
-			return exprContainsAggregate(v.Else)
-		}
-	}
-	return false
+		return !found
+	})
+	return found
 }
 
 // outputName derives a result column name for a select item.

@@ -568,18 +568,3 @@ func strFunc(f func(string) string) func([]storage.Value) storage.Value {
 		return storage.Str(f(args[0].String()))
 	}
 }
-
-// ScalarFuncType reports whether the engine supports the named scalar
-// function and its result type; sameAsArg means the result takes the
-// first argument's type. The static template checker keys off this so
-// it can never accept a function the engine would reject at bind time.
-func ScalarFuncType(name string) (t schema.Type, sameAsArg, ok bool) {
-	f, ok := scalarFuncs[name]
-	if !ok {
-		return 0, false, false
-	}
-	if f.t == 0 {
-		return 0, true, true
-	}
-	return f.t, false, true
-}

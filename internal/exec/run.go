@@ -248,7 +248,11 @@ func (e *Engine) runUnion(qc *qctx, head *sql.SelectStmt, ctes map[string]*stora
 		if len(blocks) == 0 {
 			headTrace = tr
 		} else if len(out.cols) != len(blocks[0].cols) {
-			return nil, Trace{}, fmt.Errorf("UNION ALL blocks have %d vs %d columns", len(blocks[0].cols), len(out.cols))
+			pos := 0 // the block's first table
+			if len(cur.From) > 0 {
+				pos = cur.From[0].Pos
+			}
+			return nil, Trace{}, bindErrorf(pos, "UNION ALL block has %d columns, first block has %d", len(out.cols), len(blocks[0].cols))
 		}
 		blocks = append(blocks, out)
 	}
@@ -487,7 +491,7 @@ func (b *binder) bindOutput(stmt *sql.SelectStmt, orderBy []sql.OrderItem, agg b
 func (b *binder) bindIn(e sql.Expr, clause string, agg bool) (bexpr, error) {
 	be, err := b.bind(e)
 	if err == nil && agg && be.mask() != 0 {
-		err = fmt.Errorf("%s expression %s references columns outside GROUP BY", clause, e.Render())
+		err = bindErrorf(sql.ExprPos(e), "%s expression %s references columns outside GROUP BY", clause, e.Render())
 	}
 	return be, err
 }

@@ -4,32 +4,34 @@
 // substitutes and binds cleanly; a typo in a column name or a join that
 // silently cross-products instead of following a declared relationship
 // would otherwise only surface mid-benchmark. For each template it
-// verifies, without executing anything:
+// verifies:
 //
 //   - every substitution token is a registered qgen kind;
-//   - the substituted SQL parses;
-//   - every table reference resolves against the schema catalog (or a
-//     CTE), every column reference resolves unambiguously, and select
-//     aliases used in GROUP BY/HAVING/ORDER BY exist;
+//   - the substituted SQL parses and binds. Names and expression types
+//     are the engine's to judge: the instance runs on an engine over an
+//     empty database of every catalog table, and its first bind error is
+//     the finding;
 //   - every surrogate-key equijoin follows a declared foreign key, a
 //     fact-to-fact link (Table 1, §2.2), or a conformed dimension
 //     shared by both sides;
-//   - expression types are compatible: no string/numeric comparisons,
-//     no LIKE on numerics, no SUM/AVG over strings, and only functions
-//     the engine's binder accepts.
+//   - no predicate is constant after substitution (constfold.go).
 //
 // Findings are compiler-style diagnostics ("q14.sql:3:7: message")
 // whose positions point into the template text itself.
 package templatecheck
 
 import (
+	"errors"
 	"fmt"
+	"maps"
 	"strings"
+	"sync"
 
 	"tpcds/internal/exec"
 	"tpcds/internal/qgen"
 	"tpcds/internal/schema"
 	"tpcds/internal/sql"
+	"tpcds/internal/storage"
 )
 
 // Diagnostic is one finding, positioned inside the template SQL. File
@@ -59,22 +61,45 @@ func CheckAll(tpls []qgen.Template) []Diagnostic {
 
 // CheckTemplate validates one template.
 func CheckTemplate(t qgen.Template) []Diagnostic {
-	c := &checker{
-		file:    fmt.Sprintf("q%d.sql", t.ID),
-		tmpl:    t.SQL,
-		catalog: schema.ByName(),
-	}
+	c := &checker{file: fmt.Sprintf("q%d.sql", t.ID), tmpl: t.SQL}
 	c.run()
 	return c.diags
 }
 
+// emptyEngine binds instances: an engine over an empty database of all
+// catalog tables, so running an instance costs its bind and little more.
+var emptyEngine = sync.OnceValue(func() *exec.Engine {
+	db := storage.NewDB()
+	for _, t := range schema.Tables() {
+		db.Create(t)
+	}
+	return exec.New(db)
+})
+
+// catalogColumn is one column of the catalog with its table.
+type catalogColumn struct {
+	table *schema.Table
+	col   schema.Column
+}
+
+// catalogColumns indexes the catalog's columns by name: no two tables
+// share a column name (TestCatalogColumnNamesUnique).
+var catalogColumns = sync.OnceValue(func() map[string]catalogColumn {
+	m := map[string]catalogColumn{}
+	for _, t := range schema.Tables() {
+		for _, col := range t.Columns {
+			m[col.Name] = catalogColumn{t, col}
+		}
+	}
+	return m
+})
+
 type checker struct {
-	file    string
-	tmpl    string
-	inst    string // template with representative substitutions
-	segs    []segment
-	catalog map[string]*schema.Table
-	diags   []Diagnostic
+	file  string
+	tmpl  string
+	inst  string // template with representative substitutions
+	segs  []segment
+	diags []Diagnostic
 }
 
 // segment maps a span of the instantiated text back to the template:
@@ -119,18 +144,29 @@ func (c *checker) tmplOff(instOff int) int {
 	return 0
 }
 
+// posOf is the template position of e's first column reference, or 0.
+func (c *checker) posOf(e sql.Expr) int { return c.tmplOff(sql.ExprPos(e)) }
+
+// run substitutes, parses and binds the instance, then checks the joins
+// and constant predicates of the parsed statement.
 func (c *checker) run() {
 	c.substitute()
 	stmt, err := sql.Parse(c.inst)
-	if err != nil {
-		if pe, ok := err.(*sql.ParseError); ok {
-			c.errorf(c.tmplOff(pe.Offset), "parse error: %s", pe.Msg)
-		} else {
-			c.errorf(0, "parse error: %v", err)
-		}
+	if err == nil {
+		_, err = emptyEngine().Run(stmt)
+	}
+	var se *sql.Error
+	switch {
+	case err == nil:
+	case !errors.As(err, &se):
+		c.errorf(0, "%v", err)
+	case se.Bind:
+		c.errorf(c.tmplOff(se.Offset), "%s", se.Msg)
+	default:
+		c.errorf(c.tmplOff(se.Offset), "parse error: %s", se.Msg)
 		return
 	}
-	c.checkSelect(stmt, map[string][]col{})
+	c.checkStmt(stmt, map[string]*sql.SelectStmt{})
 }
 
 // substitute replaces every token with its deterministic representative
@@ -167,460 +203,72 @@ func (c *checker) substitute() {
 	c.inst = sb.String()
 }
 
-// col is one output column of a relation in scope.
-type col struct {
-	name string
-	typ  schema.Type
-	// base/baseCol track the underlying catalog column when the value
-	// flows unchanged from a base table (directly or through a CTE
-	// projection); join validation keys on them.
-	base    *schema.Table
-	baseCol string
-}
-
-// rel is one FROM-clause entry: a base table or a CTE/derived relation.
-type rel struct {
-	binding string
-	cols    []col
-	table   *schema.Table // nil for CTEs
-}
-
-// scope is the name-resolution context of one SELECT block.
-type scope struct {
-	rels    []rel
-	aliases map[string]col // select-item aliases; nil until items are checked
-}
-
-// checkSelect validates a (possibly unioned) statement and returns its
-// output columns. ctes carries the WITH relations visible here;
-// subqueries see them too (the engine binds subqueries with the same
-// CTE map and no outer-column correlation).
-func (c *checker) checkSelect(s *sql.SelectStmt, ctes map[string][]col) []col {
-	local := make(map[string][]col, len(ctes)+len(s.With))
-	for k, v := range ctes {
-		local[k] = v
-	}
-	for _, cte := range s.With {
-		local[cte.Name] = c.checkSelect(cte.Select, local)
-	}
-	var head []col
-	for blk, first := s, true; blk != nil; blk, first = blk.UnionAll, false {
-		outs := c.checkBlock(blk, local)
-		if first {
-			head = outs
-		} else if len(outs) != len(head) {
-			c.errorf(c.posOfBlock(blk), "UNION ALL block has %d columns, first block has %d",
-				len(outs), len(head))
+// checkStmt checks every SELECT block of s: its CTE bodies, its UNION
+// ALL blocks and the subqueries in their expressions. ctes holds the
+// WITH bodies in scope by name.
+func (c *checker) checkStmt(s *sql.SelectStmt, ctes map[string]*sql.SelectStmt) {
+	if len(s.With) > 0 {
+		ctes = maps.Clone(ctes)
+		for _, cte := range s.With {
+			c.checkStmt(cte.Select, ctes)
+			ctes[cte.Name] = cte.Select
 		}
 	}
-	return head
+	for blk := s; blk != nil; blk = blk.UnionAll {
+		c.checkBlock(blk, ctes)
+	}
 }
 
-// posOfBlock anchors block-level findings to the block's first table.
-func (c *checker) posOfBlock(s *sql.SelectStmt) int {
+// checkBlock checks one SELECT block's join and constant predicates,
+// then its subqueries.
+func (c *checker) checkBlock(s *sql.SelectStmt, ctes map[string]*sql.SelectStmt) {
+	anchor := 0 // findings without a column reference point at the first table
 	if len(s.From) > 0 {
-		return c.tmplOff(s.From[0].Pos)
+		anchor = c.tmplOff(s.From[0].Pos)
 	}
-	return 0
-}
-
-func (c *checker) checkBlock(s *sql.SelectStmt, ctes map[string][]col) []col {
-	sc := &scope{}
-	for _, ref := range s.From {
-		binding := ref.Binding()
-		dup := false
-		for _, r := range sc.rels {
-			if r.binding == binding {
-				c.errorf(c.tmplOff(ref.Pos), "duplicate table binding %q", binding)
-				dup = true
-			}
-		}
-		if dup {
-			continue
-		}
-		if cteCols, ok := ctes[ref.Table]; ok {
-			sc.rels = append(sc.rels, rel{binding: binding, cols: cteCols})
-			continue
-		}
-		if t, ok := c.catalog[ref.Table]; ok {
-			r := rel{binding: binding, table: t}
-			for _, tc := range t.Columns {
-				r.cols = append(r.cols, col{name: tc.Name, typ: tc.Type, base: t, baseCol: tc.Name})
-			}
-			sc.rels = append(sc.rels, r)
-			continue
-		}
-		c.errorf(c.tmplOff(ref.Pos), "unknown table %q: not in the schema catalog or WITH clause", ref.Table)
-		sc.rels = append(sc.rels, rel{binding: binding})
-	}
-
-	// SELECT items first: they define the aliases GROUP BY/HAVING/ORDER
-	// BY may reference.
-	var outs []col
-	aliases := map[string]col{}
-	for _, item := range s.Items {
-		if item.Star {
-			for _, r := range sc.rels {
-				outs = append(outs, r.cols...)
-			}
-			continue
-		}
-		ct := c.checkExpr(item.Expr, sc, ctes, true)
-		out := col{name: outputName(item), typ: ct.typ, base: ct.base, baseCol: ct.baseCol}
-		outs = append(outs, out)
-		aliases[out.name] = out
-	}
-
-	// WHERE and join conditions: no alias visibility.
-	if s.Where != nil {
-		c.checkExpr(s.Where, sc, ctes, true)
-	}
-	for _, ref := range s.From {
-		if ref.On != nil {
-			c.checkExpr(ref.On, sc, ctes, false)
-		}
-	}
-	sc.aliases = aliases
-	for _, g := range s.GroupBy {
-		c.checkExpr(g, sc, ctes, false)
-	}
-	if s.Having != nil {
-		c.checkExpr(s.Having, sc, ctes, true)
-	}
-	for _, o := range s.OrderBy {
-		c.checkExpr(o.Expr, sc, ctes, true)
-	}
-
-	// Join validation over all equality conjuncts.
-	var conds []sql.Expr
-	conds = append(conds, conjuncts(s.Where)...)
-	for _, ref := range s.From {
-		conds = append(conds, conjuncts(ref.On)...)
-	}
-	for _, cond := range conds {
-		c.checkJoinPredicate(cond, sc)
-	}
-
-	// Constant-predicate lint: filters whose truth value is fixed after
-	// representative substitution (see constfold.go).
-	anchor := c.posOfBlock(s)
+	exprs := append([]sql.Expr{s.Where, s.Having}, s.GroupBy...)
+	c.checkJoins(s.Where, s, ctes)
 	c.checkConstPredicates(s.Where, anchor)
 	for _, ref := range s.From {
+		c.checkJoins(ref.On, s, ctes)
 		c.checkConstPredicates(ref.On, anchor)
+		exprs = append(exprs, ref.On)
 	}
 	c.checkConstPredicates(s.Having, anchor)
-	return outs
-}
-
-// ctype is a checked expression's type plus base-column provenance.
-type ctype struct {
-	typ     schema.Type
-	known   bool
-	base    *schema.Table
-	baseCol string
-	null    bool // the NULL literal
-}
-
-func numType(t schema.Type) bool {
-	return t == schema.Integer || t == schema.Identifier || t == schema.Decimal || t == schema.Date
-}
-
-func strType(t schema.Type) bool { return t == schema.Char || t == schema.Varchar }
-
-// resolveColumn finds a column reference in scope; aliasesOK extends
-// the search to select-item aliases (GROUP BY/HAVING/ORDER BY).
-func (c *checker) resolveColumn(ref *sql.ColRef, sc *scope, aliasesOK bool) ctype {
-	if ref.Table != "" {
-		for _, r := range sc.rels {
-			if r.binding != ref.Table {
-				continue
-			}
-			for _, cl := range r.cols {
-				if cl.name == ref.Name {
-					return ctype{typ: cl.typ, known: true, base: cl.base, baseCol: cl.baseCol}
+	for _, item := range s.Items {
+		exprs = append(exprs, item.Expr)
+	}
+	for _, o := range s.OrderBy {
+		exprs = append(exprs, o.Expr)
+	}
+	for _, e := range exprs {
+		sql.Walk(e, func(x sql.Expr) bool {
+			switch v := x.(type) {
+			case *sql.In:
+				if v.Sub != nil {
+					c.checkStmt(v.Sub, ctes)
 				}
+			case *sql.SubQuery:
+				c.checkStmt(v.Select, ctes)
 			}
-			if r.table != nil || len(r.cols) > 0 { // suppress cascades from unknown tables
-				c.errorf(c.tmplOff(ref.Pos), "table %q has no column %q", ref.Table, ref.Name)
-			}
-			return ctype{}
-		}
-		c.errorf(c.tmplOff(ref.Pos), "unknown table binding %q", ref.Table)
-		return ctype{}
+			return true
+		})
 	}
-	var found *col
-	matches := 0
-	for ri := range sc.rels {
-		for ci := range sc.rels[ri].cols {
-			if sc.rels[ri].cols[ci].name == ref.Name {
-				found = &sc.rels[ri].cols[ci]
-				matches++
-				break
-			}
-		}
-	}
-	if matches > 1 {
-		c.errorf(c.tmplOff(ref.Pos), "ambiguous column %q: qualify it with a table binding", ref.Name)
-		return ctype{}
-	}
-	if matches == 1 {
-		return ctype{typ: found.typ, known: true, base: found.base, baseCol: found.baseCol}
-	}
-	if aliasesOK && sc.aliases != nil {
-		if a, ok := sc.aliases[ref.Name]; ok {
-			return ctype{typ: a.typ, known: true, base: a.base, baseCol: a.baseCol}
-		}
-	}
-	c.errorf(c.tmplOff(ref.Pos), "unknown column %q", ref.Name)
-	return ctype{}
 }
 
-// posOf digs out a template position for an expression (its first
-// column reference), falling back to offset 0.
-func (c *checker) posOf(e sql.Expr) int {
-	if ref := firstColRef(e); ref != nil {
-		return c.tmplOff(ref.Pos)
-	}
-	return 0
-}
-
-func firstColRef(e sql.Expr) *sql.ColRef {
-	switch v := e.(type) {
-	case *sql.ColRef:
-		return v
-	case *sql.BinOp:
-		if r := firstColRef(v.L); r != nil {
-			return r
-		}
-		return firstColRef(v.R)
-	case *sql.UnaryOp:
-		return firstColRef(v.X)
-	case *sql.Between:
-		return firstColRef(v.X)
-	case *sql.In:
-		return firstColRef(v.X)
-	case *sql.Like:
-		return firstColRef(v.X)
-	case *sql.IsNull:
-		return firstColRef(v.X)
-	case *sql.CaseExpr:
-		for _, w := range v.Whens {
-			if r := firstColRef(w.Cond); r != nil {
-				return r
-			}
-		}
-	case *sql.FuncCall:
-		for _, a := range v.Args {
-			if r := firstColRef(a); r != nil {
-				return r
-			}
-		}
-	case *sql.Window:
-		return firstColRef(v.Agg)
-	}
-	return nil
-}
-
-// compatible mirrors the engine binder's checkComparable + coerceDate:
-// string literals compare against dates when they parse as dates, NULL
-// compares against anything, and string-vs-numeric is a type error.
-func (c *checker) compatible(where string, x, y ctype, xe, ye sql.Expr) {
-	if !x.known || !y.known || x.null || y.null {
+// checkJoins validates the surrogate-key equijoins among the conjuncts
+// of e: an equality between identifier columns of two different catalog
+// tables must follow a declared FK (either direction), a fact-to-fact
+// link, or a conformed dimension both sides reference. Anything else is
+// either a typo'd join or an undeclared relationship the catalog should
+// know about.
+func (c *checker) checkJoins(e sql.Expr, s *sql.SelectStmt, ctes map[string]*sql.SelectStmt) {
+	b, ok := e.(*sql.BinOp)
+	if ok && b.Op == "AND" {
+		c.checkJoins(b.L, s, ctes)
+		c.checkJoins(b.R, s, ctes)
 		return
 	}
-	dateCoerced := func(t ctype, o ctype, oe sql.Expr) bool {
-		if t.typ != schema.Date {
-			return false
-		}
-		lit, ok := oe.(*sql.Lit)
-		return ok && lit.Kind == sql.LitString && looksLikeDate(lit.Str)
-	}
-	if dateCoerced(x, y, ye) || dateCoerced(y, x, xe) {
-		return
-	}
-	if (strType(x.typ) && numType(y.typ)) || (numType(x.typ) && strType(y.typ)) {
-		pos := c.posOf(xe)
-		if pos == 0 {
-			pos = c.posOf(ye)
-		}
-		c.errorf(pos, "%s compares %v with %v", where, x.typ, y.typ)
-	}
-}
-
-func looksLikeDate(s string) bool {
-	return len(s) == 10 && s[4] == '-' && s[7] == '-'
-}
-
-// checkExpr validates an expression, reporting findings, and returns
-// its type.
-func (c *checker) checkExpr(e sql.Expr, sc *scope, ctes map[string][]col, aliasesOK bool) ctype {
-	switch v := e.(type) {
-	case *sql.ColRef:
-		return c.resolveColumn(v, sc, aliasesOK)
-	case *sql.Lit:
-		switch v.Kind {
-		case sql.LitNull:
-			return ctype{typ: schema.Char, known: true, null: true}
-		case sql.LitString:
-			return ctype{typ: schema.Char, known: true}
-		case sql.LitDate:
-			return ctype{typ: schema.Date, known: true}
-		default:
-			if v.IsInt {
-				return ctype{typ: schema.Integer, known: true}
-			}
-			return ctype{typ: schema.Decimal, known: true}
-		}
-	case *sql.BinOp:
-		l := c.checkExpr(v.L, sc, ctes, aliasesOK)
-		r := c.checkExpr(v.R, sc, ctes, aliasesOK)
-		switch v.Op {
-		case "AND", "OR":
-			return ctype{typ: schema.Integer, known: true}
-		case "=", "<>", "<", "<=", ">", ">=":
-			c.compatible(fmt.Sprintf("comparison %q", v.Op), l, r, v.L, v.R)
-			return ctype{typ: schema.Integer, known: true}
-		case "||":
-			return ctype{typ: schema.Varchar, known: true}
-		default: // arithmetic
-			for _, side := range []struct {
-				t ctype
-				e sql.Expr
-			}{{l, v.L}, {r, v.R}} {
-				if side.t.known && strType(side.t.typ) && !side.t.null {
-					c.errorf(c.posOf(side.e), "arithmetic %q on %v operand", v.Op, side.t.typ)
-				}
-			}
-			if v.Op == "/" {
-				return ctype{typ: schema.Decimal, known: true}
-			}
-			if l.known && r.known {
-				if l.typ == schema.Date || r.typ == schema.Date {
-					return ctype{typ: schema.Date, known: true}
-				}
-				if (l.typ == schema.Integer || l.typ == schema.Identifier) &&
-					(r.typ == schema.Integer || r.typ == schema.Identifier) {
-					return ctype{typ: schema.Integer, known: true}
-				}
-			}
-			return ctype{typ: schema.Decimal, known: true}
-		}
-	case *sql.UnaryOp:
-		x := c.checkExpr(v.X, sc, ctes, aliasesOK)
-		if v.Op == "NOT" {
-			return ctype{typ: schema.Integer, known: true}
-		}
-		if x.known && strType(x.typ) {
-			c.errorf(c.posOf(v.X), "unary minus on %v operand", x.typ)
-		}
-		return ctype{typ: x.typ, known: x.known}
-	case *sql.Between:
-		x := c.checkExpr(v.X, sc, ctes, aliasesOK)
-		lo := c.checkExpr(v.Lo, sc, ctes, aliasesOK)
-		hi := c.checkExpr(v.Hi, sc, ctes, aliasesOK)
-		c.compatible("BETWEEN", x, lo, v.X, v.Lo)
-		c.compatible("BETWEEN", x, hi, v.X, v.Hi)
-		return ctype{typ: schema.Integer, known: true}
-	case *sql.In:
-		x := c.checkExpr(v.X, sc, ctes, aliasesOK)
-		if v.Sub != nil {
-			subCols := c.checkSelect(v.Sub, ctes)
-			if len(subCols) != 1 {
-				c.errorf(c.posOf(v.X), "IN subquery returns %d columns, want 1", len(subCols))
-			} else {
-				c.compatible("IN", x, ctype{typ: subCols[0].typ, known: true}, v.X, nil)
-			}
-		}
-		for _, le := range v.List {
-			lt := c.checkExpr(le, sc, ctes, aliasesOK)
-			c.compatible("IN", x, lt, v.X, le)
-		}
-		return ctype{typ: schema.Integer, known: true}
-	case *sql.Like:
-		x := c.checkExpr(v.X, sc, ctes, aliasesOK)
-		if x.known && !strType(x.typ) {
-			c.errorf(c.posOf(v.X), "LIKE on %v operand; LIKE requires a string", x.typ)
-		}
-		return ctype{typ: schema.Integer, known: true}
-	case *sql.IsNull:
-		c.checkExpr(v.X, sc, ctes, aliasesOK)
-		return ctype{typ: schema.Integer, known: true}
-	case *sql.CaseExpr:
-		var first ctype
-		for i, w := range v.Whens {
-			c.checkExpr(w.Cond, sc, ctes, aliasesOK)
-			rt := c.checkExpr(w.Result, sc, ctes, aliasesOK)
-			if i == 0 {
-				first = rt
-			}
-		}
-		if v.Else != nil {
-			c.checkExpr(v.Else, sc, ctes, aliasesOK)
-		}
-		return ctype{typ: first.typ, known: first.known}
-	case *sql.FuncCall:
-		return c.checkFunc(v, sc, ctes, aliasesOK)
-	case *sql.Window:
-		t := c.checkFunc(v.Agg, sc, ctes, aliasesOK)
-		for _, pexpr := range v.PartitionBy {
-			c.checkExpr(pexpr, sc, ctes, aliasesOK)
-		}
-		return t
-	case *sql.SubQuery:
-		subCols := c.checkSelect(v.Select, ctes)
-		if len(subCols) != 1 {
-			c.errorf(0, "scalar subquery returns %d columns, want 1", len(subCols))
-			return ctype{}
-		}
-		return ctype{typ: subCols[0].typ, known: true}
-	}
-	return ctype{}
-}
-
-func (c *checker) checkFunc(v *sql.FuncCall, sc *scope, ctes map[string][]col, aliasesOK bool) ctype {
-	var args []ctype
-	for _, a := range v.Args {
-		args = append(args, c.checkExpr(a, sc, ctes, aliasesOK))
-	}
-	if sql.IsAggregate(v.Name) {
-		switch v.Name {
-		case "COUNT":
-			return ctype{typ: schema.Integer, known: true}
-		case "SUM", "AVG", "STDDEV_SAMP":
-			if len(args) == 1 && args[0].known && strType(args[0].typ) && !args[0].null {
-				c.errorf(c.posOf(v.Args[0]), "%s over %v column; aggregate requires a numeric argument",
-					v.Name, args[0].typ)
-			}
-			return ctype{typ: schema.Decimal, known: true}
-		default: // MIN, MAX
-			if len(args) == 1 {
-				return ctype{typ: args[0].typ, known: args[0].known}
-			}
-			return ctype{}
-		}
-	}
-	rt, sameAsArg, ok := exec.ScalarFuncType(v.Name)
-	if !ok {
-		c.errorf(c.posOf(v), "unknown function %s: not an engine aggregate or scalar function", v.Name)
-		return ctype{}
-	}
-	if len(args) == 0 {
-		c.errorf(c.posOf(v), "function %s requires arguments", v.Name)
-		return ctype{}
-	}
-	if sameAsArg {
-		return ctype{typ: args[0].typ, known: args[0].known}
-	}
-	return ctype{typ: rt, known: true}
-}
-
-// checkJoinPredicate validates surrogate-key equijoins: an equality
-// between Identifier columns of two different base tables must follow a
-// declared FK (either direction), a fact-to-fact link, or a conformed
-// dimension both sides reference. Anything else is either a typo'd
-// join or an undeclared relationship the catalog should know about.
-func (c *checker) checkJoinPredicate(cond sql.Expr, sc *scope) {
-	b, ok := cond.(*sql.BinOp)
 	if !ok || b.Op != "=" {
 		return
 	}
@@ -629,44 +277,41 @@ func (c *checker) checkJoinPredicate(cond sql.Expr, sc *scope) {
 	if !lok || !rok {
 		return
 	}
-	l := c.lookupQuiet(lref, sc)
-	r := c.lookupQuiet(rref, sc)
-	if l == nil || r == nil || l.base == nil || r.base == nil {
+	l, lok := resolve(lref, s, ctes)
+	r, rok := resolve(rref, s, ctes)
+	if !lok || !rok || l.col.Type != schema.Identifier || r.col.Type != schema.Identifier ||
+		l.table == r.table { // a self-join through table aliases
 		return
 	}
-	if l.typ != schema.Identifier || r.typ != schema.Identifier {
-		return
-	}
-	if l.base.Name == r.base.Name {
-		return // self-join through table aliases
-	}
-	if joinJustified(l.base, l.baseCol, r.base, r.baseCol) ||
-		joinJustified(r.base, r.baseCol, l.base, l.baseCol) {
+	if joinJustified(l.table, l.col.Name, r.table, r.col.Name) ||
+		joinJustified(r.table, r.col.Name, l.table, l.col.Name) {
 		return
 	}
 	c.errorf(c.tmplOff(lref.Pos),
 		"join %s.%s = %s.%s follows no declared foreign key, fact link, or conformed dimension",
-		l.base.Name, l.baseCol, r.base.Name, r.baseCol)
+		l.table.Name, l.col.Name, r.table.Name, r.col.Name)
 }
 
-// lookupQuiet resolves a column without emitting diagnostics (the
-// expression pass already reported resolution failures).
-func (c *checker) lookupQuiet(ref *sql.ColRef, sc *scope) *col {
-	for ri := range sc.rels {
-		r := &sc.rels[ri]
-		if ref.Table != "" && r.binding != ref.Table {
+// resolve finds a join operand's catalog column by name. A name the
+// catalog lacks may be a bare-column alias in a CTE that s reads (q78's
+// `ss_customer_sk cust`), followed one level.
+func resolve(ref *sql.ColRef, s *sql.SelectStmt, ctes map[string]*sql.SelectStmt) (catalogColumn, bool) {
+	if cc, ok := catalogColumns()[ref.Name]; ok {
+		return cc, true
+	}
+	for _, from := range s.From {
+		body := ctes[from.Table]
+		if body == nil || ref.Table != "" && ref.Table != from.Binding() {
 			continue
 		}
-		for ci := range r.cols {
-			if r.cols[ci].name == ref.Name {
-				return &r.cols[ci]
+		for _, item := range body.Items {
+			if src, ok := item.Expr.(*sql.ColRef); ok && item.Alias == ref.Name {
+				cc, ok := catalogColumns()[src.Name]
+				return cc, ok
 			}
 		}
-		if ref.Table != "" {
-			return nil
-		}
 	}
-	return nil
+	return catalogColumn{}, false
 }
 
 // joinJustified checks one direction: a.colA joining b.colB.
@@ -694,10 +339,7 @@ func joinJustified(a *schema.Table, colA string, b *schema.Table, colB string) b
 	// Conformed dimension: both columns are FKs to the same dimension
 	// (e.g. ss_sold_date_sk = ws_sold_date_sk via date_dim).
 	refA := fkRef(a, colA)
-	if refA != "" && refA == fkRef(b, colB) {
-		return true
-	}
-	return false
+	return refA != "" && refA == fkRef(b, colB)
 }
 
 func fkRef(t *schema.Table, colName string) string {
@@ -707,27 +349,4 @@ func fkRef(t *schema.Table, colName string) string {
 		}
 	}
 	return ""
-}
-
-// conjuncts flattens an AND tree.
-func conjuncts(e sql.Expr) []sql.Expr {
-	if e == nil {
-		return nil
-	}
-	if b, ok := e.(*sql.BinOp); ok && b.Op == "AND" {
-		return append(conjuncts(b.L), conjuncts(b.R)...)
-	}
-	return []sql.Expr{e}
-}
-
-// outputName mirrors the engine's result-column naming: alias, bare
-// column name, else the lower-cased canonical render.
-func outputName(item sql.SelectItem) string {
-	if item.Alias != "" {
-		return item.Alias
-	}
-	if cr, ok := item.Expr.(*sql.ColRef); ok {
-		return cr.Name
-	}
-	return strings.ToLower(item.Expr.Render())
 }

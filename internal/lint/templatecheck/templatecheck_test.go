@@ -7,6 +7,7 @@ import (
 	"tpcds/internal/lint/templatecheck"
 	"tpcds/internal/qgen"
 	"tpcds/internal/queries"
+	"tpcds/internal/schema"
 )
 
 // TestAllTemplatesClean is the workload half of the dslint gate as a
@@ -30,8 +31,9 @@ func render(diags []templatecheck.Diagnostic) string {
 
 // TestSyntheticCorruptions checks the exact diagnostic (message and
 // template position) for each corruption class the checker exists to
-// catch. The SQL strings start with a newline like the real templates,
-// so findings land on line 2.
+// catch; the name and type classes are the engine binder's errors. The
+// SQL strings start with a newline like the real templates, so findings
+// land on line 2.
 func TestSyntheticCorruptions(t *testing.T) {
 	cases := []struct {
 		name string
@@ -46,7 +48,7 @@ func TestSyntheticCorruptions(t *testing.T) {
 		{
 			name: "unknown table",
 			tmpl: qgen.Template{ID: 902, SQL: "\nSELECT 1 FROM no_such_table\n"},
-			want: []string{`q902.sql:2:15: unknown table "no_such_table": not in the schema catalog or WITH clause`},
+			want: []string{`q902.sql:2:15: unknown table "no_such_table"`},
 		},
 		{
 			name: "unbound substitution parameter",
@@ -61,12 +63,12 @@ func TestSyntheticCorruptions(t *testing.T) {
 		{
 			name: "string compared with numeric",
 			tmpl: qgen.Template{ID: 905, SQL: "\nSELECT ss_quantity FROM store_sales WHERE ss_quantity = 'abc'\n"},
-			want: []string{`q905.sql:2:43: comparison "=" compares integer with char`},
+			want: []string{`q905.sql:2:43: cannot compare integer with char (operator =)`},
 		},
 		{
 			name: "aggregate over string column",
 			tmpl: qgen.Template{ID: 906, SQL: "\nSELECT SUM(c_first_name) FROM customer\n"},
-			want: []string{`q906.sql:2:12: SUM over char column; aggregate requires a numeric argument`},
+			want: []string{`q906.sql:2:12: cannot apply SUM to char`},
 		},
 		{
 			name: "union arity mismatch",
@@ -193,6 +195,47 @@ func TestCorruptedRealTemplate(t *testing.T) {
 	for _, d := range diags {
 		if !strings.Contains(d.Message, "ss_bogus_sk") {
 			t.Errorf("unexpected cascade finding: %s", d)
+		}
+	}
+}
+
+// TestJoinThroughCTEAlias holds the join check to q78's two joins
+// through the CTE column alias `cust`: both pass as shipped, and a join
+// of `st.cust` (store_sales.ss_customer_sk) to a customer's address key
+// is flagged.
+func TestJoinThroughCTEAlias(t *testing.T) {
+	var q78 qgen.Template
+	for _, tpl := range queries.All() {
+		if tpl.ID == 78 {
+			q78 = tpl
+		}
+	}
+	const join = "st.cust = c_customer_sk"
+	if !strings.Contains(q78.SQL, join) || !strings.Contains(q78.SQL, "st.cust = cat.cust") {
+		t.Fatalf("q78 no longer joins through cust:\n%s", q78.SQL)
+	}
+	if diags := templatecheck.CheckTemplate(q78); len(diags) != 0 {
+		t.Fatalf("q78 not clean: %v", diags)
+	}
+	seeded := q78
+	seeded.SQL = strings.Replace(q78.SQL, join, "st.cust = c_current_addr_sk", 1)
+	got := render(templatecheck.CheckTemplate(seeded))
+	want := "join store_sales.ss_customer_sk = customer.c_current_addr_sk follows no declared foreign key, fact link, or conformed dimension"
+	if !strings.Contains(got, want) || strings.Count(got, "\n") != 1 {
+		t.Errorf("seeded q78: got\n%swant one finding: %s", got, want)
+	}
+}
+
+// TestCatalogColumnNamesUnique pins what the join check's by-name
+// resolution rests on: no two catalog tables share a column name.
+func TestCatalogColumnNamesUnique(t *testing.T) {
+	seen := map[string]string{}
+	for _, tbl := range schema.Tables() {
+		for _, col := range tbl.Columns {
+			if other, dup := seen[col.Name]; dup {
+				t.Errorf("column %s is in both %s and %s", col.Name, other, tbl.Name)
+			}
+			seen[col.Name] = tbl.Name
 		}
 	}
 }

@@ -179,6 +179,62 @@ type SubQuery struct {
 	Select *SelectStmt
 }
 
+// Walk calls fn on e and, while fn returns true for a node, on the
+// node's subexpressions in text order. It does not enter subqueries: an
+// IN or scalar subquery's statement is the caller's to walk.
+func Walk(e Expr, fn func(Expr) bool) {
+	if e == nil || !fn(e) {
+		return
+	}
+	switch v := e.(type) {
+	case *BinOp:
+		Walk(v.L, fn)
+		Walk(v.R, fn)
+	case *UnaryOp:
+		Walk(v.X, fn)
+	case *Between:
+		Walk(v.X, fn)
+		Walk(v.Lo, fn)
+		Walk(v.Hi, fn)
+	case *In:
+		Walk(v.X, fn)
+		for _, x := range v.List {
+			Walk(x, fn)
+		}
+	case *Like:
+		Walk(v.X, fn)
+	case *IsNull:
+		Walk(v.X, fn)
+	case *CaseExpr:
+		for _, w := range v.Whens {
+			Walk(w.Cond, fn)
+			Walk(w.Result, fn)
+		}
+		Walk(v.Else, fn)
+	case *FuncCall:
+		for _, a := range v.Args {
+			Walk(a, fn)
+		}
+	case *Window:
+		Walk(v.Agg, fn)
+		for _, p := range v.PartitionBy {
+			Walk(p, fn)
+		}
+	}
+}
+
+// ExprPos is the byte offset of e's first column reference, where a
+// diagnostic about e points; 0 when e has none.
+func ExprPos(e Expr) (pos int) {
+	Walk(e, func(x Expr) bool {
+		if c, ok := x.(*ColRef); ok && pos == 0 {
+			pos = c.Pos
+		}
+		return pos == 0
+	})
+	return pos
+}
+
 // aggregateFuncs lists the supported aggregate function names.
 var aggregateFuncs = map[string]bool{
 	"SUM": true, "COUNT": true, "AVG": true, "MIN": true, "MAX": true,

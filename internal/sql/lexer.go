@@ -97,7 +97,7 @@ func Lex(input string) ([]Token, error) {
 				i++
 			}
 			if !closed {
-				return nil, &ParseError{Offset: start, Msg: "unterminated string"}
+				return nil, &Error{Offset: start, Msg: "unterminated string"}
 			}
 			toks = append(toks, Token{TokString, sb.String(), start})
 		case isIdentStart(c):
@@ -129,7 +129,7 @@ func Lex(input string) ([]Token, error) {
 					op = string(c)
 					i++
 				default:
-					return nil, &ParseError{Offset: i, Msg: fmt.Sprintf("illegal character %q", c)}
+					return nil, &Error{Offset: i, Msg: fmt.Sprintf("illegal character %q", c)}
 				}
 			}
 			toks = append(toks, Token{TokOp, op, start})

@@ -68,18 +68,24 @@ func (p *parser) expect(kind TokenKind, text string) (Token, error) {
 }
 
 func (p *parser) errorf(format string, args ...any) error {
-	return &ParseError{Offset: p.peek().Pos, Msg: fmt.Sprintf(format, args...)}
+	return &Error{Offset: p.peek().Pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-// ParseError is a parse failure with the byte offset of the offending
-// token, so callers (the template checker, the CLI) can point at the
-// exact position in the query text.
-type ParseError struct {
+// Error is a statement the engine rejects, at a byte offset of the
+// query text: a parse error at the offending token, or (Bind) a name or
+// type the binder rejects at its table or column reference — for a type
+// error, the expression's first column reference (ExprPos). The
+// template checker maps the offset back into the template text.
+type Error struct {
 	Offset int
 	Msg    string
+	Bind   bool
 }
 
-func (e *ParseError) Error() string {
+func (e *Error) Error() string {
+	if e.Bind {
+		return e.Msg
+	}
 	return fmt.Sprintf("sql: parse error at offset %d: %s", e.Offset, e.Msg)
 }
 

@@ -11,7 +11,7 @@ import (
 // FuzzParse drives the SQL parser with mutations of the full generated
 // workload: all 99 templates, instantiated with the benchmark's default
 // seed, plus a few degenerate shapes. The parser's contract is to
-// return *ParseError — never to panic, loop, or report a position
+// return *Error — never to panic, loop, or report a position
 // outside the input — no matter how the text is mangled.
 func FuzzParse(f *testing.F) {
 	for _, t := range queries.All() {
@@ -29,12 +29,12 @@ func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		stmt, err := sql.Parse(src)
 		if err != nil {
-			pe, ok := err.(*sql.ParseError)
-			if !ok {
-				t.Fatalf("Parse returned %T, want *sql.ParseError: %v", err, err)
+			pe, ok := err.(*sql.Error)
+			if !ok || pe.Bind {
+				t.Fatalf("Parse returned %T, want a parse *sql.Error: %v", err, err)
 			}
 			if pe.Offset < 0 || pe.Offset > len(src) {
-				t.Fatalf("ParseError offset %d outside input of length %d", pe.Offset, len(src))
+				t.Fatalf("Error offset %d outside input of length %d", pe.Offset, len(src))
 			}
 			return
 		}
