@@ -256,7 +256,7 @@ func (b *binder) bindArg(fc *sql.FuncCall, clause string, agg bool) (bexpr, erro
 	}
 	arg, err := b.bindIn(fc.Args[0], clause, agg)
 	if err == nil && fc.Name != "COUNT" && fc.Name != "MIN" && fc.Name != "MAX" {
-		err = checkNumeric(sql.ExprPos(fc), fc.Name, arg)
+		err = checkNumeric(fc, fc.Name, arg)
 	}
 	return arg, err
 }

@@ -163,21 +163,22 @@ func isNullLit(e bexpr) bool {
 // checkComparable rejects comparing a string with a number or a date at
 // bind time — the engine's values are dynamically typed, but such a
 // comparison can never be meaningful. NULL compares with anything
-// (always UNKNOWN). pos is the offset the error points at.
-func checkComparable(pos int, op string, l, r bexpr) error {
+// (always UNKNOWN). The error points at the first column reference of
+// at, the expression being bound.
+func checkComparable(at sql.Expr, op string, l, r bexpr) error {
 	if isStrType(l.typ()) == isStrType(r.typ()) || isNullLit(l) || isNullLit(r) {
 		return nil
 	}
-	return bindErrorf(pos, "cannot compare %v with %v (operator %s)", l.typ(), r.typ(), op)
+	return bindErrorf(sql.ExprPos(at), "cannot compare %v with %v (operator %s)", l.typ(), r.typ(), op)
 }
 
 // checkNumeric rejects a string operand of op other than a NULL literal:
 // arithmetic, unary minus, ABS, ROUND, SUM, AVG and STDDEV_SAMP would
 // compute with 0 or NULL in its place.
-func checkNumeric(pos int, op string, es ...bexpr) error {
+func checkNumeric(at sql.Expr, op string, es ...bexpr) error {
 	for _, e := range es {
 		if isStrType(e.typ()) && !isNullLit(e) {
-			return bindErrorf(pos, "cannot apply %s to %v", op, e.typ())
+			return bindErrorf(sql.ExprPos(at), "cannot apply %s to %v", op, e.typ())
 		}
 	}
 	return nil
@@ -269,12 +270,12 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 			l2 := coerceDate(r, l)
 			r2 := coerceDate(l, r)
 			l, r = l2, r2
-			if err := checkComparable(sql.ExprPos(v), v.Op, l, r); err != nil {
+			if err := checkComparable(v, v.Op, l, r); err != nil {
 				return nil, err
 			}
 		} else if v.Op != "AND" && v.Op != "OR" {
 			if v.Op != "||" {
-				if err := checkNumeric(sql.ExprPos(v), v.Op, l, r); err != nil {
+				if err := checkNumeric(v, v.Op, l, r); err != nil {
 					return nil, err
 				}
 			}
@@ -289,7 +290,7 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 		if v.Op == "NOT" {
 			return &notExpr{x: x}, nil
 		}
-		if err := checkNumeric(sql.ExprPos(v), "unary -", x); err != nil {
+		if err := checkNumeric(v, "unary -", x); err != nil {
 			return nil, err
 		}
 		return foldConst(&negExpr{x: x}, x), nil
@@ -308,7 +309,7 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 		}
 		lo, hi = coerceDate(x, lo), coerceDate(x, hi)
 		for _, bound := range []bexpr{lo, hi} {
-			if err := checkComparable(sql.ExprPos(v), "BETWEEN", x, bound); err != nil {
+			if err := checkComparable(v, "BETWEEN", x, bound); err != nil {
 				return nil, err
 			}
 		}
@@ -328,7 +329,7 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 				return nil, bindErrorf(sql.ExprPos(v), "IN subquery must return one column, got %d", tab.NumCols())
 			}
 			// The subquery's column, as the right operand of a comparison.
-			if err := checkComparable(sql.ExprPos(v), "IN", x, &colExpr{t: tab.Def.Columns[0].Type}); err != nil {
+			if err := checkComparable(v, "IN", x, &colExpr{t: tab.Def.Columns[0].Type}); err != nil {
 				return nil, err
 			}
 			col := tab.Col(0)
@@ -352,7 +353,7 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 			if !ok {
 				return nil, bindErrorf(sql.ExprPos(v), "IN list members must be literals")
 			}
-			if err := checkComparable(sql.ExprPos(v), "IN", x, lv); err != nil {
+			if err := checkComparable(v, "IN", x, lv); err != nil {
 				return nil, err
 			}
 			if lit.v.IsNull() {
@@ -425,7 +426,7 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 			return nil, bindErrorf(sql.ExprPos(v), "function %s requires more arguments", v.Name)
 		}
 		if v.Name == "ABS" || v.Name == "ROUND" {
-			if err := checkNumeric(sql.ExprPos(v), v.Name, f.args...); err != nil {
+			if err := checkNumeric(v, v.Name, f.args...); err != nil {
 				return nil, err
 			}
 		}
