@@ -2,11 +2,10 @@
 // layers and exits nonzero if either finds anything:
 //
 //   - source analyzers (internal/lint): the statement-level rules
-//     (cancelcheck, errcheck, panics, strayio), the flow-sensitive tier
-//     built on the CFG + dataflow framework (lockcheck, goleak,
-//     ctxflow, taintdet), and the rules that also read interprocedural
-//     summaries (nilcheck, errcontract) — all pure stdlib go/ast +
-//     go/types, no external tooling;
+//     (cancelcheck, errcheck, panics, strayio) and the flow-sensitive
+//     tier built on the CFG + dataflow framework (lockcheck, goleak,
+//     ctxflow, taintdet, nilcheck, errcontract), each one pass over one
+//     package — all pure stdlib go/ast + go/types, no external tooling;
 //   - the schema-aware template checker (internal/lint/templatecheck):
 //     every one of the 99 query templates must substitute, parse, and
 //     resolve cleanly against the snowstorm schema catalog.
@@ -26,9 +25,9 @@
 // exceeds its baseline fails the run, and a count below its baseline
 // prints a reminder to lower it. The file is edited by hand.
 //
-// -timings reports per-analyzer and call-graph ("program") wall time;
-// -budget fails the run when their total exceeds the given duration —
-// the CI guard keeping the fixpoint analyses interactive.
+// -timings reports per-analyzer wall time; -budget fails the run when
+// their total exceeds the given duration — the CI guard keeping the
+// dataflow analyses interactive.
 //
 // The package argument is accepted for familiarity ("./...") but the
 // tool always analyzes the whole module containing the working
@@ -54,7 +53,7 @@ func main() {
 	templates := flag.Bool("templates", true, "run the schema-aware template checker")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	baselineFlag := flag.String("baseline", "", "suppression-ratchet file: fail if any rule's //lint:ignore count grows past it")
-	timingsFlag := flag.Bool("timings", false, "report per-analyzer wall time and the call-graph build")
+	timingsFlag := flag.Bool("timings", false, "report per-analyzer wall time")
 	budgetFlag := flag.Duration("budget", 0, "fail when the source layer exceeds this total wall time (0 = no limit)")
 	flag.Parse()
 

@@ -425,9 +425,16 @@ func (b *binder) bind(e sql.Expr) (bexpr, error) {
 		if len(f.args) == 0 || len(f.args) == 1 && strings.HasPrefix(v.Name, "SUBSTR") {
 			return nil, bindErrorf(sql.ExprPos(v), "function %s requires more arguments", v.Name)
 		}
-		if v.Name == "ABS" || v.Name == "ROUND" {
+		switch a := f.args[0]; v.Name {
+		case "ABS", "ROUND":
 			if err := checkNumeric(v, v.Name, f.args...); err != nil {
 				return nil, err
+			}
+		case "SUBSTR", "SUBSTRING", "UPPER", "LOWER", "TO_DATE":
+			// These read their first argument's text: a number's would be
+			// cut or cased as digits, and never parse as a date.
+			if !isStrType(a.typ()) && !(v.Name == "TO_DATE" && a.typ() == schema.Date) {
+				return nil, bindErrorf(sql.ExprPos(v), "cannot apply %s to %v", v.Name, a.typ())
 			}
 		}
 		switch {

@@ -158,7 +158,7 @@ func (e *Engine) DB() *storage.DB { return e.db }
 // calling build when the cache holds none derived from t's current
 // instance id and epoch, and reports whether it built. This is the one
 // freshness rule of every derived structure the engine keeps: only the
-// table's own mutators (Append, Writer, Update, SetValue, Delete, Adopt)
+// table's own mutators (Append, Writer, SetValue, Delete, Adopt)
 // make one stale, by bumping the epoch, and the next use rebuilds it —
 // the data maintenance run's "maintain auxiliary data structures" cost
 // (§5.2) is paid there. A row count is no freshness test: a same-size

@@ -41,25 +41,11 @@ func BenchmarkNilness(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pr := buildProgram(pkgs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range pkgs {
-			p.nilDiags, p.nilProg = nil, nil
-			nilAnalyze(pr, p)
+			p.nilDiags = nil
+			nilAnalyze(p)
 		}
-	}
-}
-
-// BenchmarkSummaries times the bottom-up SCC fixpoint: call graph,
-// mutation, taint transfer and error-contract facts for every
-// function in the module.
-func BenchmarkSummaries(b *testing.B) {
-	_, pkgs, err := Module(".")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		buildProgram(pkgs)
 	}
 }

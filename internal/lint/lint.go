@@ -25,17 +25,18 @@
 //   - ctxflow: context.Background()/TODO() are banned in library
 //     packages, and a function holding a ctx must thread it into every
 //     callee that accepts one;
-//   - taintdet: a forward taint analysis catching wall-clock/rand/env
-//     values that reach storage emission or exported results through
-//     intermediate assignments and helper calls, in the generator
-//     packages, internal/exec and internal/storage.
-//
-// The last tier also reads per-function summaries computed over a
-// module-wide call graph (callgraph.go, summary.go):
-//
+//   - taintdet: a forward taint analysis that reports a wall-clock,
+//     global-rand, environment or obs read-back value where it is read,
+//     once, when it escapes its function — by a return or as an
+//     argument of a call outside obs, time and the builtins — in every
+//     internal library package but obs, driver and lint;
 //   - nilcheck and errcontract: definite-nil dereferences, and (T,
 //     error) results used before their error is checked or wrapped so
 //     the chain breaks — both on the nilness lattice of nilness.go.
+//
+// Every rule is one pass over one package, and no rule looks into the
+// body of a function a call reaches: a call's effects are unknown
+// unless its callee is one the rule models.
 //
 // Each rule catches a seeded defect nothing else in CI catches
 // (EXPERIMENTS.md "seeded-defect study at one goroutine per query").
@@ -94,8 +95,7 @@ type Result struct {
 	SuppressedByRule map[string]int
 
 	// Timings is the cumulative wall time per analyzer across all
-	// packages, plus a "program" row for the shared call graph and
-	// summaries (cmd/dslint -timings). Whichever of nilcheck and
+	// packages (cmd/dslint -timings). Whichever of nilcheck and
 	// errcontract runs first absorbs their shared per-package pass; the
 	// other reads its cache.
 	Timings map[string]time.Duration
@@ -105,7 +105,7 @@ type Result struct {
 func (r *Result) Clean() bool { return len(r.Diagnostics) == 0 }
 
 // analyzers lists the source rules: the four statement-level analyzers
-// followed by the three intraprocedural flow-sensitive ones.
+// followed by the flow-sensitive ones.
 var analyzers = []struct {
 	name string
 	fn   func(*Package) []Diagnostic
@@ -117,16 +117,6 @@ var analyzers = []struct {
 	{"lockcheck", analyzeLockCheck},
 	{"goleak", analyzeGoLeak},
 	{"ctxflow", analyzeCtxFlow},
-}
-
-// interAnalyzers lists the interprocedural rules: they additionally see
-// the Program (call graph + summaries) built over the whole package
-// set. taintdet lives here since it follows taint through helper calls
-// via transfer summaries; nilcheck and errcontract read the error facts.
-var interAnalyzers = []struct {
-	name string
-	fn   func(*Program, *Package) []Diagnostic
-}{
 	{"taintdet", analyzeTaintDet},
 	{"nilcheck", analyzeNilCheck},
 	{"errcontract", analyzeErrContract},
@@ -139,22 +129,13 @@ func KnownRule(name string) bool {
 			return true
 		}
 	}
-	for _, a := range interAnalyzers {
-		if a.name == name {
-			return true
-		}
-	}
 	return false
 }
 
 // Check runs every analyzer over every package, applies //lint:ignore
 // directives, and returns the surviving findings sorted by position.
 func Check(pkgs []*Package) *Result {
-	// The Program (call graph + bottom-up summaries) is built once over
-	// the whole set and shared by every interprocedural rule.
-	start := time.Now()
-	pr := buildProgram(pkgs)
-	res := &Result{SuppressedByRule: map[string]int{}, Timings: map[string]time.Duration{"program": time.Since(start)}}
+	res := &Result{SuppressedByRule: map[string]int{}, Timings: map[string]time.Duration{}}
 	for _, p := range pkgs {
 		dirs, dirDiags := collectDirectives(p)
 		res.Diagnostics = append(res.Diagnostics, dirDiags...)
@@ -162,11 +143,6 @@ func Check(pkgs []*Package) *Result {
 		for _, a := range analyzers {
 			start := time.Now()
 			raw = append(raw, a.fn(p)...)
-			res.Timings[a.name] += time.Since(start)
-		}
-		for _, a := range interAnalyzers {
-			start := time.Now()
-			raw = append(raw, a.fn(pr, p)...)
 			res.Timings[a.name] += time.Since(start)
 		}
 		for _, d := range raw {

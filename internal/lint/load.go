@@ -26,10 +26,9 @@ type Package struct {
 	Info  *types.Info
 	Types *types.Package
 
-	// nilcheck and errcontract share one nilness pass per package per
-	// Program (see nilness.go): its findings by rule.
+	// nilcheck and errcontract share one nilness pass per package (see
+	// nilness.go): its findings by rule.
 	nilDiags map[string][]Diagnostic
-	nilProg  *Program
 }
 
 // Loader parses and type-checks packages using only the standard

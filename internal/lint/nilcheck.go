@@ -19,8 +19,8 @@ import (
 )
 
 // analyzeNilCheck is the nilcheck analyzer entry.
-func analyzeNilCheck(pr *Program, p *Package) []Diagnostic {
-	return nilAnalyze(pr, p)["nilcheck"]
+func analyzeNilCheck(p *Package) []Diagnostic {
+	return nilAnalyze(p)["nilcheck"]
 }
 
 // nilPointer reports whether x is a pointer nil on every path here.

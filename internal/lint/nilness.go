@@ -6,20 +6,20 @@ package lint
 // non-nil, unknown — plus, for the result of a (T, error) call, the key
 // of the error that guards it. Facts come from syntax (&x, composite
 // literals, make, new and func literals are non-nil; a pointer-shaped
-// var declared without a value is nil), from branch conditions (each
-// edge of `if x != nil` carries its own answer), and from callee
-// summaries (ReturnsNilErrOn / NonNilResultWhenNilErr, computed by
-// errcontract.go). The lattice is finite, so dataflow.go's worklist
-// solver reaches its fixpoint without widening.
+// var declared without a value is nil) and from branch conditions (each
+// edge of `if x != nil` carries its own answer). A call's own results
+// are unknown: no rule looks into a callee's body.
+// The lattice is finite, so dataflow.go's worklist solver reaches its
+// fixpoint without widening.
 //
 // Modeled contracts, documented in DESIGN.md ("Nil and error-contract
 // analysis"): a method body runs on a non-nil receiver (a nil receiver
 // panics at the call site); a call forgets the facts of whatever it may
-// change — the receiver and pointer-like arguments its summary says it
-// mutates, every pointer-like argument and the receiver of a call
-// nothing is known about. A slice argument keeps its facts: the callee
-// gets a copy of the header. Interface dynamic types, unsafe and
-// reflection are out of scope.
+// change — what the model of a standard-library call names, and every
+// pointer-like argument and the receiver of any other call, in-module
+// calls included. A slice argument keeps its facts: the callee gets a
+// copy of the header. Interface dynamic types, unsafe and reflection
+// are out of scope.
 
 import (
 	"fmt"
@@ -72,21 +72,16 @@ func isNilIdent(p *Package, e ast.Expr) bool {
 	return isNil
 }
 
-// compFact ties a call result to its companion error: the result must
-// not be consumed while errKey can still be non-nil.
-type compFact struct {
-	errKey     string
-	nonNilOnOK bool // the result is non-nil whenever errKey is nil
-}
-
 // nilEnv is the state at one program point. An absent key is unknown.
+// comp ties a call result to its companion error: the result must not
+// be consumed while that error can still be non-nil.
 type nilEnv struct {
 	nl   map[string]nil3
-	comp map[string]compFact
+	comp map[string]string // result key -> error key
 }
 
 func newNilEnv() *nilEnv {
-	return &nilEnv{nl: map[string]nil3{}, comp: map[string]compFact{}}
+	return &nilEnv{nl: map[string]nil3{}, comp: map[string]string{}}
 }
 
 func (e *nilEnv) clone() *nilEnv {
@@ -129,8 +124,8 @@ func (e *nilEnv) kill(k string) {
 			delete(e.nl, key)
 		}
 	}
-	for key, c := range e.comp {
-		if c.errKey == k || strings.HasPrefix(key, prefix) {
+	for key, errKey := range e.comp {
+		if errKey == k || strings.HasPrefix(key, prefix) {
 			delete(e.comp, key)
 		}
 	}
@@ -138,7 +133,6 @@ func (e *nilEnv) kill(k string) {
 
 // nilFlow is the per-package engine state.
 type nilFlow struct {
-	pr       *Program
 	p        *Package
 	errKeys  map[string]bool // keys holding error values in the current scope
 	diags    map[string][]Diagnostic
@@ -147,11 +141,11 @@ type nilFlow struct {
 
 // nilAnalyze checks every function of p once; nilcheck and errcontract
 // share the pass through the cache on the package.
-func nilAnalyze(pr *Program, p *Package) map[string][]Diagnostic {
-	if p.nilDiags != nil && p.nilProg == pr {
+func nilAnalyze(p *Package) map[string][]Diagnostic {
+	if p.nilDiags != nil {
 		return p.nilDiags
 	}
-	nf := &nilFlow{pr: pr, p: p, diags: map[string][]Diagnostic{}, reported: map[string]bool{}}
+	nf := &nilFlow{p: p, diags: map[string][]Diagnostic{}, reported: map[string]bool{}}
 	if nilPkgs[p.Path] {
 		for _, f := range p.Files {
 			for _, fs := range funcScopes(f) {
@@ -159,27 +153,15 @@ func nilAnalyze(pr *Program, p *Package) map[string][]Diagnostic {
 			}
 		}
 	}
-	p.nilDiags, p.nilProg = nf.diags, pr
+	p.nilDiags = nf.diags
 	return nf.diags
 }
 
-// checkScope solves one function body, then replays every block from
-// its in-state, checking each node before pushing the state through it.
+// checkScope runs the fixpoint over fs's CFG, then replays every block
+// from its in-state, checking each node before pushing the state
+// through it. The edges out of a branch carry the state narrowed by
+// the condition's value on that edge.
 func (nf *nilFlow) checkScope(fs funcScope) {
-	g, ins := nf.solve(fs)
-	for _, blk := range g.Blocks {
-		env := ins[blk].clone()
-		for _, node := range blk.Nodes {
-			nf.checkNode(env, node)
-			nf.transfer(env, node)
-		}
-	}
-}
-
-// solve runs the fixpoint over fs's CFG and returns the graph with each
-// block's in-state. The edges out of a branch carry the state narrowed
-// by the condition's value on that edge.
-func (nf *nilFlow) solve(fs funcScope) (*CFG, map[*Block]*nilEnv) {
 	nf.errKeys = map[string]bool{}
 	g := buildCFG(fs.body, nf.p.terminatesStmt)
 	transfer := func(blk *Block, in *nilEnv) *nilEnv {
@@ -197,7 +179,14 @@ func (nf *nilFlow) solve(fs funcScope) (*CFG, map[*Block]*nilEnv) {
 		nf.refine(narrowed, blk.Cond, succ == blk.TrueSucc)
 		return narrowed
 	}
-	return g, solveForwardEdges(g, nf.boundary(fs), newNilEnv, (*nilEnv).clone, (*nilEnv).join, transfer, edge)
+	ins := solveForwardEdges(g, nf.boundary(fs), newNilEnv, (*nilEnv).clone, (*nilEnv).join, transfer, edge)
+	for _, blk := range g.Blocks {
+		env := ins[blk].clone()
+		for _, node := range blk.Nodes {
+			nf.checkNode(env, node)
+			nf.transfer(env, node)
+		}
+	}
 }
 
 // boundary is a scope's entry state: a method's receiver is non-nil, a
@@ -244,8 +233,7 @@ func (nf *nilFlow) boundary(fs funcScope) *nilEnv {
 
 // refine narrows env by cond evaluating to truth: `x == nil` and
 // `x != nil` under any nesting of !, && (on its true side) and || (on
-// its false side). Learning that an error is nil makes non-nil the
-// results its callee promises are non-nil on success.
+// its false side).
 func (nf *nilFlow) refine(env *nilEnv, cond ast.Expr, truth bool) {
 	switch v := unparen(cond).(type) {
 	case *ast.UnaryExpr:
@@ -272,13 +260,8 @@ func (nf *nilFlow) refine(env *nilEnv, cond ast.Expr, truth bool) {
 			}
 			if (v.Op == token.EQL) != truth {
 				env.nl[key] = nlNonNil
-				return
-			}
-			env.nl[key] = nlNil
-			for res, c := range env.comp {
-				if c.errKey == key && c.nonNilOnOK {
-					env.nl[res] = nlNonNil
-				}
+			} else {
+				env.nl[key] = nlNil
 			}
 		}
 	}
@@ -370,23 +353,9 @@ func (nf *nilFlow) assignOne(env *nilEnv, lhs, rhs ast.Expr) {
 	}
 	t := nf.p.typeOf(lhs)
 	nl := nf.nilFact(env, rhs)
-	var comp compFact
-	hasComp := false
+	comp, hasComp := "", false
 	if rid, ok := unparen(rhs).(*ast.Ident); ok {
 		comp, hasComp = env.comp[nf.p.canonKey(rid)]
-	}
-	// A single-result call: the callee's summary.
-	if call, ok := unparen(rhs).(*ast.CallExpr); ok && t != nil {
-		if n := nf.pr.calleeNode(nf.p, call); n != nil && n.sum != nil {
-			switch {
-			case isErrorType(t):
-				if n.sum.ReturnsNilErrOn&1 != 0 {
-					nl = nlNil
-				}
-			case nilable(t) && n.sum.NonNilResultWhenNilErr&1 != 0:
-				nl = nlNonNil
-			}
-		}
 	}
 	env.kill(key)
 	if nl != nlUnknown {
@@ -402,7 +371,7 @@ func (nf *nilFlow) assignOne(env *nilEnv, lhs, rhs ast.Expr) {
 
 // assignTuple transfers `a, b, ... := rhs`. For a call it records the
 // companion-error facts: every pointer-shaped result is guarded by the
-// error result, and the callee's summary may settle either side.
+// error result.
 func (nf *nilFlow) assignTuple(env *nilEnv, as *ast.AssignStmt) {
 	keys := make([]string, len(as.Lhs))
 	typs := make([]types.Type, len(as.Lhs))
@@ -415,13 +384,8 @@ func (nf *nilFlow) assignTuple(env *nilEnv, as *ast.AssignStmt) {
 			env.kill(k)
 		}
 	}
-	call, ok := unparen(as.Rhs[0]).(*ast.CallExpr)
-	if !ok {
+	if _, ok := unparen(as.Rhs[0]).(*ast.CallExpr); !ok {
 		return // v, ok := m[k] / x.(T) / <-ch: nothing beyond the kill
-	}
-	var sum *Summary
-	if n := nf.pr.calleeNode(nf.p, call); n != nil {
-		sum = n.sum
 	}
 	errIdx := -1
 	for i, t := range typs {
@@ -429,23 +393,14 @@ func (nf *nilFlow) assignTuple(env *nilEnv, as *ast.AssignStmt) {
 			errIdx = i
 		}
 	}
-	errKey := ""
-	if errIdx >= 0 {
-		errKey = keys[errIdx]
-		nf.errKeys[errKey] = true
-		if sum != nil && sum.ReturnsNilErrOn&(1<<uint(errIdx)) != 0 {
-			env.nl[errKey] = nlNil
-		}
+	if errIdx < 0 || keys[errIdx] == "" {
+		return
 	}
+	errKey := keys[errIdx]
+	nf.errKeys[errKey] = true
 	for i, k := range keys {
-		if k == "" || i == errIdx || !nilable(typs[i]) {
-			continue
-		}
-		nonNilOnOK := sum != nil && sum.NonNilResultWhenNilErr&(1<<uint(i)) != 0
-		if errKey != "" {
-			env.comp[k] = compFact{errKey: errKey, nonNilOnOK: nonNilOnOK}
-		} else if nonNilOnOK {
-			env.nl[k] = nlNonNil // no error result: non-nil unconditionally
+		if k != "" && i != errIdx && nilable(typs[i]) {
+			env.comp[k] = errKey
 		}
 	}
 }
@@ -487,10 +442,9 @@ func (nf *nilFlow) nilFact(env *nilEnv, e ast.Expr) nil3 {
 	return nlUnknown
 }
 
-// clobber forgets what a call may change: for an in-graph callee, the
-// receiver and pointer-like arguments its summary mutates; for a
-// modeled library call, what the model names; for anything else, every
-// pointer-like argument and the receiver.
+// clobber forgets what a call may change: for a modeled library call,
+// what the model names; for anything else, in-module calls included,
+// every pointer-like argument and the receiver.
 func (nf *nilFlow) clobber(env *nilEnv, call *ast.CallExpr) {
 	p := nf.p
 	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
@@ -506,17 +460,6 @@ func (nf *nilFlow) clobber(env *nilEnv, call *ast.CallExpr) {
 	if sel != nil {
 		s := p.Info.Selections[sel]
 		method = s != nil && s.Kind() == types.MethodVal
-	}
-	if n := nf.pr.calleeNode(p, call); n != nil && n.sum != nil {
-		if method && n.sum.MutatesRecv {
-			nf.killStore(env, sel.X)
-		}
-		for i, arg := range call.Args {
-			if i < 32 && n.sum.MutatesParam&(1<<uint(i)) != 0 && pointerLike(p.typeOf(arg)) {
-				nf.havoc(env, arg)
-			}
-		}
-		return
 	}
 	if eff := p.externalCallEffect(call); eff.known {
 		for _, i := range eff.mutArgs {
@@ -658,4 +601,117 @@ func (nf *nilFlow) emit(n ast.Node, rule, format string, args ...any) {
 		nf.reported[key] = true
 		nf.diags[rule] = append(nf.diags[rule], Diagnostic{Pos: pos, Rule: rule, Message: fmt.Sprintf(format, args...)})
 	}
+}
+
+// typeOf returns the expression's type, nil when untyped. Identifiers
+// fall back to their object: the lhs of a := define has no Types entry
+// (it is a definition, not an evaluated expression).
+func (p *Package) typeOf(e ast.Expr) types.Type {
+	if tv, ok := p.Info.Types[e]; ok {
+		return tv.Type
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		if obj := objOf(p, id); obj != nil {
+			return obj.Type()
+		}
+	}
+	return nil
+}
+
+// objOf resolves an identifier to its object (use or def).
+func objOf(p *Package, id *ast.Ident) types.Object {
+	if obj := p.Info.Defs[id]; obj != nil {
+		return obj
+	}
+	return p.Info.Uses[id]
+}
+
+// pointerLike reports whether mutating a value of type t is observable
+// through other references to it.
+func pointerLike(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	switch t.Underlying().(type) {
+	case *types.Pointer, *types.Slice, *types.Map:
+		return true
+	}
+	return false
+}
+
+// extEffect is the modeled behaviour of a standard-library call.
+type extEffect struct {
+	known   bool  // modeled; do not degrade to the conservative default
+	mutRecv bool  // the receiver is mutated
+	mutArgs []int // indices of mutated arguments
+}
+
+// roFuncPkgs are standard-library packages whose top-level functions
+// neither mutate nor retain their arguments in any way that matters to
+// the nilness facts (sort is handled separately: half its API mutates).
+var roFuncPkgs = map[string]bool{
+	"strings": true, "strconv": true, "unicode": true, "unicode/utf8": true,
+	"math": true, "math/bits": true, "errors": true, "path": true,
+	"path/filepath": true, "time": true, "context": true, "slices": true,
+	"os": true,
+}
+
+// externalCallEffect models a call into the standard library.
+// known=false means "no model — assume the worst"; every in-module
+// call is unmodeled.
+func (p *Package) externalCallEffect(call *ast.CallExpr) extEffect {
+	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return extEffect{}
+	}
+	obj := p.Info.Uses[sel.Sel]
+	if obj == nil || obj.Pkg() == nil {
+		return extEffect{}
+	}
+	pkg, name := obj.Pkg().Path(), obj.Name()
+	if s := p.Info.Selections[sel]; s != nil {
+		// Method call: classify by receiver type.
+		named := namedOf(s.Recv())
+		if named == nil || named.Obj().Pkg() == nil {
+			return extEffect{}
+		}
+		rpkg, rname := named.Obj().Pkg().Path(), named.Obj().Name()
+		switch rpkg {
+		case "sync", "sync/atomic":
+			// The synchronization primitives themselves: mutation is the
+			// point, and it is safe from any goroutine.
+			return extEffect{known: true, mutRecv: true}
+		case "time", "regexp", "context":
+			return extEffect{known: true} // value types / internally synchronized
+		case "strings", "bytes":
+			if rname == "Builder" || rname == "Buffer" || rname == "Reader" {
+				return extEffect{known: true, mutRecv: true}
+			}
+		}
+		return extEffect{}
+	}
+	// Package-level function call.
+	if roFuncPkgs[pkg] {
+		return extEffect{known: true}
+	}
+	switch pkg {
+	case "fmt":
+		switch {
+		case name == "Errorf", name == "Sprint", name == "Sprintf", name == "Sprintln":
+			return extEffect{known: true}
+		case name == "Fprint" || name == "Fprintf" || name == "Fprintln":
+			return extEffect{known: true, mutArgs: []int{0}}
+		case name == "Print" || name == "Printf" || name == "Println":
+			return extEffect{known: true} // process streams; strayio's concern
+		}
+	case "sort":
+		switch name {
+		case "Slice", "SliceStable", "Sort", "Stable", "Strings", "Ints", "Float64s":
+			return extEffect{known: true, mutArgs: []int{0}}
+		case "IsSorted", "SliceIsSorted", "StringsAreSorted", "IntsAreSorted",
+			"Search", "SearchInts", "SearchStrings", "SearchFloat64s":
+			return extEffect{known: true}
+		}
+	}
+	return extEffect{}
 }

@@ -1,78 +1,77 @@
 package lint
 
-// taintdet keeps generated data and query results bit-deterministic.
-// A wall-clock read is harmless where its value only reaches a timer;
-// it is a defect where the value reaches a table or a result, even
-// when the call and the emission are separated by assignments (`t :=
-// time.Now(); ...; row = append(row, storage.Int(t.Unix()))`) or by
-// helper calls. taintdet is a forward taint analysis over the function
-// CFG:
+// taintdet keeps generated data and query results bit-deterministic:
+// every value the library derives must come from its seeded streams.
+// It reports a nondeterministic value where it is read — at its
+// source — once, naming the first place the value escapes the
+// function that read it. taintdet is a forward taint analysis over the
+// function CFG:
 //
 //   - sources: wall-clock reads (time.Now/Since/Until), the global
 //     math/rand and math/rand/v2, crypto/rand, process-environment
-//     reads (os.Getenv/Environ/Getpid/Getppid/Hostname), and values
-//     read back out of obs instruments — anything whose value differs
-//     between two runs of the same seed;
+//     reads (os.Getenv/Environ/Getpid/Getppid/Hostname/Getuid), and
+//     values read back out of obs instruments — anything whose value
+//     differs between two runs of the same seed;
 //   - propagation: assignment, compound assignment, range binding and
 //     field stores move taint between locals (strong updates on plain
 //     reassignment, so laundering through a variable is tracked but an
-//     overwrite genuinely clears); a function literal carries the taint
-//     its body can return, so `pick := func() int { return
-//     rand.Intn(n) }; v := pick()` taints v;
-//   - sinks: any call into internal/storage with a tainted argument
-//     (flat-file emission and table building both live there) and any
-//     tainted value returned by an exported function (generator
-//     results escape to the harness and become benchmark data).
+//     overwrite genuinely clears); the result of a source call is a new
+//     source, not the taint of its arguments;
+//   - escapes: any return (exported function or not, function literal
+//     included), and any argument — the receiver of a method call
+//     included — of a call outside obs, time, the builtins and type
+//     conversions, storage emission among them. A helper that returns
+//     a clock value is reported at the clock read in the helper, so no
+//     call graph is needed to follow it.
 //
-// Scope: the deterministic generator packages plus internal/exec
-// (query results) and internal/storage itself (the emission layer).
-// A clock value that reaches a generated table changes the committed
-// flat-file hashes, which the tests check; one that reaches a query
-// result on a rare path (a literal that fails to parse, say) changes
-// nothing a test compares, and taintdet is what reports it.
+// Scope: every tpcds/internal library package except obs (the
+// recorder, whose instruments hold wall-clock measurements), driver
+// (the benchmark timer) and lint. Recording a measurement into obs, or
+// computing with it through the time package, is not an escape.
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
-// taintScope are the packages whose emitted values must be
-// bit-identical across runs: the generator side (§3: everything the
-// seeded-stream design guarantees, a wall-clock read or a global rand
-// call silently destroys), the planner (plan choice determines result
-// row order), the executor (query results) and the emission layer.
-var taintScope = map[string]bool{
-	"tpcds/internal/rng":     true,
-	"tpcds/internal/dist":    true,
-	"tpcds/internal/datagen": true,
-	"tpcds/internal/qgen":    true,
-	"tpcds/internal/scaling": true,
-	"tpcds/internal/plan":    true,
-	"tpcds/internal/exec":    true,
-	"tpcds/internal/storage": true,
-}
+// taintExempt are the internal packages outside taintdet's scope.
+var taintExempt = []string{obsPkgPath, "tpcds/internal/driver", "tpcds/internal/lint"}
 
 // storagePkgPath is the emission layer every generator writes through.
 const storagePkgPath = "tpcds/internal/storage"
 
-// obsPkgPath is the observability package: recording into it is not a
-// sink, and reading its instruments back is a taint source.
+// obsPkgPath is the observability package: recording into it is not an
+// escape, and reading its instruments back is a taint source.
 const obsPkgPath = "tpcds/internal/obs"
 
 // wallClockFuncs are the time package functions that read the clock.
 var wallClockFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 
-// taintFacts maps tainted local objects to the source description that
-// tainted them ("time.Now") and the source position.
+// inTaintScope reports whether p is a library package whose values
+// must be bit-identical across runs of the same seed.
+func inTaintScope(p *Package) bool {
+	if p.Name == "main" || !strings.HasPrefix(p.Path, "tpcds/internal/") {
+		return false
+	}
+	for _, x := range taintExempt {
+		if p.Path == x || strings.HasPrefix(p.Path, x+"/") {
+			return false
+		}
+	}
+	return true
+}
+
+// taintFacts maps tainted local objects to the source that tainted
+// them ("time.Now") and the source position.
 type taintFacts map[types.Object]taintOrigin
 
 type taintOrigin struct {
 	src string
 	pos token.Pos
 }
-
-func newTaintFacts() taintFacts { return taintFacts{} }
 
 func joinTaintFacts(dst, src taintFacts) bool {
 	changed := false
@@ -93,165 +92,138 @@ func cloneTaintFacts(s taintFacts) taintFacts {
 	return c
 }
 
-func analyzeTaintDet(pr *Program, p *Package) []Diagnostic {
-	if !taintScope[p.Path] {
+func analyzeTaintDet(p *Package) []Diagnostic {
+	if !inTaintScope(p) {
 		return nil
 	}
 	var out []Diagnostic
 	for _, f := range p.Files {
 		for _, fs := range funcScopes(f) {
-			out = append(out, p.taintFunc(pr, fs)...)
+			out = append(out, p.taintFunc(fs)...)
 		}
 	}
 	return out
 }
 
-func (p *Package) taintFunc(pr *Program, fs funcScope) []Diagnostic {
-	// Cheap pre-pass: a function that neither calls a source directly,
-	// nor calls a helper whose summary says it returns tainted values,
-	// nor builds a closure that can return one cannot taint anything.
+// taintEscape is the first place a source's value leaves its function.
+type taintEscape struct {
+	origin taintOrigin
+	end    token.Pos
+	line   int
+	how    string // "is passed to storage.Int", "is returned by f"
+}
+
+func (p *Package) taintFunc(fs funcScope) []Diagnostic {
+	// Cheap pre-pass: a function that reads no source taints nothing.
 	hasSource := false
-	ast.Inspect(fs.body, func(n ast.Node) bool {
-		if _, ok := p.nodeTaint(pr, n); ok {
-			hasSource = true
+	inspectShallow(fs.body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if _, ok := p.taintSource(call); ok {
+				hasSource = true
+			}
 		}
-		_, isLit := n.(*ast.FuncLit)
-		return !hasSource && !isLit
+		return !hasSource
 	})
 	if !hasSource {
 		return nil
 	}
 
-	exported := fs.decl != nil && fs.decl.Name.IsExported()
-	funcName := fs.name
-
-	var diags []Diagnostic
-	reported := map[token.Pos]bool{}
-	report := func(n ast.Node, format string, args ...any) {
-		if reported[n.Pos()] {
-			return
+	// The solver may push a block through transfer more than once; each
+	// source keeps its first escape in evaluation order, which is the
+	// escaping expression that ends first (an argument of a call inside
+	// a return ends before the returned expression does).
+	first := map[token.Pos]taintEscape{}
+	escape := func(origin taintOrigin, at ast.Node, format string, args ...any) {
+		if e, ok := first[origin.pos]; !ok || at.End() < e.end {
+			first[origin.pos] = taintEscape{origin, at.End(), p.Fset.Position(at.Pos()).Line, fmt.Sprintf(format, args...)}
 		}
-		reported[n.Pos()] = true
-		diags = append(diags, p.diag(n, "taintdet", format, args...))
 	}
-
-	g := buildCFG(fs.body, p.terminatesStmt)
 	transfer := func(blk *Block, in taintFacts) taintFacts {
 		st := cloneTaintFacts(in)
 		for _, node := range blk.Nodes {
-			p.taintTransferNode(pr, node, st, exported, funcName, report)
+			p.taintTransferNode(node, st, fs.name, escape)
 		}
 		return st
 	}
-	solveForward(g, newTaintFacts(), newTaintFacts, cloneTaintFacts, joinTaintFacts, transfer)
-	return diags
+	solveForward(buildCFG(fs.body, p.terminatesStmt), taintFacts{}, func() taintFacts { return taintFacts{} },
+		cloneTaintFacts, joinTaintFacts, transfer)
+
+	var diags []Diagnostic
+	for _, e := range first {
+		diags = append(diags, Diagnostic{
+			Pos:  p.Fset.Position(e.origin.pos),
+			Rule: "taintdet",
+			Message: fmt.Sprintf("value of %s %s at line %d; generated data and query results must be bit-deterministic",
+				e.origin.src, e.how, e.line),
+		})
+	}
+	return diags // Check sorts them
 }
 
-// taintTransferNode interprets one CFG node: sinks first (the node's
+// taintTransferNode interprets one CFG node: escapes first (the node's
 // reads see the pre-state), then assignments update the state.
-func (p *Package) taintTransferNode(pr *Program, node ast.Node, st taintFacts, exported bool, funcName string, report func(n ast.Node, format string, args ...any)) {
-	// Sinks anywhere inside the node: direct storage calls, and calls to
-	// in-module helpers whose summary proves the argument flows on into
-	// storage emission (the interprocedural half).
-	inspectShallow(node, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+func (p *Package) taintTransferNode(node ast.Node, st taintFacts, funcName string, escape func(taintOrigin, ast.Node, string, ...any)) {
+	// A range statement or case clause evaluates only its head here; its
+	// body statements are nodes of their own.
+	evaluated := []ast.Node{node}
+	switch v := node.(type) {
+	case *ast.RangeStmt:
+		evaluated = []ast.Node{v.X}
+	case *ast.CaseClause:
+		evaluated = nil
+		for _, e := range v.List {
+			evaluated = append(evaluated, e)
 		}
-		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if obj := p.Info.Uses[sel.Sel]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == storagePkgPath {
-				for _, arg := range call.Args {
-					if origin, tainted := p.exprTaint(pr, arg, st); tainted {
-						report(arg, "value derived from %s reaches storage emission via %s; generator output must be bit-deterministic",
-							origin.src, displayExpr(call.Fun))
-					}
-				}
+	}
+	for _, n := range evaluated {
+		inspectShallow(n, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || p.keepsTaintInside(call) {
 				return true
 			}
-		}
-		if pr == nil {
-			return true
-		}
-		callee := pr.calleeNode(p, call)
-		if callee == nil {
-			return true
-		}
-		cs := pr.summaryOf(callee)
-		if cs.ParamToSink == 0 && !cs.RecvToSink {
-			return true
-		}
-		if cs.RecvToSink {
+			args := call.Args
 			if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok && p.Info.Selections[sel] != nil {
-				if origin, tainted := p.exprTaint(pr, sel.X, st); tainted {
-					report(sel.X, "value derived from %s reaches storage emission via %s; generator output must be bit-deterministic",
-						origin.src, callee.Name)
+				args = append([]ast.Expr{sel.X}, args...)
+			}
+			for _, arg := range args {
+				if origin, tainted := p.exprTaint(arg, st); tainted {
+					escape(origin, arg, "is passed to %s", displayExpr(call.Fun))
 				}
 			}
-		}
-		nparams := calleeParamCount(callee)
-		for i, arg := range call.Args {
-			j := i
-			if nparams > 0 && j >= nparams {
-				j = nparams - 1
-			}
-			if j >= 32 || cs.ParamToSink&(1<<j) == 0 {
-				continue
-			}
-			if origin, tainted := p.exprTaint(pr, arg, st); tainted {
-				report(arg, "value derived from %s reaches storage emission via %s; generator output must be bit-deterministic",
-					origin.src, callee.Name)
-			}
-		}
-		return true
-	})
+			return true
+		})
+	}
 
 	switch v := node.(type) {
 	case *ast.ReturnStmt:
-		if exported {
-			for _, res := range v.Results {
-				if origin, tainted := p.exprTaint(pr, res, st); tainted {
-					report(res, "exported %s returns a value derived from %s; benchmark data must be bit-deterministic",
-						funcName, origin.src)
-				}
+		for _, res := range v.Results {
+			if origin, tainted := p.exprTaint(res, st); tainted {
+				escape(origin, res, "is returned by %s", funcName)
 			}
 		}
 	case *ast.AssignStmt:
-		p.taintAssign(pr, v, st)
+		p.taintAssign(v, st)
 	case *ast.DeclStmt:
+		// var x, y = e, f binds like x, y := e, f.
 		if gd, ok := v.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					var rhs ast.Expr
-					if len(vs.Values) == len(vs.Names) {
-						rhs = vs.Values[i]
-					} else if len(vs.Values) == 1 {
-						rhs = vs.Values[0]
+				if vs, ok := spec.(*ast.ValueSpec); ok {
+					lhs := make([]ast.Expr, len(vs.Names))
+					for i, name := range vs.Names {
+						lhs[i] = name
 					}
-					if rhs == nil {
-						continue
-					}
-					if origin, tainted := p.exprTaint(pr, rhs, st); tainted {
-						if obj := p.Info.Defs[name]; obj != nil {
-							st[obj] = origin
-						}
-					}
+					p.taintAssign(&ast.AssignStmt{Lhs: lhs, Tok: token.DEFINE, Rhs: vs.Values}, st)
 				}
 			}
 		}
 	case *ast.RangeStmt:
-		if origin, tainted := p.exprTaint(pr, v.X, st); tainted {
+		if origin, tainted := p.exprTaint(v.X, st); tainted {
 			for _, e := range []ast.Expr{v.Key, v.Value} {
 				if e == nil {
 					continue
 				}
 				if id, ok := unparen(e).(*ast.Ident); ok {
-					if obj := p.Info.Defs[id]; obj != nil {
-						st[obj] = origin
-					} else if obj := p.Info.Uses[id]; obj != nil {
+					if obj := objOf(p, id); obj != nil {
 						st[obj] = origin
 					}
 				}
@@ -260,19 +232,50 @@ func (p *Package) taintTransferNode(pr *Program, node ast.Node, st taintFacts, e
 	}
 }
 
+// keepsTaintInside reports whether a call's arguments stay inside the
+// run: a builtin, a type conversion, or a function or method of obs or
+// time.
+func (p *Package) keepsTaintInside(call *ast.CallExpr) bool {
+	if tv, ok := p.Info.Types[call.Fun]; ok && tv.IsType() {
+		return true
+	}
+	if id, ok := unparen(call.Fun).(*ast.Ident); ok {
+		if _, builtin := p.Info.Uses[id].(*types.Builtin); builtin {
+			return true
+		}
+	}
+	if f := p.calleeFunc(call); f != nil && f.Pkg() != nil {
+		return f.Pkg().Path() == "time" || f.Pkg().Path() == obsPkgPath
+	}
+	return false
+}
+
+// calleeFunc resolves a call to the *types.Func it invokes, when the
+// callee is a statically known function or method (an interface method
+// resolves to the interface's method). Type conversions, builtins and
+// function values return nil.
+func (p *Package) calleeFunc(call *ast.CallExpr) *types.Func {
+	switch fun := unparen(call.Fun).(type) {
+	case *ast.Ident:
+		f, _ := p.Info.Uses[fun].(*types.Func)
+		return f
+	case *ast.SelectorExpr:
+		f, _ := p.Info.Uses[fun.Sel].(*types.Func)
+		return f
+	}
+	return nil
+}
+
 // taintAssign propagates taint through one assignment, with strong
 // updates: reassigning a clean value to a plain identifier clears it.
-func (p *Package) taintAssign(pr *Program, as *ast.AssignStmt, st taintFacts) {
+func (p *Package) taintAssign(as *ast.AssignStmt, st taintFacts) {
 	assignOne := func(lhs ast.Expr, origin taintOrigin, tainted bool) {
 		switch l := unparen(lhs).(type) {
 		case *ast.Ident:
 			if l.Name == "_" {
 				return
 			}
-			obj := p.Info.Defs[l]
-			if obj == nil {
-				obj = p.Info.Uses[l]
-			}
+			obj := objOf(p, l)
 			if obj == nil {
 				return
 			}
@@ -300,7 +303,7 @@ func (p *Package) taintAssign(pr *Program, as *ast.AssignStmt, st taintFacts) {
 	if as.Tok != token.ASSIGN && as.Tok != token.DEFINE {
 		for i, lhs := range as.Lhs {
 			if i < len(as.Rhs) {
-				if origin, tainted := p.exprTaint(pr, as.Rhs[i], st); tainted {
+				if origin, tainted := p.exprTaint(as.Rhs[i], st); tainted {
 					assignOne(lhs, origin, true)
 				}
 			}
@@ -308,7 +311,7 @@ func (p *Package) taintAssign(pr *Program, as *ast.AssignStmt, st taintFacts) {
 		return
 	}
 	if len(as.Rhs) == 1 && len(as.Lhs) > 1 {
-		origin, tainted := p.exprTaint(pr, as.Rhs[0], st)
+		origin, tainted := p.exprTaint(as.Rhs[0], st)
 		for _, lhs := range as.Lhs {
 			assignOne(lhs, origin, tainted)
 		}
@@ -318,63 +321,32 @@ func (p *Package) taintAssign(pr *Program, as *ast.AssignStmt, st taintFacts) {
 		if i >= len(as.Rhs) {
 			break
 		}
-		origin, tainted := p.exprTaint(pr, as.Rhs[i], st)
+		origin, tainted := p.exprTaint(as.Rhs[i], st)
 		assignOne(lhs, origin, tainted)
 	}
 }
 
 // exprTaint reports whether e's value derives from a taint source under
-// the current state: it mentions a tainted object or contains a source
-// call (direct, or a helper whose transfer summary taints its return).
-func (p *Package) exprTaint(pr *Program, e ast.Expr, st taintFacts) (taintOrigin, bool) {
+// the current state: it contains a source call or mentions a tainted
+// object. A source call's own arguments are not looked into: its
+// result is the new source.
+func (p *Package) exprTaint(e ast.Expr, st taintFacts) (taintOrigin, bool) {
 	var origin taintOrigin
 	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
+	inspectShallow(e, func(n ast.Node) bool {
 		if found {
 			return false
 		}
-		if src, ok := p.nodeTaint(pr, n); ok {
-			origin, found = taintOrigin{src: src, pos: n.Pos()}, true
+		if call, ok := n.(*ast.CallExpr); ok {
+			if src, ok := p.taintSource(call); ok {
+				origin, found = taintOrigin{src: src, pos: call.Pos()}, true
+			}
 		} else if id, ok := n.(*ast.Ident); ok {
 			origin, found = st[p.Info.Uses[id]]
 		}
-		_, isLit := n.(*ast.FuncLit)
-		return !found && !isLit
+		return !found
 	})
 	return origin, found
-}
-
-// nodeTaint reports the nondeterminism source n itself produces: a
-// source call (taintSourceInter), or a function literal whose body can
-// return a tainted value.
-func (p *Package) nodeTaint(pr *Program, n ast.Node) (string, bool) {
-	switch v := n.(type) {
-	case *ast.CallExpr:
-		return p.taintSourceInter(pr, v)
-	case *ast.FuncLit:
-		if pr != nil {
-			return pr.litReturnTaint(p, v)
-		}
-	}
-	return "", false
-}
-
-// taintSourceInter is taintSource plus the interprocedural case: a call
-// to an in-graph function whose summary proves a nondeterministic value
-// can reach its return.
-func (p *Package) taintSourceInter(pr *Program, call *ast.CallExpr) (string, bool) {
-	if src, ok := p.taintSource(call); ok {
-		return src, true
-	}
-	if pr == nil {
-		return "", false
-	}
-	if callee := pr.calleeNode(p, call); callee != nil {
-		if cs := pr.summaryOf(callee); cs.TaintsReturn {
-			return cs.TaintSrc + " (via " + callee.Name + ")", true
-		}
-	}
-	return "", false
 }
 
 // taintSource recognizes calls whose results differ between two runs of
@@ -392,7 +364,7 @@ func (p *Package) taintSource(call *ast.CallExpr) (string, bool) {
 	// Values read BACK from obs instruments are wall-clock-derived: a
 	// span duration or a counter snapshot flowing into generated data
 	// is as nondeterministic as time.Now itself. (Recording INTO obs is
-	// not a sink; these are the read-out methods.)
+	// not an escape; these are the read-out methods.)
 	if obj.Pkg().Path() == obsPkgPath {
 		switch name {
 		case "End", "Value", "Count", "Sum", "Max", "Quantile":

@@ -1,7 +1,7 @@
 // Fixture for taintdet at the observability boundary: wall-clock
 // values flowing only into internal/obs recording calls are clean; the
-// same value also reaching storage is flagged, and a value read back
-// OUT of obs instruments is a taint source.
+// same value also reaching storage is flagged at its read, and a value
+// read back OUT of obs instruments is a taint source.
 package datagen
 
 import (
@@ -22,10 +22,10 @@ func observeOnly(tr *obs.Tracer, reg *obs.Registry) {
 	sp.End()
 }
 
-// leakToStorage is flagged: the clock reading reaches the storage
-// sink, even though the same value also feeds an obs histogram. (It is
-// unexported, so its return is not a second sink; the emission is the
-// finding.)
+// leakToStorage is flagged at the time.Since read: its value reaches
+// storage emission, even though it also feeds an obs histogram. The
+// time.Now read only feeds time.Since and is clean. One finding: the
+// emission is the read's first escape.
 func leakToStorage(reg *obs.Registry) storage.Value {
 	start := time.Now()
 	elapsed := time.Since(start)

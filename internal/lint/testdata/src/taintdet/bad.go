@@ -1,11 +1,11 @@
 // Package taintfix is a known-bad fixture for the taintdet analyzer.
 // It is type-checked under the virtual import path
-// "tpcds/internal/datagen", a generator package. taintdet does not
-// flag a clock read by itself: it follows the laundered value to
-// where it actually escapes (storage emission or an exported
-// result), so the time.Now call site carries no finding of its own.
-// os.Getenv and os.Getpid are taint sources just like the clock;
-// only the taint flow catches them.
+// "tpcds/internal/datagen", a generator package. taintdet flags a
+// clock read only when its value escapes (a return, or an argument of
+// a call outside obs and time), following it through assignments, and
+// reports it at the read. os.Getenv and os.Getpid are taint sources
+// just like the clock; a read overwritten before it escapes is not a
+// finding.
 package taintfix
 
 import (

@@ -1,12 +1,11 @@
-// Package taintinterfix is a known-bad fixture for the
-// interprocedural half of taintdet: nondeterminism that crosses a
-// function boundary before reaching storage emission. It poses as a
-// generator package (virtual path "tpcds/internal/datagen"); the
-// clock reads carry no finding at their sites, and taintdet reports
-// where the laundered values actually escape through a helper's
-// summary. The mutually recursive pair pins the
-// SCC fixpoint: summary computation must terminate on the cycle and
-// still carry the param-to-return transfer through it.
+// Package taintinterfix is the taintdet fixture for the shapes that
+// once needed a call graph: a clock value read in one function and
+// emitted by another. taintdet reports each source where it is read,
+// naming the first place its value leaves that function, so every
+// clock read below carries exactly one finding, and the callers and
+// helpers that only pass values along carry none. The fixture poses as
+// tpcds/internal/sql: a clock helper in the parser package, called by
+// exec's binder, is reported in the helper.
 package taintinterfix
 
 import (
@@ -15,35 +14,38 @@ import (
 	"tpcds/internal/storage"
 )
 
-// stamp launders a wall-clock read through a return value; its summary
-// records TaintsReturn.
-func stamp() int64 {
-	return time.Now().Unix()
+// today reads the clock in an unexported helper: its return is the
+// escape, reported at the read.
+func today() int64 {
+	return time.Now().Unix() / 86400
 }
 
-// emitStamp never touches the clock itself — the taint arrives through
-// the call to stamp and still reaches emission.
-func emitStamp() storage.Value {
-	s := stamp()
-	return storage.Int(s)
+// bindDate emits what the helper returns. No finding here: the read is
+// today's, and reported there.
+func bindDate() storage.Value {
+	d := today()
+	return storage.Int(d)
 }
 
-// emit forwards its parameter to storage; its summary records
-// ParamToSink.
+// emit forwards its parameter to storage. No finding: a parameter is
+// not a source.
 func emit(v int64) storage.Value {
 	return storage.Int(v)
 }
 
-// emitViaHelper's clock value reaches the sink inside the callee, not
-// at the call site.
+// emitNow passes a clock read straight into the emitting helper.
+func emitNow() storage.Value {
+	return emit(time.Now().Unix())
+}
+
+// emitViaHelper launders the read through a local before the call.
 func emitViaHelper() storage.Value {
 	seed := time.Now().UnixNano()
 	return emit(seed)
 }
 
-// walkEven and walkOdd are mutually recursive: one strongly connected
-// component. The fixpoint must converge and record that parameter 1
-// flows to the return of both.
+// walkEven and walkOdd are mutually recursive and read no source: no
+// finding, and nothing to iterate to a fixpoint across the pair.
 func walkEven(n int, t int64) int64 {
 	if n == 0 {
 		return t
@@ -58,8 +60,8 @@ func walkOdd(n int, t int64) int64 {
 	return walkEven(n-1, t)
 }
 
-// emitRecursive pushes a clock value through the recursive pair before
-// emitting it.
+// emitRecursive's clock value enters the recursive pair: the argument
+// is the first escape, before the emission that wraps it.
 func emitRecursive() storage.Value {
 	base := time.Now().Unix()
 	return storage.Int(walkEven(3, base))
@@ -72,12 +74,4 @@ func rowsFor(scale int) int {
 
 func emitClean(scale int) storage.Value {
 	return storage.Int(int64(rowsFor(scale)))
-}
-
-// rename writes through its parameter: its summary records
-// MutatesParam, which the nilness engine forgets facts by. Clean.
-type entry struct{ name string }
-
-func rename(e *entry, name string) {
-	e.name = name
 }

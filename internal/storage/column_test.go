@@ -518,11 +518,6 @@ func TestFirstNull(t *testing.T) {
 			rows[2] = withNull(rows[2], c)
 			return rows
 		},
-		"Update": func(tb *Table, rows [][]Value, c int) [][]Value {
-			rows[1] = withNull(row(40), c)
-			tb.Update(1, rows[1])
-			return rows
-		},
 		"SetValue": func(tb *Table, rows [][]Value, c int) [][]Value {
 			tb.SetValue(3, c, Null)
 			rows[3] = withNull(rows[3], c)

@@ -69,9 +69,10 @@ func TestAppendWrongKindPanics(t *testing.T) {
 func TestUpdateAndSetValue(t *testing.T) {
 	tb := NewTable(testDef())
 	tb.Append([]Value{Int(1), Int(10), Float(1), Str("a"), Null})
-	tb.Update(0, []Value{Int(1), Int(20), Float(2), Str("b"), Null})
+	tb.SetValue(0, 1, Int(20))
+	tb.SetValue(0, 3, Str("b"))
 	if tb.Get(0, 1).AsInt() != 20 || tb.Get(0, 3).S != "b" {
-		t.Error("Update did not apply")
+		t.Error("SetValue did not apply")
 	}
 	tb.SetValue(0, 1, Null)
 	if !tb.Get(0, 1).IsNull() {

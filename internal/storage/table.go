@@ -391,7 +391,7 @@ func (t *Table) Grow(n int) {
 func (t *Table) ID() uint64 { return t.id }
 
 // Epoch returns the table's data epoch: a counter bumped by every
-// mutating operation (Append, Update, SetValue, Delete). Derived-data
+// mutating operation (Append, SetValue, Delete). Derived-data
 // caches store the (ID, Epoch) pair at derivation time and are fresh
 // only while both still match.
 func (t *Table) Epoch() uint64 { return t.epoch }
@@ -515,18 +515,6 @@ func (w *Writer) Close() {
 		}
 	}
 	t.epoch += uint64(n - w.rows)
-}
-
-// Update overwrites row i with the given values (in-place dimension
-// maintenance).
-func (t *Table) Update(i int, row []Value) {
-	if len(row) != len(t.cols) {
-		panic("storage: row width mismatch in Update")
-	}
-	for c, v := range row {
-		t.cols[c].Set(i, v)
-	}
-	t.epoch++
 }
 
 // SetValue overwrites a single cell.
